@@ -6,10 +6,10 @@
 # `make bench-baseline` after an intentional change and commit it.
 
 GO        ?= go
-BENCH     ?= EngineInProcess|FleetInProcess|OracleJudge|MonitorNote
+BENCH     ?= EngineInProcess|FleetInProcess|OracleJudge|MonitorNote|WhiteBoxPosterior
 COUNT     ?= 5
 BENCHTIME ?= 1000x
-GATED      = EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission
+GATED      = EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission
 # Fast-path entries additionally gated on best-of-N ns/op. The 25%
 # threshold is deliberately generous (shared runners are noisy); it
 # exists to catch a fast path falling off a cliff, not a 5% wobble.
@@ -23,7 +23,7 @@ NS_GATED   = EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath
 SOAK_DURATION ?= 20s
 SOAK_OUT      ?= .
 
-.PHONY: test vet lint bench bench-run bench-baseline clean-bench soak scaling
+.PHONY: test vet lint bench bench-run bench-baseline bench-module clean-bench soak scaling
 
 test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
@@ -54,6 +54,14 @@ scaling:
 
 vet:
 	$(GO) vet ./...
+
+# bench-module compiles, vets and tests the mediation benchmark under
+# bench/. It is a module of its own (replace wsupgrade => ../), so
+# `./...` at the root never reaches it and an internal/... API change
+# could otherwise break it unnoticed.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 bench-run: clean-bench
 	$(GO) test -run='^$$' -bench='$(BENCH)' -benchtime=$(BENCHTIME) -benchmem -count=$(COUNT) . | tee bench.out

@@ -240,20 +240,41 @@ func BenchmarkAblationAdjudicators(b *testing.B) {
 	}
 }
 
-// BenchmarkWhiteBoxPosterior measures the inference hot path at the
-// default resolution.
+// scenarioGrid is the scenario-scale white-box grid internal/loadgen and
+// the mediation benchmark (bench/) publish per-demand confidence from.
+func scenarioGrid() bayes.WhiteBoxConfig {
+	prior := stats.ScaledBeta{Alpha: 1, Beta: 3, Upper: 0.3}
+	return bayes.WhiteBoxConfig{PriorA: prior, PriorB: prior, GridA: 40, GridB: 40, GridC: 10, GridAB: 48}
+}
+
+// BenchmarkWhiteBoxPosterior measures the §6.2 publication path's
+// inference call on the scenario grid (the default-resolution figure is
+// internal/bayes's benchmark of the same name): with no evidence, where
+// every cell still carries prior mass and nothing can be pruned, and
+// with the paper's mostly-clean campaigns, where the posterior has
+// concentrated and most cells are skipped. The gate pins allocs/op at
+// the two allocations of the result itself.
 func BenchmarkWhiteBoxPosterior(b *testing.B) {
-	s1 := relmodel.Scenario1()
-	w, err := bayes.NewWhiteBox(bayes.WhiteBoxConfig{PriorA: s1.PriorA, PriorB: s1.PriorB})
+	w, err := bayes.NewWhiteBox(scenarioGrid())
 	if err != nil {
 		b.Fatal(err)
 	}
-	counts := bayes.JointCounts{N: 50000, Both: 13, AOnly: 40, BOnly: 31}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Posterior(counts); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name   string
+		counts bayes.JointCounts
+	}{
+		{"scenario-grid-n0", bayes.JointCounts{}},
+		{"scenario-grid-n6000", bayes.JointCounts{N: 6000, AOnly: 2, BOnly: 1}},
+		{"scenario-grid-n1e6", bayes.JointCounts{N: 1000000, Both: 1, AOnly: 5, BOnly: 3}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.Posterior(tc.counts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -501,7 +522,7 @@ const benchLogCapacity = 256
 // newInProcessEngine builds an engine over n stub releases, starting in
 // the given lifecycle phase (the lifecycle guards reject backward
 // transitions, so benchmarks start where they measure).
-func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase, via benchTransport) *Engine {
+func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase, via benchTransport, opts ...func(*EngineConfig)) *Engine {
 	b.Helper()
 	eps := make([]Endpoint, n)
 	for i := range eps {
@@ -526,6 +547,9 @@ func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase,
 			b.Fatal(err)
 		}
 		cfg.HTTP = &http.Client{Transport: &stubTransport{resp: respEnv}}
+	}
+	for _, opt := range opts {
+		opt(&cfg)
 	}
 	engine, err := NewEngine(cfg)
 	if err != nil {
@@ -637,6 +661,20 @@ func BenchmarkEngineInProcess(b *testing.B) {
 			driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, tc.phase, tc.via))
 		})
 	}
+
+	// §6.2 publication: the observation phase with a confidence header
+	// on every response, so each demand makes a joint record and then
+	// computes the white-box posterior of the moved counts (the memo
+	// cannot help). The gate pins what publication adds to observation:
+	// the posterior's result and the header it is formatted into.
+	b.Run("observation-publish", func(b *testing.B) {
+		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation, viaWire,
+			func(cfg *EngineConfig) {
+				grid := scenarioGrid()
+				cfg.Inference = &grid
+				cfg.PublishHeader = true
+			}))
+	})
 
 	// The durable-campaign contract says journaling stays off the
 	// dispatch hot path: the writer only sees transitions, release

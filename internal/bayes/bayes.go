@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 
+	"wsupgrade/internal/pool"
 	"wsupgrade/internal/stats"
 	"wsupgrade/internal/xrand"
 )
@@ -331,22 +332,38 @@ func (c *WhiteBoxConfig) applyDefaults() {
 }
 
 // WhiteBox is the trivariate inference engine. The expensive parts of the
-// model — the prior weights and the per-cell log outcome probabilities —
-// are precomputed once at construction; each Posterior call then costs one
-// fused pass over the grid, so the engine can be queried at every
-// monitoring checkpoint.
+// model — the prior weights, the per-cell log outcome probabilities and
+// each cell's bin in the reported P_AB marginal — are precomputed once at
+// construction. A Posterior call then costs what its evidence requires:
+// one streaming pass for the neither-fails term and one per failure
+// outcome that has been observed at all (failures are rare in the
+// paper's regime), and one exponential per cell that can still
+// contribute to the normalised result — cells more than pruneBelow under
+// the maximum log-weight are skipped (DESIGN.md §5.1, "Cost of
+// confidence publication"). The engine can therefore be queried on every demand,
+// not only at monitoring checkpoints.
 //
-// A WhiteBox is immutable after construction and safe for concurrent use.
+// The model of a WhiteBox is immutable after construction and the engine
+// is safe for concurrent use; the only mutable state is the pool that
+// recycles the per-call log-weight scratch.
 type WhiteBox struct {
 	cfg WhiteBoxConfig
 
-	paXs, pbXs []float64 // marginal support midpoints
+	paXs, pbXs, abXs []float64 // marginal support midpoints
 
 	// Flattened cell arrays of size GridA*GridB*GridC, indexed
 	// (i*GridB + j)*GridC + k.
 	logPrior           []float64
 	l11, l10, l01, l00 []float64
-	pabVals            []float64 // P_AB value at each cell
+	abBin              []int32 // bin of the cell's P_AB value in the reported marginal
+
+	// pruneBelow is K: a cell whose log-weight is more than K under the
+	// maximum is left out of the sums. K = ln(cells) + 54·ln 2, so all
+	// skipped cells together weigh less than 2⁻⁵⁴ of the largest cell —
+	// under half an ulp of the normalising sum, which is at least 1.
+	pruneBelow float64
+
+	scratch pool.Slice[float64] // per-call log-weights, len = cells
 }
 
 // NewWhiteBox precomputes the inference grids.
@@ -370,6 +387,8 @@ func NewWhiteBox(cfg WhiteBoxConfig) (*WhiteBox, error) {
 	w := &WhiteBox{cfg: cfg}
 	w.paXs = midpoints(cfg.PriorA.Upper, cfg.GridA)
 	w.pbXs = midpoints(cfg.PriorB.Upper, cfg.GridB)
+	abUpper := math.Min(cfg.PriorA.Upper, cfg.PriorB.Upper)
+	w.abXs = midpoints(abUpper, cfg.GridAB)
 
 	cells := cfg.GridA * cfg.GridB * cfg.GridC
 	w.logPrior = make([]float64, cells)
@@ -377,7 +396,8 @@ func NewWhiteBox(cfg WhiteBoxConfig) (*WhiteBox, error) {
 	w.l10 = make([]float64, cells)
 	w.l01 = make([]float64, cells)
 	w.l00 = make([]float64, cells)
-	w.pabVals = make([]float64, cells)
+	w.abBin = make([]int32, cells)
+	w.pruneBelow = math.Log(float64(cells)) + 54*math.Ln2
 
 	logPrA := make([]float64, cfg.GridA)
 	for i, pa := range w.paXs {
@@ -399,7 +419,11 @@ func NewWhiteBox(cfg WhiteBoxConfig) (*WhiteBox, error) {
 			lp := logPrA[i] + logPrB[j]
 			for k := 0; k < cfg.GridC; k++ {
 				pab := m * (float64(k) + 0.5) / float64(cfg.GridC)
-				w.pabVals[idx] = pab
+				bin := int(float64(cfg.GridAB) * pab / abUpper)
+				if bin >= cfg.GridAB {
+					bin = cfg.GridAB - 1
+				}
+				w.abBin[idx] = int32(bin)
 				w.logPrior[idx] = lp
 				w.l11[idx] = math.Log(pab)
 				w.l10[idx] = math.Log(pa - pab)
@@ -425,79 +449,104 @@ func midpoints(upper float64, n int) []float64 {
 }
 
 // Posterior computes the joint posterior for the given observation and
-// returns its marginals. The call is read-only on the engine and may be
-// made concurrently.
+// returns its marginals. The call may be made concurrently. The weights
+// of the returned marginals are the caller's own; their support points
+// (Xs) are the engine's and must not be modified.
 func (w *WhiteBox) Posterior(c JointCounts) (*Posterior, error) {
 	if !c.Valid() {
 		return nil, fmt.Errorf("%w: inconsistent counts %+v", ErrBadConfig, c)
 	}
-	r1 := float64(c.Both)
-	r2 := float64(c.AOnly)
-	r3 := float64(c.BOnly)
-	r4 := float64(c.Neither())
+	// The result is two allocations: the three weight vectors share one
+	// backing array (capacities clipped so an append cannot run one
+	// marginal into the next) and the three grids ride with the Posterior.
+	nA, nB := w.cfg.GridA, w.cfg.GridB
+	ws := make([]float64, nA+nB+w.cfg.GridAB)
+	wsA, wsB, wsAB := ws[:nA:nA], ws[nA:nA+nB:nA+nB], ws[nA+nB:]
 
+	maxL, t := w.marginals(c, wsA, wsB, wsAB)
+	if math.IsInf(maxL, -1) {
+		return nil, fmt.Errorf("%w: posterior has no mass (all cells -Inf)", ErrBadConfig)
+	}
+	if t <= 0 || math.IsInf(t, 0) || math.IsNaN(t) {
+		return nil, fmt.Errorf("%w: posterior mass %v", ErrBadConfig, t)
+	}
+	for i := range ws {
+		ws[i] /= t
+	}
+
+	res := &struct {
+		Posterior
+		a, b, ab stats.Grid1D
+	}{
+		Posterior: Posterior{Counts: c},
+		a:         stats.Grid1D{Xs: w.paXs, Ws: wsA},
+		b:         stats.Grid1D{Xs: w.pbXs, Ws: wsB},
+		ab:        stats.Grid1D{Xs: w.abXs, Ws: wsAB},
+	}
+	res.A, res.B, res.AB = &res.a, &res.b, &res.ab
+	return &res.Posterior, nil
+}
+
+// marginals adds every cell's weight exp(ll − maxL) into the three
+// (zeroed) marginal vectors and returns the maximum log-weight maxL and
+// the total weight added. A maxL of −Inf means no cell has any mass, and
+// nothing was added.
+//
+//wsu:noalloc
+func (w *WhiteBox) marginals(c JointCounts, wsA, wsB, wsAB []float64) (maxLog, total float64) {
 	cells := len(w.logPrior)
-	logs := make([]float64, cells)
+	logs := w.scratch.Get(cells)[:cells]
+
+	// Log-weights: the prior plus one r·log p term per outcome, in Table
+	// 1 order. A failure outcome never observed adds exactly 0 to every
+	// cell, so its stream is not read at all; the neither-fails pass
+	// always runs and, seeing the finished weights, finds their maximum.
+	src := w.logPrior
+	for _, t := range [3]struct {
+		r float64
+		l []float64
+	}{
+		{float64(c.Both), w.l11},
+		{float64(c.AOnly), w.l10},
+		{float64(c.BOnly), w.l01},
+	} {
+		if t.r == 0 {
+			continue
+		}
+		r, l := t.r, t.l[:cells]
+		for idx, v := range src[:cells] {
+			logs[idx] = v + r*l[idx]
+		}
+		src = logs
+	}
+	r4, l00 := float64(c.Neither()), w.l00[:cells]
 	maxL := math.Inf(-1)
-	for idx := 0; idx < cells; idx++ {
-		ll := w.logPrior[idx] + r1*w.l11[idx] + r2*w.l10[idx] + r3*w.l01[idx] + r4*w.l00[idx]
+	for idx, v := range src[:cells] {
+		ll := v + r4*l00[idx]
 		logs[idx] = ll
 		if ll > maxL {
 			maxL = ll
 		}
 	}
-	if math.IsInf(maxL, -1) {
-		return nil, fmt.Errorf("%w: posterior has no mass (all cells -Inf)", ErrBadConfig)
-	}
 
-	nA, nB, nC := w.cfg.GridA, w.cfg.GridB, w.cfg.GridC
-	wsA := make([]float64, nA)
-	wsB := make([]float64, nB)
-	abUpper := math.Min(w.cfg.PriorA.Upper, w.cfg.PriorB.Upper)
-	nAB := w.cfg.GridAB
-	wsAB := make([]float64, nAB)
-	var total stats.KahanSum
-
-	idx := 0
-	for i := 0; i < nA; i++ {
-		for j := 0; j < nB; j++ {
-			for k := 0; k < nC; k++ {
-				p := math.Exp(logs[idx] - maxL)
-				if p > 0 {
-					wsA[i] += p
-					wsB[j] += p
-					bin := int(float64(nAB) * w.pabVals[idx] / abUpper)
-					if bin >= nAB {
-						bin = nAB - 1
-					}
-					wsAB[bin] += p
-					total.Add(p)
-				}
-				idx++
+	// Weights: one exponential per cell within pruneBelow of the maximum.
+	var sum stats.KahanSum
+	if !math.IsInf(maxL, -1) {
+		cut := maxL - w.pruneBelow
+		nB, nC := w.cfg.GridB, w.cfg.GridC
+		for idx, ll := range logs {
+			if ll >= cut {
+				row := idx / nC
+				p := math.Exp(ll - maxL)
+				wsA[row/nB] += p
+				wsB[row%nB] += p
+				wsAB[w.abBin[idx]] += p
+				sum.Add(p)
 			}
 		}
 	}
-	t := total.Sum()
-	if t <= 0 || math.IsInf(t, 0) || math.IsNaN(t) {
-		return nil, fmt.Errorf("%w: posterior mass %v", ErrBadConfig, t)
-	}
-	for i := range wsA {
-		wsA[i] /= t
-	}
-	for j := range wsB {
-		wsB[j] /= t
-	}
-	for b := range wsAB {
-		wsAB[b] /= t
-	}
-
-	post := &Posterior{
-		Counts: c,
-		A:      &stats.Grid1D{Xs: append([]float64(nil), w.paXs...), Ws: wsA},
-		B:      &stats.Grid1D{Xs: append([]float64(nil), w.pbXs...), Ws: wsB},
-		AB:     &stats.Grid1D{Xs: midpoints(abUpper, nAB), Ws: wsAB},
-	}
-	return post, nil
+	w.scratch.Put(logs)
+	return maxL, sum.Sum()
 }
 
 // Posterior carries the marginal posterior distributions of the white-box

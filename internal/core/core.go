@@ -66,7 +66,6 @@ import (
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/soapcodec"
 	"wsupgrade/internal/registry"
-	"wsupgrade/internal/stats"
 	"wsupgrade/internal/wire"
 	"wsupgrade/internal/wsdl"
 )
@@ -275,7 +274,7 @@ type Engine struct {
 	adjudic   adjudicate.Adjudicator
 	oracle    oracle.Oracle
 	mon       *monitor.Monitor
-	inference *bayes.WhiteBox
+	inference *memoInference // nil without an inference configuration
 	disp      *dispatch.Dispatcher
 
 	// codec is the unit's wire protocol; the derived fields are
@@ -482,7 +481,7 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: building inference engine: %w", err)
 		}
-		e.inference = wb
+		e.inference = &memoInference{model: wb}
 	}
 	return e, nil
 }
@@ -1175,201 +1174,6 @@ func (e *Engine) evaluatePolicy() {
 		return nil
 	})
 }
-
-// ---------------------------------------------------------------------------
-// Confidence (§6.2)
-
-// ConfidenceReport is a snapshot of the engine's confidence in the
-// release pair for one operation ("" = all operations pooled).
-type ConfidenceReport struct {
-	// Operation is the queried operation ("" for the pooled record).
-	Operation string
-	// Target is the pfd target T of the confidences.
-	Target float64
-	// Old is P(pfd_old ≤ T | observations).
-	Old float64
-	// New is P(pfd_new ≤ T | observations).
-	New float64
-	// Published is the single value published to consumers: the
-	// confidence of what they are currently served (conservatively the
-	// smaller of the two while both releases' responses can be
-	// delivered).
-	Published float64
-	// OldP99 and NewP99 are the 99% pfd percentiles (eq. 6).
-	OldP99, NewP99 float64
-	// Demands is the number of joint observations behind the report.
-	Demands int
-}
-
-// Confidence computes the report for one operation; operation "" pools
-// all operations.
-func (e *Engine) Confidence(operation string) (ConfidenceReport, error) {
-	if e.inference == nil {
-		return ConfidenceReport{}, ErrNoInference
-	}
-	var counts bayes.JointCounts
-	if operation == "" {
-		counts = e.mon.Joint()
-	} else {
-		counts = e.mon.JointFor(operation)
-	}
-	post, err := e.inference.Posterior(counts)
-	if err != nil {
-		return ConfidenceReport{}, fmt.Errorf("core: computing posterior: %w", err)
-	}
-	rep := ConfidenceReport{
-		Operation: operation,
-		Target:    e.cfg.ConfidenceTarget,
-		Old:       post.ConfidenceA(e.cfg.ConfidenceTarget),
-		New:       post.ConfidenceB(e.cfg.ConfidenceTarget),
-		OldP99:    post.PercentileA(0.99),
-		NewP99:    post.PercentileB(0.99),
-		Demands:   counts.N,
-	}
-	switch e.Phase() {
-	case PhaseOldOnly, PhaseObservation:
-		rep.Published = rep.Old
-	case PhaseNewOnly:
-		rep.Published = rep.New
-	default:
-		rep.Published = math.Min(rep.Old, rep.New)
-	}
-	return rep, nil
-}
-
-// AvailabilityConfidence computes the confidence that a release's
-// probability of not responding within the timeout is at most target —
-// the §6.1 "confidence in availability" attribute, read back per release.
-// It uses a black-box Beta-binomial inference over the monitor's
-// response/no-response record with a diffuse Beta(1,1) prior on [0, 0.9].
-func (e *Engine) AvailabilityConfidence(version string, target float64) (float64, error) {
-	if target <= 0 || target >= 1 {
-		return 0, fmt.Errorf("%w: availability target %v", ErrBadConfig, target)
-	}
-	s, err := e.mon.Stats(version)
-	if err != nil {
-		return 0, fmt.Errorf("core: availability confidence: %w", err)
-	}
-	bb, err := bayes.NewBlackBox(availabilityPrior, 300)
-	if err != nil {
-		return 0, fmt.Errorf("core: availability prior: %w", err)
-	}
-	post, err := bb.Posterior(s.Demands, s.Demands-s.Responses)
-	if err != nil {
-		return 0, fmt.Errorf("core: availability posterior: %w", err)
-	}
-	return post.CDF(target), nil
-}
-
-// availabilityPrior is diffuse: before any evidence every no-response
-// probability below 0.9 is equally plausible.
-var availabilityPrior = stats.ScaledBeta{Alpha: 1, Beta: 1, Upper: 0.9}
-
-// ResponsivenessConfidence computes the confidence that a release's
-// probability of exceeding maxLatency (or not responding at all) is at
-// most target — the §6.1 "confidence in responsiveness" attribute.
-func (e *Engine) ResponsivenessConfidence(version string, maxLatency time.Duration, target float64) (float64, error) {
-	if target <= 0 || target >= 1 {
-		return 0, fmt.Errorf("%w: responsiveness target %v", ErrBadConfig, target)
-	}
-	if maxLatency <= 0 {
-		return 0, fmt.Errorf("%w: latency bound %v", ErrBadConfig, maxLatency)
-	}
-	slow, demands, err := e.mon.SlowResponses(version, maxLatency)
-	if err != nil {
-		return 0, fmt.Errorf("core: responsiveness confidence: %w", err)
-	}
-	bb, err := bayes.NewBlackBox(availabilityPrior, 300)
-	if err != nil {
-		return 0, fmt.Errorf("core: responsiveness prior: %w", err)
-	}
-	post, err := bb.Posterior(demands, slow)
-	if err != nil {
-		return 0, fmt.Errorf("core: responsiveness posterior: %w", err)
-	}
-	return post.CDF(target), nil
-}
-
-// publishedConfidence is the scalar used in headers and responses.
-func (e *Engine) publishedConfidence(operation string) (float64, error) {
-	rep, err := e.Confidence(operation)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Published, nil
-}
-
-// serveConfidenceQuery answers the dedicated OperationConf operation
-// (§6.2 option 2). It takes ownership of envBuf, the pooled request
-// body, releasing it once the codec has decoded the queried operation.
-//
-//wsu:owns envBuf
-func (e *Engine) serveConfidenceQuery(w http.ResponseWriter, envBuf *pool.Buf) {
-	op, err := e.confOps.DecodeConfQuery(envBuf.B)
-	envBuf.Release()
-	if err != nil {
-		e.codec.WriteError(w, wsdl.ConfOperationName, err)
-		return
-	}
-	conf, err := e.publishedConfidence(op)
-	if err != nil {
-		e.codec.WriteError(w, wsdl.ConfOperationName, err)
-		return
-	}
-	body, err := e.confOps.EncodeConfResponse(conf)
-	if err != nil {
-		e.codec.WriteError(w, wsdl.ConfOperationName, err)
-		return
-	}
-	w.Header()["Content-Type"] = e.ctHeader
-	_, _ = w.Write(body)
-}
-
-// serveConfVariant answers an "<op>Conf" call (§6.2 option 3): it invokes
-// the underlying operation through the normal managed path and extends
-// the response with the confidence element. It takes ownership of
-// rawBuf, the pooled buffer holding the variant request as received;
-// the rewritten envelope is copied into a fresh pooled buffer that
-// rides the same dispatch path as directly proxied demands.
-//
-//wsu:owns rawBuf
-func (e *Engine) serveConfVariant(w http.ResponseWriter, r *http.Request, rawBuf *pool.Buf, baseOp string) {
-	rewritten, err := e.confOps.RewriteConfVariant(rawBuf.B, baseOp)
-	rawBuf.Release()
-	if err != nil {
-		e.codec.WriteError(w, baseOp, err)
-		return
-	}
-	override, _ := headerAdjudicator(r)
-	envBuf := confEnvBufs.Get()
-	envBuf.B = append(envBuf.B[:0], rewritten...)
-	winner, adjErr := e.dispatch(r.Context(), envBuf, baseOp, override)
-	if adjErr != nil {
-		e.respond(w, baseOp, winner, adjErr)
-		return
-	}
-	conf, err := e.publishedConfidence(baseOp)
-	if err != nil {
-		winner.ReleaseBody()
-		e.codec.WriteError(w, baseOp, err)
-		return
-	}
-	extended, err := e.confOps.ExtendConfVariant(winner.Body, baseOp, conf)
-	if err != nil {
-		winner.ReleaseBody()
-		e.codec.WriteError(w, baseOp, err)
-		return
-	}
-	// The winner's Buf still carries the pooled original body; respond
-	// discharges it after the transformed body is written.
-	winner.Body = extended
-	e.respond(w, baseOp, winner, nil)
-}
-
-// confEnvBufs pools the re-marshalled request envelopes of §6.2
-// "<op>Conf" variant calls so they ride the same pooled dispatch path as
-// directly proxied envelopes.
-var confEnvBufs pool.BufPool
 
 // ---------------------------------------------------------------------------
 // Registry integration

@@ -330,11 +330,19 @@ func (p *SwitchPolicy) Due(n int) bool {
 	return n >= p.MinDemands && n%p.CheckEvery == 0
 }
 
+// Inference computes the white-box posterior of a joint record.
+// *bayes.WhiteBox is one; the engine passes its memoised front, so the
+// policy check and the response that publishes the same counts share a
+// posterior.
+type Inference interface {
+	Posterior(bayes.JointCounts) (*bayes.Posterior, error)
+}
+
 // ShouldSwitch evaluates the criterion on the posterior inferred from
 // counts. It reports false without error when the evaluation is not
 // due yet; inference failures also report false (a posterior the
 // engine cannot compute is never grounds to switch).
-func (p *SwitchPolicy) ShouldSwitch(counts bayes.JointCounts, inference *bayes.WhiteBox) bool {
+func (p *SwitchPolicy) ShouldSwitch(counts bayes.JointCounts, inference Inference) bool {
 	if inference == nil || !p.Due(counts.N) {
 		return false
 	}
