@@ -23,7 +23,7 @@ NS_GATED   = EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath
 SOAK_DURATION ?= 20s
 SOAK_OUT      ?= .
 
-.PHONY: test vet lint bench bench-run bench-baseline bench-module clean-bench soak scaling
+.PHONY: test vet lint bench bench-run bench-baseline bench-module clean-bench soak
 
 test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
@@ -45,12 +45,6 @@ soak:
 	$(GO) run -race ./cmd/loadgen -scenario crash-restart -out $(SOAK_OUT)/soak-crash.json
 	$(GO) run -race ./cmd/loadgen -scenario crash-recovery -out $(SOAK_OUT)/soak-crash-recovery.json
 	$(GO) run -race ./cmd/loadgen -scenario soak -duration $(SOAK_DURATION) -out $(SOAK_OUT)/soak-report.json
-
-# scaling regenerates the committed GOMAXPROCS scaling curve
-# (bench_scaling.json): RPS and p99 of the mediation path at 1, 2, 4, …
-# NumCPU cores against a self-deployed faultless unit.
-scaling:
-	$(GO) run ./cmd/loadgen -scaling -out bench_scaling.json
 
 vet:
 	$(GO) vet ./...

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -371,41 +370,15 @@ func BenchmarkEngineProxyParallel(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// In-process transport benchmarks: the network is replaced entirely —
-// by an in-memory pipe under the default wire transport, or a stub
-// http.RoundTripper under the net/http fallback — so these isolate the
+// In-process transport benchmarks: the network is replaced entirely by
+// an in-memory pipe under the wire transport, so these isolate the
 // engine's own per-request overhead (read, sniff, dispatch, adjudicate,
 // monitor, re-envelope) from real round-trip cost: the network-free
 // baseline ROADMAP tracks.
 
-// stubTransport answers every release call in process with a canned SOAP
-// response through the net/http client machinery. The stub itself costs
-// a few allocations per call (response struct, header map, reader),
-// which is the floor the fallback benchmarks cannot go below.
-type stubTransport struct {
-	resp []byte
-}
-
-func (t *stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body != nil {
-		_, _ = io.Copy(io.Discard, req.Body)
-		_ = req.Body.Close()
-	}
-	return &http.Response{
-		Status:     "200 OK",
-		StatusCode: http.StatusOK,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     http.Header{"Content-Type": []string{soap.ContentType}},
-		Body:       io.NopCloser(bytes.NewReader(t.resp)),
-		Request:    req,
-	}, nil
-}
-
-// wireStub is the wire-transport analogue of stubTransport: its dial
-// method hands the wire client one end of an in-memory pipe whose other
-// end speaks canned HTTP/1.1 keep-alive responses.
+// wireStub answers every release call in process: its dial method hands
+// the wire client one end of an in-memory pipe whose other end speaks
+// canned HTTP/1.1 keep-alive responses.
 type wireStub struct {
 	resp []byte // complete response bytes: head + canned SOAP envelope
 }
@@ -504,15 +477,6 @@ func sniffContentLength(line []byte) (int, bool) {
 	return n, seen
 }
 
-// benchTransport selects which release transport an in-process engine
-// benchmarks.
-type benchTransport int
-
-const (
-	viaWire    benchTransport = iota // default path: wire client over in-memory pipes
-	viaNetHTTP                       // fallback path: net/http client over a stub RoundTripper
-)
-
 // benchLogCapacity bounds the in-process engines' event-log ring. The
 // ring allocates per-slot backing on its first lap only, so steady-state
 // measurement needs the warm-up drive (below) to lap it once; a small
@@ -522,7 +486,7 @@ const benchLogCapacity = 256
 // newInProcessEngine builds an engine over n stub releases, starting in
 // the given lifecycle phase (the lifecycle guards reject backward
 // transitions, so benchmarks start where they measure).
-func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase, via benchTransport, opts ...func(*EngineConfig)) *Engine {
+func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase, opts ...func(*EngineConfig)) *Engine {
 	b.Helper()
 	eps := make([]Endpoint, n)
 	for i := range eps {
@@ -537,16 +501,7 @@ func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase,
 		Quorum:       quorum,
 		InitialPhase: phase,
 		Monitor:      NewMonitor(monitor.WithLogCapacity(benchLogCapacity)),
-	}
-	switch via {
-	case viaWire:
-		cfg.Dial = newWireStub(b, service.AddResponse{Sum: 3}).dial
-	case viaNetHTTP:
-		respEnv, err := soap.Envelope(service.AddResponse{Sum: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.HTTP = &http.Client{Transport: &stubTransport{resp: respEnv}}
+		Dial:         newWireStub(b, service.AddResponse{Sum: 3}).dial,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -641,24 +596,19 @@ func driveInProcess(b *testing.B, engine *Engine) {
 
 // BenchmarkEngineInProcess measures pure engine overhead per phase over
 // two stub releases: the parallel fan-out versus the single-target fast
-// path of the old-only/new-only phases. The *-nethttp variants run the
-// same workload over the net/http fallback transport, so the wire
-// client's per-call saving stays visible in every report.
+// path of the old-only/new-only phases.
 func BenchmarkEngineInProcess(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
 		phase Phase
-		via   benchTransport
 	}{
-		{"parallel", PhaseParallel, viaWire},
-		{"observation", PhaseObservation, viaWire},
-		{"old-only-fastpath", PhaseOldOnly, viaWire},
-		{"new-only-fastpath", PhaseNewOnly, viaWire},
-		{"parallel-nethttp", PhaseParallel, viaNetHTTP},
-		{"old-only-fastpath-nethttp", PhaseOldOnly, viaNetHTTP},
+		{"parallel", PhaseParallel},
+		{"observation", PhaseObservation},
+		{"old-only-fastpath", PhaseOldOnly},
+		{"new-only-fastpath", PhaseNewOnly},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, tc.phase, tc.via))
+			driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, tc.phase))
 		})
 	}
 
@@ -668,7 +618,7 @@ func BenchmarkEngineInProcess(b *testing.B) {
 	// cannot help). The gate pins what publication adds to observation:
 	// the posterior's result and the header it is formatted into.
 	b.Run("observation-publish", func(b *testing.B) {
-		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation, viaWire,
+		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation,
 			func(cfg *EngineConfig) {
 				grid := scenarioGrid()
 				cfg.Inference = &grid
@@ -723,7 +673,7 @@ func BenchmarkEngineInProcess(b *testing.B) {
 	})
 
 	b.Run("old-only-fastpath-journaled", func(b *testing.B) {
-		engine := newInProcessEngine(b, 2, ModeReliability, 0, PhaseOldOnly, viaWire)
+		engine := newInProcessEngine(b, 2, ModeReliability, 0, PhaseOldOnly)
 		w, _, err := journal.Open(filepath.Join(b.TempDir(), "bench.journal"))
 		if err != nil {
 			b.Fatal(err)
@@ -756,7 +706,7 @@ func BenchmarkEngineInProcessModes(b *testing.B) {
 			{"sequential", ModeSequential, 0},
 		} {
 			b.Run(fmt.Sprintf("%s-%dv", mc.name, n), func(b *testing.B) {
-				driveInProcess(b, newInProcessEngine(b, n, mc.mode, mc.quorum, PhaseParallel, viaWire))
+				driveInProcess(b, newInProcessEngine(b, n, mc.mode, mc.quorum, PhaseParallel))
 			})
 		}
 	}

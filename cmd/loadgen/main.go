@@ -13,9 +13,6 @@
 //
 //	# chaos scenario for CI
 //	loadgen -scenario corrupt-never-wins -out report.json
-//
-//	# GOMAXPROCS scaling sweep (self-deploys a faultless unit)
-//	loadgen -scaling -out bench_scaling.json
 package main
 
 import (
@@ -64,7 +61,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "seed for request parameters and fault injection")
 	out := fs.String("out", "", "write the JSON report here instead of stdout")
 	scenario := fs.String("scenario", "", "run a named chaos scenario instead of raw load (see -list)")
-	scaling := fs.Bool("scaling", false, "run the GOMAXPROCS scaling sweep against a self-deployed unit")
 	list := fs.Bool("list", false, "list scenarios and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,19 +81,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		defer f.Close()
 		dest = f
-	}
-
-	if *scaling {
-		rep, err := loadgen.RunScaling(ctx, loadgen.ScalingOptions{
-			Concurrency: *concurrency,
-			PerPoint:    *duration,
-			Seed:        *seed,
-			Log:         stderr,
-		})
-		if err != nil {
-			return err
-		}
-		return rep.WriteJSON(dest)
 	}
 
 	if *scenario != "" {

@@ -44,6 +44,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -64,7 +65,6 @@ import (
 	"wsupgrade/internal/core"
 	"wsupgrade/internal/dispatch"
 	"wsupgrade/internal/fleet"
-	"wsupgrade/internal/journal"
 	"wsupgrade/internal/lifecycle"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/protocol/jsoncodec"
@@ -114,19 +114,15 @@ type unitParams struct {
 	// operations and the /wsdl contract; confidence publishes over the
 	// X-Wsupgrade-Confidence HTTP header instead.
 	Protocol string
-	// UseNetHTTP forces the net/http release transport instead of the
-	// default wire client (TLS, proxies, exotic deployments).
-	UseNetHTTP bool
 }
 
 // engineConfig translates unit parameters into a core.Config. The
 // returned closer owns the JSONL log file, if any.
 func engineConfig(p unitParams) (core.Config, io.Closer, error) {
 	cfg := core.Config{
-		Releases:   p.Releases,
-		Timeout:    p.Timeout,
-		Quorum:     p.Quorum,
-		UseNetHTTP: p.UseNetHTTP,
+		Releases: p.Releases,
+		Timeout:  p.Timeout,
+		Quorum:   p.Quorum,
 	}
 	if len(p.Releases) == 0 {
 		return cfg, nil, fmt.Errorf("at least one release is required")
@@ -252,19 +248,24 @@ type fleetUnit struct {
 	Oracle     string          `json:"oracle,omitempty"`
 	Protocol   string          `json:"protocol,omitempty"`
 	Log        string          `json:"log,omitempty"`
-	UseNetHTTP bool            `json:"useNetHTTP,omitempty"`
 }
 
-// loadFleetConfig builds the fleet configuration from a JSON file.
-// netHTTP forces the net/http release transport on every unit.
-func loadFleetConfig(path string, defaultTarget float64, netHTTP bool) (fleet.Config, []io.Closer, error) {
+// loadFleetConfig builds the fleet configuration from a JSON file. A key
+// the schema does not know (a typo, an option since removed) is an
+// error naming it, not a unit silently running on defaults.
+func loadFleetConfig(path string, defaultTarget float64) (fleet.Config, []io.Closer, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fleet.Config{}, nil, fmt.Errorf("reading fleet config: %w", err)
 	}
 	var ff fleetFile
-	if err := json.Unmarshal(data, &ff); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&ff); err != nil {
 		return fleet.Config{}, nil, fmt.Errorf("parsing fleet config: %w", err)
+	}
+	if dec.More() {
+		return fleet.Config{}, nil, fmt.Errorf("parsing fleet config: trailing data after the configuration object")
 	}
 	if len(ff.Units) == 0 {
 		return fleet.Config{}, nil, fmt.Errorf("fleet config has no units")
@@ -295,7 +296,6 @@ func loadFleetConfig(path string, defaultTarget float64, netHTTP bool) (fleet.Co
 			Oracle:     u.Oracle,
 			Protocol:   u.Protocol,
 			LogPath:    u.Log,
-			UseNetHTTP: u.UseNetHTTP || netHTTP,
 		})
 		if err != nil {
 			closeAll()
@@ -313,44 +313,6 @@ func loadFleetConfig(path string, defaultTarget float64, netHTTP bool) (fleet.Co
 		})
 	}
 	return cfg, closers, nil
-}
-
-// attachEngineJournal makes a single-unit campaign durable, mirroring
-// what the fleet does per unit: quarantine-tolerant open, restore the
-// replayed campaign, subscribe the writer to the engine's lifecycle,
-// compact history into one snapshot, and start the snapshot loop. The
-// returned closer stops the loop and flushes the writer.
-func attachEngineJournal(engine *core.Engine, dir string, interval time.Duration) (func() error, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("journal dir: %w", err)
-	}
-	w, jst, err := journal.OpenOrQuarantine(filepath.Join(dir, "unit.journal"))
-	if err != nil {
-		if w == nil {
-			return nil, fmt.Errorf("opening journal: %w", err)
-		}
-		log.Printf("upgraded: journal quarantined, campaign starts fresh: %v", err)
-	}
-	if err := engine.RestoreCampaign(jst); err != nil {
-		log.Printf("upgraded: journal restore failed, campaign starts fresh: %v", err)
-	}
-	engine.AttachJournal(w)
-	snap := engine.CampaignSnapshot()
-	if err := w.Compact(journal.Entry{
-		Kind: journal.KindSnapshot, Time: time.Now().UnixNano(), Snapshot: &snap,
-	}); err != nil {
-		_ = w.Close()
-		return nil, fmt.Errorf("compacting journal: %w", err)
-	}
-	stop, err := engine.StartCampaignSnapshots(w, interval)
-	if err != nil {
-		_ = w.Close()
-		return nil, err
-	}
-	return func() error {
-		stop()
-		return w.Close()
-	}, nil
 }
 
 // onListen, when set, observes the bound listener address (tests bind
@@ -378,7 +340,6 @@ func run(ctx context.Context, args []string) error {
 		protoName  = fs.String("protocol", "soap", "wire protocol of the mediated unit: soap|json")
 		adminToken = fs.String("admin-token", "", "fleet mode: token guarding the /fleet/ admin API (overrides the config's adminToken)")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		netHTTP    = fs.Bool("net-http", false, "use the net/http release transport instead of the default wire client (TLS, proxies)")
 		journalDir = fs.String("journal-dir", "", "directory for durable campaign journals; a restart resumes each unit's phase and posterior from its journal")
 		snapEvery  = fs.Duration("snapshot-interval", fleet.DefaultSnapshotInterval, "journal snapshot cadence (with -journal-dir)")
 		addrFile   = fs.String("addr-file", "", "write the bound listener address to this file (for wrappers that start on :0)")
@@ -393,7 +354,7 @@ func run(ctx context.Context, args []string) error {
 		banner  string
 	)
 	if *fleetPath != "" {
-		cfg, logClosers, err := loadFleetConfig(*fleetPath, *target, *netHTTP)
+		cfg, logClosers, err := loadFleetConfig(*fleetPath, *target)
 		if err != nil {
 			return err
 		}
@@ -433,7 +394,6 @@ func run(ctx context.Context, args []string) error {
 			Oracle:     *oracleName,
 			Protocol:   *protoName,
 			LogPath:    *logPath,
-			UseNetHTTP: *netHTTP,
 		})
 		if err != nil {
 			return err
@@ -447,7 +407,10 @@ func run(ctx context.Context, args []string) error {
 		}
 		var journalCloser func() error
 		if *journalDir != "" {
-			journalCloser, err = attachEngineJournal(engine, *journalDir, *snapEvery)
+			// The single-unit counterpart of the fleet's per-unit journal,
+			// with the quarantine/restore notes going to the log.
+			journalCloser, err = engine.OpenJournal(filepath.Join(*journalDir, "unit.journal"), *snapEvery,
+				func(note string) { log.Printf("upgraded: %s", note) })
 			if err != nil {
 				_ = engine.Close()
 				if logCloser != nil {

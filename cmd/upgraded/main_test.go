@@ -57,23 +57,35 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 
 func TestFleetConfigRejected(t *testing.T) {
 	dir := t.TempDir()
-	cases := map[string]string{
-		"not json":  `釣り`,
-		"no units":  `{"units": []}`,
-		"bad unit":  `{"units": [{"name": "a", "releases": []}]}`,
-		"bad phase": `{"units": [{"name": "a", "phase": "sideways", "releases": [{"version":"1.0","url":"http://x"}]}]}`,
-		"reserved name": `{"units": [{"name": "fleet",
-			"releases": [{"version":"1.0","url":"http://x"}, {"version":"1.1","url":"http://y"}]}]}`,
+	const rels = `"releases": [{"version":"1.0","url":"http://x"}, {"version":"1.1","url":"http://y"}]`
+	// want, when set, must appear in the error: an unknown key is named.
+	cases := map[string]struct{ content, want string }{
+		"not json":      {content: `釣り`},
+		"no units":      {content: `{"units": []}`},
+		"bad unit":      {content: `{"units": [{"name": "a", "releases": []}]}`},
+		"bad phase":     {content: `{"units": [{"name": "a", "phase": "sideways", "releases": [{"version":"1.0","url":"http://x"}]}]}`},
+		"reserved name": {content: `{"units": [{"name": "fleet", ` + rels + `}]}`},
+		"misspelt key":  {content: `{"units": [{"name": "a", "timeoutMillis": 50, ` + rels + `}]}`, want: `"timeoutMillis"`},
+		"removed key":   {content: `{"units": [{"name": "a", "useNetHTTP": true, ` + rels + `}]}`, want: `"useNetHTTP"`},
+		"unknown top":   {content: `{"admintoken2": "x", "units": [{"name": "a", ` + rels + `}]}`, want: `"admintoken2"`},
+		"trailing data": {content: `{"units": [{"name": "a", ` + rels + `}]} {}`, want: "trailing data"},
 	}
 	i := 0
-	for name, content := range cases {
+	for name, c := range cases {
 		path := filepath.Join(dir, fmt.Sprintf("fleet-%d.json", i))
 		i++
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(c.content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := run(context.Background(), []string{"-fleet", path}); err == nil {
+		// An accepted config would serve until cancelled: bound it, so a
+		// validation hole fails this test instead of hanging it.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-fleet", path})
+		cancel()
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %s", name, err, c.want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -224,5 +226,49 @@ func (e *Engine) StartCampaignSnapshots(w *journal.Writer, interval time.Duratio
 	return func() {
 		once.Do(func() { close(done) })
 		<-finished
+	}, nil
+}
+
+// OpenJournal makes the engine's campaign durable in the journal at
+// path: it creates the journal's directory, opens the journal (renaming
+// one that fails replay aside, see journal.OpenOrQuarantine), restores
+// the replayed campaign, subscribes the writer to the engine's
+// lifecycle, compacts the replayed history into one snapshot frame so
+// the journal stays bounded across restarts, and starts the snapshot
+// loop. Only I/O failures are fatal: a quarantined journal, or one that
+// replays cleanly but does not fit the configured unit (a phase needing
+// more releases than are deployed, bad counters), degrades to a fresh
+// campaign and is reported through note. The returned function stops
+// the loop, then flushes and closes the writer.
+func (e *Engine) OpenJournal(path string, interval time.Duration, note func(string)) (closeJournal func() error, err error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, fmt.Errorf("core: journal dir: %w", err)
+	}
+	w, jst, err := journal.OpenOrQuarantine(path)
+	if err != nil {
+		if w == nil {
+			return nil, fmt.Errorf("core: opening journal: %w", err)
+		}
+		note("journal quarantined, campaign starts fresh: " + err.Error())
+	}
+	if err := e.RestoreCampaign(jst); err != nil {
+		note("journal restore failed, campaign starts fresh: " + err.Error())
+	}
+	e.AttachJournal(w)
+	snap := e.CampaignSnapshot()
+	if err := w.Compact(journal.Entry{
+		Kind: journal.KindSnapshot, Time: time.Now().UnixNano(), Snapshot: &snap,
+	}); err != nil {
+		_ = w.Close()
+		return nil, fmt.Errorf("core: compacting journal: %w", err)
+	}
+	stop, err := e.StartCampaignSnapshots(w, interval)
+	if err != nil {
+		_ = w.Close()
+		return nil, err
+	}
+	return func() error {
+		stop()
+		return w.Close()
 	}, nil
 }

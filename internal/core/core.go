@@ -166,22 +166,18 @@ type Config struct {
 	Contract *wsdl.Contract
 	// Monitor overrides the monitoring subsystem (default monitor.New()).
 	Monitor *monitor.Monitor
-	// HTTP overrides the release-call transport with a net/http client.
-	// When nil (and UseNetHTTP is false) release calls go over the
-	// internal/wire client — the lean HTTP/1.1 dispatch transport with
-	// per-endpoint connection pools. Set HTTP (or UseNetHTTP) for TLS,
-	// proxies or any other case that needs the full net/http stack.
+	// HTTP is the net/http client a deployment configures for what the
+	// wire transport does not speak natively: it carries release calls
+	// to non-http:// endpoints (TLS certificates, credentials) as the
+	// wire client's fallback, and every /healthz probe. Nil means a
+	// pooled client the engine builds and owns.
 	HTTP *http.Client
-	// UseNetHTTP forces the net/http fallback transport (an
-	// httpx.NewPooledClient) even when HTTP is nil.
-	UseNetHTTP bool
 	// Dial overrides the wire transport's connection establishment
-	// (in-memory benchmarks and tests). Ignored when HTTP or UseNetHTTP
-	// selects the net/http path.
+	// (in-memory benchmarks and tests).
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
-	// Wire injects a shared wire client (the fleet's cross-unit pool);
-	// nil means the engine builds and owns one. Ignored when HTTP or
-	// UseNetHTTP selects the net/http path.
+	// Wire injects a shared wire client (the fleet's cross-unit pool),
+	// which then brings its own fallback and Dial; nil means the engine
+	// builds and owns one.
 	Wire *wire.Client
 	// Seed drives adjudication tie-breaking.
 	Seed uint64
@@ -261,16 +257,14 @@ func deliveryRule(phase Phase, oldest, newest Endpoint, adj adjudicate.Adjudicat
 // (the SOAP endpoint); Handler() adds /wsdl and /healthz.
 // Construct with New; call Close to drain background monitoring work.
 type Engine struct {
-	cfg    Config
+	cfg Config
+	// wire carries every release call; client is its net/http fallback
+	// for non-http:// endpoints and the /healthz probe client. The
+	// engine built (and Close shuts down) whichever of them cfg.Wire /
+	// cfg.HTTP left nil; the others belong to the caller or a fleet.
+	wire   *wire.Client
 	client *http.Client
-	// ownsClient marks an engine-built client whose pooled transport
-	// Close must shut down (a caller-supplied Config.HTTP is theirs).
-	ownsClient bool
-	// wire is the lean dispatch transport (nil on the net/http path);
-	// ownsWire marks one built (and closed) by this engine rather than
-	// injected by a fleet.
-	wire      *wire.Client
-	ownsWire  bool
+
 	adjudic   adjudicate.Adjudicator
 	oracle    oracle.Oracle
 	mon       *monitor.Monitor
@@ -425,46 +419,25 @@ func New(cfg Config) (*Engine, error) {
 		deliver:   deliveryRule(cfg.InitialPhase, releases[0], releases[len(releases)-1], cfg.Adjudicator),
 		winnerHdr: winnerHeaders(releases),
 	})
-	var post dispatch.PostFunc
-	switch {
-	case cfg.HTTP != nil:
-		e.client = cfg.HTTP
-	case cfg.UseNetHTTP:
-		// The net/http fallback: a dedicated pooled transport
-		// (http.DefaultTransport keeps only 2 idle connections per host,
-		// so parallel fan-out to the same release endpoint would re-dial
-		// on every burst).
+	// One release transport: the wire client, which speaks http://
+	// natively and hands every other scheme to its net/http fallback.
+	// The fallback is a dedicated pooled transport (http.DefaultTransport
+	// keeps only 2 idle connections per host, so a TLS release would
+	// re-dial on every parallel burst) and doubles as the probe client.
+	e.client = cfg.HTTP
+	if e.client == nil {
 		e.client = httpx.NewPooledClient(cfg.Timeout+500*time.Millisecond, len(cfg.Releases))
-		e.ownsClient = true
-	default:
-		// The wire transport: release calls bypass net/http entirely.
-		if cfg.Wire != nil {
-			e.wire = cfg.Wire
-			// Management traffic (health probes) is low-rate; a plain
-			// shared-transport client suffices when the wire client (and
-			// its fallback) belong to a fleet.
-			e.client = httpx.NewClient(cfg.Timeout + 500*time.Millisecond)
-		} else {
-			// The pooled net/http client does double duty: it is the wire
-			// client's fallback for endpoints wire does not speak natively
-			// (https — a TLS release must keep PR 2's per-host idle pool,
-			// not starve on http.DefaultClient), and the engine's own
-			// management/probe client.
-			fallback := httpx.NewPooledClient(cfg.Timeout+500*time.Millisecond, len(cfg.Releases))
-			e.wire = wire.NewClient(wire.Options{
-				Dial:     cfg.Dial,
-				Timeout:  cfg.Timeout + 500*time.Millisecond,
-				Fallback: fallback,
-			})
-			e.ownsWire = true
-			e.client = fallback
-			e.ownsClient = true
-		}
-		post = e.wire.PostXML
+	}
+	e.wire = cfg.Wire
+	if e.wire == nil {
+		e.wire = wire.NewClient(wire.Options{
+			Dial:     cfg.Dial,
+			Timeout:  cfg.Timeout + 500*time.Millisecond,
+			Fallback: e.client,
+		})
 	}
 	e.disp = dispatch.New(dispatch.Config{
-		Post:      post,
-		Client:    e.client,
+		Post:      e.wire.PostXML,
 		Retry:     cfg.Retry,
 		Seed:      cfg.Seed,
 		OnOutcome: e.recordOutcome,
@@ -492,10 +465,10 @@ func New(cfg Config) (*Engine, error) {
 // 90 s idle timeout). The engine must not serve new requests afterwards.
 func (e *Engine) Close() error {
 	err := e.disp.Close()
-	if e.ownsClient {
+	if e.cfg.HTTP == nil {
 		e.client.CloseIdleConnections()
 	}
-	if e.ownsWire {
+	if e.cfg.Wire == nil {
 		_ = e.wire.Close()
 	}
 	return err

@@ -17,15 +17,18 @@ import (
 
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/oracle"
+	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
+	"wsupgrade/internal/testutil"
 	"wsupgrade/internal/wsdl"
 )
 
-// The engine's default release transport is the wire client, owned and
-// closed by the engine; a plain management client remains for health
-// probes.
-func TestDefaultTransportIsWire(t *testing.T) {
+// By default the engine builds a wire client for release calls and,
+// as its fallback and probe client, the tuned pooled transport:
+// http.DefaultTransport keeps only 2 idle connections per host, which
+// starves parallel fan-out to the same https release.
+func TestDefaultTransport(t *testing.T) {
 	e, err := New(Config{Releases: []Endpoint{
 		{Version: "1.0", URL: "http://a.invalid"},
 		{Version: "1.1", URL: "http://b.invalid"},
@@ -34,31 +37,8 @@ func TestDefaultTransportIsWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = e.Close() }()
-	if e.wire == nil || !e.ownsWire {
-		t.Fatalf("default transport: wire=%v ownsWire=%v, want an owned wire client", e.wire != nil, e.ownsWire)
-	}
-	if e.client == nil {
-		t.Fatal("no management client for health probes")
-	}
-}
-
-// The UseNetHTTP fallback must carry the tuned pooled transport:
-// http.DefaultTransport keeps only 2 idle connections per host, which
-// starves parallel fan-out to the same release endpoint.
-func TestNetHTTPFallbackUsesPooledTransport(t *testing.T) {
-	e, err := New(Config{
-		Releases: []Endpoint{
-			{Version: "1.0", URL: "http://a.invalid"},
-			{Version: "1.1", URL: "http://b.invalid"},
-		},
-		UseNetHTTP: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = e.Close() }()
-	if e.wire != nil {
-		t.Fatal("UseNetHTTP built a wire client")
+	if e.wire == nil {
+		t.Fatal("no wire client built")
 	}
 	transport, ok := e.client.Transport.(*http.Transport)
 	if !ok {
@@ -72,8 +52,10 @@ func TestNetHTTPFallbackUsesPooledTransport(t *testing.T) {
 	}
 }
 
-// An explicitly configured client is still honoured verbatim.
-func TestConfiguredClientNotReplaced(t *testing.T) {
+// An explicitly configured client is honoured verbatim — as the wire
+// client's fallback and the probe client, never as a replacement for
+// the wire transport (TestMixedSchemeUnit drives it end to end).
+func TestConfiguredClientIsFallbackNotTransport(t *testing.T) {
 	custom := httpx.NewClient(time.Second)
 	e, err := New(Config{
 		Releases:     []Endpoint{{Version: "1.0", URL: "http://a.invalid"}},
@@ -86,6 +68,52 @@ func TestConfiguredClientNotReplaced(t *testing.T) {
 	defer func() { _ = e.Close() }()
 	if e.client != custom {
 		t.Fatal("configured HTTP client was replaced")
+	}
+	if e.wire == nil {
+		t.Fatal("configured HTTP client displaced the wire transport")
+	}
+}
+
+// The one transport selection that remains is by URL scheme: a unit
+// whose old release is on http:// (wire-native) and whose new release
+// is behind TLS (reached through Config.HTTP as the wire fallback)
+// fans out to both, judges and records both, probes both through the
+// same client, and tears down to nothing.
+func TestMixedSchemeUnit(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	oldRel, old := startRelease(t, "1.0", service.FaultPlan{})
+	// The TLS release always answers wrongly, so a B-only joint record
+	// proves its reply was collected and judged, not merely requested.
+	newRel, err := service.New(service.DemoContract("1.1"), service.DemoBehaviours(),
+		service.FaultPlan{Profile: relmodel.Profile{NER: 1}, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlsSrv := httptest.NewTLSServer(newRel.Handler())
+	t.Cleanup(tlsSrv.Close)
+
+	e, ts := startEngine(t, Config{
+		Releases:     []Endpoint{old, {Version: "1.1", URL: tlsSrv.URL}},
+		InitialPhase: PhaseParallel,
+		Oracle:       oracle.Header{},
+		HTTP:         tlsSrv.Client(),
+	})
+	const n = 6
+	for i := 0; i < n; i++ {
+		if _, err := callAdd(t, ts.URL, i, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if oldRel.Calls() != n || newRel.Calls() != n {
+		t.Fatalf("calls http=%d https=%d, want %d each", oldRel.Calls(), newRel.Calls(), n)
+	}
+	if joint := e.Monitor().Joint(); joint.N != n || joint.BOnly != n {
+		t.Fatalf("joint = %+v, want %d B-only records", joint, n)
+	}
+	for _, h := range e.CheckHealth(context.Background()) {
+		if !h.Up || e.Down(h.Release) {
+			t.Fatalf("probe of %s (%s): %v", h.Release, h.URL, h.Err)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ package dispatch
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -170,12 +169,9 @@ type PostFunc func(ctx context.Context, url, contentType string, body []byte, po
 
 // Config parameterizes a Dispatcher.
 type Config struct {
-	// Post is the release-call transport; nil means httpx.PostXML over
-	// Client.
+	// Post is the release-call transport. Required: the engine passes
+	// its wire client's PostXML, tests substitute fakes.
 	Post PostFunc
-	// Client is the HTTP client used for release calls when Post is
-	// nil; nil means http.DefaultClient.
-	Client *http.Client
 	// Retry tolerates transient transport failures per release call.
 	Retry httpx.RetryPolicy
 	// Seed drives adjudication tie-breaking.
@@ -213,15 +209,8 @@ type Dispatcher struct {
 
 // New builds a dispatcher.
 func New(cfg Config) *Dispatcher {
-	post := cfg.Post
-	if post == nil {
-		client := cfg.Client
-		if client == nil {
-			client = http.DefaultClient
-		}
-		post = func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) (httpx.Result, error) {
-			return httpx.PostXML(ctx, client, url, contentType, body, policy)
-		}
+	if cfg.Post == nil {
+		panic("dispatch: Config.Post is required")
 	}
 	if cfg.Retry.Attempts == 0 {
 		cfg.Retry = httpx.NoRetry
@@ -231,7 +220,7 @@ func New(cfg Config) *Dispatcher {
 		codec = soapcodec.Default
 	}
 	return &Dispatcher{
-		post:        post,
+		post:        cfg.Post,
 		retry:       cfg.Retry,
 		onOutcome:   cfg.OnOutcome,
 		codec:       codec,

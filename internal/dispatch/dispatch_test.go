@@ -13,39 +13,38 @@ import (
 	"time"
 
 	"wsupgrade/internal/adjudicate"
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/soap"
+	"wsupgrade/internal/wire"
 )
 
-// stubTransport answers every call in process with a canned response.
-type stubTransport struct {
+// stubPost is a fake release transport (the Config.Post seam): it
+// answers every call in process with a canned response.
+type stubPost struct {
 	status int
 	resp   []byte
 	delay  time.Duration
 	calls  atomic.Int64
 }
 
-func (t *stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	t.calls.Add(1)
-	if req.Body != nil {
-		_, _ = io.Copy(io.Discard, req.Body)
-		_ = req.Body.Close()
-	}
-	if t.delay > 0 {
+func (s *stubPost) post(ctx context.Context, _, _ string, _ []byte, _ httpx.RetryPolicy) (httpx.Result, error) {
+	s.calls.Add(1)
+	if s.delay > 0 {
 		select {
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		case <-time.After(t.delay):
+		case <-ctx.Done():
+			return httpx.Result{}, ctx.Err()
+		case <-time.After(s.delay):
 		}
 	}
-	status := t.status
+	status := s.status
 	if status == 0 {
 		status = http.StatusOK
 	}
-	return &http.Response{
-		StatusCode: status,
-		Header:     http.Header{"Content-Type": []string{soap.ContentType}},
-		Body:       io.NopCloser(strings.NewReader(string(t.resp))),
-		Request:    req,
+	return httpx.Result{
+		Status:   status,
+		Body:     s.resp,
+		Header:   http.Header{"Content-Type": []string{soap.ContentType}},
+		Attempts: 1,
 	}, nil
 }
 
@@ -61,9 +60,9 @@ func targets(n int) []Endpoint {
 	return eps
 }
 
-func newStubDispatcher(tr http.RoundTripper, onOutcome func(Outcome)) *Dispatcher {
+func newStubDispatcher(stub *stubPost, onOutcome func(Outcome)) *Dispatcher {
 	return New(Config{
-		Client:    &http.Client{Transport: tr},
+		Post:      stub.post,
 		OnOutcome: onOutcome,
 	})
 }
@@ -84,7 +83,7 @@ func baseRequest(eps []Endpoint, mode Mode) Request {
 func TestDoSingleTargetDelivers(t *testing.T) {
 	var out Outcome
 	var fired int
-	d := newStubDispatcher(&stubTransport{resp: okEnvelope()}, func(o Outcome) {
+	d := newStubDispatcher(&stubPost{resp: okEnvelope()}, func(o Outcome) {
 		out = Outcome{
 			Operation: o.Operation, Winner: o.Winner,
 			ConsumerGone: o.ConsumerGone,
@@ -106,7 +105,7 @@ func TestDoSingleTargetDelivers(t *testing.T) {
 }
 
 func TestDoFanOutReliabilityCollectsAll(t *testing.T) {
-	tr := &stubTransport{resp: okEnvelope()}
+	tr := &stubPost{resp: okEnvelope()}
 	var replies int
 	var mu sync.Mutex
 	d := newStubDispatcher(tr, func(o Outcome) {
@@ -133,7 +132,7 @@ func TestDoFanOutReliabilityCollectsAll(t *testing.T) {
 }
 
 func TestDoSequentialShortCircuits(t *testing.T) {
-	tr := &stubTransport{resp: okEnvelope()}
+	tr := &stubPost{resp: okEnvelope()}
 	var invoked int
 	var mu sync.Mutex
 	d := newStubDispatcher(tr, func(o Outcome) {
@@ -153,9 +152,7 @@ func TestDoSequentialShortCircuits(t *testing.T) {
 }
 
 func TestDoNoResponsesIsUnavailable(t *testing.T) {
-	d := New(Config{Client: &http.Client{Transport: &stubTransport{
-		resp: okEnvelope(), delay: time.Hour,
-	}}})
+	d := newStubDispatcher(&stubPost{resp: okEnvelope(), delay: time.Hour}, nil)
 	defer d.Close()
 	req := baseRequest(targets(2), ModeReliability)
 	req.Timeout = 30 * time.Millisecond
@@ -171,12 +168,8 @@ func TestDoNoResponsesIsUnavailable(t *testing.T) {
 // ignore it.
 func TestDoConsumerCancelAbortsInFlight(t *testing.T) {
 	outcomes := make(chan Outcome, 1)
-	d := New(Config{
-		Client: &http.Client{Transport: &stubTransport{
-			resp: okEnvelope(), delay: time.Hour,
-		}},
-		OnOutcome: func(o Outcome) { outcomes <- Outcome{ConsumerGone: o.ConsumerGone} },
-	})
+	d := newStubDispatcher(&stubPost{resp: okEnvelope(), delay: time.Hour},
+		func(o Outcome) { outcomes <- Outcome{ConsumerGone: o.ConsumerGone} })
 	defer d.Close()
 	parent, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -208,21 +201,15 @@ func TestDoConsumerCancelAbortsInFlight(t *testing.T) {
 // the first reply, the consumer disconnects, and the straggler is still
 // collected for monitoring.
 func TestDoEarlyDeliveryDetachesFromConsumer(t *testing.T) {
-	fast := &stubTransport{resp: okEnvelope()}
-	slow := &stubTransport{resp: okEnvelope(), delay: 150 * time.Millisecond}
-	router := http.NewServeMux()
-	_ = router // two distinct hosts below instead
-
-	perHost := map[string]http.RoundTripper{
-		"fast.invalid": fast,
-		"slow.invalid": slow,
+	perURL := map[string]*stubPost{
+		"http://fast.invalid": {resp: okEnvelope()},
+		"http://slow.invalid": {resp: okEnvelope(), delay: 150 * time.Millisecond},
 	}
-	tr := roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		return perHost[req.URL.Host].RoundTrip(req)
-	})
 	outcomes := make(chan Outcome, 1)
 	d := New(Config{
-		Client: &http.Client{Transport: tr},
+		Post: func(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) (httpx.Result, error) {
+			return perURL[url].post(ctx, url, ct, body, policy)
+		},
 		OnOutcome: func(o Outcome) {
 			n := 0
 			for _, r := range o.Replies {
@@ -263,10 +250,6 @@ func TestDoEarlyDeliveryDetachesFromConsumer(t *testing.T) {
 	}
 }
 
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
 func TestDoAgainstLiveServerHonoursDeadline(t *testing.T) {
 	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -278,7 +261,9 @@ func TestDoAgainstLiveServerHonoursDeadline(t *testing.T) {
 	}))
 	defer srv.Close()
 	defer close(release)
-	d := New(Config{Client: srv.Client()})
+	wc := wire.NewClient(wire.Options{})
+	defer wc.Close()
+	d := New(Config{Post: wc.PostXML})
 	defer d.Close()
 	req := baseRequest([]Endpoint{{Version: "1.0", URL: srv.URL}}, ModeReliability)
 	req.Timeout = 50 * time.Millisecond
@@ -322,7 +307,7 @@ func TestParseModeRoundTrips(t *testing.T) {
 func TestOutcomeThreadsMonRefAlignedWithReplies(t *testing.T) {
 	for _, mode := range []Mode{ModeReliability, ModeSequential} {
 		outcomes := make(chan Outcome, 1)
-		d := newStubDispatcher(&stubTransport{resp: okEnvelope()}, func(o Outcome) {
+		d := newStubDispatcher(&stubPost{resp: okEnvelope()}, func(o Outcome) {
 			cp := Outcome{Targets: append([]Endpoint(nil), o.Targets...)}
 			for _, r := range o.Replies {
 				cp.Replies = append(cp.Replies, adjudicate.Reply{Release: r.Release})
@@ -360,7 +345,7 @@ func TestOutcomeThreadsMonRefAlignedWithReplies(t *testing.T) {
 // pooled fan-out state (reply channel, shared call args) is recycled;
 // the replies must never bleed between dispatches.
 func TestFanoutReuseAcrossDispatches(t *testing.T) {
-	tr := &stubTransport{resp: okEnvelope()}
+	tr := &stubPost{resp: okEnvelope()}
 	var bad atomic.Int64
 	d := newStubDispatcher(tr, func(o Outcome) {
 		seen := map[string]bool{}

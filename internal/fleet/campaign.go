@@ -17,13 +17,11 @@ package fleet
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
 	"wsupgrade/internal/core"
 	"wsupgrade/internal/events"
-	"wsupgrade/internal/journal"
 	"wsupgrade/internal/lifecycle"
 )
 
@@ -73,13 +71,15 @@ func (f *Fleet) setupCampaigns(dir string, interval time.Duration) error {
 		if interval <= 0 {
 			interval = DefaultSnapshotInterval
 		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("fleet: journal dir: %w", err)
-		}
 		for _, u := range f.units {
-			if err := f.attachUnitJournal(u, filepath.Join(dir, u.name+".journal"), interval); err != nil {
-				return err
+			closeJournal, err := u.engine.OpenJournal(filepath.Join(dir, u.name+".journal"), interval,
+				func(note string) {
+					f.journalNotes = append(f.journalNotes, journalEvent{Unit: u.name, Note: note})
+				})
+			if err != nil {
+				return fmt.Errorf("fleet: unit %q: %w", u.name, err)
 			}
+			f.closeJournals = append(f.closeJournals, closeJournal)
 		}
 	}
 
@@ -120,58 +120,12 @@ func (f *Fleet) setupCampaigns(dir string, interval time.Duration) error {
 	return nil
 }
 
-// attachUnitJournal opens (or quarantines) one unit's journal, restores
-// the replayed campaign into the engine, subscribes the writer to the
-// engine's lifecycle, and starts the snapshot loop. Only I/O failures
-// are fatal; corruption and unrestorable replays degrade to a fresh
-// campaign with a note.
-func (f *Fleet) attachUnitJournal(u *Unit, path string, interval time.Duration) error {
-	w, jst, err := journal.OpenOrQuarantine(path)
-	if err != nil {
-		if w == nil {
-			return fmt.Errorf("fleet: unit %q journal: %w", u.name, err)
-		}
-		// Corrupt journal quarantined; the unit starts a fresh campaign.
-		f.journalNotes = append(f.journalNotes,
-			journalEvent{Unit: u.name, Note: err.Error()})
-	}
-	if err := u.engine.RestoreCampaign(jst); err != nil {
-		// A journal that replays cleanly but does not fit the configured
-		// unit (phase needs more releases than deployed, bad counters)
-		// must not block startup: the unit runs its configured campaign.
-		f.journalNotes = append(f.journalNotes,
-			journalEvent{Unit: u.name, Note: "restore failed, campaign starts fresh: " + err.Error()})
-	}
-	u.engine.AttachJournal(w)
-	// Compact the replayed history into one snapshot frame so the
-	// journal stays bounded across restarts.
-	snap := u.engine.CampaignSnapshot()
-	if err := w.Compact(journal.Entry{
-		Kind: journal.KindSnapshot, Time: time.Now().UnixNano(), Snapshot: &snap,
-	}); err != nil {
-		_ = w.Close()
-		return fmt.Errorf("fleet: unit %q journal compact: %w", u.name, err)
-	}
-	stop, err := u.engine.StartCampaignSnapshots(w, interval)
-	if err != nil {
-		_ = w.Close()
-		return fmt.Errorf("fleet: unit %q snapshots: %w", u.name, err)
-	}
-	f.journals = append(f.journals, w)
-	f.stopSnaps = append(f.stopSnaps, stop)
-	return nil
-}
-
 // closeCampaigns stops the snapshot loops and journal writers (flushing
 // their queues) and disconnects every event subscriber.
 func (f *Fleet) closeCampaigns() {
-	for _, stop := range f.stopSnaps {
-		stop()
+	for _, closeJournal := range f.closeJournals {
+		_ = closeJournal()
 	}
-	f.stopSnaps = nil
-	for _, w := range f.journals {
-		_ = w.Close()
-	}
-	f.journals = nil
+	f.closeJournals = nil
 	f.hub.Close()
 }

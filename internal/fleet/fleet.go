@@ -37,7 +37,6 @@ import (
 	"wsupgrade/internal/core"
 	"wsupgrade/internal/events"
 	"wsupgrade/internal/httpx"
-	"wsupgrade/internal/journal"
 	"wsupgrade/internal/lifecycle"
 	"wsupgrade/internal/protocol/jsoncodec"
 	"wsupgrade/internal/protocol/soapcodec"
@@ -72,8 +71,9 @@ type UnitConfig struct {
 	// "json". It is a convenience over Engine.Codec, which wins when
 	// both are set.
 	Protocol string
-	// Engine is the unit's middleware configuration. When Engine.HTTP
-	// is nil the unit shares the fleet's pooled release transport.
+	// Engine is the unit's middleware configuration. A unit that sets
+	// none of Engine.HTTP, Engine.Dial and Engine.Wire shares the
+	// fleet's pooled release transport.
 	Engine core.Config
 }
 
@@ -81,10 +81,11 @@ type UnitConfig struct {
 type Config struct {
 	// Units lists the hosted upgrade units. At least one.
 	Units []UnitConfig
-	// HTTP optionally overrides the shared release-side transport with a
-	// net/http client for every unit that does not bring its own. The
-	// default is one shared wire client (see internal/wire): per-endpoint
-	// persistent connection pools spanning all units.
+	// HTTP is the net/http client behind the shared release transport
+	// (one wire client whose per-endpoint pools span all units): it
+	// carries release calls to non-http:// endpoints (TLS certificates,
+	// credentials) and the units' /healthz probes. Nil means a pooled
+	// client the fleet builds and owns.
 	HTTP *http.Client
 	// AdminToken, when set, guards the management surface: every
 	// /fleet/ request except the read-only /fleet/healthz must carry it
@@ -126,21 +127,20 @@ func (u *Unit) Engine() *core.Engine { return u.engine }
 // Fleet hosts N upgrade units behind one http.Handler. Construct with
 // New; call Close to drain the units and the shared transport.
 type Fleet struct {
-	units      []*Unit
-	byName     map[string]*Unit
-	byHost     map[string]*Unit
-	byService  map[string]*Unit
-	client     *http.Client // shared net/http transport; nil unless Config.HTTP is set
-	wire       *wire.Client // shared wire transport; nil when Config.HTTP is set
-	fallback   *http.Client // the wire client's pooled https/exotic fallback, fleet-owned
-	admin      http.Handler
-	adminToken string
+	units        []*Unit
+	byName       map[string]*Unit
+	byHost       map[string]*Unit
+	byService    map[string]*Unit
+	wire         *wire.Client // shared release transport
+	fallback     *http.Client // its net/http fallback and the units' probe client
+	ownsFallback bool         // fleet-built rather than Config.HTTP: Close shuts it down
+	admin        http.Handler
+	adminToken   string
 
 	// Push control plane and durable campaigns (see campaign.go).
-	hub          *events.Hub
-	journals     []*journal.Writer
-	stopSnaps    []func()
-	journalNotes []journalEvent
+	hub           *events.Hub
+	closeJournals []func() error
+	journalNotes  []journalEvent
 }
 
 var _ http.Handler = (*Fleet)(nil)
@@ -158,12 +158,15 @@ func New(cfg Config) (*Fleet, error) {
 		adminToken: cfg.AdminToken,
 	}
 
-	// One release-side transport for the whole fleet: with Config.HTTP a
-	// shared net/http client; by default a shared wire client whose
-	// per-endpoint pools span all units (N units must not each hoard
-	// idle connections). Exchange deadlines are backstopped by the
-	// slowest unit's timeout.
+	// One release-side transport for the whole fleet: a shared wire
+	// client whose per-endpoint pools span all units (N units must not
+	// each hoard idle connections). Exchange deadlines are backstopped
+	// by the slowest unit's timeout. Its fallback is a pooled net/http
+	// client sized across all units, so https release endpoints keep
+	// their per-host idle pools instead of starving on
+	// http.DefaultClient.
 	maxTimeout := time.Duration(0)
+	totalReleases := 0
 	for _, u := range cfg.Units {
 		t := u.Engine.Timeout
 		if t == 0 {
@@ -172,23 +175,17 @@ func New(cfg Config) (*Fleet, error) {
 		if t > maxTimeout {
 			maxTimeout = t
 		}
+		totalReleases += len(u.Engine.Releases)
 	}
-	if cfg.HTTP != nil {
-		f.client = cfg.HTTP
-	} else {
-		totalReleases := 0
-		for _, u := range cfg.Units {
-			totalReleases += len(u.Engine.Releases)
-		}
-		// The shared wire client's fallback is a pooled net/http client
-		// sized across all units, so https release endpoints keep their
-		// per-host idle pools instead of starving on http.DefaultClient.
+	f.fallback = cfg.HTTP
+	if f.fallback == nil {
 		f.fallback = httpx.NewPooledClient(maxTimeout+500*time.Millisecond, totalReleases)
-		f.wire = wire.NewClient(wire.Options{
-			Timeout:  maxTimeout + 500*time.Millisecond,
-			Fallback: f.fallback,
-		})
+		f.ownsFallback = true
 	}
+	f.wire = wire.NewClient(wire.Options{
+		Timeout:  maxTimeout + 500*time.Millisecond,
+		Fallback: f.fallback,
+	})
 
 	for _, uc := range cfg.Units {
 		if uc.Name == "" || strings.ContainsRune(uc.Name, '/') || reservedNames[uc.Name] {
@@ -211,15 +208,11 @@ func New(cfg Config) (*Fleet, error) {
 				return nil, fmt.Errorf("%w: unit %q: unknown protocol %q", ErrBadConfig, uc.Name, uc.Protocol)
 			}
 		}
-		switch {
-		case ecfg.HTTP != nil || ecfg.UseNetHTTP:
-			// The unit brings (or forces) its own net/http transport.
-		case f.client != nil:
-			ecfg.HTTP = f.client
-		case ecfg.Wire == nil && ecfg.Dial == nil:
-			// A unit with its own Dial seam builds its own wire client;
-			// everyone else shares the fleet-wide pool.
-			ecfg.Wire = f.wire
+		// A unit with its own transport seam (a TLS client, a Dial, an
+		// injected wire client) builds on it; everyone else shares the
+		// fleet-wide pool and its fallback.
+		if ecfg.HTTP == nil && ecfg.Dial == nil && ecfg.Wire == nil {
+			ecfg.Wire, ecfg.HTTP = f.wire, f.fallback
 		}
 		engine, err := core.New(ecfg)
 		if err != nil {
@@ -279,10 +272,8 @@ func (f *Fleet) Close() error {
 			firstErr = err
 		}
 	}
-	if f.wire != nil {
-		_ = f.wire.Close()
-	}
-	if f.fallback != nil {
+	_ = f.wire.Close()
+	if f.ownsFallback {
 		f.fallback.CloseIdleConnections()
 	}
 	return firstErr

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,19 +230,38 @@ func TestSharedTransportAcrossUnits(t *testing.T) {
 	}
 }
 
-// A fleet configured with an explicit net/http client hands it to every
-// unit that does not bring its own — the TLS/proxy escape hatch.
-func TestSharedNetHTTPTransport(t *testing.T) {
-	shared := &http.Client{Timeout: 5 * time.Second}
+// countingTransport counts the requests that ride a net/http client.
+type countingTransport struct{ n *atomic.Int64 }
+
+func (c countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// A fleet configured with an explicit net/http client keeps the shared
+// wire transport for release calls and uses the client for what wire
+// does not carry: the https fallback and every unit's /healthz probes.
+func TestConfiguredClientIsFallbackAndProbeClient(t *testing.T) {
+	var viaClient atomic.Int64
+	shared := &http.Client{Timeout: 5 * time.Second, Transport: countingTransport{&viaClient}}
 	f, ts := twoUnitFleet(t, func(cfg *Config) { cfg.HTTP = shared })
-	if f.wire != nil {
-		t.Fatal("explicit HTTP config still built a wire client")
-	}
-	if f.client != shared {
-		t.Fatal("shared client replaced")
+	if f.wire == nil || f.fallback != shared || f.ownsFallback {
+		t.Fatalf("wire=%v fallback==configured=%v ownsFallback=%v, want a wire client over the caller's client",
+			f.wire != nil, f.fallback == shared, f.ownsFallback)
 	}
 	if _, err := callUnit(t, ts.URL, "flights", 1, 2); err != nil {
 		t.Fatal(err)
+	}
+	if n := viaClient.Load(); n != 0 {
+		t.Fatalf("%d http:// release calls went through net/http, want all on wire", n)
+	}
+	for _, h := range f.units[0].engine.CheckHealth(context.Background()) {
+		if !h.Up {
+			t.Fatalf("probe of %s: %v", h.Release, h.Err)
+		}
+	}
+	if n := viaClient.Load(); n != 2 {
+		t.Fatalf("%d probes through the configured client, want 2", n)
 	}
 }
 

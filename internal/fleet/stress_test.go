@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,28 +29,26 @@ import (
 	"wsupgrade/internal/soap"
 )
 
-// stubTransport answers every release call in process.
-type stubTransport struct{ resp []byte }
-
-func (t *stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body != nil {
-		_, _ = io.Copy(io.Discard, req.Body)
-		_ = req.Body.Close()
-	}
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Header:     http.Header{"Content-Type": []string{soap.ContentType}},
-		Body:       io.NopCloser(bytes.NewReader(t.resp)),
-		Request:    req,
-	}, nil
-}
-
 func TestManagementVersusFleetDispatchStress(t *testing.T) {
 	respEnv, err := soap.Envelope(service.AddResponse{Sum: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stub := &http.Client{Transport: &stubTransport{resp: respEnv}}
+	// One stub release behind every endpoint name: the Dial seam points
+	// the units' wire clients (release calls) and probe clients (/healthz)
+	// at it whatever host they ask for.
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", soap.ContentType)
+		_, _ = w.Write(respEnv)
+	}))
+	defer stub.Close()
+	dial := func(ctx context.Context, network, _ string) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, network, stub.Listener.Addr().String())
+	}
+	probes := &http.Client{Transport: &http.Transport{DialContext: dial}}
+	defer probes.CloseIdleConnections()
 
 	const unitCount = 3
 	units := make([]UnitConfig, unitCount)
@@ -65,7 +64,8 @@ func TestManagementVersusFleetDispatchStress(t *testing.T) {
 				},
 				Oracle:  oracle.FaultOnly{},
 				Monitor: monitors[i],
-				HTTP:    stub,
+				Dial:    dial,
+				HTTP:    probes,
 			},
 		}
 	}

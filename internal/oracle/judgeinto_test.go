@@ -63,19 +63,19 @@ func corpusOracles(t testing.TB) []Oracle {
 	}
 }
 
-// TestJudgeIntoAgreesWithJudge holds every oracle to verdict-for-verdict
-// agreement between the allocating Judge and the caller-buffer JudgeInto
-// across the corpus, for ample, exact, tight and nil destination buffers.
-func TestJudgeIntoAgreesWithJudge(t *testing.T) {
+// TestJudgeIntoAgreesAcrossBuffers holds every oracle to
+// verdict-for-verdict agreement between the allocating form (a nil
+// destination) and caller-owned buffers across the corpus: ample,
+// exact, stale and too-tight destinations.
+func TestJudgeIntoAgreesAcrossBuffers(t *testing.T) {
 	for _, o := range corpusOracles(t) {
 		for _, tc := range corpus {
-			want := o.Judge("op", tc.replies)
+			want := o.JudgeInto(nil, "op", tc.replies)
 			if len(want) != len(tc.replies) {
-				t.Fatalf("%s/%s: Judge returned %d verdicts for %d replies",
+				t.Fatalf("%s/%s: JudgeInto(nil) returned %d verdicts for %d replies",
 					o.Name(), tc.name, len(want), len(tc.replies))
 			}
 			for _, dst := range [][]bool{
-				nil,
 				make([]bool, 0, len(tc.replies)),
 				make([]bool, len(tc.replies)),
 				{true, true, true, true, true, true, true, true}, // stale contents must be overwritten
@@ -88,7 +88,7 @@ func TestJudgeIntoAgreesWithJudge(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("%s/%s: verdict %d = %v, Judge said %v (dst cap %d)",
+						t.Fatalf("%s/%s: verdict %d = %v, a nil dst gave %v (dst cap %d)",
 							o.Name(), tc.name, i, got[i], want[i], cap(dst))
 					}
 				}

@@ -48,15 +48,13 @@ var ErrBadOracle = errors.New("oracle: bad configuration")
 // Oracle judges which replies failed. Implementations must be safe for
 // concurrent use and must not mutate the replies.
 type Oracle interface {
-	// Judge returns failed[i] == true when replies[i] is judged to have
-	// failed (evidently or not). len(failed) == len(replies). It is the
-	// convenience form of JudgeInto and allocates the verdict slice.
-	Judge(operation string, replies []adjudicate.Reply) []bool
-	// JudgeInto writes the verdicts into dst, which backs the result
-	// when cap(dst) >= len(replies) (its length is ignored; a fresh
-	// slice is grown otherwise), and returns the verdict slice with
-	// len == len(replies). The caller owns dst before and after the
-	// call: oracles do not retain it, so callers may pool it.
+	// JudgeInto returns failed[i] == true when replies[i] is judged to
+	// have failed (evidently or not). The verdicts are written into dst,
+	// which backs the result when cap(dst) >= len(replies) (its length
+	// is ignored; a fresh slice is grown otherwise — so a nil dst simply
+	// allocates), and the returned slice has len == len(replies). The
+	// caller owns dst before and after the call: oracles do not retain
+	// it, so callers may pool it.
 	JudgeInto(dst []bool, operation string, replies []adjudicate.Reply) []bool
 	// Name identifies the oracle in reports.
 	Name() string
@@ -81,11 +79,6 @@ func verdicts(dst []bool, n int) []bool {
 type FaultOnly struct{}
 
 var _ Oracle = FaultOnly{}
-
-// Judge implements Oracle.
-func (o FaultOnly) Judge(operation string, replies []adjudicate.Reply) []bool {
-	return o.JudgeInto(nil, operation, replies)
-}
 
 // JudgeInto implements Oracle.
 //
@@ -115,11 +108,6 @@ type Reference struct {
 }
 
 var _ Oracle = Reference{}
-
-// Judge implements Oracle.
-func (o Reference) Judge(operation string, replies []adjudicate.Reply) []bool {
-	return o.JudgeInto(nil, operation, replies)
-}
 
 // JudgeInto implements Oracle.
 //
@@ -161,11 +149,6 @@ type BackToBack struct {
 }
 
 var _ Oracle = BackToBack{}
-
-// Judge implements Oracle.
-func (o BackToBack) Judge(operation string, replies []adjudicate.Reply) []bool {
-	return o.JudgeInto(nil, operation, replies)
-}
 
 // JudgeInto implements Oracle.
 //
@@ -227,11 +210,6 @@ func payloadEqual(c protocol.Codec, a, b []byte) bool {
 type Header struct{}
 
 var _ Oracle = Header{}
-
-// Judge implements Oracle.
-func (o Header) Judge(operation string, replies []adjudicate.Reply) []bool {
-	return o.JudgeInto(nil, operation, replies)
-}
 
 // JudgeInto implements Oracle.
 //
@@ -308,11 +286,6 @@ func (o *WithOmission) getRNG() *xrand.Rand {
 
 //wsu:owns r
 func (o *WithOmission) putRNG(r *xrand.Rand) { o.rngPool.Put(r) }
-
-// Judge implements Oracle.
-func (o *WithOmission) Judge(operation string, replies []adjudicate.Reply) []bool {
-	return o.JudgeInto(nil, operation, replies)
-}
 
 // JudgeInto implements Oracle.
 //

@@ -21,7 +21,7 @@ func evident(release string) adjudicate.Reply {
 
 func TestFaultOnly(t *testing.T) {
 	o := FaultOnly{}
-	failed := o.Judge("op", []adjudicate.Reply{
+	failed := o.JudgeInto(nil, "op", []adjudicate.Reply{
 		valid("1.0", "<r>1</r>"),
 		evident("1.1"),
 		valid("1.2", "<r>wrong</r>"), // non-evident: passes undetected
@@ -39,7 +39,7 @@ func TestFaultOnly(t *testing.T) {
 
 func TestReferenceDetectsDisagreement(t *testing.T) {
 	o := Reference{Release: "1.0"}
-	failed := o.Judge("op", []adjudicate.Reply{
+	failed := o.JudgeInto(nil, "op", []adjudicate.Reply{
 		valid("1.0", "<r>42</r>"),
 		valid("1.1", "<r>43</r>"),
 	})
@@ -47,7 +47,7 @@ func TestReferenceDetectsDisagreement(t *testing.T) {
 		t.Fatalf("failed = %v; the reference is trusted, the deviator flagged", failed)
 	}
 	// Formatting differences are not failures.
-	failed = o.Judge("op", []adjudicate.Reply{
+	failed = o.JudgeInto(nil, "op", []adjudicate.Reply{
 		valid("1.0", "<r><x>1</x></r>"),
 		valid("1.1", "<r>\n  <x>1</x>\n</r>"),
 	})
@@ -61,7 +61,7 @@ func TestReferenceDetectsDisagreement(t *testing.T) {
 
 func TestReferenceWithFailedReference(t *testing.T) {
 	o := Reference{Release: "1.0"}
-	failed := o.Judge("op", []adjudicate.Reply{
+	failed := o.JudgeInto(nil, "op", []adjudicate.Reply{
 		evident("1.0"),
 		valid("1.1", "<r>anything</r>"),
 	})
@@ -73,7 +73,7 @@ func TestReferenceWithFailedReference(t *testing.T) {
 
 func TestBackToBackFlagsBothOnDisagreement(t *testing.T) {
 	o := BackToBack{}
-	failed := o.Judge("op", []adjudicate.Reply{
+	failed := o.JudgeInto(nil, "op", []adjudicate.Reply{
 		valid("1.0", "<r>1</r>"),
 		valid("1.1", "<r>2</r>"),
 	})
@@ -82,7 +82,7 @@ func TestBackToBackFlagsBothOnDisagreement(t *testing.T) {
 	}
 	// Agreement — including coincident identical failures — passes:
 	// the paper's pessimistic '11'→'00' model.
-	failed = o.Judge("op", []adjudicate.Reply{
+	failed = o.JudgeInto(nil, "op", []adjudicate.Reply{
 		valid("1.0", "<r>same-wrong</r>"),
 		valid("1.1", "<r>same-wrong</r>"),
 	})
@@ -96,7 +96,7 @@ func TestBackToBackFlagsBothOnDisagreement(t *testing.T) {
 
 func TestBackToBackSingleValidReply(t *testing.T) {
 	o := BackToBack{}
-	failed := o.Judge("op", []adjudicate.Reply{
+	failed := o.JudgeInto(nil, "op", []adjudicate.Reply{
 		evident("1.0"),
 		valid("1.1", "<r>1</r>"),
 	})
@@ -119,7 +119,7 @@ func TestHeaderOracleReadsGroundTruth(t *testing.T) {
 		{Release: "1.3", Body: []byte("<r/>")}, // no header: trusted
 		{Release: "1.4", Err: errBoom},
 	}
-	failed := o.Judge("op", replies)
+	failed := o.JudgeInto(nil, "op", replies)
 	want := []bool{false, true, true, false, true}
 	for i := range want {
 		if failed[i] != want[i] {
@@ -141,7 +141,7 @@ func TestWithOmissionMissesFailures(t *testing.T) {
 	h.Set(InjectionHeader, "NER")
 	missed, caught := 0, 0
 	for i := 0; i < 2000; i++ {
-		failed := o.Judge("op", []adjudicate.Reply{{Release: "1.1", Body: []byte("<r/>"), Header: h}})
+		failed := o.JudgeInto(nil, "op", []adjudicate.Reply{{Release: "1.1", Body: []byte("<r/>"), Header: h}})
 		if failed[0] {
 			caught++
 		} else {
@@ -165,7 +165,7 @@ func TestWithOmissionNeverInventsFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		failed := o.Judge("op", []adjudicate.Reply{valid("1.0", "<r/>")})
+		failed := o.JudgeInto(nil, "op", []adjudicate.Reply{valid("1.0", "<r/>")})
 		if failed[0] {
 			t.Fatal("omission oracle invented a failure")
 		}

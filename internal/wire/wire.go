@@ -31,8 +31,10 @@
 // enforced by sharing the httpx.RetryPolicy implementation and a
 // conformance suite run against both transports. URLs the wire client
 // does not speak natively (anything but plain http://) are delegated to
-// the Fallback net/http client, which also remains the configuration
-// seam for TLS, proxies and other exotic deployments.
+// the Fallback net/http client, which is therefore the configuration
+// seam for TLS certificates and credentials. The choice is made on the
+// URL scheme alone: an http:// endpoint is always dialled directly, so
+// a forward proxy configured on the Fallback applies to https only.
 package wire
 
 import (
@@ -75,8 +77,10 @@ type Options struct {
 	// connections to retired release endpoints from living for the
 	// client's lifetime. Default 90 s; negative disables reaping.
 	IdleTimeout time.Duration
-	// Fallback handles URLs this client does not speak natively
-	// (https, proxies); nil means http.DefaultClient.
+	// Fallback carries every call whose URL is not plain http:// (in
+	// practice https); nil means http.DefaultClient. PostXML delegates
+	// on the scheme alone, so nothing configured here — a proxy, say —
+	// affects http:// endpoints.
 	Fallback *http.Client
 }
 
@@ -100,6 +104,9 @@ func NewClient(opts Options) *Client {
 	}
 	if opts.IdleTimeout == 0 {
 		opts.IdleTimeout = 90 * time.Second
+	}
+	if opts.Fallback == nil {
+		opts.Fallback = http.DefaultClient
 	}
 	return &Client{opts: opts, janitorDone: make(chan struct{})}
 }
@@ -149,13 +156,6 @@ func (c *Client) startJanitor() {
 	})
 }
 
-func (c *Client) fallback() *http.Client {
-	if c.opts.Fallback != nil {
-		return c.opts.Fallback
-	}
-	return http.DefaultClient
-}
-
 // PostXML posts an XML payload with httpx.PostXML's exact retry,
 // backoff and response-size semantics (see that function); the
 // conformance suite in this package asserts the equivalence. Non-http://
@@ -171,7 +171,7 @@ func (c *Client) PostXML(ctx context.Context, rawURL, contentType string, body [
 		return httpx.Result{}, err
 	}
 	if !strings.HasPrefix(rawURL, "http://") {
-		return httpx.PostXML(ctx, c.fallback(), rawURL, contentType, body, policy)
+		return httpx.PostXML(ctx, c.opts.Fallback, rawURL, contentType, body, policy)
 	}
 	if c.closed.Load() {
 		return httpx.Result{}, ErrClosed

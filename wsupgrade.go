@@ -125,13 +125,14 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
 // MaxResponseBytes.
 type RetryPolicy = httpx.RetryPolicy
 
-// WireClient is the lean HTTP/1.1 release-call transport the engine
-// uses by default: per-endpoint persistent connection pools, pooled
+// WireClient is the release-call transport of every engine: a lean
+// HTTP/1.1 client with per-endpoint persistent connection pools, pooled
 // request/response state, precomputed header prefixes, and bounded
-// reads — see internal/wire. Engines and fleets build their own unless
-// EngineConfig.Wire injects a shared one; EngineConfig.HTTP or
-// EngineConfig.UseNetHTTP selects the net/http path instead (TLS,
-// proxies, exotic transports).
+// reads — see internal/wire. It speaks http:// natively and hands any
+// other scheme (https) to its net/http fallback, which is
+// EngineConfig.HTTP (FleetConfig.HTTP for a fleet's shared pool) — the
+// place for TLS certificates and credentials. Engines and fleets build
+// their own unless EngineConfig.Wire injects a shared one.
 type WireClient = wire.Client
 
 // WireOptions parameterizes a WireClient.
@@ -143,9 +144,10 @@ func NewWireClient(opts WireOptions) *WireClient { return wire.NewClient(opts) }
 
 // NewPooledClient returns an HTTP client whose transport is tuned for
 // the middleware's traffic shape: keep-alive fan-out to a small set of
-// release hosts. The engine builds one automatically when
-// EngineConfig.UseNetHTTP is set; it is exported for consumers that
-// want the same pooling toward the proxy itself.
+// release hosts. The engine builds one automatically as its https
+// fallback and /healthz probe client when EngineConfig.HTTP is nil; it
+// is exported for consumers that want the same pooling toward the proxy
+// itself.
 func NewPooledClient(timeout time.Duration, hosts int) *http.Client {
 	return httpx.NewPooledClient(timeout, hosts)
 }
