@@ -9,7 +9,7 @@ GO        ?= go
 BENCH     ?= EngineInProcess|FleetInProcess|OracleJudge|MonitorNote|WhiteBoxPosterior
 COUNT     ?= 5
 BENCHTIME ?= 1000x
-GATED      = EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission
+GATED      = EngineInProcess/observation-large,OracleJudge/back-to-back-64k-differ,EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission
 # Fast-path entries additionally gated on best-of-N ns/op. The 25%
 # threshold is deliberately generous (shared runners are noisy); it
 # exists to catch a fast path falling off a cliff, not a 5% wobble.
@@ -23,7 +23,15 @@ NS_GATED   = EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath
 SOAK_DURATION ?= 20s
 SOAK_OUT      ?= .
 
-.PHONY: test vet lint bench bench-run bench-baseline bench-module clean-bench soak
+# The fuzz target gives each network-facing parser's fuzz function a
+# short budget (go test runs one -fuzz target per invocation). A crasher
+# is written under the package's testdata/fuzz/ — commit it: from then
+# on it runs as a seed in every plain `go test`. Minimisation is capped
+# because the seed corpus has 64 KB documents, and the default minute
+# spent shrinking one would be the whole budget.
+FUZZTIME ?= 20s
+
+.PHONY: test vet lint bench bench-run bench-baseline bench-module clean-bench soak fuzz
 
 test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
@@ -45,6 +53,10 @@ soak:
 	$(GO) run -race ./cmd/loadgen -scenario crash-restart -out $(SOAK_OUT)/soak-crash.json
 	$(GO) run -race ./cmd/loadgen -scenario crash-recovery -out $(SOAK_OUT)/soak-crash-recovery.json
 	$(GO) run -race ./cmd/loadgen -scenario soak -duration $(SOAK_DURATION) -out $(SOAK_OUT)/soak-report.json
+
+fuzz:
+	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzEqualCanonical -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZTIME)
 
 vet:
 	$(GO) vet ./...

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -381,6 +382,11 @@ func BenchmarkEngineProxyParallel(b *testing.B) {
 // canned HTTP/1.1 keep-alive responses.
 type wireStub struct {
 	resp []byte // complete response bytes: head + canned SOAP envelope
+	// wrong, when non-nil, is served in place of resp on every
+	// wrongEvery-th request of a connection: a release that is wrong on
+	// a fixed share of demands.
+	wrong      []byte
+	wrongEvery int
 }
 
 func newWireStub(b *testing.B, payload interface{}) *wireStub {
@@ -389,9 +395,22 @@ func newWireStub(b *testing.B, payload interface{}) *wireStub {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return &wireStub{resp: cannedResponse(env)}
+}
+
+// cannedResponse frames a SOAP envelope as a complete HTTP/1.1 response.
+func cannedResponse(env []byte) []byte {
 	head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
 		soap.ContentType, len(env))
-	return &wireStub{resp: append([]byte(head), env...)}
+	return append([]byte(head), env...)
+}
+
+// largeReplyBody is the mediation benchmark's observation-large reply
+// shape: a sum, then 64 KB of padding. Two of them differ in one early
+// digit and are the same length.
+func largeReplyBody(sum int) []byte {
+	return []byte(fmt.Sprintf("<addResponse><sum>%08d</sum><pad>%s</pad></addResponse>",
+		sum, strings.Repeat("aB3x", 16<<10)))
 }
 
 func (s *wireStub) dial(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -421,7 +440,7 @@ func (c pipeConn) SetDeadline(t time.Time) error {
 func (s *wireStub) serve(c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReader(c)
-	for {
+	for served := 1; ; served++ {
 		cl := -1
 		for {
 			line, err := br.ReadSlice('\n')
@@ -440,7 +459,11 @@ func (s *wireStub) serve(c net.Conn) {
 				return
 			}
 		}
-		if _, err := c.Write(s.resp); err != nil {
+		resp := s.resp
+		if s.wrong != nil && served%s.wrongEvery == 0 {
+			resp = s.wrong
+		}
+		if _, err := c.Write(resp); err != nil {
 			return
 		}
 	}
@@ -623,6 +646,28 @@ func BenchmarkEngineInProcess(b *testing.B) {
 				grid := scenarioGrid()
 				cfg.Inference = &grid
 				cfg.PublishHeader = true
+			}))
+	})
+
+	// The mediation benchmark's observation-large workload without the
+	// sockets: 64 KB replies, the new release wrong on every 20th
+	// demand (one early digit, same length), the old release the
+	// reference. Every byte-proportional step of a demand is in here —
+	// sized reads into class buffers, the early-exit comparison on the
+	// 5 %, the bounded ring prefix, the copy-free re-enveloped write —
+	// and the gate pins that none of them allocates per byte again.
+	b.Run("observation-large", func(b *testing.B) {
+		right := &wireStub{resp: cannedResponse(soap.EnvelopeRaw(largeReplyBody(3)))}
+		faulty := &wireStub{resp: right.resp, wrong: cannedResponse(soap.EnvelopeRaw(largeReplyBody(4))), wrongEvery: 20}
+		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation,
+			func(cfg *EngineConfig) {
+				cfg.Oracle = oracle.Reference{Release: "1.0"}
+				cfg.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+					if strings.HasPrefix(addr, "release-1.") {
+						return faulty.dial(ctx, network, addr)
+					}
+					return right.dial(ctx, network, addr)
+				}
 			}))
 	})
 
@@ -877,6 +922,25 @@ func BenchmarkOracleJudge(b *testing.B) {
 			}
 		})
 	}
+
+	// The other steady state: two 64 KB replies that differ in one early
+	// digit. The comparison must cost the bytes up to the difference,
+	// not both documents.
+	b.Run("back-to-back-64k-differ", func(b *testing.B) {
+		differing := []adjudicate.Reply{
+			{Release: "1.0", Body: largeReplyBody(3), Latency: 3 * time.Millisecond},
+			{Release: "1.1", Body: largeReplyBody(4), Latency: 2 * time.Millisecond},
+		}
+		buf := make([]bool, 0, len(differing))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			failed := oracle.BackToBack{}.JudgeInto(buf, "add", differing)
+			if !failed[0] || !failed[1] {
+				b.Fatal("differing replies not suspected")
+			}
+		}
+	})
 }
 
 // BenchmarkSOAPEnvelopeRaw measures envelope construction, which runs at

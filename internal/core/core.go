@@ -863,7 +863,7 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		e.codec.WriteRejection(w, http.StatusUnsupportedMediaType, e.badTypeMsg)
 		return
 	}
-	envBuf, err := httpx.ReadBoundedBuf(r.Body, maxRequestBytes)
+	envBuf, err := httpx.ReadBoundedBuf(r.Body, r.ContentLength, maxRequestBytes)
 	if err != nil {
 		envBuf.Release() // nil on error; Release is nil-safe
 		e.codec.WriteError(w, "", protocol.ClientError(fmt.Sprintf("reading request: %v", err)))
@@ -1105,7 +1105,8 @@ func (e *Engine) recordOutcome(out dispatch.Outcome) {
 			Latency:   r.Latency,
 			// Body aliases the reply's pooled response buffer, which the
 			// dispatcher recycles the moment this hook returns; the
-			// monitor copies it at the record boundary (logRing.add).
+			// monitor copies what it keeps of it — a bounded prefix and
+			// the length — at the record boundary (logRing.add).
 			Body: r.Body,
 		})
 		if r.Release == out.Oldest.Version {

@@ -84,41 +84,46 @@ func NewPooledClient(timeout time.Duration, hosts int) *http.Client {
 	return &http.Client{Timeout: timeout, Transport: transport}
 }
 
-// maxPooledReadBuf keeps an occasional giant body from pinning its
-// buffer in the pool forever.
-const maxPooledReadBuf = 1 << 16
-
 // bodyPool backs the bounded-read buffers. Bodies on the middleware's
 // hot path are small SOAP envelopes; recycling the growth of a fresh
 // buffer per exchange was measurable allocator traffic.
-var bodyPool = pool.BufPool{MaxCap: maxPooledReadBuf}
+var bodyPool pool.BufPool
 
 // ReadBoundedBuf reads r to EOF into a pooled buffer and transfers
 // ownership of that buffer to the caller: exactly one Release (plus one
 // per extra Retain) must eventually pair with the returned buffer, and
 // nothing may alias its contents past that Release. Reading more than
-// max bytes returns ErrTooLarge. The read loop is hand-rolled (no
-// io.LimitReader / bytes.Buffer plumbing): this runs at least twice per
-// proxied request, and the wrapper structs alone were measurable.
+// max bytes returns ErrTooLarge. sizeHint is the length the peer
+// declared (a Content-Length), zero or negative when unknown: a hinted
+// read starts in its size class and never regrows; an unhinted one
+// climbs the classes, handing each outgrown buffer back as it goes.
+// The hint is only a hint — max is enforced on what actually arrives.
+// The read loop is hand-rolled (no io.LimitReader / bytes.Buffer
+// plumbing): this runs at least twice per proxied request, and the
+// wrapper structs alone were measurable.
 //
 //wsu:owns return
-func ReadBoundedBuf(r io.Reader, max int64) (*pool.Buf, error) {
-	b := bodyPool.Get()
-	buf := b.B
+func ReadBoundedBuf(r io.Reader, sizeHint, max int64) (*pool.Buf, error) {
+	if sizeHint > max {
+		sizeHint = max + 1 // enough to see the overrun, no more
+	}
+	if sizeHint < 1 {
+		sizeHint = 1 // the smallest class
+	}
+	b := bodyPool.GetSized(int(sizeHint))
 	for {
-		if len(buf) == cap(buf) {
-			grown := 2 * cap(buf)
-			if grown < 4096 {
-				grown = 4096
-			}
-			next := make([]byte, len(buf), grown)
-			copy(next, buf)
-			buf = next
+		if len(b.B) == cap(b.B) {
+			// Move up a class: the contents go into the larger buffer,
+			// the backing arrays trade places, and the outgrown one
+			// returns to its own class.
+			next := bodyPool.GetSized(2 * cap(b.B))
+			next.B = append(next.B, b.B...)
+			b.B, next.B = next.B, b.B
+			next.Release()
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if int64(len(buf)) > max {
-			b.B = buf
+		n, err := r.Read(b.B[len(b.B):cap(b.B)])
+		b.B = b.B[:len(b.B)+n]
+		if int64(len(b.B)) > max {
 			b.Release()
 			return nil, fmt.Errorf("%w: more than %d bytes", ErrTooLarge, max)
 		}
@@ -126,12 +131,10 @@ func ReadBoundedBuf(r io.Reader, max int64) (*pool.Buf, error) {
 			break
 		}
 		if err != nil {
-			b.B = buf
 			b.Release()
 			return nil, err
 		}
 	}
-	b.B = buf
 	return b, nil
 }
 
@@ -141,7 +144,7 @@ func ReadBoundedBuf(r io.Reader, max int64) (*pool.Buf, error) {
 // instead and skip the copy by owning the pooled buffer outright.
 func ReadBounded(r io.Reader, max int64) ([]byte, error) {
 	//wsu:allow poolcheck -- a non-nil error means no buffer was returned
-	b, err := ReadBoundedBuf(r, max)
+	b, err := ReadBoundedBuf(r, 0, max)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +403,7 @@ func PostXML(ctx context.Context, client *http.Client, url, contentType string, 
 			continue
 		}
 		//wsu:allow poolcheck -- ownership transfers to the caller via Result.BodyBuf
-		data, err := ReadBoundedBuf(resp.Body, maxBytes)
+		data, err := ReadBoundedBuf(resp.Body, resp.ContentLength, maxBytes)
 		resp.Body.Close()
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {

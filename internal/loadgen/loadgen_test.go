@@ -238,3 +238,43 @@ func TestOperation1Load(t *testing.T) {
 		t.Fatalf("operation1 verdicts = %v", rep.Verdicts)
 	}
 }
+
+// spinTransport answers every request after busy-waiting for a fixed
+// time (a sleep is not this precise), so a run's latencies sit just
+// above a known value.
+type spinTransport time.Duration
+
+func (d spinTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	for start := time.Now(); time.Since(start) < time.Duration(d); {
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: http.NoBody, Request: req}, nil
+}
+
+// TestSubMillisecondPercentilesResolve: at the default 10 s timeout a
+// p50 of some 50 µs and one of some 500 µs must read differently. With
+// equal-width bins both were interpolations inside the first 610 µs bin
+// and read 0.305 ms.
+func TestSubMillisecondPercentilesResolve(t *testing.T) {
+	p50 := func(spin time.Duration) float64 {
+		rep, err := Run(context.Background(), Options{
+			URLs:        []string{"http://stub.invalid/"},
+			Concurrency: 1,
+			Requests:    300,
+			Client:      &http.Client{Transport: spinTransport(spin)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.LatencyMS.P50 > rep.LatencyMS.Max || rep.LatencyMS.P99 > rep.LatencyMS.Max*1.002 {
+			t.Fatalf("percentiles beyond the exact maximum: %+v", rep.LatencyMS)
+		}
+		return rep.LatencyMS.P50
+	}
+	fast, slow := p50(50*time.Microsecond), p50(500*time.Microsecond)
+	if fast < 0.05 || fast > 0.3 {
+		t.Errorf("p50 of a 50 µs target = %.4f ms, want it just above 0.05", fast)
+	}
+	if slow < 0.5 || slow < 2*fast {
+		t.Errorf("p50 of a 500 µs target = %.4f ms (50 µs target: %.4f ms): the two must read apart", slow, fast)
+	}
+}

@@ -65,13 +65,27 @@ type Observation struct {
 	Latency time.Duration `json:"latency_ns"`
 	// Body is the release's response payload as observed by the
 	// middleware (nil when not captured). At Note time it may alias a
-	// pooled reply buffer owned by the dispatcher: the monitor copies it
-	// into log-slot-owned backing at the record boundary (logRing.add)
-	// and never retains the caller's bytes, so the dispatcher may
-	// recycle the buffer the moment Note returns. Excluded from JSON
+	// pooled reply buffer owned by the dispatcher: the monitor copies
+	// its first logBodyPrefix bytes into log-slot-owned backing at the
+	// record boundary (logRing.add) and never retains the caller's
+	// bytes, so the dispatcher may recycle the buffer the moment Note
+	// returns. In a logged record Body is therefore that prefix — the
+	// whole payload of any message up to 4 KiB. Excluded from JSON
 	// sinks, which would otherwise base64 every payload.
 	Body []byte `json:"-"`
+	// BodyLen is the full length of the payload Body was recorded from.
+	// The monitor sets it at the record boundary; callers of Note leave
+	// it zero.
+	BodyLen int `json:"-"`
 }
+
+// logBodyPrefix is how much of each observation's Body the event log
+// keeps. The log is a record of what the releases did, not an archive
+// of their replies: nothing reads a logged Body but tests and a
+// debugger, a prefix with the full length identifies a reply as well
+// as the whole does, and the ring's worst case becomes capacity ×
+// releases × 4 KiB whatever the replies weigh.
+const logBodyPrefix = 4 << 10
 
 // Record is one intercepted demand with all its release observations.
 // Note does not retain the Releases slice — or the bytes its
@@ -559,9 +573,9 @@ func newLogRing(capacity int) *logRing {
 }
 
 // add is on the judgment hot path (Note calls it whenever the log is
-// enabled) and allocates only when the per-demand observation count
-// grows past anything the slot has seen — steady state recycles the
-// slot's own backing.
+// enabled) and allocates only when the per-demand observation count or
+// a body prefix grows past anything the slot has seen — steady state
+// recycles the slot's own backing.
 //
 //wsu:noalloc
 func (r *logRing) add(rec Record) {
@@ -572,12 +586,13 @@ func (r *logRing) add(rec Record) {
 	// slot must not clobber a newer record that lapped it.
 	if n > s.seq {
 		s.seq = n
-		// The observations — and their body bytes — are copied into the
-		// slot's own backing arrays (reused across laps), so the ring
-		// never retains or aliases a caller's slice: callers may pool
-		// their observation slices and recycle the pooled reply buffers
-		// the bodies alias as soon as add returns. This is the
-		// copy-on-record boundary of the buffer ownership protocol.
+		// The observations — and a bounded prefix of each body — are
+		// copied into the slot's own backing arrays (reused across
+		// laps), so the ring never retains or aliases a caller's slice:
+		// callers may pool their observation slices and recycle the
+		// pooled reply buffers the bodies alias as soon as add returns.
+		// This is the copy-on-record boundary of the buffer ownership
+		// protocol.
 		releases := s.rec.Releases
 		s.rec = rec
 		s.rec.Releases = append(releases[:0], rec.Releases...)
@@ -587,7 +602,15 @@ func (r *logRing) add(rec Record) {
 		}
 		for i := range s.rec.Releases {
 			obs := &s.rec.Releases[i]
-			s.bodies[i] = append(s.bodies[i][:0], obs.Body...)
+			obs.BodyLen = len(obs.Body)
+			keep := obs.Body[:min(len(obs.Body), logBodyPrefix)]
+			if cap(s.bodies[i]) < len(keep) {
+				// Sized exactly, not by append's doubling: a slot's
+				// backing never exceeds the prefix.
+				//wsu:allow noalloc -- the backing grows only until it holds the longest prefix this slot has seen
+				s.bodies[i] = make([]byte, 0, len(keep))
+			}
+			s.bodies[i] = append(s.bodies[i][:0], keep...)
 			obs.Body = s.bodies[i]
 		}
 	}

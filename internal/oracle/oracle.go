@@ -22,8 +22,8 @@
 // The judge path runs once per intercepted demand, so it is built for the
 // dispatch hot path: JudgeInto writes verdicts into a caller-owned buffer
 // and every oracle is allocation-free in steady state (byte-identical
-// response comparisons never parse; differing responses canonicalize into
-// pooled scratch).
+// response comparisons never parse; differing responses are compared as
+// canonical byte streams, up to the first byte that differs).
 package oracle
 
 import (

@@ -1,14 +1,10 @@
 package pool
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
-
-// defaultMaxBufCap bounds the capacity a BufPool retains when MaxCap is
-// zero: an occasional giant body must not pin its buffer in the pool
-// forever.
-const defaultMaxBufCap = 1 << 16
 
 // Buf is a pooled byte buffer with an explicit reference count — the
 // unit of the body-buffer ownership protocol. A Get returns a buffer
@@ -75,43 +71,87 @@ func (b *Buf) Refs() int {
 	return int(b.refs.Load())
 }
 
-// BufPool recycles Bufs. The zero value is ready to use.
-type BufPool struct {
-	// MaxCap bounds the capacity put keeps; larger buffers are dropped
-	// to the GC. Zero means a 64 KiB default.
-	MaxCap int
+// Size classes: a released buffer is kept in the class its capacity
+// has reached — powers of two from minClass to maxClass; class 0 also
+// holds everything smaller — and a buffer grown past maxClass is
+// dropped to the GC, so an occasional giant body does not pin its
+// buffer forever. Only classes a process has actually filled hold
+// anything: one that only ever sees sub-4 KiB messages retains 4 KiB
+// buffers and nothing else.
+const (
+	minClassShift = 12 // 4 KiB
+	maxClassShift = 20 // 1 MiB
+	numClasses    = maxClassShift - minClassShift + 1
+)
 
-	bufs sync.Pool // *Buf with refs == 0
+// BufPool recycles Bufs by power-of-two capacity class. The zero value
+// is ready to use.
+type BufPool struct {
+	classes [numClasses]sync.Pool // *Buf with refs == 0; see classFloor
 }
 
-// Get returns a buffer with one reference and zero-length contents.
-// Ownership transfers to the caller: exactly one Release (plus one per
-// extra Retain) must eventually pair with it.
+// classCeil is the class whose every buffer holds at least n bytes;
+// numClasses or more means n is beyond the largest class.
+func classCeil(n int) int {
+	if n <= 1<<minClassShift {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minClassShift
+}
+
+// classFloor is the class a buffer of capacity c is kept in: the
+// largest one whose guarantee c still meets.
+func classFloor(c int) int {
+	if c < 1<<minClassShift {
+		return 0
+	}
+	return bits.Len(uint(c)) - 1 - minClassShift
+}
+
+// Get returns a buffer with one reference and zero-length contents,
+// from the smallest class: for callers that do not know the length and
+// grow B as they go. Ownership transfers to the caller: exactly one
+// Release (plus one per extra Retain) must eventually pair with it.
 //
 //wsu:owns return
-func (p *BufPool) Get() *Buf {
-	if b, ok := p.bufs.Get().(*Buf); ok {
-		b.refs.Store(1)
-		b.B = b.B[:0]
-		return b
+func (p *BufPool) Get() *Buf { return p.GetSized(0) }
+
+// GetSized is Get for a caller that knows the length: the returned
+// buffer has zero-length contents and capacity at least n, drawn from
+// n's size class, so a 65 KiB reply reuses the buffer the last one
+// released and a 0.3 KiB one is never handed it. A fresh buffer is
+// allocated at the class's full size, so it comes back to the class it
+// was asked from (exactly n beyond the largest class, where nothing is
+// retained).
+//
+//wsu:owns return
+func (p *BufPool) GetSized(n int) *Buf {
+	c := classCeil(n)
+	size := n
+	if c < numClasses {
+		size = 1 << (c + minClassShift)
+		if b, ok := p.classes[c].Get().(*Buf); ok {
+			b.refs.Store(1)
+			if cap(b.B) < n { // the smallest class also keeps what an owner resliced below it
+				b.B = make([]byte, 0, size)
+			}
+			return b
+		}
 	}
-	b := &Buf{pool: p}
+	b := &Buf{B: make([]byte, 0, size), pool: p}
 	b.refs.Store(1)
 	return b
 }
 
-// put recycles a fully released buffer, dropping oversized ones.
+// put recycles a fully released buffer into the class its capacity has
+// reached, dropping those grown past the largest.
 //
 //wsu:owns b
 //wsu:allow poolcheck -- oversized buffers are dropped to the GC by design
 func (p *BufPool) put(b *Buf) {
-	max := p.MaxCap
-	if max == 0 {
-		max = defaultMaxBufCap
-	}
-	if cap(b.B) > max {
+	if cap(b.B) > 1<<maxClassShift {
 		return
 	}
 	b.B = b.B[:0]
-	p.bufs.Put(b)
+	p.classes[classFloor(cap(b.B))].Put(b)
 }

@@ -95,8 +95,8 @@ func (Codec) DecodeReply(status int, body []byte) (payload []byte, aliases bool,
 }
 
 // Equal implements protocol.Codec via XML canonicalization
-// (bytes.Equal fast path; the canonicalizing slow path runs only for
-// textually unequal payloads).
+// (bytes.Equal fast path; textually unequal payloads are compared as
+// canonical byte streams, up to the first byte that differs).
 func (Codec) Equal(a, b []byte) bool { return soap.EqualCanonical(a, b) }
 
 // WriteBody implements protocol.Codec: the winning inner body XML is

@@ -20,9 +20,10 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
+	"unicode/utf8"
 
 	"wsupgrade/internal/httpx"
+	"wsupgrade/internal/pool"
 	"wsupgrade/internal/protocol"
 )
 
@@ -181,38 +182,23 @@ func firstElement(inner []byte) (xml.Name, bool) {
 	}
 }
 
-// bufPool recycles the scratch buffers of envelope construction and
-// canonicalization — both run on the middleware's per-request hot path,
-// where growing a fresh bytes.Buffer per call was measurable allocator
-// traffic. Builders must copy the result out before returning the buffer.
-var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+// scratch recycles the buffers of envelope writing, fault rendering and
+// canonical comparison — all on the middleware's per-request hot path,
+// where a fresh buffer per call was measurable allocator traffic. It
+// is size-classed (see pool.BufPool), so a buffer a large message grew
+// is reused by the next large message and by nothing else.
+var scratch pool.BufPool
 
-//wsu:owns return
-func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
+const (
+	envelopeOpen = xml.Header + `<soap:Envelope xmlns:soap="` + EnvelopeNS + `">`
+	headerOpen   = `<soap:Header>`
+	headerClose  = `</soap:Header>`
+	bodyOpen     = `<soap:Body>`
+)
 
-// putBuf recycles a scratch buffer. An occasional giant message must
-// not pin its buffer forever, so oversized buffers are dropped.
-//
-//wsu:owns b
-//wsu:allow poolcheck -- oversized buffers are dropped to the GC by design
-func putBuf(b *bytes.Buffer) {
-	if b.Cap() > 1<<16 {
-		return
-	}
-	b.Reset()
-	bufPool.Put(b)
-}
-
-// take copies a pooled buffer's content into a caller-owned, right-sized
-// slice and returns the buffer to the pool.
-//
-//wsu:owns b
-func take(b *bytes.Buffer) []byte {
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	putBuf(b)
-	return out
-}
+// envelopeTail closes what appendEnvelopeHead opens (a []byte so the
+// copy-free write below needs no conversion).
+var envelopeTail = []byte(`</soap:Body></soap:Envelope>`)
 
 // Envelope wraps the XML marshalling of payload into a SOAP envelope.
 // Extra header items are emitted inside a Header element.
@@ -224,63 +210,148 @@ func Envelope(payload interface{}, headers ...HeaderItem) ([]byte, error) {
 	return EnvelopeRaw(inner, headers...), nil
 }
 
-// buildEnvelope renders the envelope into a scratch buffer.
-func buildEnvelope(b *bytes.Buffer, bodyXML []byte, headers []HeaderItem) {
-	b.WriteString(xml.Header)
-	b.WriteString(`<soap:Envelope xmlns:soap="` + EnvelopeNS + `">`)
+// envelopeHeadLen is the length appendEnvelopeHead will append.
+func envelopeHeadLen(headers []HeaderItem) int {
+	n := len(envelopeOpen) + len(bodyOpen)
 	if len(headers) > 0 {
-		b.WriteString(`<soap:Header>`)
+		n += len(headerOpen) + len(headerClose)
 		for _, h := range headers {
-			b.Write(h)
+			n += len(h)
 		}
-		b.WriteString(`</soap:Header>`)
 	}
-	b.WriteString(`<soap:Body>`)
-	b.Write(bodyXML)
-	b.WriteString(`</soap:Body></soap:Envelope>`)
+	return n
+}
+
+// appendEnvelopeHead renders everything that precedes the body content:
+// the XML declaration, the Envelope start tag, the optional Header
+// block and the Body start tag.
+func appendEnvelopeHead(dst []byte, headers []HeaderItem) []byte {
+	dst = append(dst, envelopeOpen...)
+	if len(headers) > 0 {
+		dst = append(dst, headerOpen...)
+		for _, h := range headers {
+			dst = append(dst, h...)
+		}
+		dst = append(dst, headerClose...)
+	}
+	return append(dst, bodyOpen...)
 }
 
 // EnvelopeRaw wraps pre-marshalled body XML into a SOAP envelope.
 func EnvelopeRaw(bodyXML []byte, headers ...HeaderItem) []byte {
-	b := getBuf()
-	buildEnvelope(b, bodyXML, headers)
-	return take(b)
+	out := make([]byte, 0, envelopeHeadLen(headers)+len(bodyXML)+len(envelopeTail))
+	out = appendEnvelopeHead(out, headers)
+	out = append(out, bodyXML...)
+	return append(out, envelopeTail...)
 }
 
+// envelopeInline is the largest envelope WriteEnvelopeRaw assembles in
+// its scratch buffer (the scratch pool's smallest class) and sends as
+// one Write; a larger body is written from where it lies.
+const envelopeInline = 4 << 10
+
 // WriteEnvelopeRaw writes the envelope for pre-marshalled body XML
-// straight to w from a pooled buffer — the response-write path runs once
-// per proxied request, and EnvelopeRaw's caller-owned copy was
-// measurable there.
+// straight to w — the response-write path runs once per proxied
+// request. A small envelope is assembled in a pooled buffer and goes
+// out in a single Write (one segment, and net/http can still frame it
+// with a Content-Length); past envelopeInline only the head is
+// assembled, and bodyXML itself is written between it and the constant
+// tail, so a large winner is never copied.
 func WriteEnvelopeRaw(w io.Writer, bodyXML []byte, headers ...HeaderItem) (int, error) {
-	b := getBuf()
-	buildEnvelope(b, bodyXML, headers)
-	n, err := w.Write(b.Bytes())
-	putBuf(b)
-	return n, err
+	b := scratch.GetSized(envelopeInline)
+	b.B = appendEnvelopeHead(b.B, headers)
+	inline := len(b.B)+len(bodyXML)+len(envelopeTail) <= envelopeInline
+	if inline {
+		b.B = append(append(b.B, bodyXML...), envelopeTail...)
+	}
+	n, err := w.Write(b.B)
+	b.Release()
+	if inline || err != nil {
+		return n, err
+	}
+	m, err := w.Write(bodyXML)
+	n += m
+	if err != nil {
+		return n, err
+	}
+	m, err = w.Write(envelopeTail)
+	return n + m, err
 }
 
 // FaultEnvelope renders a fault as a complete SOAP envelope.
 func FaultEnvelope(f *Fault) []byte {
-	b := getBuf()
-	b.WriteString(`<soap:Fault><faultcode>`)
-	xml.EscapeText(b, []byte(f.Code))
-	b.WriteString(`</faultcode><faultstring>`)
-	xml.EscapeText(b, []byte(f.String))
-	b.WriteString(`</faultstring>`)
+	b := scratch.Get()
+	b.B = append(b.B, `<soap:Fault><faultcode>`...)
+	b.B = appendEscaped(b.B, []byte(f.Code))
+	b.B = append(b.B, `</faultcode><faultstring>`...)
+	b.B = appendEscaped(b.B, []byte(f.String))
+	b.B = append(b.B, `</faultstring>`...)
 	if f.Actor != "" {
-		b.WriteString(`<faultactor>`)
-		xml.EscapeText(b, []byte(f.Actor))
-		b.WriteString(`</faultactor>`)
+		b.B = append(b.B, `<faultactor>`...)
+		b.B = appendEscaped(b.B, []byte(f.Actor))
+		b.B = append(b.B, `</faultactor>`...)
 	}
 	if f.Detail != "" {
-		b.WriteString(`<detail>`)
-		xml.EscapeText(b, []byte(f.Detail))
-		b.WriteString(`</detail>`)
+		b.B = append(b.B, `<detail>`...)
+		b.B = appendEscaped(b.B, []byte(f.Detail))
+		b.B = append(b.B, `</detail>`...)
 	}
-	b.WriteString(`</soap:Fault>`)
-	env := EnvelopeRaw(b.Bytes())
-	putBuf(b)
+	b.B = append(b.B, `</soap:Fault>`...)
+	env := EnvelopeRaw(b.B)
+	b.Release()
 	return env
+}
+
+// appendEscaped appends s with the escaping of xml.EscapeText, byte
+// for byte (the five markup characters, tab, newline, carriage return,
+// and U+FFFD for invalid UTF-8 or characters outside XML's range),
+// without the io.Writer: scratch here is an append-to slice.
+func appendEscaped(dst, s []byte) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, width = utf8.DecodeRune(s[i:])
+		}
+		i += width
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if inXMLCharRange(r) && !(r == utf8.RuneError && width == 1) {
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		dst = append(dst, s[last:i-width]...)
+		dst = append(dst, esc...)
+		last = i
+	}
+	return append(dst, s[last:]...)
+}
+
+// inXMLCharRange is the XML 1.0 Char production (§2.2), as
+// encoding/xml applies it.
+func inXMLCharRange(r rune) bool {
+	return r == 0x09 || r == 0x0A || r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -500,77 +571,96 @@ func (c *Client) CallRaw(ctx context.Context, operation string, envelope []byte)
 // deterministically. Two fragments that differ only in formatting or
 // prefix choice canonicalize identically, which is what the back-to-back
 // comparison of release responses (§5.1.1.3) needs.
+//
+// It is the reference: EqualCanonical answers the same question without
+// building either canonical form, and is tested (and fuzzed) against
+// this function.
 func Canonicalize(fragment []byte) ([]byte, error) {
-	b := getBuf()
-	if err := canonicalizeTo(b, fragment); err != nil {
-		putBuf(b)
-		return nil, err
-	}
-	return take(b), nil
-}
-
-// canonicalizeTo writes the canonical form of fragment into b, so
-// callers that only compare canonical forms can hold the result in
-// pooled scratch instead of taking a per-call copy.
-func canonicalizeTo(b *bytes.Buffer, fragment []byte) error {
 	dec := xml.NewDecoder(bytes.NewReader(fragment))
+	out := make([]byte, 0, len(fragment))
 	depth := 0
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
-			break
+			return out, nil
 		}
 		if err != nil {
-			return fmt.Errorf("soap: canonicalizing: %w", err)
+			return nil, fmt.Errorf("soap: canonicalizing: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			b.WriteByte('<')
-			writeCanonicalName(b, t.Name)
-			attrs := make([]xml.Attr, 0, len(t.Attr))
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
-					continue // namespaces are resolved into element names
-				}
-				attrs = append(attrs, a)
+		if text, ok := tok.(xml.CharData); ok {
+			if significantText(text, depth) {
+				out = appendEscaped(out, text)
 			}
-			sort.Slice(attrs, func(i, j int) bool {
-				if attrs[i].Name.Space != attrs[j].Name.Space {
-					return attrs[i].Name.Space < attrs[j].Name.Space
-				}
-				return attrs[i].Name.Local < attrs[j].Name.Local
-			})
-			for _, a := range attrs {
-				b.WriteByte(' ')
-				writeCanonicalName(b, a.Name)
-				b.WriteString(`="`)
-				xml.EscapeText(b, []byte(a.Value))
-				b.WriteByte('"')
-			}
-			b.WriteByte('>')
-		case xml.EndElement:
-			depth--
-			b.WriteString("</")
-			writeCanonicalName(b, t.Name)
-			b.WriteByte('>')
-		case xml.CharData:
-			if depth == 0 || len(bytes.TrimSpace(t)) == 0 {
-				continue
-			}
-			xml.EscapeText(b, t)
+			continue
 		}
+		out = appendCanonicalTag(out, tok, &depth)
 	}
-	return nil
 }
 
-func writeCanonicalName(b *bytes.Buffer, n xml.Name) {
-	if n.Space != "" {
-		b.WriteByte('{')
-		b.WriteString(n.Space)
-		b.WriteByte('}')
+// significantText reports whether a character-data token belongs to the
+// canonical form: text outside the root and whitespace-only runs are
+// formatting.
+func significantText(text []byte, depth int) bool {
+	return depth > 0 && len(bytes.TrimSpace(text)) > 0
+}
+
+// appendCanonicalTag appends the canonical form of a start or end tag
+// and keeps the element depth; every other token (comments, processing
+// instructions, directives) has no canonical form. Character data is
+// the caller's, so that the comparison can emit a long run piecewise.
+func appendCanonicalTag(dst []byte, tok xml.Token, depth *int) []byte {
+	switch t := tok.(type) {
+	case xml.StartElement:
+		*depth++
+		dst = append(dst, '<')
+		dst = appendCanonicalName(dst, t.Name)
+		// Namespace declarations are resolved into the names; the rest
+		// are emitted sorted by name. The token's slice is ours to
+		// reorder (the decoder builds one per start tag and keeps no
+		// reference), and an insertion sort of the handful of
+		// attributes an element carries needs no scratch and no closure.
+		attrs := t.Attr[:0]
+		for _, a := range t.Attr {
+			if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
+				continue
+			}
+			i := len(attrs)
+			attrs = append(attrs, a)
+			for ; i > 0 && nameLess(a.Name, attrs[i-1].Name); i-- {
+				attrs[i], attrs[i-1] = attrs[i-1], attrs[i]
+			}
+		}
+		for _, a := range attrs {
+			dst = append(dst, ' ')
+			dst = appendCanonicalName(dst, a.Name)
+			dst = append(dst, '=', '"')
+			dst = appendEscaped(dst, []byte(a.Value))
+			dst = append(dst, '"')
+		}
+		dst = append(dst, '>')
+	case xml.EndElement:
+		*depth--
+		dst = append(dst, '<', '/')
+		dst = appendCanonicalName(dst, t.Name)
+		dst = append(dst, '>')
 	}
-	b.WriteString(n.Local)
+	return dst
+}
+
+func nameLess(a, b xml.Name) bool {
+	if a.Space != b.Space {
+		return a.Space < b.Space
+	}
+	return a.Local < b.Local
+}
+
+func appendCanonicalName(dst []byte, n xml.Name) []byte {
+	if n.Space != "" {
+		dst = append(dst, '{')
+		dst = append(dst, n.Space...)
+		dst = append(dst, '}')
+	}
+	return append(dst, n.Local...)
 }
 
 // RenameRoot renames the first element of the fragment (and its matching
@@ -626,32 +716,124 @@ func isTagDelim(c byte) bool {
 }
 
 // EqualCanonical reports whether two XML fragments canonicalize to the
-// same bytes. Unparsable fragments compare by raw bytes.
+// same bytes. Unparsable fragments compare by raw bytes. The answer is
+// exactly
 //
-// This is the oracle comparison primitive, called once per reply pair on
-// every judged demand, so the common cases stay off the XML decoder:
-// byte-identical fragments (agreeing releases serialize deterministically)
-// are equal without parsing, and differing fragments canonicalize into
-// pooled scratch rather than taking per-call result copies.
+//	bytes.Equal(a, b) || (both parse && bytes.Equal(Canonicalize(a), Canonicalize(b)))
+//
+// but neither canonical form is built. This is the oracle comparison
+// primitive, called once per reply pair on every judged demand:
+// byte-identical fragments (agreeing releases serialize
+// deterministically) are equal without parsing, and differing ones are
+// decoded in step, each into a small pooled chunk of canonical bytes
+// that is compared as it is produced — so the comparison returns at the
+// first canonical byte that differs, or the first parse error, and
+// costs the bytes up to there, not both documents. It is the canonical
+// byte streams that are compared, not the token sequences: "a<!--c-->b"
+// and "ab" are one run of text in canonical form and two tokens against
+// one.
 func EqualCanonical(a, b []byte) bool {
 	if bytes.Equal(a, b) {
 		return true
 	}
-	ca := getBuf()
-	if err := canonicalizeTo(ca, a); err != nil {
-		putBuf(ca)
-		return false // a is unparsable: raw-byte comparison, already unequal
-	}
-	cb := getBuf()
-	if err := canonicalizeTo(cb, b); err != nil {
-		putBuf(ca)
-		putBuf(cb)
-		return false
-	}
-	eq := bytes.Equal(ca.Bytes(), cb.Bytes())
-	putBuf(ca)
-	putBuf(cb)
+	// From here "unequal" is the answer on every path but one: both
+	// streams end cleanly having matched throughout. A parse error on
+	// either side falls back to the raw comparison, which already said
+	// no — so nothing after the first mismatch can change the verdict.
+	ca, cb := scratch.GetSized(canonChunk), scratch.GetSized(canonChunk)
+	sa, sb := newCanonStream(a, ca), newCanonStream(b, cb)
+	eq := equalStreams(&sa, &sb)
+	ca.Release()
+	cb.Release()
 	return eq
+}
+
+// canonChunk is the capacity a canonical stream's chunk starts with,
+// and canonTextPiece the most character data emitted into it at once.
+// Only a start tag larger than the chunk grows it.
+const (
+	canonChunk     = 4 << 10
+	canonTextPiece = 1 << 10
+)
+
+// canonStream produces one fragment's canonical bytes a piece at a
+// time: a tag, or up to canonTextPiece bytes of character data.
+type canonStream struct {
+	dec   *xml.Decoder
+	depth int
+	chunk *pool.Buf // borrowed from EqualCanonical, which releases it
+	// out is the part of chunk not yet compared; text is the rest of
+	// the current character-data token, not yet emitted (it aliases the
+	// decoder's buffer, valid until the next Token call).
+	out, text []byte
+	done      bool  // the input ended,
+	err       error // and this is how, if not cleanly
+}
+
+func newCanonStream(fragment []byte, chunk *pool.Buf) canonStream {
+	return canonStream{dec: xml.NewDecoder(bytes.NewReader(fragment)), chunk: chunk}
+}
+
+// next returns the canonical bytes produced and not yet consumed,
+// advancing the decoder while there are none. Empty means the stream
+// has ended; s.err says whether cleanly.
+func (s *canonStream) next() []byte {
+	for len(s.out) == 0 && !s.done {
+		s.chunk.B = s.emit(s.chunk.B[:0])
+		s.out = s.chunk.B
+	}
+	return s.out
+}
+
+// emit appends the next piece of canonical form, if the next token has
+// one.
+func (s *canonStream) emit(dst []byte) []byte {
+	if len(s.text) > 0 {
+		n := len(s.text)
+		if n > canonTextPiece {
+			// Cut on a rune boundary: escaping is per rune. (Decoded
+			// text is valid UTF-8, so this steps back at most thrice.)
+			for n = canonTextPiece; n > canonTextPiece-utf8.UTFMax && !utf8.RuneStart(s.text[n]); n-- {
+			}
+		}
+		dst = appendEscaped(dst, s.text[:n])
+		s.text = s.text[n:]
+		return dst
+	}
+	tok, err := s.dec.Token()
+	if err != nil {
+		s.done = true
+		if err != io.EOF {
+			s.err = err
+		}
+		return dst
+	}
+	if text, ok := tok.(xml.CharData); ok {
+		if significantText(text, s.depth) {
+			s.text = text
+		}
+		return dst
+	}
+	return appendCanonicalTag(dst, tok, &s.depth)
+}
+
+// equalStreams reports whether both streams parse to the end and
+// produce the same bytes, stopping at the first evidence they do not.
+func equalStreams(x, y *canonStream) bool {
+	for {
+		px, py := x.next(), y.next()
+		if x.err != nil || y.err != nil {
+			return false
+		}
+		n := min(len(px), len(py))
+		if n == 0 {
+			return len(px) == len(py) // both ended, or one has bytes the other never will
+		}
+		if !bytes.Equal(px[:n], py[:n]) {
+			return false
+		}
+		x.out, y.out = px[n:], py[n:]
+	}
 }
 
 // InjectElement appends a child element (rendered from raw XML) at the end

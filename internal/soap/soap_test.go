@@ -222,26 +222,60 @@ func TestFaultError(t *testing.T) {
 	}
 }
 
+// canonicalEqualCases are pairs that differ in bytes and not in canonical
+// form; canonicalDistinctCases differ in both. They also seed
+// FuzzEqualCanonical.
+var canonicalEqualCases = []struct{ a, b string }{
+	{
+		`<r><x>1</x><y>2</y></r>`,
+		"<r>\n  <x>1</x>\n  <y>2</y>\n</r>",
+	},
+	{
+		`<r b="2" a="1"/>`,
+		`<r a="1" b="2"></r>`,
+	},
+	{
+		`<n:r xmlns:n="urn:x"><n:c/></n:r>`,
+		`<m:r xmlns:m="urn:x"><m:c/></m:r>`,
+	},
+	{
+		`<r><!-- comment --><x>1</x></r>`,
+		`<r><x>1</x></r>`,
+	},
+	// One run of text in canonical form, two tokens against one: the
+	// comparison is of byte streams, not of token sequences.
+	{`<r>a<!--c-->b</r>`, `<r>ab</r>`},
+	{`<r>a<?pi x?>b</r>`, `<r>ab</r>`},
+	{`<r><![CDATA[a<b & c]]></r>`, `<r>a&lt;b &amp; c</r>`},
+	{`<r>&#65;&#x42;&quot;&apos;</r>`, `<r>AB"'</r>`},
+	{`<r xmlns="urn:x"><c xmlns="urn:x" q:k="v" xmlns:q="urn:q"/></r>`, `<p:r xmlns:p="urn:x"><p:c z:k="v" xmlns:z="urn:q"/></p:r>`},
+	{"  <r> <x/> \t</r>\n", `<r><x/></r>`},
+	{`<r> </r>`, `<r></r>`},
+	{`<?xml version="1.0"?><r c="3" b="2" a="1" xmlns:n="urn:n" n:a="0"/>`, `<r a="1" b="2" c="3" xmlns:m="urn:n" m:a="0"/>`},
+	{`<a/><b/>`, `<a></a> <b></b>`},
+}
+
+var canonicalDistinctCases = []struct{ a, b string }{
+	{`<r>1</r>`, `<r>2</r>`},
+	{`<r><x/></r>`, `<r><y/></r>`},
+	{`<r a="1"/>`, `<r a="2"/>`},
+	{`<r>a b</r>`, `<r>ab</r>`},
+	{`<n:r xmlns:n="urn:x"/>`, `<n:r xmlns:n="urn:y"/>`},
+	// Whitespace beside a comment is text once the comment is gone.
+	{`<r>a <!--c--> b</r>`, `<r>a b</r>`},
+	{`<r a="1" b="2"/>`, `<r a="1"/>`},
+	// A strict prefix, of the canonical form and of the bytes.
+	{`<a/>`, `<a/><b/>`},
+	{`<r><a>1</a>`, `<r><a>1</a></r>`},
+	// Unparsable after the first difference, and after none at all:
+	// raw bytes decide, and they differ.
+	{`<r><a>1</a><b></r>`, `<r><a>2</a><b></r>`},
+	{`<r><a>1</a><b></r>`, `<r ><a>1</a><b></r>`},
+	{`<r>1</r>`, `<r>1</r><`},
+}
+
 func TestCanonicalizeEquivalences(t *testing.T) {
-	cases := []struct{ a, b string }{
-		{
-			`<r><x>1</x><y>2</y></r>`,
-			"<r>\n  <x>1</x>\n  <y>2</y>\n</r>",
-		},
-		{
-			`<r b="2" a="1"/>`,
-			`<r a="1" b="2"></r>`,
-		},
-		{
-			`<n:r xmlns:n="urn:x"><n:c/></n:r>`,
-			`<m:r xmlns:m="urn:x"><m:c/></m:r>`,
-		},
-		{
-			`<r><!-- comment --><x>1</x></r>`,
-			`<r><x>1</x></r>`,
-		},
-	}
-	for i, c := range cases {
+	for i, c := range canonicalEqualCases {
 		if !EqualCanonical([]byte(c.a), []byte(c.b)) {
 			ca, _ := Canonicalize([]byte(c.a))
 			cb, _ := Canonicalize([]byte(c.b))
@@ -251,14 +285,7 @@ func TestCanonicalizeEquivalences(t *testing.T) {
 }
 
 func TestCanonicalizeDistinguishesContent(t *testing.T) {
-	cases := []struct{ a, b string }{
-		{`<r>1</r>`, `<r>2</r>`},
-		{`<r><x/></r>`, `<r><y/></r>`},
-		{`<r a="1"/>`, `<r a="2"/>`},
-		{`<r>a b</r>`, `<r>ab</r>`},
-		{`<n:r xmlns:n="urn:x"/>`, `<n:r xmlns:n="urn:y"/>`},
-	}
-	for i, c := range cases {
+	for i, c := range canonicalDistinctCases {
 		if EqualCanonical([]byte(c.a), []byte(c.b)) {
 			t.Errorf("case %d: %q and %q compared equal", i, c.a, c.b)
 		}

@@ -23,9 +23,9 @@ import (
 // respBodyPool backs response-body buffers. Ownership of each buffer
 // transfers out of the transport with the exchange result (see
 // Client.PostXML); the final Release — typically in dispatch after the
-// reply is judged, written and recorded — recycles it here. Bodies
-// above the connection scratch cap are dropped rather than retained.
-var respBodyPool = bufpool.BufPool{MaxCap: maxConnScratch}
+// reply is judged, written and recorded — recycles it here, into the
+// size class its capacity has reached.
+var respBodyPool bufpool.BufPool
 
 // aLongTimeAgo is the past deadline that poisons an in-flight read.
 var aLongTimeAgo = time.Unix(1, 0)
@@ -509,18 +509,11 @@ func (c *conn) readResponse(maxBytes int64) (status int, body *bufpool.Buf, hdr 
 		if contentLength > maxBytes {
 			return 0, nil, nil, false, fmt.Errorf("wire: response of %d bytes: %w", contentLength, httpx.ErrTooLarge)
 		}
-		body := respBodyPool.Get()
-		if contentLength == 0 {
-			return status, body, hdr, keepAlive, nil
-		}
 		// The declared length already passed the bound check, so an
-		// exact read enforces it without further plumbing. The pooled
-		// buffer grows at most once per connection steady state.
-		if int64(cap(body.B)) < contentLength {
-			body.B = make([]byte, contentLength)
-		} else {
-			body.B = body.B[:contentLength]
-		}
+		// exact read enforces it without further plumbing, into a
+		// buffer of the length's own size class.
+		body := respBodyPool.GetSized(int(contentLength))
+		body.B = body.B[:contentLength]
 		if _, err := io.ReadFull(c.br, body.B); err != nil {
 			body.Release()
 			return 0, nil, nil, false, fmt.Errorf("wire: reading body: %w", err)
@@ -528,7 +521,7 @@ func (c *conn) readResponse(maxBytes int64) (status int, body *bufpool.Buf, hdr 
 		return status, body, hdr, keepAlive, nil
 	default:
 		// No explicit framing: the body runs to connection close.
-		body, err := httpx.ReadBoundedBuf(c.br, maxBytes)
+		body, err := httpx.ReadBoundedBuf(c.br, 0, maxBytes)
 		if err != nil {
 			body.Release() // nil on error; Release is nil-safe
 			return 0, nil, nil, false, fmt.Errorf("wire: reading body: %w", err)
@@ -567,13 +560,12 @@ func (c *conn) header(raw []byte) http.Header {
 	return hdr
 }
 
-// readChunkedBody decodes a chunked transfer coding, bounded by max,
+// readChunkedBody decodes a chunked transfer coding, bounded by maxBytes,
 // into a pooled buffer the caller owns.
 //
 //wsu:owns return
-func (c *conn) readChunkedBody(max int64) (*bufpool.Buf, error) {
+func (c *conn) readChunkedBody(maxBytes int64) (*bufpool.Buf, error) {
 	b := respBodyPool.Get()
-	b.B = b.B[:0]
 	for {
 		line, err := c.readLine()
 		if err != nil {
@@ -591,13 +583,23 @@ func (c *conn) readChunkedBody(max int64) (*bufpool.Buf, error) {
 		if size == 0 {
 			break
 		}
-		if int64(len(b.B))+size > max {
+		if int64(len(b.B))+size > maxBytes {
 			b.Release()
 			return nil, fmt.Errorf("wire: chunked response: %w", httpx.ErrTooLarge)
 		}
 		n := len(b.B)
-		b.B = grow(b.B, int(size))
-		if _, err := io.ReadFull(c.br, b.B[n:n+int(size)]); err != nil {
+		if need := n + int(size); need > cap(b.B) {
+			// Move up to the class that holds the chunk (at least
+			// doubling, so many small chunks stay linear): the backing
+			// arrays trade places and the outgrown one returns to its
+			// own class.
+			next := respBodyPool.GetSized(max(need, 2*cap(b.B)))
+			next.B = append(next.B, b.B...)
+			b.B, next.B = next.B, b.B
+			next.Release()
+		}
+		b.B = b.B[:n+int(size)]
+		if _, err := io.ReadFull(c.br, b.B[n:]); err != nil {
 			b.Release()
 			return nil, fmt.Errorf("wire: reading chunk: %w", err)
 		}
@@ -619,15 +621,6 @@ func (c *conn) readChunkedBody(max int64) (*bufpool.Buf, error) {
 		}
 	}
 	return b, nil
-}
-
-func grow(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b[:len(b)+n]
-	}
-	nb := make([]byte, len(b)+n, 2*len(b)+n)
-	copy(nb, b)
-	return nb
 }
 
 // parseStatusLine parses "HTTP/1.x NNN reason".
