@@ -437,7 +437,7 @@ func New(cfg Config) (*Engine, error) {
 		})
 	}
 	e.disp = dispatch.New(dispatch.Config{
-		Post:      e.wire.PostXML,
+		Begin:     e.wire.Begin,
 		Retry:     cfg.Retry,
 		Seed:      cfg.Seed,
 		OnOutcome: e.recordOutcome,

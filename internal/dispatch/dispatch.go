@@ -9,8 +9,15 @@
 // The package is lifecycle-agnostic: the caller decides which releases
 // are targets (phase selection, health marks) and which adjudication
 // rule delivers (phase authority, per-request consumer choice); the
-// dispatcher owns the mechanics — deadlines, fan-out goroutines, reply
-// pooling, the single-target fast path, and sequential mode.
+// dispatcher owns the mechanics — deadlines, the scatter/gather fan-out,
+// reply pooling, the single-target fast path, and sequential mode.
+//
+// A fan-out scatters, then gathers: the dispatching goroutine begins
+// every target's call itself (wire.Client.Begin writes the request
+// without waiting on the peer), so every request is on the wire before
+// anyone waits for a reply; only the waiting — one End per call — is
+// handed to goroutines, and when delivery needs every reply anyway the
+// dispatching goroutine keeps one End for itself.
 //
 // Deadlines derive from the consumer's incoming request context: a
 // disconnected client cancels its in-flight fan-out. Once a response
@@ -32,6 +39,7 @@ import (
 	"wsupgrade/internal/pool"
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/soapcodec"
+	"wsupgrade/internal/wire"
 	"wsupgrade/internal/xrand"
 )
 
@@ -160,18 +168,17 @@ type Outcome struct {
 	ConsumerGone bool
 }
 
-// PostFunc is the release-call transport: it must behave exactly like
-// httpx.PostXML (retry of transient failures, exponential backoff,
-// bounded response reads — the conformance suite in internal/wire is
-// the executable definition). The wire client's PostXML and a bound
-// httpx.PostXML both satisfy it.
-type PostFunc func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) (httpx.Result, error)
-
 // Config parameterizes a Dispatcher.
 type Config struct {
-	// Post is the release-call transport. Required: the engine passes
-	// its wire client's PostXML, tests substitute fakes.
-	Post PostFunc
+	// Begin is the release-call transport: it starts one call without
+	// waiting on the peer, and the returned call's End must behave
+	// exactly like httpx.PostXML (retry of transient failures,
+	// exponential backoff, bounded response reads — the conformance
+	// suite in internal/wire is the executable definition). The
+	// dispatcher ends every call it begins exactly once. Required: the
+	// engine passes its wire client's Begin, tests substitute
+	// wire.Deferred fakes.
+	Begin func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) wire.Call
 	// Retry tolerates transient transport failures per release call.
 	Retry httpx.RetryPolicy
 	// Seed drives adjudication tie-breaking.
@@ -189,7 +196,7 @@ type Config struct {
 // Dispatcher executes fan-outs. Construct with New; Close waits for
 // background collection to drain.
 type Dispatcher struct {
-	post      PostFunc
+	begin     func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) wire.Call
 	retry     httpx.RetryPolicy
 	onOutcome func(Outcome)
 	codec     protocol.Codec
@@ -209,8 +216,8 @@ type Dispatcher struct {
 
 // New builds a dispatcher.
 func New(cfg Config) *Dispatcher {
-	if cfg.Post == nil {
-		panic("dispatch: Config.Post is required")
+	if cfg.Begin == nil {
+		panic("dispatch: Config.Begin is required")
 	}
 	if cfg.Retry.Attempts == 0 {
 		cfg.Retry = httpx.NoRetry
@@ -220,7 +227,7 @@ func New(cfg Config) *Dispatcher {
 		codec = soapcodec.Default
 	}
 	return &Dispatcher{
-		post:        cfg.Post,
+		begin:       cfg.Begin,
 		retry:       cfg.Retry,
 		onOutcome:   cfg.OnOutcome,
 		codec:       codec,
@@ -334,14 +341,9 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 		return d.doSequential(callCtx, targets, envelope, operation, rule, oldest, newest, req.EnvelopeBuf)
 	}
 
-	f := d.acquireFanout(callCtx, operation, envelope, len(targets))
-	for i, t := range targets {
-		d.wg.Add(1)
-		go f.call(i, t)
-	}
-
 	// How many replies must arrive before delivery.
-	need := len(targets)
+	n := len(targets)
+	need := n
 	switch req.Mode {
 	case ModeDynamic:
 		if req.Quorum > 0 && req.Quorum < need {
@@ -351,8 +353,38 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 		need = 1
 	}
 
-	replies := getReplySlice(len(targets))
+	// Scatter: every request goes out from this goroutine, in target
+	// order, before anything waits for a reply.
+	f := d.acquireFanout(n)
+	for i, t := range targets {
+		f.hold(i, time.Now(), d.beginCall(callCtx, t, operation, envelope))
+	}
+	// Gather: each call is ended — reply read, latency stamped,
+	// classified — by exactly one goroutine, so a slow release's time
+	// is never charged to another. When delivery waits for every reply
+	// anyway, this goroutine ends the first call itself and n-1
+	// gatherers end the rest; when delivery may come early it must stay
+	// free to deliver, so every call gets a gatherer.
+	//
+	// Which call it keeps was measured: the first reads the same latency
+	// as the last and costs less saturated capacity where the handler
+	// goes on to compute (publish-small) — it usually finishes before a
+	// gatherer does, so it is resumed by a channel hand-off, which also
+	// wakes an idle P, not straight from the netpoller (DESIGN.md §2).
+	replies := getReplySlice(n)
 	received := 0
+	first := 0
+	if need == n {
+		first = 1
+	}
+	for i := first; i < n; i++ {
+		d.wg.Add(1)
+		go f.gather(i, targets[i])
+	}
+	if first == 1 {
+		replies[0] = f.end(0, targets[0])
+		received = 1
+	}
 	for received < need {
 		in := <-f.ch
 		replies[in.i] = in.r
@@ -419,17 +451,23 @@ type indexed struct {
 	r adjudicate.Reply
 }
 
-// fanout is the pooled per-dispatch fan-out state: the reply channel
-// plus the arguments every release call shares. Spawning `go f.call(i, t)`
-// passes the per-target values through the goroutine's own frame, so a
-// fan-out allocates no per-target closure objects, and the reply channel
-// is reused across dispatches instead of being made fresh each time.
+// pending is one target's call between the scatter that began it and
+// the gather that ends it; start is when its request write began.
+type pending struct {
+	call  wire.Call
+	start time.Time
+}
+
+// fanout is the pooled per-dispatch fan-out state: the reply channel and
+// one slot per target holding that target's begun call. The calls are
+// values in the slots — a fan-out allocates nothing per call — and
+// spawning `go f.gather(i, t)` passes the per-target values through the
+// goroutine's own frame, so there are no per-target closure objects
+// either; the reply channel is reused across dispatches.
 type fanout struct {
-	d         *Dispatcher
-	ctx       *callCtx
-	operation string
-	envelope  []byte
-	ch        chan indexed
+	d     *Dispatcher
+	calls []pending
+	ch    chan indexed
 }
 
 // fanoutChanCap is the pooled reply-channel capacity. Fan-outs wider
@@ -439,46 +477,71 @@ const fanoutChanCap = 8
 
 var fanoutPool sync.Pool
 
-// acquireFanout arms a pooled fan-out for one dispatch.
+// acquireFanout arms a pooled fan-out for one dispatch of n targets.
 //
 //wsu:owns return
-func (d *Dispatcher) acquireFanout(c *callCtx, operation string, envelope []byte, n int) *fanout {
+func (d *Dispatcher) acquireFanout(n int) *fanout {
 	f, ok := fanoutPool.Get().(*fanout)
 	if !ok {
-		f = &fanout{ch: make(chan indexed, fanoutChanCap)}
+		f = &fanout{ch: make(chan indexed, fanoutChanCap), calls: make([]pending, fanoutChanCap)}
 	}
 	if cap(f.ch) < n {
 		f.ch = make(chan indexed, n)
 	}
+	if cap(f.calls) < n {
+		f.calls = make([]pending, n)
+	}
+	f.calls = f.calls[:n]
 	f.d = d
-	f.ctx = c
-	f.operation = operation
-	f.envelope = envelope
 	return f
 }
 
 // release recycles the fan-out. The caller must have received one reply
-// per spawned call, so the channel is empty (the runtime clears received
-// slots, so the buffer retains no reply references).
+// per begun call, so every slot has been taken (take clears it) and the
+// channel is empty (the runtime clears received slots, so the buffer
+// retains no reply references).
 //
 //wsu:owns f
 //wsu:noalloc
 func (f *fanout) release() {
 	f.d = nil
-	f.ctx = nil
-	f.operation = ""
-	f.envelope = nil
 	fanoutPool.Put(f)
 }
 
-// call invokes one release and delivers the indexed reply. The receiver
-// can recycle f the moment the last reply has been received, so nothing
+// hold parks target i's begun call in its slot until take hands it to
+// the one goroutine that ends it.
+//
+//wsu:owns call
+//wsu:allow poolcheck -- the slot carries the obligation from scatter to gather: take(i) passes it on to exactly one End
+func (f *fanout) hold(i int, start time.Time, call wire.Call) {
+	f.calls[i] = pending{call: call, start: start}
+}
+
+// take moves target i's call out of its slot; the caller ends it.
+//
+//wsu:owns return
+func (f *fanout) take(i int) (wire.Call, time.Time) {
+	p := f.calls[i]
+	f.calls[i] = pending{}
+	return p.call, p.start
+}
+
+// end finishes target i's call on the calling goroutine: the reply is
+// read, its latency stamped and its payload classified here.
+func (f *fanout) end(i int, t Endpoint) adjudicate.Reply {
+	call, start := f.take(i)
+	res, err := call.End()
+	return f.d.classify(t, res, err, time.Since(start))
+}
+
+// gather ends one call and delivers the indexed reply. The receiver can
+// recycle f the moment the last reply has been received, so nothing
 // here may touch f after the send: the dispatcher is captured first for
 // the deferred Done.
-func (f *fanout) call(i int, t Endpoint) {
+func (f *fanout) gather(i int, t Endpoint) {
 	d := f.d
 	defer d.wg.Done()
-	f.ch <- indexed{i, d.callRelease(f.ctx, t, f.operation, f.envelope)}
+	f.ch <- indexed{i, f.end(i, t)}
 }
 
 // doSequential implements §4.2 mode 4: releases execute one at a time;
@@ -509,21 +572,34 @@ func (d *Dispatcher) doSequential(callCtx *callCtx, targets []Endpoint, envelope
 	return winner, err
 }
 
-// callRelease invokes one release and classifies the outcome through
-// the protocol codec: a successful payload, a protocol fault (an
-// evident failure that still counts as a response), or a transport or
-// classification error wrapped with release context.
+// beginCall starts ep's call through the transport seam.
+//
+//wsu:owns return
+func (d *Dispatcher) beginCall(ctx context.Context, ep Endpoint, operation string, envelope []byte) wire.Call {
+	return d.begin(ctx, d.codec.TargetURL(ep.URL, operation), d.contentType, envelope, d.retry)
+}
+
+// callRelease invokes one release start to finish on the calling
+// goroutine (the single-target fast path and sequential mode).
+func (d *Dispatcher) callRelease(ctx context.Context, ep Endpoint, operation string, envelope []byte) adjudicate.Reply {
+	start := time.Now()
+	call := d.beginCall(ctx, ep, operation, envelope)
+	res, err := call.End()
+	return d.classify(ep, res, err, time.Since(start))
+}
+
+// classify turns one ended call into its reply through the protocol
+// codec: a successful payload, a protocol fault (an evident failure that
+// still counts as a response), or a transport or classification error
+// wrapped with release context.
 //
 // Ownership: the transport's pooled response buffer (Result.BodyBuf)
 // either travels on in Reply.Buf — when the codec reports the payload
 // aliases it (the zero-copy fast paths) — or is released here, because
 // a non-aliasing payload is an independent copy and nothing else
 // aliases the wire bytes.
-func (d *Dispatcher) callRelease(ctx context.Context, ep Endpoint, operation string, envelope []byte) adjudicate.Reply {
-	start := time.Now()
-	reply := adjudicate.Reply{Release: ep.Version}
-	res, err := d.post(ctx, d.codec.TargetURL(ep.URL, operation), d.contentType, envelope, d.retry)
-	reply.Latency = time.Since(start)
+func (d *Dispatcher) classify(ep Endpoint, res httpx.Result, err error, latency time.Duration) adjudicate.Reply {
+	reply := adjudicate.Reply{Release: ep.Version, Latency: latency}
 	if err != nil {
 		reply.Err = fmt.Errorf("dispatch: release %s: %w", ep.Version, err)
 		return reply

@@ -18,8 +18,9 @@ import (
 	"wsupgrade/internal/wire"
 )
 
-// stubPost is a fake release transport (the Config.Post seam): it
-// answers every call in process with a canned response.
+// stubPost is a fake release transport (the Config.Begin seam): every
+// call is a wire.Deferred one whose End answers in process with a
+// canned response.
 type stubPost struct {
 	status int
 	resp   []byte
@@ -48,6 +49,10 @@ func (s *stubPost) post(ctx context.Context, _, _ string, _ []byte, _ httpx.Retr
 	}, nil
 }
 
+func (s *stubPost) begin(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) wire.Call {
+	return wire.Deferred(func() (httpx.Result, error) { return s.post(ctx, url, ct, body, policy) })
+}
+
 func okEnvelope() []byte {
 	return soap.EnvelopeRaw([]byte(`<addResponse><sum>3</sum></addResponse>`))
 }
@@ -62,7 +67,7 @@ func targets(n int) []Endpoint {
 
 func newStubDispatcher(stub *stubPost, onOutcome func(Outcome)) *Dispatcher {
 	return New(Config{
-		Post:      stub.post,
+		Begin:     stub.begin,
 		OnOutcome: onOutcome,
 	})
 }
@@ -207,8 +212,8 @@ func TestDoEarlyDeliveryDetachesFromConsumer(t *testing.T) {
 	}
 	outcomes := make(chan Outcome, 1)
 	d := New(Config{
-		Post: func(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) (httpx.Result, error) {
-			return perURL[url].post(ctx, url, ct, body, policy)
+		Begin: func(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) wire.Call {
+			return perURL[url].begin(ctx, url, ct, body, policy)
 		},
 		OnOutcome: func(o Outcome) {
 			n := 0
@@ -263,7 +268,7 @@ func TestDoAgainstLiveServerHonoursDeadline(t *testing.T) {
 	defer close(release)
 	wc := wire.NewClient(wire.Options{})
 	defer wc.Close()
-	d := New(Config{Post: wc.PostXML})
+	d := New(Config{Begin: wc.Begin})
 	defer d.Close()
 	req := baseRequest([]Endpoint{{Version: "1.0", URL: srv.URL}}, ModeReliability)
 	req.Timeout = 50 * time.Millisecond

@@ -1,0 +1,406 @@
+package dispatch
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"wsupgrade/internal/adjudicate"
+	"wsupgrade/internal/httpx"
+	"wsupgrade/internal/soap"
+	"wsupgrade/internal/testutil"
+	"wsupgrade/internal/wire"
+)
+
+// Failure isolation and fidelity of the scatter/gather fan-out, against
+// a real wire.Client over in-memory pipes: what one release does —
+// answer late, never answer, stop reading — shows in that release's
+// reply and in no other's. The failure mode of each test is a schedule,
+// not a value, so the bounds are an order of magnitude wide and CI runs
+// them repeatedly under the race detector.
+
+// pipeRelease is one release endpoint served over net.Pipe. Its first
+// exchange on every connection is answered at once, so that a warm-up
+// dispatch leaves an idle connection for Begin to write on; delay and
+// deaf decide what happens to every later request on the connection.
+type pipeRelease struct {
+	// delay is how long a reply is held back; negative means forever.
+	delay time.Duration
+	// deaf makes the release stop reading after the warm-up exchange.
+	deaf bool
+
+	opened, closed atomic.Int64
+	stop           chan struct{}
+	wg             sync.WaitGroup
+}
+
+func newPipeRelease(t *testing.T, delay time.Duration, deaf bool) *pipeRelease {
+	r := &pipeRelease{delay: delay, deaf: deaf, stop: make(chan struct{})}
+	t.Cleanup(func() {
+		close(r.stop)
+		r.wg.Wait()
+	})
+	return r
+}
+
+// countedConn counts its one Close, so a test can tell a connection that
+// is still checked out from one that was pooled or closed.
+type countedConn struct {
+	net.Conn
+	once   sync.Once
+	closed *atomic.Int64
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.closed.Add(1) })
+	return c.Conn.Close()
+}
+
+func (r *pipeRelease) dial() net.Conn {
+	client, server := net.Pipe()
+	r.opened.Add(1)
+	r.wg.Add(1)
+	go r.serve(server)
+	return &countedConn{Conn: client, closed: &r.closed}
+}
+
+var pipeReply = func() []byte {
+	env := okEnvelope()
+	head := "HTTP/1.1 200 OK\r\nContent-Type: " + soap.ContentType +
+		"\r\nContent-Length: " + strconv.Itoa(len(env)) + "\r\n\r\n"
+	return append([]byte(head), env...)
+}()
+
+func (r *pipeRelease) serve(c net.Conn) {
+	defer r.wg.Done()
+	defer c.Close()
+	go func() { // unblock a parked read or write when the test ends
+		<-r.stop
+		c.Close()
+	}()
+	br := bufio.NewReader(c)
+	for served := 0; ; served++ {
+		if served > 0 && r.deaf {
+			<-r.stop
+			return
+		}
+		req, err := http.ReadRequest(br)
+		if err != nil {
+			return
+		}
+		if _, err := io.Copy(io.Discard, req.Body); err != nil {
+			return
+		}
+		if served > 0 && r.delay != 0 {
+			if r.delay < 0 {
+				<-r.stop
+				return
+			}
+			select {
+			case <-time.After(r.delay):
+			case <-r.stop:
+				return
+			}
+		}
+		if _, err := c.Write(pipeReply); err != nil {
+			return
+		}
+	}
+}
+
+// pipeFleet is a wire client whose dialer routes each host to its
+// pipeRelease.
+type pipeFleet struct {
+	wc       *wire.Client
+	releases map[string]*pipeRelease // by host:port
+}
+
+func newPipeFleet(t *testing.T, releases map[string]*pipeRelease) *pipeFleet {
+	byAddr := make(map[string]*pipeRelease, len(releases))
+	for host, r := range releases {
+		byAddr[host+":80"] = r
+	}
+	wc := wire.NewClient(wire.Options{
+		Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			r, ok := byAddr[addr]
+			if !ok {
+				return nil, errors.New("no such release: " + addr)
+			}
+			return r.dial(), nil
+		},
+	})
+	t.Cleanup(func() { _ = wc.Close() })
+	return &pipeFleet{wc: wc, releases: byAddr}
+}
+
+// checkedOut is how many connections are neither closed nor idle in the
+// client's pools: zero unless a begun call was never ended. Only valid
+// after wc.Close(), which closes every idle connection.
+func (f *pipeFleet) checkedOut() int64 {
+	var n int64
+	for _, r := range f.releases {
+		n += r.opened.Load() - r.closed.Load()
+	}
+	return n
+}
+
+// replyCopy keeps what a test asserts on of a pooled reply.
+type replyCopy struct {
+	release   string
+	latency   time.Duration
+	responded bool
+	err       error
+}
+
+type outcomeCopy struct {
+	replies      []replyCopy
+	consumerGone bool
+}
+
+func (o outcomeCopy) reply(t *testing.T, release string) replyCopy {
+	t.Helper()
+	for _, r := range o.replies {
+		if r.release == release {
+			return r
+		}
+	}
+	t.Fatalf("no reply recorded for release %s: %+v", release, o.replies)
+	return replyCopy{}
+}
+
+// scatterRig is a dispatcher over a pipeFleet whose outcomes arrive on a
+// channel.
+type scatterRig struct {
+	*pipeFleet
+	d        *Dispatcher
+	outcomes chan outcomeCopy
+}
+
+func newScatterRig(t *testing.T, releases map[string]*pipeRelease,
+	begin func(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) wire.Call) *scatterRig {
+	rig := &scatterRig{pipeFleet: newPipeFleet(t, releases), outcomes: make(chan outcomeCopy, 4)}
+	if begin == nil {
+		begin = rig.wc.Begin
+	}
+	rig.d = New(Config{
+		Begin: begin,
+		OnOutcome: func(o Outcome) {
+			cp := outcomeCopy{consumerGone: o.ConsumerGone}
+			for _, r := range o.Replies {
+				cp.replies = append(cp.replies, replyCopy{
+					release: r.Release, latency: r.Latency, responded: Responded(r), err: r.Err,
+				})
+			}
+			rig.outcomes <- cp
+		},
+	})
+	t.Cleanup(func() { _ = rig.d.Close() })
+	return rig
+}
+
+func (rig *scatterRig) outcome(t *testing.T) outcomeCopy {
+	t.Helper()
+	select {
+	case o := <-rig.outcomes:
+		return o
+	case <-time.After(10 * time.Second):
+		t.Fatal("no outcome reported")
+		return outcomeCopy{}
+	}
+}
+
+// warmUp runs one dispatch that every release answers at once, leaving
+// one idle connection per release.
+func (rig *scatterRig) warmUp(t *testing.T, eps []Endpoint) {
+	t.Helper()
+	if _, err := rig.d.Do(baseRequest(eps, ModeReliability)); err != nil {
+		t.Fatalf("warm-up dispatch: %v", err)
+	}
+	rig.outcome(t)
+}
+
+func endpoints(hosts ...string) []Endpoint {
+	eps := make([]Endpoint, len(hosts))
+	for i, h := range hosts {
+		eps[i] = Endpoint{Version: h, URL: "http://" + h}
+	}
+	return eps
+}
+
+// (a) A slow release's time is not charged to a fast one, whichever of
+// the two this goroutine ends itself.
+func TestScatterLatencyIsPerRelease(t *testing.T) {
+	for _, order := range [][]string{{"slow", "fast"}, {"fast", "slow"}} {
+		t.Run(strings.Join(order, "-"), func(t *testing.T) {
+			rig := newScatterRig(t, map[string]*pipeRelease{
+				"slow": newPipeRelease(t, 30*time.Millisecond, false),
+				"fast": newPipeRelease(t, time.Millisecond, false),
+			}, nil)
+			eps := endpoints(order...)
+			rig.warmUp(t, eps)
+			if _, err := rig.d.Do(baseRequest(eps, ModeReliability)); err != nil {
+				t.Fatal(err)
+			}
+			o := rig.outcome(t)
+			if fast := o.reply(t, "fast"); !fast.responded || fast.latency >= 10*time.Millisecond {
+				t.Fatalf("fast release: responded %v, latency %v, want under 10ms", fast.responded, fast.latency)
+			}
+			if slow := o.reply(t, "slow"); !slow.responded || slow.latency < 30*time.Millisecond {
+				t.Fatalf("slow release: responded %v, latency %v, want at least 30ms", slow.responded, slow.latency)
+			}
+		})
+	}
+}
+
+// (b) A release that never answers is charged the timeout; the one that
+// answered at once keeps its reply and its own latency.
+func TestScatterTimeoutIsPerRelease(t *testing.T) {
+	for _, order := range [][]string{{"mute", "prompt"}, {"prompt", "mute"}} {
+		t.Run(strings.Join(order, "-"), func(t *testing.T) {
+			rig := newScatterRig(t, map[string]*pipeRelease{
+				"mute":   newPipeRelease(t, -1, false),
+				"prompt": newPipeRelease(t, 0, false),
+			}, nil)
+			eps := endpoints(order...)
+			rig.warmUp(t, eps)
+			req := baseRequest(eps, ModeReliability)
+			req.Timeout = 150 * time.Millisecond
+			winner, err := rig.d.Do(req)
+			if err != nil || winner.Release != "prompt" {
+				t.Fatalf("winner %q, err %v", winner.Release, err)
+			}
+			winner.Buf.Release()
+			o := rig.outcome(t)
+			if p := o.reply(t, "prompt"); !p.responded || p.latency >= 50*time.Millisecond {
+				t.Fatalf("prompt release: responded %v, latency %v (err %v)", p.responded, p.latency, p.err)
+			}
+			m := o.reply(t, "mute")
+			if m.responded || !errors.Is(m.err, context.DeadlineExceeded) {
+				t.Fatalf("mute release: responded %v, err %v, want a timeout", m.responded, m.err)
+			}
+		})
+	}
+}
+
+// (c) A release that stops reading cannot hold up another release's
+// request: a 1 MiB envelope is not written by the scatter (a pipe, like
+// a full socket buffer, blocks the writer until the peer reads), so the
+// healthy release is called, and answers, in its own time.
+func TestScatterStalledReaderIsIsolated(t *testing.T) {
+	big := soap.EnvelopeRaw(bytes.Repeat([]byte("<pad>0123456789abcdef</pad>"), (1<<20)/27))
+	for _, mode := range []Mode{ModeResponsiveness, ModeReliability} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rig := newScatterRig(t, map[string]*pipeRelease{
+				"deaf":    newPipeRelease(t, 0, true),
+				"healthy": newPipeRelease(t, 0, false),
+			}, nil)
+			eps := endpoints("deaf", "healthy") // the stalled one is written first
+			rig.warmUp(t, eps)
+			req := baseRequest(eps, mode)
+			req.Envelope = big
+			req.Timeout = 500 * time.Millisecond
+			start := time.Now()
+			winner, err := rig.d.Do(req)
+			delivered := time.Since(start)
+			if err != nil || winner.Release != "healthy" {
+				t.Fatalf("winner %q, err %v", winner.Release, err)
+			}
+			winner.Buf.Release()
+			if mode == ModeResponsiveness && delivered >= req.Timeout/2 {
+				t.Fatalf("delivery took %v: the healthy release waited for the stalled one", delivered)
+			}
+			o := rig.outcome(t)
+			if h := o.reply(t, "healthy"); !h.responded || h.latency >= req.Timeout/2 {
+				t.Fatalf("healthy release: responded %v, latency %v (err %v)", h.responded, h.latency, h.err)
+			}
+			if d := o.reply(t, "deaf"); d.responded || !errors.Is(d.err, context.DeadlineExceeded) {
+				t.Fatalf("deaf release: responded %v, err %v, want a timeout", d.responded, d.err)
+			}
+		})
+	}
+}
+
+// (d) The consumer hangs up after the last request was written and
+// before anyone waits for a reply: every begun call is still ended, once,
+// the outcome is flagged so nothing is charged, and no goroutine or
+// checked-out connection outlives the dispatch.
+func TestScatterConsumerGoneBetweenScatterAndGather(t *testing.T) {
+	for _, mode := range []Mode{ModeReliability, ModeResponsiveness} {
+		t.Run(mode.String(), func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			const n = 3
+			hosts := []string{"r0", "r1", "r2"}
+			releases := make(map[string]*pipeRelease, n)
+			for _, h := range hosts {
+				releases[h] = newPipeRelease(t, -1, false)
+			}
+			var (
+				rig          *scatterRig
+				cancel       context.CancelFunc
+				armed        atomic.Bool
+				begun, ended atomic.Int64
+			)
+			rig = newScatterRig(t, releases,
+				func(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) wire.Call {
+					call := rig.wc.Begin(ctx, url, ct, body, policy)
+					if !armed.Load() {
+						return call
+					}
+					if begun.Add(1) == n {
+						cancel() // scatter complete, gather not started
+					}
+					return wire.Deferred(func() (httpx.Result, error) {
+						ended.Add(1)
+						return call.End()
+					})
+				})
+			eps := endpoints(hosts...)
+			rig.warmUp(t, eps)
+
+			var parent context.Context
+			parent, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			armed.Store(true)
+			req := baseRequest(eps, mode)
+			req.Parent = parent
+			req.Timeout = time.Hour
+			start := time.Now()
+			_, err := rig.d.Do(req)
+			if !errors.Is(err, adjudicate.ErrNoResponses) {
+				t.Fatalf("err = %v, want no responses", err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("dispatch outlived its consumer by %v", elapsed)
+			}
+			o := rig.outcome(t)
+			if !o.consumerGone {
+				t.Fatal("aborted outcome not flagged ConsumerGone")
+			}
+			for _, r := range o.replies {
+				if r.responded || !errors.Is(r.err, context.Canceled) {
+					t.Fatalf("release %s: responded %v, err %v, want the consumer's cancellation", r.release, r.responded, r.err)
+				}
+			}
+			if err := rig.d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b, e := begun.Load(), ended.Load(); b != n || e != n {
+				t.Fatalf("%d calls begun, %d ended, want %d each", b, e, n)
+			}
+			_ = rig.wc.Close()
+			if out := rig.checkedOut(); out != 0 {
+				t.Fatalf("%d connections still checked out after Close", out)
+			}
+		})
+	}
+}

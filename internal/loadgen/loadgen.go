@@ -21,6 +21,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -412,7 +413,7 @@ func decodeReply(envelope []byte, v interface{}) bool {
 
 // post issues the demand and classifies the consumer-observed outcome.
 func post(ctx context.Context, client *http.Client, url, contentType string, payload []byte, check func([]byte) bool) (verdict, winner string) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(payload)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
 		return VerdictTransport, ""
 	}

@@ -408,6 +408,40 @@ func TestConformanceDeadline(t *testing.T) {
 	}
 }
 
+// newOneShotServer starts a raw HTTP server that answers one request
+// per connection and then closes it without announcing the close, so
+// the client's pooled connection goes stale. closed receives once per
+// connection, after the close.
+func newOneShotServer(t *testing.T) (url string, accepts *atomic.Int64, closed <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	const resp = "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 5\r\n\r\n<ok/>"
+	accepts = new(atomic.Int64)
+	done := make(chan struct{}, 16) // more connections than any test here opens
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			go func(c net.Conn) {
+				buf := make([]byte, 4096)
+				if _, err := c.Read(buf); err == nil {
+					_, _ = c.Write([]byte(resp))
+				}
+				c.Close()
+				done <- struct{}{}
+			}(c)
+		}
+	}()
+	return "http://" + ln.Addr().String() + "/", accepts, done
+}
+
 // TestConformanceStaleKeepAliveRedial: a server that closes a pooled
 // connection while it idles must not surface as a caller-visible
 // failure, even with NoRetry — both transports transparently redial a
@@ -415,35 +449,9 @@ func TestConformanceDeadline(t *testing.T) {
 func TestConformanceStaleKeepAliveRedial(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
-			var accepts atomic.Int64
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			resp := "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 5\r\n\r\n<ok/>"
-			go func() {
-				for {
-					c, err := ln.Accept()
-					if err != nil {
-						return
-					}
-					accepts.Add(1)
-					go func(c net.Conn) {
-						defer c.Close()
-						buf := make([]byte, 4096)
-						if _, err := c.Read(buf); err != nil {
-							return
-						}
-						_, _ = c.Write([]byte(resp))
-						// Close without announcing: the client's pooled
-						// connection goes stale.
-					}(c)
-				}
-			}()
+			url, accepts, _ := newOneShotServer(t)
 			post, closeTr := tr.make(t)
 			defer closeTr()
-			url := "http://" + ln.Addr().String() + "/"
 			for i := 0; i < 2; i++ {
 				res, err := post(context.Background(), url, testCT, []byte("<in/>"), httpx.NoRetry)
 				if err != nil {

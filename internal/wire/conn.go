@@ -79,18 +79,27 @@ func newPool(c *Client, u *url.URL, contentType string) *pool {
 	}
 }
 
+// getIdle checks the hottest idle connection out of the pool, or
+// returns nil when there is none; it never dials.
+func (p *pool) getIdle() *conn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.idle)
+	if n == 0 {
+		return nil
+	}
+	cn := p.idle[n-1]
+	p.idle = p.idle[:n-1]
+	return cn
+}
+
 // get checks a connection out of the pool, dialing when none is idle.
 // fresh reports a newly dialed connection (its first exchange cannot be
 // a stale-keep-alive failure).
 func (p *pool) get(ctx context.Context) (cn *conn, fresh bool, err error) {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		cn = p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
+	if cn := p.getIdle(); cn != nil {
 		return cn, false, nil
 	}
-	p.mu.Unlock()
 	cn, err = p.dial(ctx)
 	return cn, true, err
 }
@@ -154,8 +163,10 @@ func (p *pool) close() {
 	}
 }
 
-// do runs one exchange against the endpoint. A pooled connection that
-// fails before yielding any response byte is assumed to be a stale
+// do runs one exchange against the endpoint: the one x began, or, when
+// x is zero, a whole one on a connection it checks out itself. A pooled
+// connection that fails before yielding any response byte — at the
+// request write or at the first read — is assumed to be a stale
 // keep-alive (the peer closed it while it sat idle) and is transparently
 // replaced by a fresh dial without consuming a retry attempt — matching
 // net/http, which re-dials retriable requests internally.
@@ -163,18 +174,21 @@ func (p *pool) close() {
 // Release pairs with it (data is nil exactly when err is non-nil).
 //
 //wsu:owns return
-func (p *pool) do(ctx context.Context, contentType string, body []byte, maxBytes int64) (status int, data *bufpool.Buf, hdr http.Header, err error) {
-	cn, fresh, err := p.get(ctx)
-	if err != nil {
-		return 0, nil, nil, err
+func (p *pool) do(ctx context.Context, x inflight, contentType string, body []byte, maxBytes int64) (status int, data *bufpool.Buf, hdr http.Header, err error) {
+	if x.cn == nil {
+		cn, fresh, err := p.get(ctx)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		x = p.begin(ctx, cn, fresh, contentType, body)
 	}
-	res := p.exchange(ctx, cn, contentType, body, maxBytes)
-	if res.err != nil && !fresh && !res.gotResponse && ctx.Err() == nil {
+	res := p.finish(ctx, x, maxBytes)
+	if res.err != nil && !x.fresh && !res.gotResponse && ctx.Err() == nil {
 		cn2, derr := p.dial(ctx)
 		if derr != nil {
 			return 0, nil, nil, res.err
 		}
-		res = p.exchange(ctx, cn2, contentType, body, maxBytes)
+		res = p.finish(ctx, p.begin(ctx, cn2, true, contentType, body), maxBytes)
 	}
 	return res.status, res.body, res.header, res.err
 }
@@ -190,26 +204,44 @@ type exchangeResult struct {
 	err         error
 }
 
-// exchange writes one request on cn and reads the response. It owns the
-// connection's fate: healthy and fully drained → pooled; anything else →
-// closed.
-func (p *pool) exchange(ctx context.Context, cn *conn, contentType string, body []byte, maxBytes int64) (res exchangeResult) {
+// inflight is one exchange between its request write and its response
+// read: the checked-out connection with its deadline set and its
+// cancellation watcher armed. Whoever holds one owes it a finish.
+type inflight struct {
+	cn       *conn
+	fresh    bool      // cn was dialed for this exchange
+	armed    bool      // the cancellation watcher is armed
+	deadline time.Time // zero: none
+	werr     error     // the request write failed; finish reports it
+}
+
+// begin opens one exchange on cn: deadline, cancellation, request
+// write. A failed write is carried in the result for finish to report,
+// so the connection's fate is decided in one place.
+func (p *pool) begin(ctx context.Context, cn *conn, fresh bool, contentType string, body []byte) inflight {
 	// Deadline: the context's, with the client Timeout as backstop.
 	dl, ok := ctx.Deadline()
-	if !ok && p.c.opts.Timeout > 0 {
-		dl = time.Now().Add(p.c.opts.Timeout)
-		ok = true
+	if !ok {
+		dl = time.Time{}
+		if p.c.opts.Timeout > 0 {
+			dl = time.Now().Add(p.c.opts.Timeout)
+		}
 	}
-	if ok {
-		_ = cn.nc.SetDeadline(dl)
-	} else {
-		_ = cn.nc.SetDeadline(time.Time{})
-	}
+	_ = cn.nc.SetDeadline(dl) // the zero time clears a previous exchange's
+	x := inflight{cn: cn, fresh: fresh, deadline: dl}
+	x.armed = cn.armCancel(ctx.Done())
+	x.werr = cn.writeRequest(p, contentType, body)
+	return x
+}
 
-	armed := cn.armCancel(ctx.Done())
+// finish reads the response of the exchange x began. It owns the
+// connection's fate: healthy and fully drained → pooled; anything else →
+// closed.
+func (p *pool) finish(ctx context.Context, x inflight, maxBytes int64) (res exchangeResult) {
+	cn := x.cn
 	reuse := false
 	defer func() {
-		if armed {
+		if x.armed {
 			cn.disarmCancel()
 		}
 		// Read the poison flag only after disarming: past that point the
@@ -229,14 +261,14 @@ func (p *pool) exchange(ctx context.Context, cn *conn, contentType string, body 
 			switch {
 			case ctx.Err() != nil:
 				res.err = fmt.Errorf("wire: POST exchange: %w", ctx.Err())
-			case ok && !time.Now().Before(dl) && errors.As(res.err, &ne) && ne.Timeout():
+			case !x.deadline.IsZero() && !time.Now().Before(x.deadline) && errors.As(res.err, &ne) && ne.Timeout():
 				res.err = fmt.Errorf("wire: POST exchange: %w", context.DeadlineExceeded)
 			}
 		}
 	}()
 
-	if err := cn.writeRequest(p, contentType, body); err != nil {
-		res.err = fmt.Errorf("wire: writing request: %w", err)
+	if x.werr != nil {
+		res.err = fmt.Errorf("wire: writing request: %w", x.werr)
 		return res
 	}
 	//wsu:allow poolcheck -- ownership travels to the caller in res.body

@@ -21,6 +21,12 @@
 //     state allocates nothing for headers. The cached Header is shared
 //     across calls on the same connection: callers must treat
 //     Result.Header as read-only.
+//   - An exchange is split where waiting starts: Begin checks an idle
+//     connection out and writes the request, End reads the response and
+//     carries the retry policy. PostXML is the two back to back; a
+//     fan-out begins every release's call before it ends any, so every
+//     request is on the wire before anyone waits (see Begin for what is
+//     left to End, and why).
 //   - Context cancellation is implemented as deadline-on-conn plus
 //     poisoning: every exchange arms a per-connection watcher that, when
 //     the context fires, marks the connection poisoned and forces its
@@ -159,7 +165,8 @@ func (c *Client) startJanitor() {
 // PostXML posts an XML payload with httpx.PostXML's exact retry,
 // backoff and response-size semantics (see that function); the
 // conformance suite in this package asserts the equivalence. Non-http://
-// URLs are delegated to the Fallback client.
+// URLs are delegated to the Fallback client. It is Begin followed by
+// End: there is one exchange path.
 //
 // Result.Header may be shared with subsequent results from the same
 // endpoint and must be treated as read-only.
@@ -167,21 +174,114 @@ func (c *Client) startJanitor() {
 // Result.BodyBuf carries ownership of the pooled response-body buffer
 // to the caller; see httpx.Result.
 func (c *Client) PostXML(ctx context.Context, rawURL, contentType string, body []byte, policy httpx.RetryPolicy) (httpx.Result, error) {
+	call := c.Begin(ctx, rawURL, contentType, body, policy)
+	return call.End()
+}
+
+// Call is one release call between Begin and End. A begun call holds
+// a checked-out connection with its cancellation watcher armed, so it
+// is an obligation: End must run exactly once, on any goroutine. A Call
+// is a plain value so that a fan-out can keep its calls in pooled
+// storage; copying one moves the obligation, it does not duplicate it.
+// The zero Call holds nothing, and its End says so.
+type Call struct {
+	// fn, when set, is the whole call (see Deferred).
+	fn func() (httpx.Result, error)
+	// err is a failure known before any exchange: an invalid policy, a
+	// closed client, an unusable URL. End reports it.
+	err error
+
+	p           *pool
+	ctx         context.Context
+	rawURL      string
+	contentType string
+	body        []byte
+	policy      httpx.RetryPolicy
+	start       time.Time
+	// x is the first attempt's exchange with its request already
+	// written; the zero value means End performs the first attempt whole.
+	x inflight
+}
+
+// errNotInFlight reports an End with nothing to end: a second End on
+// the same Call, or the zero Call.
+var errNotInFlight = errors.New("wire: End on a call that is not in flight")
+
+// Deferred wraps a whole call — anything that produces PostXML's result
+// — as a Call whose End runs it. It is how a call that cannot be split
+// into a write and a read travels the begin/end seam: the https
+// fallback here, and fake transports in tests.
+func Deferred(fn func() (httpx.Result, error)) Call { return Call{fn: fn} }
+
+// Begin starts one call and returns it for End to finish. Everything
+// that cannot wait on the peer happens here, on the caller's goroutine:
+// an idle keep-alive connection is checked out, its deadline set, its
+// cancellation watcher armed and the request written, so a caller with
+// several releases to invoke has every request on the wire before it
+// waits for any reply.
+//
+// Whatever could block on the peer is left to End, which then performs
+// the whole exchange: a body over largeBodyThreshold (one write of at
+// most that much into the empty send buffer of an idle connection
+// completes without the peer reading; a larger one may not), a pool
+// with no idle connection (a dial waits for the peer's accept), and a
+// non-http:// URL (the Fallback client). A release that stops reading
+// or accepting therefore never holds up another release's request.
+// Failures — the write's included — surface from End.
+//
+//wsu:owns return
+func (c *Client) Begin(ctx context.Context, rawURL, contentType string, body []byte, policy httpx.RetryPolicy) Call {
 	if err := policy.Validate(); err != nil {
-		return httpx.Result{}, err
+		return Call{err: err}
 	}
 	if !strings.HasPrefix(rawURL, "http://") {
-		return httpx.PostXML(ctx, c.opts.Fallback, rawURL, contentType, body, policy)
+		fallback := c.opts.Fallback
+		return Deferred(func() (httpx.Result, error) {
+			return httpx.PostXML(ctx, fallback, rawURL, contentType, body, policy)
+		})
 	}
 	if c.closed.Load() {
-		return httpx.Result{}, ErrClosed
+		return Call{err: ErrClosed}
 	}
 	p, err := c.pool(rawURL, contentType)
 	if err != nil {
-		return httpx.Result{}, fmt.Errorf("wire: building request: %w", err)
+		return Call{err: fmt.Errorf("wire: building request: %w", err)}
 	}
+	k := Call{
+		p: p, ctx: ctx, rawURL: rawURL, contentType: contentType,
+		body: body, policy: policy, start: time.Now(),
+	}
+	if len(body) <= largeBodyThreshold {
+		if cn := p.getIdle(); cn != nil {
+			k.x = p.begin(ctx, cn, false, contentType, body)
+		}
+	}
+	return k
+}
+
+// End finishes the call: it reads the response to the request Begin
+// wrote (or performs the whole first attempt when Begin left it), and
+// carries the retry policy from there — the stale-keep-alive redial
+// that consumes no attempt, later attempts with backoff, ErrTooLarge as
+// terminal — returning the connection to its pool or closing it. A
+// second End on the same Call reports an error and touches nothing.
+//
+//wsu:owns k
+//wsu:allow poolcheck -- End is the release: every exchange it finishes pools or closes its connection (pool.finish)
+func (k *Call) End() (httpx.Result, error) {
+	call := *k
+	*k = Call{}
+	if call.fn != nil {
+		return call.fn()
+	}
+	if call.p == nil {
+		if call.err == nil {
+			call.err = errNotInFlight
+		}
+		return httpx.Result{}, call.err
+	}
+	ctx, p, policy := call.ctx, call.p, call.policy
 	maxBytes := policy.EffectiveMaxResponseBytes()
-	start := time.Now()
 	var lastErr error
 	for attempt := 1; attempt <= policy.Attempts; attempt++ {
 		if attempt > 1 {
@@ -191,13 +291,15 @@ func (c *Client) PostXML(ctx context.Context, rawURL, contentType string, body [
 			case <-time.After(policy.BackoffFor(attempt)):
 			}
 		}
+		x := call.x
+		call.x = inflight{} // only the first attempt was begun
 		//wsu:allow poolcheck -- a non-nil error carries no body; ownership otherwise transfers via Result.BodyBuf
-		status, data, hdr, err := p.do(ctx, contentType, body, maxBytes)
+		status, data, hdr, err := p.do(ctx, x, call.contentType, call.body, maxBytes)
 		if err != nil {
 			if errors.Is(err, httpx.ErrTooLarge) {
 				// An oversized response is not transient; terminal, as in
 				// httpx.PostXML.
-				return httpx.Result{}, fmt.Errorf("wire: POST %s: %w", rawURL, err)
+				return httpx.Result{}, fmt.Errorf("wire: POST %s: %w", call.rawURL, err)
 			}
 			lastErr = err
 			if ctx.Err() != nil {
@@ -206,7 +308,7 @@ func (c *Client) PostXML(ctx context.Context, rawURL, contentType string, body [
 			continue
 		}
 		if policy.ShouldRetryStatus(status) && attempt < policy.Attempts {
-			lastErr = fmt.Errorf("wire: transient HTTP %d from %s", status, rawURL)
+			lastErr = fmt.Errorf("wire: transient HTTP %d from %s", status, call.rawURL)
 			data.Release()
 			continue
 		}
@@ -215,11 +317,11 @@ func (c *Client) PostXML(ctx context.Context, rawURL, contentType string, body [
 			Body:     data.B,
 			Header:   hdr,
 			Attempts: attempt,
-			Latency:  time.Since(start),
+			Latency:  time.Since(call.start),
 			BodyBuf:  data,
 		}, nil
 	}
-	return httpx.Result{}, fmt.Errorf("wire: POST %s failed after retries: %w", rawURL, lastErr)
+	return httpx.Result{}, fmt.Errorf("wire: POST %s failed after retries: %w", call.rawURL, lastErr)
 }
 
 // pool returns (building on first use) the endpoint's connection pool.

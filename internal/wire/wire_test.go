@@ -82,15 +82,7 @@ func TestIdlePoolBounded(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	v, ok := c.pools.Load(ts.URL)
-	if !ok {
-		t.Fatal("no pool built")
-	}
-	p := v.(*pool)
-	p.mu.Lock()
-	idle := len(p.idle)
-	p.mu.Unlock()
-	if idle > 2 {
+	if idle := idleCount(t, c, ts.URL); idle > 2 {
 		t.Fatalf("idle pool holds %d conns, cap 2", idle)
 	}
 }
