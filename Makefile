@@ -9,7 +9,7 @@ GO        ?= go
 BENCH     ?= EngineInProcess|FleetInProcess|OracleJudge|MonitorNote|WhiteBoxPosterior
 COUNT     ?= 5
 BENCHTIME ?= 1000x
-GATED      = EngineInProcess/observation-large,OracleJudge/back-to-back-64k-differ,EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission
+GATED      = EngineInProcess/live-shape-oldonly,EngineInProcess/live-shape-parallel,FleetInProcess/fleet-routed-json,EngineInProcess/observation-large,OracleJudge/back-to-back-64k-differ,EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission
 # Fast-path entries additionally gated on best-of-N ns/op. The 25%
 # threshold is deliberately generous (shared runners are noisy); it
 # exists to catch a fast path falling off a cliff, not a 5% wobble.
@@ -57,6 +57,7 @@ soak:
 fuzz:
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzEqualCanonical -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzHeaderGet -fuzztime=$(FUZZTIME)
 
 vet:
 	$(GO) vet ./...

@@ -22,6 +22,7 @@ import (
 
 	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/bayes"
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/journal"
 	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
@@ -382,11 +383,11 @@ func BenchmarkEngineProxyParallel(b *testing.B) {
 // canned HTTP/1.1 keep-alive responses.
 type wireStub struct {
 	resp []byte // complete response bytes: head + canned SOAP envelope
-	// wrong, when non-nil, is served in place of resp on every
-	// wrongEvery-th request of a connection: a release that is wrong on
-	// a fixed share of demands.
-	wrong      []byte
-	wrongEvery int
+	// alt, when non-nil, is served in place of resp on every altEvery-th
+	// request of a connection: a release that is wrong on a fixed share
+	// of demands, or (liveShapeStub) one whose header block never repeats.
+	alt      []byte
+	altEvery int
 }
 
 func newWireStub(b *testing.B, payload interface{}) *wireStub {
@@ -411,6 +412,24 @@ func cannedResponse(env []byte) []byte {
 func largeReplyBody(sum int) []byte {
 	return []byte(fmt.Sprintf("<addResponse><sum>%08d</sum><pad>%s</pad></addResponse>",
 		sum, strings.Repeat("aB3x", 16<<10)))
+}
+
+// liveShapeStub is a release as a live one looks from a connection: the
+// same reply body framed two ways, served alternately, so consecutive
+// header blocks on a connection differ — in Content-Length (trailing
+// white space after the body) and in a Date line — as they do once two
+// consumers share a pool or the clock ticks.
+func liveShapeStub(contentType string, body []byte) *wireStub {
+	frame := func(date string, body []byte) []byte {
+		head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: %s\r\nDate: %s\r\nContent-Length: %d\r\n\r\n",
+			contentType, date, len(body))
+		return append([]byte(head), body...)
+	}
+	return &wireStub{
+		resp:     frame("Sat, 26 Sep 2026 10:00:00 GMT", body),
+		alt:      frame("Sat, 26 Sep 2026 10:00:01 GMT", append(append([]byte(nil), body...), '\n')),
+		altEvery: 2,
+	}
 }
 
 func (s *wireStub) dial(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -460,8 +479,8 @@ func (s *wireStub) serve(c net.Conn) {
 			}
 		}
 		resp := s.resp
-		if s.wrong != nil && served%s.wrongEvery == 0 {
-			resp = s.wrong
+		if s.alt != nil && served%s.altEvery == 0 {
+			resp = s.alt
 		}
 		if _, err := c.Write(resp); err != nil {
 			return
@@ -592,6 +611,16 @@ func newRawInProcessDriver(body []byte, path, contentType string) *inProcessDriv
 	return d
 }
 
+// liveContext gives the driver's request what net/http hands a handler:
+// a context that can be cancelled (a context.WithCancel child), so the
+// per-exchange cancellation hook-up runs as it does on a live demand.
+func (d *inProcessDriver) liveContext(b *testing.B) *inProcessDriver {
+	ctx, cancel := context.WithCancel(context.Background())
+	b.Cleanup(cancel)
+	d.req = d.req.WithContext(ctx)
+	return d
+}
+
 func (d *inProcessDriver) do(b *testing.B, h http.Handler) {
 	d.body.Reset(d.env)
 	d.rec.reset()
@@ -606,14 +635,18 @@ func (d *inProcessDriver) do(b *testing.B, h http.Handler) {
 // fills the reply/context/fan-out/verdict pools before the timer starts.
 func driveInProcess(b *testing.B, engine *Engine) {
 	b.Helper()
-	d := newInProcessDriver(b, service.AddRequest{A: 2, B: 1}, "/")
+	driveWith(b, engine, newInProcessDriver(b, service.AddRequest{A: 2, B: 1}, "/"))
+}
+
+func driveWith(b *testing.B, h http.Handler, d *inProcessDriver) {
+	b.Helper()
 	for i := 0; i < benchLogCapacity+64; i++ {
-		d.do(b, engine)
+		d.do(b, h)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.do(b, engine)
+		d.do(b, h)
 	}
 }
 
@@ -658,7 +691,7 @@ func BenchmarkEngineInProcess(b *testing.B) {
 	// and the gate pins that none of them allocates per byte again.
 	b.Run("observation-large", func(b *testing.B) {
 		right := &wireStub{resp: cannedResponse(soap.EnvelopeRaw(largeReplyBody(3)))}
-		faulty := &wireStub{resp: right.resp, wrong: cannedResponse(soap.EnvelopeRaw(largeReplyBody(4))), wrongEvery: 20}
+		faulty := &wireStub{resp: right.resp, alt: cannedResponse(soap.EnvelopeRaw(largeReplyBody(4))), altEvery: 20}
 		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation,
 			func(cfg *EngineConfig) {
 				cfg.Oracle = oracle.Reference{Release: "1.0"}
@@ -706,16 +739,33 @@ func BenchmarkEngineInProcess(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { _ = engine.Close() })
-		d := newRawInProcessDriver([]byte(`{"a":2,"b":1}`), "/add", "application/json")
-		for i := 0; i < benchLogCapacity+64; i++ {
-			d.do(b, engine)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.do(b, engine)
-		}
+		driveWith(b, engine, newRawInProcessDriver([]byte(`{"a":2,"b":1}`), "/add", "application/json"))
 	})
+
+	// The live shape of a release call, which the rows above never
+	// take: consecutive replies on a connection carry different header
+	// blocks (liveShapeStub), and the demand's context can be cancelled,
+	// as net/http's always can. Whatever a release call does per reply
+	// header or per cancellable exchange shows here; what is left is the
+	// one context.AfterFunc a demand pays to follow its consumer.
+	for _, tc := range []struct {
+		name  string
+		phase Phase
+	}{
+		{"live-shape-oldonly", PhaseOldOnly},
+		{"live-shape-parallel", PhaseParallel},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			env, err := soap.Envelope(service.AddResponse{Sum: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
+			engine := newInProcessEngine(b, 2, ModeReliability, 0, tc.phase, func(cfg *EngineConfig) {
+				cfg.Dial = liveShapeStub(soap.ContentType, env).dial
+			})
+			driveWith(b, engine, newInProcessDriver(b, service.AddRequest{A: 2, B: 1}, "/").liveContext(b))
+		})
+	}
 
 	b.Run("old-only-fastpath-journaled", func(b *testing.B) {
 		engine := newInProcessEngine(b, 2, ModeReliability, 0, PhaseOldOnly)
@@ -778,15 +828,7 @@ func BenchmarkFleetInProcess(b *testing.B) {
 	}
 	drive := func(b *testing.B, h http.Handler, path string) {
 		b.Helper()
-		d := newInProcessDriver(b, service.AddRequest{A: 2, B: 1}, path)
-		for i := 0; i < benchLogCapacity+64; i++ {
-			d.do(b, h)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.do(b, h)
-		}
+		driveWith(b, h, newInProcessDriver(b, service.AddRequest{A: 2, B: 1}, path))
 	}
 
 	b.Run("direct", func(b *testing.B) {
@@ -807,6 +849,25 @@ func BenchmarkFleetInProcess(b *testing.B) {
 		}
 		b.Cleanup(func() { _ = fl.Close() })
 		drive(b, fl, "/flights/")
+	})
+	// A JSON unit's demands are routed by operation path, so every one
+	// of them reaches the fleet on a non-"/" remainder.
+	b.Run("fleet-routed-json", func(b *testing.B) {
+		jsonUnit := func(prefix string) EngineConfig {
+			cfg := unitEngine(prefix)
+			cfg.Codec = jsoncodec.Default
+			cfg.Dial = liveShapeStub("application/json", []byte(`{"sum":3}`)).dial
+			return cfg
+		}
+		fl, err := NewFleet(FleetConfig{Units: []FleetUnit{
+			{Name: "flights", Engine: jsonUnit("flights")},
+			{Name: "hotels", Engine: jsonUnit("hotels")},
+		}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = fl.Close() })
+		driveWith(b, fl, newRawInProcessDriver([]byte(`{"a":2,"b":1}`), "/flights/add", "application/json"))
 	})
 }
 
@@ -884,8 +945,7 @@ func BenchmarkMonitorNote(b *testing.B) {
 // state) through the caller-buffer JudgeInto API. The gate holds each
 // oracle at zero steady-state allocations.
 func BenchmarkOracleJudge(b *testing.B) {
-	hdr := http.Header{}
-	hdr.Set(oracle.InjectionHeader, "CR")
+	hdr := httpx.Header(oracle.InjectionHeader + ": CR\n")
 	replies := []adjudicate.Reply{
 		{Release: "1.0", Body: []byte("<addResponse><sum>3</sum></addResponse>"), Header: hdr, Latency: 3 * time.Millisecond},
 		{Release: "1.1", Body: []byte("<addResponse><sum>3</sum></addResponse>"), Header: hdr, Latency: 2 * time.Millisecond},

@@ -19,9 +19,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/pool"
 	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/xrand"
@@ -106,11 +106,12 @@ type Reply struct {
 	Latency time.Duration
 	// Header carries transport metadata of the exchange (e.g. the
 	// release's version header, or the fault-injection marker the test
-	// harness's ground-truth oracle reads). May be nil.
-	Header http.Header
-	// Buf, when non-nil, is the pooled buffer Body aliases. Ownership
-	// belongs to the dispatch layer, which releases it once the reply
-	// has been judged, recorded and (for the winner) written;
+	// harness's ground-truth oracle reads). May be empty. Like Body, it
+	// aliases Buf.
+	Header httpx.Header
+	// Buf, when non-nil, is the pooled buffer Body and Header alias.
+	// Ownership belongs to the dispatch layer, which releases it once
+	// the reply has been judged, recorded and (for the winner) written;
 	// adjudicators must neither retain nor release it. A winner handed
 	// to a consumer carries one extra reference, discharged with
 	// ReleaseBody after the response is written.
@@ -121,12 +122,13 @@ type Reply struct {
 func (r Reply) Valid() bool { return r.Err == nil }
 
 // ReleaseBody discharges the reply's reference to its pooled body
-// buffer and drops the alias; Body must not be read afterwards. Safe
-// on replies with no pooled body.
+// buffer and drops the aliases; Body and Header must not be read
+// afterwards. Safe on replies with no pooled body.
 func (r *Reply) ReleaseBody() {
 	r.Buf.Release()
 	r.Buf = nil
 	r.Body = nil
+	r.Header = nil
 }
 
 // Adjudicator selects the response returned to the consumer from the

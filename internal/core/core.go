@@ -851,6 +851,14 @@ const maxRequestBytes = 10 << 20
 // consumer as faults — the same monitoring exposure an unknown
 // operation name has always had.
 func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	e.ServePath(w, r, r.URL.Path)
+}
+
+// ServePath is ServeHTTP for a router that has already consumed a
+// prefix of the request path: path is the remainder the engine routes
+// on, and r.URL is left alone — so hosting the engine under a prefix
+// costs no request clone.
+func (e *Engine) ServePath(w http.ResponseWriter, r *http.Request, path string) {
 	if r.Method != http.MethodPost {
 		e.codec.WriteRejection(w, http.StatusMethodNotAllowed, e.postOnlyMsg)
 		return
@@ -869,7 +877,7 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		e.codec.WriteError(w, "", protocol.ClientError(fmt.Sprintf("reading request: %v", err)))
 		return
 	}
-	req, err := e.codec.DecodeRequest(r.URL.Path, envBuf.B)
+	req, err := e.codec.DecodeRequest(path, envBuf.B)
 	if err != nil {
 		envBuf.Release()
 		e.codec.WriteError(w, "", err)

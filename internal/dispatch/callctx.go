@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -27,6 +28,10 @@ import (
 // finished with it (the dispatcher calls it after the last reply is
 // collected), which is also what makes channel reuse sound: no stale
 // reader can be parked on Done() when the next dispatch borrows it.
+//
+// The context is also wire's connWatcher: it cancels the connections of
+// the exchanges under it itself, from cancel, under mu — so one that
+// UnwatchConn has taken back is never poisoned and may be pooled.
 type callCtx struct {
 	done  chan struct{} // created once per struct; closed at most once
 	timer *time.Timer   // AfterFunc(onTimeout); created on first arm, reused
@@ -36,6 +41,7 @@ type callCtx struct {
 	consumerGone bool // cancellation came from the consumer's context
 	parent       context.Context
 	deadline     time.Time
+	conns        []interface{ Poison() } // of the exchanges in flight, one per target at most
 
 	stopParent func() bool // context.AfterFunc stop; nil when parent can't cancel
 	// parentDirty records a detach() that could not stop the parent
@@ -110,6 +116,32 @@ func (c *callCtx) cancel(err error, consumer bool) {
 	c.err = err
 	c.consumerGone = consumer
 	close(c.done)
+	for _, cn := range c.conns {
+		cn.Poison()
+	}
+	c.conns = slices.Delete(c.conns, 0, len(c.conns))
+}
+
+// WatchConn registers cn to be poisoned if the context is cancelled
+// before UnwatchConn takes it back; false means it already is.
+func (c *callCtx) WatchConn(cn interface{ Poison() }) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return false
+	}
+	c.conns = append(c.conns, cn)
+	return true
+}
+
+// UnwatchConn takes cn back. Once it returns, no cancellation of this
+// context reaches cn: one that was under way has finished poisoning it.
+func (c *callCtx) UnwatchConn(cn interface{ Poison() }) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := slices.Index(c.conns, cn); i >= 0 {
+		c.conns = slices.Delete(c.conns, i, i+1)
+	}
 }
 
 // detach stops consumer-cancellation propagation: the response has been

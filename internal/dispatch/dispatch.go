@@ -594,10 +594,9 @@ func (d *Dispatcher) callRelease(ctx context.Context, ep Endpoint, operation str
 // wrapped with release context.
 //
 // Ownership: the transport's pooled response buffer (Result.BodyBuf)
-// either travels on in Reply.Buf — when the codec reports the payload
-// aliases it (the zero-copy fast paths) — or is released here, because
-// a non-aliasing payload is an independent copy and nothing else
-// aliases the wire bytes.
+// travels on in Reply.Buf whether or not the codec's payload aliases
+// it: the reply's header block lies in it behind the body, and the
+// oracle reads that when the dispatch completes.
 func (d *Dispatcher) classify(ep Endpoint, res httpx.Result, err error, latency time.Duration) adjudicate.Reply {
 	reply := adjudicate.Reply{Release: ep.Version, Latency: latency}
 	if err != nil {
@@ -605,12 +604,8 @@ func (d *Dispatcher) classify(ep Endpoint, res httpx.Result, err error, latency 
 		return reply
 	}
 	reply.Header = res.Header
-	payload, aliases, derr := d.codec.DecodeReply(res.Status, res.Body)
-	if aliases {
-		reply.Buf = res.BodyBuf
-	} else {
-		res.BodyBuf.Release()
-	}
+	reply.Buf = res.BodyBuf
+	payload, _, derr := d.codec.DecodeReply(res.Status, res.Body)
 	if derr != nil {
 		if protocol.IsFault(derr) {
 			reply.Err = derr

@@ -44,7 +44,7 @@ func (s *stubPost) post(ctx context.Context, _, _ string, _ []byte, _ httpx.Retr
 	return httpx.Result{
 		Status:   status,
 		Body:     s.resp,
-		Header:   http.Header{"Content-Type": []string{soap.ContentType}},
+		Header:   httpx.Header("Content-Type: " + soap.ContentType + "\n"),
 		Attempts: 1,
 	}, nil
 }

@@ -112,6 +112,9 @@ type Unit struct {
 	service string
 	engine  *core.Engine
 	handler http.Handler // the engine's full surface (SOAP, /wsdl, /healthz)
+	// stripped is handler behind the unit's path prefix; only the two
+	// paths that are not demands take it.
+	stripped http.Handler
 }
 
 // Name returns the unit's routing name.
@@ -219,11 +222,13 @@ func New(cfg Config) (*Fleet, error) {
 			f.closeUnits()
 			return nil, fmt.Errorf("fleet: unit %q: %w", uc.Name, err)
 		}
+		handler := engine.Handler()
 		u := &Unit{
-			name:    uc.Name,
-			service: uc.Service,
-			engine:  engine,
-			handler: engine.Handler(),
+			name:     uc.Name,
+			service:  uc.Service,
+			engine:   engine,
+			handler:  handler,
+			stripped: http.StripPrefix("/"+uc.Name, handler),
 		}
 		if u.service == "" {
 			u.service = uc.Name
@@ -311,13 +316,13 @@ func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if len(path) > 1 {
 		seg, rest := splitSegment(path)
 		if u, ok := f.byName[seg]; ok {
-			if rest == "/" {
-				// The SOAP hot path: straight into the engine, skipping
-				// the unit mux hop ("/wsdl", "/healthz" take the mux).
-				u.engine.ServeHTTP(w, stripPrefix(r, rest))
+			if rest == "/wsdl" || rest == "/healthz" {
+				u.stripped.ServeHTTP(w, r)
 				return
 			}
-			u.handler.ServeHTTP(w, stripPrefix(r, rest))
+			// Every demand: straight into the engine with the remainder
+			// it routes on, no unit mux hop and no request clone.
+			u.engine.ServePath(w, r, rest)
 			return
 		}
 		if seg == "fleet" {
@@ -348,20 +353,6 @@ func splitSegment(p string) (seg, rest string) {
 		return p[:i], p[i:]
 	}
 	return p, "/"
-}
-
-// stripPrefix is a zero-surprise shallow request clone with the unit
-// prefix removed, so a unit engine sees "/", "/wsdl", "/healthz".
-func stripPrefix(r *http.Request, rest string) *http.Request {
-	r2 := *r
-	u2 := *r.URL
-	u2.Path = rest
-	if u2.RawPath != "" {
-		// Keep RawPath coherent; units route on Path only.
-		u2.RawPath = ""
-	}
-	r2.URL = &u2
-	return &r2
 }
 
 // ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"wsupgrade/internal/pool"
 )
@@ -226,8 +228,9 @@ type Result struct {
 	Status int
 	// Body is the response body.
 	Body []byte
-	// Header is the final response's header set.
-	Header http.Header
+	// Header is the final response's header block. Its bytes ride in
+	// BodyBuf behind Body, so it is live exactly as long as Body is.
+	Header Header
 	// Attempts is how many tries were made.
 	Attempts int
 	// Latency is the total wall time including retries.
@@ -237,6 +240,54 @@ type Result struct {
 	// reference carried here, and nothing may alias Body past it. A nil
 	// BodyBuf means Body is unpooled and needs no release.
 	BodyBuf *pool.Buf
+}
+
+// Header is a response's header block as bytes: one "Name: value" line
+// per field, each ended by '\n', in arrival order. The transport that
+// produced it has checked every line (a token name, a colon, a value
+// free of control bytes), so Get only has to find one; nothing is
+// parsed into a map on the way to a caller that, on most replies, reads
+// no header at all. A Header aliases the buffer its reply arrived in
+// (Result.BodyBuf, adjudicate.Reply.Buf) and dies with it; the zero
+// Header is empty.
+type Header []byte
+
+// Get returns the value of the first field called name, compared
+// without regard to case, or "" when there is none — what
+// http.Header.Get answers for the same response. It allocates nothing:
+// the result aliases the header's own bytes, so, like Body, it must not
+// be kept past the buffer's final Release (strings.Clone it to keep it).
+func (h Header) Get(name string) string {
+	for len(h) > 0 {
+		line := []byte(h)
+		if i := bytes.IndexByte(h, '\n'); i >= 0 {
+			line, h = h[:i], h[i+1:]
+		} else {
+			h = nil
+		}
+		if i := bytes.IndexByte(line, ':'); i == len(name) && strings.EqualFold(aliasString(line[:i]), name) {
+			return aliasString(bytes.Trim(line[i+1:], " \t"))
+		}
+	}
+	return ""
+}
+
+// aliasString is b as a string, without the copy.
+func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// appendHeader renders hdr behind b in Header's form: what the net/http
+// leg of PostXML does once per exchange, so both transports hand their
+// callers the same type.
+func appendHeader(b []byte, hdr http.Header) []byte {
+	for name, values := range hdr {
+		for _, v := range values {
+			b = append(b, name...)
+			b = append(b, ':', ' ')
+			b = append(b, v...)
+			b = append(b, '\n')
+		}
+	}
+	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -419,10 +470,12 @@ func PostXML(ctx context.Context, client *http.Client, url, contentType string, 
 			continue
 		}
 		pr.recycle()
+		n := len(data.B)
+		data.B = appendHeader(data.B, resp.Header)
 		return Result{
 			Status:   resp.StatusCode,
-			Body:     data.B,
-			Header:   resp.Header,
+			Body:     data.B[:n:n],
+			Header:   Header(data.B[n:]),
 			Attempts: attempt,
 			Latency:  time.Since(start),
 			BodyBuf:  data,

@@ -174,3 +174,56 @@ func TestInstrumentedObservesErrors(t *testing.T) {
 		t.Fatal("error exchange not observed")
 	}
 }
+
+func TestHeaderGet(t *testing.T) {
+	h := Header("Content-Type: text/xml; charset=utf-8\nX-Dup: first\nx-dup: second\nX-Empty:\nX-Padded: \t v w \t\nX-Colons: a:b\n")
+	for _, tc := range []struct{ name, want string }{
+		{"Content-Type", "text/xml; charset=utf-8"},
+		{"content-type", "text/xml; charset=utf-8"},
+		{"CONTENT-TYPE", "text/xml; charset=utf-8"},
+		{"X-Dup", "first"},
+		{"X-Empty", ""},
+		{"X-Padded", "v w"},
+		{"X-Colons", "a:b"},
+		{"X-Colons: a", ""}, // a name is never more than the line's name
+		{"X-Absent", ""},
+		{"Content", ""},
+		{"", ""},
+	} {
+		if got := h.Get(tc.name); got != tc.want {
+			t.Errorf("Get(%q) = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	if got := Header(nil).Get("Content-Type"); got != "" {
+		t.Errorf("zero Header: Get = %q", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = h.Get("x-padded") }); allocs != 0 {
+		t.Errorf("Get allocates %.0f times per call", allocs)
+	}
+}
+
+// TestPostXMLHeaderRidesBehindBody: the net/http leg hands out the same
+// Header form as the wire client, in the buffer that holds the body, and
+// the body is clipped so that appending to it cannot reach the headers.
+func TestPostXMLHeaderRidesBehindBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Add("X-Multi", "one")
+		w.Header().Add("X-Multi", "two")
+		_, _ = w.Write([]byte("<ok/>"))
+	}))
+	defer ts.Close()
+	res, err := PostXML(context.Background(), ts.Client(), ts.URL, "text/xml", []byte("<in/>"), NoRetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.BodyBuf.Release()
+	if string(res.Body) != "<ok/>" || cap(res.Body) != len(res.Body) {
+		t.Fatalf("body %q (len %d, cap %d)", res.Body, len(res.Body), cap(res.Body))
+	}
+	if got := res.Header.Get("x-multi"); got != "one" {
+		t.Fatalf("X-Multi = %q, want its first value", got)
+	}
+	if got := res.Header.Get("Content-Length"); got != "5" {
+		t.Fatalf("Content-Length = %q", got)
+	}
+}

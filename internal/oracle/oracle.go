@@ -223,11 +223,9 @@ func (Header) JudgeInto(dst []bool, operation string, replies []adjudicate.Reply
 			failed[i] = true
 			continue
 		}
-		if r.Header != nil {
-			switch r.Header.Get(InjectionHeader) {
-			case "ER", "NER":
-				failed[i] = true
-			}
+		switch r.Header.Get(InjectionHeader) {
+		case "ER", "NER":
+			failed[i] = true
 		}
 	}
 	return failed

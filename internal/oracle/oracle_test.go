@@ -2,10 +2,10 @@ package oracle
 
 import (
 	"errors"
-	"net/http"
 	"testing"
 
 	"wsupgrade/internal/adjudicate"
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/xrand"
 )
 
@@ -107,10 +107,8 @@ func TestBackToBackSingleValidReply(t *testing.T) {
 
 func TestHeaderOracleReadsGroundTruth(t *testing.T) {
 	o := Header{}
-	h := func(kind string) http.Header {
-		hh := http.Header{}
-		hh.Set(InjectionHeader, kind)
-		return hh
+	h := func(kind string) httpx.Header {
+		return httpx.Header(InjectionHeader + ": " + kind + "\n")
 	}
 	replies := []adjudicate.Reply{
 		{Release: "1.0", Body: []byte("<r/>"), Header: h("CR")},
@@ -137,8 +135,7 @@ func TestWithOmissionMissesFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := http.Header{}
-	h.Set(InjectionHeader, "NER")
+	h := httpx.Header(InjectionHeader + ": NER\n")
 	missed, caught := 0, 0
 	for i := 0; i < 2000; i++ {
 		failed := o.JudgeInto(nil, "op", []adjudicate.Reply{{Release: "1.1", Body: []byte("<r/>"), Header: h}})

@@ -1,9 +1,9 @@
 // Package testutil holds shared test infrastructure. Its centerpiece is
 // the goroutine-leak checker: a snapshot/diff over the runtime's
 // goroutine stacks that Close-path tests use to prove retired engines,
-// fleets and wire clients leave nothing running behind — no watcher
-// goroutines pinned to poisoned connections, no janitors outliving
-// their client, no background collectors wedged on a drained channel.
+// fleets and wire clients leave nothing running behind — no reader
+// parked on a poisoned connection, no janitors outliving their client,
+// no background collectors wedged on a drained channel.
 package testutil
 
 import (
@@ -103,7 +103,7 @@ func (base GoroutineSnapshot) Leaked() []string {
 }
 
 // settleWait bounds how long CheckGoroutines waits for asynchronous
-// teardown (drained dispatch collectors, closing watcher goroutines) to
+// teardown (drained dispatch collectors, cancellation callbacks) to
 // finish before declaring a leak.
 const settleWait = 3 * time.Second
 

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/textproto"
 	"net/url"
 	"strconv"
 	"sync"
@@ -29,6 +28,19 @@ var respBodyPool bufpool.BufPool
 
 // aLongTimeAgo is the past deadline that poisons an in-flight read.
 var aLongTimeAgo = time.Unix(1, 0)
+
+// connWatcher is a context that cancels the connections working under
+// it itself, from the cancellation it already runs: dispatch's pooled
+// per-demand context (wire cannot import dispatch, hence the assertion
+// in begin). WatchConn registers a connection to be poisoned if the
+// context is cancelled, and reports false when it already has been;
+// UnwatchConn takes it back. The two and the cancellation exclude one
+// another, which is the contract: once UnwatchConn has returned, the
+// context never touches the connection again, so finish may pool it.
+type connWatcher interface {
+	WatchConn(c interface{ Poison() }) bool
+	UnwatchConn(c interface{ Poison() })
+}
 
 // defaultDialer backs defaultDial when Options.Dial is nil.
 var defaultDialer = &net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}
@@ -109,14 +121,7 @@ func (p *pool) dial(ctx context.Context) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing %s: %w", p.addr, err)
 	}
-	cn := &conn{
-		nc:     nc,
-		br:     bufio.NewReaderSize(nc, 4096),
-		arm:    make(chan (<-chan struct{})),
-		disarm: make(chan struct{}),
-	}
-	go cn.watch()
-	return cn, nil
+	return &conn{nc: nc, br: bufio.NewReaderSize(nc, 4096)}, nil
 }
 
 // put returns a healthy connection to the pool (or closes it when the
@@ -170,49 +175,54 @@ func (p *pool) close() {
 // keep-alive (the peer closed it while it sat idle) and is transparently
 // replaced by a fresh dial without consuming a retry attempt — matching
 // net/http, which re-dials retriable requests internally.
-// Ownership of the returned body buffer transfers to the caller: one
-// Release pairs with it (data is nil exactly when err is non-nil).
+// Ownership of the returned buffer, laid out as in exchangeResult, goes
+// to the caller: one Release pairs with it (nil exactly when err is not).
 //
 //wsu:owns return
-func (p *pool) do(ctx context.Context, x inflight, contentType string, body []byte, maxBytes int64) (status int, data *bufpool.Buf, hdr http.Header, err error) {
+func (p *pool) do(ctx context.Context, x inflight, contentType string, body []byte, maxBytes int64) (status int, data *bufpool.Buf, bodyLen int, err error) {
 	if x.cn == nil {
 		cn, fresh, err := p.get(ctx)
 		if err != nil {
-			return 0, nil, nil, err
+			return 0, nil, 0, err
 		}
 		x = p.begin(ctx, cn, fresh, contentType, body)
 	}
 	res := p.finish(ctx, x, maxBytes)
-	if res.err != nil && !x.fresh && !res.gotResponse && ctx.Err() == nil {
+	// The connection's deadline can fire just before the context's timer:
+	// a timed-out exchange, not a stale connection, and not redialled.
+	if res.err != nil && !x.fresh && !res.gotResponse && ctx.Err() == nil &&
+		!errors.Is(res.err, context.DeadlineExceeded) {
 		cn2, derr := p.dial(ctx)
 		if derr != nil {
-			return 0, nil, nil, res.err
+			return 0, nil, 0, res.err
 		}
 		res = p.finish(ctx, p.begin(ctx, cn2, true, contentType, body), maxBytes)
 	}
-	return res.status, res.body, res.header, res.err
+	return res.status, res.data, res.bodyLen, res.err
 }
 
-// exchangeResult carries one exchange's outcome. body is a pooled
-// buffer owned by whoever receives the result; it is non-nil exactly
-// when err is nil.
+// exchangeResult carries one exchange's outcome. data is a pooled buffer
+// owned by whoever receives the result — the body in its first bodyLen
+// bytes, the header block behind it — and non-nil exactly when err is nil.
 type exchangeResult struct {
 	status      int
-	body        *bufpool.Buf
-	header      http.Header
+	data        *bufpool.Buf
+	bodyLen     int
 	gotResponse bool // a full status line arrived
 	err         error
 }
 
 // inflight is one exchange between its request write and its response
 // read: the checked-out connection with its deadline set and its
-// cancellation watcher armed. Whoever holds one owes it a finish.
+// cancellation hooked up. Whoever holds one owes it a finish.
 type inflight struct {
-	cn       *conn
-	fresh    bool      // cn was dialed for this exchange
-	armed    bool      // the cancellation watcher is armed
-	deadline time.Time // zero: none
-	werr     error     // the request write failed; finish reports it
+	cn    *conn
+	fresh bool // cn was dialed for this exchange
+	// How the exchange hears its cancellation, at most one of the two.
+	watcher  connWatcher // the context poisons the connection itself
+	stop     func() bool // takes back an AfterFunc(ctx, cn.Poison)
+	deadline time.Time   // zero: none
+	werr     error       // the request write failed; finish reports it
 }
 
 // begin opens one exchange on cn: deadline, cancellation, request
@@ -229,7 +239,18 @@ func (p *pool) begin(ctx context.Context, cn *conn, fresh bool, contentType stri
 	}
 	_ = cn.nc.SetDeadline(dl) // the zero time clears a previous exchange's
 	x := inflight{cn: cn, fresh: fresh, deadline: dl}
-	x.armed = cn.armCancel(ctx.Done())
+	// One effect — Poison — and two triggers: the dispatcher's context
+	// runs it from its own cancel; under any other cancellable context an
+	// AfterFunc does (it allocates; PostXML callers are off the mediated
+	// path). A context already cancelled poisons the exchange here.
+	switch w, watches := ctx.(connWatcher); {
+	case watches && w.WatchConn(cn):
+		x.watcher = w
+	case watches || ctx.Err() != nil:
+		cn.Poison()
+	case ctx.Done() != nil:
+		x.stop = context.AfterFunc(ctx, cn.Poison)
+	}
 	x.werr = cn.writeRequest(p, contentType, body)
 	return x
 }
@@ -241,11 +262,16 @@ func (p *pool) finish(ctx context.Context, x inflight, maxBytes int64) (res exch
 	cn := x.cn
 	reuse := false
 	defer func() {
-		if x.armed {
-			cn.disarmCancel()
+		// Take the connection back before deciding its fate, so that a
+		// pooled connection is never poisoned afterwards. An AfterFunc
+		// that stop could not take back has started and may poison at any
+		// later moment: the connection counts as poisoned already.
+		switch {
+		case x.watcher != nil:
+			x.watcher.UnwatchConn(cn)
+		case x.stop != nil && !x.stop():
+			cn.poisoned.Store(true)
 		}
-		// Read the poison flag only after disarming: past that point the
-		// watcher is parked and cannot set it for THIS exchange anymore.
 		if reuse && res.err == nil && !cn.poisoned.Load() {
 			p.put(cn)
 		} else {
@@ -271,16 +297,16 @@ func (p *pool) finish(ctx context.Context, x inflight, maxBytes int64) (res exch
 		res.err = fmt.Errorf("wire: writing request: %w", x.werr)
 		return res
 	}
-	//wsu:allow poolcheck -- ownership travels to the caller in res.body
-	status, data, hdr, reusable, err := cn.readResponse(maxBytes)
+	//wsu:allow poolcheck -- ownership travels to the caller in res.data
+	status, data, bodyLen, reusable, err := cn.readResponse(maxBytes)
 	res.gotResponse = cn.sawStatusLine
 	if err != nil {
 		res.err = err
 		return res
 	}
 	res.status = status
-	res.body = data
-	res.header = hdr
+	res.data = data
+	res.bodyLen = bodyLen
 	reuse = reusable
 	return res
 }
@@ -296,10 +322,8 @@ type conn struct {
 
 	wbuf     []byte      // request write scratch
 	lineBuf  []byte      // long-line overflow scratch
-	hdrBuf   []byte      // raw response header block (current exchange)
-	lastRaw  []byte      // previous exchange's raw header block
-	lastHdr  http.Header // parsed form of lastRaw, reused on byte-equal blocks
-	poisoned atomic.Bool
+	hdrBuf   []byte      // response header block, until it joins the body's buffer
+	poisoned atomic.Bool // an exchange on it was cancelled: closed, never pooled
 
 	// lineBudget is the remaining header-section byte budget of the
 	// response being read; see maxHeaderBytes.
@@ -309,49 +333,18 @@ type conn struct {
 	idleSince time.Time
 
 	sawStatusLine bool
-
-	// The cancellation watcher: arm carries the exchange context's Done
-	// channel; disarm ends the watch. Both are unbuffered — the watcher
-	// goroutine lives as long as the connection, so arming is two
-	// rendezvous channel operations, never an allocation or a spawn.
-	arm    chan (<-chan struct{})
-	disarm chan struct{}
-
-	closeOnce sync.Once
 }
 
-func (c *conn) watch() {
-	for done := range c.arm {
-		select {
-		case <-done:
-			c.poisoned.Store(true)
-			_ = c.nc.SetDeadline(aLongTimeAgo)
-			<-c.disarm
-		case <-c.disarm:
-		}
-	}
+// Poison is what cancelling an exchange does to its connection: it is
+// marked, so that finish closes it, and its deadline moves into the
+// past, failing the write or read the exchange is blocked in — on
+// another goroutine than the canceller's, which runs this.
+func (c *conn) Poison() {
+	c.poisoned.Store(true)
+	_ = c.nc.SetDeadline(aLongTimeAgo)
 }
 
-// armCancel starts cancellation propagation for one exchange; it
-// reports whether disarmCancel must be called.
-func (c *conn) armCancel(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
-	c.arm <- done
-	return true
-}
-
-func (c *conn) disarmCancel() { c.disarm <- struct{}{} }
-
-// close shuts the connection and its watcher down. Must not be called
-// while an exchange is armed.
-func (c *conn) close() {
-	c.closeOnce.Do(func() {
-		_ = c.nc.Close()
-		close(c.arm)
-	})
-}
+func (c *conn) close() { _ = c.nc.Close() }
 
 // largeBodyThreshold: request bodies above it are written in a second
 // syscall instead of being copied into the head buffer.
@@ -455,69 +448,70 @@ func trimCRLF(b []byte) []byte {
 const maxInterimResponses = 5
 
 // readResponse parses one response. reusable reports whether the
-// connection may serve another exchange. body is a pooled buffer whose
-// ownership transfers to the caller (nil exactly when err is non-nil);
-// hdr may be shared with earlier responses on this connection (see
-// setHeader) and is read-only.
+// connection may serve another exchange. data is a pooled buffer whose
+// ownership transfers to the caller (nil exactly when err is non-nil):
+// the body in its first bodyLen bytes and, behind it, the final
+// response's header block in httpx.Header's form — one buffer, one
+// Release. Only the three headers that frame the body are interpreted.
 //
 //wsu:owns return
-func (c *conn) readResponse(maxBytes int64) (status int, body *bufpool.Buf, hdr http.Header, reusable bool, err error) {
+func (c *conn) readResponse(maxBytes int64) (status int, data *bufpool.Buf, bodyLen int, reusable bool, err error) {
 	c.sawStatusLine = false
 	c.lineBudget = maxHeaderBytes
 	var proto11, connClose, chunked bool
 	contentLength := int64(-1)
+	var hdr []byte // the final response's header block, in c.hdrBuf
 	for interim := 0; ; interim++ {
 		// Status line; 1xx interim responses are skipped.
 		line, err := c.readLine()
 		if err != nil {
-			return 0, nil, nil, false, fmt.Errorf("wire: reading status line: %w", err)
+			return 0, nil, 0, false, fmt.Errorf("wire: reading status line: %w", err)
 		}
 		status, proto11, err = parseStatusLine(line)
 		if err != nil {
-			return 0, nil, nil, false, err
+			return 0, nil, 0, false, err
 		}
 		c.sawStatusLine = true
 
-		// Header block: accumulated raw for the cache comparison, with
+		// Header block: kept as the lines that arrived, each checked, with
 		// the three framing-relevant headers parsed on the way.
-		hdrRaw := c.hdrBuf[:0]
+		hdr = c.hdrBuf[:0]
 		connClose, chunked, contentLength = false, false, int64(-1)
 		for {
 			line, err := c.readLine()
 			if err != nil {
-				return 0, nil, nil, false, fmt.Errorf("wire: reading header: %w", err)
+				return 0, nil, 0, false, fmt.Errorf("wire: reading header: %w", err)
 			}
 			if len(line) == 0 {
 				break
 			}
-			hdrRaw = append(hdrRaw, line...)
-			hdrRaw = append(hdrRaw, '\n')
 			key, val, ok := cutHeaderLine(line)
 			if !ok {
-				return 0, nil, nil, false, fmt.Errorf("wire: malformed header line %q", line)
+				return 0, nil, 0, false, fmt.Errorf("wire: malformed header line %q", line)
 			}
+			hdr = append(hdr, line...)
+			hdr = append(hdr, '\n')
 			switch {
-			case asciiEqualFold(key, "content-length"):
+			case equalFold(key, "content-length"):
 				n, perr := strconv.ParseInt(string(bytes.TrimSpace(val)), 10, 64)
 				if perr != nil || n < 0 {
-					return 0, nil, nil, false, fmt.Errorf("wire: bad Content-Length %q", val)
+					return 0, nil, 0, false, fmt.Errorf("wire: bad Content-Length %q", val)
 				}
 				contentLength = n
-			case asciiEqualFold(key, "transfer-encoding"):
-				chunked = asciiEqualFold(bytes.TrimSpace(val), "chunked")
-			case asciiEqualFold(key, "connection"):
-				connClose = asciiEqualFold(bytes.TrimSpace(val), "close")
+			case equalFold(key, "transfer-encoding"):
+				chunked = equalFold(bytes.TrimSpace(val), "chunked")
+			case equalFold(key, "connection"):
+				connClose = equalFold(bytes.TrimSpace(val), "close")
 			}
 		}
-		if cap(hdrRaw) <= maxConnScratch {
-			c.hdrBuf = hdrRaw[:0]
+		if cap(hdr) <= maxConnScratch {
+			c.hdrBuf = hdr[:0]
 		}
 		if status >= 200 {
-			hdr = c.header(hdrRaw)
 			break
 		}
 		if interim >= maxInterimResponses {
-			return 0, nil, nil, false, fmt.Errorf("wire: too many interim responses")
+			return 0, nil, 0, false, fmt.Errorf("wire: too many interim responses")
 		}
 		// 1xx interim: the next status line follows.
 	}
@@ -526,70 +520,49 @@ func (c *conn) readResponse(maxBytes int64) (status int, body *bufpool.Buf, hdr 
 
 	// Body framing per RFC 7230 §3.3.3 (the subset a release can send).
 	// Each arm returns directly so the pooled buffer it acquires flows
-	// straight to the //wsu:owns return handoff.
+	// straight to the //wsu:owns return handoff, the header block
+	// appended behind the body it has read.
 	switch {
 	case status == http.StatusNoContent || status == http.StatusNotModified:
-		return status, respBodyPool.Get(), hdr, keepAlive, nil
+		body := respBodyPool.Get()
+		body.B = append(body.B, hdr...)
+		return status, body, 0, keepAlive, nil
 	case chunked:
 		body, err := c.readChunkedBody(maxBytes)
 		if err != nil {
 			body.Release() // nil on error; Release is nil-safe
-			return 0, nil, nil, false, err
+			return 0, nil, 0, false, err
 		}
-		return status, body, hdr, keepAlive, nil
+		n := len(body.B)
+		body.B = append(body.B, hdr...)
+		return status, body, n, keepAlive, nil
 	case contentLength >= 0:
 		if contentLength > maxBytes {
-			return 0, nil, nil, false, fmt.Errorf("wire: response of %d bytes: %w", contentLength, httpx.ErrTooLarge)
+			return 0, nil, 0, false, fmt.Errorf("wire: response of %d bytes: %w", contentLength, httpx.ErrTooLarge)
 		}
 		// The declared length already passed the bound check, so an
 		// exact read enforces it without further plumbing, into a
-		// buffer of the length's own size class.
-		body := respBodyPool.GetSized(int(contentLength))
-		body.B = body.B[:contentLength]
+		// buffer of the size class that holds the body and its headers.
+		n := int(contentLength)
+		body := respBodyPool.GetSized(n + len(hdr))
+		body.B = body.B[:n]
 		if _, err := io.ReadFull(c.br, body.B); err != nil {
 			body.Release()
-			return 0, nil, nil, false, fmt.Errorf("wire: reading body: %w", err)
+			return 0, nil, 0, false, fmt.Errorf("wire: reading body: %w", err)
 		}
-		return status, body, hdr, keepAlive, nil
+		body.B = append(body.B, hdr...)
+		return status, body, n, keepAlive, nil
 	default:
 		// No explicit framing: the body runs to connection close.
 		body, err := httpx.ReadBoundedBuf(c.br, 0, maxBytes)
 		if err != nil {
 			body.Release() // nil on error; Release is nil-safe
-			return 0, nil, nil, false, fmt.Errorf("wire: reading body: %w", err)
+			return 0, nil, 0, false, fmt.Errorf("wire: reading body: %w", err)
 		}
-		return status, body, hdr, false, nil
+		n := len(body.B)
+		body.B = append(body.B, hdr...)
+		return status, body, n, false, nil
 	}
-}
-
-// header exposes the response headers, reusing the previous parsed map
-// whenever the raw header block is byte-identical to the previous
-// exchange's — the steady state on a release connection, where only the
-// payload varies call to call. The returned map is therefore shared and
-// read-only by contract.
-func (c *conn) header(raw []byte) http.Header {
-	if c.lastHdr != nil && bytes.Equal(raw, c.lastRaw) {
-		return c.lastHdr
-	}
-	hdr := make(http.Header)
-	rest := raw
-	for len(rest) > 0 {
-		var line []byte
-		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
-			line, rest = rest[:i], rest[i+1:]
-		} else {
-			line, rest = rest, nil
-		}
-		key, val, ok := cutHeaderLine(line)
-		if !ok {
-			continue
-		}
-		ck := textproto.CanonicalMIMEHeaderKey(string(key))
-		hdr[ck] = append(hdr[ck], string(bytes.TrimSpace(val)))
-	}
-	c.lastRaw = append(c.lastRaw[:0], raw...)
-	c.lastHdr = hdr
-	return hdr
 }
 
 // readChunkedBody decodes a chunked transfer coding, bounded by maxBytes,
@@ -677,29 +650,38 @@ func parseStatusLine(line []byte) (status int, proto11 bool, err error) {
 	return status, proto11, nil
 }
 
-// cutHeaderLine splits "Key: value".
+// cutHeaderLine splits "Key: value", accepting only what RFC 7230 §3.2
+// and net/textproto both accept: a name of token bytes (a folded line is
+// refused, as §3.2.4 lets a gateway do), a value free of control bytes.
+// Every line of an httpx.Header handed out has passed here, which is
+// what lets its Get look a field up without parsing.
 func cutHeaderLine(line []byte) (key, val []byte, ok bool) {
 	i := bytes.IndexByte(line, ':')
 	if i <= 0 {
 		return nil, nil, false
 	}
+	for _, c := range line[:i] {
+		if !tokenByte[c] {
+			return nil, nil, false
+		}
+	}
+	for _, c := range line[i+1:] {
+		if c < ' ' && c != '\t' || c == 0x7f {
+			return nil, nil, false
+		}
+	}
 	return line[:i], line[i+1:], true
 }
 
-// asciiEqualFold reports ASCII case-insensitive equality of b against
-// the lower-case reference string, without allocating.
-func asciiEqualFold(b []byte, lower string) bool {
-	if len(b) != len(lower) {
-		return false
+// tokenByte marks the bytes of an RFC 7230 token.
+var tokenByte = func() (t [256]bool) {
+	for _, c := range []byte("!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ") {
+		t[c] = true
 	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != lower[i] {
-			return false
-		}
-	}
-	return true
+	return t
+}()
+
+// equalFold reports whether b is lower under case folding.
+func equalFold(b []byte, lower string) bool {
+	return len(b) == len(lower) && bytes.EqualFold(b, []byte(lower))
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestClientCloseReleasesGoroutines: after Close, nothing of the client
-// survives — not the janitor, not per-connection watchers, not a reader
+// survives — not the janitor, not a cancellation callback, not a reader
 // parked on a connection whose request was cancelled mid-flight.
 func TestClientCloseReleasesGoroutines(t *testing.T) {
 	testutil.CheckGoroutines(t)

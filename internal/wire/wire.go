@@ -15,23 +15,25 @@
 //   - Request heads are written from a precomputed per-endpoint byte
 //     prefix — method, target, Host and Content-Type never change per
 //     call; only Content-Length and the body do.
-//   - Response headers are parsed into an http.Header that is cached per
-//     connection and reused verbatim while the raw header block repeats
-//     (release responses are near-identical call to call), so the steady
-//     state allocates nothing for headers. The cached Header is shared
-//     across calls on the same connection: callers must treat
-//     Result.Header as read-only.
+//   - Response headers stay the bytes that arrived: the reader checks
+//     every line and interprets the three that frame the body, and the
+//     block rides behind the body in the reply's own pooled buffer, where
+//     Result.Header (an httpx.Header) looks a field up on demand. No
+//     header costs an allocation, however much consecutive replies on a
+//     connection differ, and nothing is shared between calls.
 //   - An exchange is split where waiting starts: Begin checks an idle
 //     connection out and writes the request, End reads the response and
 //     carries the retry policy. PostXML is the two back to back; a
 //     fan-out begins every release's call before it ends any, so every
 //     request is on the wire before anyone waits (see Begin for what is
 //     left to End, and why).
-//   - Context cancellation is implemented as deadline-on-conn plus
-//     poisoning: every exchange arms a per-connection watcher that, when
-//     the context fires, marks the connection poisoned and forces its
-//     deadline into the past, unblocking any in-flight read. A poisoned
-//     connection is closed, never pooled.
+//   - Context cancellation is deadline-on-conn plus poisoning, with no
+//     goroutine of its own: conn.Poison marks the exchange's connection
+//     and forces its deadline into the past, unblocking any in-flight
+//     write or read. The dispatcher's per-demand context runs it from
+//     its own cancel (connWatcher); any other cancellable context gets
+//     a context.AfterFunc for the length of the exchange. A poisoned
+//     connection is closed, and a pooled one is never poisoned.
 //
 // Retry, backoff and response-size semantics are httpx.PostXML's,
 // enforced by sharing the httpx.RetryPolicy implementation and a
@@ -77,11 +79,11 @@ type Options struct {
 	// call context carries no deadline of its own. Zero means none: an
 	// exchange is then bounded only by its context.
 	Timeout time.Duration
-	// IdleTimeout bounds how long an unused pooled connection (and its
-	// watcher goroutine) survives before the janitor closes it — the
-	// wire counterpart of http.Transport.IdleConnTimeout, and what keeps
-	// connections to retired release endpoints from living for the
-	// client's lifetime. Default 90 s; negative disables reaping.
+	// IdleTimeout bounds how long an unused pooled connection survives
+	// before the janitor closes it — the wire counterpart of
+	// http.Transport.IdleConnTimeout, and what keeps connections to
+	// retired release endpoints from living for the client's lifetime.
+	// Default 90 s; negative disables reaping.
 	IdleTimeout time.Duration
 	// Fallback carries every call whose URL is not plain http:// (in
 	// practice https); nil means http.DefaultClient. PostXML delegates
@@ -132,8 +134,8 @@ func (c *Client) Close() error {
 
 // startJanitor launches (once, lazily on first pool creation) the
 // goroutine that ages idle connections out of every pool, so sockets
-// and watcher goroutines to retired release endpoints do not persist
-// for the client's lifetime.
+// to retired release endpoints do not persist for the client's
+// lifetime.
 func (c *Client) startJanitor() {
 	if c.opts.IdleTimeout < 0 {
 		return
@@ -168,19 +170,17 @@ func (c *Client) startJanitor() {
 // URLs are delegated to the Fallback client. It is Begin followed by
 // End: there is one exchange path.
 //
-// Result.Header may be shared with subsequent results from the same
-// endpoint and must be treated as read-only.
-//
-// Result.BodyBuf carries ownership of the pooled response-body buffer
-// to the caller; see httpx.Result.
+// Result.BodyBuf carries ownership of the pooled response buffer to the
+// caller — Result.Body and Result.Header both lie in it; see
+// httpx.Result.
 func (c *Client) PostXML(ctx context.Context, rawURL, contentType string, body []byte, policy httpx.RetryPolicy) (httpx.Result, error) {
 	call := c.Begin(ctx, rawURL, contentType, body, policy)
 	return call.End()
 }
 
 // Call is one release call between Begin and End. A begun call holds
-// a checked-out connection with its cancellation watcher armed, so it
-// is an obligation: End must run exactly once, on any goroutine. A Call
+// a checked-out connection that its context may poison, so it is an
+// obligation: End must run exactly once, on any goroutine. A Call
 // is a plain value so that a fan-out can keep its calls in pooled
 // storage; copying one moves the obligation, it does not duplicate it.
 // The zero Call holds nothing, and its End says so.
@@ -216,7 +216,7 @@ func Deferred(fn func() (httpx.Result, error)) Call { return Call{fn: fn} }
 // Begin starts one call and returns it for End to finish. Everything
 // that cannot wait on the peer happens here, on the caller's goroutine:
 // an idle keep-alive connection is checked out, its deadline set, its
-// cancellation watcher armed and the request written, so a caller with
+// cancellation hooked up and the request written, so a caller with
 // several releases to invoke has every request on the wire before it
 // waits for any reply.
 //
@@ -294,7 +294,7 @@ func (k *Call) End() (httpx.Result, error) {
 		x := call.x
 		call.x = inflight{} // only the first attempt was begun
 		//wsu:allow poolcheck -- a non-nil error carries no body; ownership otherwise transfers via Result.BodyBuf
-		status, data, hdr, err := p.do(ctx, x, call.contentType, call.body, maxBytes)
+		status, data, n, err := p.do(ctx, x, call.contentType, call.body, maxBytes)
 		if err != nil {
 			if errors.Is(err, httpx.ErrTooLarge) {
 				// An oversized response is not transient; terminal, as in
@@ -314,8 +314,8 @@ func (k *Call) End() (httpx.Result, error) {
 		}
 		return httpx.Result{
 			Status:   status,
-			Body:     data.B,
-			Header:   hdr,
+			Body:     data.B[:n:n],
+			Header:   httpx.Header(data.B[n:]),
 			Attempts: attempt,
 			Latency:  time.Since(call.start),
 			BodyBuf:  data,

@@ -128,22 +128,36 @@ func TestEmptyBodyResponses(t *testing.T) {
 	}
 }
 
-func TestHeaderCacheTracksChanges(t *testing.T) {
+// TestHeaderIsTheRepliesOwn: each result carries the header block its
+// own reply arrived with, in its own buffer — later exchanges on the
+// same connection change nothing about an earlier result's.
+func TestHeaderIsTheRepliesOwn(t *testing.T) {
 	var n atomic.Int64
-	ts, _ := newCountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts, cl := newCountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Call", fmt.Sprint(n.Add(1)))
 		_, _ = w.Write([]byte("<ok/>"))
 	}))
 	c := NewClient(Options{})
 	defer c.Close()
+	var results []httpx.Result
 	for i := 1; i <= 3; i++ {
 		res, err := c.PostXML(context.Background(), ts.URL, testCT, []byte("<in/>"), httpx.NoRetry)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Header.Get("X-Call"); got != fmt.Sprint(i) {
-			t.Fatalf("call %d: X-Call = %q (stale cached header?)", i, got)
+		results = append(results, res) // held, not released
+	}
+	if got := cl.accepts.Load(); got != 1 {
+		t.Fatalf("accepted %d connections, want the three calls on one", got)
+	}
+	for i, res := range results {
+		if got := res.Header.Get("x-call"); got != fmt.Sprint(i+1) {
+			t.Fatalf("call %d: X-Call = %q", i+1, got)
 		}
+		if got := res.Header.Get("Content-Type"); got == "" || string(res.Body) != "<ok/>" {
+			t.Fatalf("call %d: Content-Type %q, body %q", i+1, got, res.Body)
+		}
+		res.BodyBuf.Release()
 	}
 }
 
@@ -187,8 +201,7 @@ func TestTimeoutBackstopWithoutContextDeadline(t *testing.T) {
 }
 
 // TestIdleConnectionsReaped: a pooled connection unused past
-// IdleTimeout is closed by the janitor (watcher goroutine included), so
-// retired release endpoints do not hold sockets for the client's
+// IdleTimeout is closed by the janitor, so retired release endpoints do not hold sockets for the client's
 // lifetime.
 func TestIdleConnectionsReaped(t *testing.T) {
 	ts, cl := newCountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -306,5 +319,40 @@ func TestDialFuncSeam(t *testing.T) {
 	}
 	if dialed.Load() != 1 {
 		t.Fatalf("dialed %d times, want 1", dialed.Load())
+	}
+}
+
+// TestHeaderLineRules: what the response reader accepts as a header
+// line is what both RFC 7230 §3.2 and net/textproto accept — so that
+// httpx.Header.Get can look a field up without parsing — and nothing
+// looser: a reply with a line outside it is a failed exchange, not a
+// guess.
+func TestHeaderLineRules(t *testing.T) {
+	for _, tc := range []struct {
+		line     string
+		ok       bool
+		key, val string
+	}{
+		{"Content-Type: text/xml", true, "Content-Type", " text/xml"},
+		{"X-Empty:", true, "X-Empty", ""},
+		{"x!#$%&'*+-.^_`|~09: v", true, "x!#$%&'*+-.^_`|~09", " v"},
+		{"X-Colons: a:b:c", true, "X-Colons", " a:b:c"},
+		{"X-Tab:\tv\t", true, "X-Tab", "\tv\t"},
+		{"X-High: caf\xc3\xa9", true, "X-High", " caf\xc3\xa9"},
+		{"no colon", false, "", ""},
+		{": no name", false, "", ""},
+		{" X-Folded: continuation", false, "", ""},
+		{"\tfolded", false, "", ""},
+		{"X-Space : before colon", false, "", ""},
+		{"X-(paren): v", false, "", ""},
+		{"X-H\xc3\xa9: v", false, "", ""},
+		{"X-Cr: a\rb", false, "", ""},
+		{"X-Nul: a\x00b", false, "", ""},
+		{"X-Del: a\x7fb", false, "", ""},
+	} {
+		key, val, ok := cutHeaderLine([]byte(tc.line))
+		if ok != tc.ok || string(key) != tc.key || string(val) != tc.val {
+			t.Errorf("cutHeaderLine(%q) = %q, %q, %v; want %q, %q, %v", tc.line, key, val, ok, tc.key, tc.val, tc.ok)
+		}
 	}
 }
