@@ -9,7 +9,7 @@ GO        ?= go
 BENCH     ?= EngineInProcess|FleetInProcess|OracleJudge|MonitorNote|WhiteBoxPosterior
 COUNT     ?= 5
 BENCHTIME ?= 1000x
-GATED      = EngineInProcess/live-shape-oldonly,EngineInProcess/live-shape-parallel,FleetInProcess/fleet-routed-json,EngineInProcess/observation-large,OracleJudge/back-to-back-64k-differ,EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission
+GATED      = EngineInProcess/live-shape-oldonly,EngineInProcess/live-shape-parallel,FleetInProcess/fleet-routed-json,EngineInProcess/observation-large,OracleJudge/back-to-back-64k-differ,EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,EngineInProcess/observation-publish-warm,WhiteBoxPosterior/scenario-grid-advancing,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission
 # Fast-path entries additionally gated on best-of-N ns/op. The 25%
 # threshold is deliberately generous (shared runners are noisy); it
 # exists to catch a fast path falling off a cliff, not a 5% wobble.
@@ -23,12 +23,13 @@ NS_GATED   = EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath
 SOAK_DURATION ?= 20s
 SOAK_OUT      ?= .
 
-# The fuzz target gives each network-facing parser's fuzz function a
-# short budget (go test runs one -fuzz target per invocation). A crasher
-# is written under the package's testdata/fuzz/ — commit it: from then
-# on it runs as a seed in every plain `go test`. Minimisation is capped
-# because the seed corpus has 64 KB documents, and the default minute
-# spent shrinking one would be the whole budget.
+# The fuzz target gives each network-facing parser's fuzz function — and
+# FuzzPosteriorFrom, the posterior's frontier pass against its full pass
+# — a short budget (go test runs one -fuzz target per invocation). A
+# crasher is written under the package's testdata/fuzz/ — commit it: from
+# then on it runs as a seed in every plain `go test`. Minimisation is
+# capped because the seed corpus has 64 KB documents, and the default
+# minute spent shrinking one would be the whole budget.
 FUZZTIME ?= 20s
 
 .PHONY: test vet lint bench bench-run bench-baseline bench-module clean-bench soak fuzz
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzEqualCanonical -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzHeaderGet -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/bayes -run='^$$' -fuzz=FuzzPosteriorFrom -fuzztime=$(FUZZTIME)
 
 vet:
 	$(GO) vet ./...

@@ -250,11 +250,15 @@ func scenarioGrid() bayes.WhiteBoxConfig {
 
 // BenchmarkWhiteBoxPosterior measures the §6.2 publication path's
 // inference call on the scenario grid (the default-resolution figure is
-// internal/bayes's benchmark of the same name): with no evidence, where
-// every cell still carries prior mass and nothing can be pruned, and
-// with the paper's mostly-clean campaigns, where the posterior has
-// concentrated and most cells are skipped. The gate pins allocs/op at
-// the two allocations of the result itself.
+// internal/bayes's benchmark of the same name). The fixed-count rows
+// measure the predecessor-less pass, which sweeps every cell: with no
+// evidence, where every cell still carries prior mass and nothing can
+// be pruned, and with the paper's mostly-clean campaigns, where the
+// posterior has concentrated and most cells are skipped. The advancing
+// row is the live shape — each call's record one clean demand past the
+// last call's, whose result it hands to PosteriorFrom — so all but the
+// first pass evaluate the frontier only. The gate pins allocs/op at the
+// two allocations of the result itself.
 func BenchmarkWhiteBoxPosterior(b *testing.B) {
 	w, err := bayes.NewWhiteBox(scenarioGrid())
 	if err != nil {
@@ -277,6 +281,21 @@ func BenchmarkWhiteBoxPosterior(b *testing.B) {
 			}
 		})
 	}
+	b.Run("scenario-grid-advancing", func(b *testing.B) {
+		counts := bayes.JointCounts{N: 6000, AOnly: 2, BOnly: 1}
+		post, err := w.Posterior(counts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			counts.N++
+			if post, err = w.PosteriorFrom(post, counts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkEngineProxy measures end-to-end middleware request latency
@@ -671,14 +690,27 @@ func BenchmarkEngineInProcess(b *testing.B) {
 	// §6.2 publication: the observation phase with a confidence header
 	// on every response, so each demand makes a joint record and then
 	// computes the white-box posterior of the moved counts (the memo
-	// cannot help). The gate pins what publication adds to observation:
-	// the posterior's result and the header it is formatted into.
+	// has no posterior of those counts). The gate pins what publication
+	// adds to observation: the posterior's result and the header it is
+	// formatted into. The first row starts at N = 0, where every cell
+	// still carries mass and no frontier is kept; the warm row starts
+	// where the mediation benchmark's publish-small workload measures,
+	// past a 6 000-demand warm-up, where all but a few posteriors are
+	// advanced from the operation's last one.
+	publish := func(cfg *EngineConfig) {
+		grid := scenarioGrid()
+		cfg.Inference = &grid
+		cfg.PublishHeader = true
+	}
 	b.Run("observation-publish", func(b *testing.B) {
-		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation,
+		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation, publish))
+	})
+	b.Run("observation-publish-warm", func(b *testing.B) {
+		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation, publish,
 			func(cfg *EngineConfig) {
-				grid := scenarioGrid()
-				cfg.Inference = &grid
-				cfg.PublishHeader = true
+				for i := 0; i < 6000; i++ {
+					cfg.Monitor.Note(monitor.Record{Operation: "add", Joint: bayes.NeitherFails})
+				}
 			}))
 	})
 

@@ -340,12 +340,14 @@ func (c *WhiteBoxConfig) applyDefaults() {
 // paper's regime), and one exponential per cell that can still
 // contribute to the normalised result — cells more than pruneBelow under
 // the maximum log-weight are skipped (DESIGN.md §5.1, "Cost of
-// confidence publication"). The engine can therefore be queried on every demand,
-// not only at monitoring checkpoints.
+// confidence publication"). A caller whose record only grows hands the
+// last result back (PosteriorFrom) and pays for the cells that can still
+// carry mass instead of the grid. The engine can therefore be queried on
+// every demand, not only at monitoring checkpoints.
 //
 // The model of a WhiteBox is immutable after construction and the engine
 // is safe for concurrent use; the only mutable state is the pool that
-// recycles the per-call log-weight scratch.
+// recycles the per-call scratch.
 type WhiteBox struct {
 	cfg WhiteBoxConfig
 
@@ -363,7 +365,11 @@ type WhiteBox struct {
 	// under half an ulp of the normalising sum, which is at least 1.
 	pruneBelow float64
 
-	scratch pool.Slice[float64] // per-call log-weights, len = cells
+	// maxLog is the largest entry of l11, l10, l01 and l00: the most one
+	// more demand of that outcome can lift any cell's log-weight.
+	maxLog [4]float64
+
+	scratch pool.Slice[float64] // per-call log-weights and their cells, len = 2·cells
 }
 
 // NewWhiteBox precomputes the inference grids.
@@ -409,6 +415,7 @@ func NewWhiteBox(cfg WhiteBoxConfig) (*WhiteBox, error) {
 	}
 
 	idx := 0
+	w.maxLog = [4]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)}
 	for i, pa := range w.paXs {
 		for j, pb := range w.pbXs {
 			m := math.Min(pa, pb)
@@ -431,6 +438,12 @@ func NewWhiteBox(cfg WhiteBoxConfig) (*WhiteBox, error) {
 				w.l00[idx] = math.Log1p(-(pa + pb - pab))
 				idx++
 			}
+			// Along a row only P_AB grows: l11 and l00 peak at the row's
+			// last cell, l10 and l01 at its first.
+			first, last := idx-cfg.GridC, idx-1
+			for o, l := range [4]float64{w.l11[last], w.l10[first], w.l01[first], w.l00[last]} {
+				w.maxLog[o] = max(w.maxLog[o], l)
+			}
 		}
 	}
 	return w, nil
@@ -451,22 +464,77 @@ func midpoints(upper float64, n int) []float64 {
 // Posterior computes the joint posterior for the given observation and
 // returns its marginals. The call may be made concurrently. The weights
 // of the returned marginals are the caller's own; their support points
-// (Xs) are the engine's and must not be modified.
+// (Xs) are the engine's and must not be modified. It is PosteriorFrom
+// with no predecessor.
 func (w *WhiteBox) Posterior(c JointCounts) (*Posterior, error) {
+	return w.PosteriorFrom(nil, c)
+}
+
+// PosteriorFrom is Posterior for a caller that holds prev, an earlier
+// result of this engine (nil for none): when prev's frontier still
+// covers c, and tightly, only the frontier's cells are evaluated, and
+// the marginals are bit for bit those of the full pass (DESIGN.md §5.1,
+// "The frontier"). prev is only read, so racing callers may share one.
+func (w *WhiteBox) PosteriorFrom(prev *Posterior, c JointCounts) (*Posterior, error) {
 	if !c.Valid() {
 		return nil, fmt.Errorf("%w: inconsistent counts %+v", ErrBadConfig, c)
 	}
-	// The result is two allocations: the three weight vectors share one
-	// backing array (capacities clipped so an append cannot run one
-	// marginal into the next) and the three grids ride with the Posterior.
-	nA, nB := w.cfg.GridA, w.cfg.GridB
-	ws := make([]float64, nA+nB+w.cfg.GridAB)
-	wsA, wsB, wsAB := ws[:nA:nA], ws[nA:nA+nB:nA+nB], ws[nA+nB:]
+	cells := len(w.logPrior)
+	scratch := w.scratch.Get(2 * cells)[:2*cells]
+	var logs, at []float64
 
-	maxL, t := w.marginals(c, wsA, wsB, wsAB)
+	var front frontier
+	var maxL float64
+	covered := prev != nil && prev.front.covers(w, c)
+	if covered {
+		logs, at = scratch[:len(prev.front.cells)], prev.front.cells
+		maxL = w.logWeightsAt(c, at, logs)
+		// Evidence concentrates the mass and the list only ever covers
+		// it: once half the listed cells would not make a fresh frontier,
+		// the full pass is taken after all, to leave a tight one.
+		fresh := 0
+		for _, ll := range logs {
+			if ll >= maxL-2*w.pruneBelow {
+				fresh++
+			}
+		}
+		covered = 2*fresh > len(logs)
+	}
+	keep := 0 // cells of a new frontier, to be moved out of the scratch
+	if covered {
+		front = prev.front
+	} else {
+		var argmax, n int
+		maxL, argmax, n = w.logWeights(c, scratch[:cells], scratch[cells:])
+		logs, at = scratch[:n], scratch[cells:cells+n]
+		if n <= cells/frontierShare {
+			keep = n
+			front = frontier{model: w, base: c}
+			for o, l := range [4][]float64{w.l11, w.l10, w.l01, w.l00} {
+				front.gap[o] = w.maxLog[o] - l[argmax]
+			}
+		}
+	}
 	if math.IsInf(maxL, -1) {
+		w.scratch.Put(scratch)
 		return nil, fmt.Errorf("%w: posterior has no mass (all cells -Inf)", ErrBadConfig)
 	}
+
+	// The result is two allocations: the three weight vectors — and, after
+	// a full pass, the frontier's cells — share one backing array
+	// (capacities clipped so an append cannot run one part into the next)
+	// and the three grids ride with the Posterior.
+	nA, nB, nAB := w.cfg.GridA, w.cfg.GridB, w.cfg.GridAB
+	nW := nA + nB + nAB
+	buf := make([]float64, nW+keep)
+	ws, wsA, wsB, wsAB := buf[:nW], buf[:nA:nA], buf[nA:nA+nB:nA+nB], buf[nA+nB:nW:nW]
+	if keep > 0 {
+		front.cells = buf[nW:]
+		copy(front.cells, at)
+	}
+
+	t := w.accumulate(logs, at, maxL, wsA, wsB, wsAB)
+	w.scratch.Put(scratch)
 	if t <= 0 || math.IsInf(t, 0) || math.IsNaN(t) {
 		return nil, fmt.Errorf("%w: posterior mass %v", ErrBadConfig, t)
 	}
@@ -478,7 +546,7 @@ func (w *WhiteBox) Posterior(c JointCounts) (*Posterior, error) {
 		Posterior
 		a, b, ab stats.Grid1D
 	}{
-		Posterior: Posterior{Counts: c},
+		Posterior: Posterior{Counts: c, front: front},
 		a:         stats.Grid1D{Xs: w.paXs, Ws: wsA},
 		b:         stats.Grid1D{Xs: w.pbXs, Ws: wsB},
 		ab:        stats.Grid1D{Xs: w.abXs, Ws: wsAB},
@@ -487,20 +555,59 @@ func (w *WhiteBox) Posterior(c JointCounts) (*Posterior, error) {
 	return &res.Posterior, nil
 }
 
-// marginals adds every cell's weight exp(ll − maxL) into the three
-// (zeroed) marginal vectors and returns the maximum log-weight maxL and
-// the total weight added. A maxL of −Inf means no cell has any mass, and
-// nothing was added.
+// frontier is what a full pass leaves on its Posterior for the queries
+// that follow it: the cells within 2K of the maximum log-weight at the
+// counts base. While the record only grows and the drift — how much more
+// the new evidence can lift another cell than the arg-max cell — is at
+// most K, every cell left out is still more than K under the new
+// maximum: exactly a cell the full pass would prune. It is immutable.
+type frontier struct {
+	model *WhiteBox   // the engine cells indexes into; nil: no frontier
+	base  JointCounts // the counts of the full pass
+	gap   [4]float64  // maxLog[o] − lₒ[arg-max cell], in Table 1 order
+	// cells are the frontier's cell indices, ascending. They are kept as
+	// float64 (exact below 2⁵³) to live in the weights' allocation.
+	cells []float64
+}
+
+// A frontier is kept only while it lists at most 1/frontierShare of the
+// grid: a longer one saves under half of the full pass. driftGuard, in
+// nats, is taken off the drift budget K to cover the rounding of the
+// log-weights (under 10⁻³ for any record below 10¹⁰ demands).
+const (
+	frontierShare = 8
+	driftGuard    = 1
+)
+
+// covers reports whether the frontier answers for the record c on w: c
+// has only grown since base and the drift is within budget.
+func (f *frontier) covers(w *WhiteBox, c JointCounts) bool {
+	if f.model != w {
+		return false
+	}
+	drift := 0.0
+	for o, d := range [4]int{c.Both - f.base.Both, c.AOnly - f.base.AOnly, c.BOnly - f.base.BOnly, c.Neither() - f.base.Neither()} {
+		if d < 0 {
+			return false
+		}
+		drift += float64(d) * f.gap[o]
+	}
+	return drift <= w.pruneBelow-driftGuard
+}
+
+// logWeights is the full pass: it computes every cell's log-weight, finds
+// the maximum and a cell that attains it, and then keeps — in place, in
+// cell order — the n log-weights within 2K of the maximum, writing their
+// cell indices to at.
 //
 //wsu:noalloc
-func (w *WhiteBox) marginals(c JointCounts, wsA, wsB, wsAB []float64) (maxLog, total float64) {
-	cells := len(w.logPrior)
-	logs := w.scratch.Get(cells)[:cells]
+func (w *WhiteBox) logWeights(c JointCounts, logs, at []float64) (maxL float64, argmax, n int) {
+	cells := len(logs)
 
-	// Log-weights: the prior plus one r·log p term per outcome, in Table
-	// 1 order. A failure outcome never observed adds exactly 0 to every
-	// cell, so its stream is not read at all; the neither-fails pass
-	// always runs and, seeing the finished weights, finds their maximum.
+	// The prior plus one r·log p term per outcome, in Table 1 order. A
+	// failure outcome never observed adds exactly 0 to every cell, so its
+	// stream is not read at all; the neither-fails pass always runs and,
+	// seeing the finished weights, finds their maximum.
 	src := w.logPrior
 	for _, t := range [3]struct {
 		r float64
@@ -520,7 +627,7 @@ func (w *WhiteBox) marginals(c JointCounts, wsA, wsB, wsAB []float64) (maxLog, t
 		src = logs
 	}
 	r4, l00 := float64(c.Neither()), w.l00[:cells]
-	maxL := math.Inf(-1)
+	maxL = math.Inf(-1)
 	for idx, v := range src[:cells] {
 		ll := v + r4*l00[idx]
 		logs[idx] = ll
@@ -528,25 +635,67 @@ func (w *WhiteBox) marginals(c JointCounts, wsA, wsB, wsAB []float64) (maxLog, t
 			maxL = ll
 		}
 	}
-
-	// Weights: one exponential per cell within pruneBelow of the maximum.
-	var sum stats.KahanSum
-	if !math.IsInf(maxL, -1) {
-		cut := maxL - w.pruneBelow
-		nB, nC := w.cfg.GridB, w.cfg.GridC
-		for idx, ll := range logs {
-			if ll >= cut {
-				row := idx / nC
-				p := math.Exp(ll - maxL)
-				wsA[row/nB] += p
-				wsB[row%nB] += p
-				wsAB[w.abBin[idx]] += p
-				sum.Add(p)
+	cut := maxL - 2*w.pruneBelow
+	for idx, ll := range logs {
+		if ll >= cut { // rare once the evidence has concentrated
+			if ll == maxL {
+				argmax = idx
 			}
+			logs[n], at[n] = ll, float64(idx)
+			n++
 		}
 	}
-	w.scratch.Put(logs)
-	return maxL, sum.Sum()
+	return maxL, argmax, n
+}
+
+// logWeightsAt is the frontier pass: logs[j] becomes the log-weight of
+// cell at[j], by logWeights' expression in logWeights' order (so to the
+// same bits; a zero count adds exactly 0 there too), and the maximum is
+// over those cells.
+//
+//wsu:noalloc
+func (w *WhiteBox) logWeightsAt(c JointCounts, at, logs []float64) float64 {
+	rs := [4]float64{float64(c.Both), float64(c.AOnly), float64(c.BOnly), float64(c.Neither())}
+	ls := [4][]float64{w.l11, w.l10, w.l01, w.l00}
+	maxL := math.Inf(-1)
+	for j, f := range at {
+		idx := int(f)
+		ll := w.logPrior[idx]
+		for o, r := range rs {
+			if r != 0 {
+				ll += r * ls[o][idx]
+			}
+		}
+		logs[j] = ll
+		if ll > maxL {
+			maxL = ll
+		}
+	}
+	return maxL
+}
+
+// accumulate adds the weight exp(ll − maxL) of every listed cell within
+// pruneBelow of the (finite) maximum into the three zeroed marginal
+// vectors and returns the total added. Both passes end here, so what a
+// cell adds, and in which order, is the same for both.
+//
+//wsu:noalloc
+func (w *WhiteBox) accumulate(logs, at []float64, maxL float64, wsA, wsB, wsAB []float64) float64 {
+	var sum stats.KahanSum
+	cut := maxL - w.pruneBelow
+	nB, nC := w.cfg.GridB, w.cfg.GridC
+	for j, ll := range logs {
+		if ll >= cut {
+			idx := int(at[j])
+			row := idx / nC
+			p := math.Exp(ll - maxL)
+			wsA[row/nB] += p
+			wsB[row%nB] += p
+			wsAB[w.abBin[idx]] += p
+			sum.Add(p)
+		}
+	}
+	return sum.Sum()
 }
 
 // Posterior carries the marginal posterior distributions of the white-box
@@ -560,6 +709,8 @@ type Posterior struct {
 	B *stats.Grid1D
 	// AB is the (binned) marginal posterior of P_AB (coincident failure).
 	AB *stats.Grid1D
+
+	front frontier // what PosteriorFrom may reuse; zero: nothing
 }
 
 // ConfidenceA returns P(P_A ≤ target | observations), eq. 6.

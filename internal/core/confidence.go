@@ -28,7 +28,10 @@ import (
 // while the evidence stands still: per-demand publication in the
 // old-only and new-only phases (no joint record is made there),
 // confidence queries, status polls, and the policy check on the counts
-// the same demand's response then publishes.
+// the same demand's response then publishes. When the evidence has
+// moved, the operation's last posterior is the predecessor the model
+// advances from (bayes.PosteriorFrom), so a record that grows demand by
+// demand costs its frontier, not the grid.
 type memoInference struct {
 	model *bayes.WhiteBox
 	// memo holds the last posterior computed for each operation, at
@@ -47,11 +50,12 @@ func (m *memoInference) posterior(operation string, counts bayes.JointCounts) (*
 			return post, nil
 		}
 	}
-	post, err := m.model.Posterior(counts)
+	slot := &m.memo[maphash.String(memoSeed, operation)%uint64(len(m.memo))]
+	post, err := m.model.PosteriorFrom(slot.Load(), counts)
 	if err != nil {
 		return nil, err
 	}
-	m.memo[maphash.String(memoSeed, operation)%uint64(len(m.memo))].Store(post)
+	slot.Store(post)
 	return post, nil
 }
 
@@ -82,11 +86,11 @@ type ConfidenceReport struct {
 	Demands int
 }
 
-// Confidence computes the report for one operation; operation "" pools
-// all operations.
-func (e *Engine) Confidence(operation string) (ConfidenceReport, error) {
+// posteriorFor is the posterior of one operation's joint record;
+// operation "" pools all operations.
+func (e *Engine) posteriorFor(operation string) (*bayes.Posterior, error) {
 	if e.inference == nil {
-		return ConfidenceReport{}, ErrNoInference
+		return nil, ErrNoInference
 	}
 	var counts bayes.JointCounts
 	if operation == "" {
@@ -96,26 +100,45 @@ func (e *Engine) Confidence(operation string) (ConfidenceReport, error) {
 	}
 	post, err := e.inference.posterior(operation, counts)
 	if err != nil {
-		return ConfidenceReport{}, fmt.Errorf("core: computing posterior: %w", err)
+		return nil, fmt.Errorf("core: computing posterior: %w", err)
 	}
-	rep := ConfidenceReport{
+	return post, nil
+}
+
+// Confidence computes the report for one operation; operation "" pools
+// all operations.
+func (e *Engine) Confidence(operation string) (ConfidenceReport, error) {
+	post, err := e.posteriorFor(operation)
+	if err != nil {
+		return ConfidenceReport{}, err
+	}
+	return ConfidenceReport{
 		Operation: operation,
 		Target:    e.cfg.ConfidenceTarget,
 		Old:       post.ConfidenceA(e.cfg.ConfidenceTarget),
 		New:       post.ConfidenceB(e.cfg.ConfidenceTarget),
 		OldP99:    post.PercentileA(0.99),
 		NewP99:    post.PercentileB(0.99),
-		Demands:   counts.N,
-	}
+		Published: e.published(post),
+		Demands:   post.Counts.N,
+	}, nil
+}
+
+// published is the one value consumers are told, the confidence in what
+// they are currently served: the old release's marginal (A) while its
+// responses are delivered (old-only, observation), the new release's (B)
+// in new-only, and conservatively the smaller of the two in the parallel
+// phase, where either release's response can be delivered.
+func (e *Engine) published(post *bayes.Posterior) float64 {
+	target := e.cfg.ConfidenceTarget
 	switch e.Phase() {
 	case PhaseOldOnly, PhaseObservation:
-		rep.Published = rep.Old
+		return post.ConfidenceA(target)
 	case PhaseNewOnly:
-		rep.Published = rep.New
+		return post.ConfidenceB(target)
 	default:
-		rep.Published = math.Min(rep.Old, rep.New)
+		return math.Min(post.ConfidenceA(target), post.ConfidenceB(target))
 	}
-	return rep, nil
 }
 
 // AvailabilityConfidence computes the confidence that a release's
@@ -177,13 +200,15 @@ func (e *Engine) ResponsivenessConfidence(version string, maxLatency time.Durati
 	return post.CDF(target), nil
 }
 
-// publishedConfidence is the scalar used in headers and responses.
+// publishedConfidence is the scalar used in headers and responses:
+// Confidence's Published without the rest of the report (on the response
+// path, one CDF over one marginal).
 func (e *Engine) publishedConfidence(operation string) (float64, error) {
-	rep, err := e.Confidence(operation)
+	post, err := e.posteriorFor(operation)
 	if err != nil {
 		return 0, err
 	}
-	return rep.Published, nil
+	return e.published(post), nil
 }
 
 // serveConfidenceQuery answers the dedicated OperationConf operation

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -153,6 +155,90 @@ func TestConfidenceMemoConcurrent(t *testing.T) {
 				if w := want(bayes.JointCounts{N: rep.Demands}); rep != w {
 					t.Errorf("report %+v, want %+v", rep, w)
 					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// The response path computes only the scalar it publishes; it must be
+// the report's Published in every phase, for the pooled record and for
+// one operation's.
+func TestPublishedConfidenceMatchesReport(t *testing.T) {
+	// The old release fails visibly on half its demands, so the two
+	// marginals differ and reading the wrong one shows.
+	e, url := startInferenceEngine(t, PhaseObservation, service.FaultPlan{
+		Profile: relmodel.Profile{CR: 0.5, NER: 0.5}, Seed: 10})
+	for i := 0; i < 20; i++ {
+		_, _ = callAdd(t, url, i, 1)
+	}
+	for _, phase := range []Phase{PhaseOldOnly, PhaseObservation, PhaseParallel, PhaseNewOnly} {
+		if err := e.SetPhase(phase); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []string{"", "add"} {
+			rep, err := e.Confidence(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Old == rep.New {
+				t.Fatalf("%v %q: old and new confidence are both %v; the test cannot tell them apart", phase, op, rep.Old)
+			}
+			got, err := e.publishedConfidence(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != rep.Published {
+				t.Errorf("%v %q: published %v, report says %v (old %v, new %v)", phase, op, got, rep.Published, rep.Old, rep.New)
+			}
+		}
+	}
+}
+
+// The memo hands each operation's last posterior to the model as the
+// predecessor of the next: streams of very different N advancing side
+// by side — per operation and pooled, as respond and evaluatePolicy
+// drive them, from several goroutines at once (run under -race) — must
+// each read exactly what a model with no memo and no predecessor says.
+func TestMemoFrontierStreams(t *testing.T) {
+	model, err := bayes.NewWhiteBox(*testInference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := bayes.NewWhiteBox(*testInference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &memoInference{model: model}
+	check := func(op string, c bayes.JointCounts) {
+		got, err := m.posterior(op, c)
+		if err != nil {
+			t.Errorf("%q %+v: %v", op, c, err)
+			return
+		}
+		want, _ := plain.Posterior(c)
+		if got.Counts != c || !slices.Equal(got.A.Ws, want.A.Ws) || !slices.Equal(got.B.Ws, want.B.Ws) ||
+			!slices.Equal(got.AB.Ws, want.AB.Ws) {
+			t.Errorf("%q %+v: memoised posterior differs from the model's", op, c)
+		}
+	}
+	var wg sync.WaitGroup
+	for g, start := range []bayes.JointCounts{{N: 6000}, {N: 90000, AOnly: 4, BOnly: 1}, {N: 700, Both: 1}, {N: 2500000, BOnly: 30}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op, c := fmt.Sprintf("op%d", g), start
+			for i := 1; i <= 300; i++ {
+				c.Add(bayes.NeitherFails)
+				if i%97 == 0 {
+					c.Add(bayes.JointOutcome(1 + i%3))
+				}
+				check(op, c)
+				if i%3 == 0 { // the policy's pooled query, between the responses'
+					pooled := c
+					pooled.Merge(bayes.JointCounts{N: 40000 + g, AOnly: 2})
+					check("", pooled)
 				}
 			}
 		}()

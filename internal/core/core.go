@@ -965,20 +965,21 @@ func (e *Engine) respond(w http.ResponseWriter, operation string, winner adjudic
 		return
 	}
 	h := w.Header()
-	var headers []protocol.HeaderItem
+	var confidence protocol.HeaderItem
 	if e.cfg.PublishHeader {
 		if conf, err := e.publishedConfidence(operation); err == nil {
 			if e.confOps != nil {
-				headers = append(headers, e.confOps.ConfidenceHeader(operation, conf))
+				confidence = e.confOps.ConfidenceHeader(operation, conf)
 			} else {
 				// No native header representation (JSON): publish over
 				// a plain HTTP header instead.
-				h.Set(ConfidenceHeader, strconv.FormatFloat(conf, 'f', 6, 64))
+				h[ConfidenceHeader] = []string{strconv.FormatFloat(conf, 'f', 6, 64)}
 			}
 		}
 	}
-	// Both headers are assigned as precomputed shared value slices (keys
-	// in canonical form) instead of Header.Set, which allocates a fresh
+	// The headers are assigned as value slices (keys in canonical form),
+	// precomputed and shared where the value is fixed, instead of
+	// Header.Set, which canonicalizes the key and allocates a fresh
 	// []string per call.
 	h["Content-Type"] = e.ctHeader
 	if winner.Release != "" {
@@ -989,9 +990,20 @@ func (e *Engine) respond(w http.ResponseWriter, operation string, winner adjudic
 		}
 	}
 	w.WriteHeader(http.StatusOK)
-	_, _ = e.codec.WriteBody(w, winner.Body, headers...)
+	if confidence != nil {
+		headers := append(headerScratch.Get(1), confidence)
+		_, _ = e.codec.WriteBody(w, winner.Body, headers...)
+		headers[0] = nil
+		headerScratch.Put(headers)
+	} else {
+		_, _ = e.codec.WriteBody(w, winner.Body)
+	}
 	winner.ReleaseBody()
 }
+
+// headerScratch recycles respond's one-item header list (the codec's
+// WriteBody copies the items out and retains nothing).
+var headerScratch pool.Slice[protocol.HeaderItem]
 
 // errUnavailable is the consumer-facing outcome when no release
 // produced anything deliverable (the paper's unavailability case).

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"wsupgrade/internal/protocol"
@@ -204,9 +205,16 @@ func (Codec) ExtendConfVariant(winnerBody []byte, baseOp string, confidence floa
 }
 
 // ConfidenceHeader implements protocol.ConfOps: the per-response
-// confidence SOAP header element (§6.2 option 1).
+// confidence SOAP header element (§6.2 option 1), rendered by append
+// into its one allocation; the operation name is escaped as XML.
 func (Codec) ConfidenceHeader(operation string, value float64) protocol.HeaderItem {
-	return protocol.HeaderItem(fmt.Sprintf(
-		`<conf:Confidence xmlns:conf=%q operation=%q value="%.6f"/>`,
-		wsdl.UpgradeNS, operation, value))
+	const (
+		head = `<conf:Confidence xmlns:conf="` + wsdl.UpgradeNS + `" operation="`
+		mid  = `" value="`
+		tail = `"/>`
+	)
+	b := make([]byte, 0, len(head)+len(operation)+len(mid)+len("0.000000")+len(tail))
+	b = soap.AppendEscaped(append(b, head...), operation)
+	b = strconv.AppendFloat(append(b, mid...), value, 'f', 6, 64)
+	return append(b, tail...)
 }

@@ -189,22 +189,23 @@ func TestInjectElementProperty(t *testing.T) {
 	}
 }
 
-// Property: appendEscaped is xml.EscapeText, byte for byte, on arbitrary
-// bytes — invalid UTF-8 and characters outside XML's range included.
+// Property: AppendEscaped is xml.EscapeText, byte for byte, on arbitrary
+// bytes — invalid UTF-8 and characters outside XML's range included —
+// whether they arrive as a slice or as a string.
 func TestAppendEscapedMatchesEscapeText(t *testing.T) {
 	f := func(s []byte) bool {
 		var want bytes.Buffer
 		if err := xml.EscapeText(&want, s); err != nil {
 			return false
 		}
-		return bytes.Equal(appendEscaped(nil, s), want.Bytes())
+		return bytes.Equal(AppendEscaped(nil, s), want.Bytes()) && bytes.Equal(AppendEscaped(nil, string(s)), want.Bytes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"", "\"'&<>\t\n\r", "\x00\x1f\x7f", "\xff\xfeé\xc3", "\ufffd\ufffe\U0010ffff", "a\xed\xa0\x80b"} {
 		if !f([]byte(s)) {
-			t.Errorf("appendEscaped(%q) differs from xml.EscapeText", s)
+			t.Errorf("AppendEscaped(%q) differs from xml.EscapeText", s)
 		}
 	}
 }

@@ -282,18 +282,18 @@ func WriteEnvelopeRaw(w io.Writer, bodyXML []byte, headers ...HeaderItem) (int, 
 func FaultEnvelope(f *Fault) []byte {
 	b := scratch.Get()
 	b.B = append(b.B, `<soap:Fault><faultcode>`...)
-	b.B = appendEscaped(b.B, []byte(f.Code))
+	b.B = AppendEscaped(b.B, f.Code)
 	b.B = append(b.B, `</faultcode><faultstring>`...)
-	b.B = appendEscaped(b.B, []byte(f.String))
+	b.B = AppendEscaped(b.B, f.String)
 	b.B = append(b.B, `</faultstring>`...)
 	if f.Actor != "" {
 		b.B = append(b.B, `<faultactor>`...)
-		b.B = appendEscaped(b.B, []byte(f.Actor))
+		b.B = AppendEscaped(b.B, f.Actor)
 		b.B = append(b.B, `</faultactor>`...)
 	}
 	if f.Detail != "" {
 		b.B = append(b.B, `<detail>`...)
-		b.B = appendEscaped(b.B, []byte(f.Detail))
+		b.B = AppendEscaped(b.B, f.Detail)
 		b.B = append(b.B, `</detail>`...)
 	}
 	b.B = append(b.B, `</soap:Fault>`...)
@@ -302,16 +302,18 @@ func FaultEnvelope(f *Fault) []byte {
 	return env
 }
 
-// appendEscaped appends s with the escaping of xml.EscapeText, byte
+// AppendEscaped appends s with the escaping of xml.EscapeText, byte
 // for byte (the five markup characters, tab, newline, carriage return,
 // and U+FFFD for invalid UTF-8 or characters outside XML's range),
-// without the io.Writer: scratch here is an append-to slice.
-func appendEscaped(dst, s []byte) []byte {
+// without the io.Writer: scratch here is an append-to slice. The output
+// is safe as character data and inside a quoted attribute value alike.
+func AppendEscaped[S ~[]byte | ~string](dst []byte, s S) []byte {
 	last := 0
 	for i := 0; i < len(s); {
 		r, width := rune(s[i]), 1
 		if r >= utf8.RuneSelf {
-			r, width = utf8.DecodeRune(s[i:])
+			var enc [utf8.UTFMax]byte
+			r, width = utf8.DecodeRune(enc[:copy(enc[:], s[i:])])
 		}
 		i += width
 		var esc string
@@ -589,7 +591,7 @@ func Canonicalize(fragment []byte) ([]byte, error) {
 		}
 		if text, ok := tok.(xml.CharData); ok {
 			if significantText(text, depth) {
-				out = appendEscaped(out, text)
+				out = AppendEscaped(out, text)
 			}
 			continue
 		}
@@ -634,7 +636,7 @@ func appendCanonicalTag(dst []byte, tok xml.Token, depth *int) []byte {
 			dst = append(dst, ' ')
 			dst = appendCanonicalName(dst, a.Name)
 			dst = append(dst, '=', '"')
-			dst = appendEscaped(dst, []byte(a.Value))
+			dst = AppendEscaped(dst, a.Value)
 			dst = append(dst, '"')
 		}
 		dst = append(dst, '>')
@@ -796,7 +798,7 @@ func (s *canonStream) emit(dst []byte) []byte {
 			for n = canonTextPiece; n > canonTextPiece-utf8.UTFMax && !utf8.RuneStart(s.text[n]); n-- {
 			}
 		}
-		dst = appendEscaped(dst, s.text[:n])
+		dst = AppendEscaped(dst, s.text[:n])
 		s.text = s.text[n:]
 		return dst
 	}
