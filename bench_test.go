@@ -589,10 +589,17 @@ type benchRecorder struct {
 
 func newBenchRecorder() *benchRecorder { return &benchRecorder{header: make(http.Header)} }
 
-func (r *benchRecorder) Header() http.Header         { return r.header }
-func (r *benchRecorder) Write(p []byte) (int, error) { return r.body.Write(p) }
-func (r *benchRecorder) WriteHeader(code int)        { r.code = code }
-func (r *benchRecorder) reset()                      { r.body.Reset(); r.code = 0 }
+func (r *benchRecorder) Header() http.Header  { return r.header }
+func (r *benchRecorder) WriteHeader(code int) { r.code = code }
+func (r *benchRecorder) reset()               { r.body.Reset(); r.code = 0 }
+
+// Write sends the implicit 200 first, as net/http's writer does.
+func (r *benchRecorder) Write(p []byte) (int, error) {
+	if r.code == 0 {
+		r.code = http.StatusOK
+	}
+	return r.body.Write(p)
+}
 
 // resetBody is a reusable request body: a bytes.Reader with a no-op
 // Close, rewound per iteration.

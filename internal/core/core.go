@@ -989,7 +989,7 @@ func (e *Engine) respond(w http.ResponseWriter, operation string, winner adjudic
 			h.Set("X-Wsupgrade-Winner", winner.Release)
 		}
 	}
-	w.WriteHeader(http.StatusOK)
+	// The first Write sends the 200; until then the codec may declare a length.
 	if confidence != nil {
 		headers := append(headerScratch.Get(1), confidence)
 		_, _ = e.codec.WriteBody(w, winner.Body, headers...)
@@ -1125,8 +1125,7 @@ func (e *Engine) recordOutcome(out dispatch.Outcome) {
 			Latency:   r.Latency,
 			// Body aliases the reply's pooled response buffer, which the
 			// dispatcher recycles the moment this hook returns; the
-			// monitor copies what it keeps of it — a bounded prefix and
-			// the length — at the record boundary (logRing.add).
+			// monitor records its length and keeps nothing of it.
 			Body: r.Body,
 		})
 		if r.Release == out.Oldest.Version {

@@ -20,6 +20,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,13 +116,7 @@ func ReadBoundedBuf(r io.Reader, sizeHint, max int64) (*pool.Buf, error) {
 	b := bodyPool.GetSized(int(sizeHint))
 	for {
 		if len(b.B) == cap(b.B) {
-			// Move up a class: the contents go into the larger buffer,
-			// the backing arrays trade places, and the outgrown one
-			// returns to its own class.
-			next := bodyPool.GetSized(2 * cap(b.B))
-			next.B = append(next.B, b.B...)
-			b.B, next.B = next.B, b.B
-			next.Release()
+			b.Grow(len(b.B) + 1) // up a class
 		}
 		n, err := r.Read(b.B[len(b.B):cap(b.B)])
 		b.B = b.B[:len(b.B)+n]
@@ -138,6 +133,23 @@ func ReadBoundedBuf(r io.Reader, sizeHint, max int64) (*pool.Buf, error) {
 		}
 	}
 	return b, nil
+}
+
+// InlineResponse is the largest response the codecs send as one Write
+// and leave net/http to frame (the buffer pools' smallest class); a
+// larger one goes out in pieces and declares its length first.
+const InlineResponse = 4 << 10
+
+// DeclareLength sets the Content-Length of the n-byte response about to
+// be written to w, when n is past InlineResponse and w is an
+// http.ResponseWriter whose header is still unwritten (the codecs'
+// WriteBody takes an io.Writer), so that net/http does not chunk-frame
+// the Writes. At or under InlineResponse net/http counts the single
+// Write itself, and the header's two allocations would be pure cost.
+func DeclareLength(w io.Writer, n int) {
+	if rw, ok := w.(http.ResponseWriter); ok && n > InlineResponse {
+		rw.Header()["Content-Length"] = []string{strconv.Itoa(n)}
+	}
 }
 
 // ReadBounded reads r to EOF through a pooled scratch buffer and returns

@@ -63,34 +63,19 @@ type Observation struct {
 	Failed bool `json:"failed"`
 	// Latency is the observed execution time.
 	Latency time.Duration `json:"latency_ns"`
-	// Body is the release's response payload as observed by the
-	// middleware (nil when not captured). At Note time it may alias a
-	// pooled reply buffer owned by the dispatcher: the monitor copies
-	// its first logBodyPrefix bytes into log-slot-owned backing at the
-	// record boundary (logRing.add) and never retains the caller's
-	// bytes, so the dispatcher may recycle the buffer the moment Note
-	// returns. In a logged record Body is therefore that prefix — the
-	// whole payload of any message up to 4 KiB. Excluded from JSON
-	// sinks, which would otherwise base64 every payload.
+	// Body is input only: the reply as the judgment pass saw it, which
+	// may alias a pooled buffer recycled the moment Note returns. Note
+	// records its length and keeps nothing of it; a logged Body is nil.
 	Body []byte `json:"-"`
-	// BodyLen is the full length of the payload Body was recorded from.
-	// The monitor sets it at the record boundary; callers of Note leave
-	// it zero.
+	// BodyLen is the length of the Body that came into Note; the monitor
+	// sets it at the record boundary, callers leave it zero.
 	BodyLen int `json:"-"`
 }
 
-// logBodyPrefix is how much of each observation's Body the event log
-// keeps. The log is a record of what the releases did, not an archive
-// of their replies: nothing reads a logged Body but tests and a
-// debugger, a prefix with the full length identifies a reply as well
-// as the whole does, and the ring's worst case becomes capacity ×
-// releases × 4 KiB whatever the replies weigh.
-const logBodyPrefix = 4 << 10
-
 // Record is one intercepted demand with all its release observations.
-// Note does not retain the Releases slice — or the bytes its
-// observations' Body fields alias — past its return: callers may
-// recycle both.
+// Note keeps none of a Record's memory past its return — it copies the
+// observations it logs and only measures the bytes their Body fields
+// alias — so callers may recycle both.
 type Record struct {
 	// Time is the interception timestamp.
 	Time time.Time `json:"time"`
@@ -132,10 +117,11 @@ func (s ReleaseStats) Availability() float64 {
 	return float64(s.Responses) / float64(s.Demands)
 }
 
-// latencyBins discretize response latencies for exceedance queries; the
-// range covers [0, latencyRange) with 1 ms resolution at the low end
-// growing geometrically, which keeps responsiveness confidence accurate
-// where it matters.
+// The latency histogram behind SlowResponses is latencyBinCount equal
+// bins over [0, latencyRange), each ≈ 29.3 ms wide: every latency under
+// 29 ms lands in bin 0 (the defect PR 14 fixed in loadgen's histogram),
+// which is the rounding SlowResponses documents and tests. Means and
+// maxima come from the exact stats.Summary beside it.
 const (
 	latencyBinCount = 2048
 	latencyRange    = 60 * time.Second
@@ -562,10 +548,6 @@ type logSlot struct {
 	mu  sync.Mutex
 	seq uint64 // 0 = never written
 	rec Record
-	// bodies is the slot-owned backing for the observations' Body
-	// copies, reused across ring laps so steady-state recording
-	// allocates nothing.
-	bodies [][]byte
 }
 
 func newLogRing(capacity int) *logRing {
@@ -573,9 +555,9 @@ func newLogRing(capacity int) *logRing {
 }
 
 // add is on the judgment hot path (Note calls it whenever the log is
-// enabled) and allocates only when the per-demand observation count or
-// a body prefix grows past anything the slot has seen — steady state
-// recycles the slot's own backing.
+// enabled) and allocates only when the per-demand observation count
+// grows past anything the slot has seen — steady state recycles the
+// slot's own backing.
 //
 //wsu:noalloc
 func (r *logRing) add(rec Record) {
@@ -586,32 +568,15 @@ func (r *logRing) add(rec Record) {
 	// slot must not clobber a newer record that lapped it.
 	if n > s.seq {
 		s.seq = n
-		// The observations — and a bounded prefix of each body — are
-		// copied into the slot's own backing arrays (reused across
-		// laps), so the ring never retains or aliases a caller's slice:
-		// callers may pool their observation slices and recycle the
-		// pooled reply buffers the bodies alias as soon as add returns.
-		// This is the copy-on-record boundary of the buffer ownership
-		// protocol.
+		// What the releases did, not what they said: the observations go
+		// into the slot's own backing (reused across laps) and each body
+		// is reduced to its length, so the ring holds no caller's memory.
 		releases := s.rec.Releases
 		s.rec = rec
 		s.rec.Releases = append(releases[:0], rec.Releases...)
-		if len(s.rec.Releases) > len(s.bodies) {
-			//wsu:allow noalloc -- the backing grows only when the per-demand observation count exceeds anything this slot has seen
-			s.bodies = make([][]byte, len(s.rec.Releases))
-		}
 		for i := range s.rec.Releases {
 			obs := &s.rec.Releases[i]
-			obs.BodyLen = len(obs.Body)
-			keep := obs.Body[:min(len(obs.Body), logBodyPrefix)]
-			if cap(s.bodies[i]) < len(keep) {
-				// Sized exactly, not by append's doubling: a slot's
-				// backing never exceeds the prefix.
-				//wsu:allow noalloc -- the backing grows only until it holds the longest prefix this slot has seen
-				s.bodies[i] = make([]byte, 0, len(keep))
-			}
-			s.bodies[i] = append(s.bodies[i][:0], keep...)
-			obs.Body = s.bodies[i]
+			obs.BodyLen, obs.Body = len(obs.Body), nil
 		}
 	}
 	s.mu.Unlock()
@@ -629,14 +594,9 @@ func (r *logRing) snapshot() []Record {
 		s.mu.Lock()
 		if s.seq != 0 {
 			e := entry{s.seq, s.rec}
-			// The slot's backing arrays are overwritten in place when the
-			// ring laps; the snapshot takes its own copies (observations
-			// and body bytes) while the slot lock still protects them.
+			// The slot's backing is overwritten in place when the ring laps:
+			// the snapshot copies it while the slot lock still protects it.
 			e.rec.Releases = append([]Observation(nil), s.rec.Releases...)
-			for i := range e.rec.Releases {
-				obs := &e.rec.Releases[i]
-				obs.Body = append([]byte(nil), obs.Body...)
-			}
 			entries = append(entries, e)
 		}
 		s.mu.Unlock()

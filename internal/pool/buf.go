@@ -63,6 +63,25 @@ func (b *Buf) Release() {
 	}
 }
 
+// Grow ensures the buffer holds n bytes, like bytes.Buffer.Grow but by
+// size class: when n is past the capacity the contents move into a
+// GetSized buffer of n's class (at least twice the capacity, so many
+// small growths stay linear), the backing arrays trade places, and the
+// outgrown one returns to its own class. The caller keeps the same
+// *Buf and must be its sole owner: another reference would go on
+// reading the array that was just handed back.
+//
+//wsu:noalloc
+func (b *Buf) Grow(n int) {
+	if n <= cap(b.B) {
+		return
+	}
+	next := b.pool.GetSized(max(n, 2*cap(b.B)))
+	next.B = append(next.B, b.B...)
+	b.B, next.B = next.B, b.B
+	next.Release()
+}
+
 // Refs reports the current reference count (for tests and diagnostics).
 func (b *Buf) Refs() int {
 	if b == nil {

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/protocol"
 )
 
@@ -205,6 +206,7 @@ func canonicalize(in []byte) ([]byte, bool) {
 // a complete JSON body and is written verbatim. JSON has no response
 // header framing, so header items are ignored.
 func (Codec) WriteBody(w io.Writer, body []byte, headers ...protocol.HeaderItem) (int, error) {
+	httpx.DeclareLength(w, len(body))
 	return w.Write(body)
 }
 

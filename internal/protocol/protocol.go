@@ -92,8 +92,10 @@ type Codec interface {
 	// WriteBody writes the winning payload in the codec's response
 	// framing (SOAP: re-enveloped with optional header items; JSON:
 	// verbatim). Headers the codec has no representation for are
-	// ignored. Neither body nor headers are retained past the call:
-	// the caller recycles both.
+	// ignored. A response past httpx.InlineResponse declares its length,
+	// so an http.ResponseWriter's header must still be unwritten.
+	// Neither body nor headers are retained past the call: the caller
+	// recycles both.
 	WriteBody(w io.Writer, body []byte, headers ...HeaderItem) (int, error)
 	// WriteError renders err as the codec's error body with the
 	// appropriate status code. A fault native to the codec renders as

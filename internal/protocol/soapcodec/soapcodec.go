@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/wsdl"
@@ -101,8 +102,10 @@ func (Codec) DecodeReply(status int, body []byte) (payload []byte, aliases bool,
 func (Codec) Equal(a, b []byte) bool { return soap.EqualCanonical(a, b) }
 
 // WriteBody implements protocol.Codec: the winning inner body XML is
-// re-enveloped around the optional header items.
+// re-enveloped around the optional header items, a large envelope's
+// length declared first.
 func (Codec) WriteBody(w io.Writer, body []byte, headers ...protocol.HeaderItem) (int, error) {
+	httpx.DeclareLength(w, soap.EnvelopeLen(len(body), headers...))
 	return soap.WriteEnvelopeRaw(w, body, headers...)
 }
 

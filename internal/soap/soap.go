@@ -245,22 +245,25 @@ func EnvelopeRaw(bodyXML []byte, headers ...HeaderItem) []byte {
 	return append(out, envelopeTail...)
 }
 
-// envelopeInline is the largest envelope WriteEnvelopeRaw assembles in
-// its scratch buffer (the scratch pool's smallest class) and sends as
-// one Write; a larger body is written from where it lies.
-const envelopeInline = 4 << 10
+// EnvelopeLen is the length of the envelope WriteEnvelopeRaw writes
+// around bodyLen bytes of body XML.
+func EnvelopeLen(bodyLen int, headers ...HeaderItem) int {
+	return envelopeHeadLen(headers) + bodyLen + len(envelopeTail)
+}
 
 // WriteEnvelopeRaw writes the envelope for pre-marshalled body XML
 // straight to w — the response-write path runs once per proxied
 // request. A small envelope is assembled in a pooled buffer and goes
 // out in a single Write (one segment, and net/http can still frame it
-// with a Content-Length); past envelopeInline only the head is
+// with a Content-Length); past httpx.InlineResponse only the head is
 // assembled, and bodyXML itself is written between it and the constant
-// tail, so a large winner is never copied.
+// tail, so a large winner is never copied — three Writes, which a
+// caller writing to net/http declares the EnvelopeLen of first so that
+// they are not three chunks.
 func WriteEnvelopeRaw(w io.Writer, bodyXML []byte, headers ...HeaderItem) (int, error) {
-	b := scratch.GetSized(envelopeInline)
+	b := scratch.GetSized(httpx.InlineResponse)
 	b.B = appendEnvelopeHead(b.B, headers)
-	inline := len(b.B)+len(bodyXML)+len(envelopeTail) <= envelopeInline
+	inline := len(b.B)+len(bodyXML)+len(envelopeTail) <= httpx.InlineResponse
 	if inline {
 		b.B = append(append(b.B, bodyXML...), envelopeTail...)
 	}

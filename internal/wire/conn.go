@@ -492,14 +492,17 @@ func (c *conn) readResponse(maxBytes int64) (status int, data *bufpool.Buf, body
 			hdr = append(hdr, line...)
 			hdr = append(hdr, '\n')
 			switch {
-			case equalFold(key, "content-length"):
-				n, perr := strconv.ParseInt(string(bytes.TrimSpace(val)), 10, 64)
-				if perr != nil || n < 0 {
+			case equalFold(key, "content-length"): // digits only; a repeat must agree
+				n, perr := strconv.ParseUint(string(bytes.TrimSpace(val)), 10, 63)
+				if perr != nil || contentLength >= 0 && contentLength != int64(n) {
 					return 0, nil, 0, false, fmt.Errorf("wire: bad Content-Length %q", val)
 				}
-				contentLength = n
-			case equalFold(key, "transfer-encoding"):
-				chunked = equalFold(bytes.TrimSpace(val), "chunked")
+				contentLength = int64(n)
+			case equalFold(key, "transfer-encoding") && proto11: // HTTP/1.0 has no codings
+				if chunked || !equalFold(bytes.TrimSpace(val), "chunked") {
+					return 0, nil, 0, false, fmt.Errorf("wire: unsupported Transfer-Encoding %q", val)
+				}
+				chunked = true
 			case equalFold(key, "connection"):
 				connClose = equalFold(bytes.TrimSpace(val), "close")
 			}
@@ -577,31 +580,25 @@ func (c *conn) readChunkedBody(maxBytes int64) (*bufpool.Buf, error) {
 			b.Release()
 			return nil, fmt.Errorf("wire: reading chunk size: %w", err)
 		}
+		line = bytes.TrimRight(line, " \t")
 		if i := bytes.IndexByte(line, ';'); i >= 0 {
 			line = line[:i] // chunk extensions are ignored
 		}
-		size, err := strconv.ParseInt(string(bytes.TrimSpace(line)), 16, 63)
-		if err != nil || size < 0 {
+		size, err := strconv.ParseUint(string(line), 16, 63) // hex digits only
+		if err != nil {
 			b.Release()
 			return nil, fmt.Errorf("wire: bad chunk size %q", line)
 		}
 		if size == 0 {
 			break
 		}
-		if int64(len(b.B))+size > maxBytes {
+		if int64(size) > maxBytes-int64(len(b.B)) { // not a sum: size may be 2^63-1
 			b.Release()
 			return nil, fmt.Errorf("wire: chunked response: %w", httpx.ErrTooLarge)
 		}
 		n := len(b.B)
 		if need := n + int(size); need > cap(b.B) {
-			// Move up to the class that holds the chunk (at least
-			// doubling, so many small chunks stay linear): the backing
-			// arrays trade places and the outgrown one returns to its
-			// own class.
-			next := respBodyPool.GetSized(max(need, 2*cap(b.B)))
-			next.B = append(next.B, b.B...)
-			b.B, next.B = next.B, b.B
-			next.Release()
+			b.Grow(need) // to the class that holds the chunk
 		}
 		b.B = b.B[:n+int(size)]
 		if _, err := io.ReadFull(c.br, b.B[n:]); err != nil {
@@ -628,7 +625,7 @@ func (c *conn) readChunkedBody(maxBytes int64) (*bufpool.Buf, error) {
 	return b, nil
 }
 
-// parseStatusLine parses "HTTP/1.x NNN reason".
+// parseStatusLine parses "HTTP/1.x NNN reason", NNN three digits from 100 up.
 func parseStatusLine(line []byte) (status int, proto11 bool, err error) {
 	switch {
 	case bytes.HasPrefix(line, []byte("HTTP/1.1 ")):
@@ -638,7 +635,7 @@ func parseStatusLine(line []byte) (status int, proto11 bool, err error) {
 		return 0, false, fmt.Errorf("wire: malformed status line %q", line)
 	}
 	rest := line[9:]
-	if len(rest) < 3 {
+	if len(rest) < 3 || rest[0] == '0' || len(rest) > 3 && rest[3] != ' ' {
 		return 0, false, fmt.Errorf("wire: malformed status line %q", line)
 	}
 	for _, d := range rest[:3] {
