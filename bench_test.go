@@ -936,9 +936,11 @@ func benchNoteRecord(m *monitor.Monitor, interned bool) monitor.Record {
 	return rec
 }
 
-// BenchmarkMonitorNoteParallel measures the monitoring subsystem's write
-// path under concurrent recorders — every dispatched request ends in a
-// Note call, so this must not become the serialization point.
+// BenchmarkMonitorNoteParallel is every P calling Note back to back on
+// one monitor: ~10⁷ Notes/s through the monitor's one lock, two to three
+// orders of magnitude past what a process that also mediates each demand
+// (≥ 60 µs of it) can produce. Ungated; it is the worst case the
+// "monitor holds one lock" decision record (DESIGN.md §1.2) quotes.
 func BenchmarkMonitorNoteParallel(b *testing.B) {
 	m := monitor.New(monitor.WithLogCapacity(benchLogCapacity))
 	rec := benchNoteRecord(m, true)
@@ -958,7 +960,7 @@ func BenchmarkMonitorNoteParallel(b *testing.B) {
 // BenchmarkMonitorNote measures the single-threaded write path cost in
 // steady state: interned is the dispatch hot path's shape (observations
 // carry dense release indices), by-name resolves each observation
-// through the lock-free interner map.
+// through the name map.
 func BenchmarkMonitorNote(b *testing.B) {
 	for _, tc := range []struct {
 		name     string

@@ -115,10 +115,9 @@ func (c *JointCounts) Add(o JointOutcome) {
 	}
 }
 
-// Merge folds another record into c field-wise. Lock-striped observation
-// stores (the sharded monitor) accumulate partial records per shard and
-// merge them on the read side, so the inference always sees a record
-// equivalent to a single sequential accumulator.
+// Merge folds another record into c field-wise: a restored campaign
+// snapshot into the live record, so the inference sees what a single
+// accumulator that never stopped would hold.
 func (c *JointCounts) Merge(o JointCounts) {
 	c.N += o.N
 	c.Both += o.Both
@@ -133,8 +132,8 @@ func (c JointCounts) Neither() int { return c.N - c.Both - c.AOnly - c.BOnly }
 // the confidence machinery: a pooled Table 1 record and its restriction
 // to a single operation (§6.2). The monitoring subsystem implements it;
 // inference consumers should depend on this interface rather than on a
-// concrete store, so the store's internal layout (single-lock, sharded,
-// remote) can change freely.
+// concrete store, so the store's internal layout can change freely (it
+// has: DESIGN.md §1.2, "Decision (PR 20)").
 type JointSource interface {
 	// Joint returns the accumulated pairwise observation record.
 	Joint() JointCounts

@@ -1,50 +1,22 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"wsupgrade/internal/journal"
 	"wsupgrade/internal/lifecycle"
 )
 
-// releaseHooks observes release-set changes, the topology counterpart
-// of lifecycle.Hooks (which only fires on phase changes). Observers run
-// after publication, outside the engine's write lock, with panics
-// contained per observer.
-type releaseHooks struct {
-	mu  sync.Mutex
-	fns []func(added bool, ep Endpoint)
-}
-
-func (h *releaseHooks) add(fn func(added bool, ep Endpoint)) {
-	if fn == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.fns = append(h.fns, fn)
-}
-
-func (h *releaseHooks) fire(added bool, ep Endpoint) {
-	h.mu.Lock()
-	fns := h.fns
-	h.mu.Unlock()
-	for _, fn := range fns {
-		func() {
-			defer func() { _ = recover() }()
-			fn(added, ep)
-		}()
-	}
-}
-
-func (h *releaseHooks) empty() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.fns) == 0
+// releaseChange is one release joining (added) or leaving the deployed
+// set: the event of the engine's release-set hooks, the topology
+// counterpart of lifecycle.Transition.
+type releaseChange struct {
+	added bool
+	ep    Endpoint
 }
 
 // OnReleaseChange registers an observer of release-set changes: fn is
@@ -53,7 +25,10 @@ func (h *releaseHooks) empty() bool {
 // observers fire after the new state is published, must not block, and
 // must not call the engine's own mutators.
 func (e *Engine) OnReleaseChange(fn func(added bool, ep Endpoint)) {
-	e.relHooks.add(fn)
+	if fn == nil {
+		return
+	}
+	e.relHooks.Add(func(c releaseChange) { fn(c.added, c.ep) })
 }
 
 // fireReleaseChanges diffs two published release sets and notifies the
@@ -61,7 +36,7 @@ func (e *Engine) OnReleaseChange(fn func(added bool, ep Endpoint)) {
 // path only (release sets change via AddRelease/RemoveRelease/restore,
 // never per-request).
 func (e *Engine) fireReleaseChanges(prev, next []Endpoint) {
-	if e.relHooks.empty() {
+	if e.relHooks.Empty() {
 		return
 	}
 	for _, p := range prev {
@@ -73,7 +48,7 @@ func (e *Engine) fireReleaseChanges(prev, next []Endpoint) {
 			}
 		}
 		if !found {
-			e.relHooks.fire(false, p)
+			e.relHooks.Fire(releaseChange{false, p})
 		}
 	}
 	for _, n := range next {
@@ -85,7 +60,7 @@ func (e *Engine) fireReleaseChanges(prev, next []Endpoint) {
 			}
 		}
 		if !found {
-			e.relHooks.fire(true, n)
+			e.relHooks.Fire(releaseChange{true, n})
 		}
 	}
 }
@@ -206,27 +181,10 @@ func (e *Engine) StartCampaignSnapshots(w *journal.Writer, interval time.Duratio
 	if interval <= 0 {
 		return nil, fmt.Errorf("%w: snapshot interval %v", ErrBadConfig, interval)
 	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				snap := e.CampaignSnapshot()
-				w.Append(journal.Entry{Kind: journal.KindSnapshot, Time: time.Now().UnixNano(), Snapshot: &snap})
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-finished
-	}, nil
+	return lifecycle.Every(interval, func(context.Context) {
+		snap := e.CampaignSnapshot()
+		w.Append(journal.Entry{Kind: journal.KindSnapshot, Time: time.Now().UnixNano(), Snapshot: &snap})
+	}), nil
 }
 
 // OpenJournal makes the engine's campaign durable in the journal at

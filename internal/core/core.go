@@ -182,7 +182,8 @@ type Config struct {
 	// Seed drives adjudication tie-breaking.
 	Seed uint64
 	// Store streams the event log as JSONL (the architecture's
-	// "Data Base"); nil disables.
+	// "Data Base"); nil disables. It configures the monitor the engine
+	// builds: setting it together with Monitor is rejected.
 	Store io.Writer
 }
 
@@ -295,8 +296,8 @@ type Engine struct {
 
 	// hooks observe lifecycle transitions (fleet aggregation, logging);
 	// relHooks observe release-set changes (journal capture).
-	hooks    lifecycle.Hooks
-	relHooks releaseHooks
+	hooks    lifecycle.Hooks[lifecycle.Transition]
+	relHooks lifecycle.Hooks[releaseChange]
 
 	policyMu sync.Mutex // serializes posterior evaluation
 
@@ -399,14 +400,17 @@ func New(cfg Config) (*Engine, error) {
 	}
 	// The monitor exists before the first state publication: every
 	// published state carries its releases' interned monitor indices.
-	if cfg.Monitor != nil {
+	switch {
+	case cfg.Monitor != nil && cfg.Store != nil:
+		// The sink is an option of the monitor the engine builds; a
+		// supplied one was built without it and would drop the log silently.
+		return nil, fmt.Errorf("%w: Store with a supplied Monitor (build the monitor with monitor.WithSink instead)", ErrBadConfig)
+	case cfg.Monitor != nil:
 		e.mon = cfg.Monitor
-	} else {
-		opts := []monitor.Option{}
-		if cfg.Store != nil {
-			opts = append(opts, monitor.WithSink(cfg.Store))
-		}
-		e.mon = monitor.New(opts...)
+	case cfg.Store != nil:
+		e.mon = monitor.New(monitor.WithSink(cfg.Store))
+	default:
+		e.mon = monitor.New()
 	}
 	releases := append([]Endpoint(nil), cfg.Releases...)
 	e.internReleases(releases)
@@ -716,46 +720,19 @@ func (e *Engine) Down(version string) bool {
 }
 
 // StartHealthChecks runs CheckHealth every interval until the returned
-// stop function is called. The loop is owned: stop blocks until the
-// prober goroutine has exited.
+// stop function is called. The loop is owned (lifecycle.Every): stop
+// interrupts an in-flight probe round and blocks until the prober
+// goroutine has exited.
 func (e *Engine) StartHealthChecks(interval time.Duration) (stop func(), err error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("%w: health-check interval %v", ErrBadConfig, interval)
 	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	// The prober is an owned background loop, detached from any request
-	// by design. Every probe derives from a root that stop() cancels, so
-	// shutdown interrupts an in-flight health check instead of waiting
-	// out its full timeout.
-	//wsu:allow ctxhygiene -- owned background prober; the root is cancelled by stop()
-	root, cancelRoot := context.WithCancel(context.Background())
-	go func() {
-		defer close(finished)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				ctx, cancel := context.WithTimeout(root, interval)
-				e.CheckHealth(ctx)
-				cancel()
-				if e.healthCheckDone != nil {
-					e.healthCheckDone()
-				}
-			}
+	return lifecycle.Every(interval, func(ctx context.Context) {
+		e.CheckHealth(ctx)
+		if e.healthCheckDone != nil {
+			e.healthCheckDone()
 		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			cancelRoot()
-			close(done)
-		})
-		<-finished
-	}, nil
+	}), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -83,11 +84,18 @@ func TestConfigValidation(t *testing.T) {
 			InitialPhase: PhaseOldOnly, Timeout: -1},
 		"bad confidence target": {Releases: []Endpoint{{Version: "1.0", URL: "http://a"}},
 			InitialPhase: PhaseOldOnly, ConfidenceTarget: 1.5},
+		// The sink only reaches a monitor the engine builds itself: with
+		// both set the event log used to be dropped without a word.
+		"store with supplied monitor": {Releases: []Endpoint{{Version: "1.0", URL: "http://a"}},
+			InitialPhase: PhaseOldOnly, Monitor: monitor.New(), Store: io.Discard},
 	}
 	for name, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	if _, err := New(cases["store with supplied monitor"]); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("store with supplied monitor: New = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -10,7 +10,7 @@
 // are targets (phase selection, health marks) and which adjudication
 // rule delivers (phase authority, per-request consumer choice); the
 // dispatcher owns the mechanics — deadlines, the scatter/gather fan-out,
-// reply pooling, the single-target fast path, and sequential mode.
+// reply pooling, and sequential mode (which a single target also takes).
 //
 // A fan-out scatters, then gathers: the dispatching goroutine begins
 // every target's call itself (wire.Client.Begin writes the request
@@ -318,26 +318,10 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	}
 	callCtx := acquireCallCtx(req.Parent, req.Timeout)
 
-	// Single-target fast path (single-release phases, or every other
-	// target marked down): one synchronous call, no goroutine, no
-	// channel, no fan-out bookkeeping.
-	if len(targets) == 1 {
-		replies := getReplySlice(1)
-		replies[0] = d.callRelease(callCtx, targets[0], operation, envelope)
-		collected := replies[:0]
-		if responded(replies[0]) {
-			collected = replies[:1]
-		}
-		winner, adjErr := d.deliver(rule, collected)
-		// The winner's body aliases a pooled reply buffer that complete
-		// is about to release; its own reference keeps it live for the
-		// consumer write.
-		winner.Buf.Retain()
-		d.complete(callCtx, operation, targets, replies, winner, oldest, newest, req.EnvelopeBuf)
-		return winner, adjErr
-	}
-
-	if req.Mode == ModeSequential {
+	// One target (single-release phases, or every other target marked
+	// down) is the sequential mode over one release: one synchronous
+	// call, no goroutine, no channel, no fan-out bookkeeping.
+	if len(targets) == 1 || req.Mode == ModeSequential {
 		return d.doSequential(callCtx, targets, envelope, operation, rule, oldest, newest, req.EnvelopeBuf)
 	}
 
@@ -580,7 +564,7 @@ func (d *Dispatcher) beginCall(ctx context.Context, ep Endpoint, operation strin
 }
 
 // callRelease invokes one release start to finish on the calling
-// goroutine (the single-target fast path and sequential mode).
+// goroutine (sequential mode, and so every single-target dispatch).
 func (d *Dispatcher) callRelease(ctx context.Context, ep Endpoint, operation string, envelope []byte) adjudicate.Reply {
 	start := time.Now()
 	call := d.beginCall(ctx, ep, operation, envelope)

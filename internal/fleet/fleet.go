@@ -398,37 +398,7 @@ func (f *Fleet) StartHealthChecks(interval time.Duration) (stop func(), err erro
 	if interval <= 0 {
 		return nil, fmt.Errorf("%w: health-check interval %v", ErrBadConfig, interval)
 	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	// The prober is an owned background loop, detached from any request
-	// by design. Every probe derives from a root that stop() cancels, so
-	// shutdown interrupts an in-flight health check instead of waiting
-	// out its full timeout.
-	//wsu:allow ctxhygiene -- owned background prober; the root is cancelled by stop()
-	root, cancelRoot := context.WithCancel(context.Background())
-	go func() {
-		defer close(finished)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				ctx, cancel := context.WithTimeout(root, interval)
-				f.CheckHealth(ctx)
-				cancel()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			cancelRoot()
-			close(done)
-		})
-		<-finished
-	}, nil
+	return lifecycle.Every(interval, func(ctx context.Context) { f.CheckHealth(ctx) }), nil
 }
 
 // UnitStatus is one unit's management snapshot.

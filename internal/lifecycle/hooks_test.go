@@ -9,7 +9,7 @@ import (
 // from seeing the transition, and must not propagate out of Fire (which
 // would wedge the management call that published the phase change).
 func TestHooksFirePanickingObserverIsContained(t *testing.T) {
-	var h Hooks
+	var h Hooks[Transition]
 	var order []string
 	h.Add(func(Transition) { order = append(order, "first") })
 	h.Add(func(Transition) { panic("subscriber bug") })
@@ -32,7 +32,7 @@ func TestHooksFirePanickingObserverIsContained(t *testing.T) {
 // Every registered observer keeps receiving later transitions even when
 // one of them panics on every delivery.
 func TestHooksFireRepeatedPanicsDoNotWedge(t *testing.T) {
-	var h Hooks
+	var h Hooks[Transition]
 	var mu sync.Mutex
 	seen := 0
 	h.Add(func(Transition) { panic("always") })

@@ -32,12 +32,17 @@
 // one) is illegal: once adjudicated delivery has exposed the new
 // release to consumers, the campaign either advances, aborts, or
 // completes — it cannot "unobserve".
+//
+// Every is the one owned periodic loop the management subsystem's
+// background work (health probes, journal snapshots) runs on.
 package lifecycle
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"wsupgrade/internal/bayes"
 )
@@ -250,18 +255,19 @@ type Transition struct {
 	Demands int
 }
 
-// Hooks is an ordered set of transition observers. The zero value is
-// ready to use; methods are safe for concurrent use. Hooks fire after
-// the transition has been published, outside the owner's write lock;
-// observers must tolerate seeing transitions slightly out of order
-// under concurrent management writes, and must not block.
-type Hooks struct {
+// Hooks is an ordered set of observers of one kind of event — phase
+// transitions, release-set changes. The zero value is ready to use;
+// methods are safe for concurrent use. Hooks fire after the change has
+// been published, outside the owner's write lock; observers must
+// tolerate seeing events slightly out of order under concurrent
+// management writes, and must not block.
+type Hooks[T any] struct {
 	mu  sync.Mutex
-	fns []func(Transition)
+	fns []func(T)
 }
 
 // Add registers an observer.
-func (h *Hooks) Add(fn func(Transition)) {
+func (h *Hooks[T]) Add(fn func(T)) {
 	if fn == nil {
 		return
 	}
@@ -270,24 +276,62 @@ func (h *Hooks) Add(fn func(Transition)) {
 	h.fns = append(h.fns, fn)
 }
 
-// Fire delivers a transition to every observer in registration order.
-// A panicking observer is contained: the panic is swallowed and the
+// Empty reports whether no observer is registered, so an owner can skip
+// working out events nobody would see.
+func (h *Hooks[T]) Empty() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.fns) == 0
+}
+
+// Fire delivers an event to every observer in registration order. A
+// panicking observer is contained: the panic is swallowed and the
 // remaining observers still run, so a buggy subscriber (a journal
-// writer, an SSE publisher) can neither wedge the phase transition that
-// already happened nor starve observers registered after it.
-func (h *Hooks) Fire(t Transition) {
+// writer, an SSE publisher) can neither wedge the change that already
+// happened nor starve observers registered after it.
+func (h *Hooks[T]) Fire(ev T) {
 	h.mu.Lock()
 	fns := h.fns
 	h.mu.Unlock()
 	for _, fn := range fns {
-		fireOne(fn, t)
+		fireOne(fn, ev)
 	}
 }
 
 // fireOne isolates one observer call so its panic cannot propagate.
-func fireOne(fn func(Transition), t Transition) {
+func fireOne[T any](fn func(T), ev T) {
 	defer func() { _ = recover() }()
-	fn(t)
+	fn(ev)
+}
+
+// Every runs fn every interval on a goroutine the returned stop function
+// owns: stop cancels the context an in-flight fn holds — so shutdown
+// interrupts a tick instead of waiting it out — and returns once the
+// goroutine has exited. stop may be called more than once. Each tick's
+// context also expires after one interval.
+func Every(interval time.Duration, fn func(ctx context.Context)) (stop func()) {
+	//wsu:allow ctxhygiene -- owned background loop, detached from any request by design; the root is cancelled by stop()
+	root, cancel := context.WithCancel(context.Background())
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-root.Done():
+				return
+			case <-ticker.C:
+				ctx, cancelTick := context.WithTimeout(root, interval)
+				fn(ctx)
+				cancelTick()
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-finished
+	}
 }
 
 // ---------------------------------------------------------------------------

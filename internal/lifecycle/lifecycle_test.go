@@ -153,7 +153,7 @@ func TestCanTransitionRejectsUnknownPhases(t *testing.T) {
 }
 
 func TestHooksFireInOrder(t *testing.T) {
-	var h Hooks
+	var h Hooks[Transition]
 	var got []string
 	h.Add(func(tr Transition) { got = append(got, "a:"+tr.To.String()) })
 	h.Add(func(tr Transition) { got = append(got, "b:"+tr.To.String()) })
@@ -165,7 +165,7 @@ func TestHooksFireInOrder(t *testing.T) {
 }
 
 func TestHooksConcurrentAddAndFire(t *testing.T) {
-	var h Hooks
+	var h Hooks[Transition]
 	var mu sync.Mutex
 	count := 0
 	var wg sync.WaitGroup

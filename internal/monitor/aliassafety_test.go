@@ -50,7 +50,7 @@ func TestEventLogRetainsNoPayload(t *testing.T) {
 		}
 	}
 
-	// A first lap without bodies gives every shard its accumulators and
+	// A first lap without bodies gives each release its accumulator and
 	// every slot its observation backing, so the measured laps can only
 	// grow the heap by what they keep of the replies.
 	for i := 0; i < capacity; i++ {

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"wsupgrade/internal/bayes"
@@ -36,46 +37,22 @@ type CampaignState struct {
 	Releases []ReleaseCampaignStats       `json:"releases,omitempty"`
 }
 
-// CampaignState snapshots the monitor's aggregation state. The snapshot
-// is assembled shard by shard; a concurrent Note may or may not be
-// included, exactly like every other read-side aggregation here.
+// CampaignState snapshots the monitor's aggregation state under the
+// record's one lock, so it is a consistent cut: a concurrent Note is in
+// it with its joint outcome and every per-release count, or not at all.
 func (m *Monitor) CampaignState() CampaignState {
-	st := CampaignState{}
-	t := m.intern.Load()
-	var names []string
-	if t != nil {
-		names = t.names
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := CampaignState{Joint: m.joint}
+	if len(m.perOp) > 0 {
+		st.PerOp = maps.Clone(m.perOp)
 	}
-	merged := make([]*releaseAgg, len(names))
-	perOp := make(map[string]bayes.JointCounts)
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		st.Joint.Merge(sh.joint)
-		for op, jc := range sh.perOp {
-			total := perOp[op]
-			total.Merge(jc)
-			perOp[op] = total
-		}
-		for idx, agg := range sh.aggs {
-			if agg == nil || idx >= len(merged) {
-				continue
-			}
-			if merged[idx] == nil {
-				merged[idx] = newReleaseAgg()
-			}
-			merged[idx].merge(agg)
-		}
-		sh.mu.Unlock()
-	}
-	if len(perOp) > 0 {
-		st.PerOp = perOp
-	}
-	for idx, agg := range merged {
+	for idx, agg := range m.aggs {
 		if agg == nil {
 			continue
 		}
 		st.Releases = append(st.Releases, ReleaseCampaignStats{
-			Release:        names[idx],
+			Release:        m.names[idx],
 			Demands:        agg.demands,
 			Responses:      agg.responses,
 			Evident:        agg.evident,
@@ -113,30 +90,23 @@ func (m *Monitor) Restore(st CampaignState) error {
 		}
 		restored[i] = sum
 	}
-	// Everything lands in shard 0: restore is a one-time management
-	// operation, not a hot path, and read-side aggregation makes the
-	// placement invisible.
-	sh := m.shards[0]
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for i, rs := range st.Releases {
-		id := m.Intern(rs.Release)
-		sh.mu.Lock()
-		agg := sh.agg(id)
+		agg := m.agg(m.intern(rs.Release))
 		agg.demands += rs.Demands
 		agg.responses += rs.Responses
 		agg.evident += rs.Evident
 		agg.judgedFailed += rs.JudgedFailures
 		agg.overflow += rs.Overflow
 		agg.latency.Merge(restored[i])
-		sh.mu.Unlock()
 	}
-	sh.mu.Lock()
-	sh.joint.Merge(st.Joint)
+	m.joint.Merge(st.Joint)
 	for op, jc := range st.PerOp {
-		total := sh.perOp[op]
+		total := m.perOp[op]
 		total.Merge(jc)
-		sh.perOp[op] = total
+		m.perOp[op] = total
 	}
-	sh.mu.Unlock()
 	return nil
 }
 

@@ -8,16 +8,15 @@
 // writer.
 //
 // A Monitor is safe for concurrent use by the request handlers of the
-// upgrade middleware, and is built for them: writes (Note) are striped
-// across lock-sharded accumulators so concurrent recorders do not
-// serialize on one mutex, release names are interned to dense indices
-// (Intern) so per-observation aggregation is a slice index rather than
-// a map lookup under the shard lock, and the bounded event log is a
-// sequence-stamped ring with per-slot locking. Reads (Joint, JointFor, Stats,
-// SlowResponses) aggregate across the shards; because every record lands
-// in exactly one shard, aggregated totals are exact — no observation is
-// double-counted or lost — although a read that races a write may or may
-// not include that single in-flight record.
+// upgrade middleware. One mutex guards the whole record — the interned
+// release names, the per-release counters, the joint records and the
+// event log — so every read (Joint, JointFor, Stats, SlowResponses,
+// CampaignState) is one consistent cut: it includes a concurrent Note
+// entirely or not at all. The critical section is ~85 ns inside a demand
+// that costs ≥ 60 µs end to end (DESIGN.md, "Decision (PR 20)"). Release
+// names are interned to dense indices (Intern) so per-observation
+// aggregation is a slice index rather than a map lookup; the JSONL sink
+// marshals and writes outside that lock, under its own.
 package monitor
 
 import (
@@ -25,9 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wsupgrade/internal/bayes"
@@ -127,11 +124,6 @@ const (
 	latencyRange    = 60 * time.Second
 )
 
-// numShards stripes the write path. Must be a power of two. 32 shards
-// keep mutex hand-offs negligible up to well past the core counts this
-// middleware deploys on, at ~(releases × 16 KiB) memory per shard.
-const numShards = 32
-
 type releaseAgg struct {
 	demands, responses, evident, judgedFailed int
 	// overflow counts responses whose latency was at or beyond the
@@ -143,19 +135,6 @@ type releaseAgg struct {
 	latencyHist *stats.Histogram
 }
 
-// merge folds another accumulator into agg.
-func (agg *releaseAgg) merge(o *releaseAgg) {
-	agg.demands += o.demands
-	agg.responses += o.responses
-	agg.evident += o.evident
-	agg.judgedFailed += o.judgedFailed
-	agg.overflow += o.overflow
-	agg.latency.Merge(o.latency)
-	if err := agg.latencyHist.Merge(o.latencyHist); err != nil {
-		panic("monitor: merging latency histograms: " + err.Error()) // identical static bounds, unreachable
-	}
-}
-
 func newReleaseAgg() *releaseAgg {
 	hist, err := stats.NewHistogram(0, latencyRange.Seconds(), latencyBinCount)
 	if err != nil {
@@ -164,56 +143,26 @@ func newReleaseAgg() *releaseAgg {
 	return &releaseAgg{latencyHist: hist}
 }
 
-// shard is one lock-striped bucket of the observation store. Per-release
-// accumulators are indexed by interned ReleaseID (slot id-1, nil until
-// this shard's first observation of that release), so the write path
-// under the shard lock is a slice index, not a map lookup per
-// observation.
-type shard struct {
-	mu    sync.Mutex
+// Monitor accumulates records. Construct with New.
+type Monitor struct {
+	// mu guards the whole record below, down to logged.
+	mu sync.Mutex
+	// names and ids are the release interning: names[id-1] is the
+	// release, ids the reverse map. aggs[id-1] is that release's
+	// accumulator, nil until its first observation (an interned release
+	// nobody observed is still unknown to Stats and Releases).
+	names []string
+	ids   map[string]ReleaseID
 	aggs  []*releaseAgg
 	joint bayes.JointCounts
 	perOp map[string]bayes.JointCounts
-}
+	// log is the bounded event log, a circular buffer (empty when the
+	// log is disabled): record n, counting from 0, sits in slot
+	// n % len(log), and logged counts the records ever written.
+	log    []Record
+	logged int
 
-// agg returns the shard's accumulator for an interned release, creating
-// it on first sight. Callers hold sh.mu.
-func (sh *shard) agg(id ReleaseID) *releaseAgg {
-	idx := int(id) - 1
-	if idx >= len(sh.aggs) {
-		grown := make([]*releaseAgg, idx+1)
-		copy(grown, sh.aggs)
-		sh.aggs = grown
-	}
-	a := sh.aggs[idx]
-	if a == nil {
-		a = newReleaseAgg()
-		sh.aggs[idx] = a
-	}
-	return a
-}
-
-// internTable is the immutable release-name interning state, swapped
-// atomically so Note's lookups are lock-free.
-type internTable struct {
-	ids   map[string]ReleaseID
-	names []string // names[id-1] — the reverse mapping
-}
-
-// Monitor accumulates records. Construct with New.
-type Monitor struct {
-	shards [numShards]*shard
-	// next round-robins Note calls across the shards; uniform striping
-	// beats key hashing here because one hot operation must still spread.
-	next atomic.Uint64
-
-	// intern maps release names to dense indices (copy-on-write; readers
-	// never lock, writers serialize on internMu).
-	intern   atomic.Pointer[internTable]
-	internMu sync.Mutex
-
-	ring *logRing // nil when the event log is disabled
-
+	// sinkMu serializes sink writes, which happen outside mu.
 	sinkMu  sync.Mutex
 	sink    io.Writer
 	sinkErr error
@@ -241,75 +190,60 @@ func WithSink(w io.Writer) Option {
 
 // New returns an empty monitor.
 func New(opts ...Option) *Monitor {
-	m := &Monitor{logCap: 4096}
-	for i := range m.shards {
-		m.shards[i] = &shard{
-			perOp: make(map[string]bayes.JointCounts),
-		}
+	m := &Monitor{
+		ids:    make(map[string]ReleaseID),
+		perOp:  make(map[string]bayes.JointCounts),
+		logCap: 4096,
 	}
 	for _, o := range opts {
 		o(m)
 	}
 	if m.logCap > 0 {
-		m.ring = newLogRing(m.logCap)
+		m.log = make([]Record, m.logCap)
 	}
 	return m
 }
 
 // Intern returns the dense index for a release name, assigning the next
-// one on first sight. Lookups are a lock-free load of the immutable
-// table; assignment copies the table under a mutex. Recording paths that
-// observe the same releases on every demand should intern once and carry
-// the ID on their Observations.
+// one on first sight. Recording paths that observe the same releases on
+// every demand should intern once and carry the ID on their
+// Observations.
 func (m *Monitor) Intern(release string) ReleaseID {
-	if t := m.intern.Load(); t != nil {
-		if id, ok := t.ids[release]; ok {
-			return id
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.intern(release)
+}
+
+// intern is Intern with m.mu held.
+func (m *Monitor) intern(release string) ReleaseID {
+	id, ok := m.ids[release]
+	if !ok {
+		m.names = append(m.names, release)
+		m.aggs = append(m.aggs, nil)
+		id = ReleaseID(len(m.names))
+		m.ids[release] = id
 	}
-	m.internMu.Lock()
-	defer m.internMu.Unlock()
-	old := m.intern.Load()
-	if old != nil {
-		if id, ok := old.ids[release]; ok {
-			return id
-		}
-	}
-	next := &internTable{}
-	if old != nil {
-		next.ids = make(map[string]ReleaseID, len(old.ids)+1)
-		for k, v := range old.ids {
-			next.ids[k] = v
-		}
-		next.names = append(append([]string(nil), old.names...), release)
-	} else {
-		next.ids = make(map[string]ReleaseID, 1)
-		next.names = []string{release}
-	}
-	id := ReleaseID(len(next.names))
-	next.ids[release] = id
-	m.intern.Store(next)
 	return id
 }
 
-// lookup resolves a release name to its interned ID (0 when never
-// interned).
-func (m *Monitor) lookup(release string) ReleaseID {
-	if t := m.intern.Load(); t != nil {
-		return t.ids[release]
-	}
-	return 0
-}
-
 // resolve returns the trusted interned ID for one observation: the
-// pre-interned ID when it matches the observation's release name, or a
-// fresh interning by name (IDs from a different Monitor must not
-// aggregate into the wrong slot).
-func (m *Monitor) resolve(t *internTable, obs *Observation) ReleaseID {
-	if id := obs.ID; id > 0 && t != nil && int(id) <= len(t.names) && t.names[id-1] == obs.Release {
+// pre-interned ID when it matches the observation's release name, or the
+// one found by name (IDs from a different Monitor must not aggregate
+// into the wrong slot). Callers hold m.mu.
+func (m *Monitor) resolve(obs *Observation) ReleaseID {
+	if id := obs.ID; id > 0 && int(id) <= len(m.names) && m.names[id-1] == obs.Release {
 		return id
 	}
-	return m.Intern(obs.Release)
+	return m.intern(obs.Release)
+}
+
+// agg returns an interned release's accumulator, creating it on first
+// sight. Callers hold m.mu.
+func (m *Monitor) agg(id ReleaseID) *releaseAgg {
+	if m.aggs[id-1] == nil {
+		m.aggs[id-1] = newReleaseAgg()
+	}
+	return m.aggs[id-1]
 }
 
 // Note records one demand. The no-sink configuration is the judgment
@@ -319,12 +253,10 @@ func (m *Monitor) resolve(t *internTable, obs *Observation) ReleaseID {
 //
 //wsu:noalloc
 func (m *Monitor) Note(rec Record) {
-	t := m.intern.Load()
-	sh := m.shards[m.next.Add(1)&(numShards-1)]
-	sh.mu.Lock()
+	m.mu.Lock()
 	for i := range rec.Releases {
 		obs := &rec.Releases[i]
-		agg := sh.agg(m.resolve(t, obs))
+		agg := m.agg(m.resolve(obs))
 		agg.demands++
 		if obs.Responded {
 			sec := obs.Latency.Seconds()
@@ -343,18 +275,31 @@ func (m *Monitor) Note(rec Record) {
 		}
 	}
 	if rec.Joint != 0 {
-		sh.joint.Add(rec.Joint)
+		m.joint.Add(rec.Joint)
 		if rec.Operation != "" {
-			perOp := sh.perOp[rec.Operation]
+			perOp := m.perOp[rec.Operation]
 			perOp.Add(rec.Joint)
-			sh.perOp[rec.Operation] = perOp
+			m.perOp[rec.Operation] = perOp
 		}
 	}
-	sh.mu.Unlock()
-
-	if m.ring != nil {
-		m.ring.add(rec)
+	if len(m.log) > 0 {
+		// What the releases did, not what they said: the observations go
+		// into the slot's own backing (reused across laps, so steady state
+		// allocates nothing) and each body is reduced to its length, so the
+		// log holds no caller's memory. Overwriting the oldest slot is the
+		// eviction.
+		s := &m.log[m.logged%len(m.log)]
+		m.logged++
+		releases := s.Releases
+		*s = rec
+		s.Releases = append(releases[:0], rec.Releases...)
+		for i := range s.Releases {
+			obs := &s.Releases[i]
+			obs.BodyLen, obs.Body = len(obs.Body), nil
+		}
 	}
+	m.mu.Unlock()
+
 	if m.sink != nil {
 		m.sinkWrite(rec)
 	}
@@ -388,46 +333,26 @@ func (m *Monitor) Err() error {
 // Joint returns the accumulated pairwise observation record (Table 1)
 // for the Bayesian inference.
 func (m *Monitor) Joint() bayes.JointCounts {
-	var total bayes.JointCounts
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		total.Merge(sh.joint)
-		sh.mu.Unlock()
-	}
-	return total
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.joint
 }
 
 // JointFor returns the pairwise observation record restricted to one
 // operation — the §6.2 per-operation confidence is computed from it.
 func (m *Monitor) JointFor(operation string) bayes.JointCounts {
-	var total bayes.JointCounts
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		total.Merge(sh.perOp[operation])
-		sh.mu.Unlock()
-	}
-	return total
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.perOp[operation]
 }
 
-// mergedAgg aggregates one release's accumulators across every shard.
-func (m *Monitor) mergedAgg(release string) (*releaseAgg, bool) {
-	id := m.lookup(release)
-	if id == 0 {
-		return nil, false
+// observed returns a release's accumulator, or ErrUnknownRelease when no
+// observation of it was ever recorded. Callers hold m.mu.
+func (m *Monitor) observed(release string) (*releaseAgg, error) {
+	if id := m.ids[release]; id != 0 && m.aggs[id-1] != nil {
+		return m.aggs[id-1], nil
 	}
-	idx := int(id) - 1
-	var merged *releaseAgg
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		if idx < len(sh.aggs) && sh.aggs[idx] != nil {
-			if merged == nil {
-				merged = newReleaseAgg()
-			}
-			merged.merge(sh.aggs[idx])
-		}
-		sh.mu.Unlock()
-	}
-	return merged, merged != nil
+	return nil, fmt.Errorf("%w: %q", ErrUnknownRelease, release)
 }
 
 // SlowResponses returns how many of a release's demands either produced
@@ -442,9 +367,11 @@ func (m *Monitor) mergedAgg(release string) (*releaseAgg, bool) {
 // unless the slowest observed response was itself within the threshold,
 // in which case nothing was slow.
 func (m *Monitor) SlowResponses(release string, threshold time.Duration) (slow, demands int, err error) {
-	agg, ok := m.mergedAgg(release)
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownRelease, release)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	agg, err := m.observed(release)
+	if err != nil {
+		return 0, 0, err
 	}
 	noResponse := agg.demands - agg.responses
 	// Count responses in bins entirely above the threshold: the first
@@ -481,9 +408,11 @@ func (m *Monitor) SlowResponses(release string, threshold time.Duration) (slow, 
 
 // Stats returns one release's aggregate behaviour.
 func (m *Monitor) Stats(release string) (ReleaseStats, error) {
-	agg, ok := m.mergedAgg(release)
-	if !ok {
-		return ReleaseStats{}, fmt.Errorf("%w: %q", ErrUnknownRelease, release)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	agg, err := m.observed(release)
+	if err != nil {
+		return ReleaseStats{}, err
 	}
 	return ReleaseStats{
 		Release:        release,
@@ -499,112 +428,33 @@ func (m *Monitor) Stats(release string) (ReleaseStats, error) {
 // Releases lists the observed release versions (unordered). Releases
 // that were interned but never observed are not listed.
 func (m *Monitor) Releases() []string {
-	t := m.intern.Load()
-	if t == nil {
-		return nil
-	}
-	seen := make([]bool, len(t.names))
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for idx, agg := range sh.aggs {
-			if agg != nil && idx < len(seen) {
-				seen[idx] = true
-			}
-		}
-		sh.mu.Unlock()
-	}
-	out := make([]string, 0, len(t.names))
-	for idx, ok := range seen {
-		if ok {
-			out = append(out, t.names[idx])
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []string
+	for idx, agg := range m.aggs {
+		if agg != nil {
+			out = append(out, m.names[idx])
 		}
 	}
 	return out
 }
 
-// Log returns a copy of the retained event records, oldest first (empty
+// Log returns a copy of the retained event records, oldest first (nil
 // when the log is disabled).
 func (m *Monitor) Log() []Record {
-	if m.ring == nil {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.log) == 0 {
 		return nil
 	}
-	return m.ring.snapshot()
-}
-
-// ---------------------------------------------------------------------------
-// Event-log ring
-
-// logRing is a bounded, sequence-stamped ring of records. A global
-// atomic ticket assigns each record a slot, so writers contend only when
-// two of them land exactly capacity apart; eviction of the oldest record
-// is an O(1) overwrite rather than the O(capacity) shift of a sliced
-// queue.
-type logRing struct {
-	seq   atomic.Uint64 // records ever written; slot = (seq-1) % len(slots)
-	slots []logSlot
-}
-
-type logSlot struct {
-	mu  sync.Mutex
-	seq uint64 // 0 = never written
-	rec Record
-}
-
-func newLogRing(capacity int) *logRing {
-	return &logRing{slots: make([]logSlot, capacity)}
-}
-
-// add is on the judgment hot path (Note calls it whenever the log is
-// enabled) and allocates only when the per-demand observation count
-// grows past anything the slot has seen — steady state recycles the
-// slot's own backing.
-//
-//wsu:noalloc
-func (r *logRing) add(rec Record) {
-	n := r.seq.Add(1)
-	s := &r.slots[(n-1)%uint64(len(r.slots))]
-	s.mu.Lock()
-	// A writer that stalled between taking its ticket and locking the
-	// slot must not clobber a newer record that lapped it.
-	if n > s.seq {
-		s.seq = n
-		// What the releases did, not what they said: the observations go
-		// into the slot's own backing (reused across laps) and each body
-		// is reduced to its length, so the ring holds no caller's memory.
-		releases := s.rec.Releases
-		s.rec = rec
-		s.rec.Releases = append(releases[:0], rec.Releases...)
-		for i := range s.rec.Releases {
-			obs := &s.rec.Releases[i]
-			obs.BodyLen, obs.Body = len(obs.Body), nil
-		}
-	}
-	s.mu.Unlock()
-}
-
-// snapshot returns the retained records ordered oldest first.
-func (r *logRing) snapshot() []Record {
-	type entry struct {
-		seq uint64
-		rec Record
-	}
-	entries := make([]entry, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
-		s.mu.Lock()
-		if s.seq != 0 {
-			e := entry{s.seq, s.rec}
-			// The slot's backing is overwritten in place when the ring laps:
-			// the snapshot copies it while the slot lock still protects it.
-			e.rec.Releases = append([]Observation(nil), s.rec.Releases...)
-			entries = append(entries, e)
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	out := make([]Record, len(entries))
-	for i, e := range entries {
-		out[i] = e.rec
+	n := min(m.logged, len(m.log))
+	out := make([]Record, 0, n)
+	for i := m.logged - n; i < m.logged; i++ {
+		rec := m.log[i%len(m.log)]
+		// The slot's backing is overwritten in place when the log laps: the
+		// copy is taken while the lock still protects it.
+		rec.Releases = append([]Observation(nil), rec.Releases...)
+		out = append(out, rec)
 	}
 	return out
 }

@@ -11,9 +11,9 @@ import (
 	"wsupgrade/internal/xrand"
 )
 
-// refMonitor is the single-lock reference the sharded monitor must be
-// observationally equivalent to: the pre-sharding implementation's
-// aggregation semantics, kept deliberately naive.
+// refMonitor is the sequential model the monitor must be observationally
+// equivalent to: the aggregation semantics written out naively, maps
+// keyed by name, no interning, no ring.
 type refMonitor struct {
 	mu       sync.Mutex
 	demands  map[string]int
@@ -111,20 +111,26 @@ func (r *refMonitor) slowResponses(release string, threshold time.Duration) (int
 	return noResponse + slow, r.demands[release]
 }
 
-// randomRecord draws one randomized demand record.
-func randomRecord(rng *xrand.Rand, ops, releases []string) Record {
+// randomRecord draws one randomized demand record. An observation of a
+// release that has an entry in ids carries it half the time, so both of
+// Note's resolutions (by index, by name) are exercised.
+func randomRecord(rng *xrand.Rand, ops, releases []string, ids map[string]ReleaseID) Record {
 	rec := Record{Operation: ops[rng.Intn(len(ops))]}
 	n := 1 + rng.Intn(len(releases))
 	for _, idx := range rng.Perm(len(releases))[:n] {
 		responded := rng.Bool(0.9)
-		rec.Releases = append(rec.Releases, Observation{
+		obs := Observation{
 			Release:   releases[idx],
 			Responded: responded,
 			Evident:   !responded || rng.Bool(0.1),
 			Judged:    rng.Bool(0.8),
 			Failed:    rng.Bool(0.15),
 			Latency:   time.Duration(rng.Intn(5000)) * time.Millisecond,
-		})
+		}
+		if rng.Bool(0.5) {
+			obs.ID = ids[obs.Release]
+		}
+		rec.Releases = append(rec.Releases, obs)
 	}
 	if rng.Bool(0.7) {
 		rec.Joint = []bayes.JointOutcome{
@@ -134,17 +140,25 @@ func randomRecord(rng *xrand.Rand, ops, releases []string) Record {
 	return rec
 }
 
-// TestShardedEqualsReference drives the sharded monitor and the
-// single-lock reference with identical randomized concurrent workloads
-// and requires every read API to agree: per-shard aggregation must be
-// observationally equivalent to sequential accumulation.
-func TestShardedEqualsReference(t *testing.T) {
+// TestConcurrentNotesEqualReference drives the monitor from several
+// goroutines and the sequential model with the same randomized records
+// and requires every read API to agree exactly: whatever the
+// interleaving, no observation is lost, double-counted or credited to
+// another release. A fourth release joins half way through each
+// writer's run — interned by name inside Note, while the others are
+// being recorded by index.
+func TestConcurrentNotesEqualReference(t *testing.T) {
 	ops := []string{"add", "sub", "mul"}
-	releases := []string{"1.0", "1.1", "1.2"}
+	early := []string{"1.0", "1.1", "1.2"}
+	releases := append(append([]string(nil), early...), "1.3")
 
 	for trial := 0; trial < 3; trial++ {
 		m := New()
 		ref := newRefMonitor()
+		ids := map[string]ReleaseID{}
+		for _, rel := range early {
+			ids[rel] = m.Intern(rel)
+		}
 
 		const workers = 8
 		const perWorker = 300
@@ -156,7 +170,11 @@ func TestShardedEqualsReference(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < perWorker; i++ {
-					rec := randomRecord(rng, ops, releases)
+					deployed := early
+					if i >= perWorker/2 {
+						deployed = releases
+					}
+					rec := randomRecord(rng, ops, deployed, ids)
 					m.Note(rec)
 					ref.note(rec)
 				}
@@ -185,13 +203,13 @@ func TestShardedEqualsReference(t *testing.T) {
 				t.Fatalf("trial %d: Stats(%s) = %+v, reference demands=%d resp=%d evident=%d failed=%d",
 					trial, rel, s, ref.demands[rel], ref.resp[rel], ref.evident[rel], ref.failed[rel])
 			}
-			// Mean via merged Welford summaries vs a plain sum: equal up
-			// to float round-off.
+			// Mean via a Welford summary vs a plain sum: equal up to float
+			// round-off.
 			if ref.resp[rel] > 0 {
 				wantMean := ref.latSum[rel] / float64(ref.resp[rel])
 				gotMean := s.MeanLatency.Seconds()
 				// Tolerance covers ns truncation of time.Duration plus
-				// float round-off of the merge order.
+				// float round-off of the arrival order.
 				if math.Abs(gotMean-wantMean) > 2e-9*math.Max(1, wantMean) {
 					t.Fatalf("trial %d: Stats(%s) mean latency %v, reference %v", trial, rel, gotMean, wantMean)
 				}
@@ -212,6 +230,79 @@ func TestShardedEqualsReference(t *testing.T) {
 						trial, rel, threshold, slow, demands, wantSlow, wantDemands)
 				}
 			}
+		}
+	}
+}
+
+// TestCampaignStateCutConsistent: a snapshot taken while writers run is
+// one cut of the record, never a mix of two. Every record here observes
+// both releases of the pair and most carry a joint outcome under an
+// operation, so in any cut the per-operation records sum to the joint
+// record and each pair release has at least as many demands as the joint
+// record has observations — in particular a snapshot cannot carry joint
+// counts for a release whose counters it lacks, the way one assembled
+// piecewise could when the release was interned while it was being
+// taken. The monitors start empty and the writers record by name, so
+// that interning happens under the reader every trial.
+func TestCampaignStateCutConsistent(t *testing.T) {
+	pair := []string{"1.0", "1.1"}
+	ops := []string{"add", "sub", "mul"}
+	for trial := 0; trial < 40; trial++ {
+		m := New(WithLogCapacity(16))
+		const workers = 4
+		const perWorker = 200
+		master := xrand.New(uint64(2000 + trial))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			rng := master.Split()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					rec := randomRecord(rng, ops, pair, nil)
+					for len(rec.Releases) < len(pair) { // both releases, every demand
+						rec = randomRecord(rng, ops, pair, nil)
+					}
+					if i >= perWorker/2 { // a third release joins mid-run
+						rec.Releases = append(rec.Releases, Observation{Release: "1.2", Responded: true})
+					}
+					m.Note(rec)
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false // one last cut, of the final state
+			default:
+			}
+			st := m.CampaignState()
+			perOp := 0
+			for _, jc := range st.PerOp {
+				perOp += jc.N
+			}
+			if perOp != st.Joint.N {
+				t.Fatalf("trial %d: per-operation records sum to %d, joint record holds %d", trial, perOp, st.Joint.N)
+			}
+			demands := map[string]int{}
+			for _, rs := range st.Releases {
+				demands[rs.Release] = rs.Demands
+			}
+			for _, rel := range pair {
+				if demands[rel] < st.Joint.N {
+					t.Fatalf("trial %d: joint record holds %d observations, release %s only %d demands (snapshot %+v)",
+						trial, st.Joint.N, rel, demands[rel], st.Releases)
+				}
+			}
+			if demands[pair[0]] != demands[pair[1]] {
+				t.Fatalf("trial %d: pair demands differ within one cut: %v", trial, demands)
+			}
+		}
+		if st := m.CampaignState(); st.Joint.N == 0 || len(st.Releases) != 3 {
+			t.Fatalf("trial %d: final state %+v", trial, st)
 		}
 	}
 }

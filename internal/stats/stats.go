@@ -309,7 +309,8 @@ func (s *Summary) Observe(v float64) {
 
 // Merge folds another summary into s, as if every observation of o had
 // been observed by s (Chan et al.'s parallel variance combination). The
-// sharded monitor uses it to aggregate per-shard summaries on read.
+// monitor restores a journaled campaign's latency summary with it, and
+// loadgen pools its workers' summaries.
 func (s *Summary) Merge(o Summary) {
 	if o.n == 0 {
 		return

@@ -386,7 +386,8 @@ func BenchmarkRegIncBeta(b *testing.B) {
 }
 
 // Summary.Merge must agree with sequential observation regardless of how
-// the sample is partitioned — the contract the sharded monitor relies on.
+// the sample is partitioned — the contract a restored campaign and
+// loadgen's pooled workers rely on.
 func TestSummaryMergePartitionInvariant(t *testing.T) {
 	r := xrand.New(7)
 	sample := make([]float64, 500)
