@@ -23,9 +23,11 @@ NS_GATED   = EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath
 SOAK_DURATION ?= 20s
 SOAK_OUT      ?= .
 
-# The fuzz target gives each network-facing parser's fuzz function — and
-# FuzzPosteriorFrom, the posterior's frontier pass against its full pass
-# — a short budget (go test runs one -fuzz target per invocation). A
+# The fuzz target gives each network-facing parser's fuzz function — the
+# envelope scanner and the JSON comparator against their encoding/xml and
+# encoding/json references among them — and FuzzPosteriorFrom, the
+# posterior's frontier pass against its full pass, a short budget (go
+# test runs one -fuzz target per invocation). A
 # crasher is written under the package's testdata/fuzz/ — commit it: from
 # then on it runs as a seed in every plain `go test`. Minimisation is
 # capped because the seed corpus has 64 KB documents, and the default
@@ -57,6 +59,8 @@ soak:
 
 fuzz:
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzEqualCanonical -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/protocol/jsoncodec -run='^$$' -fuzz=FuzzJSONEqual -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzHeaderGet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzReadResponse -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s

@@ -305,11 +305,10 @@ func loadFleetConfig(path string, defaultTarget float64) (fleet.Config, []io.Clo
 			closers = append(closers, closer)
 		}
 		cfg.Units = append(cfg.Units, fleet.UnitConfig{
-			Name:     u.Name,
-			Hosts:    u.Hosts,
-			Service:  u.Service,
-			Protocol: u.Protocol,
-			Engine:   ecfg,
+			Name:    u.Name,
+			Hosts:   u.Hosts,
+			Service: u.Service,
+			Engine:  ecfg,
 		})
 	}
 	return cfg, closers, nil

@@ -160,7 +160,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	parsed, err := soap.Parse(respEnv)
+	parsed, err := soap.Decode(respEnv)
 	if err != nil {
 		return err
 	}
@@ -199,7 +199,7 @@ func run() error {
 }
 
 func extractBody(envelope []byte) string {
-	p, err := soap.Parse(envelope)
+	p, err := soap.Decode(envelope)
 	if err != nil {
 		return string(envelope)
 	}

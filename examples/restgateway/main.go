@@ -2,7 +2,7 @@
 // (DESIGN.md §9).
 //
 // Two JSON releases of the demo service run side by side behind one
-// upgrade unit configured with protocol "json": consumers POST JSON
+// upgrade unit configured with the JSON codec: consumers POST JSON
 // bodies to /api/<operation>, the unit fans each demand out, judges
 // and adjudicates the replies, and answers in JSON — the §4 mediation
 // pipeline is exactly the one the SOAP gateway uses, only the codec
@@ -79,12 +79,12 @@ func run() error {
 		releases = append(releases, core.Endpoint{Version: version, URL: url})
 	}
 
-	// --- One upgrade unit, protocol "json" ---------------------------------
+	// --- One upgrade unit, JSON codec --------------------------------------
 	prior := wsupgrade.ScaledBeta{Alpha: 1, Beta: 3, Upper: 0.3}
 	fl, err := fleet.New(fleet.Config{Units: []fleet.UnitConfig{{
-		Name:     "api",
-		Protocol: "json",
+		Name: "api",
 		Engine: core.Config{
+			Codec:        jsoncodec.Default,
 			Releases:     releases,
 			InitialPhase: wsupgrade.PhaseObservation,
 			Oracle:       oracle.Reference{Release: releases[0].Version, Codec: jsoncodec.Default},

@@ -20,7 +20,7 @@ func TestCtxHygiene(t *testing.T) {
 }
 
 func TestDetRand(t *testing.T) {
-	analysistest.Run(t, ".", "./testdata/src/sim", analysis.DetRand)
+	analysistest.Run(t, ".", "./testdata/src/upgsim", analysis.DetRand)
 }
 
 func TestNoAlloc(t *testing.T) {

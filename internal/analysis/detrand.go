@@ -5,7 +5,7 @@ import (
 	"strconv"
 )
 
-// DetRand keeps the deterministic packages deterministic: faulty, sim,
+// DetRand keeps the deterministic packages deterministic: faulty,
 // upgsim and adjudicate reproduce paper experiments from a seed, so
 // any reach for ambient nondeterminism — math/rand's global state or
 // wall-clock sampling via time.Now — silently invalidates a replayed
@@ -22,7 +22,7 @@ var DetRand = &Analyzer{
 }
 
 func runDetRand(pass *Pass) error {
-	if !pathTail(pass.Pkg.ImportPath, "faulty", "sim", "upgsim", "adjudicate", "journal") {
+	if !pathTail(pass.Pkg.ImportPath, "faulty", "upgsim", "adjudicate", "journal") {
 		return nil
 	}
 	info := pass.Pkg.Info

@@ -1,6 +1,6 @@
-// Package sim is detrand's golden package; the directory name opts it
+// Package upgsim is detrand's golden package; the directory name opts it
 // into the deterministic-package policy.
-package sim
+package upgsim
 
 import (
 	"math/rand" // want `imports math/rand`

@@ -57,7 +57,7 @@ func (d *Deps) Call(ctx context.Context, component, operation string, in, out in
 	if err != nil {
 		return fmt.Errorf("composite: component %s: %w", component, err)
 	}
-	parsed, perr := soap.Parse(res.Body)
+	parsed, perr := soap.Decode(res.Body)
 	switch {
 	case res.Status == http.StatusInternalServerError && perr == nil && parsed.Fault != nil:
 		return parsed.Fault
@@ -123,7 +123,7 @@ func (s *Service) Bind(name, url string, opts ...BindOption) error {
 		return fmt.Errorf("%w: binding needs name and url", ErrBadComposite)
 	}
 	b := &binding{
-		client: &soap.Client{URL: url, HTTP: httpx.NewClient(5 * time.Second)},
+		client: &soap.Client{URL: url, HTTP: &http.Client{Timeout: 5 * time.Second}},
 		retry:  httpx.DefaultRetry,
 	}
 	for _, o := range opts {

@@ -447,7 +447,7 @@ func TestPublishHeaderMechanism(t *testing.T) {
 	if !strings.Contains(string(respEnv), "Confidence") {
 		t.Fatalf("confidence header missing: %s", respEnv)
 	}
-	parsed, err := soap.Parse(respEnv)
+	parsed, err := soap.Decode(respEnv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,7 @@ func TestPerRequestAdjudicatorHeader(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		parsed, err := soap.Parse(body)
+		parsed, err := soap.Decode(body)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/service"
@@ -56,7 +55,7 @@ func TestDefaultTransport(t *testing.T) {
 // client's fallback and the probe client, never as a replacement for
 // the wire transport (TestMixedSchemeUnit drives it end to end).
 func TestConfiguredClientIsFallbackNotTransport(t *testing.T) {
-	custom := httpx.NewClient(time.Second)
+	custom := &http.Client{Timeout: time.Second}
 	e, err := New(Config{
 		Releases:     []Endpoint{{Version: "1.0", URL: "http://a.invalid"}},
 		InitialPhase: PhaseNewOnly,

@@ -97,7 +97,7 @@ func driveSOAP(t *testing.T, client *http.Client, url string, a, b int) demandOu
 	if res.StatusCode != http.StatusOK {
 		return out
 	}
-	parsed, err := soap.Parse(body)
+	parsed, err := soap.Decode(body)
 	if err != nil || parsed.Fault != nil {
 		return out
 	}

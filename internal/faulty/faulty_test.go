@@ -107,7 +107,7 @@ func TestCorruptIsWellFormedAndWrong(t *testing.T) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
-	parsed, err := soap.Parse(body)
+	parsed, err := soap.Decode(body)
 	if err != nil {
 		t.Fatalf("corrupt response is not well-formed: %v\n%s", err, body)
 	}
@@ -132,7 +132,7 @@ func TestCorruptBodyFallbacks(t *testing.T) {
 	}
 	// No text at all: canned well-formed envelope.
 	out = corruptBody([]byte("<r/>"))
-	if _, err := soap.Parse(out); err != nil {
+	if _, err := soap.Decode(out); err != nil {
 		t.Fatalf("no-text fallback is not parseable: %v", err)
 	}
 	// Digits in tag names are never touched — only text is mutated.
@@ -303,7 +303,7 @@ func TestHeaderFloodEmitsBudgetedSection(t *testing.T) {
 	if flooded < 8 || total < size {
 		t.Fatalf("header section: %d flood headers, %d bytes — want ≥8 and ≥%d", flooded, total, size)
 	}
-	if _, err := soap.Parse(body); err != nil {
+	if _, err := soap.Decode(body); err != nil {
 		t.Fatalf("flooded response body unparseable: %v", err)
 	}
 }

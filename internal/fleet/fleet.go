@@ -38,8 +38,6 @@ import (
 	"wsupgrade/internal/events"
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/lifecycle"
-	"wsupgrade/internal/protocol/jsoncodec"
-	"wsupgrade/internal/protocol/soapcodec"
 	"wsupgrade/internal/registry"
 	"wsupgrade/internal/wire"
 )
@@ -67,11 +65,8 @@ type UnitConfig struct {
 	// Service is the registry service name whose upgrade notifications
 	// feed this unit (default Name).
 	Service string
-	// Protocol selects the unit's wire protocol: "soap" (default) or
-	// "json". It is a convenience over Engine.Codec, which wins when
-	// both are set.
-	Protocol string
-	// Engine is the unit's middleware configuration. A unit that sets
+	// Engine is the unit's middleware configuration (Engine.Codec picks
+	// its wire protocol, SOAP by default). A unit that sets
 	// none of Engine.HTTP, Engine.Dial and Engine.Wire shares the
 	// fleet's pooled release transport.
 	Engine core.Config
@@ -200,17 +195,6 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("%w: duplicate unit %q", ErrBadConfig, uc.Name)
 		}
 		ecfg := uc.Engine
-		if ecfg.Codec == nil && uc.Protocol != "" {
-			switch uc.Protocol {
-			case "soap":
-				ecfg.Codec = soapcodec.Default
-			case "json":
-				ecfg.Codec = jsoncodec.Default
-			default:
-				f.closeUnits()
-				return nil, fmt.Errorf("%w: unit %q: unknown protocol %q", ErrBadConfig, uc.Name, uc.Protocol)
-			}
-		}
 		// A unit with its own transport seam (a TLS client, a Dial, an
 		// injected wire client) builds on it; everyone else shares the
 		// fleet-wide pool and its fallback.

@@ -1,6 +1,6 @@
-// Package httpx is the HTTP transport substrate: clients with sane
-// timeouts and tuned connection pools, retry of transient failures,
-// bounded response reads, and latency instrumentation.
+// Package httpx is the HTTP transport substrate: a client with a tuned
+// connection pool, retry of transient failures, and bounded response
+// reads.
 //
 // Retrying maps directly onto the paper's failure taxonomy (§2.1):
 // a *transient* failure "can be tolerated by using generic recovery
@@ -19,11 +19,8 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -49,17 +46,6 @@ const DefaultMaxResponseBytes = 10 << 20
 // starves a fan-out that hits the same release host from many concurrent
 // dispatches: every burst re-dials most of its connections.
 const DefaultMaxIdleConnsPerHost = 32
-
-// NewClient returns an HTTP client with an overall per-call timeout.
-// An absent response within the deadline is the evident failure the
-// middleware's availability monitoring counts (§4.3).
-//
-// It shares http.DefaultTransport; for the middleware's fan-out traffic
-// use NewPooledClient, whose per-host idle pool matches parallel
-// dispatch.
-func NewClient(timeout time.Duration) *http.Client {
-	return &http.Client{Timeout: timeout}
-}
 
 // NewPooledClient returns an HTTP client with a dedicated transport tuned
 // for the middleware's traffic shape: every request goes to one of a
@@ -302,125 +288,6 @@ func appendHeader(b []byte, hdr http.Header) []byte {
 	return b
 }
 
-// ---------------------------------------------------------------------------
-// Pooled request state for PostXML
-
-// urlCacheMax bounds the parsed-URL cache. The middleware posts to a
-// small, known set of release endpoints; an unbounded caller-controlled
-// URL stream must not grow the cache forever, so past the cap URLs are
-// parsed fresh per call.
-const urlCacheMax = 1024
-
-var (
-	urlCache sync.Map // raw URL string → *url.URL (immutable once stored)
-	urlCount atomic.Int64
-)
-
-// cachedURL parses raw once and serves the immutable result from then
-// on. Callers must copy the value before mutating (pooledReq does).
-func cachedURL(raw string) (*url.URL, error) {
-	if v, ok := urlCache.Load(raw); ok {
-		return v.(*url.URL), nil
-	}
-	u, err := url.Parse(raw)
-	if err != nil {
-		return nil, err
-	}
-	// Concurrent first parses of the same URL race to LoadOrStore; the
-	// losers give their capacity reservation back so racing goroutines
-	// cannot burn cap slots on a single key.
-	if urlCount.Add(1) > urlCacheMax {
-		urlCount.Add(-1)
-		return u, nil
-	}
-	if v, loaded := urlCache.LoadOrStore(raw, u); loaded {
-		urlCount.Add(-1)
-		return v.(*url.URL), nil
-	}
-	return u, nil
-}
-
-// reqBody is a resettable request body whose Close — which the
-// transport is contractually required to call once it is finished with
-// the reader, even on errors — records that the transport is done. The
-// recycle decision keys off that flag: a response can arrive (and
-// client.Do return) while the write side is still streaming the
-// request, and recycling the reader under an in-flight Read would be a
-// data race.
-type reqBody struct {
-	bytes.Reader
-	done atomic.Bool
-}
-
-func (b *reqBody) Close() error {
-	b.done.Store(true)
-	return nil
-}
-
-// pooledReq is the per-exchange request state PostXML recycles instead
-// of rebuilding via http.NewRequestWithContext on every attempt (the
-// URL parse, header map and body-reader wrappers dominated the fallback
-// transport's per-call allocations). The http.Request itself is still
-// materialized per attempt — WithContext demands a fresh shallow copy —
-// but everything it points at is reused.
-type pooledReq struct {
-	url     url.URL
-	body    reqBody
-	raw     []byte // the attempt's body bytes, for GetBody copies
-	header  http.Header
-	ctVal   [1]string // backing array of the Content-Type header value
-	getBody func() (io.ReadCloser, error)
-}
-
-var reqPool = sync.Pool{New: func() interface{} {
-	pr := &pooledReq{header: make(http.Header, 1)}
-	pr.header["Content-Type"] = pr.ctVal[:1]
-	pr.getBody = func() (io.ReadCloser, error) {
-		// A genuinely fresh reader per call: the transport asks for one
-		// when it replays the request on another connection, and the
-		// abandoned connection's write loop may still be draining the
-		// primary reader.
-		return io.NopCloser(bytes.NewReader(pr.raw)), nil
-	}
-	return pr
-}}
-
-// request arms the pooled state for one attempt and materializes the
-// per-attempt http.Request.
-func (pr *pooledReq) request(ctx context.Context, u *url.URL, contentType string, body []byte) *http.Request {
-	pr.url = *u
-	pr.raw = body
-	pr.body.Reset(body)
-	pr.body.done.Store(false)
-	pr.ctVal[0] = contentType
-	req := &http.Request{
-		Method:        http.MethodPost,
-		URL:           &pr.url,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        pr.header,
-		Body:          &pr.body,
-		GetBody:       pr.getBody,
-		ContentLength: int64(len(body)),
-	}
-	return req.WithContext(ctx)
-}
-
-// recycle returns the pooled state for reuse — but only once the
-// transport has closed the body, proving no write loop can still be
-// reading it. Otherwise the state is abandoned to the GC (rare: an
-// early response that outran the request write).
-//
-//wsu:owns pr
-//wsu:allow poolcheck -- state whose body the transport may still hold is abandoned to the GC
-func (pr *pooledReq) recycle() {
-	if pr.body.done.Load() {
-		pr.raw = nil
-		reqPool.Put(pr)
-	}
-}
-
 // PostXML posts an XML payload with retry of transient failures:
 // transport errors and (by default) 5xx statuses other than 500 are
 // retried with exponential backoff. HTTP 500 is NOT transient here — the
@@ -437,10 +304,6 @@ func PostXML(ctx context.Context, client *http.Client, url, contentType string, 
 	if client == nil {
 		client = http.DefaultClient
 	}
-	u, err := cachedURL(url)
-	if err != nil {
-		return Result{}, fmt.Errorf("httpx: building request: %w", err)
-	}
 	maxBytes := policy.EffectiveMaxResponseBytes()
 	start := time.Now()
 	var lastErr error
@@ -452,12 +315,14 @@ func PostXML(ctx context.Context, client *http.Client, url, contentType string, 
 			case <-time.After(policy.BackoffFor(attempt)):
 			}
 		}
-		// The pooled state is recycled (see pooledReq.recycle) only when
-		// the transport has provably finished with the body; on error
-		// paths it is abandoned to the GC outright.
-		//wsu:allow poolcheck -- error paths abandon the pooled request to the GC (see above)
-		pr := reqPool.Get().(*pooledReq)
-		resp, err := client.Do(pr.request(ctx, u, contentType, body))
+		// A bytes.Reader body lets net/http set GetBody, so that it can
+		// replay the request on a fresh connection.
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+		if err != nil {
+			return Result{}, fmt.Errorf("httpx: building request: %w", err)
+		}
+		req.Header.Set("Content-Type", contentType)
+		resp, err := client.Do(req)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
@@ -478,10 +343,8 @@ func PostXML(ctx context.Context, client *http.Client, url, contentType string, 
 		if policy.ShouldRetryStatus(resp.StatusCode) && attempt < policy.Attempts {
 			lastErr = fmt.Errorf("httpx: transient HTTP %d from %s", resp.StatusCode, url)
 			data.Release()
-			pr.recycle()
 			continue
 		}
-		pr.recycle()
 		n := len(data.B)
 		data.B = appendHeader(data.B, resp.Header)
 		return Result{
@@ -494,35 +357,4 @@ func PostXML(ctx context.Context, client *http.Client, url, contentType string, 
 		}, nil
 	}
 	return Result{}, fmt.Errorf("httpx: POST %s failed after retries: %w", url, lastErr)
-}
-
-// Instrumented wraps a RoundTripper and reports the latency and error of
-// every exchange to the observe callback — the hook the monitoring
-// subsystem (§4.3) uses to measure release execution times.
-type Instrumented struct {
-	// Base is the wrapped transport; nil means http.DefaultTransport.
-	Base http.RoundTripper
-	// Observe receives every exchange outcome. It must be safe for
-	// concurrent use.
-	Observe func(req *http.Request, status int, latency time.Duration, err error)
-}
-
-var _ http.RoundTripper = (*Instrumented)(nil)
-
-// RoundTrip implements http.RoundTripper.
-func (i *Instrumented) RoundTrip(req *http.Request) (*http.Response, error) {
-	base := i.Base
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	start := time.Now()
-	resp, err := base.RoundTrip(req)
-	if i.Observe != nil {
-		status := 0
-		if resp != nil {
-			status = resp.StatusCode
-		}
-		i.Observe(req, status, time.Since(start), err)
-	}
-	return resp, err
 }

@@ -88,7 +88,7 @@ func TestPostXMLExhaustsRetries(t *testing.T) {
 }
 
 func TestPostXMLTransportErrorAfterRetries(t *testing.T) {
-	_, err := PostXML(context.Background(), NewClient(200*time.Millisecond),
+	_, err := PostXML(context.Background(), &http.Client{Timeout: 200 * time.Millisecond},
 		"http://127.0.0.1:1", "text/xml", nil, RetryPolicy{Attempts: 2, Backoff: time.Millisecond})
 	if err == nil {
 		t.Fatal("dead endpoint did not error")
@@ -125,53 +125,6 @@ func TestPolicyValidation(t *testing.T) {
 	}
 	if _, err := PostXML(context.Background(), nil, "http://x", "t", nil, RetryPolicy{}); err == nil {
 		t.Fatal("invalid policy accepted by PostXML")
-	}
-}
-
-func TestInstrumentedObserves(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("hi"))
-	}))
-	defer ts.Close()
-	var observed atomic.Int32
-	var status atomic.Int32
-	client := &http.Client{Transport: &Instrumented{
-		Observe: func(req *http.Request, st int, latency time.Duration, err error) {
-			observed.Add(1)
-			status.Store(int32(st))
-			if latency < 0 {
-				t.Error("negative latency")
-			}
-		},
-	}}
-	resp, err := client.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if observed.Load() != 1 || status.Load() != 200 {
-		t.Fatalf("observed=%d status=%d", observed.Load(), status.Load())
-	}
-}
-
-func TestInstrumentedObservesErrors(t *testing.T) {
-	var sawErr atomic.Bool
-	client := &http.Client{
-		Timeout: 200 * time.Millisecond,
-		Transport: &Instrumented{
-			Observe: func(req *http.Request, st int, latency time.Duration, err error) {
-				if err != nil && st == 0 {
-					sawErr.Store(true)
-				}
-			},
-		},
-	}
-	_, err := client.Get("http://127.0.0.1:1")
-	if err == nil {
-		t.Fatal("dead endpoint succeeded")
-	}
-	if !sawErr.Load() {
-		t.Fatal("error exchange not observed")
 	}
 }
 

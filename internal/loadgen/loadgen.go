@@ -404,7 +404,7 @@ func (w *worker) buildJSONRequest(operation string) ([]byte, func(body []byte) b
 
 // decodeReply decodes a response envelope's body element into v.
 func decodeReply(envelope []byte, v interface{}) bool {
-	parsed, err := soap.Parse(envelope)
+	parsed, err := soap.Decode(envelope)
 	if err != nil || parsed.Fault != nil {
 		return false
 	}

@@ -156,7 +156,7 @@ func TestVerdictClassification(t *testing.T) {
 	defer client.CloseIdleConnections()
 	envelope := soap.EnvelopeRaw([]byte("<addRequest><a>1</a><b>2</b></addRequest>"))
 	checkSum3 := func(body []byte) bool {
-		parsed, err := soap.Parse(body)
+		parsed, err := soap.Decode(body)
 		if err != nil || parsed.Fault != nil {
 			return false
 		}

@@ -27,6 +27,7 @@ import (
 	"wsupgrade/internal/faulty"
 	"wsupgrade/internal/fleet"
 	"wsupgrade/internal/oracle"
+	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/jsoncodec"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/stats"
@@ -299,18 +300,18 @@ func deploy(seed uint64, specs ...unitSpec) (*deployment, error) {
 			endpoints = append(endpoints, core.Endpoint{Version: rel.version, URL: srv.URL()})
 		}
 		d.units[spec.name] = hu
-		ref := oracle.Reference{Release: spec.old.version}
+		var codec protocol.Codec // nil: SOAP
 		if spec.protocol == "json" {
-			ref.Codec = jsoncodec.Default
+			codec = jsoncodec.Default
 		}
 		unitConfigs = append(unitConfigs, fleet.UnitConfig{
-			Name:     spec.name,
-			Protocol: spec.protocol,
+			Name: spec.name,
 			Engine: core.Config{
+				Codec:            codec,
 				Releases:         endpoints,
 				Timeout:          spec.timeout,
 				InitialPhase:     core.PhaseObservation,
-				Oracle:           ref,
+				Oracle:           oracle.Reference{Release: spec.old.version, Codec: codec},
 				Inference:        whiteBox(),
 				Policy:           spec.policy,
 				ConfidenceTarget: 0.05,

@@ -195,11 +195,31 @@ func canonicalize(in []byte) ([]byte, bool) {
 	if err := json.Unmarshal(in, &v); err != nil {
 		return nil, false
 	}
-	out, err := json.Marshal(v)
+	out, err := json.Marshal(unsignZero(v))
 	if err != nil {
 		return nil, false
 	}
 	return out, true
+}
+
+// unsignZero replaces -0 by 0 throughout v: one number to a decoder
+// (FuzzJSONEqual found "-0" against "0"), two spellings to json.Marshal.
+func unsignZero(v any) any {
+	switch x := v.(type) {
+	case float64:
+		if x == 0 {
+			return 0.0
+		}
+	case []any:
+		for i, e := range x {
+			x[i] = unsignZero(e)
+		}
+	case map[string]any:
+		for k, e := range x {
+			x[k] = unsignZero(e)
+		}
+	}
+	return v
 }
 
 // WriteBody implements protocol.Codec: the winning payload is already

@@ -1,6 +1,7 @@
 package jsoncodec
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
@@ -270,4 +271,31 @@ func TestEqualFastPathAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("byte-equal fast path allocates %v/op, want 0", allocs)
 	}
+}
+
+// FuzzJSONEqual holds Equal's canonical comparison to referenceEqual,
+// the encoding/json round trip: it never panics, is symmetric, agrees
+// with the reference wherever both sides parse, and compares raw bytes
+// wherever either does not.
+func FuzzJSONEqual(f *testing.F) {
+	for _, tc := range equivalenceCorpus {
+		f.Add([]byte(tc.a), []byte(tc.b))
+	}
+	for _, m := range []string{`{"a":`, `{broken}`, ``, `{"a":1}trailing`} {
+		f.Add([]byte(m), []byte(`{"a":1}`))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var c Codec
+		got := c.Equal(a, b)
+		if c.Equal(b, a) != got {
+			t.Fatalf("Equal is not symmetric on %q, %q", a, b)
+		}
+		want, parsable := referenceEqual(a, b)
+		if !parsable {
+			want = bytes.Equal(a, b)
+		}
+		if got != want {
+			t.Fatalf("Equal(%q, %q) = %v, reference says %v (both parse: %v)", a, b, got, want, parsable)
+		}
+	})
 }

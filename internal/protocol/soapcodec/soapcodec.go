@@ -1,5 +1,5 @@
 // Package soapcodec adapts internal/soap to the protocol.Codec seam.
-// It is a thin veneer over the existing zero-copy sniffer, pooled
+// It is a thin veneer over the envelope reader (soap.Decode), pooled
 // envelope writer and XML canonicalizer: every byte the mediator puts
 // on the wire through this codec is identical to what the pre-seam
 // SOAP-only pipeline produced.
@@ -45,31 +45,24 @@ func (Codec) Accepts(contentType string) bool {
 	return !protocol.ContainsFold(contentType, "json")
 }
 
-// DecodeRequest implements protocol.Codec. The hot path is the
-// zero-copy sniff (which validates the whole structural tag tree); the
-// full DOM parse runs only for unusual or malformed envelopes, exactly
-// as core.ServeHTTP historically did.
+// DecodeRequest implements protocol.Codec.
 func (Codec) DecodeRequest(path string, body []byte) (protocol.Request, error) {
-	opElement, sniffed := soap.SniffOperation(body)
-	if !sniffed {
-		parsed, err := soap.Parse(body)
-		if err != nil {
-			return protocol.Request{}, protocol.ClientError(err.Error())
-		}
-		opElement = parsed.Operation.Local
+	parsed, err := soap.Decode(body)
+	if err != nil {
+		return protocol.Request{}, protocol.ClientError(err.Error())
 	}
 	return protocol.Request{
-		Op:      strings.TrimSuffix(opElement, "Request"),
-		Element: opElement,
+		Op:      strings.TrimSuffix(parsed.Operation, "Request"),
+		Element: parsed.Operation,
 	}, nil
 }
 
 // DecodeReply implements protocol.Codec, reproducing the dispatcher's
 // historical reply classification byte for byte:
 //
-//   - 200 with a sniffable envelope: the inner body XML, aliasing the
-//     response buffer (zero copy);
-//   - 200 needing a DOM parse: the parsed body (an independent copy);
+//   - 200 with an envelope: the inner body XML, reported as aliasing
+//     the response buffer (it does when the scanner read it, and
+//     dispatch keeps the buffer either way);
 //   - 500 carrying a SOAP fault: the fault itself (an evident failure
 //     that still counts as a response — protocol.IsFault);
 //   - anything else: a StatusError the dispatcher wraps with release
@@ -77,16 +70,13 @@ func (Codec) DecodeRequest(path string, body []byte) (protocol.Request, error) {
 func (Codec) DecodeReply(status int, body []byte) (payload []byte, aliases bool, err error) {
 	switch status {
 	case http.StatusOK:
-		if inner, _, ok := soap.SniffBody(body); ok {
-			return inner, true, nil
-		}
-		parsed, perr := soap.Parse(body)
+		parsed, perr := soap.Decode(body)
 		if perr != nil {
 			return nil, false, perr
 		}
-		return parsed.BodyXML, false, nil
+		return parsed.BodyXML, true, nil
 	case http.StatusInternalServerError:
-		parsed, perr := soap.Parse(body)
+		parsed, perr := soap.Decode(body)
 		if perr == nil && parsed.Fault != nil {
 			return nil, false, parsed.Fault
 		}
@@ -164,7 +154,7 @@ func (Codec) ConfQueryElement() string { return confQueryElement }
 
 // DecodeConfQuery implements protocol.ConfOps.
 func (Codec) DecodeConfQuery(body []byte) (string, error) {
-	parsed, err := soap.Parse(body)
+	parsed, err := soap.Decode(body)
 	if err != nil {
 		return "", protocol.ClientError(err.Error())
 	}
@@ -184,7 +174,7 @@ func (Codec) EncodeConfResponse(confidence float64) ([]byte, error) {
 // variant's body is renamed to the underlying operation's request
 // element and re-enveloped for the managed dispatch path.
 func (Codec) RewriteConfVariant(body []byte, baseOp string) ([]byte, error) {
-	parsed, err := soap.Parse(body)
+	parsed, err := soap.Decode(body)
 	if err != nil {
 		return nil, protocol.ClientError(err.Error())
 	}

@@ -16,6 +16,7 @@ package service
 
 import (
 	"context"
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"net/http"
@@ -191,9 +192,9 @@ func corrupt(resp interface{}) (interface{}, error) {
 	if raw, ok := resp.(soap.Raw); ok {
 		body = raw
 	} else {
-		body, err = marshalValue(resp)
+		body, err = xml.Marshal(resp)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("service: corrupting response: %w", err)
 		}
 	}
 	out, err := soap.InjectElement(body, []byte("<corrupted>injected non-evident failure</corrupted>"))
@@ -201,18 +202,6 @@ func corrupt(resp interface{}) (interface{}, error) {
 		return nil, fmt.Errorf("service: corrupting response: %w", err)
 	}
 	return soap.Raw(out), nil
-}
-
-func marshalValue(v interface{}) ([]byte, error) {
-	env, err := soap.Envelope(v)
-	if err != nil {
-		return nil, err
-	}
-	parsed, err := soap.Parse(env)
-	if err != nil {
-		return nil, err
-	}
-	return parsed.BodyXML, nil
 }
 
 // Handler returns the HTTP handler for this release: the SOAP endpoint at

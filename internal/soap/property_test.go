@@ -44,11 +44,11 @@ func TestEnvelopeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		parsed, err := Parse(env)
+		parsed, err := Decode(env)
 		if err != nil {
 			return false
 		}
-		if parsed.Operation.Local != "EchoRequest" {
+		if parsed.Operation != "EchoRequest" {
 			return false
 		}
 		var out echoPayload
@@ -75,8 +75,8 @@ func TestCanonicalEqualityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pa, err1 := Parse(a)
-		pb, err2 := Parse(b)
+		pa, err1 := Decode(a)
+		pb, err2 := Decode(b)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -102,8 +102,8 @@ func TestCanonicalInequalityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pa, err1 := Parse(a)
-		pb, err2 := Parse(b)
+		pa, err1 := Decode(a)
+		pb, err2 := Decode(b)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -122,7 +122,7 @@ func TestRenameRootProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		parsed, err := Parse(env)
+		parsed, err := Decode(env)
 		if err != nil {
 			return false
 		}
@@ -130,11 +130,11 @@ func TestRenameRootProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		reparsed, err := Parse(EnvelopeRaw(renamed))
+		reparsed, err := Decode(EnvelopeRaw(renamed))
 		if err != nil {
 			return false
 		}
-		if reparsed.Operation.Local != "RenamedRequest" {
+		if reparsed.Operation != "RenamedRequest" {
 			return false
 		}
 		var out struct {
@@ -161,7 +161,7 @@ func TestInjectElementProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		parsed, err := Parse(env)
+		parsed, err := Decode(env)
 		if err != nil {
 			return false
 		}
@@ -175,7 +175,7 @@ func TestInjectElementProperty(t *testing.T) {
 			Number  int      `xml:"number"`
 			Extra   int      `xml:"extra"`
 		}
-		reparsed, err := Parse(EnvelopeRaw(injected))
+		reparsed, err := Decode(EnvelopeRaw(injected))
 		if err != nil {
 			return false
 		}

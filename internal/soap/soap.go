@@ -7,7 +7,7 @@
 // The paper's middleware intercepts SOAP messages between consumers and
 // the deployed releases of a Web Service (Figs 3-5); this package provides
 // both the endpoint runtime (Server) and the message-level primitives the
-// interceptor needs (Parse, Envelope, Fault, Canonicalize).
+// interceptor needs (Decode, Envelope, Fault, Canonicalize).
 package soap
 
 import (
@@ -19,7 +19,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"unicode/utf8"
 
 	"wsupgrade/internal/httpx"
@@ -90,97 +89,6 @@ func IsFault(err error) bool {
 // codec seam's header type so items cross the protocol boundary without
 // conversion.
 type HeaderItem = protocol.HeaderItem
-
-// Parsed is a decoded SOAP envelope.
-type Parsed struct {
-	// HeaderXML is the raw inner XML of the Header element (nil if
-	// absent).
-	HeaderXML []byte
-	// BodyXML is the raw inner XML of the Body element.
-	BodyXML []byte
-	// Operation is the name of the first element in the body; its Local
-	// field names the invoked operation for RPC dispatch.
-	Operation xml.Name
-	// Fault is non-nil when the body carries a SOAP fault.
-	Fault *Fault
-}
-
-type inEnvelope struct {
-	XMLName xml.Name  `xml:"Envelope"`
-	Header  inSegment `xml:"Header"`
-	Body    inBody    `xml:"Body"`
-}
-
-type inSegment struct {
-	Inner []byte `xml:",innerxml"`
-}
-
-type inBody struct {
-	Inner []byte `xml:",innerxml"`
-	// Fault is matched while the namespace context of the full envelope
-	// is still available; prefixes are generally unresolvable in the
-	// extracted Inner fragment.
-	Fault *inFault `xml:"http://schemas.xmlsoap.org/soap/envelope/ Fault"`
-}
-
-type inFault struct {
-	Code   string `xml:"faultcode"`
-	String string `xml:"faultstring"`
-	Actor  string `xml:"faultactor"`
-	Detail string `xml:"detail"`
-}
-
-// Parse decodes a SOAP 1.1 envelope.
-func Parse(data []byte) (*Parsed, error) {
-	if len(data) > maxMessageBytes {
-		return nil, fmt.Errorf("%w: message of %d bytes exceeds limit", ErrNotSOAP, len(data))
-	}
-	var env inEnvelope
-	if err := xml.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotSOAP, err)
-	}
-	if env.XMLName.Space != EnvelopeNS {
-		return nil, fmt.Errorf("%w: root namespace %q", ErrNotSOAP, env.XMLName.Space)
-	}
-	p := &Parsed{BodyXML: env.Body.Inner}
-	if len(env.Header.Inner) > 0 {
-		p.HeaderXML = env.Header.Inner
-	}
-	name, ok := firstElement(env.Body.Inner)
-	if !ok {
-		return nil, ErrEmptyBody
-	}
-	p.Operation = name
-	if f := env.Body.Fault; f != nil {
-		p.Fault = &Fault{Code: f.Code, String: f.String, Actor: f.Actor, Detail: f.Detail}
-	}
-	return p, nil
-}
-
-// DecodeBody unmarshals the first body element into v.
-func (p *Parsed) DecodeBody(v interface{}) error {
-	return decodeBody(p.BodyXML, v)
-}
-
-func decodeBody(bodyXML []byte, v interface{}) error {
-	if err := xml.Unmarshal(bodyXML, v); err != nil {
-		return fmt.Errorf("soap: decoding body: %w", err)
-	}
-	return nil
-}
-
-func firstElement(inner []byte) (xml.Name, bool) {
-	dec := xml.NewDecoder(bytes.NewReader(inner))
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return xml.Name{}, false
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			return se.Name, true
-		}
-	}
-}
 
 // scratch recycles the buffers of envelope writing, fault rendering and
 // canonical comparison — all on the middleware's per-request hot path,
@@ -439,17 +347,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, ClientFault(fmt.Sprintf("reading request: %v", err)))
 		return
 	}
-	// Route on the zero-copy sniff when the envelope is common-form; the
-	// DOM parse runs only for unusual messages.
-	parsed, ok := SniffEnvelope(data)
-	if !ok {
-		var perr error
-		if parsed, perr = Parse(data); perr != nil {
-			writeFault(w, ClientFault(perr.Error()))
-			return
-		}
+	parsed, err := Decode(data)
+	if err != nil {
+		writeFault(w, ClientFault(err.Error()))
+		return
 	}
-	op := parsed.Operation.Local
+	op := parsed.Operation
 	h, ok := s.ops[op]
 	if !ok {
 		writeFault(w, ClientFault(fmt.Sprintf("%v: %s", ErrNoSuchOperation, op)))
@@ -458,7 +361,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for i := len(s.wrap) - 1; i >= 0; i-- {
 		h = s.wrap[i](h)
 	}
-	resp, err := h(r.Context(), &Request{Operation: op, Envelope: parsed, HTTP: r, ResponseHeader: w.Header()})
+	resp, err := h(r.Context(), &Request{Operation: op, Envelope: &parsed, HTTP: r, ResponseHeader: w.Header()})
 	if err != nil {
 		var f *Fault
 		if !errors.As(err, &f) {
@@ -524,10 +427,7 @@ func (c *Client) Call(ctx context.Context, operation string, in, out interface{}
 	if out == nil {
 		return nil
 	}
-	if inner, _, ok := SniffBody(respBody); ok {
-		return decodeBody(inner, out)
-	}
-	parsed, err := Parse(respBody)
+	parsed, err := Decode(respBody)
 	if err != nil {
 		return err
 	}
@@ -557,7 +457,7 @@ func (c *Client) CallRaw(ctx context.Context, operation string, envelope []byte)
 	case http.StatusOK:
 		return data, nil
 	case http.StatusInternalServerError:
-		parsed, perr := Parse(data)
+		parsed, perr := Decode(data)
 		if perr == nil && parsed.Fault != nil {
 			return nil, parsed.Fault
 		}
@@ -666,58 +566,6 @@ func appendCanonicalName(dst []byte, n xml.Name) []byte {
 		dst = append(dst, '}')
 	}
 	return append(dst, n.Local...)
-}
-
-// RenameRoot renames the first element of the fragment (and its matching
-// end tag) to newLocal, dropping any namespace prefix from the tag name.
-// The upgrade middleware uses it to translate "<op>Conf" variant requests
-// (§6.2 option 3) onto the underlying operation and back.
-func RenameRoot(fragment []byte, newLocal string) ([]byte, error) {
-	trimmed := bytes.TrimSpace(fragment)
-	if _, ok := firstElement(trimmed); !ok {
-		return nil, ErrEmptyBody
-	}
-	// Locate the root start tag: the first "<" opening a named element
-	// (skipping comments, PIs and directives).
-	start := -1
-	for i := 0; i < len(trimmed)-1; i++ {
-		if trimmed[i] != '<' {
-			continue
-		}
-		switch trimmed[i+1] {
-		case '?', '!', '/':
-			continue
-		}
-		start = i
-		break
-	}
-	if start < 0 {
-		return nil, ErrEmptyBody
-	}
-	// Extract the raw tag name as written (may include a prefix).
-	nameEnd := start + 1
-	for nameEnd < len(trimmed) && !isTagDelim(trimmed[nameEnd]) {
-		nameEnd++
-	}
-	written := string(trimmed[start+1 : nameEnd])
-
-	var b bytes.Buffer
-	b.Write(trimmed[:start+1])
-	b.WriteString(newLocal)
-	rest := trimmed[nameEnd:]
-	closeTag := []byte("</" + written + ">")
-	if idx := bytes.LastIndex(rest, closeTag); idx >= 0 {
-		b.Write(rest[:idx])
-		b.WriteString("</" + newLocal + ">")
-		b.Write(rest[idx+len(closeTag):])
-	} else {
-		b.Write(rest) // self-closing or unmatched: only the start tag renames
-	}
-	return b.Bytes(), nil
-}
-
-func isTagDelim(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '>' || c == '/'
 }
 
 // EqualCanonical reports whether two XML fragments canonicalize to the
@@ -839,74 +687,4 @@ func equalStreams(x, y *canonStream) bool {
 		}
 		x.out, y.out = px[n:], py[n:]
 	}
-}
-
-// InjectElement appends a child element (rendered from raw XML) at the end
-// of the first element of the given fragment and returns the new fragment.
-// The §6.2 "publish the confidence in the response" mechanism uses it to
-// add the confidence element to an operation response without
-// understanding its schema.
-func InjectElement(fragment, childXML []byte) ([]byte, error) {
-	trimmed := bytes.TrimSpace(fragment)
-	if len(trimmed) == 0 {
-		return nil, ErrEmptyBody
-	}
-	// Find the matching close of the first (root) element and insert
-	// before it. Self-closing roots are expanded.
-	dec := xml.NewDecoder(bytes.NewReader(trimmed))
-	depth := 0
-	var rootEnd int64 = -1
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("soap: injecting element: %w", err)
-		}
-		switch tok.(type) {
-		case xml.StartElement:
-			depth++
-		case xml.EndElement:
-			depth--
-			if depth == 0 {
-				rootEnd = dec.InputOffset()
-			}
-		}
-		if rootEnd >= 0 {
-			break
-		}
-	}
-	if rootEnd < 0 {
-		return nil, fmt.Errorf("%w: no complete root element", ErrEmptyBody)
-	}
-	closeStart := int64(bytes.LastIndex(trimmed[:rootEnd], []byte("<")))
-	if closeStart < 0 {
-		return nil, fmt.Errorf("%w: malformed root element", ErrEmptyBody)
-	}
-	if strings.HasSuffix(string(bytes.TrimSpace(trimmed[closeStart:rootEnd])), "/>") {
-		// Self-closing root: <a/> → <a>child</a>. (Attribute values
-		// containing a literal "/>" would defeat this scan; the
-		// machine-generated payloads this proxies never contain one.)
-		name, ok := firstElement(trimmed)
-		if !ok {
-			return nil, ErrEmptyBody
-		}
-		selfClose := bytes.LastIndex(trimmed[:rootEnd], []byte("/>"))
-		if selfClose < 0 {
-			return nil, fmt.Errorf("%w: malformed self-closing root", ErrEmptyBody)
-		}
-		var b bytes.Buffer
-		b.Write(trimmed[:selfClose])
-		b.WriteByte('>')
-		b.Write(childXML)
-		b.WriteString("</" + name.Local + ">")
-		b.Write(trimmed[rootEnd:])
-		return b.Bytes(), nil
-	}
-	var b bytes.Buffer
-	b.Write(trimmed[:closeStart])
-	b.Write(childXML)
-	b.Write(trimmed[closeStart:])
-	return b.Bytes(), nil
 }

@@ -170,11 +170,11 @@ func TestOperationsSorted(t *testing.T) {
 func TestParseExtractsPieces(t *testing.T) {
 	env := EnvelopeRaw([]byte(`<ns:Op1Request xmlns:ns="urn:x"><p>1</p></ns:Op1Request>`),
 		HeaderItem(`<h:Token xmlns:h="urn:h">abc</h:Token>`))
-	p, err := Parse(env)
+	p, err := Decode(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Operation.Local != "Op1Request" || p.Operation.Space != "urn:x" {
+	if p.Operation != "Op1Request" {
 		t.Fatalf("operation = %+v", p.Operation)
 	}
 	if !strings.Contains(string(p.HeaderXML), "Token") {
@@ -192,7 +192,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"empty body":      string(EnvelopeRaw(nil)),
 	}
 	for name, in := range cases {
-		if _, err := Parse([]byte(in)); err == nil {
+		if _, err := Decode([]byte(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -200,7 +200,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 
 func TestParseFaultEnvelope(t *testing.T) {
 	env := FaultEnvelope(&Fault{Code: "soap:Server", String: "x < y", Detail: "d"})
-	p, err := Parse(env)
+	p, err := Decode(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestCallRawPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Parse(resp)
+	p, err := Decode(resp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,10 @@
 // qualitatively (reliability vs responsiveness vs server capacity) can be
 // measured — see the mode ablation bench.
 //
-// The simulation is executed on the discrete-event kernel of
-// internal/sim; every request contributes its release-response events and
-// one adjudication event, and determinism is guaranteed by the seeded
-// stream and the kernel's FIFO tie-breaking.
+// Requests do not interact, and every draw is taken in request order, so
+// each request's outcome is tallied as it is sampled: the counts are
+// commutative sums, and the seeded streams alone make a run
+// deterministic.
 package upgsim
 
 import (
@@ -35,7 +35,6 @@ import (
 
 	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/relmodel"
-	"wsupgrade/internal/sim"
 	"wsupgrade/internal/xrand"
 )
 
@@ -202,19 +201,11 @@ func Simulate(cfg Config) (*Result, error) {
 	// outcome/latency sequence — and with it the per-release raw MET —
 	// is identical across timeouts and modes for a given seed.
 	adjRng := xrand.New(cfg.Seed ^ 0x5ad31ca7e0001)
-	var kernel sim.Kernel
 	res := &Result{Config: cfg}
 
 	var metRel1, metRel2, truncRel1, truncRel2, metSys float64
 
-	// Requests do not interact; space them so each request's events form
-	// a disjoint time block, which keeps the event trace legible. The
-	// sequential mode can take up to two timeouts.
-	stride := 2*cfg.TimeOut + cfg.Latency.DT + 1
-
 	for i := 0; i < cfg.Requests; i++ {
-		arrival := float64(i) * stride
-
 		var k1, k2 relmodel.OutcomeKind
 		if cfg.Correlated {
 			k1, k2 = cfg.Run.SampleCorrelated(rng)
@@ -223,60 +214,40 @@ func Simulate(cfg Config) (*Result, error) {
 		}
 		t1, t2 := cfg.Latency.Sample(rng)
 
-		recordExec := func(tally *ReleaseTally, met, trunc *float64, t float64, k relmodel.OutcomeKind, at float64) error {
+		recordExec := func(tally *ReleaseTally, met, trunc *float64, t float64, k relmodel.OutcomeKind) {
 			tally.Executed++
 			*met += t
 			*trunc += math.Min(cfg.TimeOut, t)
 			if t <= cfg.TimeOut {
-				kind := k
-				if _, err := kernel.At(at+t, func() { tallyKind(tally, kind) }); err != nil {
-					return fmt.Errorf("upgsim: scheduling response: %w", err)
-				}
+				tallyKind(tally, k)
 			} else {
 				tally.NRDT++
 			}
-			return nil
 		}
 
 		switch cfg.mode() {
 		case ParallelReliability, ParallelResponsiveness, ParallelDynamic:
-			if err := recordExec(&res.Rel1, &metRel1, &truncRel1, t1, k1, arrival); err != nil {
-				return nil, err
-			}
-			if err := recordExec(&res.Rel2, &metRel2, &truncRel2, t2, k2, arrival); err != nil {
-				return nil, err
-			}
+			recordExec(&res.Rel1, &metRel1, &truncRel1, t1, k1)
+			recordExec(&res.Rel2, &metRel2, &truncRel2, t2, k2)
 			res.System.Executions += 2
 
 			adjTime, verdict := adjudicateParallel(cfg, t1, t2, k1, k2, adjRng)
 			metSys += adjTime
-			if _, err := kernel.At(arrival+adjTime, func() { tallySystem(&res.System, verdict) }); err != nil {
-				return nil, fmt.Errorf("upgsim: scheduling adjudication: %w", err)
-			}
+			tallySystem(&res.System, verdict)
 
 		case Sequential:
 			// Release 1 executes first; release 2 only if release 1
 			// produced an evident failure or no response in time.
-			if err := recordExec(&res.Rel1, &metRel1, &truncRel1, t1, k1, arrival); err != nil {
-				return nil, err
-			}
+			recordExec(&res.Rel1, &metRel1, &truncRel1, t1, k1)
 			res.System.Executions++
 			firstOK := t1 <= cfg.TimeOut && k1 != relmodel.EvidentFailure
 			if firstOK {
-				adjTime := t1 + cfg.Latency.DT
-				metSys += adjTime
-				kind := k1
-				if _, err := kernel.At(arrival+adjTime, func() {
-					tallySystem(&res.System, adjudicate.KindVerdict{Outcome: kind})
-				}); err != nil {
-					return nil, fmt.Errorf("upgsim: scheduling sequential adjudication: %w", err)
-				}
+				metSys += t1 + cfg.Latency.DT
+				tallySystem(&res.System, adjudicate.KindVerdict{Outcome: k1})
 				break
 			}
 			secondStart := math.Min(cfg.TimeOut, t1)
-			if err := recordExec(&res.Rel2, &metRel2, &truncRel2, t2, k2, arrival+secondStart); err != nil {
-				return nil, err
-			}
+			recordExec(&res.Rel2, &metRel2, &truncRel2, t2, k2)
 			res.System.Executions++
 			adjTime := secondStart + math.Min(cfg.TimeOut, t2) + cfg.Latency.DT
 			metSys += adjTime
@@ -291,13 +262,9 @@ func Simulate(cfg Config) (*Result, error) {
 			default:
 				verdict = adjudicate.KindVerdict{Outcome: k2}
 			}
-			if _, err := kernel.At(arrival+adjTime, func() { tallySystem(&res.System, verdict) }); err != nil {
-				return nil, fmt.Errorf("upgsim: scheduling sequential adjudication: %w", err)
-			}
+			tallySystem(&res.System, verdict)
 		}
 	}
-
-	kernel.Run()
 
 	if res.Rel1.Executed > 0 {
 		res.Rel1.MET = metRel1 / float64(res.Rel1.Executed)
