@@ -6,10 +6,10 @@
 # `make bench-baseline` after an intentional change and commit it.
 
 GO        ?= go
-BENCH     ?= EngineInProcess|FleetInProcess|OracleJudge|MonitorNote|WhiteBoxPosterior
+BENCH     ?= EngineInProcess|FleetInProcess|OracleJudge|MonitorNote|WhiteBoxPosterior|JSONDecodeReply
 COUNT     ?= 5
 BENCHTIME ?= 1000x
-GATED      = EngineInProcess/live-shape-oldonly,EngineInProcess/live-shape-parallel,FleetInProcess/fleet-routed-json,EngineInProcess/observation-large,OracleJudge/back-to-back-64k-differ,EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,EngineInProcess/observation-publish-warm,WhiteBoxPosterior/scenario-grid-advancing,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission
+GATED      = EngineInProcess/live-shape-oldonly,EngineInProcess/live-shape-parallel,FleetInProcess/fleet-routed-json,EngineInProcess/observation-large,OracleJudge/back-to-back-64k-differ,EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,EngineInProcess/observation-publish-warm,WhiteBoxPosterior/scenario-grid-advancing,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission,JSONDecodeReply/0.4KB,JSONDecodeReply/64KB
 # Fast-path entries additionally gated on best-of-N ns/op. The 25%
 # threshold is deliberately generous (shared runners are noisy); it
 # exists to catch a fast path falling off a cliff, not a 5% wobble.
@@ -24,13 +24,13 @@ SOAK_DURATION ?= 20s
 SOAK_OUT      ?= .
 
 # The fuzz target gives each network-facing parser's fuzz function — the
-# envelope scanner and the JSON comparator against their encoding/xml and
-# encoding/json references among them — and FuzzPosteriorFrom, the
-# posterior's frontier pass against its full pass, a short budget (go
-# test runs one -fuzz target per invocation). A
+# envelope scanner, the JSON validator and the JSON comparator against
+# their encoding/xml and encoding/json references among them — and
+# FuzzPosteriorFrom, the posterior's frontier pass against its full pass,
+# a short budget (go test runs one -fuzz target per invocation). A
 # crasher is written under the package's testdata/fuzz/ — commit it: from
 # then on it runs as a seed in every plain `go test`. Minimisation is
-# capped because the seed corpus has 64 KB documents, and the default
+# capped because the seed corpora have 64 KB documents, and the default
 # minute spent shrinking one would be the whole budget.
 FUZZTIME ?= 20s
 
@@ -60,6 +60,7 @@ soak:
 fuzz:
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzEqualCanonical -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/protocol/jsoncodec -run='^$$' -fuzz=FuzzJSONValid -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/protocol/jsoncodec -run='^$$' -fuzz=FuzzJSONEqual -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzHeaderGet -fuzztime=$(FUZZTIME)

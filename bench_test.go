@@ -910,6 +910,28 @@ func BenchmarkFleetInProcess(b *testing.B) {
 	})
 }
 
+// BenchmarkJSONDecodeReply measures the JSON gateway's check of a
+// release's 200 — every reply of a JSON unit passes it — on the
+// mediation benchmark's 0.4 KB reply shape and on a 64 KB one, both
+// mostly one long string. The gate pins it at 0 allocs/op.
+func BenchmarkJSONDecodeReply(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		pad  int
+	}{{"0.4KB", 360}, {"64KB", 64 << 10}} {
+		body := fmt.Appendf(nil, `{"id":1234,"sum":"01234567","pad":"%s"}`, strings.Repeat("aB3x", tc.pad/4))
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := (jsoncodec.Codec{}).DecodeReply(http.StatusOK, body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchNoteRecord builds the canonical two-release record Note
 // benchmarks drive, against a monitor with a warm (already lapped)
 // event-log ring. interned selects whether the observations carry the

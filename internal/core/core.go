@@ -819,14 +819,14 @@ const ConfidenceHeader = "X-Wsupgrade-Confidence"
 const maxRequestBytes = 10 << 20
 
 // ServeHTTP intercepts one consumer request. The codec classifies the
-// demand on its own hot path — the SOAP codec's zero-copy envelope
-// sniff (which validates the whole structural tag tree, falling back
-// to a DOM parse for unusual envelopes), the JSON codec's URL-path
-// route. The residual gap is the codec's: a message with content-level
-// malformation only a full parse detects can classify clean and be
-// rejected by the releases instead of locally; those faults reach the
-// consumer as faults — the same monitoring exposure an unknown
-// operation name has always had.
+// demand on its own hot path — soap.Decode's zero-copy envelope scan
+// (which checks the whole structural tag tree and declines unusual
+// envelopes to an encoding/xml parse), the JSON codec's URL-path route
+// and validity check. The residual gap is the SOAP codec's: a message
+// with content-level malformation only a full parse detects can
+// classify clean and be rejected by the releases instead of locally;
+// those faults reach the consumer as faults — the same monitoring
+// exposure an unknown operation name has always had.
 func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	e.ServePath(w, r, r.URL.Path)
 }

@@ -5,12 +5,13 @@
 // The design mirrors internal/soap's hot-path discipline:
 //
 //   - the operation routes zero-copy from the URL path (a substring,
-//     sniffer-style — no split allocation);
-//   - reply validation is json.Valid, whose scanner is pooled by
-//     encoding/json (zero allocations in steady state);
+//     no split allocation);
+//   - request and reply validation is valid, a non-recursive scanner
+//     that accepts exactly what encoding/json's Valid does, without
+//     allocating;
 //   - canonical equivalence starts with a bytes.Equal fast path and
-//     falls back to an encoding/json round trip that is key-order,
-//     whitespace and number-form insensitive;
+//     falls back to an encoding/json decode compared key-order and
+//     whitespace insensitively, numbers by their exact decimal value;
 //   - release-call URLs ("endpoint/operation") are interned in a
 //     copy-on-write map so the fan-out path never rebuilds the string.
 package jsoncodec
@@ -19,9 +20,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,8 +61,7 @@ func (Codec) Accepts(contentType string) bool {
 
 // DecodeRequest implements protocol.Codec: the operation is the URL
 // path's single segment, taken as a zero-copy substring, and the body
-// must be well-formed JSON (the structural check mirroring the SOAP
-// sniffer's envelope validation).
+// must be well-formed JSON.
 //
 //wsu:noalloc
 func (Codec) DecodeRequest(path string, body []byte) (protocol.Request, error) {
@@ -69,7 +69,7 @@ func (Codec) DecodeRequest(path string, body []byte) (protocol.Request, error) {
 	if op == "" {
 		return protocol.Request{}, errBadPath
 	}
-	if !json.Valid(body) {
+	if !valid(body) {
 		return protocol.Request{}, errBadBody
 	}
 	return protocol.Request{Op: op, Element: op}, nil
@@ -135,7 +135,7 @@ type errorEnvelope struct {
 func (Codec) DecodeReply(status int, body []byte) (payload []byte, aliases bool, err error) {
 	switch status {
 	case http.StatusOK:
-		if !json.Valid(body) {
+		if !valid(body) {
 			return nil, false, errInvalidReply
 		}
 		return body, true, nil
@@ -157,11 +157,12 @@ var errInvalidReply = protocol.ServerError("invalid JSON body")
 
 // Equal implements protocol.Codec: canonical-JSON equivalence. The
 // fast path is a raw byte comparison; payloads that differ textually
-// fall back to an encoding/json round trip that sorts object keys,
-// strips whitespace, resolves escapes and normalizes number forms
-// (1, 1.0 and 1e0 agree). Payloads that do not parse compare by the
-// raw bytes — already unequal here — mirroring the SOAP
-// canonicalizer's conservatism on unparsable fragments.
+// are decoded and compared with object keys in any order, whitespace
+// and escapes resolved, and numbers by exact decimal value (1, 1.0, 1e0
+// and 10e-1 agree; 9007199254740993 and 9007199254740992 do not).
+// Payloads that do not parse compare by the raw bytes — already unequal
+// here — mirroring the SOAP canonicalizer's conservatism on unparsable
+// fragments.
 //
 //wsu:noalloc
 func (Codec) Equal(a, b []byte) bool {
@@ -176,50 +177,143 @@ func (Codec) Equal(a, b []byte) bool {
 //
 //go:noinline
 func canonicalEqual(a, b []byte) bool {
-	ca, ok := canonicalize(a)
+	va, ok := decodeExact(a)
 	if !ok {
 		return false
 	}
-	cb, ok := canonicalize(b)
+	vb, ok := decodeExact(b)
 	if !ok {
 		return false
 	}
-	return bytes.Equal(ca, cb)
+	return sameValue(va, vb)
 }
 
-// canonicalize re-marshals one JSON payload into its canonical text:
-// encoding/json sorts map keys, emits minimal whitespace, and folds
-// every number form through float64.
-func canonicalize(in []byte) ([]byte, bool) {
+// decodeExact decodes one JSON payload into interface values, keeping
+// each number as its literal (json.Number): float64 cannot tell 2^53
+// from 2^53+1.
+func decodeExact(in []byte) (any, bool) {
+	// A decoder stops after the first value; the check refuses what
+	// follows it, as json.Unmarshal does.
+	if !valid(in) {
+		return nil, false
+	}
+	dec := json.NewDecoder(bytes.NewReader(in))
+	dec.UseNumber()
 	var v any
-	if err := json.Unmarshal(in, &v); err != nil {
+	if err := dec.Decode(&v); err != nil {
 		return nil, false
 	}
-	out, err := json.Marshal(unsignZero(v))
-	if err != nil {
-		return nil, false
-	}
-	return out, true
+	return v, true
 }
 
-// unsignZero replaces -0 by 0 throughout v: one number to a decoder
-// (FuzzJSONEqual found "-0" against "0"), two spellings to json.Marshal.
-func unsignZero(v any) any {
-	switch x := v.(type) {
-	case float64:
-		if x == 0 {
-			return 0.0
-		}
-	case []any:
-		for i, e := range x {
-			x[i] = unsignZero(e)
-		}
+// sameValue compares two decoded payloads: objects as key sets, arrays
+// in order, numbers by canonicalNumber, strings and literals exactly.
+func sameValue(a, b any) bool {
+	switch x := a.(type) {
 	case map[string]any:
-		for k, e := range x {
-			x[k] = unsignZero(e)
+		y, ok := b.(map[string]any)
+		if !ok || len(x) != len(y) {
+			return false
 		}
+		for k, xv := range x {
+			if yv, ok := y[k]; !ok || !sameValue(xv, yv) {
+				return false
+			}
+		}
+		return true
+	case []any:
+		y, ok := b.([]any)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !sameValue(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	case json.Number:
+		y, ok := b.(json.Number)
+		return ok && canonicalNumber(string(x)) == canonicalNumber(string(y))
+	default: // string, bool or nil
+		return a == b
 	}
-	return v
+}
+
+// canonicalNumber spells a JSON number literal so that two literals
+// spell alike exactly when they denote the same decimal value: a sign
+// unless the value is zero, the significant digits without leading or
+// trailing zeros, and the power of ten that scales them — 1, 1.0 and
+// 10e-1 all read "1e0", -0 and 0 read "0". Its work is proportional to
+// the literal's length, never to its magnitude: 1e999999999 is no dearer
+// than 1e9.
+func canonicalNumber(lit string) string {
+	sign := ""
+	if lit[0] == '-' {
+		sign, lit = "-", lit[1:]
+	}
+	mant, exp := lit, ""
+	if k := strings.IndexAny(lit, "eE"); k >= 0 {
+		mant, exp = lit[:k], lit[k+1:]
+	}
+	whole, frac := mant, ""
+	if k := strings.IndexByte(mant, '.'); k >= 0 {
+		whole, frac = mant[:k], mant[k+1:]
+	}
+	digits := strings.TrimLeft(whole+frac, "0")
+	if digits == "" {
+		return "0"
+	}
+	sig := strings.TrimRight(digits, "0")
+	// The value is sig × 10^(exp + shift).
+	shift := len(digits) - len(sig) - len(frac)
+	return sign + sig + "e" + addExponent(exp, shift)
+}
+
+// addExponent returns the decimal spelling of exp + shift, where exp is
+// an exponent literal ("", "7", "+7", "-007") of any length and shift is
+// at most a literal's length in magnitude.
+func addExponent(exp string, shift int) string {
+	neg := false
+	if exp != "" && (exp[0] == '+' || exp[0] == '-') {
+		neg = exp[0] == '-'
+		exp = exp[1:]
+	}
+	exp = strings.TrimLeft(exp, "0")
+	if len(exp) <= 18 {
+		var e int64
+		for _, c := range exp {
+			e = e*10 + int64(c-'0')
+		}
+		if neg {
+			e = -e
+		}
+		return strconv.FormatInt(e+int64(shift), 10)
+	}
+	// |exp| ≥ 10^18 outweighs any shift, so the sum keeps exp's sign and
+	// only its magnitude moves: carried, or borrowed, digit by digit.
+	carry := shift
+	if neg {
+		carry = -shift
+	}
+	mag := []byte(exp)
+	for k := len(mag) - 1; k >= 0 && carry != 0; k-- {
+		v := int(mag[k]-'0') + carry
+		carry = v / 10
+		if v %= 10; v < 0 {
+			v += 10
+			carry--
+		}
+		mag[k] = byte('0' + v)
+	}
+	if carry > 0 {
+		mag = append(strconv.AppendInt(nil, int64(carry), 10), mag...)
+	}
+	s := strings.TrimLeft(string(mag), "0")
+	if neg {
+		return "-" + s
+	}
+	return s
 }
 
 // WriteBody implements protocol.Codec: the winning payload is already
@@ -260,10 +354,8 @@ func (Codec) WriteRejection(w http.ResponseWriter, status int, msg string) {
 }
 
 func writeErrorBody(w http.ResponseWriter, status int, f *Fault) {
-	body, err := json.Marshal(errorEnvelope{Error: f})
-	if err != nil {
-		body = []byte(fmt.Sprintf(`{"error":{"message":%q}}`, f.Message))
-	}
+	// Marshaling a struct of two strings cannot fail.
+	body, _ := json.Marshal(errorEnvelope{Error: f})
 	w.Header()["Content-Type"] = contentTypeHeader
 	w.WriteHeader(status)
 	_, _ = w.Write(body)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/big"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,14 +15,60 @@ import (
 )
 
 // referenceEqual is the specification Equal must agree with on
-// parsable inputs: a full encoding/json round trip into interface
-// values compared structurally.
-func referenceEqual(a, b []byte) (equal, parsable bool) {
-	var va, vb any
-	if json.Unmarshal(a, &va) != nil || json.Unmarshal(b, &vb) != nil {
+// parsable inputs: an encoding/json decode into interface values, each
+// number turned into its exact value as a big.Rat, compared
+// structurally. big.Rat spells out 10^exp, so a case with an exponent
+// beyond ±maxRefExponent is skipped: the reference would cost the
+// number's magnitude where Equal costs its length.
+func referenceEqual(t testing.TB, a, b []byte) (equal, parsable bool) {
+	va, okA := referenceDecode(a)
+	vb, okB := referenceDecode(b)
+	if !okA || !okB {
 		return false, false
 	}
-	return reflect.DeepEqual(va, vb), true
+	return reflect.DeepEqual(exactNumbers(t, va), exactNumbers(t, vb)), true
+}
+
+const maxRefExponent = 1000
+
+// referenceDecode is json.Unmarshal with UseNumber: a decoder reads only
+// the first value, so json.Valid refuses trailing bytes first.
+func referenceDecode(in []byte) (any, bool) {
+	if !json.Valid(in) {
+		return nil, false
+	}
+	dec := json.NewDecoder(bytes.NewReader(in))
+	dec.UseNumber()
+	var v any
+	err := dec.Decode(&v)
+	return v, err == nil
+}
+
+// exactNumbers replaces every json.Number in v by its value in lowest
+// terms, so -0 and 0, or 1 and 1.0, are one value to reflect.DeepEqual.
+func exactNumbers(t testing.TB, v any) any {
+	switch x := v.(type) {
+	case json.Number:
+		if k := strings.IndexAny(string(x), "eE"); k >= 0 {
+			if e, err := strconv.Atoi(string(x[k+1:])); err != nil || e > maxRefExponent || e < -maxRefExponent {
+				t.Skipf("exponent of %.40s is beyond the reference's ±%d", x, maxRefExponent)
+			}
+		}
+		r, ok := new(big.Rat).SetString(string(x))
+		if !ok {
+			t.Fatalf("big.Rat cannot read the number %q", x)
+		}
+		return json.Number(r.RatString())
+	case []any:
+		for i, e := range x {
+			x[i] = exactNumbers(t, e)
+		}
+	case map[string]any:
+		for k, e := range x {
+			x[k] = exactNumbers(t, e)
+		}
+	}
+	return v
 }
 
 // equivalenceCorpus is the shared canonical-JSON corpus: key
@@ -54,6 +102,13 @@ var equivalenceCorpus = []struct {
 	{"case-sensitive-keys", `{"A":1}`, `{"a":1}`, false},
 	{"extra-key", `{"a":1}`, `{"a":1,"b":1}`, false},
 	{"bool-vs-string", `{"ok":true}`, `{"ok":"true"}`, false},
+	// Numbers float64 cannot tell apart are still different numbers.
+	{"number-beyond-2^53", `{"id":9007199254740993}`, `{"id":9007199254740992}`, false},
+	{"number-beyond-uint64", `12345678901234567890`, `12345678901234567891`, false},
+	{"number-beyond-float64-digits", `0.1000000000000000055511151231257827`, `0.1`, false},
+	{"number-beyond-float64-range", `1e400`, `10e399`, true},
+	{"number-scaled-fraction", `[1]`, `[10e-1]`, true},
+	{"number-negative-zero", `{"n":-0}`, `{"n":0.0e5}`, true},
 }
 
 func TestEqualAgreesWithReference(t *testing.T) {
@@ -61,7 +116,7 @@ func TestEqualAgreesWithReference(t *testing.T) {
 	for _, tc := range equivalenceCorpus {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := []byte(tc.a), []byte(tc.b)
-			refEq, parsable := referenceEqual(a, b)
+			refEq, parsable := referenceEqual(t, a, b)
 			if !parsable {
 				t.Fatalf("corpus entry %q is not parsable JSON", tc.name)
 			}
@@ -79,8 +134,8 @@ func TestEqualAgreesWithReference(t *testing.T) {
 	}
 }
 
-// TestEqualMalformedFallsBack mirrors the SOAP sniffer's conservatism:
-// payloads that do not parse compare by raw bytes only.
+// TestEqualMalformedFallsBack mirrors the SOAP comparator's
+// conservatism: payloads that do not parse compare by raw bytes only.
 func TestEqualMalformedFallsBack(t *testing.T) {
 	var c Codec
 	malformed := []string{`{"a":`, `{broken}`, ``, `{"a":1}trailing`}
@@ -93,6 +148,34 @@ func TestEqualMalformedFallsBack(t *testing.T) {
 		}
 		if c.Equal([]byte(m), []byte(m+" ")) {
 			t.Errorf("textually distinct malformed payloads %q must stay unequal", m)
+		}
+	}
+}
+
+// TestCanonicalNumber covers what the reference cannot judge: exponents
+// of any length, including the borrow and carry across an exponent of 19
+// digits or more, which must meet the int64 spelling of the same value.
+func TestCanonicalNumber(t *testing.T) {
+	for _, tc := range []struct{ lit, want string }{
+		{"0", "0"},
+		{"-0.000e-7", "0"},
+		{"1", "1e0"},
+		{"1.0", "1e0"},
+		{"10e-1", "1e0"},
+		{"-120.50", "-1205e-1"},
+		{"0.0012", "12e-4"},
+		{"1E+2", "1e2"},
+		{"1e999999999", "1e999999999"},
+		{"1e0000000000000000000000000007", "1e7"},
+		{"10e9999999999999999999", "1e10000000000000000000"},
+		{"0.1e-9999999999999999999", "1e-10000000000000000000"},
+		{"100e-1000000000000000000", "1e-999999999999999998"},
+		{"1e-999999999999999998", "1e-999999999999999998"},
+		{"0.01e1000000000000000001", "1e999999999999999999"},
+		{"-12.5e99999999999999999999999999999", "-125e99999999999999999999999999998"},
+	} {
+		if got := canonicalNumber(tc.lit); got != tc.want {
+			t.Errorf("canonicalNumber(%q) = %q, want %q", tc.lit, got, tc.want)
 		}
 	}
 }
@@ -274,9 +357,9 @@ func TestEqualFastPathAllocFree(t *testing.T) {
 }
 
 // FuzzJSONEqual holds Equal's canonical comparison to referenceEqual,
-// the encoding/json round trip: it never panics, is symmetric, agrees
-// with the reference wherever both sides parse, and compares raw bytes
-// wherever either does not.
+// encoding/json's decode with numbers compared exactly: it never
+// panics, is symmetric, agrees with the reference wherever both sides
+// parse, and compares raw bytes wherever either does not.
 func FuzzJSONEqual(f *testing.F) {
 	for _, tc := range equivalenceCorpus {
 		f.Add([]byte(tc.a), []byte(tc.b))
@@ -290,7 +373,7 @@ func FuzzJSONEqual(f *testing.F) {
 		if c.Equal(b, a) != got {
 			t.Fatalf("Equal is not symmetric on %q, %q", a, b)
 		}
-		want, parsable := referenceEqual(a, b)
+		want, parsable := referenceEqual(t, a, b)
 		if !parsable {
 			want = bytes.Equal(a, b)
 		}
