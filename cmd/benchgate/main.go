@@ -22,14 +22,8 @@
 // Comparison uses the best (minimum) allocs/op across the N runs:
 // allocation counts are deterministic modulo pool warm-up and GC timing,
 // so the minimum is the true cost and the one safe to gate on a noisy
-// CI box. ns/op is recorded for trend reading and, by default, never
-// gated — wall clock on shared runners is not reproducible. For
-// fast-path entries whose regressions matter, -ns-keys opts specific
-// benchmarks into a ns/op gate with a deliberately generous threshold
-// (-max-ns-regress, default 25%): wide enough to absorb runner noise,
-// tight enough to catch a fast path falling off a cliff. The ns gate
-// compares the minimum ns/op across the N runs — the least-noisy
-// statistic a shared box offers.
+// CI box. ns/op is recorded for trend reading and never gated — wall
+// clock on shared runners is not reproducible.
 package main
 
 import (
@@ -153,19 +147,6 @@ func best(runs []map[string]Metrics) map[string]Metrics {
 	return out
 }
 
-// minNs returns each benchmark's minimum ns/op across the N runs.
-func minNs(runs []map[string]Metrics) map[string]float64 {
-	out := map[string]float64{}
-	for _, run := range runs {
-		for name, m := range run {
-			if cur, ok := out[name]; !ok || m.NsPerOp < cur {
-				out[name] = m.NsPerOp
-			}
-		}
-	}
-	return out
-}
-
 // splitKeys parses a comma-separated key list, dropping empties.
 func splitKeys(keys string) []string {
 	var out []string
@@ -177,7 +158,7 @@ func splitKeys(keys string) []string {
 	return out
 }
 
-func check(baselinePath, resultsDir, keys string, maxRegress float64, nsKeys string, maxNsRegress float64) error {
+func check(baselinePath, resultsDir, keys string, maxRegress float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return err
@@ -214,30 +195,6 @@ func check(baselinePath, resultsDir, keys string, maxRegress float64, nsKeys str
 		}
 		fmt.Printf("benchgate: %s %-45s allocs/op %4d (baseline %4d, limit %4d)  ns/op %.0f (baseline %.0f)\n",
 			status, key, cur.AllocsPerOp, base.AllocsPerOp, limit, cur.NsPerOp, base.NsPerOp)
-	}
-
-	curNs := minNs(runs)
-	for _, key := range splitKeys(nsKeys) {
-		base, ok := baseline[key]
-		if !ok {
-			fmt.Printf("benchgate: FAIL %-45s not in baseline (ns gate)\n", key)
-			failed = true
-			continue
-		}
-		ns, ok := curNs[key]
-		if !ok {
-			fmt.Printf("benchgate: FAIL %-45s not in current results (ns gate)\n", key)
-			failed = true
-			continue
-		}
-		limit := base.NsPerOp * (1 + maxNsRegress)
-		status := "ok  "
-		if ns > limit {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Printf("benchgate: %s %-45s ns/op %8.0f (baseline %8.0f, limit %8.0f)\n",
-			status, key, ns, base.NsPerOp, limit)
 	}
 
 	// Non-gated benchmarks are reported for trend reading only.
@@ -279,16 +236,14 @@ func update(baselinePath, resultsDir string) error {
 
 func main() {
 	var (
-		parse        = flag.String("parse", "", "parse `go test -bench` output file into BENCH_<n>.json snapshots")
-		out          = flag.String("out", ".", "directory for BENCH_<n>.json snapshots")
-		doCheck      = flag.Bool("check", false, "gate BENCH_*.json snapshots against the baseline")
-		doUpdate     = flag.Bool("update", false, "rewrite the baseline from BENCH_*.json snapshots")
-		baseline     = flag.String("baseline", "bench_baseline.json", "baseline file")
-		results      = flag.String("results", ".", "directory holding BENCH_*.json snapshots")
-		keys         = flag.String("keys", "EngineInProcess/old-only-fastpath,EngineInProcess/parallel,FleetInProcess/fleet-routed", "comma-separated benchmark names gated on allocs/op")
-		maxRegress   = flag.Float64("max-regress", 0.10, "allowed fractional allocs/op regression")
-		nsKeys       = flag.String("ns-keys", "", "comma-separated benchmark names additionally gated on best-of-N ns/op (empty disables)")
-		maxNsRegress = flag.Float64("max-ns-regress", 0.25, "allowed fractional ns/op regression for -ns-keys entries")
+		parse      = flag.String("parse", "", "parse `go test -bench` output file into BENCH_<n>.json snapshots")
+		out        = flag.String("out", ".", "directory for BENCH_<n>.json snapshots")
+		doCheck    = flag.Bool("check", false, "gate BENCH_*.json snapshots against the baseline")
+		doUpdate   = flag.Bool("update", false, "rewrite the baseline from BENCH_*.json snapshots")
+		baseline   = flag.String("baseline", "bench_baseline.json", "baseline file")
+		results    = flag.String("results", ".", "directory holding BENCH_*.json snapshots")
+		keys       = flag.String("keys", "EngineInProcess/old-only-fastpath,EngineInProcess/parallel,FleetInProcess/fleet-routed", "comma-separated benchmark names gated on allocs/op")
+		maxRegress = flag.Float64("max-regress", 0.10, "allowed fractional allocs/op regression")
 	)
 	flag.Parse()
 
@@ -301,7 +256,7 @@ func main() {
 			}
 			return writeRuns(*out, runs)
 		case *doCheck:
-			return check(*baseline, *results, *keys, *maxRegress, *nsKeys, *maxNsRegress)
+			return check(*baseline, *results, *keys, *maxRegress)
 		case *doUpdate:
 			return update(*baseline, *results)
 		default:

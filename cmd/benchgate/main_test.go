@@ -77,49 +77,18 @@ func TestCheckGate(t *testing.T) {
 
 	// Within the 10% budget: 22 allocs vs baseline 20.
 	writeFile("BENCH_1.json", `{"fast": {"ns_op": 120, "b_op": 900, "allocs_op": 22}}`)
-	if err := check(baseline, dir, "fast", 0.10, "", 0.25); err != nil {
+	if err := check(baseline, dir, "fast", 0.10); err != nil {
 		t.Fatalf("within-budget check failed: %v", err)
 	}
 	// Over budget: 23 allocs.
 	writeFile("BENCH_1.json", `{"fast": {"ns_op": 120, "b_op": 900, "allocs_op": 23}}`)
-	err := check(baseline, dir, "fast", 0.10, "", 0.25)
+	err := check(baseline, dir, "fast", 0.10)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
 		t.Fatalf("over-budget check: err = %v", err)
 	}
 	// A gated benchmark missing from the results must fail, not pass
 	// silently.
-	if err := check(baseline, dir, "fast,ghost", 0.10, "", 0.25); err == nil {
+	if err := check(baseline, dir, "fast,ghost", 0.10); err == nil {
 		t.Fatal("missing gated benchmark passed")
-	}
-}
-
-func TestCheckNsGate(t *testing.T) {
-	dir := t.TempDir()
-	writeFile := func(name, content string) string {
-		t.Helper()
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	baseline := writeFile("bench_baseline.json", `{"fast": {"ns_op": 100, "b_op": 800, "allocs_op": 0}}`)
-
-	// The ns gate uses the minimum across runs: 120 is within the 25%
-	// budget even though another run wobbled to 200.
-	writeFile("BENCH_1.json", `{"fast": {"ns_op": 200, "b_op": 800, "allocs_op": 0}}`)
-	writeFile("BENCH_2.json", `{"fast": {"ns_op": 120, "b_op": 800, "allocs_op": 0}}`)
-	if err := check(baseline, dir, "fast", 0.10, "fast", 0.25); err != nil {
-		t.Fatalf("within-budget ns check failed: %v", err)
-	}
-	// Every run over the limit: the fast path fell off a cliff.
-	writeFile("BENCH_2.json", `{"fast": {"ns_op": 180, "b_op": 800, "allocs_op": 0}}`)
-	err := check(baseline, dir, "fast", 0.10, "fast", 0.25)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("over-budget ns check: err = %v", err)
-	}
-	// Empty -ns-keys disables the gate entirely.
-	if err := check(baseline, dir, "fast", 0.10, "", 0.25); err != nil {
-		t.Fatalf("disabled ns gate failed: %v", err)
 	}
 }

@@ -267,9 +267,6 @@ func NewBlackBox(prior stats.ScaledBeta, grid int) (*BlackBox, error) {
 	return b, nil
 }
 
-// Prior returns the prior distribution the engine was built with.
-func (b *BlackBox) Prior() stats.ScaledBeta { return b.prior }
-
 // Posterior returns the posterior pfd distribution after observing r
 // failures in n demands.
 func (b *BlackBox) Posterior(n, r int) (*stats.Grid1D, error) {

@@ -13,10 +13,8 @@ package composite
 
 import (
 	"context"
-	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -57,14 +55,16 @@ func (d *Deps) Call(ctx context.Context, component, operation string, in, out in
 	if err != nil {
 		return fmt.Errorf("composite: component %s: %w", component, err)
 	}
-	parsed, perr := soap.Decode(res.Body)
-	switch {
-	case res.Status == http.StatusInternalServerError && perr == nil && parsed.Fault != nil:
-		return parsed.Fault
-	case res.Status != http.StatusOK:
-		return fmt.Errorf("composite: component %s: HTTP %d", component, res.Status)
-	case perr != nil:
-		return fmt.Errorf("composite: component %s: %w", component, perr)
+	defer res.BodyBuf.Release()
+	if err := soap.ClassifyReply(res.Status, res.Body); err != nil {
+		if soap.IsFault(err) {
+			return err
+		}
+		return fmt.Errorf("composite: component %s: %w", component, err)
+	}
+	parsed, err := soap.Decode(res.Body)
+	if err != nil {
+		return fmt.Errorf("composite: component %s: %w", component, err)
 	}
 	if out == nil {
 		return nil
@@ -198,13 +198,8 @@ func (s *Service) NotificationHandler() http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		e, err := registry.DecodeEntry(r.Body)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var e registry.Entry
-		if err := xml.Unmarshal(data, &e); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -225,18 +220,7 @@ func (s *Service) Handler() http.Handler {
 	mux.Handle("/", s.srv)
 	mux.Handle("/notify", s.NotificationHandler())
 	mux.HandleFunc("/wsdl", func(w http.ResponseWriter, r *http.Request) {
-		def, err := wsdl.Generate(s.contract, "http://"+r.Host+"/")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		data, err := def.Marshal()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-		_, _ = w.Write(data)
+		wsdl.Serve(w, r, s.contract)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("ok"))

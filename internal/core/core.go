@@ -440,9 +440,14 @@ func New(cfg Config) (*Engine, error) {
 			Fallback: e.client,
 		})
 	}
+	// The retry policy is bound into the transport here, once: dispatch
+	// begins calls and never sees a policy.
+	wc, retry := e.wire, cfg.Retry
 	e.disp = dispatch.New(dispatch.Config{
-		Begin:     e.wire.Begin,
-		Retry:     cfg.Retry,
+		Begin: func(ctx context.Context, url, contentType string, body []byte) wire.Call {
+			//wsu:allow poolcheck -- the begun call goes to dispatch, which ends it exactly once
+			return wc.Begin(ctx, url, contentType, body, retry)
+		},
 		Seed:      cfg.Seed,
 		OnOutcome: e.recordOutcome,
 		Codec:     codec,
@@ -525,13 +530,13 @@ func (e *Engine) Phase() Phase {
 }
 
 // SetPhase transitions the lifecycle manually. The transition is
-// validated against the §4.1 rules (lifecycle.DefaultRules: forward
+// validated against the §4.1 rules (lifecycle.CanTransition: forward
 // movement with skips, abort to OldOnly, restart out of NewOnly) and
 // the deployed release count; an illegal transition is rejected with an
 // error matching both ErrBadPhase and lifecycle.ErrIllegalTransition.
 func (e *Engine) SetPhase(p Phase) error {
 	return e.updateState(lifecycle.CauseManual, func(s *engineState) error {
-		if err := lifecycle.DefaultRules.CanTransition(s.phase, p); err != nil {
+		if err := lifecycle.CanTransition(s.phase, p); err != nil {
 			return err
 		}
 		if err := lifecycle.Validate(p, len(s.releases)); err != nil {
@@ -765,41 +770,7 @@ func (e *Engine) serveWSDL(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	def, err := wsdl.Generate(contract, requestScheme(r)+"://"+r.Host+"/")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	data, err := def.Marshal()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	_, _ = w.Write(data)
-}
-
-// requestScheme derives the scheme consumers should use to reach this
-// engine: https when the request arrived over TLS, or whatever a
-// trusted reverse proxy reports in X-Forwarded-Proto. The published
-// WSDL endpoint address must match what the consumer can actually dial.
-func requestScheme(r *http.Request) string {
-	scheme := "http"
-	if r.TLS != nil {
-		scheme = "https"
-	}
-	if proto := r.Header.Get("X-Forwarded-Proto"); proto != "" {
-		if i := strings.IndexByte(proto, ','); i >= 0 {
-			proto = proto[:i] // first hop wins in a proxy chain
-		}
-		switch strings.ToLower(strings.TrimSpace(proto)) {
-		case "http":
-			scheme = "http"
-		case "https":
-			scheme = "https"
-		}
-	}
-	return scheme
+	wsdl.Serve(w, r, contract)
 }
 
 // AdjudicatorHeader lets a consumer select the adjudication mechanism for
@@ -907,15 +878,6 @@ func headerAdjudicator(r *http.Request) (adjudicate.Adjudicator, bool) {
 	default:
 		return nil, false
 	}
-}
-
-// requestAdjudicator honours the consumer's per-request adjudicator
-// choice, falling back to the engine default.
-func requestAdjudicator(r *http.Request, fallback adjudicate.Adjudicator) adjudicate.Adjudicator {
-	if adj, ok := headerAdjudicator(r); ok {
-		return adj
-	}
-	return fallback
 }
 
 // proxy is the main interception path. It takes ownership of envBuf —

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/service"
@@ -327,25 +326,26 @@ func TestPerRequestAdjudicatorHeader(t *testing.T) {
 	}
 }
 
+// A request without a known adjudicator header carries no override,
+// so dispatch delivers with the engine's own rule.
 func TestRequestAdjudicatorFallback(t *testing.T) {
 	req, err := http.NewRequest(http.MethodPost, "http://x", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	def := adjudicate.FastestValid{}
-	if got := requestAdjudicator(req, def); got.Name() != def.Name() {
-		t.Fatalf("no header: got %s", got.Name())
+	if adj, ok := headerAdjudicator(req); ok {
+		t.Fatalf("no header: override %s", adj.Name())
 	}
 	req.Header.Set(AdjudicatorHeader, "nonsense")
-	if got := requestAdjudicator(req, def); got.Name() != def.Name() {
-		t.Fatalf("unknown value: got %s", got.Name())
+	if adj, ok := headerAdjudicator(req); ok {
+		t.Fatalf("unknown value: override %s", adj.Name())
 	}
 	req.Header.Set(AdjudicatorHeader, "fastest-valid")
-	if got := requestAdjudicator(req, adjudicate.RandomValid{}); got.Name() != "fastest-valid" {
-		t.Fatalf("explicit value: got %s", got.Name())
+	if adj, ok := headerAdjudicator(req); !ok || adj.Name() != "fastest-valid" {
+		t.Fatalf("explicit value: got %v, %v", adj, ok)
 	}
-	if got := requestAdjudicator(nil, def); got.Name() != def.Name() {
-		t.Fatalf("nil request: got %s", got.Name())
+	if adj, ok := headerAdjudicator(nil); ok {
+		t.Fatalf("nil request: override %s", adj.Name())
 	}
 }
 

@@ -171,16 +171,13 @@ type Outcome struct {
 // Config parameterizes a Dispatcher.
 type Config struct {
 	// Begin is the release-call transport: it starts one call without
-	// waiting on the peer, and the returned call's End must behave
-	// exactly like httpx.PostXML (retry of transient failures,
-	// exponential backoff, bounded response reads — the conformance
-	// suite in internal/wire is the executable definition). The
+	// waiting on the peer, and the returned call's End finishes it —
+	// retry of transient failures included, under whatever policy the
+	// transport was bound to (the engine binds its Config.Retry). The
 	// dispatcher ends every call it begins exactly once. Required: the
 	// engine passes its wire client's Begin, tests substitute
 	// wire.Deferred fakes.
-	Begin func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) wire.Call
-	// Retry tolerates transient transport failures per release call.
-	Retry httpx.RetryPolicy
+	Begin func(ctx context.Context, url, contentType string, body []byte) wire.Call
 	// Seed drives adjudication tie-breaking.
 	Seed uint64
 	// OnOutcome receives every dispatch's complete outcome. May be nil.
@@ -196,8 +193,7 @@ type Config struct {
 // Dispatcher executes fan-outs. Construct with New; Close waits for
 // background collection to drain.
 type Dispatcher struct {
-	begin     func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) wire.Call
-	retry     httpx.RetryPolicy
+	begin     func(ctx context.Context, url, contentType string, body []byte) wire.Call
 	onOutcome func(Outcome)
 	codec     protocol.Codec
 	// contentType caches codec.ContentType() so the fan-out path does
@@ -219,16 +215,12 @@ func New(cfg Config) *Dispatcher {
 	if cfg.Begin == nil {
 		panic("dispatch: Config.Begin is required")
 	}
-	if cfg.Retry.Attempts == 0 {
-		cfg.Retry = httpx.NoRetry
-	}
 	codec := cfg.Codec
 	if codec == nil {
 		codec = soapcodec.Default
 	}
 	return &Dispatcher{
 		begin:       cfg.Begin,
-		retry:       cfg.Retry,
 		onOutcome:   cfg.OnOutcome,
 		codec:       codec,
 		contentType: codec.ContentType(),
@@ -560,7 +552,7 @@ func (d *Dispatcher) doSequential(callCtx *callCtx, targets []Endpoint, envelope
 //
 //wsu:owns return
 func (d *Dispatcher) beginCall(ctx context.Context, ep Endpoint, operation string, envelope []byte) wire.Call {
-	return d.begin(ctx, d.codec.TargetURL(ep.URL, operation), d.contentType, envelope, d.retry)
+	return d.begin(ctx, d.codec.TargetURL(ep.URL, operation), d.contentType, envelope)
 }
 
 // callRelease invokes one release start to finish on the calling

@@ -28,7 +28,7 @@ type stubPost struct {
 	calls  atomic.Int64
 }
 
-func (s *stubPost) post(ctx context.Context, _, _ string, _ []byte, _ httpx.RetryPolicy) (httpx.Result, error) {
+func (s *stubPost) post(ctx context.Context) (httpx.Result, error) {
 	s.calls.Add(1)
 	if s.delay > 0 {
 		select {
@@ -49,8 +49,16 @@ func (s *stubPost) post(ctx context.Context, _, _ string, _ []byte, _ httpx.Retr
 	}, nil
 }
 
-func (s *stubPost) begin(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) wire.Call {
-	return wire.Deferred(func() (httpx.Result, error) { return s.post(ctx, url, ct, body, policy) })
+func (s *stubPost) begin(ctx context.Context, _, _ string, _ []byte) wire.Call {
+	return wire.Deferred(func() (httpx.Result, error) { return s.post(ctx) })
+}
+
+// beginOnce is the engine's binding of a wire client into Config.Begin
+// with the default single-attempt policy.
+func beginOnce(wc *wire.Client) func(ctx context.Context, url, ct string, body []byte) wire.Call {
+	return func(ctx context.Context, url, ct string, body []byte) wire.Call {
+		return wc.Begin(ctx, url, ct, body, httpx.NoRetry)
+	}
 }
 
 func okEnvelope() []byte {
@@ -212,8 +220,8 @@ func TestDoEarlyDeliveryDetachesFromConsumer(t *testing.T) {
 	}
 	outcomes := make(chan Outcome, 1)
 	d := New(Config{
-		Begin: func(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) wire.Call {
-			return perURL[url].begin(ctx, url, ct, body, policy)
+		Begin: func(ctx context.Context, url, ct string, body []byte) wire.Call {
+			return perURL[url].begin(ctx, url, ct, body)
 		},
 		OnOutcome: func(o Outcome) {
 			n := 0
@@ -268,7 +276,7 @@ func TestDoAgainstLiveServerHonoursDeadline(t *testing.T) {
 	defer close(release)
 	wc := wire.NewClient(wire.Options{})
 	defer wc.Close()
-	d := New(Config{Begin: wc.Begin})
+	d := New(Config{Begin: beginOnce(wc)})
 	defer d.Close()
 	req := baseRequest([]Endpoint{{Version: "1.0", URL: srv.URL}}, ModeReliability)
 	req.Timeout = 50 * time.Millisecond

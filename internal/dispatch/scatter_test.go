@@ -187,10 +187,10 @@ type scatterRig struct {
 }
 
 func newScatterRig(t *testing.T, releases map[string]*pipeRelease,
-	begin func(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) wire.Call) *scatterRig {
+	begin func(ctx context.Context, url, ct string, body []byte) wire.Call) *scatterRig {
 	rig := &scatterRig{pipeFleet: newPipeFleet(t, releases), outcomes: make(chan outcomeCopy, 4)}
 	if begin == nil {
-		begin = rig.wc.Begin
+		begin = beginOnce(rig.wc)
 	}
 	rig.d = New(Config{
 		Begin: begin,
@@ -351,8 +351,8 @@ func TestScatterConsumerGoneBetweenScatterAndGather(t *testing.T) {
 				begun, ended atomic.Int64
 			)
 			rig = newScatterRig(t, releases,
-				func(ctx context.Context, url, ct string, body []byte, policy httpx.RetryPolicy) wire.Call {
-					call := rig.wc.Begin(ctx, url, ct, body, policy)
+				func(ctx context.Context, url, ct string, body []byte) wire.Call {
+					call := rig.wc.Begin(ctx, url, ct, body, httpx.NoRetry)
 					if !armed.Load() {
 						return call
 					}

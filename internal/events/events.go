@@ -178,21 +178,13 @@ func (h *Hub) replayLocked(lastID uint64) ([]Event, bool) {
 	return out, complete
 }
 
-// ReplayFrom returns retained events with ID > lastID, and whether the
-// replay is complete (no events between lastID and the first returned
-// were evicted from the bounded history).
-func (h *Hub) ReplayFrom(lastID uint64) ([]Event, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.replayLocked(lastID)
-}
-
 // SubscribeFrom registers a subscriber (as Subscribe) and atomically
 // returns the replay of events after lastID: no event published
 // between the replay snapshot and the registration can be missed or
-// duplicated. The boolean mirrors ReplayFrom's completeness. On a
-// closed hub the subscription's channel is already closed and the
-// replay is empty.
+// duplicated. The boolean reports whether the replay is complete: false
+// when events after lastID were already evicted from the bounded
+// history. On a closed hub the subscription's channel is already closed
+// and the replay is empty.
 func (h *Hub) SubscribeFrom(size int, lastID uint64) (*Subscription, []Event, bool) {
 	if size <= 0 {
 		size = DefaultBuffer
@@ -218,16 +210,6 @@ func (h *Hub) DropsTotal() uint64 {
 		return 0
 	}
 	return h.dropsTotal.Load()
-}
-
-// Subscribers reports the current subscriber count.
-func (h *Hub) Subscribers() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
 }
 
 // Close closes every subscription channel and rejects future

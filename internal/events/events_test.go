@@ -75,8 +75,11 @@ func TestCancelStopsDelivery(t *testing.T) {
 		t.Fatal("canceled subscription channel still open")
 	}
 	h.Publish("phase", 1) // must not panic on the canceled sub
-	if h.Subscribers() != 0 {
-		t.Fatalf("Subscribers = %d after cancel", h.Subscribers())
+	h.mu.Lock()
+	n := len(h.subs)
+	h.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d subscribers after cancel", n)
 	}
 }
 
@@ -125,28 +128,35 @@ func TestConcurrentPublishSubscribeCancel(t *testing.T) {
 	wg.Wait()
 }
 
-// ReplayFrom returns the retained suffix in order and reports whether
-// the bounded ring still covers the requested resume point.
+// replayFrom is SubscribeFrom's replay alone.
+func replayFrom(h *Hub, lastID uint64) ([]Event, bool) {
+	sub, replay, complete := h.SubscribeFrom(1, lastID)
+	sub.Cancel()
+	return replay, complete
+}
+
+// A resume replays the retained suffix in order and reports whether the
+// bounded ring still covers the requested resume point.
 func TestReplayFrom(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	for i := 0; i < 5; i++ {
 		h.Publish("phase", i)
 	}
-	replay, complete := h.ReplayFrom(2)
+	replay, complete := replayFrom(h, 2)
 	if !complete || len(replay) != 3 {
-		t.Fatalf("ReplayFrom(2) = %d events, complete=%v", len(replay), complete)
+		t.Fatalf("replay from 2 = %d events, complete=%v", len(replay), complete)
 	}
 	for i, ev := range replay {
 		if ev.ID != uint64(3+i) || ev.Type != "phase" {
 			t.Fatalf("replay[%d] = %+v", i, ev)
 		}
 	}
-	if replay, complete := h.ReplayFrom(5); !complete || len(replay) != 0 {
-		t.Fatalf("ReplayFrom(at-head) = %d events, complete=%v", len(replay), complete)
+	if replay, complete := replayFrom(h, 5); !complete || len(replay) != 0 {
+		t.Fatalf("replay at head = %d events, complete=%v", len(replay), complete)
 	}
-	if replay, complete := h.ReplayFrom(99); !complete || len(replay) != 0 {
-		t.Fatalf("ReplayFrom(beyond-head) = %d events, complete=%v", len(replay), complete)
+	if replay, complete := replayFrom(h, 99); !complete || len(replay) != 0 {
+		t.Fatalf("replay beyond head = %d events, complete=%v", len(replay), complete)
 	}
 }
 
@@ -158,18 +168,18 @@ func TestReplayEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Publish("phase", i)
 	}
-	replay, complete := h.ReplayFrom(0)
+	replay, complete := replayFrom(h, 0)
 	if complete || len(replay) != 4 {
-		t.Fatalf("ReplayFrom(0) = %d events, complete=%v; want 4, false", len(replay), complete)
+		t.Fatalf("replay from 0 = %d events, complete=%v; want 4, false", len(replay), complete)
 	}
 	if replay[0].ID != 7 || replay[3].ID != 10 {
 		t.Fatalf("retained window [%d..%d], want [7..10]", replay[0].ID, replay[3].ID)
 	}
-	if replay, complete := h.ReplayFrom(6); !complete || len(replay) != 4 {
-		t.Fatalf("ReplayFrom(oldest-1) = %d events, complete=%v", len(replay), complete)
+	if replay, complete := replayFrom(h, 6); !complete || len(replay) != 4 {
+		t.Fatalf("replay from oldest-1 = %d events, complete=%v", len(replay), complete)
 	}
-	if _, complete := h.ReplayFrom(5); complete {
-		t.Fatal("ReplayFrom(5) claims completeness across an evicted event")
+	if _, complete := replayFrom(h, 5); complete {
+		t.Fatal("replay from 5 claims completeness across an evicted event")
 	}
 }
 

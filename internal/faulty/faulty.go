@@ -618,12 +618,5 @@ func (s *Server) Stop() {
 	s.ln = nil
 }
 
-// Running reports whether the listener is accepting.
-func (s *Server) Running() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.srv != nil
-}
-
 // Close stops the server for good.
 func (s *Server) Close() { s.Stop() }

@@ -319,14 +319,8 @@ func TestServerCrashAndRestartKeepsAddress(t *testing.T) {
 	if _, _, err := get(t, context.Background(), url); err != nil {
 		t.Fatalf("before crash: %v", err)
 	}
-	if !srv.Running() {
-		t.Fatal("Running() = false while serving")
-	}
 
 	srv.Stop()
-	if srv.Running() {
-		t.Fatal("Running() = true after Stop")
-	}
 	if _, _, err := get(t, context.Background(), url); err == nil {
 		t.Fatal("crashed server still answering")
 	}

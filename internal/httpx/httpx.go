@@ -154,17 +154,14 @@ func ReadBounded(r io.Reader, max int64) ([]byte, error) {
 	return out, nil
 }
 
-// RetryPolicy controls PostXML's tolerance of transient failures and the
-// size bound on response bodies.
+// RetryPolicy controls a release exchange's tolerance of transient
+// failures and the size bound on response bodies (see Retry).
 type RetryPolicy struct {
 	// Attempts is the total number of tries (≥ 1).
 	Attempts int
 	// Backoff is the delay before the second attempt; it doubles for
 	// each further attempt.
 	Backoff time.Duration
-	// RetryStatus reports whether an HTTP status code is transient.
-	// Nil means "retry on 5xx".
-	RetryStatus func(code int) bool
 	// MaxResponseBytes caps the response body; larger bodies fail the
 	// exchange with ErrTooLarge (and are not retried — an oversized
 	// response is not transient). Zero means DefaultMaxResponseBytes.
@@ -191,36 +188,30 @@ func (p RetryPolicy) Validate() error {
 	return nil
 }
 
-// ShouldRetryStatus reports whether the policy treats an HTTP status as
-// transient. It is exported so alternate transports (internal/wire)
-// share PostXML's retry semantics by construction rather than by copy.
-func (p RetryPolicy) ShouldRetryStatus(code int) bool {
-	if p.RetryStatus != nil {
-		return p.RetryStatus(code)
-	}
+// transientStatus reports whether an HTTP status is transient: a 5xx
+// other than 500, which the SOAP 1.1 binding uses for faults.
+func transientStatus(code int) bool {
 	return code >= 500 && code != http.StatusInternalServerError
 }
 
-// BackoffFor returns the delay before the given attempt (≥ 2): Backoff
-// for the second attempt, doubling for each one after. Exported for
-// alternate transports; see ShouldRetryStatus.
-func (p RetryPolicy) BackoffFor(attempt int) time.Duration {
+// backoffFor returns the delay before the given attempt (≥ 2): Backoff
+// for the second attempt, doubling for each one after.
+func (p RetryPolicy) backoffFor(attempt int) time.Duration {
 	return time.Duration(float64(p.Backoff) * math.Pow(2, float64(attempt-2)))
 }
 
-// EffectiveMaxResponseBytes resolves the response cap, applying the
-// default when MaxResponseBytes is zero. Exported for alternate
-// transports; see ShouldRetryStatus.
-func (p RetryPolicy) EffectiveMaxResponseBytes() int64 {
+// maxResponseBytes resolves the response cap, applying the default when
+// MaxResponseBytes is zero.
+func (p RetryPolicy) maxResponseBytes() int64 {
 	if p.MaxResponseBytes == 0 {
 		return DefaultMaxResponseBytes
 	}
 	return p.MaxResponseBytes
 }
 
-// Result is the outcome of a PostXML exchange. It is returned by
-// value: the exchange runs on the dispatch hot path, and the struct is
-// small enough that a heap allocation per call was measurable.
+// Result is the outcome of a release exchange (see Retry). It is
+// returned by value: the exchange runs on the dispatch hot path, and the
+// struct is small enough that a heap allocation per call was measurable.
 type Result struct {
 	// Status is the final HTTP status code.
 	Status int
@@ -231,8 +222,6 @@ type Result struct {
 	Header Header
 	// Attempts is how many tries were made.
 	Attempts int
-	// Latency is the total wall time including retries.
-	Latency time.Duration
 	// BodyBuf, when non-nil, is the pooled buffer backing Body, and its
 	// ownership transfers to the caller: one Release pairs with the
 	// reference carried here, and nothing may alias Body past it. A nil
@@ -273,9 +262,9 @@ func (h Header) Get(name string) string {
 // aliasString is b as a string, without the copy.
 func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// appendHeader renders hdr behind b in Header's form: what the net/http
-// leg of PostXML does once per exchange, so both transports hand their
-// callers the same type.
+// appendHeader renders hdr behind b in Header's form: what PostXML's
+// attempt does once per response, so both transports hand their callers
+// the same type.
 func appendHeader(b []byte, hdr http.Header) []byte {
 	for name, values := range hdr {
 		for _, v := range values {
@@ -288,73 +277,103 @@ func appendHeader(b []byte, hdr http.Header) []byte {
 	return b
 }
 
-// PostXML posts an XML payload with retry of transient failures:
-// transport errors and (by default) 5xx statuses other than 500 are
-// retried with exponential backoff. HTTP 500 is NOT transient here — the
-// SOAP 1.1 binding uses it for faults, which are deterministic evident
-// failures that retrying the same release cannot fix.
+// Attempt is one try of an exchange as a transport performs it: the
+// response status and a pooled buffer holding the body in its first
+// bodyLen bytes and the header block, in Header's form, behind it. The
+// buffer's ownership goes to the caller; it is nil exactly when err is
+// not. A body past maxBytes fails with ErrTooLarge.
+type Attempt func(maxBytes int64) (status int, data *pool.Buf, bodyLen int, err error)
+
+// Retry runs one release exchange under policy — the retry loop both
+// release transports share, PostXML's net/http attempt and the wire
+// client's alike. After validating the policy it makes up to
+// policy.Attempts attempts, waiting Backoff before the second and
+// doubling the wait before each one after; a cancelled ctx ends a wait
+// at once. An ErrTooLarge response is terminal (an oversized response
+// is not transient); another attempt error is retried until ctx is
+// spent; a transient status (a 5xx other than 500, which the SOAP 1.1
+// binding uses for deterministic faults) is retried while attempts
+// remain, and the last attempt's response is returned whatever its
+// status.
 //
-// The response body is read through a pooled buffer and bounded by the
-// policy's MaxResponseBytes; an oversized body fails with ErrTooLarge
-// without further attempts.
-func PostXML(ctx context.Context, client *http.Client, url, contentType string, body []byte, policy RetryPolicy) (Result, error) {
+// attempt is only called, never kept, so a closure passed here stays
+// on its caller's stack. Ownership of the returned Result.BodyBuf goes
+// to the caller.
+//
+//wsu:noalloc
+func Retry(ctx context.Context, policy RetryPolicy, url string, attempt Attempt) (Result, error) {
 	if err := policy.Validate(); err != nil {
 		return Result{}, err
 	}
-	if client == nil {
-		client = http.DefaultClient
-	}
-	maxBytes := policy.EffectiveMaxResponseBytes()
-	start := time.Now()
+	maxBytes := policy.maxResponseBytes()
 	var lastErr error
-	for attempt := 1; attempt <= policy.Attempts; attempt++ {
-		if attempt > 1 {
+	for n := 1; n <= policy.Attempts; n++ {
+		if n > 1 {
 			select {
 			case <-ctx.Done():
+				//wsu:allow noalloc -- error path: the exchange is over
 				return Result{}, fmt.Errorf("httpx: cancelled during backoff: %w", ctx.Err())
-			case <-time.After(policy.BackoffFor(attempt)):
+			case <-time.After(policy.backoffFor(n)):
 			}
 		}
-		// A bytes.Reader body lets net/http set GetBody, so that it can
-		// replay the request on a fresh connection.
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+		status, data, bodyLen, err := attempt(maxBytes)
 		if err != nil {
-			return Result{}, fmt.Errorf("httpx: building request: %w", err)
-		}
-		req.Header.Set("Content-Type", contentType)
-		resp, err := client.Do(req)
-		if err != nil {
+			if errors.Is(err, ErrTooLarge) {
+				//wsu:allow noalloc -- error path: the exchange is over
+				return Result{}, fmt.Errorf("httpx: POST %s: %w", url, err)
+			}
 			lastErr = err
 			if ctx.Err() != nil {
 				break // deadline spent; no point retrying
 			}
 			continue
 		}
-		//wsu:allow poolcheck -- ownership transfers to the caller via Result.BodyBuf
-		data, err := ReadBoundedBuf(resp.Body, resp.ContentLength, maxBytes)
-		resp.Body.Close()
-		if err != nil {
-			if errors.Is(err, ErrTooLarge) {
-				return Result{}, fmt.Errorf("httpx: POST %s: %w", url, err)
-			}
-			lastErr = err
-			continue
-		}
-		if policy.ShouldRetryStatus(resp.StatusCode) && attempt < policy.Attempts {
-			lastErr = fmt.Errorf("httpx: transient HTTP %d from %s", resp.StatusCode, url)
+		if transientStatus(status) && n < policy.Attempts {
+			//wsu:allow noalloc -- retry path: a transient failure is being tolerated
+			lastErr = fmt.Errorf("httpx: transient HTTP %d from %s", status, url)
 			data.Release()
 			continue
 		}
-		n := len(data.B)
-		data.B = appendHeader(data.B, resp.Header)
 		return Result{
-			Status:   resp.StatusCode,
-			Body:     data.B[:n:n],
-			Header:   Header(data.B[n:]),
-			Attempts: attempt,
-			Latency:  time.Since(start),
+			Status:   status,
+			Body:     data.B[:bodyLen:bodyLen],
+			Header:   Header(data.B[bodyLen:]),
+			Attempts: n,
 			BodyBuf:  data,
 		}, nil
 	}
+	//wsu:allow noalloc -- error path: the exchange is over
 	return Result{}, fmt.Errorf("httpx: POST %s failed after retries: %w", url, lastErr)
+}
+
+// PostXML posts an XML payload over net/http under Retry's policy. It
+// is the wire client's fallback for non-http:// endpoints and the
+// component client of composite services.
+func PostXML(ctx context.Context, client *http.Client, url, contentType string, body []byte, policy RetryPolicy) (Result, error) {
+	if client == nil {
+		client = http.DefaultClient
+	}
+	return Retry(ctx, policy, url, func(maxBytes int64) (int, *pool.Buf, int, error) {
+		// A bytes.Reader body lets net/http set GetBody, so that it can
+		// replay the request on a fresh connection.
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+		if err != nil {
+			return 0, nil, 0, fmt.Errorf("httpx: building request: %w", err)
+		}
+		req.Header.Set("Content-Type", contentType)
+		resp, err := client.Do(req)
+		if err != nil {
+			return 0, nil, 0, err
+		}
+		//wsu:allow poolcheck -- ownership leaves with the attempt's result (see the return below)
+		data, err := ReadBoundedBuf(resp.Body, resp.ContentLength, maxBytes)
+		resp.Body.Close()
+		if err != nil {
+			return 0, nil, 0, err
+		}
+		n := len(data.B)
+		data.B = appendHeader(data.B, resp.Header)
+		//wsu:allow poolcheck -- an attempt hands its buffer to Retry, which passes it on in Result.BodyBuf
+		return resp.StatusCode, data, n, nil
+	})
 }

@@ -200,8 +200,8 @@ func TestBackoffDoubling(t *testing.T) {
 		3: 100 * time.Millisecond,
 		4: 200 * time.Millisecond,
 	} {
-		if got := p.BackoffFor(attempt); got != want {
-			t.Errorf("BackoffFor(%d) = %v, want %v", attempt, got, want)
+		if got := p.backoffFor(attempt); got != want {
+			t.Errorf("backoffFor(%d) = %v, want %v", attempt, got, want)
 		}
 	}
 }

@@ -8,9 +8,9 @@
 // The package deliberately does not own mutable state: the phase of an
 // upgrade unit lives in its owner's atomically-published snapshot (one
 // consistent value with the release set and the fan-out mode), and the
-// owner consults Validate/Rules before publishing a successor. This
-// keeps the hot path's single-atomic-load invariant while concentrating
-// every lifecycle rule here.
+// owner consults Validate and CanTransition before publishing a
+// successor. This keeps the hot path's single-atomic-load invariant
+// while concentrating every lifecycle rule here.
 //
 // The canonical progression (§3.3, §4.1) is
 //
@@ -20,7 +20,7 @@
 // decision the paper permits ("the number of responses and the timeout
 // can be changed dynamically"; switching directly is mode 4's
 // degenerate upgrade). Two backward movements are meaningful management
-// operations and individually gated:
+// operations:
 //
 //   - abort: any phase → OldOnly, rolling the campaign back to the old
 //     release (e.g. the new release misbehaves during observation);
@@ -147,62 +147,23 @@ func (e *TransitionError) Is(target error) bool {
 	return target == ErrIllegalTransition || target == ErrBadPhase
 }
 
-// Rules parameterizes which transitions beyond the canonical forward
-// step the machine accepts. The zero value is the strict chain:
-// adjacent forward steps only.
-type Rules struct {
-	// AllowSkip permits forward jumps over intermediate phases
-	// (OldOnly → Parallel, Observation → NewOnly, …).
-	AllowSkip bool
-	// AllowAbort permits any phase → OldOnly: the campaign rolls back
-	// to the old release.
-	AllowAbort bool
-	// AllowRestart permits NewOnly → any phase: a completed switch
-	// starts a new campaign (after a newer release is deployed).
-	AllowRestart bool
-}
-
-// DefaultRules is the management subsystem's default: forward movement
-// with skips, abort, and campaign restart are all allowed; the only
-// rejected movement is a backward step inside a live campaign.
-var DefaultRules = Rules{AllowSkip: true, AllowAbort: true, AllowRestart: true}
-
-// Strict allows only the canonical adjacent forward steps of §4.1.
-var Strict = Rules{}
-
-// CanTransition reports whether the rules permit from → to. A nil
-// return means the transition is legal; otherwise the error is a
+// CanTransition reports whether §4.1 permits from → to: forward
+// movement with skips, an abort to OldOnly and a restart out of NewOnly
+// are legal, and the one illegal movement is a backward step inside a
+// live campaign (to < from, to ≠ OldOnly, from ≠ NewOnly). A nil return
+// means the transition is legal; otherwise the error is a
 // *TransitionError (or wraps ErrBadPhase for unknown values).
-func (r Rules) CanTransition(from, to Phase) error {
+func CanTransition(from, to Phase) error {
 	if !from.Known() {
 		return fmt.Errorf("%w: %v", ErrBadPhase, from)
 	}
 	if !to.Known() {
 		return fmt.Errorf("%w: %v", ErrBadPhase, to)
 	}
-	switch {
-	case from == to:
-		return nil // no-op transitions are always fine
-	case to == from+1:
-		return nil // the canonical §4.1 forward step
-	case from < to:
-		if r.AllowSkip {
-			return nil
-		}
-	case to == PhaseOldOnly:
-		if r.AllowAbort {
-			return nil
-		}
-		// NewOnly → OldOnly is also a restart when aborts are off.
-		if from == PhaseNewOnly && r.AllowRestart {
-			return nil
-		}
-	case from == PhaseNewOnly:
-		if r.AllowRestart {
-			return nil
-		}
+	if to < from && to != PhaseOldOnly && from != PhaseNewOnly {
+		return &TransitionError{From: from, To: to}
 	}
-	return &TransitionError{From: from, To: to}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

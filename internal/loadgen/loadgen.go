@@ -171,11 +171,6 @@ type Report struct {
 	Winners map[string]int `json:"winners,omitempty"`
 }
 
-// Errors returns the demands that did not produce a correct response.
-func (r Report) Errors() int {
-	return r.Requests - r.Verdicts[VerdictOK]
-}
-
 // latencyFloorMS is the bottom of the latency histograms' range: one
 // microsecond, below anything a socket round trip takes. The histograms
 // bin the logarithm of the latency over [latencyFloorMS, Timeout], so

@@ -57,33 +57,22 @@ func (Codec) DecodeRequest(path string, body []byte) (protocol.Request, error) {
 	}, nil
 }
 
-// DecodeReply implements protocol.Codec, reproducing the dispatcher's
-// historical reply classification byte for byte:
-//
-//   - 200 with an envelope: the inner body XML, reported as aliasing
-//     the response buffer (it does when the scanner read it, and
-//     dispatch keeps the buffer either way);
-//   - 500 carrying a SOAP fault: the fault itself (an evident failure
-//     that still counts as a response — protocol.IsFault);
-//   - anything else: a StatusError the dispatcher wraps with release
-//     context ("dispatch: release 1.0: HTTP 503").
+// DecodeReply implements protocol.Codec. soap.ClassifyReply reads the
+// status — a 500's fault comes back as itself (protocol.IsFault), any
+// other non-200 as a StatusError the dispatcher wraps with release
+// context ("dispatch: release 1.0: HTTP 503") — and a 200's payload is
+// its envelope's inner body XML, reported as aliasing the response
+// buffer (it does when the scanner read it, and dispatch keeps the
+// buffer either way).
 func (Codec) DecodeReply(status int, body []byte) (payload []byte, aliases bool, err error) {
-	switch status {
-	case http.StatusOK:
-		parsed, perr := soap.Decode(body)
-		if perr != nil {
-			return nil, false, perr
-		}
-		return parsed.BodyXML, true, nil
-	case http.StatusInternalServerError:
-		parsed, perr := soap.Decode(body)
-		if perr == nil && parsed.Fault != nil {
-			return nil, false, parsed.Fault
-		}
-		return nil, false, protocol.StatusError(status)
-	default:
-		return nil, false, protocol.StatusError(status)
+	if err := soap.ClassifyReply(status, body); err != nil {
+		return nil, false, err
 	}
+	parsed, err := soap.Decode(body)
+	if err != nil {
+		return nil, false, err
+	}
+	return parsed.BodyXML, true, nil
 }
 
 // Equal implements protocol.Codec via XML canonicalization

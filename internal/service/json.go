@@ -6,13 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
-	"time"
 
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/relmodel"
-	"wsupgrade/internal/xrand"
 )
 
 // JSONBehaviour is one operation's REST/JSON implementation: the JSON
@@ -53,15 +50,9 @@ const maxJSONRequestBytes = 10 << 20
 // injectable CR/ER/NER fault model and ground-truth marker headers as
 // the SOAP Release. Construct with NewJSON; serve via Handler.
 type JSONRelease struct {
+	*injector
 	version    string
-	plan       FaultPlan
-	profile    relmodel.Profile
 	behaviours map[string]JSONBehaviour
-
-	mu       sync.Mutex
-	rng      *xrand.Rand
-	injected map[relmodel.OutcomeKind]int
-	calls    int
 }
 
 // NewJSON builds a JSON release runtime from behaviours keyed by
@@ -78,55 +69,15 @@ func NewJSON(version string, behaviours map[string]JSONBehaviour, plan FaultPlan
 			return nil, fmt.Errorf("%w: operation %q needs a name without '/' and a handler", ErrBadService, name)
 		}
 	}
-	profile, err := plan.normalized()
+	in, err := newInjector(plan)
 	if err != nil {
-		return nil, fmt.Errorf("service: fault plan: %w", err)
+		return nil, err
 	}
-	return &JSONRelease{
-		version:    version,
-		plan:       plan,
-		profile:    profile,
-		behaviours: behaviours,
-		rng:        xrand.New(plan.Seed),
-		injected:   make(map[relmodel.OutcomeKind]int),
-	}, nil
+	return &JSONRelease{injector: in, version: version, behaviours: behaviours}, nil
 }
 
 // Version returns the release version string.
 func (r *JSONRelease) Version() string { return r.version }
-
-// Calls returns the number of operations served.
-func (r *JSONRelease) Calls() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.calls
-}
-
-// Injected returns how many responses of each kind were injected — the
-// ground truth the test harness compares the monitor against.
-func (r *JSONRelease) Injected() map[relmodel.OutcomeKind]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[relmodel.OutcomeKind]int, len(r.injected))
-	for k, v := range r.injected {
-		out[k] = v
-	}
-	return out
-}
-
-// draw samples the outcome kind and latency for one demand.
-func (r *JSONRelease) draw() (relmodel.OutcomeKind, time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.calls++
-	kind := r.profile.Sample(r.rng)
-	r.injected[kind]++
-	var delay time.Duration
-	if r.plan.MeanLatency > 0 {
-		delay = time.Duration(r.rng.Exp(float64(r.plan.MeanLatency)))
-	}
-	return kind, delay
-}
 
 // Handler returns the HTTP handler for this release: one JSON endpoint
 // per operation at "/<operation>", and a liveness probe at "/healthz".
@@ -157,13 +108,9 @@ func (r *JSONRelease) serve(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	kind, delay := r.draw()
-	if delay > 0 {
-		select {
-		case <-req.Context().Done():
-			return
-		case <-time.After(delay):
-		}
+	kind, err := r.draw(req.Context())
+	if err != nil {
+		return // the consumer gave up during the injected latency
 	}
 	hdr := w.Header()
 	hdr.Set(VersionHeader, r.version)
@@ -217,12 +164,10 @@ func (r *JSONRelease) writeError(w http.ResponseWriter, hdr http.Header, je *jso
 		status = http.StatusInternalServerError
 	}
 	w.WriteHeader(status)
-	body, err := json.Marshal(struct {
+	// A struct holding one string always marshals.
+	body, _ := json.Marshal(struct {
 		Error *jsonError `json:"error"`
 	}{je})
-	if err != nil {
-		body = []byte(fmt.Sprintf(`{"error":{"message":%q}}`, je.Message))
-	}
 	_, _ = w.Write(body)
 }
 

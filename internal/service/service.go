@@ -59,30 +59,85 @@ type FaultPlan struct {
 	Seed uint64
 }
 
-// normalized returns the profile, defaulting the zero value to
-// always-correct.
-func (p FaultPlan) normalized() (relmodel.Profile, error) {
-	if p.Profile == (relmodel.Profile{}) {
-		return relmodel.Profile{CR: 1}, nil
-	}
-	if err := p.Profile.Validate(); err != nil {
-		return relmodel.Profile{}, err
-	}
-	return p.Profile, nil
-}
-
-// Release hosts one release of a Web Service. Construct with New; serve
-// via Handler.
-type Release struct {
-	contract wsdl.Contract
-	plan     FaultPlan
-	profile  relmodel.Profile
-	soapSrv  *soap.Server
+// injector is a release runtime's fault and latency injection — a
+// FaultPlan's profile, mean latency and seeded stream — and the
+// ground-truth counts of what it injected. Both release runtimes (SOAP
+// and JSON) embed one.
+type injector struct {
+	profile     relmodel.Profile
+	meanLatency time.Duration
 
 	mu       sync.Mutex
 	rng      *xrand.Rand
 	injected map[relmodel.OutcomeKind]int
 	calls    int
+}
+
+// newInjector validates the plan, defaulting the zero profile to
+// always-correct.
+func newInjector(plan FaultPlan) (*injector, error) {
+	profile := plan.Profile
+	if profile == (relmodel.Profile{}) {
+		profile = relmodel.Profile{CR: 1}
+	} else if err := profile.Validate(); err != nil {
+		return nil, fmt.Errorf("service: fault plan: %w", err)
+	}
+	return &injector{
+		profile:     profile,
+		meanLatency: plan.MeanLatency,
+		rng:         xrand.New(plan.Seed),
+		injected:    make(map[relmodel.OutcomeKind]int),
+	}, nil
+}
+
+// Calls returns the number of operations served.
+func (in *injector) Calls() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.calls
+}
+
+// Injected returns how many responses of each kind were injected — the
+// ground truth the test harness compares the monitor against.
+func (in *injector) Injected() map[relmodel.OutcomeKind]int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	out := make(map[relmodel.OutcomeKind]int, len(in.injected))
+	for k, v := range in.injected {
+		out[k] = v
+	}
+	return out
+}
+
+// draw samples the outcome kind of one demand and waits out its
+// injected latency, returning ctx's error if the consumer gives up
+// first.
+func (in *injector) draw(ctx context.Context) (relmodel.OutcomeKind, error) {
+	in.mu.Lock()
+	in.calls++
+	kind := in.profile.Sample(in.rng)
+	in.injected[kind]++
+	var delay time.Duration
+	if in.meanLatency > 0 {
+		delay = time.Duration(in.rng.Exp(float64(in.meanLatency)))
+	}
+	in.mu.Unlock()
+	if delay > 0 {
+		select {
+		case <-ctx.Done():
+			return kind, ctx.Err()
+		case <-time.After(delay):
+		}
+	}
+	return kind, nil
+}
+
+// Release hosts one release of a Web Service. Construct with New; serve
+// via Handler.
+type Release struct {
+	*injector
+	contract wsdl.Contract
+	soapSrv  *soap.Server
 }
 
 // New builds a release runtime from a contract and its behaviours,
@@ -91,18 +146,11 @@ func New(contract wsdl.Contract, behaviours map[string]Behaviour, plan FaultPlan
 	if err := contract.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	profile, err := plan.normalized()
+	in, err := newInjector(plan)
 	if err != nil {
-		return nil, fmt.Errorf("service: fault plan: %w", err)
+		return nil, err
 	}
-	r := &Release{
-		contract: contract,
-		plan:     plan,
-		profile:  profile,
-		soapSrv:  soap.NewServer(),
-		rng:      xrand.New(plan.Seed),
-		injected: make(map[relmodel.OutcomeKind]int),
-	}
+	r := &Release{injector: in, contract: contract, soapSrv: soap.NewServer()}
 	for _, op := range contract.Operations {
 		b, ok := behaviours[op.Name]
 		if !ok || b.Handler == nil {
@@ -119,49 +167,12 @@ func (r *Release) Contract() wsdl.Contract { return r.contract }
 // Version returns the release version string.
 func (r *Release) Version() string { return r.contract.Version }
 
-// Calls returns the number of operations served.
-func (r *Release) Calls() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.calls
-}
-
-// Injected returns how many responses of each kind were injected — the
-// ground truth the test harness compares the monitor against.
-func (r *Release) Injected() map[relmodel.OutcomeKind]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[relmodel.OutcomeKind]int, len(r.injected))
-	for k, v := range r.injected {
-		out[k] = v
-	}
-	return out
-}
-
-// draw samples the outcome kind and latency for one demand.
-func (r *Release) draw() (relmodel.OutcomeKind, time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.calls++
-	kind := r.profile.Sample(r.rng)
-	r.injected[kind]++
-	var delay time.Duration
-	if r.plan.MeanLatency > 0 {
-		delay = time.Duration(r.rng.Exp(float64(r.plan.MeanLatency)))
-	}
-	return kind, delay
-}
-
 // instrument wraps a behaviour with fault and latency injection.
 func (r *Release) instrument(opName string, b Behaviour) soap.HandlerFunc {
 	return func(ctx context.Context, req *soap.Request) (interface{}, error) {
-		kind, delay := r.draw()
-		if delay > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(delay):
-			}
+		kind, err := r.draw(ctx)
+		if err != nil {
+			return nil, err
 		}
 		req.ResponseHeader.Set(VersionHeader, r.contract.Version)
 		req.ResponseHeader.Set(oracle.InjectionHeader, kind.String())
@@ -212,19 +223,7 @@ func (r *Release) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", r.soapSrv)
 	mux.HandleFunc("/wsdl", func(w http.ResponseWriter, req *http.Request) {
-		location := "http://" + req.Host + "/"
-		def, err := wsdl.Generate(r.contract, location)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		data, err := def.Marshal()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-		_, _ = w.Write(data)
+		wsdl.Serve(w, req, r.contract)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set(VersionHeader, r.contract.Version)

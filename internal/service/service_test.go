@@ -216,8 +216,8 @@ func TestDeterministicInjectionStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		ka, _ := relA.draw()
-		kb, _ := relB.draw()
+		ka, _ := relA.draw(context.Background())
+		kb, _ := relB.draw(context.Background())
 		if ka != kb {
 			t.Fatalf("same seed diverged at call %d", i)
 		}

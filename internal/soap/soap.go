@@ -297,14 +297,10 @@ type Raw []byte
 // is written verbatim.
 type HandlerFunc func(ctx context.Context, req *Request) (interface{}, error)
 
-// Middleware wraps a handler, e.g. for fault injection or monitoring.
-type Middleware func(HandlerFunc) HandlerFunc
-
 // Server dispatches SOAP calls to registered operations. It implements
 // http.Handler. The zero value is not usable; construct with NewServer.
 type Server struct {
-	ops  map[string]HandlerFunc
-	wrap []Middleware
+	ops map[string]HandlerFunc
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -319,11 +315,6 @@ func NewServer() *Server {
 // serving; wire the server fully before starting to listen.
 func (s *Server) Handle(operation string, h HandlerFunc) {
 	s.ops[operation] = h
-}
-
-// Use appends middleware applied to every operation (outermost first).
-func (s *Server) Use(mw Middleware) {
-	s.wrap = append(s.wrap, mw)
 }
 
 // Operations lists the registered operation names, sorted.
@@ -357,9 +348,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		writeFault(w, ClientFault(fmt.Sprintf("%v: %s", ErrNoSuchOperation, op)))
 		return
-	}
-	for i := len(s.wrap) - 1; i >= 0; i-- {
-		h = s.wrap[i](h)
 	}
 	resp, err := h(r.Context(), &Request{Operation: op, Envelope: &parsed, HTTP: r, ResponseHeader: w.Header()})
 	if err != nil {
@@ -453,18 +441,31 @@ func (c *Client) CallRaw(ctx context.Context, operation string, envelope []byte)
 	if err != nil {
 		return nil, fmt.Errorf("soap: reading response: %w", err)
 	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return data, nil
-	case http.StatusInternalServerError:
-		parsed, perr := Decode(data)
-		if perr == nil && parsed.Fault != nil {
-			return nil, parsed.Fault
+	if err := ClassifyReply(resp.StatusCode, data); err != nil {
+		if IsFault(err) {
+			return nil, err
 		}
-		return nil, fmt.Errorf("soap: HTTP 500 without parsable fault from %s", c.URL)
-	default:
-		return nil, fmt.Errorf("soap: HTTP %d from %s", resp.StatusCode, c.URL)
+		return nil, fmt.Errorf("soap: %w from %s", err, c.URL)
 	}
+	return data, nil
+}
+
+// ClassifyReply reads a reply's HTTP status the way the SOAP 1.1 HTTP
+// binding means it, for every client of a SOAP endpoint: 200 is a reply
+// (nil; the caller reads its envelope), a 500 carrying a Fault is that
+// *Fault — an evident failure that still counts as a response — and
+// anything else, a 500 without a parsable fault included, is a
+// protocol.StatusError.
+func ClassifyReply(status int, body []byte) error {
+	switch status {
+	case http.StatusOK:
+		return nil
+	case http.StatusInternalServerError:
+		if parsed, err := Decode(body); err == nil && parsed.Fault != nil {
+			return parsed.Fault
+		}
+	}
+	return protocol.StatusError(status)
 }
 
 // ---------------------------------------------------------------------------

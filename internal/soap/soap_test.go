@@ -132,27 +132,6 @@ func TestMalformedEnvelopeRejected(t *testing.T) {
 	}
 }
 
-func TestMiddleware(t *testing.T) {
-	s := newCalcServer(t)
-	var calls []string
-	s.Use(func(next HandlerFunc) HandlerFunc {
-		return func(ctx context.Context, req *Request) (interface{}, error) {
-			calls = append(calls, req.Operation)
-			return next(ctx, req)
-		}
-	})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	c := &Client{URL: ts.URL}
-	var out addResponse
-	if err := c.Call(context.Background(), "AddRequest", addRequest{A: 1, B: 1}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 1 || calls[0] != "AddRequest" {
-		t.Fatalf("middleware saw %v", calls)
-	}
-}
-
 func TestOperationsSorted(t *testing.T) {
 	s := newCalcServer(t)
 	ops := s.Operations()

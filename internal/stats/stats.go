@@ -200,25 +200,6 @@ func (k *KahanSum) Add(v float64) {
 // Sum returns the compensated total.
 func (k *KahanSum) Sum() float64 { return k.sum }
 
-// LogSumExp returns ln Σ exp(v_i) computed stably. An empty input returns
-// −Inf (the log of zero).
-func LogSumExp(vs []float64) float64 {
-	maxV := math.Inf(-1)
-	for _, v := range vs {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if math.IsInf(maxV, -1) {
-		return maxV
-	}
-	var k KahanSum
-	for _, v := range vs {
-		k.Add(math.Exp(v - maxV))
-	}
-	return maxV + math.Log(k.Sum())
-}
-
 // Grid1D is a discrete probability distribution over strictly increasing
 // support points. Weights need not be normalized at construction.
 type Grid1D struct {
@@ -382,9 +363,6 @@ func (s *Summary) Variance() float64 {
 	}
 	return s.m2 / float64(s.n)
 }
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Min returns the smallest observation (0 for an empty summary).
 func (s *Summary) Min() float64 { return s.min }

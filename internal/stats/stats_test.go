@@ -196,21 +196,6 @@ func TestKahanSumBeatsNaive(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
-	if math.Abs(got-math.Log(6)) > 1e-12 {
-		t.Fatalf("LogSumExp = %v, want ln 6", got)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Fatal("LogSumExp(nil) should be -Inf")
-	}
-	// Should survive values that would overflow naive exp.
-	got = LogSumExp([]float64{1000, 1000})
-	if math.Abs(got-(1000+math.Log(2))) > 1e-9 {
-		t.Fatalf("LogSumExp overflow case = %v", got)
-	}
-}
-
 func TestGrid1D(t *testing.T) {
 	g := &Grid1D{Xs: []float64{1, 2, 3, 4}, Ws: []float64{1, 1, 1, 1}}
 	if err := g.Normalize(); err != nil {

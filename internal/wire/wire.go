@@ -22,8 +22,8 @@
 //     header costs an allocation, however much consecutive replies on a
 //     connection differ, and nothing is shared between calls.
 //   - An exchange is split where waiting starts: Begin checks an idle
-//     connection out and writes the request, End reads the response and
-//     carries the retry policy. PostXML is the two back to back; a
+//     connection out and writes the request, End reads the response
+//     under the retry policy. PostXML is the two back to back; a
 //     fan-out begins every release's call before it ends any, so every
 //     request is on the wire before anyone waits (see Begin for what is
 //     left to End, and why).
@@ -35,9 +35,10 @@
 //     a context.AfterFunc for the length of the exchange. A poisoned
 //     connection is closed, and a pooled one is never poisoned.
 //
-// Retry, backoff and response-size semantics are httpx.PostXML's,
-// enforced by sharing the httpx.RetryPolicy implementation and a
-// conformance suite run against both transports. URLs the wire client
+// Retry, backoff and response-size semantics are httpx.Retry's: End
+// hands that loop one attempt, the begun-then-whole exchange of
+// pool.do, so both transports run the same loop by construction (a
+// conformance suite runs against both). URLs the wire client
 // does not speak natively (anything but plain http://) are delegated to
 // the Fallback net/http client, which is therefore the configuration
 // seam for TLS certificates and credentials. The choice is made on the
@@ -58,6 +59,7 @@ import (
 	"time"
 
 	"wsupgrade/internal/httpx"
+	bufpool "wsupgrade/internal/pool"
 )
 
 // ErrClosed reports a call on a closed client.
@@ -164,11 +166,10 @@ func (c *Client) startJanitor() {
 	})
 }
 
-// PostXML posts an XML payload with httpx.PostXML's exact retry,
-// backoff and response-size semantics (see that function); the
-// conformance suite in this package asserts the equivalence. Non-http://
-// URLs are delegated to the Fallback client. It is Begin followed by
-// End: there is one exchange path.
+// PostXML posts an XML payload under httpx.Retry's policy, as
+// httpx.PostXML does; the conformance suite in this package runs both.
+// Non-http:// URLs are delegated to the Fallback client. It is Begin
+// followed by End: there is one exchange path.
 //
 // Result.BodyBuf carries ownership of the pooled response buffer to the
 // caller — Result.Body and Result.Header both lie in it; see
@@ -197,7 +198,6 @@ type Call struct {
 	contentType string
 	body        []byte
 	policy      httpx.RetryPolicy
-	start       time.Time
 	// x is the first attempt's exchange with its request already
 	// written; the zero value means End performs the first attempt whole.
 	x inflight
@@ -247,10 +247,7 @@ func (c *Client) Begin(ctx context.Context, rawURL, contentType string, body []b
 	if err != nil {
 		return Call{err: fmt.Errorf("wire: building request: %w", err)}
 	}
-	k := Call{
-		p: p, ctx: ctx, rawURL: rawURL, contentType: contentType,
-		body: body, policy: policy, start: time.Now(),
-	}
+	k := Call{p: p, ctx: ctx, rawURL: rawURL, contentType: contentType, body: body, policy: policy}
 	if len(body) <= largeBodyThreshold {
 		if cn := p.getIdle(); cn != nil {
 			k.x = p.begin(ctx, cn, false, contentType, body)
@@ -260,13 +257,14 @@ func (c *Client) Begin(ctx context.Context, rawURL, contentType string, body []b
 }
 
 // End finishes the call: it reads the response to the request Begin
-// wrote (or performs the whole first attempt when Begin left it), and
-// carries the retry policy from there — the stale-keep-alive redial
-// that consumes no attempt, later attempts with backoff, ErrTooLarge as
-// terminal — returning the connection to its pool or closing it. A
-// second End on the same Call reports an error and touches nothing.
+// wrote (or performs the whole first attempt when Begin left it) and
+// runs httpx.Retry's policy from there, each attempt one pool.do — so a
+// stale keep-alive is redialled inside its attempt and consumes none —
+// returning the connection to its pool or closing it. A second End on
+// the same Call reports an error and touches nothing.
 //
 //wsu:owns k
+//wsu:noalloc
 //wsu:allow poolcheck -- End is the release: every exchange it finishes pools or closes its connection (pool.finish)
 func (k *Call) End() (httpx.Result, error) {
 	call := *k
@@ -280,48 +278,12 @@ func (k *Call) End() (httpx.Result, error) {
 		}
 		return httpx.Result{}, call.err
 	}
-	ctx, p, policy := call.ctx, call.p, call.policy
-	maxBytes := policy.EffectiveMaxResponseBytes()
-	var lastErr error
-	for attempt := 1; attempt <= policy.Attempts; attempt++ {
-		if attempt > 1 {
-			select {
-			case <-ctx.Done():
-				return httpx.Result{}, fmt.Errorf("wire: cancelled during backoff: %w", ctx.Err())
-			case <-time.After(policy.BackoffFor(attempt)):
-			}
-		}
+	return httpx.Retry(call.ctx, call.policy, call.rawURL, func(maxBytes int64) (int, *bufpool.Buf, int, error) {
 		x := call.x
 		call.x = inflight{} // only the first attempt was begun
-		//wsu:allow poolcheck -- a non-nil error carries no body; ownership otherwise transfers via Result.BodyBuf
-		status, data, n, err := p.do(ctx, x, call.contentType, call.body, maxBytes)
-		if err != nil {
-			if errors.Is(err, httpx.ErrTooLarge) {
-				// An oversized response is not transient; terminal, as in
-				// httpx.PostXML.
-				return httpx.Result{}, fmt.Errorf("wire: POST %s: %w", call.rawURL, err)
-			}
-			lastErr = err
-			if ctx.Err() != nil {
-				break // deadline spent; no point retrying
-			}
-			continue
-		}
-		if policy.ShouldRetryStatus(status) && attempt < policy.Attempts {
-			lastErr = fmt.Errorf("wire: transient HTTP %d from %s", status, call.rawURL)
-			data.Release()
-			continue
-		}
-		return httpx.Result{
-			Status:   status,
-			Body:     data.B[:n:n],
-			Header:   httpx.Header(data.B[n:]),
-			Attempts: attempt,
-			Latency:  time.Since(call.start),
-			BodyBuf:  data,
-		}, nil
-	}
-	return httpx.Result{}, fmt.Errorf("wire: POST %s failed after retries: %w", call.rawURL, lastErr)
+		//wsu:allow poolcheck -- an attempt hands its buffer to httpx.Retry, which passes it on in Result.BodyBuf
+		return call.p.do(call.ctx, x, call.contentType, call.body, maxBytes)
+	})
 }
 
 // pool returns (building on first use) the endpoint's connection pool.

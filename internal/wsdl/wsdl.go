@@ -20,22 +20,13 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"sort"
+	"net/http"
 	"strings"
 )
 
-// Namespaces used in generated documents.
-const (
-	// NS is the WSDL 1.1 namespace.
-	NS = "http://schemas.xmlsoap.org/wsdl/"
-	// SOAPNS is the WSDL SOAP binding namespace.
-	SOAPNS = "http://schemas.xmlsoap.org/wsdl/soap/"
-	// XSDNS is the XML Schema namespace.
-	XSDNS = "http://www.w3.org/2001/XMLSchema"
-	// UpgradeNS is this project's extension namespace for release
-	// references and confidence annotations.
-	UpgradeNS = "urn:wsupgrade:extensions"
-)
+// UpgradeNS is this project's extension namespace for release
+// references and confidence annotations.
+const UpgradeNS = "urn:wsupgrade:extensions"
 
 // ErrBadContract reports an invalid service contract.
 var ErrBadContract = errors.New("wsdl: bad contract")
@@ -396,41 +387,48 @@ func Parse(data []byte) (*Definitions, error) {
 	return &d, nil
 }
 
-// OperationNames lists the operations declared in the document, sorted.
-func (d *Definitions) OperationNames() []string {
-	names := make([]string, 0, len(d.PortType.Operations))
-	for _, op := range d.PortType.Operations {
-		names = append(names, op.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Endpoint returns the concrete service location.
 func (d *Definitions) Endpoint() string { return d.Service.Port.Location }
 
-// ReleaseRefs returns the §7.2 release references, if any.
-func (d *Definitions) ReleaseRefs() []ReleaseRef {
-	out := make([]ReleaseRef, len(d.Releases))
-	for i, r := range d.Releases {
-		out[i] = ReleaseRef(r)
+// Serve answers a GET of the contract's WSDL document — every service
+// surface's /wsdl route. The document's endpoint is the address the
+// request came in on, under the scheme a consumer can dial (see
+// requestScheme).
+func Serve(w http.ResponseWriter, r *http.Request, c Contract) {
+	def, err := Generate(c, requestScheme(r)+"://"+r.Host+"/")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	return out
+	data, err := def.Marshal()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
+	_, _ = w.Write(data)
 }
 
-// Diff reports the operations present in b but not in a — the consumer-
-// visible surface change of an upgrade.
-func Diff(a, b *Definitions) []string {
-	have := map[string]bool{}
-	for _, op := range a.PortType.Operations {
-		have[op.Name] = true
+// requestScheme derives the scheme consumers should use to reach the
+// service a request arrived at: https when it came over TLS, or
+// whatever a trusted reverse proxy reports in X-Forwarded-Proto (the
+// first hop of a chain). A published WSDL endpoint address must match
+// what the consumer can actually dial.
+func requestScheme(r *http.Request) string {
+	scheme := "http"
+	if r.TLS != nil {
+		scheme = "https"
 	}
-	var added []string
-	for _, op := range b.PortType.Operations {
-		if !have[op.Name] {
-			added = append(added, op.Name)
+	if proto := r.Header.Get("X-Forwarded-Proto"); proto != "" {
+		if i := strings.IndexByte(proto, ','); i >= 0 {
+			proto = proto[:i] // first hop wins in a proxy chain
+		}
+		switch strings.ToLower(strings.TrimSpace(proto)) {
+		case "http":
+			scheme = "http"
+		case "https":
+			scheme = "https"
 		}
 	}
-	sort.Strings(added)
-	return added
+	return scheme
 }

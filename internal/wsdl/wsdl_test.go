@@ -83,11 +83,11 @@ func TestGenerateAndRoundTrip(t *testing.T) {
 	if back.Endpoint() != "http://node1/ws1" {
 		t.Fatalf("endpoint = %q", back.Endpoint())
 	}
-	ops := back.OperationNames()
-	if len(ops) != 1 || ops[0] != "operation1" {
-		t.Fatalf("operations = %v", ops)
+	ops := back.PortType.Operations
+	if len(ops) != 1 || ops[0].Name != "operation1" {
+		t.Fatalf("operations = %+v", ops)
 	}
-	refs := back.ReleaseRefs()
+	refs := back.Releases
 	if len(refs) != 1 || refs[0].Version != "1.1" || refs[0].Relation != "successor" {
 		t.Fatalf("release refs = %+v", refs)
 	}
@@ -182,28 +182,6 @@ func TestWithConfVariant(t *testing.T) {
 	}
 	if len(c2.Operations) != len(c.Operations) {
 		t.Fatal("WithConfVariant not idempotent")
-	}
-}
-
-// The upgrade-visible diff between two releases' WSDLs: the new release's
-// added operations.
-func TestDiff(t *testing.T) {
-	oldDef, err := Generate(paperContract(), "http://node1/ws")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newC := paperContract().WithConfidenceOperation()
-	newC.Version = "1.1"
-	newDef, err := Generate(newC, "http://node1/ws")
-	if err != nil {
-		t.Fatal(err)
-	}
-	added := Diff(oldDef, newDef)
-	if len(added) != 1 || added[0] != ConfOperationName {
-		t.Fatalf("diff = %v", added)
-	}
-	if got := Diff(newDef, oldDef); len(got) != 0 {
-		t.Fatalf("reverse diff = %v", got)
 	}
 }
 

@@ -169,21 +169,6 @@ func (r *Rand) Beta(alpha, beta float64) float64 {
 	return x / (x + y)
 }
 
-// Binomial returns the number of successes in n independent trials with
-// success probability p. O(n) inversion is fine at the n used here.
-func (r *Rand) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic("xrand: Binomial called with n < 0")
-	}
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Bool(p) {
-			k++
-		}
-	}
-	return k
-}
-
 // Categorical returns an index in [0, len(weights)) drawn proportionally to
 // weights. Negative weights panic; all-zero weights panic.
 func (r *Rand) Categorical(weights []float64) int {

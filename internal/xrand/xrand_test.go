@@ -196,24 +196,6 @@ func TestBetaMoments(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := New(29)
-	const n, p = 50, 0.3
-	const trials = 50000
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		k := r.Binomial(n, p)
-		if k < 0 || k > n {
-			t.Fatalf("Binomial out of range: %d", k)
-		}
-		sum += float64(k)
-	}
-	m := sum / trials
-	if math.Abs(m-n*p) > 0.2 {
-		t.Fatalf("Binomial mean = %v, want ~%v", m, n*p)
-	}
-}
-
 func TestCategoricalProportions(t *testing.T) {
 	r := New(31)
 	w := []float64{1, 2, 3, 4}

@@ -95,12 +95,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return core.New(cfg) }
 // Engine.OnTransition and Fleet.OnTransition.
 type Transition = lifecycle.Transition
 
-// TransitionRules parameterize which §4.1 phase transitions the
-// lifecycle machine accepts (lifecycle.DefaultRules is what Engine
-// enforces: forward movement with skips, abort to OldOnly, restart out
-// of NewOnly).
-type TransitionRules = lifecycle.Rules
-
 // ---------------------------------------------------------------------------
 // Multi-unit upgrade fabric (Figs 1 and 4, §7).
 
