@@ -15,11 +15,13 @@
 // The middleware serves SOAP at "/", its confidence-extended WSDL at
 // "/wsdl" and liveness at "/healthz"; it answers the §6.2 OperationConf
 // and "<op>Conf" operations, and logs every adjudicated demand as JSONL
-// to -log (default stderr off).
+// to -log (default stderr off). It is hosted as a fleet of one unit
+// named "unit" whose own surface is the whole listener (no /fleet/ admin
+// API), so -journal-dir keeps its campaign in <dir>/unit.journal.
 //
 // Fleet mode hosts many upgrade units — the Fig 1/4 composite's
 // components, each upgrading independently — behind one listener from a
-// JSON config:
+// JSON config whose unit entries carry the single-unit flags' settings:
 //
 //	upgraded -addr :8080 -fleet fleet.json
 //
@@ -36,11 +38,13 @@
 // Units are served under "/<name>/" (or dedicated virtual hosts via
 // "hosts"), with the JSON admin API under /fleet/ (per-unit status,
 // SetPhase, SetMode, release add/remove, confidence) and the registry
-// upgrade-notification fan-in at /fleet/notify.
+// upgrade-notification fan-in at /fleet/notify; -journal-dir keeps each
+// unit's campaign in <dir>/<name>.journal.
 //
 // On SIGINT/SIGTERM the server drains in-flight requests via
-// http.Server.Shutdown (bounded by -drain), then closes the engine or
-// fleet so background monitoring work completes.
+// http.Server.Shutdown (bounded by -drain), then closes the fleet: every
+// engine finishes its background monitoring work before the journals
+// take a final snapshot and close.
 package main
 
 import (
@@ -56,7 +60,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -94,77 +97,92 @@ func (r *releaseFlags) Set(v string) error {
 	return nil
 }
 
-// unitParams is everything needed to build one unit's engine config —
-// shared by the single-unit flags and each fleet config entry.
-type unitParams struct {
-	Releases   []core.Endpoint
-	Phase      string
-	Mode       string
-	Quorum     int
-	Timeout    time.Duration
-	Criterion  int
-	Confidence float64
-	Target     float64
-	CheckEvery int
-	PfdUpper   float64
-	Oracle     string
-	LogPath    string
+// unitRecord is one upgrade unit: a -fleet config entry, or the
+// single-unit flags bound onto the same fields. Zero values take the
+// engine's defaults.
+type unitRecord struct {
+	Name       string       `json:"name"`
+	Hosts      []string     `json:"hosts,omitempty"`
+	Service    string       `json:"service,omitempty"`
+	Releases   releaseFlags `json:"releases"`
+	Phase      string       `json:"phase,omitempty"`
+	Mode       string       `json:"mode,omitempty"`
+	Quorum     int          `json:"quorum,omitempty"`
+	Timeout    millis       `json:"timeoutMs,omitempty"`
+	Criterion  int          `json:"criterion,omitempty"`
+	Confidence float64      `json:"confidence,omitempty"`
+	Target     float64      `json:"target,omitempty"`
+	CheckEvery int          `json:"checkEvery,omitempty"`
+	PfdUpper   float64      `json:"pfdUpper,omitempty"`
+	Oracle     string       `json:"oracle,omitempty"`
 	// Protocol is the unit's wire protocol: "soap" (default) or
 	// "json". A JSON unit skips the SOAP-only §6.2 confidence
 	// operations and the /wsdl contract; confidence publishes over the
 	// X-Wsupgrade-Confidence HTTP header instead.
-	Protocol string
+	Protocol string `json:"protocol,omitempty"`
+	Log      string `json:"log,omitempty"`
 }
 
-// engineConfig translates unit parameters into a core.Config. The
+// millis is a duration the config spells in whole milliseconds
+// ("timeoutMs") and the -timeout flag as a Go duration.
+type millis time.Duration
+
+func (m *millis) UnmarshalJSON(data []byte) error {
+	var ms int
+	err := json.Unmarshal(data, &ms)
+	*m = millis(time.Duration(ms) * time.Millisecond)
+	return err
+}
+
+// engineConfig translates a unit record into a core.Config. The
 // returned closer owns the JSONL log file, if any.
-func engineConfig(p unitParams) (core.Config, io.Closer, error) {
+func engineConfig(u unitRecord) (core.Config, io.Closer, error) {
 	cfg := core.Config{
-		Releases: p.Releases,
-		Timeout:  p.Timeout,
-		Quorum:   p.Quorum,
+		Releases: u.Releases,
+		Timeout:  time.Duration(u.Timeout),
+		Quorum:   u.Quorum,
 	}
-	if len(p.Releases) == 0 {
+	if len(u.Releases) == 0 {
 		return cfg, nil, fmt.Errorf("at least one release is required")
 	}
 
-	if p.Phase != "" {
-		phase, err := lifecycle.ParsePhase(p.Phase)
+	if u.Phase != "" {
+		phase, err := lifecycle.ParsePhase(u.Phase)
 		if err != nil {
-			return cfg, nil, fmt.Errorf("unknown phase %q", p.Phase)
+			return cfg, nil, fmt.Errorf("unknown phase %q", u.Phase)
 		}
 		cfg.InitialPhase = phase
 	}
-	if p.Mode != "" {
-		mode, err := dispatch.ParseMode(p.Mode)
+	if u.Mode != "" {
+		mode, err := dispatch.ParseMode(u.Mode)
 		if err != nil {
-			return cfg, nil, fmt.Errorf("unknown mode %q", p.Mode)
+			return cfg, nil, fmt.Errorf("unknown mode %q", u.Mode)
 		}
 		cfg.Mode = mode
 	}
 
 	jsonUnit := false
-	switch p.Protocol {
+	switch u.Protocol {
 	case "", "soap":
 	case "json":
 		jsonUnit = true
 		cfg.Codec = jsoncodec.Default
 	default:
-		return cfg, nil, fmt.Errorf("unknown protocol %q", p.Protocol)
+		return cfg, nil, fmt.Errorf("unknown protocol %q", u.Protocol)
 	}
 
-	switch p.Oracle {
+	switch u.Oracle {
 	case "fault-only":
 		cfg.Oracle = oracle.FaultOnly{}
 	case "reference", "":
-		cfg.Oracle = oracle.Reference{Release: p.Releases[0].Version, Codec: cfg.Codec}
+		cfg.Oracle = oracle.Reference{Release: u.Releases[0].Version, Codec: cfg.Codec}
 	case "back-to-back":
 		cfg.Oracle = oracle.BackToBack{Codec: cfg.Codec}
 	default:
-		return cfg, nil, fmt.Errorf("unknown oracle %q", p.Oracle)
+		return cfg, nil, fmt.Errorf("unknown oracle %q", u.Oracle)
 	}
 
-	pfdUpper := p.PfdUpper
+	pfdUpper := u.PfdUpper
 	if pfdUpper == 0 {
 		pfdUpper = 0.1
 	}
@@ -173,24 +191,24 @@ func engineConfig(p unitParams) (core.Config, io.Closer, error) {
 		PriorA: prior, PriorB: prior,
 		GridA: 60, GridB: 60, GridC: 16, GridAB: 80,
 	}
-	cfg.ConfidenceTarget = p.Target
+	cfg.ConfidenceTarget = u.Target
 	cfg.PublishHeader = true
 	if !jsonUnit {
 		// The §6.2 confidence operations and the /wsdl contract are
 		// SOAP-native; a JSON unit publishes confidence over the
 		// X-Wsupgrade-Confidence HTTP header alone.
 		cfg.EnableConfOps = true
-		contract := service.DemoContract(p.Releases[len(p.Releases)-1].Version)
+		contract := service.DemoContract(u.Releases[len(u.Releases)-1].Version)
 		cfg.Contract = &contract
 	}
 
-	if p.Criterion != 0 {
-		confidence := p.Confidence
+	if u.Criterion != 0 {
+		confidence := u.Confidence
 		if confidence == 0 {
 			confidence = 0.99
 		}
 		var crit bayes.Criterion
-		switch p.Criterion {
+		switch u.Criterion {
 		case 1:
 			c1, err := bayes.NewCriterion1(prior, confidence)
 			if err != nil {
@@ -198,13 +216,13 @@ func engineConfig(p unitParams) (core.Config, io.Closer, error) {
 			}
 			crit = c1
 		case 2:
-			crit = bayes.Criterion2{Confidence: confidence, Target: p.Target}
+			crit = bayes.Criterion2{Confidence: confidence, Target: u.Target}
 		case 3:
 			crit = bayes.Criterion3{Confidence: confidence}
 		default:
-			return cfg, nil, fmt.Errorf("unknown criterion %d", p.Criterion)
+			return cfg, nil, fmt.Errorf("unknown criterion %d", u.Criterion)
 		}
-		checkEvery := p.CheckEvery
+		checkEvery := u.CheckEvery
 		if checkEvery == 0 {
 			checkEvery = 100
 		}
@@ -212,8 +230,8 @@ func engineConfig(p unitParams) (core.Config, io.Closer, error) {
 	}
 
 	var closer io.Closer
-	if p.LogPath != "" {
-		f, err := os.OpenFile(p.LogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if u.Log != "" {
+		f, err := os.OpenFile(u.Log, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return cfg, nil, fmt.Errorf("opening log: %w", err)
 		}
@@ -227,78 +245,43 @@ func engineConfig(p unitParams) (core.Config, io.Closer, error) {
 type fleetFile struct {
 	// AdminToken guards the /fleet/ management surface (see
 	// fleet.Config.AdminToken); the -admin-token flag overrides it.
-	AdminToken string      `json:"adminToken,omitempty"`
-	Units      []fleetUnit `json:"units"`
+	AdminToken string       `json:"adminToken,omitempty"`
+	Units      []unitRecord `json:"units"`
 }
 
-type fleetUnit struct {
-	Name       string          `json:"name"`
-	Hosts      []string        `json:"hosts,omitempty"`
-	Service    string          `json:"service,omitempty"`
-	Releases   []core.Endpoint `json:"releases"`
-	Phase      string          `json:"phase,omitempty"`
-	Mode       string          `json:"mode,omitempty"`
-	Quorum     int             `json:"quorum,omitempty"`
-	TimeoutMS  int             `json:"timeoutMs,omitempty"`
-	Criterion  int             `json:"criterion,omitempty"`
-	Confidence float64         `json:"confidence,omitempty"`
-	Target     float64         `json:"target,omitempty"`
-	CheckEvery int             `json:"checkEvery,omitempty"`
-	PfdUpper   float64         `json:"pfdUpper,omitempty"`
-	Oracle     string          `json:"oracle,omitempty"`
-	Protocol   string          `json:"protocol,omitempty"`
-	Log        string          `json:"log,omitempty"`
-}
-
-// loadFleetConfig builds the fleet configuration from a JSON file. A key
-// the schema does not know (a typo, an option since removed) is an
-// error naming it, not a unit silently running on defaults.
-func loadFleetConfig(path string, defaultTarget float64) (fleet.Config, []io.Closer, error) {
+// loadFleetFile reads the -fleet JSON file. A key the schema does not
+// know (a typo, an option since removed) is an error naming it, not a
+// unit silently running on defaults.
+func loadFleetFile(path string) (fleetFile, error) {
+	var ff fleetFile
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fleet.Config{}, nil, fmt.Errorf("reading fleet config: %w", err)
+		return ff, fmt.Errorf("reading fleet config: %w", err)
 	}
-	var ff fleetFile
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&ff); err != nil {
-		return fleet.Config{}, nil, fmt.Errorf("parsing fleet config: %w", err)
+		return ff, fmt.Errorf("parsing fleet config: %w", err)
 	}
 	if dec.More() {
-		return fleet.Config{}, nil, fmt.Errorf("parsing fleet config: trailing data after the configuration object")
+		return ff, fmt.Errorf("parsing fleet config: trailing data after the configuration object")
 	}
-	if len(ff.Units) == 0 {
-		return fleet.Config{}, nil, fmt.Errorf("fleet config has no units")
-	}
+	return ff, nil
+}
+
+// fleetConfig builds the fleet configuration from unit records; a unit
+// without a target takes defaultTarget. The closers own the units' log
+// files.
+func fleetConfig(ff fleetFile, defaultTarget float64) (fleet.Config, []io.Closer, error) {
 	cfg := fleet.Config{AdminToken: ff.AdminToken}
 	var closers []io.Closer
-	closeAll := func() {
-		for _, c := range closers {
-			_ = c.Close()
-		}
-	}
 	for _, u := range ff.Units {
-		target := u.Target
-		if target == 0 {
-			target = defaultTarget
+		if u.Target == 0 {
+			u.Target = defaultTarget
 		}
-		ecfg, closer, err := engineConfig(unitParams{
-			Releases:   u.Releases,
-			Phase:      u.Phase,
-			Mode:       u.Mode,
-			Quorum:     u.Quorum,
-			Timeout:    time.Duration(u.TimeoutMS) * time.Millisecond,
-			Criterion:  u.Criterion,
-			Confidence: u.Confidence,
-			Target:     target,
-			CheckEvery: u.CheckEvery,
-			PfdUpper:   u.PfdUpper,
-			Oracle:     u.Oracle,
-			Protocol:   u.Protocol,
-			LogPath:    u.Log,
-		})
+		ecfg, closer, err := engineConfig(u)
 		if err != nil {
-			closeAll()
+			closeAll(closers)
 			return fleet.Config{}, nil, fmt.Errorf("unit %q: %w", u.Name, err)
 		}
 		if closer != nil {
@@ -314,29 +297,36 @@ func loadFleetConfig(path string, defaultTarget float64) (fleet.Config, []io.Clo
 	return cfg, closers, nil
 }
 
+func closeAll(closers []io.Closer) {
+	for _, c := range closers {
+		_ = c.Close()
+	}
+}
+
 // onListen, when set, observes the bound listener address (tests bind
 // to :0 and need the real port).
 var onListen func(net.Addr)
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("upgraded", flag.ContinueOnError)
-	var releases releaseFlags
-	fs.Var(&releases, "release", "deployed release as version=url (repeat; oldest first)")
+	// Single-unit mode's flags fill the record a -fleet entry would.
+	unit := unitRecord{Name: "unit"}
+	fs.Var(&unit.Releases, "release", "deployed release as version=url (repeat; oldest first)")
+	fs.StringVar(&unit.Phase, "phase", "parallel", "initial phase: old-only|observation|parallel|new-only")
+	fs.StringVar(&unit.Mode, "mode", "reliability", "fan-out mode: reliability|responsiveness|dynamic|sequential")
+	fs.IntVar(&unit.Quorum, "quorum", 1, "responses to wait for in dynamic mode")
+	fs.DurationVar((*time.Duration)(&unit.Timeout), "timeout", 2*time.Second, "per-request fan-out timeout")
+	fs.IntVar(&unit.Criterion, "criterion", 3, "switch criterion (1, 2 or 3); 0 disables auto-switch")
+	fs.Float64Var(&unit.Confidence, "confidence", 0.99, "criterion confidence level")
+	fs.Float64Var(&unit.Target, "target", 1e-3, "criterion 2 pfd target / published-confidence target")
+	fs.IntVar(&unit.CheckEvery, "check-every", 100, "evaluate the criterion every N demands")
+	fs.Float64Var(&unit.PfdUpper, "pfd-upper", 0.1, "prior pfd support upper bound")
+	fs.StringVar(&unit.Log, "log", "", "JSONL event log path (empty = no log)")
+	fs.StringVar(&unit.Oracle, "oracle", "reference", "failure oracle: fault-only|reference|back-to-back")
+	fs.StringVar(&unit.Protocol, "protocol", "soap", "wire protocol of the mediated unit: soap|json")
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		fleetPath  = fs.String("fleet", "", "fleet config JSON: host many upgrade units behind this listener")
-		phase      = fs.String("phase", "parallel", "initial phase: old-only|observation|parallel|new-only")
-		mode       = fs.String("mode", "reliability", "fan-out mode: reliability|responsiveness|dynamic|sequential")
-		quorum     = fs.Int("quorum", 1, "responses to wait for in dynamic mode")
-		timeout    = fs.Duration("timeout", 2*time.Second, "per-request fan-out timeout")
-		criterion  = fs.Int("criterion", 3, "switch criterion (1, 2 or 3); 0 disables auto-switch")
-		confidence = fs.Float64("confidence", 0.99, "criterion confidence level")
-		target     = fs.Float64("target", 1e-3, "criterion 2 pfd target / published-confidence target")
-		checkEvery = fs.Int("check-every", 100, "evaluate the criterion every N demands")
-		pfdUpper   = fs.Float64("pfd-upper", 0.1, "prior pfd support upper bound")
-		logPath    = fs.String("log", "", "JSONL event log path (empty = no log)")
-		oracleName = fs.String("oracle", "reference", "failure oracle: fault-only|reference|back-to-back")
-		protoName  = fs.String("protocol", "soap", "wire protocol of the mediated unit: soap|json")
 		adminToken = fs.String("admin-token", "", "fleet mode: token guarding the /fleet/ admin API (overrides the config's adminToken)")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		journalDir = fs.String("journal-dir", "", "directory for durable campaign journals; a restart resumes each unit's phase and posterior from its journal")
@@ -347,92 +337,40 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	var (
-		handler http.Handler
-		closer  func() error
-		banner  string
-	)
+	ff := fleetFile{Units: []unitRecord{unit}}
 	if *fleetPath != "" {
-		cfg, logClosers, err := loadFleetConfig(*fleetPath, *target)
-		if err != nil {
+		var err error
+		if ff, err = loadFleetFile(*fleetPath); err != nil {
 			return err
 		}
-		if *adminToken != "" {
-			cfg.AdminToken = *adminToken
-		}
-		cfg.JournalDir = *journalDir
-		cfg.SnapshotInterval = *snapEvery
-		f, err := fleet.New(cfg)
-		if err != nil {
-			for _, c := range logClosers {
-				_ = c.Close()
-			}
-			return err
-		}
-		handler = f
-		closer = func() error {
-			err := f.Close()
-			for _, c := range logClosers {
-				_ = c.Close()
-			}
-			return err
-		}
-		banner = fmt.Sprintf("hosting %d upgrade units on %s", len(cfg.Units), *addr)
-	} else {
-		cfg, logCloser, err := engineConfig(unitParams{
-			Releases:   releases,
-			Phase:      *phase,
-			Mode:       *mode,
-			Quorum:     *quorum,
-			Timeout:    *timeout,
-			Criterion:  *criterion,
-			Confidence: *confidence,
-			Target:     *target,
-			CheckEvery: *checkEvery,
-			PfdUpper:   *pfdUpper,
-			Oracle:     *oracleName,
-			Protocol:   *protoName,
-			LogPath:    *logPath,
-		})
-		if err != nil {
-			return err
-		}
-		engine, err := core.New(cfg)
-		if err != nil {
-			if logCloser != nil {
-				_ = logCloser.Close()
-			}
-			return err
-		}
-		var journalCloser func() error
-		if *journalDir != "" {
-			// The single-unit counterpart of the fleet's per-unit journal,
-			// with the quarantine/restore notes going to the log.
-			journalCloser, err = engine.OpenJournal(filepath.Join(*journalDir, "unit.journal"), *snapEvery,
-				func(note string) { log.Printf("upgraded: %s", note) })
-			if err != nil {
-				_ = engine.Close()
-				if logCloser != nil {
-					_ = logCloser.Close()
-				}
-				return err
-			}
-		}
-		handler = engine.Handler()
-		closer = func() error {
-			err := engine.Close()
-			if journalCloser != nil {
-				if jerr := journalCloser(); err == nil {
-					err = jerr
-				}
-			}
-			if logCloser != nil {
-				_ = logCloser.Close()
-			}
-			return err
-		}
+	}
+	// -target is the single unit's target and every fleet unit's default.
+	cfg, logClosers, err := fleetConfig(ff, unit.Target)
+	if err != nil {
+		return err
+	}
+	if *adminToken != "" {
+		cfg.AdminToken = *adminToken
+	}
+	cfg.JournalDir, cfg.SnapshotInterval = *journalDir, *snapEvery
+	f, err := fleet.New(cfg)
+	if err != nil {
+		closeAll(logClosers)
+		return err
+	}
+	closer := func() error {
+		err := f.Close()
+		closeAll(logClosers)
+		return err
+	}
+	var handler http.Handler = f
+	banner := fmt.Sprintf("hosting %d upgrade units on %s", len(cfg.Units), *addr)
+	if *fleetPath == "" {
+		// A fleet of one: the unit's own surface is the whole listener.
+		handler = f.Units()[0].Engine().Handler()
+		ecfg := cfg.Units[0].Engine
 		banner = fmt.Sprintf("managing %d releases on %s (phase %v, mode %v)",
-			len(releases), *addr, cfg.InitialPhase, cfg.Mode)
+			len(unit.Releases), *addr, ecfg.InitialPhase, ecfg.Mode)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -470,8 +408,8 @@ func run(ctx context.Context, args []string) error {
 		_ = closer()
 		return err
 	case <-ctx.Done():
-		// Drain in-flight requests, then let the engine/fleet finish its
-		// background monitoring work.
+		// Drain in-flight requests, then let the fleet finish its
+		// background monitoring work and close its journals.
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		shutErr := srv.Shutdown(drainCtx)

@@ -7,10 +7,12 @@ package main
 // delivered to a goroutine), built from this package.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"os"
@@ -225,5 +227,88 @@ func TestKillDashNineRecovery(t *testing.T) {
 	}
 	if rep.Demands != wantN {
 		t.Fatalf("restored demands %d, want the snapshot's %d", rep.Demands, wantN)
+	}
+}
+
+// stopRun cancels a run started by startRun and waits for a clean exit.
+func stopRun(t *testing.T, cancel context.CancelFunc, errCh chan error) {
+	t.Helper()
+	cancel()
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("shutdown returned %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("run never drained")
+	}
+}
+
+// Single-unit mode journals to <dir>/unit.journal: a stop through the
+// context keeps the whole campaign, and a restart with the same flags
+// resumes it instead of starting a fresh one.
+func TestSingleUnitJournalSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{
+		"-release", "1.0=" + demoRelease(t, "1.0"), "-release", "1.1=" + demoRelease(t, "1.1"),
+		"-phase", "observation", "-criterion", "0",
+		// Far longer than the test: only the shutdown path can persist.
+		"-journal-dir", dir, "-snapshot-interval", "1h",
+	}
+	drive := func(base string, n int) {
+		t.Helper()
+		client := &soap.Client{URL: base + "/", HTTP: &http.Client{Timeout: 5 * time.Second}}
+		for i := 0; i < n; i++ {
+			var out service.AddResponse
+			if err := client.Call(context.Background(), "add", service.AddRequest{A: i, B: 1}, &out); err != nil {
+				t.Fatalf("demand %d: %v", i, err)
+			}
+		}
+	}
+	const n = 20
+	base, cancel, errCh := startRun(t, args)
+	drive(base, n)
+	stopRun(t, cancel, errCh)
+
+	base, cancel, errCh = startRun(t, args)
+	drive(base, 1)
+	stopRun(t, cancel, errCh)
+
+	data, err := os.ReadFile(filepath.Join(dir, "unit.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := journal.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshot == nil || st.Snapshot.Campaign.Joint.N < n+1 {
+		t.Fatalf("journal snapshot %+v, want joint N >= %d (a fresh campaign would hold 1)", st.Snapshot, n+1)
+	}
+}
+
+// A corrupt unit.journal is quarantined, never fatal, and the note says
+// so in the log.
+func TestSingleUnitCorruptJournalQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "unit.journal")
+	if err := os.WriteFile(path, []byte("WSUJRNL1 this is not a journal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	_, cancel, errCh := startRun(t, []string{
+		"-release", "1.0=http://127.0.0.1:1", "-phase", "old-only", "-criterion", "0",
+		"-journal-dir", dir,
+	})
+	stopRun(t, cancel, errCh)
+
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Fatalf("quarantined file: %v", err)
+	}
+	if !strings.Contains(logged.String(), "journal quarantined") {
+		t.Fatalf("log holds no quarantine note:\n%s", logged.String())
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"wsupgrade/internal/journal"
@@ -40,26 +38,12 @@ func (e *Engine) fireReleaseChanges(prev, next []Endpoint) {
 		return
 	}
 	for _, p := range prev {
-		found := false
-		for _, n := range next {
-			if n.Version == p.Version {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if indexOf(next, p.Version) < 0 {
 			e.relHooks.Fire(releaseChange{false, p})
 		}
 	}
 	for _, n := range next {
-		found := false
-		for _, p := range prev {
-			if p.Version == n.Version {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if indexOf(prev, n.Version) < 0 {
 			e.relHooks.Fire(releaseChange{true, n})
 		}
 	}
@@ -109,26 +93,13 @@ func (e *Engine) RestoreCampaign(jst journal.State) error {
 	}
 	return e.updateState(lifecycle.CauseRecovery, func(s *engineState) error {
 		for _, r := range jst.Releases {
-			if r.URL == "" {
-				continue
-			}
-			known := false
-			for _, have := range s.releases {
-				if have.Version == r.Version {
-					known = true
-					break
-				}
-			}
-			if !known {
+			if r.URL != "" && indexOf(s.releases, r.Version) < 0 {
 				s.releases = append(s.releases, Endpoint{Version: r.Version, URL: r.URL})
 			}
 		}
 		if snap := jst.Snapshot; snap != nil {
-			if m := Mode(snap.Mode); m.Known() {
-				s.mode = m
-				if m == ModeDynamic && snap.Quorum >= 1 && snap.Quorum <= len(s.releases) {
-					s.quorum = snap.Quorum
-				}
+			if q, err := checkMode(Mode(snap.Mode), snap.Quorum, len(s.releases)); err == nil {
+				s.mode, s.quorum = Mode(snap.Mode), q
 			}
 			if snap.SwitchedAt > 0 {
 				s.switchedAt = snap.SwitchedAt
@@ -154,8 +125,7 @@ func (e *Engine) AttachJournal(w *journal.Writer) {
 		return
 	}
 	e.OnTransition(func(t lifecycle.Transition) {
-		tr := t
-		w.Append(journal.Entry{Kind: journal.KindTransition, Time: time.Now().UnixNano(), Transition: &tr})
+		w.Append(journal.Entry{Kind: journal.KindTransition, Time: time.Now().UnixNano(), Transition: &t})
 	})
 	e.OnReleaseChange(func(added bool, ep Endpoint) {
 		kind := journal.KindReleaseAdd
@@ -185,48 +155,4 @@ func (e *Engine) StartCampaignSnapshots(w *journal.Writer, interval time.Duratio
 		snap := e.CampaignSnapshot()
 		w.Append(journal.Entry{Kind: journal.KindSnapshot, Time: time.Now().UnixNano(), Snapshot: &snap})
 	}), nil
-}
-
-// OpenJournal makes the engine's campaign durable in the journal at
-// path: it creates the journal's directory, opens the journal (renaming
-// one that fails replay aside, see journal.OpenOrQuarantine), restores
-// the replayed campaign, subscribes the writer to the engine's
-// lifecycle, compacts the replayed history into one snapshot frame so
-// the journal stays bounded across restarts, and starts the snapshot
-// loop. Only I/O failures are fatal: a quarantined journal, or one that
-// replays cleanly but does not fit the configured unit (a phase needing
-// more releases than are deployed, bad counters), degrades to a fresh
-// campaign and is reported through note. The returned function stops
-// the loop, then flushes and closes the writer.
-func (e *Engine) OpenJournal(path string, interval time.Duration, note func(string)) (closeJournal func() error, err error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("core: journal dir: %w", err)
-	}
-	w, jst, err := journal.OpenOrQuarantine(path)
-	if err != nil {
-		if w == nil {
-			return nil, fmt.Errorf("core: opening journal: %w", err)
-		}
-		note("journal quarantined, campaign starts fresh: " + err.Error())
-	}
-	if err := e.RestoreCampaign(jst); err != nil {
-		note("journal restore failed, campaign starts fresh: " + err.Error())
-	}
-	e.AttachJournal(w)
-	snap := e.CampaignSnapshot()
-	if err := w.Compact(journal.Entry{
-		Kind: journal.KindSnapshot, Time: time.Now().UnixNano(), Snapshot: &snap,
-	}); err != nil {
-		_ = w.Close()
-		return nil, fmt.Errorf("core: compacting journal: %w", err)
-	}
-	stop, err := e.StartCampaignSnapshots(w, interval)
-	if err != nil {
-		_ = w.Close()
-		return nil, err
-	}
-	return func() error {
-		stop()
-		return w.Close()
-	}, nil
 }

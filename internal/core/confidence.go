@@ -5,19 +5,23 @@ import (
 	"hash/maphash"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/pool"
+	"wsupgrade/internal/registry"
 	"wsupgrade/internal/stats"
 	"wsupgrade/internal/wsdl"
 )
 
-// This file is the engine's §6.2 surface: the confidence report and the
+// This file is the engine's §6.2 surface: the confidence report, the
 // three ways it reaches consumers (response header, dedicated query
-// operation, "<op>Conf" variants), over a memo of recent posteriors.
+// operation, "<op>Conf" variants), the extended WSDL that declares them
+// and the registry entry that carries it, over a memo of recent
+// posteriors.
 
 // memoInference fronts the engine's white-box model with a memo of the
 // posteriors it computed last. A posterior is a pure function of the
@@ -119,69 +123,28 @@ func (e *Engine) Confidence(operation string) (ConfidenceReport, error) {
 		New:       post.ConfidenceB(e.cfg.ConfidenceTarget),
 		OldP99:    post.PercentileA(0.99),
 		NewP99:    post.PercentileB(0.99),
-		Published: e.published(post),
+		Published: servedConfidence(e.Phase(), post, e.cfg.ConfidenceTarget),
 		Demands:   post.Counts.N,
 	}, nil
 }
 
-// published is the one value consumers are told, the confidence in what
-// they are currently served: the old release's marginal (A) while its
-// responses are delivered (old-only, observation), the new release's (B)
-// in new-only, and conservatively the smaller of the two in the parallel
-// phase, where either release's response can be delivered.
-func (e *Engine) published(post *bayes.Posterior) float64 {
-	target := e.cfg.ConfidenceTarget
-	switch e.Phase() {
-	case PhaseOldOnly, PhaseObservation:
-		return post.ConfidenceA(target)
-	case PhaseNewOnly:
-		return post.ConfidenceB(target)
-	default:
-		return math.Min(post.ConfidenceA(target), post.ConfidenceB(target))
-	}
-}
-
 // AvailabilityConfidence computes the confidence that a release's
 // probability of not responding within the timeout is at most target —
-// the §6.1 "confidence in availability" attribute, read back per release.
-// It uses a black-box Beta-binomial inference over the monitor's
-// response/no-response record with a diffuse Beta(1,1) prior on [0, 0.9].
+// the §6.1 "confidence in availability" attribute, read back per release
+// from the monitor's response/no-response record by a Beta-binomial
+// inference with a diffuse Beta(1,1) prior on [0, 0.9].
 func (e *Engine) AvailabilityConfidence(version string, target float64) (float64, error) {
-	if target <= 0 || target >= 1 {
-		return 0, fmt.Errorf("%w: availability target %v", ErrBadConfig, target)
-	}
 	s, err := e.mon.Stats(version)
 	if err != nil {
 		return 0, fmt.Errorf("core: availability confidence: %w", err)
 	}
-	bb, err := availabilityInference()
-	if err != nil {
-		return 0, fmt.Errorf("core: availability prior: %w", err)
-	}
-	post, err := bb.Posterior(s.Demands, s.Demands-s.Responses)
-	if err != nil {
-		return 0, fmt.Errorf("core: availability posterior: %w", err)
-	}
-	return post.CDF(target), nil
+	return blackBoxConfidence("availability", s.Demands, s.Demands-s.Responses, target)
 }
-
-// availabilityPrior is diffuse: before any evidence every no-response
-// probability below 0.9 is equally plausible.
-var availabilityPrior = stats.ScaledBeta{Alpha: 1, Beta: 1, Upper: 0.9}
-
-// availabilityInference is the black-box engine over availabilityPrior
-// that both §6.1 attributes query, built on first use.
-var availabilityInference = sync.OnceValues(func() (*bayes.BlackBox, error) {
-	return bayes.NewBlackBox(availabilityPrior, 300)
-})
 
 // ResponsivenessConfidence computes the confidence that a release's
 // probability of exceeding maxLatency (or not responding at all) is at
 // most target — the §6.1 "confidence in responsiveness" attribute.
 func (e *Engine) ResponsivenessConfidence(version string, maxLatency time.Duration, target float64) (float64, error) {
-	if target <= 0 || target >= 1 {
-		return 0, fmt.Errorf("%w: responsiveness target %v", ErrBadConfig, target)
-	}
 	if maxLatency <= 0 {
 		return 0, fmt.Errorf("%w: latency bound %v", ErrBadConfig, maxLatency)
 	}
@@ -189,13 +152,32 @@ func (e *Engine) ResponsivenessConfidence(version string, maxLatency time.Durati
 	if err != nil {
 		return 0, fmt.Errorf("core: responsiveness confidence: %w", err)
 	}
-	bb, err := availabilityInference()
-	if err != nil {
-		return 0, fmt.Errorf("core: responsiveness prior: %w", err)
+	return blackBoxConfidence("responsiveness", demands, slow, target)
+}
+
+// blackBoxPrior is diffuse: before any evidence every failure
+// probability below 0.9 is equally plausible.
+var blackBoxPrior = stats.ScaledBeta{Alpha: 1, Beta: 1, Upper: 0.9}
+
+// blackBoxInference is the Beta-binomial engine over blackBoxPrior that
+// both §6.1 attributes query, built on first use.
+var blackBoxInference = sync.OnceValues(func() (*bayes.BlackBox, error) {
+	return bayes.NewBlackBox(blackBoxPrior, 300)
+})
+
+// blackBoxConfidence is P(p ≤ target) for a release's probability p of
+// failing the §6.1 attribute what, given failures among demands.
+func blackBoxConfidence(what string, demands, failures int, target float64) (float64, error) {
+	if target <= 0 || target >= 1 {
+		return 0, fmt.Errorf("%w: %s target %v", ErrBadConfig, what, target)
 	}
-	post, err := bb.Posterior(demands, slow)
+	bb, err := blackBoxInference()
 	if err != nil {
-		return 0, fmt.Errorf("core: responsiveness posterior: %w", err)
+		return 0, fmt.Errorf("core: %s prior: %w", what, err)
+	}
+	post, err := bb.Posterior(demands, failures)
+	if err != nil {
+		return 0, fmt.Errorf("core: %s posterior: %w", what, err)
 	}
 	return post.CDF(target), nil
 }
@@ -208,7 +190,23 @@ func (e *Engine) publishedConfidence(operation string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.published(post), nil
+	return servedConfidence(e.Phase(), post, e.cfg.ConfidenceTarget), nil
+}
+
+// confVariantBase reports whether operation is a §6.2 "<op>Conf"
+// variant, returning the underlying operation name. When a Contract is
+// configured, the variant interpretation applies only if the base
+// operation exists in the contract and the full name does not — a
+// genuine contract operation named e.g. "GetConf" is proxied as itself.
+func (e *Engine) confVariantBase(operation string) (string, bool) {
+	if !strings.HasSuffix(operation, "Conf") || operation == wsdl.ConfOperationName {
+		return "", false
+	}
+	base := strings.TrimSuffix(operation, "Conf")
+	if e.contractOps != nil && (e.contractOps[operation] || !e.contractOps[base]) {
+		return "", false
+	}
+	return base, true
 }
 
 // serveConfidenceQuery answers the dedicated OperationConf operation
@@ -282,3 +280,47 @@ func (e *Engine) serveConfVariant(w http.ResponseWriter, r *http.Request, rawBuf
 // "<op>Conf" variant calls so they ride the same pooled dispatch path as
 // directly proxied envelopes.
 var confEnvBufs pool.BufPool
+
+// serveWSDL publishes the contract at /wsdl, extended with the §6.2
+// confidence operations when they are served.
+func (e *Engine) serveWSDL(w http.ResponseWriter, r *http.Request) {
+	if e.cfg.Contract == nil {
+		http.Error(w, "no contract configured", http.StatusNotFound)
+		return
+	}
+	contract := *e.cfg.Contract
+	if e.cfg.EnableConfOps {
+		contract = contract.WithConfidenceOperation()
+		for _, op := range e.cfg.Contract.Operations {
+			extended, err := contract.WithConfVariant(op.Name)
+			if err == nil {
+				contract = extended
+			}
+		}
+	}
+	wsdl.Serve(w, r, contract)
+}
+
+// RegistryEntry builds the registry entry describing this engine's
+// service surface (the §6.2 "publish the confidence in the UDDI archive"
+// path). name is the service name; endpoint is the engine's public URL.
+func (e *Engine) RegistryEntry(name, endpoint string) registry.Entry {
+	releases := e.state.Load().releases
+	entry := registry.Entry{
+		Name:     name,
+		Version:  releases[len(releases)-1].Version,
+		URL:      endpoint,
+		Provider: "wsupgrade-middleware",
+	}
+	if e.cfg.Contract != nil && e.inference != nil {
+		for _, op := range e.cfg.Contract.Operations {
+			if conf, err := e.publishedConfidence(op.Name); err == nil {
+				entry.Confidence = append(entry.Confidence, registry.OperationConfidence{
+					Name:  op.Name,
+					Value: math.Round(conf*1e6) / 1e6,
+				})
+			}
+		}
+	}
+	return entry
+}

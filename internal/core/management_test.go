@@ -163,50 +163,6 @@ func TestCheckHealthMarksDownAndRecovers(t *testing.T) {
 	}
 }
 
-func TestStartHealthChecks(t *testing.T) {
-	_, old := startRelease(t, "1.0", service.FaultPlan{})
-	newTS := httptest.NewServer(nil) // serves 404 on /healthz
-	t.Cleanup(newTS.Close)
-	e, _ := startEngine(t, Config{
-		Releases: []Endpoint{old, {Version: "1.1", URL: newTS.URL}},
-		Timeout:  500 * time.Millisecond,
-	})
-	// Synchronize on prober rounds via the test hook instead of sleeping.
-	rounds := make(chan struct{}, 1)
-	e.healthCheckDone = func() {
-		select {
-		case rounds <- struct{}{}:
-		default:
-		}
-	}
-	stop, err := e.StartHealthChecks(20 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	if d, ok := t.Deadline(); ok && d.Before(deadline) {
-		deadline = d.Add(-time.Second)
-	}
-	for !e.Down("1.1") {
-		select {
-		case <-rounds:
-		case <-time.After(time.Until(deadline)):
-			t.Fatal("timed out waiting for a probe round")
-		}
-	}
-	stop()
-	stop() // idempotent
-	if !e.Down("1.1") {
-		t.Fatal("prober never marked the 404 release down")
-	}
-	if e.Down("1.0") {
-		t.Fatal("healthy release marked down by prober")
-	}
-	if _, err := e.StartHealthChecks(0); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("zero interval: %v", err)
-	}
-}
-
 // The engine must be safe under concurrent consumer traffic mixed with
 // online reconfiguration (run with -race).
 func TestConcurrentTrafficAndReconfiguration(t *testing.T) {
@@ -446,42 +402,4 @@ func TestRetryToleratesTransientFailures(t *testing.T) {
 		t.Fatalf("sum = %d", out.Sum)
 	}
 	_ = e
-}
-
-// Regression test for a shutdown-latency bug the ctxhygiene analyzer
-// surfaced: probes used to derive from context.Background(), so stop()
-// had to wait out an in-flight probe's full timeout before the prober
-// goroutine could exit. Probes now derive from a root that stop()
-// cancels first.
-func TestStopCancelsInFlightProbe(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-r.Context().Done()
-	}))
-	t.Cleanup(hang.Close)
-
-	e, _ := startEngine(t, Config{
-		Releases: []Endpoint{{Version: "1.0", URL: hang.URL}, {Version: "1.1", URL: hang.URL}},
-		Oracle:   oracle.Header{},
-		Timeout:  5 * time.Second,
-	})
-	const interval = 800 * time.Millisecond
-	stop, err := e.StartHealthChecks(interval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("probe never reached the endpoint")
-	}
-	start := time.Now()
-	stop()
-	if d := time.Since(start); d > interval/2 {
-		t.Fatalf("stop() took %v; an in-flight probe must be cancelled, not waited out", d)
-	}
 }

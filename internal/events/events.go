@@ -11,6 +11,7 @@ package events
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -94,22 +95,10 @@ func NewHubHistory(history int) *Hub {
 }
 
 // Subscribe registers a subscriber with a buffer of size events
-// (DefaultBuffer when size <= 0). On a closed hub it returns a
-// subscription whose channel is already closed.
+// (DefaultBuffer when size <= 0): SubscribeFrom without the replay. On a
+// closed hub it returns a subscription whose channel is already closed.
 func (h *Hub) Subscribe(size int) *Subscription {
-	if size <= 0 {
-		size = DefaultBuffer
-	}
-	ch := make(chan Event, size)
-	sub := &Subscription{C: ch, ch: ch, hub: h}
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		close(ch)
-		return sub
-	}
-	h.subs[sub] = struct{}{}
-	h.mu.Unlock()
+	sub, _, _ := h.SubscribeFrom(size, math.MaxUint64)
 	return sub
 }
 
@@ -178,13 +167,13 @@ func (h *Hub) replayLocked(lastID uint64) ([]Event, bool) {
 	return out, complete
 }
 
-// SubscribeFrom registers a subscriber (as Subscribe) and atomically
-// returns the replay of events after lastID: no event published
-// between the replay snapshot and the registration can be missed or
-// duplicated. The boolean reports whether the replay is complete: false
-// when events after lastID were already evicted from the bounded
-// history. On a closed hub the subscription's channel is already closed
-// and the replay is empty.
+// SubscribeFrom registers a subscriber with a buffer of size events
+// (DefaultBuffer when size <= 0) and atomically returns the replay of
+// events after lastID: no event published between the replay snapshot
+// and the registration can be missed or duplicated. The boolean reports
+// whether the replay is complete: false when events after lastID were
+// already evicted from the bounded history. On a closed hub the
+// subscription's channel is already closed and the replay is empty.
 func (h *Hub) SubscribeFrom(size int, lastID uint64) (*Subscription, []Event, bool) {
 	if size <= 0 {
 		size = DefaultBuffer

@@ -17,11 +17,13 @@ package fleet
 
 import (
 	"fmt"
+	"log"
+	"os"
 	"path/filepath"
 	"time"
 
 	"wsupgrade/internal/core"
-	"wsupgrade/internal/events"
+	"wsupgrade/internal/journal"
 	"wsupgrade/internal/lifecycle"
 )
 
@@ -66,20 +68,14 @@ type journalEvent struct {
 // setupCampaigns wires journaling (when dir != "") and event publishing
 // for every unit. Called once from New, after the unit set is built.
 func (f *Fleet) setupCampaigns(dir string, interval time.Duration) error {
-	f.hub = events.NewHub()
 	if dir != "" {
 		if interval <= 0 {
 			interval = DefaultSnapshotInterval
 		}
 		for _, u := range f.units {
-			closeJournal, err := u.engine.OpenJournal(filepath.Join(dir, u.name+".journal"), interval,
-				func(note string) {
-					f.journalNotes = append(f.journalNotes, journalEvent{Unit: u.name, Note: note})
-				})
-			if err != nil {
+			if err := f.openJournal(u, filepath.Join(dir, u.name+".journal"), interval); err != nil {
 				return fmt.Errorf("fleet: unit %q: %w", u.name, err)
 			}
-			f.closeJournals = append(f.closeJournals, closeJournal)
 		}
 	}
 
@@ -106,7 +102,6 @@ func (f *Fleet) setupCampaigns(dir string, interval time.Duration) error {
 		}
 	})
 	for _, u := range f.units {
-		u := u
 		u.engine.OnReleaseChange(func(added bool, ep core.Endpoint) {
 			action := "added"
 			if !added {
@@ -120,12 +115,52 @@ func (f *Fleet) setupCampaigns(dir string, interval time.Duration) error {
 	return nil
 }
 
-// closeCampaigns stops the snapshot loops and journal writers (flushing
-// their queues) and disconnects every event subscriber.
-func (f *Fleet) closeCampaigns() {
-	for _, closeJournal := range f.closeJournals {
-		_ = closeJournal()
+// openJournal makes one unit's campaign durable in the journal at path:
+// it opens the journal (renaming one that fails replay aside, see
+// journal.OpenOrQuarantine), restores the replayed campaign, subscribes
+// the writer to the engine's lifecycle, compacts the replayed history
+// into one snapshot so the journal stays bounded across restarts, and
+// starts the snapshot loop. Only I/O failures are fatal: a journal that
+// is quarantined, or replays but does not fit the configured unit,
+// degrades to a fresh campaign and leaves a note in the log and for
+// every /fleet/events subscriber. Fleet.Close takes a final snapshot.
+func (f *Fleet) openJournal(u *Unit, path string, interval time.Duration) error {
+	note := func(msg string) {
+		log.Printf("fleet: unit %q: %s", u.name, msg)
+		f.journalNotes = append(f.journalNotes, journalEvent{Unit: u.name, Note: msg})
 	}
-	f.closeJournals = nil
-	f.hub.Close()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("journal dir: %w", err)
+	}
+	w, jst, err := journal.OpenOrQuarantine(path)
+	if err != nil {
+		if w == nil {
+			return fmt.Errorf("opening journal: %w", err)
+		}
+		note("journal quarantined, campaign starts fresh: " + err.Error())
+	}
+	e := u.engine
+	if err := e.RestoreCampaign(jst); err != nil {
+		note("journal restore failed, campaign starts fresh: " + err.Error())
+	}
+	e.AttachJournal(w)
+	snapshot := func() journal.Entry {
+		snap := e.CampaignSnapshot()
+		return journal.Entry{Kind: journal.KindSnapshot, Time: time.Now().UnixNano(), Snapshot: &snap}
+	}
+	if err := w.Compact(snapshot()); err != nil {
+		_ = w.Close()
+		return fmt.Errorf("compacting journal: %w", err)
+	}
+	stop, err := e.StartCampaignSnapshots(w, interval)
+	if err != nil {
+		_ = w.Close()
+		return err
+	}
+	f.closeJournals = append(f.closeJournals, func() error {
+		stop()
+		w.Append(snapshot())
+		return w.Close()
+	})
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,8 +14,11 @@ import (
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/core"
 	"wsupgrade/internal/events"
+	"wsupgrade/internal/faulty"
 	"wsupgrade/internal/journal"
 	"wsupgrade/internal/monitor"
+	"wsupgrade/internal/oracle"
+	"wsupgrade/internal/service"
 )
 
 // driveUnitJoint feeds n joint observations straight into a unit's
@@ -143,6 +147,70 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 	}
 	if st, _, err := journal.Decode(data); err != nil || st.Snapshot == nil {
 		t.Fatalf("fresh journal state %+v err %v", st, err)
+	}
+}
+
+// switchNow is a switch criterion any posterior satisfies.
+type switchNow struct{}
+
+func (switchNow) Satisfied(*bayes.Posterior) bool { return true }
+func (switchNow) Name() string                    { return "switch-now" }
+
+// Close drains the engines before it closes their journals. A demand
+// delivered early (responsiveness mode) leaves its collection running in
+// the background; when that collection lands during Close and fires the
+// switch policy, the transition must reach the journal, so the restarted
+// unit resumes new-only instead of the phase it has already left.
+func TestCloseDrainsEnginesBeforeJournals(t *testing.T) {
+	dir := t.TempDir()
+	_, old := startRelease(t, "1.0", service.FaultPlan{})
+	rel, err := service.New(service.DemoContract("1.1"), service.DemoBehaviours(), service.FaultPlan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := httptest.NewServer(faulty.Wrap(rel.Handler(), 1,
+		faulty.Fault{Mode: faulty.LatencySpike, Rate: 1, Latency: 500 * time.Millisecond}))
+	t.Cleanup(slow.Close)
+
+	f, err := New(Config{
+		JournalDir: dir,
+		Units: []UnitConfig{{Name: "flights", Engine: core.Config{
+			Releases:     []core.Endpoint{old, {Version: "1.1", URL: slow.URL}},
+			InitialPhase: core.PhaseParallel,
+			Mode:         core.ModeResponsiveness,
+			Oracle:       oracle.Header{},
+			Inference:    testInference(),
+			Policy:       &core.PolicyConfig{Criterion: switchNow{}, CheckEvery: 1},
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(f)
+	if _, err := callUnit(t, ts.URL, "flights", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	flights, _ := f.Unit("flights")
+	if got := flights.Engine().Phase(); got != core.PhaseParallel {
+		t.Fatalf("phase %v before Close: the collection finished early, so the drain is not tested", got)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := flights.Engine().Phase(); got != core.PhaseNewOnly {
+		t.Fatalf("phase %v after the drain, want the policy's new-only", got)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "flights.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := journal.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Phase != core.PhaseNewOnly {
+		t.Fatalf("journal replays phase %v, want new-only: the switch fired during Close and was lost", st.Phase)
 	}
 }
 

@@ -25,6 +25,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -144,7 +145,7 @@ type Fleet struct {
 var _ http.Handler = (*Fleet)(nil)
 
 // New validates the configuration and builds the fleet with every
-// unit's engine constructed.
+// unit's engine constructed. On failure, whatever was built is closed.
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Units) == 0 {
 		return nil, fmt.Errorf("%w: no units", ErrBadConfig)
@@ -154,6 +155,7 @@ func New(cfg Config) (*Fleet, error) {
 		byHost:     map[string]*Unit{},
 		byService:  make(map[string]*Unit, len(cfg.Units)),
 		adminToken: cfg.AdminToken,
+		hub:        events.NewHub(),
 	}
 
 	// One release-side transport for the whole fleet: a shared wire
@@ -166,13 +168,7 @@ func New(cfg Config) (*Fleet, error) {
 	maxTimeout := time.Duration(0)
 	totalReleases := 0
 	for _, u := range cfg.Units {
-		t := u.Engine.Timeout
-		if t == 0 {
-			t = 2 * time.Second
-		}
-		if t > maxTimeout {
-			maxTimeout = t
-		}
+		maxTimeout = max(maxTimeout, cmp.Or(u.Engine.Timeout, 2*time.Second))
 		totalReleases += len(u.Engine.Releases)
 	}
 	f.fallback = cfg.HTTP
@@ -184,14 +180,18 @@ func New(cfg Config) (*Fleet, error) {
 		Timeout:  maxTimeout + 500*time.Millisecond,
 		Fallback: f.fallback,
 	})
+	built := false
+	defer func() {
+		if !built {
+			_ = f.Close()
+		}
+	}()
 
 	for _, uc := range cfg.Units {
 		if uc.Name == "" || strings.ContainsRune(uc.Name, '/') || reservedNames[uc.Name] {
-			f.closeUnits()
 			return nil, fmt.Errorf("%w: unusable unit name %q", ErrBadConfig, uc.Name)
 		}
 		if f.byName[uc.Name] != nil {
-			f.closeUnits()
 			return nil, fmt.Errorf("%w: duplicate unit %q", ErrBadConfig, uc.Name)
 		}
 		ecfg := uc.Engine
@@ -203,7 +203,6 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		engine, err := core.New(ecfg)
 		if err != nil {
-			f.closeUnits()
 			return nil, fmt.Errorf("fleet: unit %q: %w", uc.Name, err)
 		}
 		handler := engine.Handler()
@@ -217,50 +216,48 @@ func New(cfg Config) (*Fleet, error) {
 		if u.service == "" {
 			u.service = uc.Name
 		}
+		f.units = append(f.units, u)
 		if prev := f.byService[u.service]; prev != nil {
-			f.closeUnits()
-			_ = engine.Close()
 			return nil, fmt.Errorf("%w: units %q and %q share service %q",
 				ErrBadConfig, prev.name, u.name, u.service)
 		}
 		for _, h := range uc.Hosts {
 			if h == "" || f.byHost[h] != nil {
-				f.closeUnits()
-				_ = engine.Close()
 				return nil, fmt.Errorf("%w: unusable host %q for unit %q", ErrBadConfig, h, uc.Name)
 			}
 			f.byHost[h] = u
 		}
-		f.units = append(f.units, u)
 		f.byName[uc.Name] = u
 		f.byService[u.service] = u
 	}
 	if err := f.setupCampaigns(cfg.JournalDir, cfg.SnapshotInterval); err != nil {
-		f.closeCampaigns()
-		f.closeUnits()
 		return nil, err
 	}
 	f.admin = f.adminHandler()
+	built = true
 	return f, nil
 }
 
-func (f *Fleet) closeUnits() {
-	for _, u := range f.units {
-		_ = u.engine.Close()
-	}
-}
-
-// Close stops the journal snapshot loops and writers, disconnects the
-// event subscribers, drains every unit's background monitoring work and
-// shuts down the shared transport's keep-alive connections.
+// Close drains every unit's background monitoring work, then stops the
+// journal snapshot loops and closes the writers (each after a final
+// snapshot), disconnects the event subscribers and shuts down the shared
+// transport's keep-alive connections. Engines drain first: a background
+// collection still running can fire the switch policy, and its
+// transition must reach a journal that is still open.
 func (f *Fleet) Close() error {
-	f.closeCampaigns()
 	var firstErr error
 	for _, u := range f.units {
 		if err := u.engine.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	for _, closeJournal := range f.closeJournals {
+		if err := closeJournal(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	f.closeJournals = nil
+	f.hub.Close()
 	_ = f.wire.Close()
 	if f.ownsFallback {
 		f.fallback.CloseIdleConnections()
@@ -356,7 +353,6 @@ func (f *Fleet) CheckHealth(ctx context.Context) []UnitHealth {
 	results := make([]UnitHealth, len(f.units))
 	var wg sync.WaitGroup
 	for i, u := range f.units {
-		i, u := i, u
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -439,23 +435,10 @@ func (f *Fleet) unitStatus(u *Unit, withConfidence bool) UnitStatus {
 	return st
 }
 
-// Confidence aggregates every inference-enabled unit's confidence
-// report for one operation ("" pools all operations), keyed by unit.
-func (f *Fleet) Confidence(operation string) map[string]core.ConfidenceReport {
-	out := make(map[string]core.ConfidenceReport, len(f.units))
-	for _, u := range f.units {
-		if rep, err := u.engine.Confidence(operation); err == nil {
-			out[u.name] = rep
-		}
-	}
-	return out
-}
-
 // OnTransition registers a fleet-wide lifecycle observer: it fires for
 // every unit's transitions with the unit name filled in.
 func (f *Fleet) OnTransition(fn func(lifecycle.Transition)) {
 	for _, u := range f.units {
-		u := u
 		u.engine.OnTransition(func(tr lifecycle.Transition) {
 			tr.Unit = u.name
 			fn(tr)

@@ -19,11 +19,10 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
-
-	"wsupgrade/internal/events"
 )
 
 // sseHeartbeat is the idle keep-alive cadence: a comment frame that
@@ -56,7 +55,7 @@ func (f *Fleet) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resume := false
-	var lastID uint64
+	var lastID uint64 = math.MaxUint64 // a fresh stream replays nothing
 	if s := r.Header.Get("Last-Event-ID"); s != "" {
 		n, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
@@ -66,14 +65,7 @@ func (f *Fleet) handleEvents(w http.ResponseWriter, r *http.Request) {
 		lastID, resume = n, true
 	}
 
-	var sub *events.Subscription
-	var replay []events.Event
-	complete := true
-	if resume {
-		sub, replay, complete = f.hub.SubscribeFrom(size, lastID)
-	} else {
-		sub = f.hub.Subscribe(size)
-	}
+	sub, replay, complete := f.hub.SubscribeFrom(size, lastID)
 	defer sub.Cancel()
 
 	h := w.Header()

@@ -304,6 +304,33 @@ func TestAppendOnFullQueueDropsNotBlocks(t *testing.T) {
 	}
 }
 
+// An Append after Close is one the writer will never write: it is
+// counted as a drop, not parked on a queue nothing drains, and the file
+// holds only what came before Close.
+func TestAppendAfterCloseCountsDrop(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "unit.journal")
+	w, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := sampleEntries()
+	w.Append(entries[0])
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.Append(entries[1])
+	if got := w.Drops(); got != 1 {
+		t.Fatalf("Drops = %d after an Append on a closed writer, want 1", got)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _, err := Decode(data); err != nil || st.Entries != 1 {
+		t.Fatalf("closed journal holds %+v (err %v), want the one entry appended before Close", st, err)
+	}
+}
+
 func TestUnknownKindIsSkipped(t *testing.T) {
 	entries := append(sampleEntries(), Entry{Kind: Kind("hologram"), Time: 99})
 	st, _, err := Decode(journalBytes(t, entries))

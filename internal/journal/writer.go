@@ -44,21 +44,26 @@ type wreq struct {
 // Write and sync failures are sticky: the first one is reported by
 // Err (and by every later Flush), while subsequent appends are still
 // attempted — a transiently failing disk loses records (visible via
-// Err) rather than wedging the campaign. A full queue drops the
-// append and counts it in Drops.
+// Err) rather than wedging the campaign. A full queue, or a closed
+// writer, drops the append and counts it in Drops.
 type Writer struct {
 	ch   chan wreq
 	quit chan struct{}
 	done chan struct{}
 
-	// drops counts appends discarded because the queue was full.
+	// drops counts appends discarded because the queue was full or the
+	// writer closed.
 	drops atomic.Uint64
 
-	errMu sync.Mutex
-	err   error
+	// mu guards err, the first failure, and closed, which orders Append's
+	// enqueue against Close: once it is set nothing more reaches ch, so
+	// the loop's final drain writes every frame that got in and the rest
+	// are counted as drops.
+	mu     sync.Mutex
+	err    error
+	closed bool
 
-	f         *os.File
-	closeOnce sync.Once
+	f *os.File
 }
 
 // Open replays the journal at path (creating it if absent), truncates
@@ -147,9 +152,9 @@ func rewriteHeader(f *os.File) error {
 }
 
 // Append enqueues one entry. It never blocks: when the queue is full
-// (a stalled disk) the entry is dropped and counted in Drops. Appends
-// racing Close may be silently discarded. Encoding failures are sticky
-// errors, visible via Err.
+// (a stalled disk) or the writer is closed, the entry is dropped and
+// counted in Drops. Encoding failures are sticky errors, visible via
+// Err.
 func (w *Writer) Append(e Entry) {
 	if w == nil {
 		return
@@ -157,6 +162,12 @@ func (w *Writer) Append(e Entry) {
 	frame, err := encodeFrame(e)
 	if err != nil {
 		w.setErr(err)
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		w.drops.Add(1)
 		return
 	}
 	select {
@@ -201,7 +212,8 @@ func (w *Writer) barrier(req wreq) error {
 	}
 }
 
-// Drops reports how many appends were discarded on a full queue.
+// Drops reports how many appends were discarded on a full queue or a
+// closed writer.
 func (w *Writer) Drops() uint64 {
 	if w == nil {
 		return 0
@@ -214,8 +226,8 @@ func (w *Writer) Err() error {
 	if w == nil {
 		return nil
 	}
-	w.errMu.Lock()
-	defer w.errMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.err
 }
 
@@ -223,20 +235,25 @@ func (w *Writer) setErr(err error) {
 	if err == nil {
 		return
 	}
-	w.errMu.Lock()
+	w.mu.Lock()
 	if w.err == nil {
 		w.err = err
 	}
-	w.errMu.Unlock()
+	w.mu.Unlock()
 }
 
 // Close drains the queue, syncs, and closes the file. Safe to call
-// more than once; concurrent Appends may be dropped.
+// more than once; an Append that loses the race is counted in Drops.
 func (w *Writer) Close() error {
 	if w == nil {
 		return nil
 	}
-	w.closeOnce.Do(func() { close(w.quit) })
+	w.mu.Lock()
+	if !w.closed {
+		w.closed = true
+		close(w.quit)
+	}
+	w.mu.Unlock()
 	<-w.done
 	return w.Err()
 }
