@@ -1,15 +1,8 @@
-# Build/verify entry points. The bench target is the allocation
-# regression gate CI runs: it measures the in-process (network-free)
-# benchmarks 5 times, snapshots each run as BENCH_<n>.json, and fails
-# when allocs/op on a gated hot-path benchmark regresses >10% over the
-# checked-in bench_baseline.json. Refresh the baseline with
-# `make bench-baseline` after an intentional change and commit it.
+# Build/verify entry points. Allocation ceilings are not a target of
+# their own: TestAllocationCeilings (allocs_test.go) holds the in-process
+# benchmark rows to them in every plain `go test ./...`.
 
-GO        ?= go
-BENCH     ?= EngineInProcess|FleetInProcess|OracleJudge|MonitorNote|WhiteBoxPosterior|JSONDecodeReply
-COUNT     ?= 5
-BENCHTIME ?= 1000x
-GATED      = EngineInProcess/live-shape-oldonly,EngineInProcess/live-shape-parallel,FleetInProcess/fleet-routed-json,EngineInProcess/observation-large,OracleJudge/back-to-back-64k-differ,EngineInProcess/old-only-fastpath,EngineInProcess/old-only-fastpath-journaled,EngineInProcess/json-fastpath,EngineInProcess/parallel,EngineInProcess/observation-publish,EngineInProcess/observation-publish-warm,WhiteBoxPosterior/scenario-grid-advancing,WhiteBoxPosterior/scenario-grid-n0,WhiteBoxPosterior/scenario-grid-n6000,WhiteBoxPosterior/scenario-grid-n1e6,FleetInProcess/fleet-routed,MonitorNote/interned,OracleJudge/fault-only,OracleJudge/header-truth,OracleJudge/reference(1.0),OracleJudge/back-to-back,OracleJudge/omission,JSONDecodeReply/0.4KB,JSONDecodeReply/64KB
+GO ?= go
 
 # The soak target runs the chaos-scenario suite end to end under the
 # race detector: a real fleet over TCP with fault-injected releases,
@@ -30,7 +23,7 @@ SOAK_OUT      ?= .
 # minute spent shrinking one would be the whole budget.
 FUZZTIME ?= 20s
 
-.PHONY: test vet lint bench bench-run bench-baseline bench-module clean-bench soak fuzz
+.PHONY: test vet lint bench-module soak fuzz
 
 test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
@@ -73,19 +66,3 @@ vet:
 bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
-
-# The pass runs under GOMAXPROCS=1, as bench_baseline.json's ns/op
-# (recorded for trend reading, never gated) were; the allocs gates hold
-# either way.
-bench-run: clean-bench
-	GOMAXPROCS=1 $(GO) test -run='^$$' -bench='$(BENCH)' -benchtime=$(BENCHTIME) -benchmem -count=$(COUNT) . | tee bench.out
-	$(GO) run ./cmd/benchgate -parse bench.out -out .
-
-bench: bench-run
-	$(GO) run ./cmd/benchgate -check -baseline bench_baseline.json -results . -keys '$(GATED)' -max-regress 0.10
-
-bench-baseline: bench-run
-	$(GO) run ./cmd/benchgate -update -baseline bench_baseline.json -results .
-
-clean-bench:
-	rm -f bench.out BENCH_*.json

@@ -257,45 +257,48 @@ func scenarioGrid() bayes.WhiteBoxConfig {
 // posterior has concentrated and most cells are skipped. The advancing
 // row is the live shape — each call's record one clean demand past the
 // last call's, whose result it hands to PosteriorFrom — so all but the
-// first pass evaluate the frontier only. The gate pins allocs/op at the
-// two allocations of the result itself.
-func BenchmarkWhiteBoxPosterior(b *testing.B) {
-	w, err := bayes.NewWhiteBox(scenarioGrid())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name   string
-		counts bayes.JointCounts
-	}{
-		{"scenario-grid-n0", bayes.JointCounts{}},
-		{"scenario-grid-n6000", bayes.JointCounts{N: 6000, AOnly: 2, BOnly: 1}},
-		{"scenario-grid-n1e6", bayes.JointCounts{N: 1000000, Both: 1, AOnly: 5, BOnly: 3}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Posterior(tc.counts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("scenario-grid-advancing", func(b *testing.B) {
+// first pass evaluate the frontier only. TestAllocationCeilings pins
+// every row at the two allocations of the result itself.
+func BenchmarkWhiteBoxPosterior(b *testing.B) { runRows(b, whiteBoxPosteriorRows) }
+
+var whiteBoxPosteriorRows = []benchRow{
+	posteriorRow("scenario-grid-n0", bayes.JointCounts{}),
+	posteriorRow("scenario-grid-n6000", bayes.JointCounts{N: 6000, AOnly: 2, BOnly: 1}),
+	posteriorRow("scenario-grid-n1e6", bayes.JointCounts{N: 1000000, Both: 1, AOnly: 5, BOnly: 3}),
+	{"scenario-grid-advancing", func(tb testing.TB) func() {
+		w := scenarioWhiteBox(tb)
 		counts := bayes.JointCounts{N: 6000, AOnly: 2, BOnly: 1}
 		post, err := w.Posterior(counts)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		return func() {
 			counts.N++
 			if post, err = w.PosteriorFrom(post, counts); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
-	})
+	}},
+}
+
+func scenarioWhiteBox(tb testing.TB) *bayes.WhiteBox {
+	w, err := bayes.NewWhiteBox(scenarioGrid())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// posteriorRow is one predecessor-less posterior of fixed counts.
+func posteriorRow(name string, counts bayes.JointCounts) benchRow {
+	return benchRow{name, func(tb testing.TB) func() {
+		w := scenarioWhiteBox(tb)
+		return func() {
+			if _, err := w.Posterior(counts); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}}
 }
 
 // BenchmarkEngineProxy measures end-to-end middleware request latency
@@ -397,6 +400,28 @@ func BenchmarkEngineProxyParallel(b *testing.B) {
 // monitor, re-envelope) from real round-trip cost: the network-free
 // baseline ROADMAP tracks.
 
+// benchRow is one sub-benchmark: setup builds and warms what the row
+// measures and returns one operation of it. The benchmark times that
+// operation; TestAllocationCeilings counts what it allocates.
+type benchRow struct {
+	name  string
+	setup func(tb testing.TB) func()
+}
+
+// runRows runs each row as a sub-benchmark of b.
+func runRows(b *testing.B, rows []benchRow) {
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			op := r.setup(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
 // wireStub answers every release call in process: its dial method hands
 // the wire client one end of an in-memory pipe whose other end speaks
 // canned HTTP/1.1 keep-alive responses.
@@ -409,20 +434,20 @@ type wireStub struct {
 	altEvery int
 }
 
-func newWireStub(b *testing.B, payload interface{}) *wireStub {
-	b.Helper()
+func newWireStub(tb testing.TB, payload interface{}) *wireStub {
+	tb.Helper()
 	env, err := soap.Envelope(payload)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return &wireStub{resp: cannedResponse(env)}
+	return &wireStub{resp: cannedResponse(soap.ContentType, env)}
 }
 
-// cannedResponse frames a SOAP envelope as a complete HTTP/1.1 response.
-func cannedResponse(env []byte) []byte {
+// cannedResponse frames a body as a complete HTTP/1.1 response.
+func cannedResponse(contentType string, body []byte) []byte {
 	head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
-		soap.ContentType, len(env))
-	return append([]byte(head), env...)
+		contentType, len(body))
+	return append([]byte(head), body...)
 }
 
 // largeReplyBody is the mediation benchmark's observation-large reply
@@ -547,8 +572,8 @@ const benchLogCapacity = 256
 // newInProcessEngine builds an engine over n stub releases, starting in
 // the given lifecycle phase (the lifecycle guards reject backward
 // transitions, so benchmarks start where they measure).
-func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase, opts ...func(*EngineConfig)) *Engine {
-	b.Helper()
+func newInProcessEngine(tb testing.TB, n int, mode Mode, quorum int, phase Phase, opts ...func(*EngineConfig)) *Engine {
+	tb.Helper()
 	eps := make([]Endpoint, n)
 	for i := range eps {
 		eps[i] = Endpoint{
@@ -562,16 +587,16 @@ func newInProcessEngine(b *testing.B, n int, mode Mode, quorum int, phase Phase,
 		Quorum:       quorum,
 		InitialPhase: phase,
 		Monitor:      NewMonitor(monitor.WithLogCapacity(benchLogCapacity)),
-		Dial:         newWireStub(b, service.AddResponse{Sum: 3}).dial,
+		Dial:         newWireStub(tb, service.AddResponse{Sum: 3}).dial,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	engine, err := NewEngine(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { _ = engine.Close() })
+	tb.Cleanup(func() { _ = engine.Close() })
 	return engine
 }
 
@@ -617,11 +642,11 @@ type inProcessDriver struct {
 	rec  *benchRecorder
 }
 
-func newInProcessDriver(b *testing.B, payload interface{}, path string) *inProcessDriver {
-	b.Helper()
+func newInProcessDriver(tb testing.TB, payload interface{}, path string) *inProcessDriver {
+	tb.Helper()
 	env, err := soap.Envelope(payload)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return newRawInProcessDriver(env, path, soap.ContentType)
 }
@@ -640,86 +665,75 @@ func newRawInProcessDriver(body []byte, path, contentType string) *inProcessDriv
 // liveContext gives the driver's request what net/http hands a handler:
 // a context that can be cancelled (a context.WithCancel child), so the
 // per-exchange cancellation hook-up runs as it does on a live demand.
-func (d *inProcessDriver) liveContext(b *testing.B) *inProcessDriver {
+func (d *inProcessDriver) liveContext(tb testing.TB) *inProcessDriver {
 	ctx, cancel := context.WithCancel(context.Background())
-	b.Cleanup(cancel)
+	tb.Cleanup(cancel)
 	d.req = d.req.WithContext(ctx)
 	return d
 }
 
-func (d *inProcessDriver) do(b *testing.B, h http.Handler) {
+func (d *inProcessDriver) do(tb testing.TB, h http.Handler) {
 	d.body.Reset(d.env)
 	d.rec.reset()
 	h.ServeHTTP(d.rec, d.req)
 	if d.rec.code != http.StatusOK {
-		b.Fatalf("HTTP %d: %s", d.rec.code, d.rec.body.String())
+		tb.Fatalf("HTTP %d: %s", d.rec.code, d.rec.body.String())
 	}
 }
 
-// driveInProcess measures steady state: the warm-up laps the monitor's
-// event-log ring (whose slots allocate their backing exactly once) and
-// fills the reply/context/fan-out/verdict pools before the timer starts.
-func driveInProcess(b *testing.B, engine *Engine) {
-	b.Helper()
-	driveWith(b, engine, newInProcessDriver(b, service.AddRequest{A: 2, B: 1}, "/"))
-}
-
-func driveWith(b *testing.B, h http.Handler, d *inProcessDriver) {
-	b.Helper()
+// steady measures steady state: the warm-up laps the monitor's event-log
+// ring (whose slots allocate their backing exactly once) and fills the
+// reply/context/fan-out/verdict pools, and the operation left is one
+// more demand.
+func steady(tb testing.TB, h http.Handler, d *inProcessDriver) func() {
+	tb.Helper()
 	for i := 0; i < benchLogCapacity+64; i++ {
-		d.do(b, h)
+		d.do(tb, h)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.do(b, h)
-	}
+	return func() { d.do(tb, h) }
 }
 
-// BenchmarkEngineInProcess measures pure engine overhead per phase over
-// two stub releases: the parallel fan-out versus the single-target fast
-// path of the old-only/new-only phases.
-func BenchmarkEngineInProcess(b *testing.B) {
-	for _, tc := range []struct {
-		name  string
-		phase Phase
-	}{
-		{"parallel", PhaseParallel},
-		{"observation", PhaseObservation},
-		{"old-only-fastpath", PhaseOldOnly},
-		{"new-only-fastpath", PhaseNewOnly},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, tc.phase))
-		})
-	}
+// addDemand is steady state for SOAP add demands into h at path.
+func addDemand(tb testing.TB, h http.Handler, path string) func() {
+	tb.Helper()
+	return steady(tb, h, newInProcessDriver(tb, service.AddRequest{A: 2, B: 1}, path))
+}
+
+// phaseRow drives add demands into an engine over two stub releases.
+func phaseRow(name string, phase Phase, opts ...func(*EngineConfig)) benchRow {
+	return benchRow{name, func(tb testing.TB) func() {
+		return addDemand(tb, newInProcessEngine(tb, 2, ModeReliability, 0, phase, opts...), "/")
+	}}
+}
+
+// BenchmarkEngineInProcess measures pure engine overhead per demand over
+// two stub releases.
+func BenchmarkEngineInProcess(b *testing.B) { runRows(b, engineInProcessRows) }
+
+var engineInProcessRows = []benchRow{
+	// The parallel fan-out versus the single-target fast path of the
+	// old-only/new-only phases.
+	phaseRow("parallel", PhaseParallel),
+	phaseRow("observation", PhaseObservation),
+	phaseRow("old-only-fastpath", PhaseOldOnly),
+	phaseRow("new-only-fastpath", PhaseNewOnly),
 
 	// §6.2 publication: the observation phase with a confidence header
 	// on every response, so each demand makes a joint record and then
 	// computes the white-box posterior of the moved counts (the memo
-	// has no posterior of those counts). The gate pins what publication
+	// has no posterior of those counts). The ceiling is what publication
 	// adds to observation: the posterior's result and the header it is
 	// formatted into. The first row starts at N = 0, where every cell
 	// still carries mass and no frontier is kept; the warm row starts
 	// where the mediation benchmark's publish-small workload measures,
 	// past a 6 000-demand warm-up, where all but a few posteriors are
 	// advanced from the operation's last one.
-	publish := func(cfg *EngineConfig) {
-		grid := scenarioGrid()
-		cfg.Inference = &grid
-		cfg.PublishHeader = true
-	}
-	b.Run("observation-publish", func(b *testing.B) {
-		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation, publish))
-	})
-	b.Run("observation-publish-warm", func(b *testing.B) {
-		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation, publish,
-			func(cfg *EngineConfig) {
-				for i := 0; i < 6000; i++ {
-					cfg.Monitor.Note(monitor.Record{Operation: "add", Joint: bayes.NeitherFails})
-				}
-			}))
-	})
+	phaseRow("observation-publish", PhaseObservation, publish),
+	phaseRow("observation-publish-warm", PhaseObservation, publish, func(cfg *EngineConfig) {
+		for i := 0; i < 6000; i++ {
+			cfg.Monitor.Note(monitor.Record{Operation: "add", Joint: bayes.NeitherFails})
+		}
+	}),
 
 	// The mediation benchmark's observation-large workload without the
 	// sockets: 64 KB replies, the new release wrong on every 20th
@@ -727,59 +741,30 @@ func BenchmarkEngineInProcess(b *testing.B) {
 	// reference. Every byte-proportional step of a demand is in here —
 	// sized reads into class buffers, the early-exit comparison on the
 	// 5 %, the bounded ring prefix, the copy-free re-enveloped write —
-	// and the gate pins that none of them allocates per byte again.
-	b.Run("observation-large", func(b *testing.B) {
-		right := &wireStub{resp: cannedResponse(soap.EnvelopeRaw(largeReplyBody(3)))}
-		faulty := &wireStub{resp: right.resp, alt: cannedResponse(soap.EnvelopeRaw(largeReplyBody(4))), altEvery: 20}
-		driveInProcess(b, newInProcessEngine(b, 2, ModeReliability, 0, PhaseObservation,
-			func(cfg *EngineConfig) {
-				cfg.Oracle = oracle.Reference{Release: "1.0"}
-				cfg.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
-					if strings.HasPrefix(addr, "release-1.") {
-						return faulty.dial(ctx, network, addr)
-					}
-					return right.dial(ctx, network, addr)
-				}
-			}))
-	})
+	// and the ceiling pins that none of them allocates per byte again.
+	phaseRow("observation-large", PhaseObservation, func(cfg *EngineConfig) {
+		right := &wireStub{resp: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(3)))}
+		faulty := &wireStub{resp: right.resp, alt: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(4))), altEvery: 20}
+		cfg.Oracle = oracle.Reference{Release: "1.0"}
+		cfg.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			if strings.HasPrefix(addr, "release-1.") {
+				return faulty.dial(ctx, network, addr)
+			}
+			return right.dial(ctx, network, addr)
+		}
+	}),
 
-	// The durable-campaign contract says journaling stays off the
-	// dispatch hot path: the writer only sees transitions, release
-	// changes and periodic snapshots, never per-request outcomes. This
-	// variant drives the same old-only fast path with a live journal
-	// attached and a snapshot loop armed; the baseline gates it at
-	// exactly 0 allocs/op, so any journal code leaking into dispatch
-	// fails the bench gate. The snapshot interval is a realistic 1s —
-	// far longer than a 1000x run, so the loop stays parked and the
-	// measurement isolates the attachment cost itself.
 	// The REST/JSON gateway over the same dispatch core: canned
 	// {"sum":3} replies over the wire transport, demands routed by URL
-	// path. The protocol seam must not cost the hot path anything — the
-	// baseline gates this at exactly 0 allocs/op, same as the SOAP
-	// fast path.
-	b.Run("json-fastpath", func(b *testing.B) {
-		jsonBody := []byte(`{"sum":3}`)
-		head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n",
-			len(jsonBody))
-		stub := &wireStub{resp: append([]byte(head), jsonBody...)}
-		eps := []Endpoint{
-			{Version: "1.0", URL: "http://release-0.invalid"},
-			{Version: "1.1", URL: "http://release-1.invalid"},
-		}
-		engine, err := NewEngine(EngineConfig{
-			Releases:     eps,
-			Mode:         ModeReliability,
-			InitialPhase: PhaseOldOnly,
-			Codec:        jsoncodec.Default,
-			Monitor:      NewMonitor(monitor.WithLogCapacity(benchLogCapacity)),
-			Dial:         stub.dial,
+	// path. The protocol seam must not cost the hot path anything — 0
+	// allocs/op, same as the SOAP fast path.
+	{"json-fastpath", func(tb testing.TB) func() {
+		engine := newInProcessEngine(tb, 2, ModeReliability, 0, PhaseOldOnly, func(cfg *EngineConfig) {
+			cfg.Codec = jsoncodec.Default
+			cfg.Dial = (&wireStub{resp: cannedResponse("application/json", []byte(`{"sum":3}`))}).dial
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { _ = engine.Close() })
-		driveWith(b, engine, newRawInProcessDriver([]byte(`{"a":2,"b":1}`), "/add", "application/json"))
-	})
+		return steady(tb, engine, newRawInProcessDriver([]byte(`{"a":2,"b":1}`), "/add", "application/json"))
+	}},
 
 	// The live shape of a release call, which the rows above never
 	// take: consecutive replies on a connection carry different header
@@ -787,40 +772,52 @@ func BenchmarkEngineInProcess(b *testing.B) {
 	// as net/http's always can. Whatever a release call does per reply
 	// header or per cancellable exchange shows here; what is left is the
 	// one context.AfterFunc a demand pays to follow its consumer.
-	for _, tc := range []struct {
-		name  string
-		phase Phase
-	}{
-		{"live-shape-oldonly", PhaseOldOnly},
-		{"live-shape-parallel", PhaseParallel},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			env, err := soap.Envelope(service.AddResponse{Sum: 3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine := newInProcessEngine(b, 2, ModeReliability, 0, tc.phase, func(cfg *EngineConfig) {
-				cfg.Dial = liveShapeStub(soap.ContentType, env).dial
-			})
-			driveWith(b, engine, newInProcessDriver(b, service.AddRequest{A: 2, B: 1}, "/").liveContext(b))
-		})
-	}
+	liveShapeRow("live-shape-oldonly", PhaseOldOnly),
+	liveShapeRow("live-shape-parallel", PhaseParallel),
 
-	b.Run("old-only-fastpath-journaled", func(b *testing.B) {
-		engine := newInProcessEngine(b, 2, ModeReliability, 0, PhaseOldOnly)
-		w, _, err := journal.Open(filepath.Join(b.TempDir(), "bench.journal"))
+	// The durable-campaign contract says journaling stays off the
+	// dispatch hot path: the writer only sees transitions, release
+	// changes and periodic snapshots, never per-request outcomes. This
+	// row drives the old-only fast path with a live journal attached
+	// and a snapshot loop armed, held at exactly 0 allocs/op, so any
+	// journal code leaking into dispatch fails. The snapshot interval
+	// is a realistic 1s — far longer than a measurement, so the loop
+	// stays parked and the row isolates the attachment cost itself.
+	{"old-only-fastpath-journaled", func(tb testing.TB) func() {
+		engine := newInProcessEngine(tb, 2, ModeReliability, 0, PhaseOldOnly)
+		w, _, err := journal.Open(filepath.Join(tb.TempDir(), "bench.journal"))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		b.Cleanup(func() { _ = w.Close() })
+		tb.Cleanup(func() { _ = w.Close() })
 		engine.AttachJournal(w)
 		stop, err := engine.StartCampaignSnapshots(w, time.Second)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		b.Cleanup(stop)
-		driveInProcess(b, engine)
-	})
+		tb.Cleanup(stop)
+		return addDemand(tb, engine, "/")
+	}},
+}
+
+// publish turns on §6.2 confidence publication on the scenario grid.
+func publish(cfg *EngineConfig) {
+	grid := scenarioGrid()
+	cfg.Inference = &grid
+	cfg.PublishHeader = true
+}
+
+func liveShapeRow(name string, phase Phase) benchRow {
+	return benchRow{name, func(tb testing.TB) func() {
+		env, err := soap.Envelope(service.AddResponse{Sum: 3})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		engine := newInProcessEngine(tb, 2, ModeReliability, 0, phase, func(cfg *EngineConfig) {
+			cfg.Dial = liveShapeStub(soap.ContentType, env).dial
+		})
+		return steady(tb, engine, newInProcessDriver(tb, service.AddRequest{A: 2, B: 1}, "/").liveContext(tb))
+	}}
 }
 
 // BenchmarkEngineInProcessModes measures all four §4.2 operating modes at
@@ -828,6 +825,7 @@ func BenchmarkEngineInProcess(b *testing.B) {
 // per-request transport cost by the number of deployed releases, so
 // engine overhead must stay flat per release.
 func BenchmarkEngineInProcessModes(b *testing.B) {
+	var rows []benchRow
 	for _, n := range []int{3, 5} {
 		for _, mc := range []struct {
 			name   string
@@ -839,11 +837,12 @@ func BenchmarkEngineInProcessModes(b *testing.B) {
 			{"dynamic-q2", ModeDynamic, 2},
 			{"sequential", ModeSequential, 0},
 		} {
-			b.Run(fmt.Sprintf("%s-%dv", mc.name, n), func(b *testing.B) {
-				driveInProcess(b, newInProcessEngine(b, n, mc.mode, mc.quorum, PhaseParallel))
-			})
+			rows = append(rows, benchRow{fmt.Sprintf("%s-%dv", mc.name, n), func(tb testing.TB) func() {
+				return addDemand(tb, newInProcessEngine(tb, n, mc.mode, mc.quorum, PhaseParallel), "/")
+			}})
 		}
 	}
+	runRows(b, rows)
 }
 
 // BenchmarkFleetInProcess measures the fleet router's overhead over a
@@ -852,84 +851,76 @@ func BenchmarkEngineInProcessModes(b *testing.B) {
 // router. The delta between the two sub-benchmarks is the cost of
 // hosting N units behind one listener — budgeted at ≤ 1 µs/op and
 // ≤ 5 allocs/op.
-func BenchmarkFleetInProcess(b *testing.B) {
-	stub := newWireStub(b, service.AddResponse{Sum: 3})
-	unitEngine := func(prefix string) EngineConfig {
-		return EngineConfig{
-			Releases: []Endpoint{
-				{Version: "1.0", URL: "http://" + prefix + "-old.invalid"},
-				{Version: "1.1", URL: "http://" + prefix + "-new.invalid"},
-			},
-			InitialPhase: PhaseOldOnly,
-			Dial:         stub.dial,
-			Monitor:      NewMonitor(monitor.WithLogCapacity(benchLogCapacity)),
-		}
-	}
-	drive := func(b *testing.B, h http.Handler, path string) {
-		b.Helper()
-		driveWith(b, h, newInProcessDriver(b, service.AddRequest{A: 2, B: 1}, path))
-	}
+func BenchmarkFleetInProcess(b *testing.B) { runRows(b, fleetInProcessRows) }
 
-	b.Run("direct", func(b *testing.B) {
-		engine, err := NewEngine(unitEngine("solo"))
+var fleetInProcessRows = []benchRow{
+	{"direct", func(tb testing.TB) func() {
+		engine, err := NewEngine(fleetUnit(tb, "solo"))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		b.Cleanup(func() { _ = engine.Close() })
-		drive(b, engine, "/")
-	})
-	b.Run("fleet-routed", func(b *testing.B) {
-		fl, err := NewFleet(FleetConfig{Units: []FleetUnit{
-			{Name: "flights", Engine: unitEngine("flights")},
-			{Name: "hotels", Engine: unitEngine("hotels")},
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { _ = fl.Close() })
-		drive(b, fl, "/flights/")
-	})
+		tb.Cleanup(func() { _ = engine.Close() })
+		return addDemand(tb, engine, "/")
+	}},
+	{"fleet-routed", func(tb testing.TB) func() {
+		return addDemand(tb, newBenchFleet(tb, func(prefix string) EngineConfig { return fleetUnit(tb, prefix) }), "/flights/")
+	}},
 	// A JSON unit's demands are routed by operation path, so every one
 	// of them reaches the fleet on a non-"/" remainder.
-	b.Run("fleet-routed-json", func(b *testing.B) {
-		jsonUnit := func(prefix string) EngineConfig {
-			cfg := unitEngine(prefix)
+	{"fleet-routed-json", func(tb testing.TB) func() {
+		fl := newBenchFleet(tb, func(prefix string) EngineConfig {
+			cfg := fleetUnit(tb, prefix)
 			cfg.Codec = jsoncodec.Default
 			cfg.Dial = liveShapeStub("application/json", []byte(`{"sum":3}`)).dial
 			return cfg
-		}
-		fl, err := NewFleet(FleetConfig{Units: []FleetUnit{
-			{Name: "flights", Engine: jsonUnit("flights")},
-			{Name: "hotels", Engine: jsonUnit("hotels")},
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { _ = fl.Close() })
-		driveWith(b, fl, newRawInProcessDriver([]byte(`{"a":2,"b":1}`), "/flights/add", "application/json"))
-	})
+		})
+		return steady(tb, fl, newRawInProcessDriver([]byte(`{"a":2,"b":1}`), "/flights/add", "application/json"))
+	}},
+}
+
+// fleetUnit is one old-only unit over two stub releases.
+func fleetUnit(tb testing.TB, prefix string) EngineConfig {
+	return EngineConfig{
+		Releases: []Endpoint{
+			{Version: "1.0", URL: "http://" + prefix + "-old.invalid"},
+			{Version: "1.1", URL: "http://" + prefix + "-new.invalid"},
+		},
+		InitialPhase: PhaseOldOnly,
+		Dial:         newWireStub(tb, service.AddResponse{Sum: 3}).dial,
+		Monitor:      NewMonitor(monitor.WithLogCapacity(benchLogCapacity)),
+	}
+}
+
+// newBenchFleet hosts two units, flights and hotels, behind one router.
+func newBenchFleet(tb testing.TB, unit func(prefix string) EngineConfig) *Fleet {
+	fl, err := NewFleet(FleetConfig{Units: []FleetUnit{
+		{Name: "flights", Engine: unit("flights")},
+		{Name: "hotels", Engine: unit("hotels")},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = fl.Close() })
+	return fl
 }
 
 // BenchmarkJSONDecodeReply measures the JSON gateway's check of a
 // release's 200 — every reply of a JSON unit passes it — on the
 // mediation benchmark's 0.4 KB reply shape and on a 64 KB one, both
-// mostly one long string. The gate pins it at 0 allocs/op.
-func BenchmarkJSONDecodeReply(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		pad  int
-	}{{"0.4KB", 360}, {"64KB", 64 << 10}} {
-		body := fmt.Appendf(nil, `{"id":1234,"sum":"01234567","pad":"%s"}`, strings.Repeat("aB3x", tc.pad/4))
-		b.Run(tc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, _, err := (jsoncodec.Codec{}).DecodeReply(http.StatusOK, body); err != nil {
-					b.Fatal(err)
-				}
+// mostly one long string. Both rows are held at 0 allocs/op.
+func BenchmarkJSONDecodeReply(b *testing.B) { runRows(b, jsonDecodeReplyRows) }
+
+var jsonDecodeReplyRows = []benchRow{decodeReplyRow("0.4KB", 360), decodeReplyRow("64KB", 64<<10)}
+
+func decodeReplyRow(name string, pad int) benchRow {
+	return benchRow{name, func(tb testing.TB) func() {
+		body := fmt.Appendf(nil, `{"id":1234,"sum":"01234567","pad":"%s"}`, strings.Repeat("aB3x", pad/4))
+		return func() {
+			if _, _, err := (jsoncodec.Codec{}).DecodeReply(http.StatusOK, body); err != nil {
+				tb.Fatal(err)
 			}
-		})
-	}
+		}
+	}}
 }
 
 // benchNoteRecord builds the canonical two-release record Note
@@ -983,87 +974,70 @@ func BenchmarkMonitorNoteParallel(b *testing.B) {
 // steady state: interned is the dispatch hot path's shape (observations
 // carry dense release indices), by-name resolves each observation
 // through the name map.
-func BenchmarkMonitorNote(b *testing.B) {
-	for _, tc := range []struct {
-		name     string
-		interned bool
-	}{
-		{"interned", true},
-		{"by-name", false},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			m := monitor.New(monitor.WithLogCapacity(benchLogCapacity))
-			rec := benchNoteRecord(m, tc.interned)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Note(rec)
-			}
-		})
-	}
+func BenchmarkMonitorNote(b *testing.B) { runRows(b, monitorNoteRows) }
+
+var monitorNoteRows = []benchRow{noteRow("interned", true), noteRow("by-name", false)}
+
+func noteRow(name string, interned bool) benchRow {
+	return benchRow{name, func(testing.TB) func() {
+		m := monitor.New(monitor.WithLogCapacity(benchLogCapacity))
+		rec := benchNoteRecord(m, interned)
+		return func() { m.Note(rec) }
+	}}
 }
 
 // BenchmarkOracleJudge measures the per-demand judge cost of every
 // oracle over a three-release reply set (agreeing releases — the steady
-// state) through the caller-buffer JudgeInto API. The gate holds each
-// oracle at zero steady-state allocations.
-func BenchmarkOracleJudge(b *testing.B) {
+// state) through the caller-buffer JudgeInto API, each held at zero
+// steady-state allocations; and the other steady state, two 64 KB
+// replies that differ in one early digit, whose comparison must cost
+// the bytes up to the difference, not both documents.
+func BenchmarkOracleJudge(b *testing.B) { runRows(b, oracleJudgeRows) }
+
+var oracleJudgeRows = []benchRow{
+	judgeRow("fault-only", oracle.FaultOnly{}),
+	judgeRow("header-truth", oracle.Header{}),
+	judgeRow("reference(1.0)", oracle.Reference{Release: "1.0"}),
+	judgeRow("back-to-back", oracle.BackToBack{}),
+	{"omission", func(tb testing.TB) func() {
+		o, err := oracle.NewWithOmission(oracle.Header{}, 0.05, xrand.New(11))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return judge(tb, o, agreeingReplies(), false)
+	}},
+	{"back-to-back-64k-differ", func(tb testing.TB) func() {
+		return judge(tb, oracle.BackToBack{}, []adjudicate.Reply{
+			{Release: "1.0", Body: largeReplyBody(3), Latency: 3 * time.Millisecond},
+			{Release: "1.1", Body: largeReplyBody(4), Latency: 2 * time.Millisecond},
+		}, true)
+	}},
+}
+
+func agreeingReplies() []adjudicate.Reply {
 	hdr := httpx.Header(oracle.InjectionHeader + ": CR\n")
-	replies := []adjudicate.Reply{
+	return []adjudicate.Reply{
 		{Release: "1.0", Body: []byte("<addResponse><sum>3</sum></addResponse>"), Header: hdr, Latency: 3 * time.Millisecond},
 		{Release: "1.1", Body: []byte("<addResponse><sum>3</sum></addResponse>"), Header: hdr, Latency: 2 * time.Millisecond},
 		{Release: "1.2", Body: []byte("<addResponse><sum>3</sum></addResponse>"), Header: hdr, Latency: 4 * time.Millisecond},
 	}
-	omission, err := oracle.NewWithOmission(oracle.Header{}, 0.05, xrand.New(11))
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Sub-benchmark labels stay comma-free so every entry can join the
-	// benchgate -keys list (omission's Name() contains a comma).
-	for _, tc := range []struct {
-		name string
-		o    oracle.Oracle
-	}{
-		{"fault-only", oracle.FaultOnly{}},
-		{"header-truth", oracle.Header{}},
-		{"reference(1.0)", oracle.Reference{Release: "1.0"}},
-		{"back-to-back", oracle.BackToBack{}},
-		{"omission", omission},
-	} {
-		o := tc.o
-		b.Run(tc.name, func(b *testing.B) {
-			buf := make([]bool, 0, len(replies))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				failed := o.JudgeInto(buf, "add", replies)
-				for _, f := range failed {
-					if f {
-						b.Fatal("steady-state corpus judged failed")
-					}
-				}
-			}
-		})
-	}
+}
 
-	// The other steady state: two 64 KB replies that differ in one early
-	// digit. The comparison must cost the bytes up to the difference,
-	// not both documents.
-	b.Run("back-to-back-64k-differ", func(b *testing.B) {
-		differing := []adjudicate.Reply{
-			{Release: "1.0", Body: largeReplyBody(3), Latency: 3 * time.Millisecond},
-			{Release: "1.1", Body: largeReplyBody(4), Latency: 2 * time.Millisecond},
-		}
-		buf := make([]bool, 0, len(differing))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			failed := oracle.BackToBack{}.JudgeInto(buf, "add", differing)
-			if !failed[0] || !failed[1] {
-				b.Fatal("differing replies not suspected")
+func judgeRow(name string, o oracle.Oracle) benchRow {
+	return benchRow{name, func(tb testing.TB) func() { return judge(tb, o, agreeingReplies(), false) }}
+}
+
+// judge is one JudgeInto of replies into a reused verdict buffer, every
+// verdict of which must be want.
+func judge(tb testing.TB, o oracle.Oracle, replies []adjudicate.Reply, want bool) func() {
+	buf := make([]bool, 0, len(replies))
+	return func() {
+		for _, failed := range o.JudgeInto(buf, "add", replies) {
+			if failed != want {
+				tb.Fatalf("%s judged a reply failed=%v, want %v", o.Name(), failed, want)
 			}
 		}
-	})
+	}
 }
 
 // BenchmarkSOAPEnvelopeRaw measures envelope construction, which runs at

@@ -20,7 +20,7 @@ import (
 // imports with) and any "escapes to heap" / "moved to heap" diagnostic
 // positioned inside an annotated function's body fails the check.
 //
-// This closes the gap the benchgate leaves open: benchmarks sample a
+// This closes the gap TestAllocationCeilings leaves open: it samples a
 // few inputs at 0 allocs/op, while the escape analysis proves the
 // whole function body allocation-free for every input that stays on
 // the analyzed paths. Known cold paths inside an annotated function

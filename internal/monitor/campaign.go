@@ -23,14 +23,16 @@ type ReleaseCampaignStats struct {
 	JudgedFailures int                `json:"judged_failures"`
 	Overflow       int                `json:"overflow"`
 	Latency        stats.SummaryState `json:"latency"`
+	// LatencyBins maps each non-empty latency-histogram bin to its count.
+	// A snapshot without it restores the other counters, and its
+	// responses under the histogram range then count as fast.
+	LatencyBins map[int]int `json:"latency_bins,omitempty"`
 }
 
 // CampaignState is the serializable aggregation state of a campaign:
 // everything the Bayesian confidence engine and the status surfaces need
 // to resume after a mediator restart. It deliberately excludes the
-// event-log ring (diagnostic, bounded, rebuilt from live traffic) and
-// the 2048-bin latency histograms (cheap to regrow; a restored campaign
-// under-resolves SlowResponses for the pre-crash prefix — see Restore).
+// event-log ring (diagnostic, bounded, rebuilt from live traffic).
 type CampaignState struct {
 	Joint    bayes.JointCounts            `json:"joint"`
 	PerOp    map[string]bayes.JointCounts `json:"per_op,omitempty"`
@@ -51,6 +53,12 @@ func (m *Monitor) CampaignState() CampaignState {
 		if agg == nil {
 			continue
 		}
+		bins := make(map[int]int)
+		for bin, n := range agg.bins {
+			if n > 0 {
+				bins[bin] = n
+			}
+		}
 		st.Releases = append(st.Releases, ReleaseCampaignStats{
 			Release:        m.names[idx],
 			Demands:        agg.demands,
@@ -59,6 +67,7 @@ func (m *Monitor) CampaignState() CampaignState {
 			JudgedFailures: agg.judgedFailed,
 			Overflow:       agg.overflow,
 			Latency:        agg.latency.State(),
+			LatencyBins:    bins,
 		})
 	}
 	// Deterministic order so identical states serialize identically.
@@ -71,13 +80,10 @@ func (m *Monitor) CampaignState() CampaignState {
 // Restore merges a previously snapshotted campaign state into the
 // monitor, seeding the joint record, the per-operation records, and the
 // per-release counters so that Joint/JointFor/Stats report the restored
-// history plus anything observed since. Latency summaries are restored
-// exactly (mean/variance/extrema); the latency histograms are not part
-// of the snapshot, so SlowResponses resolves only post-restore traffic —
-// the restored prefix contributes its no-response demands (which need no
-// histogram) but its over-threshold responses are not re-counted. The
-// snapshot is validated before any state is touched: a corrupt snapshot
-// leaves the monitor unchanged.
+// history plus anything observed since, SlowResponses included. Latency
+// summaries are restored exactly (mean/variance/extrema). The snapshot is
+// validated before any state is touched: a corrupt snapshot leaves the
+// monitor unchanged.
 func (m *Monitor) Restore(st CampaignState) error {
 	if err := validateCampaignState(st); err != nil {
 		return err
@@ -100,6 +106,9 @@ func (m *Monitor) Restore(st CampaignState) error {
 		agg.judgedFailed += rs.JudgedFailures
 		agg.overflow += rs.Overflow
 		agg.latency.Merge(restored[i])
+		for bin, n := range rs.LatencyBins {
+			agg.bins[bin] += n
+		}
 	}
 	m.joint.Merge(st.Joint)
 	for op, jc := range st.PerOp {
@@ -132,8 +141,15 @@ func validateCampaignState(st CampaignState) error {
 		if rs.Release == "" {
 			return fmt.Errorf("%w: release with empty name", ErrBadCampaignState)
 		}
+		binned := rs.Overflow
+		for bin, n := range rs.LatencyBins {
+			if bin < 0 || bin >= latencyBinCount || n < 0 {
+				return fmt.Errorf("%w: release %q latency bin %d count %d", ErrBadCampaignState, rs.Release, bin, n)
+			}
+			binned += n
+		}
 		if rs.Demands < 0 || rs.Responses < 0 || rs.Evident < 0 ||
-			rs.JudgedFailures < 0 || rs.Overflow < 0 ||
+			rs.JudgedFailures < 0 || rs.Overflow < 0 || binned > rs.Responses ||
 			rs.Responses > rs.Demands || rs.Latency.N != rs.Responses {
 			return fmt.Errorf("%w: release %q counters %+v", ErrBadCampaignState, rs.Release, rs)
 		}

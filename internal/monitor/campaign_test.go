@@ -1,11 +1,13 @@
 package monitor
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
 	"wsupgrade/internal/bayes"
+	"wsupgrade/internal/stats"
 )
 
 // noteSome drives a deterministic mixed workload into m and returns how
@@ -153,6 +155,14 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		{Releases: []ReleaseCampaignStats{{Release: ""}}},
 		{Releases: []ReleaseCampaignStats{{Release: "1.0", Demands: 1, Responses: 2}}},
 		{Releases: []ReleaseCampaignStats{{Release: "1.0", Demands: 5, Responses: 3}}}, // latency.N mismatch
+		{Releases: []ReleaseCampaignStats{{Release: "1.0", Demands: 1, Responses: 1, Latency: stats.SummaryState{N: 1},
+			LatencyBins: map[int]int{latencyBinCount: 1}}}}, // bin out of range
+		{Releases: []ReleaseCampaignStats{{Release: "1.0", Demands: 1, Responses: 1, Latency: stats.SummaryState{N: 1},
+			LatencyBins: map[int]int{-1: 1}}}},
+		{Releases: []ReleaseCampaignStats{{Release: "1.0", Demands: 1, Responses: 1, Latency: stats.SummaryState{N: 1},
+			LatencyBins: map[int]int{7: -1}}}},
+		{Releases: []ReleaseCampaignStats{{Release: "1.0", Demands: 2, Responses: 2, Latency: stats.SummaryState{N: 2},
+			Overflow: 1, LatencyBins: map[int]int{7: 2}}}}, // more binned than responded
 	}
 	for i, st := range cases {
 		m := New()
@@ -166,5 +176,45 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		if rels := m.Releases(); len(rels) != 0 {
 			t.Errorf("case %d: failed Restore interned releases: %v", i, rels)
 		}
+	}
+}
+
+// A restored campaign keeps counting the slow responses it saw before the
+// restart, through the journal's JSON; a journal written before the
+// snapshot carried latency bins restores as it used to, counting only
+// the responses that never came.
+func TestRestoreKeepsSlowResponses(t *testing.T) {
+	live := New()
+	noteLatency(live, "1.0", 2*time.Second)
+	noteLatency(live, "1.0", 2*time.Minute) // over-range
+	noteLatency(live, "1.0", 5*time.Millisecond)
+	live.Note(Record{Releases: []Observation{{Release: "1.0"}}})
+	raw, err := json.Marshal(live.CampaignState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st CampaignState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	restored := New()
+	if err := restored.Restore(st); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	for _, threshold := range []time.Duration{0, time.Millisecond, time.Second, time.Minute, 3 * time.Minute} {
+		want, _, _ := live.SlowResponses("1.0", threshold)
+		got, demands, err := restored.SlowResponses("1.0", threshold)
+		if err != nil || got != want || demands != 4 {
+			t.Errorf("SlowResponses(%v) after restore = %d of %d (%v), live %d of 4", threshold, got, demands, err, want)
+		}
+	}
+
+	st.Releases[0].LatencyBins = nil // an older journal's snapshot
+	older := New()
+	if err := older.Restore(st); err != nil {
+		t.Fatalf("Restore without latency bins: %v", err)
+	}
+	if slow, demands, _ := older.SlowResponses("1.0", time.Second); slow != 2 || demands != 4 {
+		t.Errorf("SlowResponses(1s) without latency bins = %d of %d, want 2 of 4 (no response, over-range)", slow, demands)
 	}
 }

@@ -24,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -114,33 +116,33 @@ func (s ReleaseStats) Availability() float64 {
 	return float64(s.Responses) / float64(s.Demands)
 }
 
-// The latency histogram behind SlowResponses is latencyBinCount equal
-// bins over [0, latencyRange), each ≈ 29.3 ms wide: every latency under
-// 29 ms lands in bin 0 (the defect PR 14 fixed in loadgen's histogram),
-// which is the rounding SlowResponses documents and tests. Means and
-// maxima come from the exact stats.Summary beside it.
+// The latency histogram behind SlowResponses is latencyBinCount bins
+// spaced logarithmically over [latencyFloor, latencyRange), each ≈ 0.8 %
+// wide, as loadgen's is; bin 0 also holds every faster response. Means
+// and maxima come from the exact stats.Summary beside it.
 const (
 	latencyBinCount = 2048
+	latencyFloor    = 10 * time.Microsecond
 	latencyRange    = 60 * time.Second
 )
 
+// latencyEdges[i] is the lower edge of latency bin i, in seconds. Note
+// and SlowResponses both search this one table, so a latency and a
+// threshold on the same edge always agree on which side of it they are.
+var latencyEdges = func() (edges [latencyBinCount]float64) {
+	for i := range edges {
+		edges[i] = latencyFloor.Seconds() * math.Pow(latencyRange.Seconds()/latencyFloor.Seconds(), float64(i)/latencyBinCount)
+	}
+	return edges
+}()
+
 type releaseAgg struct {
 	demands, responses, evident, judgedFailed int
-	// overflow counts responses whose latency was at or beyond the
-	// histogram range: they are clamped into the top bin (totals always
-	// balance) but SlowResponses needs to know they exist when the
-	// queried threshold itself lies beyond the range.
-	overflow    int
-	latency     stats.Summary
-	latencyHist *stats.Histogram
-}
-
-func newReleaseAgg() *releaseAgg {
-	hist, err := stats.NewHistogram(0, latencyRange.Seconds(), latencyBinCount)
-	if err != nil {
-		panic("monitor: latency histogram: " + err.Error()) // static bounds, unreachable
-	}
-	return &releaseAgg{latencyHist: hist}
+	// overflow counts responses at or beyond latencyRange, which no bin
+	// holds: bins plus overflow add up to responses.
+	overflow int
+	latency  stats.Summary
+	bins     [latencyBinCount]int
 }
 
 // Monitor accumulates records. Construct with New.
@@ -241,7 +243,7 @@ func (m *Monitor) resolve(obs *Observation) ReleaseID {
 // sight. Callers hold m.mu.
 func (m *Monitor) agg(id ReleaseID) *releaseAgg {
 	if m.aggs[id-1] == nil {
-		m.aggs[id-1] = newReleaseAgg()
+		m.aggs[id-1] = new(releaseAgg)
 	}
 	return m.aggs[id-1]
 }
@@ -256,14 +258,18 @@ func (m *Monitor) Note(rec Record) {
 	m.mu.Lock()
 	for i := range rec.Releases {
 		obs := &rec.Releases[i]
+		//wsu:allow noalloc -- a release's accumulator, on its first observation only
 		agg := m.agg(m.resolve(obs))
 		agg.demands++
 		if obs.Responded {
 			sec := obs.Latency.Seconds()
 			agg.responses++
 			agg.latency.Observe(sec)
-			agg.latencyHist.Observe(sec)
-			if sec >= latencyRange.Seconds() {
+			if sec < latencyRange.Seconds() {
+				// The last bin whose lower edge is at or below sec, or bin 0.
+				above := sort.Search(latencyBinCount, func(i int) bool { return latencyEdges[i] > sec })
+				agg.bins[max(above-1, 0)]++
+			} else {
 				agg.overflow++
 			}
 		}
@@ -358,14 +364,12 @@ func (m *Monitor) observed(release string) (*releaseAgg, error) {
 // SlowResponses returns how many of a release's demands either produced
 // no response at all or responded slower than the threshold — the
 // numerator of the §6.1 responsiveness attribute. The count is computed
-// from a 2048-bin latency histogram, so thresholds are resolved to
-// ~30 ms granularity: a threshold inside a bin charges that whole bin as
-// fast (the conservative rounding), while a threshold on a bin boundary
-// charges the bin above it as slow. Latencies at or beyond the histogram
-// range are tracked explicitly, so a threshold beyond the range still
-// counts them instead of silently reporting zero slow responses —
-// unless the slowest observed response was itself within the threshold,
-// in which case nothing was slow.
+// from the latency histogram, so thresholds are resolved to its ≈ 0.8 %
+// bins: a threshold inside a bin charges that whole bin as fast (the
+// conservative rounding), while a threshold on a bin's lower edge
+// charges that bin as slow. Responses at or beyond the histogram range
+// are all slow against a threshold inside it; against one beyond it,
+// all of them are slow if the slowest was, and none otherwise.
 func (m *Monitor) SlowResponses(release string, threshold time.Duration) (slow, demands int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -373,37 +377,20 @@ func (m *Monitor) SlowResponses(release string, threshold time.Duration) (slow, 
 	if err != nil {
 		return 0, 0, err
 	}
-	noResponse := agg.demands - agg.responses
-	// Count responses in bins entirely above the threshold: the first
-	// bin whose lower edge is at or past the threshold. This is a ceil —
-	// int(x/w)+1 skipped one fully-above bin whenever the threshold
-	// landed exactly on a bin boundary.
-	binWidth := latencyRange.Seconds() / latencyBinCount
-	sec := threshold.Seconds()
-	firstAbove := int(sec / binWidth)
-	if float64(firstAbove)*binWidth < sec {
-		firstAbove++
+	// The first bin whose lower edge is at or past the threshold; bin 0
+	// reaches down to zero.
+	firstAbove := sort.Search(latencyBinCount, func(i int) bool { return latencyEdges[i] >= threshold.Seconds() })
+	if threshold > 0 {
+		firstAbove = max(firstAbove, 1)
 	}
-	if firstAbove < 0 {
-		firstAbove = 0
+	slow = agg.demands - agg.responses
+	for _, n := range agg.bins[firstAbove:] {
+		slow += n
 	}
-	slowResponded := 0
-	if firstAbove < latencyBinCount {
-		for i := firstAbove; i < latencyBinCount; i++ {
-			slowResponded += agg.latencyHist.Counts[i]
-		}
-	} else if agg.latency.Max() > sec {
-		// The threshold is at or beyond the histogram range: every
-		// in-range latency is fast, and the histogram cannot resolve
-		// the responses clamped into the top bin (>= the range) any
-		// further. When the slowest observed response did exceed the
-		// threshold, count all over-range responses rather than
-		// undercount the §6.1 numerator to zero — the documented
-		// granularity limit beyond the range. When even the slowest
-		// response was within the threshold, nothing was slow.
-		slowResponded = agg.overflow
+	if firstAbove < latencyBinCount || agg.latency.Max() > threshold.Seconds() {
+		slow += agg.overflow
 	}
-	return noResponse + slowResponded, agg.demands, nil
+	return slow, agg.demands, nil
 }
 
 // Stats returns one release's aggregate behaviour.

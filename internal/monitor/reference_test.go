@@ -23,6 +23,7 @@ type refMonitor struct {
 	latSum   map[string]float64
 	latMax   map[string]float64
 	latHist  map[string][]int
+	overflow map[string]int
 	joint    bayes.JointCounts
 	perOp    map[string]bayes.JointCounts
 	releases map[string]bool
@@ -37,6 +38,7 @@ func newRefMonitor() *refMonitor {
 		latSum:   map[string]float64{},
 		latMax:   map[string]float64{},
 		latHist:  map[string][]int{},
+		overflow: map[string]int{},
 		perOp:    map[string]bayes.JointCounts{},
 		releases: map[string]bool{},
 	}
@@ -60,14 +62,19 @@ func (r *refMonitor) note(rec Record) {
 				hist = make([]int, latencyBinCount)
 				r.latHist[obs.Release] = hist
 			}
-			idx := int(float64(latencyBinCount) * sec / latencyRange.Seconds())
-			if idx < 0 {
-				idx = 0
+			if obs.Latency >= latencyRange {
+				r.overflow[obs.Release]++
+			} else {
+				// The last bin whose lower edge is at or below the latency,
+				// by linear scan; bin 0 also holds everything faster.
+				idx := 0
+				for i, edge := range latencyEdges {
+					if edge <= sec {
+						idx = i
+					}
+				}
+				hist[idx]++
 			}
-			if idx >= latencyBinCount {
-				idx = latencyBinCount - 1
-			}
-			hist[idx]++
 		}
 		if obs.Evident {
 			r.evident[obs.Release]++
@@ -90,23 +97,23 @@ func (r *refMonitor) slowResponses(release string, threshold time.Duration) (int
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	noResponse := r.demands[release] - r.resp[release]
-	// Mirrors the fixed boundary math: the first bin counted as slow is
-	// the first whose lower edge is at or past the threshold (ceil, not
-	// int(x/w)+1 which skipped a fully-above bin on exact boundaries).
-	binWidth := latencyRange.Seconds() / latencyBinCount
-	sec := threshold.Seconds()
-	firstAbove := int(sec / binWidth)
-	if float64(firstAbove)*binWidth < sec {
-		firstAbove++
-	}
-	if firstAbove < 0 {
-		firstAbove = 0
-	}
-	slow := 0
-	for i := firstAbove; i < latencyBinCount; i++ {
-		if hist := r.latHist[release]; hist != nil {
-			slow += hist[i]
+	// A bin is slow when its lower edge is at or past the threshold; bin
+	// 0's lower edge is zero. Over-range responses are slow whenever some
+	// bin is, and otherwise when the slowest response was.
+	slow, someBinSlow := 0, false
+	for i, edge := range latencyEdges {
+		if i == 0 {
+			edge = 0
 		}
+		if edge >= threshold.Seconds() {
+			someBinSlow = true
+			if hist := r.latHist[release]; hist != nil {
+				slow += hist[i]
+			}
+		}
+	}
+	if someBinSlow || r.latMax[release] > threshold.Seconds() {
+		slow += r.overflow[release]
 	}
 	return noResponse + slow, r.demands[release]
 }

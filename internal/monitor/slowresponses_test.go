@@ -1,13 +1,16 @@
 package monitor
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
-// binWidthDur is one latency-histogram bin as a duration (60 s / 2048 =
-// 29.296875 ms, exactly representable).
-const binWidthDur = latencyRange / latencyBinCount
+// edgeDur is the lower edge of latency bin i rounded up to the
+// nanosecond: a latency at the very start of bin i.
+func edgeDur(i int) time.Duration {
+	return time.Duration(math.Ceil(latencyEdges[i] * 1e9))
+}
 
 // noteLatency records one responded demand with the given latency.
 func noteLatency(m *Monitor, release string, d time.Duration) {
@@ -17,21 +20,21 @@ func noteLatency(m *Monitor, release string, d time.Duration) {
 }
 
 // TestSlowResponsesBoundary is the regression for the boundary math:
-// with a threshold exactly on a bin boundary, the bin right above the
-// threshold is entirely slow and must be counted. The pre-fix
-// int(t/w)+1 skipped it, undercounting the §6.1 responsiveness
-// numerator for every boundary-aligned threshold.
+// with a threshold exactly on a bin's lower edge, that bin is entirely
+// slow and must be counted. The pre-fix int(t/w)+1 skipped it,
+// undercounting the §6.1 responsiveness numerator for every
+// boundary-aligned threshold.
 func TestSlowResponsesBoundary(t *testing.T) {
 	m := New()
-	// One response in bin 1 ([w, 2w)), one comfortably fast in bin 0,
-	// one comfortably slow in bin 40.
-	noteLatency(m, "1.0", binWidthDur+binWidthDur/2)
-	noteLatency(m, "1.0", binWidthDur/4)
-	noteLatency(m, "1.0", 40*binWidthDur+binWidthDur/2)
+	// One response early in bin 1000, one comfortably fast in bin 10, one
+	// comfortably slow in bin 1400.
+	noteLatency(m, "1.0", edgeDur(1000))
+	noteLatency(m, "1.0", edgeDur(10))
+	noteLatency(m, "1.0", edgeDur(1400))
 
-	// Threshold exactly on the bin-1 boundary: bins 1+ are entirely
-	// above it, so both the bin-1 and the bin-40 response are slow.
-	slow, demands, err := m.SlowResponses("1.0", binWidthDur)
+	// Threshold on the bin-1000 edge as seconds see it: bins 1000+ are at
+	// or past it, so both the bin-1000 and the bin-1400 response are slow.
+	slow, demands, err := m.SlowResponses("1.0", time.Duration(latencyEdges[1000]*1e9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +42,12 @@ func TestSlowResponsesBoundary(t *testing.T) {
 		t.Fatalf("demands = %d, want 3", demands)
 	}
 	if slow != 2 {
-		t.Fatalf("slow = %d at boundary threshold %v, want 2 (boundary bin skipped?)", slow, binWidthDur)
+		t.Fatalf("slow = %d at boundary threshold %v, want 2 (boundary bin skipped?)", slow, edgeDur(1000))
 	}
 
-	// Mid-bin threshold: bin 1 cannot be split, so only bin 40 counts —
-	// the documented conservative rounding, unchanged by the fix.
-	slow, _, err = m.SlowResponses("1.0", binWidthDur+binWidthDur/2)
+	// Mid-bin threshold: bin 1000 cannot be split, so only bin 1400
+	// counts — the documented conservative rounding.
+	slow, _, err = m.SlowResponses("1.0", (edgeDur(1000)+edgeDur(1001))/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,19 +65,45 @@ func TestSlowResponsesBoundary(t *testing.T) {
 	}
 }
 
+// TestSlowResponsesResolvesLAN is the regression for the histogram's
+// resolution: its 2048 bins used to be 29.3 ms wide, so every response
+// under 29 ms read as fast whatever the threshold, and the §6.1
+// confidence of every LAN-speed release was over-stated.
+func TestSlowResponsesResolvesLAN(t *testing.T) {
+	m := New()
+	noteLatency(m, "1.0", time.Millisecond)
+	noteLatency(m, "1.0", 20*time.Millisecond)
+	for _, tc := range []struct {
+		threshold time.Duration
+		want      int
+	}{{10 * time.Millisecond, 1}, {500 * time.Microsecond, 2}, {21 * time.Millisecond, 0}} {
+		slow, _, err := m.SlowResponses("1.0", tc.threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slow != tc.want {
+			t.Errorf("slow = %d against %v, want %d", slow, tc.threshold, tc.want)
+		}
+	}
+	// Each bin is ≈ 0.8 % wide: a threshold 1 % under a response counts it.
+	if slow, _, _ := m.SlowResponses("1.0", 19800*time.Microsecond); slow != 1 {
+		t.Errorf("slow = %d against 19.8ms, want 1 (the 20ms response)", slow)
+	}
+}
+
 // TestSlowResponsesOverflow is the regression for over-range latencies:
-// observations at or beyond the histogram range are clamped into the top
-// bin, and a threshold at or beyond the range used to report zero slow
-// responses for them.
+// no bin holds observations at or beyond the histogram range, and a
+// threshold at or beyond the range used to report zero slow responses
+// for them.
 func TestSlowResponsesOverflow(t *testing.T) {
 	m := New()
-	noteLatency(m, "1.0", 2*latencyRange) // 120 s, clamped
+	noteLatency(m, "1.0", 2*latencyRange) // 120 s, over-range
 	noteLatency(m, "1.0", latencyRange)   // exactly the range edge: also over-range
 	noteLatency(m, "1.0", time.Second)    // comfortably in range
 	m.Note(Record{Releases: []Observation{{Release: "1.0", Responded: false}}})
 
-	// Threshold beyond the histogram range: only the clamped over-range
-	// responses (and the non-response) can be slow.
+	// Threshold beyond the histogram range: only the over-range responses
+	// (and the non-response) can be slow.
 	slow, demands, err := m.SlowResponses("1.0", 90*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +112,7 @@ func TestSlowResponsesOverflow(t *testing.T) {
 		t.Fatalf("demands = %d, want 4", demands)
 	}
 	if slow != 3 {
-		t.Fatalf("slow = %d for over-range threshold, want 3 (2 clamped + 1 no-response)", slow)
+		t.Fatalf("slow = %d for over-range threshold, want 3 (2 over-range + 1 no-response)", slow)
 	}
 
 	// Exactly at the range: same, via the overflow count.
@@ -95,8 +124,7 @@ func TestSlowResponsesOverflow(t *testing.T) {
 		t.Fatalf("slow = %d at range threshold, want 3", slow)
 	}
 
-	// An in-range threshold still counts clamped responses through the
-	// top bin, not the overflow counter — no double counting.
+	// An in-range threshold counts every over-range response once.
 	slow, _, err = m.SlowResponses("1.0", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
