@@ -32,7 +32,6 @@ import (
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/stats"
-	"wsupgrade/internal/upgsim"
 	"wsupgrade/internal/xrand"
 )
 
@@ -117,8 +116,9 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 }
 
-// BenchmarkTable5 regenerates Table 5: the §5.2 simulation with
-// correlated release behaviour — 4 runs × 3 timeouts × 10,000 requests.
+// BenchmarkTable5 regenerates Table 5: the §5.2 study with correlated
+// release behaviour, served by the engine on the virtual-clock harness —
+// 4 runs × 3 timeouts × 10,000 requests.
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := repro.RunAvailabilityStudy(repro.AvailabilityConfig{
@@ -146,46 +146,6 @@ func BenchmarkTable6(b *testing.B) {
 				b.Fatalf("run %d: independence must let the system beat both releases", row.Run)
 			}
 		}
-	}
-}
-
-// BenchmarkAblationModes measures the §4.2 operating modes on one
-// workload (run 1, timeout 2 s): reliability vs responsiveness vs dynamic
-// quorum vs sequential.
-func BenchmarkAblationModes(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		mode   upgsim.Mode
-		quorum int
-	}{
-		{"reliability", upgsim.ParallelReliability, 0},
-		{"responsiveness", upgsim.ParallelResponsiveness, 0},
-		{"dynamic-q1", upgsim.ParallelDynamic, 1},
-		{"sequential", upgsim.Sequential, 0},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var met float64
-			var execs int
-			for i := 0; i < b.N; i++ {
-				res, err := upgsim.Simulate(upgsim.Config{
-					Run:        relmodel.Runs()[0],
-					Correlated: true,
-					Latency:    relmodel.PaperLatency(),
-					TimeOut:    2.0,
-					Requests:   10000,
-					Seed:       7,
-					Mode:       mode.mode,
-					Quorum:     mode.quorum,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				met = res.System.MET
-				execs = res.System.Executions
-			}
-			b.ReportMetric(met, "sysMET-s")
-			b.ReportMetric(float64(execs)/10000, "execs/req")
-		})
 	}
 }
 

@@ -4,8 +4,8 @@
 //	repro -table 2      Table 2  (duration of managed upgrade)
 //	repro -figure 7     Figure 7 (Scenario 1 percentile trajectories)
 //	repro -figure 8     Figure 8 (Scenario 2 percentile trajectories)
-//	repro -table 5      Table 5  (simulation, correlated releases)
-//	repro -table 6      Table 6  (simulation, independent releases)
+//	repro -table 5      Table 5  (the §5.2 study on the engine, correlated releases)
+//	repro -table 6      Table 6  (the §5.2 study on the engine, independent releases)
 //	repro -ablation modes  Operating-mode ablation (§4.2)
 //	repro -all          Everything above, in order.
 //
@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 		ablation = fs.String("ablation", "", "run an ablation (\"modes\")")
 		all      = fs.Bool("all", false, "regenerate everything")
 		seed     = fs.Uint64("seed", 42, "random seed")
-		requests = fs.Int("requests", 10000, "requests per simulation block (tables 5-6)")
+		requests = fs.Int("requests", 10000, "demands per block (tables 5-6, ablation)")
 		step     = fs.Int("step", 500, "inference checkpoint granularity (table 2, figures)")
 		demands  = fs.Int("demands", 0, "override the sweep length (0 = paper's 50,000)")
 	)
@@ -121,11 +121,4 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, repro.FormatModeAblation(rows))
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,14 +3,8 @@
 // collected from the concurrently running releases is returned to the
 // consumer of the Web Service.
 //
-// Two layers are provided.
-//
-// The kind level works on abstract outcome kinds (correct / evident
-// failure / non-evident failure) and implements the exact rule set of
-// §5.2.1; the availability/performance simulator uses it.
-//
-// The reply level works on live responses (payload bytes, error, latency)
-// as collected by the middleware from real release endpoints, and offers
+// It works on live responses (payload bytes, error, latency) as
+// collected by the middleware from real release endpoints, and offers
 // the adjudication strategies discussed in §4.2 and §6.1: the paper's
 // random-among-valid rule, majority voting, and fastest-valid.
 package adjudicate
@@ -23,7 +17,6 @@ import (
 
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/pool"
-	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/xrand"
 )
 
@@ -38,60 +31,6 @@ var (
 	// evidently incorrect then the middleware raises an exception".
 	ErrAllEvident = errors.New("adjudicate: all collected responses evidently incorrect")
 )
-
-// ---------------------------------------------------------------------------
-// Kind-level adjudication (§5.2.1), used by the simulation study.
-
-// KindVerdict is the system-level outcome of one adjudicated request.
-type KindVerdict struct {
-	// Outcome is the kind of the response delivered to the consumer.
-	// It is meaningful only when Unavailable is false.
-	Outcome relmodel.OutcomeKind
-	// Unavailable is set when no release responded within the timeout;
-	// the consumer receives "Web Service unavailable".
-	Unavailable bool
-}
-
-// Kinds applies the §5.2.1 rules to the outcome kinds of the responses
-// collected before the timeout:
-//
-//   - nothing collected → "Web Service unavailable";
-//   - all collected responses evidently incorrect → an exception, itself
-//     an evident failure of the composite service;
-//   - otherwise a response is selected at random among the valid (not
-//     evidently incorrect) ones; identical responses make the choice
-//     immaterial, and a lone valid response is returned as-is.
-//
-// The random pick means the consumer can still receive a non-evidently
-// incorrect response even when a correct one was collected — exactly the
-// exposure the paper quantifies in Tables 5 and 6.
-func Kinds(collected []relmodel.OutcomeKind, rng *xrand.Rand) KindVerdict {
-	if len(collected) == 0 {
-		return KindVerdict{Unavailable: true}
-	}
-	nvalid := 0
-	for _, k := range collected {
-		if k != relmodel.EvidentFailure {
-			nvalid++
-		}
-	}
-	if nvalid == 0 {
-		return KindVerdict{Outcome: relmodel.EvidentFailure}
-	}
-	pick := rng.Intn(nvalid)
-	for _, k := range collected {
-		if k != relmodel.EvidentFailure {
-			if pick == 0 {
-				return KindVerdict{Outcome: k}
-			}
-			pick--
-		}
-	}
-	return KindVerdict{Outcome: relmodel.EvidentFailure} // unreachable
-}
-
-// ---------------------------------------------------------------------------
-// Reply-level adjudication, used by the live middleware.
 
 // Reply is one release's response to an intercepted consumer request.
 type Reply struct {

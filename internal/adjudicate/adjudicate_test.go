@@ -9,29 +9,43 @@ import (
 	"wsupgrade/internal/xrand"
 )
 
+// The §5.2.1 rules by outcome kind (§2.1), as the engine meets them: a
+// correct and a non-evidently wrong answer are both valid replies, and an
+// evident failure carries an error.
+func kindReplies(kinds ...relmodel.OutcomeKind) []Reply {
+	replies := make([]Reply, len(kinds))
+	for i, k := range kinds {
+		switch k {
+		case relmodel.Correct:
+			replies[i] = Reply{Release: k.String(), Body: []byte("<sum>3</sum>")}
+		case relmodel.NonEvidentFailure:
+			replies[i] = Reply{Release: k.String(), Body: []byte("<sum>4</sum>")}
+		default:
+			replies[i] = Reply{Release: k.String(), Err: errBoom}
+		}
+	}
+	return replies
+}
+
 func TestKindsUnavailable(t *testing.T) {
-	v := Kinds(nil, xrand.New(1))
-	if !v.Unavailable {
-		t.Fatal("empty collection should be unavailable")
+	if _, err := (RandomValid{}).Adjudicate(kindReplies(), xrand.New(1)); !errors.Is(err, ErrNoResponses) {
+		t.Fatalf("empty collection: err = %v, want ErrNoResponses", err)
 	}
 }
 
 func TestKindsAllEvident(t *testing.T) {
-	v := Kinds([]relmodel.OutcomeKind{relmodel.EvidentFailure, relmodel.EvidentFailure}, xrand.New(1))
-	if v.Unavailable {
-		t.Fatal("collected responses marked unavailable")
-	}
-	if v.Outcome != relmodel.EvidentFailure {
-		t.Fatalf("all-evident verdict = %v, want ER", v.Outcome)
+	_, err := RandomValid{}.Adjudicate(kindReplies(relmodel.EvidentFailure, relmodel.EvidentFailure), xrand.New(1))
+	if !errors.Is(err, ErrAllEvident) {
+		t.Fatalf("all-evident verdict: err = %v, want ErrAllEvident", err)
 	}
 }
 
 func TestKindsFiltersEvident(t *testing.T) {
 	rng := xrand.New(2)
 	for i := 0; i < 100; i++ {
-		v := Kinds([]relmodel.OutcomeKind{relmodel.EvidentFailure, relmodel.Correct}, rng)
-		if v.Outcome != relmodel.Correct {
-			t.Fatal("evident response won over a valid one")
+		got, err := RandomValid{}.Adjudicate(kindReplies(relmodel.EvidentFailure, relmodel.Correct), rng)
+		if err != nil || got.Release != "CR" {
+			t.Fatalf("evident response won over a valid one: %+v, %v", got, err)
 		}
 	}
 }
@@ -40,11 +54,11 @@ func TestKindsRandomPickExposesNER(t *testing.T) {
 	// With one correct and one non-evident response the consumer gets the
 	// wrong answer about half the time — the §5.2.1 exposure.
 	rng := xrand.New(3)
+	replies := kindReplies(relmodel.Correct, relmodel.NonEvidentFailure)
 	ner := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
-		v := Kinds([]relmodel.OutcomeKind{relmodel.Correct, relmodel.NonEvidentFailure}, rng)
-		if v.Outcome == relmodel.NonEvidentFailure {
+		if got, _ := (RandomValid{}).Adjudicate(replies, rng); got.Release == "NER" {
 			ner++
 		}
 	}
@@ -54,16 +68,16 @@ func TestKindsRandomPickExposesNER(t *testing.T) {
 }
 
 func TestKindsSingleValid(t *testing.T) {
-	v := Kinds([]relmodel.OutcomeKind{relmodel.NonEvidentFailure}, xrand.New(4))
-	if v.Outcome != relmodel.NonEvidentFailure || v.Unavailable {
-		t.Fatalf("single valid response mishandled: %+v", v)
+	got, err := RandomValid{}.Adjudicate(kindReplies(relmodel.NonEvidentFailure), xrand.New(4))
+	if err != nil || got.Release != "NER" {
+		t.Fatalf("single valid response mishandled: %+v, %v", got, err)
 	}
 }
 
 func TestKindsDoesNotMutateInput(t *testing.T) {
-	in := []relmodel.OutcomeKind{relmodel.EvidentFailure, relmodel.Correct, relmodel.NonEvidentFailure}
-	Kinds(in, xrand.New(5))
-	if in[0] != relmodel.EvidentFailure || in[1] != relmodel.Correct || in[2] != relmodel.NonEvidentFailure {
+	in := kindReplies(relmodel.EvidentFailure, relmodel.Correct, relmodel.NonEvidentFailure)
+	_, _ = RandomValid{}.Adjudicate(in, xrand.New(5))
+	if in[0].Release != "ER" || in[1].Release != "CR" || in[2].Release != "NER" || string(in[2].Body) != "<sum>4</sum>" {
 		t.Fatal("input slice mutated")
 	}
 }

@@ -41,21 +41,18 @@ func TestAdjudicatorsSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestKindsZeroAlloc covers the kind-level §5.2.1 rule used by the
-// simulation studies (hot inside 10k-request simulation loops).
+// TestKindsZeroAlloc holds the §5.2.1 rule to zero allocations on a
+// reply of each outcome kind.
 func TestKindsZeroAlloc(t *testing.T) {
-	collected := []relmodel.OutcomeKind{
-		relmodel.Correct, relmodel.EvidentFailure, relmodel.NonEvidentFailure,
-	}
+	collected := kindReplies(relmodel.Correct, relmodel.EvidentFailure, relmodel.NonEvidentFailure)
 	rng := xrand.New(6)
 	allocs := testing.AllocsPerRun(200, func() {
-		v := Kinds(collected, rng)
-		if v.Unavailable {
-			t.Fatal("unexpectedly unavailable")
+		if _, err := (RandomValid{}).Adjudicate(collected, rng); err != nil {
+			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Kinds: %v allocs, want 0", allocs)
+		t.Errorf("RandomValid: %v allocs, want 0", allocs)
 	}
 }
 

@@ -4,27 +4,26 @@ import (
 	"testing"
 
 	"wsupgrade/internal/analysis"
-	"wsupgrade/internal/analysis/analysistest"
 )
 
 func TestPoolCheck(t *testing.T) {
-	analysistest.Run(t, ".", "./testdata/src/pc", analysis.PoolCheck)
+	runGolden(t, ".", "./testdata/src/pc", analysis.PoolCheck)
 }
 
 func TestBoundedRead(t *testing.T) {
-	analysistest.Run(t, ".", "./testdata/src/br", analysis.BoundedRead)
+	runGolden(t, ".", "./testdata/src/br", analysis.BoundedRead)
 }
 
 func TestCtxHygiene(t *testing.T) {
-	analysistest.Run(t, ".", "./testdata/src/dispatch", analysis.CtxHygiene)
+	runGolden(t, ".", "./testdata/src/dispatch", analysis.CtxHygiene)
 }
 
 func TestDetRand(t *testing.T) {
-	analysistest.Run(t, ".", "./testdata/src/upgsim", analysis.DetRand)
+	runGolden(t, ".", "./testdata/src/repro", analysis.DetRand)
 }
 
 func TestNoAlloc(t *testing.T) {
-	analysistest.Run(t, ".", "./testdata/src/na", analysis.NoAlloc)
+	runGolden(t, ".", "./testdata/src/na", analysis.NoAlloc)
 }
 
 // TestRepoClean is the smoke test: the full suite over the whole module

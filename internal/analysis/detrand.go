@@ -6,7 +6,7 @@ import (
 )
 
 // DetRand keeps the deterministic packages deterministic: faulty,
-// upgsim and adjudicate reproduce paper experiments from a seed, so
+// repro and adjudicate reproduce paper experiments from a seed, so
 // any reach for ambient nondeterminism — math/rand's global state or
 // wall-clock sampling via time.Now — silently invalidates a replayed
 // run. Randomness comes from injected xrand generators and time from
@@ -22,7 +22,7 @@ var DetRand = &Analyzer{
 }
 
 func runDetRand(pass *Pass) error {
-	if !pathTail(pass.Pkg.ImportPath, "faulty", "upgsim", "adjudicate", "journal") {
+	if !pathTail(pass.Pkg.ImportPath, "faulty", "repro", "adjudicate", "journal") {
 		return nil
 	}
 	info := pass.Pkg.Info

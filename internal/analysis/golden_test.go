@@ -1,17 +1,4 @@
-// Package analysistest runs analyzers over golden packages and checks
-// their diagnostics against // want "regex" comments in the sources —
-// a dependency-free analogue of x/tools' analysistest.
-//
-// A want comment asserts diagnostics on its own line:
-//
-//	io.ReadAll(r) // want "without a bound"
-//	ctx() // want "context.Background" "rooted at a fresh context"
-//
-// Each quoted string is a regular expression matched against
-// "analyzer: message". Every diagnostic must be claimed by a want on
-// its line and every want must claim a diagnostic; anything unmatched
-// fails the test.
-package analysistest
+package analysis_test
 
 import (
 	"fmt"
@@ -25,6 +12,20 @@ import (
 	"wsupgrade/internal/analysis"
 )
 
+// The golden harness runs analyzers over golden packages and checks their
+// diagnostics against // want "regex" comments in the sources — a
+// dependency-free analogue of x/tools' analysistest.
+//
+// A want comment asserts diagnostics on its own line:
+//
+//	io.ReadAll(r) // want "without a bound"
+//	ctx() // want "context.Background" "rooted at a fresh context"
+//
+// Each quoted string is a regular expression matched against
+// "analyzer: message". Every diagnostic must be claimed by a want on
+// its line and every want must claim a diagnostic; anything unmatched
+// fails the test.
+
 var wantRe = regexp.MustCompile("// want ((?:(?:\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`)\\s*)+)")
 var wantArgRe = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 
@@ -37,10 +38,10 @@ type expectation struct {
 	used bool
 }
 
-// Run analyzes pattern (a package directory relative to dir) with the
-// given analyzers and compares diagnostics against the package's want
-// comments.
-func Run(t *testing.T, dir, pattern string, analyzers ...*analysis.Analyzer) {
+// runGolden analyzes pattern (a package directory relative to dir) with
+// the given analyzers and compares diagnostics against the package's
+// want comments.
+func runGolden(t *testing.T, dir, pattern string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	diags, err := analysis.Run(dir, []string{pattern}, analyzers)
 	if err != nil {

@@ -1,6 +1,6 @@
-// Package upgsim is detrand's golden package; the directory name opts it
+// Package repro is detrand's golden package; the directory name opts it
 // into the deterministic-package policy.
-package upgsim
+package repro
 
 import (
 	"math/rand" // want `imports math/rand`

@@ -74,7 +74,8 @@ type PolicyConfig = lifecycle.SwitchPolicy
 type Config struct {
 	// Releases lists the deployed releases, oldest first. At least one.
 	Releases []Endpoint
-	// Timeout bounds each fan-out (default 2 s).
+	// Timeout bounds each fan-out (default 2 s); in ModeSequential it
+	// bounds each release call.
 	Timeout time.Duration
 	// Mode selects the fan-out strategy (default ModeReliability).
 	Mode Mode
@@ -129,10 +130,14 @@ type Config struct {
 	// Dial overrides the wire transport's connection establishment
 	// (in-memory benchmarks and tests).
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
-	// Wire injects a shared wire client (the fleet's cross-unit pool),
-	// which then brings its own fallback and Dial; nil means the engine
-	// builds and owns one.
-	Wire *wire.Client
+	// Begin injects the release transport: a shared wire client's Begin
+	// (the fleet's cross-unit pool, which then brings its own fallback
+	// and Dial) or scripted releases. The engine binds Retry into every
+	// call. Nil means the engine builds and owns a wire client.
+	Begin func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) wire.Call
+	// Clock is the dispatch layer's time source (dispatch.Config.Clock);
+	// nil means the wall clock.
+	Clock dispatch.Clock
 	// Seed drives adjudication tie-breaking.
 	Seed uint64
 	// Store streams the event log as JSONL (the architecture's
@@ -146,10 +151,11 @@ type Config struct {
 // Construct with New; call Close to drain background monitoring work.
 type Engine struct {
 	cfg Config
-	// wire carries every release call; client is its net/http fallback
-	// for non-http:// endpoints and the /healthz probe client. The
-	// engine built (and Close shuts down) whichever of them cfg.Wire /
-	// cfg.HTTP left nil; the others belong to the caller or a fleet.
+	// wire is the release transport the engine built because cfg.Begin
+	// was nil (nil otherwise); client is its net/http fallback for
+	// non-http:// endpoints and the /healthz probe client. Close shuts
+	// down whichever of them the engine built; the others belong to the
+	// caller or a fleet.
 	wire   *wire.Client
 	client *http.Client
 
@@ -298,22 +304,24 @@ func New(cfg Config) (*Engine, error) {
 	if e.client == nil {
 		e.client = httpx.NewPooledClient(cfg.Timeout+500*time.Millisecond, len(cfg.Releases))
 	}
-	e.wire = cfg.Wire
-	if e.wire == nil {
+	begin := cfg.Begin
+	if begin == nil {
 		e.wire = wire.NewClient(wire.Options{
 			Dial:     cfg.Dial,
 			Timeout:  cfg.Timeout + 500*time.Millisecond,
 			Fallback: e.client,
 		})
+		begin = e.wire.Begin
 	}
 	// The retry policy is bound into the transport here, once: dispatch
 	// begins calls and never sees a policy.
-	wc, retry := e.wire, cfg.Retry
+	retry := cfg.Retry
 	e.disp = dispatch.New(dispatch.Config{
 		Begin: func(ctx context.Context, url, contentType string, body []byte) wire.Call {
 			//wsu:allow poolcheck -- the begun call goes to dispatch, which ends it exactly once
-			return wc.Begin(ctx, url, contentType, body, retry)
+			return begin(ctx, url, contentType, body, retry)
 		},
+		Clock:     cfg.Clock,
 		Seed:      cfg.Seed,
 		OnOutcome: e.recordOutcome,
 		Codec:     codec,
@@ -343,7 +351,7 @@ func (e *Engine) Close() error {
 	if e.cfg.HTTP == nil {
 		e.client.CloseIdleConnections()
 	}
-	if e.cfg.Wire == nil {
+	if e.wire != nil {
 		_ = e.wire.Close()
 	}
 	return err

@@ -34,7 +34,8 @@ import (
 // UnwatchConn has taken back is never poisoned and may be pooled.
 type callCtx struct {
 	done  chan struct{} // created once per struct; closed at most once
-	timer *time.Timer   // AfterFunc(onTimeout); created on first arm, reused
+	timer Timer         // clock.AfterFunc(onTimeout); created on first arm, reused
+	clock Clock         // the clock that made timer
 
 	mu           sync.Mutex
 	err          error
@@ -56,21 +57,45 @@ type callCtx struct {
 
 var _ context.Context = (*callCtx)(nil)
 
+// Clock is the dispatcher's time source: the deadlines it arms and the
+// latencies it stamps. A Clock must be comparable (a pointer, or a type
+// with no fields) — a pooled context compares clocks to know whether its
+// timer can be reused.
+type Clock interface {
+	Now() time.Time
+	AfterFunc(d time.Duration, f func()) Timer
+}
+
+// Timer is a pending call of a Clock's AfterFunc, as *time.Timer is the
+// wall clock's.
+type Timer interface {
+	Reset(d time.Duration) bool
+	Stop() bool
+}
+
+// wallClock is the production Clock.
+type wallClock struct{}
+
+func (wallClock) Now() time.Time                            { return time.Now() }
+func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
+
 var callCtxPool sync.Pool
 
-// acquireCallCtx arms a pooled context: its deadline is now+timeout,
-// clipped to the parent's own deadline, and the parent's cancellation
-// (the consumer hanging up) propagates until detach or release.
+// acquireCallCtx arms a pooled context: its deadline is clock's now plus
+// timeout, clipped to the parent's own deadline, and the parent's
+// cancellation (the consumer hanging up) propagates until detach or
+// release.
 //
 //wsu:owns return
-func acquireCallCtx(parent context.Context, timeout time.Duration) *callCtx {
+func acquireCallCtx(clock Clock, parent context.Context, timeout time.Duration) *callCtx {
 	c, _ := callCtxPool.Get().(*callCtx)
 	if c == nil {
 		c = &callCtx{done: make(chan struct{})}
 		c.onTimeoutFn = c.onTimeout
 		c.onParentCancelFn = c.onParentCancel
 	}
-	dl := time.Now().Add(timeout)
+	now := clock.Now()
+	dl := now.Add(timeout)
 	if parent != nil {
 		if pd, ok := parent.Deadline(); ok && pd.Before(dl) {
 			dl = pd
@@ -81,10 +106,12 @@ func acquireCallCtx(parent context.Context, timeout time.Duration) *callCtx {
 	c.deadline = dl
 	c.mu.Unlock()
 	c.parentDirty = false
-	if c.timer == nil {
-		c.timer = time.AfterFunc(time.Until(dl), c.onTimeoutFn)
+	// A recycled context's timer is stopped; it is reused only on the
+	// clock that made it.
+	if c.timer == nil || c.clock != clock {
+		c.timer, c.clock = clock.AfterFunc(dl.Sub(now), c.onTimeoutFn), clock
 	} else {
-		c.timer.Reset(time.Until(dl))
+		c.timer.Reset(dl.Sub(now))
 	}
 	if parent != nil && parent.Done() != nil {
 		c.stopParent = context.AfterFunc(parent, c.onParentCancelFn)
@@ -160,21 +187,14 @@ func (c *callCtx) detach() {
 	}
 }
 
-// gone reports whether the context was cancelled by the consumer's own
-// request context rather than the dispatch deadline.
-func (c *callCtx) gone() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.consumerGone
-}
-
-// release disarms the context and recycles it when no cancellation
-// callback ever ran (or can still run). Must be called exactly once,
-// after the last user of the context has finished.
+// release disarms the context, recycles it when no cancellation
+// callback ever ran (or can still run), and reports whether the
+// consumer's own request context cancelled it. Must be called exactly
+// once, after the last user of the context has finished.
 //
 //wsu:owns c
 //wsu:allow poolcheck -- dirty contexts (a callback ran or may still run) are left to the GC
-func (c *callCtx) release() {
+func (c *callCtx) release() (gone bool) {
 	parentQuiet := !c.parentDirty
 	if c.stopParent != nil {
 		parentQuiet = c.stopParent() && parentQuiet
@@ -182,7 +202,7 @@ func (c *callCtx) release() {
 	}
 	timerQuiet := c.timer.Stop()
 	c.mu.Lock()
-	fired := c.err != nil
+	fired, gone := c.err != nil, c.consumerGone
 	c.parent = nil
 	c.mu.Unlock()
 	if parentQuiet && timerQuiet && !fired {
@@ -191,6 +211,7 @@ func (c *callCtx) release() {
 	// Otherwise a cancellation callback ran — or may still be running —
 	// against this incarnation: the struct is dirty (closed channel,
 	// set error) and is left for the GC.
+	return gone
 }
 
 // Deadline implements context.Context.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCallCtxDeadline(t *testing.T) {
-	c := acquireCallCtx(context.Background(), 20*time.Millisecond)
+	c := acquireCallCtx(wallClock{}, context.Background(), 20*time.Millisecond)
 	dl, ok := c.Deadline()
 	if !ok || time.Until(dl) > 25*time.Millisecond {
 		t.Fatalf("deadline = %v, ok = %v", dl, ok)
@@ -21,15 +21,14 @@ func TestCallCtxDeadline(t *testing.T) {
 	if !errors.Is(c.Err(), context.DeadlineExceeded) {
 		t.Fatalf("err = %v", c.Err())
 	}
-	if c.gone() {
+	if c.release() {
 		t.Fatal("deadline misreported as consumer cancellation")
 	}
-	c.release()
 }
 
 func TestCallCtxParentCancellationPropagates(t *testing.T) {
 	parent, cancel := context.WithCancel(context.Background())
-	c := acquireCallCtx(parent, time.Hour)
+	c := acquireCallCtx(wallClock{}, parent, time.Hour)
 	select {
 	case <-c.Done():
 		t.Fatal("cancelled before parent")
@@ -44,17 +43,16 @@ func TestCallCtxParentCancellationPropagates(t *testing.T) {
 	if !errors.Is(c.Err(), context.Canceled) {
 		t.Fatalf("err = %v", c.Err())
 	}
-	if !c.gone() {
+	if !c.release() {
 		t.Fatal("consumer cancellation not flagged")
 	}
-	c.release()
 }
 
 func TestCallCtxParentDeadlineClips(t *testing.T) {
 	parent, cancel := context.WithDeadline(context.Background(),
 		time.Now().Add(10*time.Millisecond))
 	defer cancel()
-	c := acquireCallCtx(parent, time.Hour)
+	c := acquireCallCtx(wallClock{}, parent, time.Hour)
 	if dl, _ := c.Deadline(); time.Until(dl) > 15*time.Millisecond {
 		t.Fatalf("deadline not clipped to parent: %v away", time.Until(dl))
 	}
@@ -68,7 +66,7 @@ func TestCallCtxParentDeadlineClips(t *testing.T) {
 
 func TestCallCtxDetachSurvivesParentCancel(t *testing.T) {
 	parent, cancel := context.WithCancel(context.Background())
-	c := acquireCallCtx(parent, time.Hour)
+	c := acquireCallCtx(wallClock{}, parent, time.Hour)
 	c.detach()
 	cancel()
 	// Give a stray propagation a chance to fire wrongly.
@@ -87,7 +85,7 @@ func TestCallCtxDetachSurvivesParentCancel(t *testing.T) {
 func TestCallCtxValueDelegatesToParent(t *testing.T) {
 	type key struct{}
 	parent := context.WithValue(context.Background(), key{}, "travel-agency")
-	c := acquireCallCtx(parent, time.Second)
+	c := acquireCallCtx(wallClock{}, parent, time.Second)
 	if got := c.Value(key{}); got != "travel-agency" {
 		t.Fatalf("Value = %v", got)
 	}
@@ -101,7 +99,7 @@ func TestCallCtxValueDelegatesToParent(t *testing.T) {
 // open done channel, and the new incarnation's deadline.
 func TestCallCtxReuseIsClean(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		c := acquireCallCtx(context.Background(), time.Minute)
+		c := acquireCallCtx(wallClock{}, context.Background(), time.Minute)
 		if c.Err() != nil {
 			t.Fatalf("iteration %d: recycled context carries err %v", i, c.Err())
 		}
@@ -119,12 +117,12 @@ func TestCallCtxReuseIsClean(t *testing.T) {
 func TestCallCtxFiredContextNotRecycledDirty(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		parent, cancel := context.WithCancel(context.Background())
-		c := acquireCallCtx(parent, time.Hour)
+		c := acquireCallCtx(wallClock{}, parent, time.Hour)
 		cancel()
 		<-c.Done()
 		c.release()
 		// Whatever the pool hands out next must be clean.
-		next := acquireCallCtx(context.Background(), time.Minute)
+		next := acquireCallCtx(wallClock{}, context.Background(), time.Minute)
 		select {
 		case <-next.Done():
 			t.Fatalf("iteration %d: pool handed out a cancelled context", i)
@@ -141,15 +139,14 @@ func TestCallCtxFiredContextNotRecycledDirty(t *testing.T) {
 func TestCallCtxDetachRaceDoesNotPoisonPool(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		parent, cancel := context.WithCancel(context.Background())
-		c := acquireCallCtx(parent, time.Hour)
+		c := acquireCallCtx(wallClock{}, parent, time.Hour)
 		go cancel() // races the detach below
 		c.detach()
 		c.release()
-		next := acquireCallCtx(context.Background(), time.Hour)
+		next := acquireCallCtx(wallClock{}, context.Background(), time.Hour)
 		time.Sleep(20 * time.Microsecond) // let any stale callback land
 		if err := next.Err(); err != nil {
-			t.Fatalf("iteration %d: recycled context cancelled by stale parent callback: %v (gone=%v)",
-				i, err, next.gone())
+			t.Fatalf("iteration %d: recycled context cancelled by stale parent callback: %v", i, err)
 		}
 		select {
 		case <-next.Done():
@@ -161,9 +158,36 @@ func TestCallCtxDetachRaceDoesNotPoisonPool(t *testing.T) {
 }
 
 func TestCallCtxNilParent(t *testing.T) {
-	c := acquireCallCtx(nil, time.Minute)
+	c := acquireCallCtx(wallClock{}, nil, time.Minute)
 	if c.Err() != nil || c.Value("k") != nil {
 		t.Fatal("nil parent mishandled")
 	}
 	c.release()
 }
+
+// A context recycled from a dispatch on one clock never arms the next
+// dispatch's deadline on that clock's timer.
+func TestCallCtxTimerFollowsClock(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		c := acquireCallCtx(frozenClock{}, context.Background(), time.Hour)
+		c.release()
+		next := acquireCallCtx(wallClock{}, context.Background(), time.Millisecond)
+		select {
+		case <-next.Done():
+		case <-time.After(2 * time.Second):
+			t.Fatalf("iteration %d: wall-clock deadline armed on another clock's timer", i)
+		}
+		next.release()
+	}
+}
+
+// frozenClock never advances, and its timers never fire.
+type frozenClock struct{}
+
+func (frozenClock) Now() time.Time                        { return time.Unix(0, 0) }
+func (frozenClock) AfterFunc(time.Duration, func()) Timer { return frozenTimer{} }
+
+type frozenTimer struct{}
+
+func (frozenTimer) Reset(time.Duration) bool { return true }
+func (frozenTimer) Stop() bool               { return true }

@@ -32,7 +32,7 @@ func (m *markedConn) Poison() {
 
 func TestCancelPoisonsWatchedConnsOnly(t *testing.T) {
 	parent, hangUp := context.WithCancel(context.Background())
-	c := acquireCallCtx(parent, time.Hour)
+	c := acquireCallCtx(wallClock{}, parent, time.Hour)
 	var held, returned, late markedConn
 	if !c.WatchConn(&held) || !c.WatchConn(&returned) {
 		t.Fatal("a live context refused a connection")
@@ -52,10 +52,9 @@ func TestCancelPoisonsWatchedConnsOnly(t *testing.T) {
 	if c.WatchConn(&late) {
 		t.Fatal("a cancelled context accepted a connection")
 	}
-	if !c.gone() {
+	if !c.release() {
 		t.Fatal("consumer cancellation not flagged")
 	}
-	c.release()
 }
 
 // Cancellation racing the take-back, from the deadline timer and from
@@ -69,7 +68,7 @@ func TestCancelRacingUnwatchNeverPoisonsLate(t *testing.T) {
 		if i%2 == 1 {
 			timeout = time.Duration(i%50) * time.Microsecond // the timer's cancel
 		}
-		c := acquireCallCtx(parent, timeout)
+		c := acquireCallCtx(wallClock{}, parent, timeout)
 		conns := make([]markedConn, 3)
 		for j := range conns {
 			c.WatchConn(&conns[j])
@@ -103,12 +102,12 @@ func TestCancelRacingUnwatchNeverPoisonsLate(t *testing.T) {
 // A recycled context watches nothing of its previous dispatch.
 func TestCancelRecycledContextForgetsConns(t *testing.T) {
 	var old markedConn
-	c := acquireCallCtx(context.Background(), time.Hour)
+	c := acquireCallCtx(wallClock{}, context.Background(), time.Hour)
 	c.WatchConn(&old)
 	c.UnwatchConn(&old)
 	c.release()
 	for i := 0; i < 8; i++ {
-		next := acquireCallCtx(context.Background(), time.Hour)
+		next := acquireCallCtx(wallClock{}, context.Background(), time.Hour)
 		next.cancel(context.Canceled, false)
 		next.release()
 	}

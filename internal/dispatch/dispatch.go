@@ -123,7 +123,8 @@ type Request struct {
 	Mode Mode
 	// Quorum is ModeDynamic's response count.
 	Quorum int
-	// Timeout bounds the dispatch.
+	// Timeout bounds the dispatch; in sequential mode it bounds each
+	// release call, so a release that times out still fails over.
 	Timeout time.Duration
 	// Operation names the invoked operation (monitoring key).
 	Operation string
@@ -178,6 +179,10 @@ type Config struct {
 	// engine passes its wire client's Begin, tests substitute
 	// wire.Deferred fakes.
 	Begin func(ctx context.Context, url, contentType string, body []byte) wire.Call
+	// Clock arms the dispatch deadlines and stamps release latencies;
+	// nil means the wall clock. A virtual clock with fake releases behind
+	// Begin replays a demand stream deterministically.
+	Clock Clock
 	// Seed drives adjudication tie-breaking.
 	Seed uint64
 	// OnOutcome receives every dispatch's complete outcome. May be nil.
@@ -194,6 +199,7 @@ type Config struct {
 // background collection to drain.
 type Dispatcher struct {
 	begin     func(ctx context.Context, url, contentType string, body []byte) wire.Call
+	clock     Clock
 	onOutcome func(Outcome)
 	codec     protocol.Codec
 	// contentType caches codec.ContentType() so the fan-out path does
@@ -219,8 +225,13 @@ func New(cfg Config) *Dispatcher {
 	if codec == nil {
 		codec = soapcodec.Default
 	}
+	clock := cfg.Clock
+	if clock == nil {
+		clock = wallClock{}
+	}
 	return &Dispatcher{
 		begin:       cfg.Begin,
+		clock:       clock,
 		onOutcome:   cfg.OnOutcome,
 		codec:       codec,
 		contentType: codec.ContentType(),
@@ -260,20 +271,18 @@ func (d *Dispatcher) deliver(rule adjudicate.Adjudicator, collected []adjudicate
 	return winner, err
 }
 
-// complete releases the dispatch context, reports the outcome, and
+// complete reports the outcome — aborted by the consumer when gone — and
 // recycles the reply slice, the pooled reply bodies, and the pooled
 // request envelope. Called exactly once per dispatch, after the last
-// reply is in — the single point past which (a) the envelope has no
-// remaining reader and (b) monitoring has taken its record-time copy
-// of every reply body, so recycling here cannot be observed. The
-// winner's extra reference (taken at delivery) survives this release
-// for the consumer write.
+// reply is in and its deadline released — the single point past which
+// (a) the envelope has no remaining reader and (b) monitoring has taken
+// its record-time copy of every reply body, so recycling here cannot be
+// observed. The winner's extra reference (taken at delivery) survives
+// this release for the consumer write.
 //
-//wsu:owns c replies envBuf
-func (d *Dispatcher) complete(c *callCtx, operation string, targets []Endpoint,
+//wsu:owns replies envBuf
+func (d *Dispatcher) complete(gone bool, operation string, targets []Endpoint,
 	replies []adjudicate.Reply, winner adjudicate.Reply, oldest, newest Endpoint, envBuf *pool.Buf) {
-	gone := c.gone()
-	c.release()
 	if d.onOutcome != nil {
 		d.onOutcome(Outcome{
 			Operation:    operation,
@@ -308,14 +317,14 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	if rule == nil {
 		rule = adjudicate.RandomValid{}
 	}
-	callCtx := acquireCallCtx(req.Parent, req.Timeout)
 
 	// One target (single-release phases, or every other target marked
 	// down) is the sequential mode over one release: one synchronous
 	// call, no goroutine, no channel, no fan-out bookkeeping.
 	if len(targets) == 1 || req.Mode == ModeSequential {
-		return d.doSequential(callCtx, targets, envelope, operation, rule, oldest, newest, req.EnvelopeBuf)
+		return d.doSequential(&req, rule)
 	}
+	callCtx := acquireCallCtx(d.clock, req.Parent, req.Timeout)
 
 	// How many replies must arrive before delivery.
 	n := len(targets)
@@ -333,7 +342,7 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	// order, before anything waits for a reply.
 	f := d.acquireFanout(n)
 	for i, t := range targets {
-		f.hold(i, time.Now(), d.beginCall(callCtx, t, operation, envelope))
+		f.hold(i, d.clock.Now(), d.beginCall(callCtx, t, operation, envelope))
 	}
 	// Gather: each call is ended — reply read, latency stamped,
 	// classified — by exactly one goroutine, so a slow release's time
@@ -391,7 +400,7 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	winner.Buf.Retain()
 
 	if received == len(targets) {
-		d.complete(callCtx, operation, targets, replies, winner, oldest, newest, req.EnvelopeBuf)
+		d.complete(callCtx.release(), operation, targets, replies, winner, oldest, newest, req.EnvelopeBuf)
 		f.release()
 		return winner, adjErr
 	}
@@ -412,7 +421,7 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 			in := <-f.ch
 			partial[in.i] = in.r
 		}
-		d.complete(callCtx, operation, targets, partial, winner, oldest, newest, envBuf)
+		d.complete(callCtx.release(), operation, targets, partial, winner, oldest, newest, envBuf)
 		f.release()
 	}()
 	return winner, adjErr
@@ -507,7 +516,7 @@ func (f *fanout) take(i int) (wire.Call, time.Time) {
 func (f *fanout) end(i int, t Endpoint) adjudicate.Reply {
 	call, start := f.take(i)
 	res, err := call.End()
-	return f.d.classify(t, res, err, time.Since(start))
+	return f.d.classify(t, res, err, f.d.clock.Now().Sub(start))
 }
 
 // gather ends one call and delivers the indexed reply. The receiver can
@@ -521,16 +530,17 @@ func (f *fanout) gather(i int, t Endpoint) {
 }
 
 // doSequential implements §4.2 mode 4: releases execute one at a time;
-// the next is invoked only on an evident failure of the previous.
-//
-//wsu:owns callCtx
-func (d *Dispatcher) doSequential(callCtx *callCtx, targets []Endpoint, envelope []byte,
-	operation string, rule adjudicate.Adjudicator, oldest, newest Endpoint, envBuf *pool.Buf) (adjudicate.Reply, error) {
+// the next is invoked only on an evident failure of the previous, a
+// timeout included.
+func (d *Dispatcher) doSequential(req *Request, rule adjudicate.Adjudicator) (adjudicate.Reply, error) {
+	targets := req.Targets
 	called := getReplySlice(len(targets))[:0]
+	gone := false
 	for _, t := range targets {
-		r := d.callRelease(callCtx, t, operation, envelope)
+		var r adjudicate.Reply
+		r, gone = d.callRelease(t, req)
 		called = append(called, r)
-		if r.Valid() {
+		if r.Valid() || gone {
 			break
 		}
 	}
@@ -544,7 +554,7 @@ func (d *Dispatcher) doSequential(callCtx *callCtx, targets []Endpoint, envelope
 	putReplySlice(collected)
 	winner.Buf.Retain() // keep the winner's body past the reply recycling
 	// Targets are invoked in order, so the invoked prefix is targets[:k].
-	d.complete(callCtx, operation, targets[:len(called)], called, winner, oldest, newest, envBuf)
+	d.complete(gone, req.Operation, targets[:len(called)], called, winner, req.Oldest, req.Newest, req.EnvelopeBuf)
 	return winner, err
 }
 
@@ -556,12 +566,17 @@ func (d *Dispatcher) beginCall(ctx context.Context, ep Endpoint, operation strin
 }
 
 // callRelease invokes one release start to finish on the calling
-// goroutine (sequential mode, and so every single-target dispatch).
-func (d *Dispatcher) callRelease(ctx context.Context, ep Endpoint, operation string, envelope []byte) adjudicate.Reply {
-	start := time.Now()
-	call := d.beginCall(ctx, ep, operation, envelope)
+// goroutine (sequential mode, and so every single-target dispatch),
+// under a deadline of its own: the whole timeout, clipped by the
+// consumer's deadline. gone reports that the consumer's own request
+// context cancelled the call.
+func (d *Dispatcher) callRelease(ep Endpoint, req *Request) (reply adjudicate.Reply, gone bool) {
+	ctx := acquireCallCtx(d.clock, req.Parent, req.Timeout)
+	start := d.clock.Now()
+	call := d.beginCall(ctx, ep, req.Operation, req.Envelope)
 	res, err := call.End()
-	return d.classify(ep, res, err, time.Since(start))
+	reply = d.classify(ep, res, err, d.clock.Now().Sub(start))
+	return reply, ctx.release()
 }
 
 // classify turns one ended call into its reply through the protocol

@@ -382,3 +382,45 @@ func TestFanoutReuseAcrossDispatches(t *testing.T) {
 		t.Fatalf("%d duplicated or empty replies across reused fan-outs", bad.Load())
 	}
 }
+
+// §4.2 mode 4 invokes the next release when the previous one does not
+// answer in time, and gives it the whole timeout: a release that hangs
+// must not leave its successor an expired deadline, nor charge it with a
+// non-response.
+func TestDoSequentialFailsOverAfterTimeout(t *testing.T) {
+	outcomes := make(chan []bool, 1)
+	d := New(Config{
+		Begin: func(ctx context.Context, url, _ string, _ []byte) wire.Call {
+			return wire.Deferred(func() (httpx.Result, error) {
+				if url == "http://hang.invalid" {
+					<-ctx.Done()
+				}
+				if err := ctx.Err(); err != nil {
+					return httpx.Result{}, err
+				}
+				return httpx.Result{Status: http.StatusOK, Body: okEnvelope()}, nil
+			})
+		},
+		OnOutcome: func(o Outcome) {
+			responded := make([]bool, len(o.Replies))
+			for i, r := range o.Replies {
+				responded[i] = Responded(r)
+			}
+			outcomes <- responded
+		},
+	})
+	defer d.Close()
+	req := baseRequest([]Endpoint{
+		{Version: "1.0", URL: "http://hang.invalid"},
+		{Version: "1.1", URL: "http://ok.invalid"},
+	}, ModeSequential)
+	req.Timeout = 20 * time.Millisecond
+	winner, err := d.Do(req)
+	if err != nil || winner.Release != "1.1" {
+		t.Fatalf("winner %q, err %v: no failover after release 1.0 timed out", winner.Release, err)
+	}
+	winner.ReleaseBody()
+	if got := <-outcomes; len(got) != 2 || got[0] || !got[1] {
+		t.Fatalf("responded = %v, want [false true]", got)
+	}
+}

@@ -68,7 +68,7 @@ type UnitConfig struct {
 	Service string
 	// Engine is the unit's middleware configuration (Engine.Codec picks
 	// its wire protocol, SOAP by default). A unit that sets
-	// none of Engine.HTTP, Engine.Dial and Engine.Wire shares the
+	// none of Engine.HTTP, Engine.Dial and Engine.Begin shares the
 	// fleet's pooled release transport.
 	Engine core.Config
 }
@@ -196,10 +196,10 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		ecfg := uc.Engine
 		// A unit with its own transport seam (a TLS client, a Dial, an
-		// injected wire client) builds on it; everyone else shares the
+		// injected Begin) builds on it; everyone else shares the
 		// fleet-wide pool and its fallback.
-		if ecfg.HTTP == nil && ecfg.Dial == nil && ecfg.Wire == nil {
-			ecfg.Wire, ecfg.HTTP = f.wire, f.fallback
+		if ecfg.HTTP == nil && ecfg.Dial == nil && ecfg.Begin == nil {
+			ecfg.Begin, ecfg.HTTP = f.wire.Begin, f.fallback
 		}
 		engine, err := core.New(ecfg)
 		if err != nil {

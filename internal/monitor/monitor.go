@@ -101,9 +101,10 @@ type ReleaseStats struct {
 	Evident int
 	// JudgedFailures counts oracle-judged failures (evident or not).
 	JudgedFailures int
-	// MeanLatency is the mean observed execution time.
+	// MeanLatency is the mean execution time of the responses received
+	// within the timeout; a demand with no response adds nothing to it.
 	MeanLatency time.Duration
-	// MaxLatency is the slowest observed execution time.
+	// MaxLatency is the slowest of those responses.
 	MaxLatency time.Duration
 }
 

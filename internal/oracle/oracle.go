@@ -8,8 +8,9 @@
 //     'oracle' in judging if WS 1.1 returns correct responses": a valid
 //     response disagreeing with the reference release's is judged failed.
 //   - BackToBack: pure comparison — when the releases disagree, both are
-//     suspected; coincident identical failures are (pessimistically)
-//     undetectable, exactly the §5.1.1.3 model.
+//     suspected; coincident identical failures are undetectable. Unlike
+//     the §5.1.1.3 back-to-back detector, it charges a discordant demand
+//     to both releases.
 //   - Header: a ground-truth oracle reading the fault-injection marker the
 //     internal/service runtime attaches; only the test harness has it.
 //   - WithOmission wraps any oracle with the paper's omission-failure
@@ -139,9 +140,13 @@ func (o Reference) Name() string { return "reference(" + o.Release + ")" }
 
 // BackToBack judges by comparison only: with two valid replies that
 // disagree, both are flagged as suspected failures (the middleware cannot
-// tell which is wrong without further diversity); identical replies pass.
-// This is deliberately the paper's pessimistic §5.1.1.3 detector —
-// coincident identical failures are recorded as joint successes.
+// tell which is wrong without further diversity); identical replies pass,
+// so coincident identical failures are recorded as joint successes. It is
+// not the §5.1.1.3 back-to-back detector of Table 2
+// (bayes.BackToBackDetector), which records a discordant demand against
+// the release that failed only: fed this oracle's record, the switch
+// criteria are far slower or never met (DESIGN.md §1, "oracle.BackToBack
+// is not Table 2's detector").
 type BackToBack struct {
 	// Codec supplies canonical payload equivalence; nil means the SOAP
 	// codec. The zero value is the historical SOAP back-to-back oracle.

@@ -9,8 +9,8 @@ type PaperTable2Cell struct {
 }
 
 // PaperTable2 returns the published Table 2, keyed by scenario name then
-// detection regime name, for side-by-side reporting in EXPERIMENTS.md and
-// cmd/repro. Values are demands until switch.
+// detection regime name, for side-by-side reporting in cmd/repro. Values
+// are demands until switch.
 func PaperTable2() map[string]map[string]PaperTable2Cell {
 	return map[string]map[string]PaperTable2Cell{
 		"scenario-1": {
@@ -50,9 +50,9 @@ func PaperTable2() map[string]map[string]PaperTable2Cell {
 	}
 }
 
-// PaperTable5Run1 holds the published system row of Table 5, run 1, for
-// the three timeouts — used by EXPERIMENTS.md to anchor the comparison.
-// Fields: MET (s), CR, EER, NER, Total, NRDT out of 10,000 requests.
+// PaperSimCell is one published system cell of Table 5 or 6: MET (s),
+// and CR, EER, NER, NRDT out of 10,000 requests. DESIGN.md §4.1 sets the
+// run-1 cells beside the engine's.
 type PaperSimCell struct {
 	MET                float64
 	CR, EER, NER, NRDT int

@@ -1,7 +1,9 @@
 // Package repro is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation section from the building blocks in
-// internal/bayes, internal/relmodel and internal/upgsim, and formats them
-// for side-by-side comparison with the published values.
+// figure of the paper's evaluation section and formats them for
+// side-by-side comparison with the published values. The §5.1 studies
+// run on internal/bayes and internal/relmodel; the §5.2 studies run the
+// shipping engine (core.Engine.ServeHTTP) against scripted releases on a
+// virtual clock (harness.go).
 //
 // Experiment index:
 //
@@ -9,8 +11,8 @@
 //	           criteria × three failure-detection regimes (RunSwitchStudy)
 //	Fig 7/8  — percentile trajectories for Scenarios 1 and 2
 //	           (RunSwitchStudy, Trajectory field)
-//	Table 5  — availability/performance simulation, correlated releases
-//	           (RunAvailabilityStudy with correlated=true)
+//	Table 5  — availability/performance of the engine, correlated
+//	           releases (RunAvailabilityStudy with correlated=true)
 //	Table 6  — same with independent releases (correlated=false)
 //
 // plus the design ablations called out in DESIGN.md (grid resolution,
@@ -123,6 +125,31 @@ func (c *StudyConfig) applyDefaults() {
 	}
 }
 
+// inference is the study's white-box model.
+func (c *StudyConfig) inference() bayes.WhiteBoxConfig {
+	return bayes.WhiteBoxConfig{
+		PriorA: c.Scenario.PriorA,
+		PriorB: c.Scenario.PriorB,
+		GridA:  c.Grid.A,
+		GridB:  c.Grid.B,
+		GridC:  c.Grid.C,
+		GridAB: c.Grid.AB,
+	}
+}
+
+// criteria are the study's three switch rules, indexed by CriterionID.
+func (c *StudyConfig) criteria() ([numCriteria]bayes.Criterion, error) {
+	c1, err := bayes.NewCriterion1(c.Scenario.PriorA, c.Scenario.Confidence)
+	if err != nil {
+		return [numCriteria]bayes.Criterion{}, fmt.Errorf("repro: criterion 1: %w", err)
+	}
+	return [numCriteria]bayes.Criterion{
+		c1,
+		bayes.Criterion2{Confidence: c.Scenario.Confidence, Target: c.Scenario.C2Target},
+		bayes.Criterion3{Confidence: c.Scenario.Confidence},
+	}, nil
+}
+
 // CriterionResult reports when one criterion allowed the switch.
 type CriterionResult struct {
 	// Criterion names the switch rule.
@@ -198,26 +225,13 @@ func RunSwitchStudy(cfg StudyConfig) (*StudyResult, error) {
 		return nil, fmt.Errorf("%w: step %d, max demands %d", ErrBadStudy, cfg.Step, cfg.MaxDemands)
 	}
 
-	engine, err := bayes.NewWhiteBox(bayes.WhiteBoxConfig{
-		PriorA: cfg.Scenario.PriorA,
-		PriorB: cfg.Scenario.PriorB,
-		GridA:  cfg.Grid.A,
-		GridB:  cfg.Grid.B,
-		GridC:  cfg.Grid.C,
-		GridAB: cfg.Grid.AB,
-	})
+	engine, err := bayes.NewWhiteBox(cfg.inference())
 	if err != nil {
 		return nil, fmt.Errorf("repro: building inference engine: %w", err)
 	}
-
-	c1, err := bayes.NewCriterion1(cfg.Scenario.PriorA, cfg.Scenario.Confidence)
+	criteria, err := cfg.criteria()
 	if err != nil {
-		return nil, fmt.Errorf("repro: criterion 1: %w", err)
-	}
-	criteria := [numCriteria]bayes.Criterion{
-		c1,
-		bayes.Criterion2{Confidence: cfg.Scenario.Confidence, Target: cfg.Scenario.C2Target},
-		bayes.Criterion3{Confidence: cfg.Scenario.Confidence},
+		return nil, err
 	}
 
 	omission, err := bayes.NewOmissionDetector(cfg.Pomit, xrand.New(cfg.Seed^0x0a11dd7))

@@ -17,8 +17,9 @@
 //     component bindings (Figs 1 and 4).
 //   - Service — a fault-injecting WS runtime standing in for real
 //     third-party releases.
-//   - The §5.2 availability/performance simulator and the experiment
-//     harness that regenerates every table and figure of the paper.
+//   - The experiment harness that regenerates every table and figure of
+//     the paper, the §5.2 availability/performance study on the engine
+//     itself.
 //
 // See examples/ for runnable end-to-end scenarios and DESIGN.md for the
 // per-experiment index.
@@ -43,7 +44,6 @@ import (
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/stats"
-	"wsupgrade/internal/upgsim"
 	"wsupgrade/internal/wire"
 	"wsupgrade/internal/wsdl"
 )
@@ -126,7 +126,7 @@ type RetryPolicy = httpx.RetryPolicy
 // other scheme (https) to its net/http fallback, which is
 // EngineConfig.HTTP (FleetConfig.HTTP for a fleet's shared pool) — the
 // place for TLS certificates and credentials. Engines and fleets build
-// their own unless EngineConfig.Wire injects a shared one.
+// their own unless EngineConfig.Begin injects a shared one's Begin.
 type WireClient = wire.Client
 
 // WireOptions parameterizes a WireClient.
@@ -288,15 +288,6 @@ func Scenario1() Scenario { return relmodel.Scenario1() }
 
 // Scenario2 returns the paper's second study.
 func Scenario2() Scenario { return relmodel.Scenario2() }
-
-// SimConfig parameterizes the §5.2 availability/performance simulation.
-type SimConfig = upgsim.Config
-
-// SimResult is one simulation outcome (a Table 5/6 block).
-type SimResult = upgsim.Result
-
-// Simulate runs the §5.2 model.
-func Simulate(cfg SimConfig) (*SimResult, error) { return upgsim.Simulate(cfg) }
 
 // StudyConfig parameterizes a Table 2 / Fig 7 / Fig 8 sweep.
 type StudyConfig = repro.StudyConfig

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"wsupgrade/internal/oracle"
-	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/service"
 )
 
@@ -78,19 +77,15 @@ func TestPublicAPIScenariosAndSimulation(t *testing.T) {
 	if s1.Name != "scenario-1" || s2.Name != "scenario-2" {
 		t.Fatal("scenario constructors broken")
 	}
-	res, err := Simulate(SimConfig{
-		Run:        relmodel.Runs()[0],
-		Correlated: true,
-		Latency:    relmodel.PaperLatency(),
-		TimeOut:    1.5,
-		Requests:   500,
-		Seed:       1,
-	})
+	rows, err := RunAvailabilityStudy(AvailabilityConfig{Correlated: true, Requests: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.System.Total()+res.System.NRDT != 500 {
-		t.Fatal("simulation accounting broken through facade")
+	for _, row := range rows {
+		if s := row.Result.System; s.Total()+s.NRDT != 100 {
+			t.Fatalf("run %d timeout %v: the engine's Table 5 block accounts for %d of 100 demands",
+				row.Run, row.TimeOut, s.Total()+s.NRDT)
+		}
 	}
 }
 
