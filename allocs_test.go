@@ -22,12 +22,12 @@ var allocCeilings = []struct {
 	{"EngineInProcess/old-only-fastpath", 0},
 	{"EngineInProcess/old-only-fastpath-journaled", 0},
 	{"EngineInProcess/json-fastpath", 0},
-	{"EngineInProcess/parallel", 1},
-	{"EngineInProcess/observation-large", 4},
-	{"EngineInProcess/observation-publish", 4},
-	{"EngineInProcess/observation-publish-warm", 4},
+	{"EngineInProcess/parallel", 0},
+	{"EngineInProcess/observation-large", 3},
+	{"EngineInProcess/observation-publish", 3},
+	{"EngineInProcess/observation-publish-warm", 3},
 	{"EngineInProcess/live-shape-oldonly", 2},
-	{"EngineInProcess/live-shape-parallel", 3},
+	{"EngineInProcess/live-shape-parallel", 2},
 	{"FleetInProcess/fleet-routed", 0},
 	{"FleetInProcess/fleet-routed-json", 0},
 	{"WhiteBoxPosterior/scenario-grid-n0", 2},

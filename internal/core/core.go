@@ -53,7 +53,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/bayes"
@@ -278,7 +277,7 @@ func (e *Engine) recordOutcome(out dispatch.Outcome) {
 	}
 	failed := e.oracle.JudgeInto(verdictScratch.Get(len(out.Replies)), out.Operation, out.Replies)
 	rec := monitor.Record{
-		Time:      time.Now(),
+		Time:      e.now(),
 		Operation: out.Operation,
 		Winner:    out.Winner.Release,
 		Releases:  obsSlices.Get(len(out.Replies)),

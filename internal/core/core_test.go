@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"wsupgrade/internal/bayes"
+	"wsupgrade/internal/dispatch"
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/registry"
@@ -18,6 +21,7 @@ import (
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/stats"
+	"wsupgrade/internal/wire"
 	"wsupgrade/internal/wsdl"
 )
 
@@ -721,6 +725,60 @@ func TestEventLogSink(t *testing.T) {
 	}
 	if !strings.Contains(sink.String(), `"operation":"add"`) {
 		t.Fatalf("event log missing: %q", sink.String())
+	}
+}
+
+// frozenClock stops the engine's time at one instant; its timers never
+// fire.
+type frozenClock struct{ at time.Time }
+
+func (c frozenClock) Now() time.Time                               { return c.at }
+func (frozenClock) AfterFunc(time.Duration, func()) dispatch.Timer { return idleTimer{} }
+
+type idleTimer struct{}
+
+func (idleTimer) Reset(time.Duration) bool { return false }
+func (idleTimer) Stop() bool               { return true }
+
+// The event log is stamped by the engine's clock, as every latency is:
+// under a virtual clock a record's time is the clock's, not the wall's.
+func TestEventLogFollowsClock(t *testing.T) {
+	at := time.Date(2004, time.June, 28, 9, 0, 0, 0, time.UTC)
+	reply := soap.EnvelopeRaw([]byte(`<addResponse><sum>3</sum></addResponse>`))
+	var sink strings.Builder
+	e, ts := startEngine(t, Config{
+		Releases: []Endpoint{{Version: "1.0", URL: "http://old.invalid"}, {Version: "1.1", URL: "http://new.invalid"}},
+		Clock:    frozenClock{at},
+		Store:    &sink,
+		Begin: func(context.Context, string, string, []byte, httpx.RetryPolicy) wire.Call {
+			return wire.Deferred(func() (httpx.Result, error) {
+				return httpx.Result{Status: http.StatusOK, Body: reply}, nil
+			})
+		},
+	})
+	const demands = 3
+	for i := 0; i < demands; i++ {
+		if _, err := callAdd(t, ts.URL, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
+	if len(lines) != demands {
+		t.Fatalf("%d event log lines, want %d: %q", len(lines), demands, sink.String())
+	}
+	for _, line := range lines {
+		var rec struct {
+			Time time.Time `json:"time"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("event log line %q: %v", line, err)
+		}
+		if !rec.Time.Equal(at) {
+			t.Fatalf("record stamped %v, want the engine clock's %v", rec.Time, at)
+		}
 	}
 }
 

@@ -135,8 +135,9 @@ type Config struct {
 	// and Dial) or scripted releases. The engine binds Retry into every
 	// call. Nil means the engine builds and owns a wire client.
 	Begin func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) wire.Call
-	// Clock is the dispatch layer's time source (dispatch.Config.Clock);
-	// nil means the wall clock.
+	// Clock is the demand path's time source: the dispatch layer's
+	// (dispatch.Config.Clock) and the monitor records' timestamps; nil
+	// means the wall clock.
 	Clock dispatch.Clock
 	// Seed drives adjudication tie-breaking.
 	Seed uint64
@@ -164,6 +165,7 @@ type Engine struct {
 	mon       *monitor.Monitor
 	inference *memoInference // nil without an inference configuration
 	disp      *dispatch.Dispatcher
+	now       func() time.Time // cfg.Clock's Now, or the wall clock's
 
 	// codec is the unit's wire protocol; the derived fields are
 	// precomputed at New so the request path never rebuilds them:
@@ -258,6 +260,10 @@ func New(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		adjudic: cfg.Adjudicator,
 		oracle:  cfg.Oracle,
+		now:     time.Now,
+	}
+	if cfg.Clock != nil {
+		e.now = cfg.Clock.Now
 	}
 	codec := cfg.Codec
 	if codec == nil {

@@ -16,7 +16,8 @@
 // every target's call itself (wire.Client.Begin writes the request
 // without waiting on the peer), so every request is on the wire before
 // anyone waits for a reply; only the waiting — one End per call — is
-// handed to goroutines, and when delivery needs every reply anyway the
+// handed to gatherer goroutines, which the dispatcher keeps parked
+// between dispatches, and when delivery needs every reply anyway the
 // dispatching goroutine keeps one End for itself.
 //
 // Deadlines derive from the consumer's incoming request context: a
@@ -32,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wsupgrade/internal/adjudicate"
@@ -195,8 +197,8 @@ type Config struct {
 	Codec protocol.Codec
 }
 
-// Dispatcher executes fan-outs. Construct with New; Close waits for
-// background collection to drain.
+// Dispatcher executes fan-outs. Construct with New; Close stops the
+// parked gatherers and waits for background collection to drain.
 type Dispatcher struct {
 	begin     func(ctx context.Context, url, contentType string, body []byte) wire.Call
 	clock     Clock
@@ -213,7 +215,19 @@ type Dispatcher struct {
 	rngMaster *xrand.Rand
 	rngPool   sync.Pool
 
-	wg sync.WaitGroup
+	// jobs hands a call to a parked gatherer; it is unbuffered, so a
+	// non-blocking send succeeds only into one already waiting. parked
+	// counts the gatherers waiting on it or about to, quit stops them.
+	jobs   chan gatherJob
+	parked atomic.Int32
+	quit   chan struct{}
+
+	// wg counts the goroutines Do starts before Close, which waits for
+	// them; closed, under mu, tells Do that Close has begun, so the
+	// WaitGroup never gains a count while Close waits on it.
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // New builds a dispatcher.
@@ -236,15 +250,38 @@ func New(cfg Config) *Dispatcher {
 		codec:       codec,
 		contentType: codec.ContentType(),
 		rngMaster:   xrand.New(cfg.Seed),
+		jobs:        make(chan gatherJob),
+		quit:        make(chan struct{}),
 	}
 }
 
-// Close waits for background reply collection to finish. Collection is
-// bounded by the dispatch timeout, so Close never waits longer than
-// the longest in-flight deadline.
+// Close stops the parked gatherers and waits for background reply
+// collection to finish. Collection is bounded by the dispatch timeout,
+// so Close never waits longer than the longest in-flight deadline. A
+// dispatch that races Close still ends every call it begins, and none
+// of its goroutines stays parked; a second Close does nothing.
 func (d *Dispatcher) Close() error {
+	d.mu.Lock()
+	if !d.closed {
+		d.closed = true
+		close(d.quit)
+	}
+	d.mu.Unlock()
 	d.wg.Wait()
 	return nil
+}
+
+// enter counts a goroutine Do is about to start in d.wg, unless Close
+// has begun: then it reports false, and the goroutine, uncounted, ends
+// what it was started for and exits within the dispatch deadline.
+func (d *Dispatcher) enter() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return false
+	}
+	d.wg.Add(1)
+	return true
 }
 
 // getRNG hands one generator to a request. Generators are pooled; a
@@ -349,7 +386,9 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	// is never charged to another. When delivery waits for every reply
 	// anyway, this goroutine ends the first call itself and n-1
 	// gatherers end the rest; when delivery may come early it must stay
-	// free to deliver, so every call gets a gatherer.
+	// free to deliver, so every call gets a gatherer. Gatherers are
+	// parked between dispatches (handOff), so a call's gatherer is
+	// usually woken, not started.
 	//
 	// Which call it keeps was measured: the first reads the same latency
 	// as the last and costs less saturated capacity where the handler
@@ -363,8 +402,7 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 		first = 1
 	}
 	for i := first; i < n; i++ {
-		d.wg.Add(1)
-		go f.gather(i, targets[i])
+		d.handOff(f, i, targets[i])
 	}
 	if first == 1 {
 		replies[0] = f.end(0, targets[0])
@@ -414,9 +452,11 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	remaining := len(targets) - received
 	partial := replies
 	envBuf := req.EnvelopeBuf
-	d.wg.Add(1)
+	counted := d.enter()
 	go func() {
-		defer d.wg.Done()
+		if counted {
+			defer d.wg.Done()
+		}
 		for i := 0; i < remaining; i++ {
 			in := <-f.ch
 			partial[in.i] = in.r
@@ -445,10 +485,8 @@ type pending struct {
 
 // fanout is the pooled per-dispatch fan-out state: the reply channel and
 // one slot per target holding that target's begun call. The calls are
-// values in the slots — a fan-out allocates nothing per call — and
-// spawning `go f.gather(i, t)` passes the per-target values through the
-// goroutine's own frame, so there are no per-target closure objects
-// either; the reply channel is reused across dispatches.
+// values in the slots, so a fan-out allocates nothing per call, and the
+// reply channel is reused across dispatches.
 type fanout struct {
 	d     *Dispatcher
 	calls []pending
@@ -519,14 +557,59 @@ func (f *fanout) end(i int, t Endpoint) adjudicate.Reply {
 	return f.d.classify(t, res, err, f.d.clock.Now().Sub(start))
 }
 
-// gather ends one call and delivers the indexed reply. The receiver can
-// recycle f the moment the last reply has been received, so nothing
-// here may touch f after the send: the dispatcher is captured first for
-// the deferred Done.
-func (f *fanout) gather(i int, t Endpoint) {
-	d := f.d
-	defer d.wg.Done()
-	f.ch <- indexed{i, f.end(i, t)}
+// ---------------------------------------------------------------------------
+// Parked gatherers
+
+// gatherJob is one call handed to a gatherer: call i of fan-out f, to t.
+type gatherJob struct {
+	f *fanout
+	i int
+	t Endpoint
+}
+
+// maxParked bounds the gatherers a dispatcher keeps parked between
+// dispatches. It is a bound on idle memory: each keeps its goroutine
+// stack, grown by the reply reads it made (8 KiB), so the parked set
+// stays under ≈ 0.5 MiB whatever the concurrency once was. A hand-off
+// that finds none parked starts a gatherer, which parks after its call
+// unless maxParked others already are.
+const maxParked = 64
+
+// handOff has call i of f ended by a parked gatherer or, when none is
+// parked, by a fresh one.
+func (d *Dispatcher) handOff(f *fanout, i int, t Endpoint) {
+	j := gatherJob{f, i, t}
+	select {
+	case d.jobs <- j:
+	default:
+		counted := d.enter()
+		go d.gatherer(j, counted)
+	}
+}
+
+// gatherer ends the call it was started for, then each call handed to
+// it while parked, until Close or until maxParked others are parked.
+// counted says whether Close waits for it (enter).
+func (d *Dispatcher) gatherer(j gatherJob, counted bool) {
+	if counted {
+		defer d.wg.Done()
+	}
+	for {
+		// The receiver can recycle j.f the moment the last reply is in,
+		// so nothing here touches it after the send.
+		j.f.ch <- indexed{j.i, j.f.end(j.i, j.t)}
+		if d.parked.Add(1) > maxParked {
+			d.parked.Add(-1)
+			return
+		}
+		select {
+		case j = <-d.jobs:
+			d.parked.Add(-1)
+		case <-d.quit:
+			d.parked.Add(-1)
+			return
+		}
+	}
 }
 
 // doSequential implements §4.2 mode 4: releases execute one at a time;

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,7 +26,8 @@ import (
 // Failure isolation and fidelity of the scatter/gather fan-out, against
 // a real wire.Client over in-memory pipes: what one release does —
 // answer late, never answer, stop reading — shows in that release's
-// reply and in no other's. The failure mode of each test is a schedule,
+// reply and in no other's, on fresh gatherers and again on the ones the
+// first dispatch left parked. The failure mode of each test is a schedule,
 // not a value, so the bounds are an order of magnitude wide and CI runs
 // them repeatedly under the race detector.
 
@@ -182,6 +184,7 @@ func (o outcomeCopy) reply(t *testing.T, release string) replyCopy {
 // channel.
 type scatterRig struct {
 	*pipeFleet
+	begin    func(ctx context.Context, url, ct string, body []byte) wire.Call
 	d        *Dispatcher
 	outcomes chan outcomeCopy
 }
@@ -192,6 +195,7 @@ func newScatterRig(t *testing.T, releases map[string]*pipeRelease,
 	if begin == nil {
 		begin = beginOnce(rig.wc)
 	}
+	rig.begin = begin
 	rig.d = New(Config{
 		Begin: begin,
 		OnOutcome: func(o Outcome) {
@@ -220,13 +224,41 @@ func (rig *scatterRig) outcome(t *testing.T) outcomeCopy {
 }
 
 // warmUp runs one dispatch that every release answers at once, leaving
-// one idle connection per release.
+// one idle connection per release. It runs on a dispatcher of its own,
+// closed before it returns, so that rig.d's gatherers are only those its
+// own dispatches started.
 func (rig *scatterRig) warmUp(t *testing.T, eps []Endpoint) {
 	t.Helper()
-	if _, err := rig.d.Do(baseRequest(eps, ModeReliability)); err != nil {
+	d := New(Config{Begin: rig.begin})
+	defer d.Close()
+	winner, err := d.Do(baseRequest(eps, ModeReliability))
+	if err != nil {
 		t.Fatalf("warm-up dispatch: %v", err)
 	}
-	rig.outcome(t)
+	winner.Buf.Release()
+}
+
+// rounds is how many dispatches each isolation test makes on one
+// dispatcher: the first starts its gatherers, the second hands its calls
+// to them, parked (awaitParked) since the first.
+const rounds = 2
+
+// awaitParked waits until the gatherers a dispatch of n targets in mode
+// hands calls to are parked on d, so that the next such dispatch reuses
+// them rather than starting its own.
+func awaitParked(t *testing.T, d *Dispatcher, mode Mode, n int) {
+	t.Helper()
+	want := int32(n)
+	if mode == ModeReliability {
+		want-- // Do ends the first call itself
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for d.parked.Load() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d gatherers parked, want %d", d.parked.Load(), want)
+		}
+		runtime.Gosched()
+	}
 }
 
 func endpoints(hosts ...string) []Endpoint {
@@ -248,15 +280,20 @@ func TestScatterLatencyIsPerRelease(t *testing.T) {
 			}, nil)
 			eps := endpoints(order...)
 			rig.warmUp(t, eps)
-			if _, err := rig.d.Do(baseRequest(eps, ModeReliability)); err != nil {
-				t.Fatal(err)
-			}
-			o := rig.outcome(t)
-			if fast := o.reply(t, "fast"); !fast.responded || fast.latency >= 10*time.Millisecond {
-				t.Fatalf("fast release: responded %v, latency %v, want under 10ms", fast.responded, fast.latency)
-			}
-			if slow := o.reply(t, "slow"); !slow.responded || slow.latency < 30*time.Millisecond {
-				t.Fatalf("slow release: responded %v, latency %v, want at least 30ms", slow.responded, slow.latency)
+			for round := range rounds {
+				if round > 0 {
+					awaitParked(t, rig.d, ModeReliability, len(eps))
+				}
+				if _, err := rig.d.Do(baseRequest(eps, ModeReliability)); err != nil {
+					t.Fatal(err)
+				}
+				o := rig.outcome(t)
+				if fast := o.reply(t, "fast"); !fast.responded || fast.latency >= 10*time.Millisecond {
+					t.Fatalf("round %d: fast release: responded %v, latency %v, want under 10ms", round, fast.responded, fast.latency)
+				}
+				if slow := o.reply(t, "slow"); !slow.responded || slow.latency < 30*time.Millisecond {
+					t.Fatalf("round %d: slow release: responded %v, latency %v, want at least 30ms", round, slow.responded, slow.latency)
+				}
 			}
 		})
 	}
@@ -272,21 +309,26 @@ func TestScatterTimeoutIsPerRelease(t *testing.T) {
 				"prompt": newPipeRelease(t, 0, false),
 			}, nil)
 			eps := endpoints(order...)
-			rig.warmUp(t, eps)
-			req := baseRequest(eps, ModeReliability)
-			req.Timeout = 150 * time.Millisecond
-			winner, err := rig.d.Do(req)
-			if err != nil || winner.Release != "prompt" {
-				t.Fatalf("winner %q, err %v", winner.Release, err)
-			}
-			winner.Buf.Release()
-			o := rig.outcome(t)
-			if p := o.reply(t, "prompt"); !p.responded || p.latency >= 50*time.Millisecond {
-				t.Fatalf("prompt release: responded %v, latency %v (err %v)", p.responded, p.latency, p.err)
-			}
-			m := o.reply(t, "mute")
-			if m.responded || !errors.Is(m.err, context.DeadlineExceeded) {
-				t.Fatalf("mute release: responded %v, err %v, want a timeout", m.responded, m.err)
+			for round := range rounds {
+				if round > 0 {
+					awaitParked(t, rig.d, ModeReliability, len(eps))
+				}
+				rig.warmUp(t, eps) // the timeout closed mute's connection
+				req := baseRequest(eps, ModeReliability)
+				req.Timeout = 150 * time.Millisecond
+				winner, err := rig.d.Do(req)
+				if err != nil || winner.Release != "prompt" {
+					t.Fatalf("round %d: winner %q, err %v", round, winner.Release, err)
+				}
+				winner.Buf.Release()
+				o := rig.outcome(t)
+				if p := o.reply(t, "prompt"); !p.responded || p.latency >= 50*time.Millisecond {
+					t.Fatalf("round %d: prompt release: responded %v, latency %v (err %v)", round, p.responded, p.latency, p.err)
+				}
+				m := o.reply(t, "mute")
+				if m.responded || !errors.Is(m.err, context.DeadlineExceeded) {
+					t.Fatalf("round %d: mute release: responded %v, err %v, want a timeout", round, m.responded, m.err)
+				}
 			}
 		})
 	}
@@ -305,26 +347,31 @@ func TestScatterStalledReaderIsIsolated(t *testing.T) {
 				"healthy": newPipeRelease(t, 0, false),
 			}, nil)
 			eps := endpoints("deaf", "healthy") // the stalled one is written first
-			rig.warmUp(t, eps)
-			req := baseRequest(eps, mode)
-			req.Envelope = big
-			req.Timeout = 500 * time.Millisecond
-			start := time.Now()
-			winner, err := rig.d.Do(req)
-			delivered := time.Since(start)
-			if err != nil || winner.Release != "healthy" {
-				t.Fatalf("winner %q, err %v", winner.Release, err)
-			}
-			winner.Buf.Release()
-			if mode == ModeResponsiveness && delivered >= req.Timeout/2 {
-				t.Fatalf("delivery took %v: the healthy release waited for the stalled one", delivered)
-			}
-			o := rig.outcome(t)
-			if h := o.reply(t, "healthy"); !h.responded || h.latency >= req.Timeout/2 {
-				t.Fatalf("healthy release: responded %v, latency %v (err %v)", h.responded, h.latency, h.err)
-			}
-			if d := o.reply(t, "deaf"); d.responded || !errors.Is(d.err, context.DeadlineExceeded) {
-				t.Fatalf("deaf release: responded %v, err %v, want a timeout", d.responded, d.err)
+			for round := range rounds {
+				if round > 0 {
+					awaitParked(t, rig.d, mode, len(eps))
+				}
+				rig.warmUp(t, eps) // the timeout closed deaf's connection
+				req := baseRequest(eps, mode)
+				req.Envelope = big
+				req.Timeout = 500 * time.Millisecond
+				start := time.Now()
+				winner, err := rig.d.Do(req)
+				delivered := time.Since(start)
+				if err != nil || winner.Release != "healthy" {
+					t.Fatalf("round %d: winner %q, err %v", round, winner.Release, err)
+				}
+				winner.Buf.Release()
+				if mode == ModeResponsiveness && delivered >= req.Timeout/2 {
+					t.Fatalf("round %d: delivery took %v: the healthy release waited for the stalled one", round, delivered)
+				}
+				o := rig.outcome(t)
+				if h := o.reply(t, "healthy"); !h.responded || h.latency >= req.Timeout/2 {
+					t.Fatalf("round %d: healthy release: responded %v, latency %v (err %v)", round, h.responded, h.latency, h.err)
+				}
+				if d := o.reply(t, "deaf"); d.responded || !errors.Is(d.err, context.DeadlineExceeded) {
+					t.Fatalf("round %d: deaf release: responded %v, err %v, want a timeout", round, d.responded, d.err)
+				}
 			}
 		})
 	}
@@ -356,7 +403,7 @@ func TestScatterConsumerGoneBetweenScatterAndGather(t *testing.T) {
 					if !armed.Load() {
 						return call
 					}
-					if begun.Add(1) == n {
+					if begun.Add(1)%n == 0 {
 						cancel() // scatter complete, gather not started
 					}
 					return wire.Deferred(func() (httpx.Result, error) {
@@ -365,42 +412,120 @@ func TestScatterConsumerGoneBetweenScatterAndGather(t *testing.T) {
 					})
 				})
 			eps := endpoints(hosts...)
-			rig.warmUp(t, eps)
-
-			var parent context.Context
-			parent, cancel = context.WithCancel(context.Background())
-			defer cancel()
-			armed.Store(true)
-			req := baseRequest(eps, mode)
-			req.Parent = parent
-			req.Timeout = time.Hour
-			start := time.Now()
-			_, err := rig.d.Do(req)
-			if !errors.Is(err, adjudicate.ErrNoResponses) {
-				t.Fatalf("err = %v, want no responses", err)
-			}
-			if elapsed := time.Since(start); elapsed > 5*time.Second {
-				t.Fatalf("dispatch outlived its consumer by %v", elapsed)
-			}
-			o := rig.outcome(t)
-			if !o.consumerGone {
-				t.Fatal("aborted outcome not flagged ConsumerGone")
-			}
-			for _, r := range o.replies {
-				if r.responded || !errors.Is(r.err, context.Canceled) {
-					t.Fatalf("release %s: responded %v, err %v, want the consumer's cancellation", r.release, r.responded, r.err)
+			for round := range rounds {
+				if round > 0 {
+					awaitParked(t, rig.d, mode, n)
+				}
+				armed.Store(false)
+				rig.warmUp(t, eps) // the cancellation closed every connection
+				var parent context.Context
+				parent, cancel = context.WithCancel(context.Background())
+				armed.Store(true)
+				req := baseRequest(eps, mode)
+				req.Parent = parent
+				req.Timeout = time.Hour
+				start := time.Now()
+				_, err := rig.d.Do(req)
+				cancel()
+				if !errors.Is(err, adjudicate.ErrNoResponses) {
+					t.Fatalf("round %d: err = %v, want no responses", round, err)
+				}
+				if elapsed := time.Since(start); elapsed > 5*time.Second {
+					t.Fatalf("round %d: dispatch outlived its consumer by %v", round, elapsed)
+				}
+				o := rig.outcome(t)
+				if !o.consumerGone {
+					t.Fatalf("round %d: aborted outcome not flagged ConsumerGone", round)
+				}
+				for _, r := range o.replies {
+					if r.responded || !errors.Is(r.err, context.Canceled) {
+						t.Fatalf("round %d: release %s: responded %v, err %v, want the consumer's cancellation", round, r.release, r.responded, r.err)
+					}
 				}
 			}
 			if err := rig.d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if b, e := begun.Load(), ended.Load(); b != n || e != n {
-				t.Fatalf("%d calls begun, %d ended, want %d each", b, e, n)
+			if b, e := begun.Load(), ended.Load(); b != rounds*n || e != rounds*n {
+				t.Fatalf("%d calls begun, %d ended, want %d each", b, e, rounds*n)
 			}
 			_ = rig.wc.Close()
 			if out := rig.checkedOut(); out != 0 {
 				t.Fatalf("%d connections still checked out after Close", out)
 			}
 		})
+	}
+}
+
+// (e) Close races fan-outs in flight, and one more dispatch begins after
+// Close has returned: nothing panics, the dispatcher's WaitGroup
+// included; every begun call is ended exactly once; no gatherer or
+// collector outlives the dispatches; and a second Close does nothing.
+func TestCloseRacesFanOuts(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	var begun, ended, endedTwice, completed atomic.Int64
+	d := New(Config{
+		Begin: func(context.Context, string, string, []byte) wire.Call {
+			begun.Add(1)
+			var once atomic.Bool
+			return wire.Deferred(func() (httpx.Result, error) {
+				if once.Swap(true) {
+					endedTwice.Add(1)
+				}
+				ended.Add(1)
+				runtime.Gosched() // let Close in between calls
+				return httpx.Result{Status: http.StatusOK, Body: okEnvelope()}, nil
+			})
+		},
+		OnOutcome: func(Outcome) { completed.Add(1) },
+	})
+	const clients, perClient, n = 4, 200, 3
+	var (
+		dispatched atomic.Int64
+		wg         sync.WaitGroup
+	)
+	do := func(mode Mode) {
+		winner, err := d.Do(baseRequest(targets(n), mode))
+		dispatched.Add(1)
+		if err != nil {
+			t.Errorf("%v dispatch: %v", mode, err)
+			return
+		}
+		winner.Buf.Release()
+	}
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				// Responsiveness delivers early and finishes on a collector.
+				do([]Mode{ModeReliability, ModeResponsiveness}[i%2])
+			}
+		}()
+	}
+	for dispatched.Load() < clients*perClient/4 {
+		runtime.Gosched()
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	do(ModeReliability)
+	if err := d.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for completed.Load() < dispatched.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d dispatches completed", completed.Load(), dispatched.Load())
+		}
+		runtime.Gosched()
+	}
+	if b, e, want := begun.Load(), ended.Load(), n*dispatched.Load(); b != want || e != want {
+		t.Fatalf("%d calls begun, %d ended, want %d each", b, e, want)
+	}
+	if twice := endedTwice.Load(); twice != 0 {
+		t.Fatalf("%d calls ended twice", twice)
 	}
 }

@@ -102,6 +102,7 @@ type demand struct {
 	targets, arrivals int
 	holding           bool // the clock waits for the consumer's response
 	written, served   bool
+	recorded          bool // the engine has logged the demand's outcome
 }
 
 func newHarness(script func(*xrand.Rand) demandScript, seed uint64) *harness {
@@ -114,7 +115,7 @@ func newHarness(script func(*xrand.Rand) demandScript, seed uint64) *harness {
 // Begin, the virtual clock, ground-truth judging and the seeded pick.
 func (h *harness) engine(cfg core.Config) (*core.Engine, error) {
 	cfg.Releases = []core.Endpoint{{Version: "1", URL: releaseURLs[0]}, {Version: "2", URL: releaseURLs[1]}}
-	cfg.Begin, cfg.Clock = h.begin, h
+	cfg.Begin, cfg.Clock, cfg.Store = h.begin, h, h
 	cfg.Oracle, cfg.Adjudicator = oracle.Header{}, h.pick
 	h.mode, h.quorum = cmp.Or(cfg.Mode, core.ModeReliability), cmp.Or(cfg.Quorum, 1)
 	return core.New(cfg)
@@ -343,9 +344,19 @@ func (w *consumer) classify(script demandScript) relmodel.OutcomeKind {
 	return relmodel.EvidentFailure
 }
 
+// Write implements io.Writer: the harness is the engine's event-log
+// sink, so it learns when a demand's outcome is recorded. The engine
+// stamps the record from the clock after the demand's deadline has
+// stopped; serve waits for it, or a collector that finishes after
+// delivery could read the clock into the next demand.
+func (h *harness) Write(p []byte) (int, error) {
+	h.locked(func() { h.d.recorded = true })
+	return len(p), nil
+}
+
 // serve drives the next scripted demand through e until the engine is
 // done with the clock: the response written, every call ended and
-// stamped, every deadline stopped or fired.
+// stamped, every deadline stopped or fired, the outcome recorded.
 func (h *harness) serve(e *core.Engine) (*consumer, error) {
 	w := &consumer{ResponseRecorder: httptest.NewRecorder(), h: h}
 	r := &http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/"},
@@ -371,7 +382,7 @@ func (h *harness) serve(e *core.Engine) (*consumer, error) {
 		switch {
 		case settled && len(h.parked) > 0:
 			h.advance()
-		case settled && h.d.served && len(h.armed) == 0:
+		case settled && h.d.served && h.d.recorded && len(h.armed) == 0:
 			w.kind = w.classify(h.d.script)
 			return w, nil
 		default:
