@@ -216,6 +216,41 @@ func TestOnReleaseChangePanicContained(t *testing.T) {
 	}
 }
 
+// A release added to a switched engine restarts the campaign in
+// Observation in the same published state: one transition, NewOnly →
+// Observation, caused by the topology change, and no published state in
+// which the unvetted newcomer is the only target.
+func TestAddReleaseRestartsObservation(t *testing.T) {
+	e, err := New(campaignTestConfig(PhaseNewOnly))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var trs []lifecycle.Transition
+	e.OnTransition(func(tr lifecycle.Transition) { trs = append(trs, tr) })
+	// Hooks fire synchronously after each publication; the release hook
+	// sees the state that carried the newcomer in.
+	var published [][]Endpoint
+	e.OnReleaseChange(func(bool, Endpoint) { published = append(published, e.state.Load().targets) })
+
+	if err := e.AddRelease(Endpoint{Version: "3.0", URL: "http://127.0.0.1:1/v3"}); err != nil {
+		t.Fatal(err)
+	}
+	want := lifecycle.Transition{From: PhaseNewOnly, To: PhaseObservation, Cause: lifecycle.CauseTopology}
+	if len(trs) != 1 || trs[0] != want {
+		t.Fatalf("transitions %+v, want exactly %+v", trs, want)
+	}
+	if len(published) != 1 {
+		t.Fatalf("release hook fired %d times, want 1", len(published))
+	}
+	if targets := published[0]; len(targets) == 1 && targets[0].Version == "3.0" {
+		t.Fatalf("a state was published with the newcomer as sole target: %+v", targets)
+	}
+	if p, n := e.Phase(), len(e.state.Load().targets); p != PhaseObservation || n != 3 {
+		t.Fatalf("after AddRelease: phase %v with %d targets, want observation with 3", p, n)
+	}
+}
+
 // The full loop: journal attached, campaign advances, process "dies"
 // (writer closed), journal reopened, new engine restored — phase and
 // posterior must match the last snapshot plus the replayed transitions.

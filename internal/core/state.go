@@ -252,13 +252,20 @@ func (e *Engine) Releases() []Endpoint {
 	return append([]Endpoint(nil), e.state.Load().releases...)
 }
 
-// AddRelease deploys a release online; it becomes the newest.
+// AddRelease deploys a release online; it becomes the newest. §3.2: a
+// new release is deployed but unused until it has earned confidence,
+// and PhaseNewOnly serves the newest release alone, so adding to a
+// switched engine restarts the campaign in PhaseObservation — in the
+// same published state, so no demand ever reaches the newcomer alone.
 func (e *Engine) AddRelease(ep Endpoint) error {
 	return e.updateState(lifecycle.CauseTopology, func(s *engineState) error {
 		if err := checkRelease(s.releases, ep); err != nil {
 			return err
 		}
 		s.releases = append(s.releases, ep)
+		if s.phase == PhaseNewOnly {
+			s.phase = PhaseObservation
+		}
 		return nil
 	})
 }

@@ -472,20 +472,11 @@ func (f *Fleet) NotificationHandler() http.Handler {
 			w.WriteHeader(http.StatusOK)
 			return
 		}
+		// A unit resting in NewOnly restarts in Observation: AddRelease
+		// never serves the unvetted newcomer alone.
 		err = u.engine.AddRelease(core.Endpoint{Version: entry.Version, URL: entry.URL})
 		switch {
 		case err == nil:
-			// §3.2/§7.2: a freshly published release is "deployed but
-			// unused" until it has earned confidence. A unit resting in
-			// NewOnly would otherwise serve the unvetted newcomer with
-			// 100% of its traffic (NewOnly targets the newest release),
-			// so deployment restarts the campaign in Observation: the
-			// proven release keeps delivering while the new one is
-			// observed back-to-back. (Racing managers may move the
-			// phase concurrently; their transition wins.)
-			if u.engine.Phase() == core.PhaseNewOnly {
-				_ = u.engine.SetPhase(core.PhaseObservation)
-			}
 			w.WriteHeader(http.StatusOK)
 		case errors.Is(err, core.ErrBadConfig):
 			// Duplicate or malformed: the notification is not retryable.

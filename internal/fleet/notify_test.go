@@ -3,10 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"encoding/xml"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"wsupgrade/internal/core"
@@ -77,10 +79,12 @@ func TestRegistryNotificationFanIn(t *testing.T) {
 
 	// A unit resting in NewOnly must not hand its traffic to a freshly
 	// notified, unvetted release: deployment restarts the campaign in
-	// Observation (the proven release keeps delivering, §3.2).
+	// Observation, where the oldest release delivers (§3.2) while the
+	// newcomer is observed back-to-back.
 	if err := flights.Engine().SetPhase(core.PhaseNewOnly); err != nil {
 		t.Fatal(err)
 	}
+	check := watchRestart(t, fl, flights)
 	_, f2 := startRelease(t, "1.2", service.FaultPlan{})
 	if err := client.Publish(ctx, registry.Entry{
 		Name: "flights", Version: f2.Version, URL: f2.URL,
@@ -90,9 +94,7 @@ func TestRegistryNotificationFanIn(t *testing.T) {
 	if got := len(flights.Engine().Releases()); got != 3 {
 		t.Fatalf("flights releases after notification = %d", got)
 	}
-	if p := flights.Engine().Phase(); p != core.PhaseObservation {
-		t.Fatalf("NewOnly unit serving an unvetted release: phase = %v", p)
-	}
+	check()
 
 	// A duplicate notification conflicts (409) but changes nothing.
 	resp, err := http.Post(ts.URL+"/fleet/notify", "text/xml",
@@ -133,4 +135,61 @@ func TestFleetOnTransition(t *testing.T) {
 	if tr.Unit != "hotels" || tr.To != core.PhaseNewOnly || tr.Cause != lifecycle.CauseManual {
 		t.Fatalf("transition = %+v", tr)
 	}
+}
+
+// watchRestart observes a NewOnly unit about to gain a release. The
+// returned check asserts that the deployment restarted the campaign in
+// one step: exactly one transition, NewOnly → Observation with cause
+// topology, and the state that carried the newcomer in already in
+// Observation, so no demand could reach the newcomer alone.
+func watchRestart(t *testing.T, fl *Fleet, u *Unit) (check func()) {
+	t.Helper()
+	var mu sync.Mutex
+	var trs []lifecycle.Transition
+	var atAdd []core.Phase
+	fl.OnTransition(func(tr lifecycle.Transition) {
+		mu.Lock()
+		defer mu.Unlock()
+		if tr.Unit == u.Name() {
+			trs = append(trs, tr)
+		}
+	})
+	u.Engine().OnReleaseChange(func(bool, core.Endpoint) {
+		mu.Lock()
+		defer mu.Unlock()
+		atAdd = append(atAdd, u.Engine().Phase())
+	})
+	return func() {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		want := lifecycle.Transition{Unit: u.Name(), From: core.PhaseNewOnly, To: core.PhaseObservation, Cause: lifecycle.CauseTopology}
+		if len(trs) != 1 || trs[0] != want {
+			t.Fatalf("transitions %+v, want exactly %+v", trs, want)
+		}
+		if len(atAdd) != 1 || atAdd[0] != core.PhaseObservation {
+			t.Fatalf("phase when the release joined: %v, want [observation]", atAdd)
+		}
+	}
+}
+
+// The admin API's release deployment restarts a switched unit exactly as
+// the registry notification does.
+func TestAdminAddReleaseRestartsObservation(t *testing.T) {
+	fl, ts := twoUnitFleet(t, nil)
+	hotels, err := fl.Unit("hotels")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hotels.Engine().SetPhase(core.PhaseNewOnly); err != nil {
+		t.Fatal(err)
+	}
+	check := watchRestart(t, fl, hotels)
+	_, extra := startRelease(t, "1.2", service.FaultPlan{})
+	body, err := json.Marshal(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	postJSON(t, ts.URL+"/fleet/units/hotels/releases", string(body), http.StatusOK)
+	check()
 }

@@ -178,7 +178,8 @@ const (
 	// CausePolicy: the automatic Bayesian switch policy fired.
 	CausePolicy
 	// CauseTopology: a release-set change forced the phase (removing
-	// below two releases collapses the multi-release phases to NewOnly).
+	// below two releases collapses the multi-release phases to NewOnly;
+	// adding a release to a NewOnly engine restarts Observation).
 	CauseTopology
 	// CauseRecovery: a restarted mediator restored the phase from its
 	// campaign journal (the restart is itself an observable, journaled

@@ -240,8 +240,9 @@ func (d *deployment) engine(name string) *core.Engine {
 	return u.Engine()
 }
 
-// whiteBox is the scenario-scale inference grid: coarser than the
-// examples' for speed, still plenty for ±0.05 confidence assertions.
+// whiteBox is the scenario-scale inference grid: coarser than the root
+// package Examples' for speed, still plenty for ±0.05 confidence
+// assertions.
 func whiteBox() *bayes.WhiteBoxConfig {
 	prior := stats.ScaledBeta{Alpha: 1, Beta: 3, Upper: 0.3}
 	return &bayes.WhiteBoxConfig{

@@ -21,8 +21,8 @@
 //     the paper, the §5.2 availability/performance study on the engine
 //     itself.
 //
-// See examples/ for runnable end-to-end scenarios and DESIGN.md for the
-// per-experiment index.
+// The package's Examples run the paper's scenarios end to end on
+// loopback listeners; DESIGN.md has the per-experiment index.
 package wsupgrade
 
 import (
@@ -44,7 +44,6 @@ import (
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/stats"
-	"wsupgrade/internal/wire"
 	"wsupgrade/internal/wsdl"
 )
 
@@ -118,23 +117,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
 // (EngineConfig.Retry) and bounds release response bodies via
 // MaxResponseBytes.
 type RetryPolicy = httpx.RetryPolicy
-
-// WireClient is the release-call transport of every engine: a lean
-// HTTP/1.1 client with per-endpoint persistent connection pools, pooled
-// request/response state, precomputed header prefixes, and bounded
-// reads — see internal/wire. It speaks http:// natively and hands any
-// other scheme (https) to its net/http fallback, which is
-// EngineConfig.HTTP (FleetConfig.HTTP for a fleet's shared pool) — the
-// place for TLS certificates and credentials. Engines and fleets build
-// their own unless EngineConfig.Begin injects a shared one's Begin.
-type WireClient = wire.Client
-
-// WireOptions parameterizes a WireClient.
-type WireOptions = wire.Options
-
-// NewWireClient builds a wire transport, e.g. to share one connection
-// pool across several independently constructed engines.
-func NewWireClient(opts WireOptions) *WireClient { return wire.NewClient(opts) }
 
 // NewPooledClient returns an HTTP client whose transport is tuned for
 // the middleware's traffic shape: keep-alive fan-out to a small set of
