@@ -26,8 +26,8 @@ var allocCeilings = []struct {
 	{"EngineInProcess/observation-large", 3},
 	{"EngineInProcess/observation-publish", 3},
 	{"EngineInProcess/observation-publish-warm", 3},
-	{"EngineInProcess/live-shape-oldonly", 2},
-	{"EngineInProcess/live-shape-parallel", 2},
+	{"EngineInProcess/live-shape-oldonly", 0},
+	{"EngineInProcess/live-shape-parallel", 0},
 	{"FleetInProcess/fleet-routed", 0},
 	{"FleetInProcess/fleet-routed-json", 0},
 	{"WhiteBoxPosterior/scenario-grid-n0", 2},

@@ -730,8 +730,10 @@ var engineInProcessRows = []benchRow{
 	// take: consecutive replies on a connection carry different header
 	// blocks (liveShapeStub), and the demand's context can be cancelled,
 	// as net/http's always can. Whatever a release call does per reply
-	// header or per cancellable exchange shows here; what is left is the
-	// one context.AfterFunc a demand pays to follow its consumer.
+	// header or per cancellable exchange shows here. The demand ends
+	// inside dispatch's watch tick, so it never watches its consumer and
+	// the row pins 0: a demand that does not outlive the tick allocates
+	// nothing to follow its consumer.
 	liveShapeRow("live-shape-oldonly", PhaseOldOnly),
 	liveShapeRow("live-shape-parallel", PhaseParallel),
 

@@ -38,8 +38,10 @@
 // Units are served under "/<name>/" (or dedicated virtual hosts via
 // "hosts"), with the JSON admin API under /fleet/ (per-unit status,
 // SetPhase, SetMode, release add/remove, confidence) and the registry
-// upgrade-notification fan-in at /fleet/notify; -journal-dir keeps each
-// unit's campaign in <dir>/<name>.journal.
+// upgrade-notification fan-in at /fleet/notify, and, when an admin
+// token is set, the process's runtime/pprof profiles at
+// /fleet/debug/pprof/; -journal-dir keeps each unit's campaign in
+// <dir>/<name>.journal.
 //
 // On SIGINT/SIGTERM the server drains in-flight requests via
 // http.Server.Shutdown (bounded by -drain), then closes the fleet: every
@@ -364,6 +366,9 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	var handler http.Handler = f
+	if cfg.AdminToken != "" {
+		handler = withProfiles(f, cfg.AdminToken)
+	}
 	banner := fmt.Sprintf("hosting %d upgrade units on %s", len(cfg.Units), *addr)
 	if *fleetPath == "" {
 		// A fleet of one: the unit's own surface is the whole listener.

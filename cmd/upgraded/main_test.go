@@ -206,3 +206,83 @@ func TestFleetModeServesUnitsAndAdmin(t *testing.T) {
 		t.Fatal("fleet run never drained")
 	}
 }
+
+// A fleet started with an admin token serves the process's profiles
+// behind it, and passes everything else to the fleet, whose admin API
+// keeps its own guard; without a token there are no profiles. The
+// binary forms are gzipped protobuf, what go tool pprof reads.
+func TestFleetModeServesProfilesOnlyWithToken(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	cfg := `{"units": [{"name": "flights", "criterion": 0,
+		"releases": [{"version": "1.0", "url": "http://127.0.0.1:1"},
+		             {"version": "1.1", "url": "http://127.0.0.1:1"}]}]}`
+	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	get := func(base, path, token string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if token != "" {
+			req.Header.Set("Authorization", "Bearer "+token)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	const gzipMagic = "\x1f\x8b"
+
+	stop := func(cancel context.CancelFunc, errCh chan error) {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-errCh:
+			if err != nil {
+				t.Fatalf("shutdown returned %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("run never drained")
+		}
+	}
+
+	guarded, cancel, errCh := startRun(t, []string{"-fleet", path, "-admin-token", "s3cret"})
+	defer cancel()
+	for _, c := range []struct{ path, prefix, contains string }{
+		{"/fleet/debug/pprof/", "", "goroutine?debug=1"},
+		{"/fleet/debug/pprof/heap?debug=1", "", "# runtime.MemStats"},
+		{"/fleet/debug/pprof/heap", gzipMagic, ""},
+		{"/fleet/debug/pprof/profile?seconds=1", gzipMagic, ""},
+		{"/fleet/units", "", `"flights"`},
+	} {
+		if code, _ := get(guarded, c.path, ""); code != http.StatusUnauthorized {
+			t.Fatalf("%s without the token = %d, want 401", c.path, code)
+		}
+		code, body := get(guarded, c.path, "s3cret")
+		if code != http.StatusOK || !strings.HasPrefix(body, c.prefix) || !strings.Contains(body, c.contains) {
+			t.Fatalf("%s with the token = %d, body lacks %q…%q:\n%.300q", c.path, code, c.prefix, c.contains, body)
+		}
+	}
+	if code, _ := get(guarded, "/fleet/debug/pprof/nosuch", "s3cret"); code != http.StatusNotFound {
+		t.Fatalf("an unknown profile = %d, want 404", code)
+	}
+
+	stop(cancel, errCh)
+
+	open, cancel, errCh := startRun(t, []string{"-fleet", path})
+	defer cancel()
+	for _, p := range []string{"/fleet/debug/pprof/", "/fleet/debug/pprof/heap?debug=1", "/fleet/debug/pprof/profile?seconds=1"} {
+		if code, _ := get(open, p, ""); code != http.StatusNotFound {
+			t.Fatalf("%s on a fleet without a token = %d, want 404", p, code)
+		}
+	}
+	stop(cancel, errCh)
+}

@@ -9,8 +9,10 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,6 +128,92 @@ func TestConsumerCancelAbortsFastPath(t *testing.T) {
 	}
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("cancelled request delivered HTTP %d", rec.Code)
+	}
+}
+
+// A consumer that has hung up before the dispatch's watch tick, on
+// releases far slower than the tick: the fan-out is aborted at the tick,
+// as a consumer cancellation charged to neither release, and each
+// release connection is closed, not pooled — the release sees its
+// request cancelled rather than held to its own latency. A first demand,
+// answered at once, leaves both connections pooled for the aborted one.
+func TestConsumerCancelBeforeWatchTickAbortsFanOut(t *testing.T) {
+	const releaseLatency = 10 * time.Second
+	var (
+		slow           atomic.Bool
+		opened, closed atomic.Int64
+	)
+	reply := soap.EnvelopeRaw([]byte(`<addResponse><sum>3</sum></addResponse>`))
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		if !slow.Load() {
+			w.Header().Set("Content-Type", soap.ContentType)
+			_, _ = w.Write(reply)
+			return
+		}
+		select {
+		case <-r.Context().Done(): // the mediator closed the connection
+		case <-time.After(releaseLatency):
+		}
+	}))
+	backend.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		switch s {
+		case http.StateNew:
+			opened.Add(1)
+		case http.StateClosed:
+			closed.Add(1)
+		}
+	}
+	backend.Start()
+	defer backend.Close()
+
+	e, err := New(Config{
+		Releases: []Endpoint{
+			{Version: "1.0", URL: backend.URL},
+			{Version: "1.1", URL: backend.URL},
+		},
+		Oracle:  oracle.Header{},
+		Timeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	demand := func(ctx context.Context) *httptest.ResponseRecorder {
+		env := soap.EnvelopeRaw([]byte(`<addRequest><a>1</a><b>2</b></addRequest>`))
+		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(env)).WithContext(ctx)
+		req.Header.Set("Content-Type", soap.ContentType)
+		rec := httptest.NewRecorder()
+		e.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := demand(context.Background()); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up demand: HTTP %d: %s", rec.Code, rec.Body.String())
+	}
+
+	slow.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // gone before the first tick
+	start := time.Now()
+	rec := demand(ctx)
+	if elapsed := time.Since(start); elapsed > releaseLatency/2 {
+		t.Fatalf("dispatch outlived its consumer by %v", elapsed)
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("cancelled request delivered HTTP %d: %s", rec.Code, rec.Body.String())
+	}
+	for _, v := range []string{"1.0", "1.1"} {
+		if s, err := e.Stats(v); err != nil || s.Demands != 1 {
+			t.Fatalf("release %s: %+v (%v), want the warm-up demand only", v, s, err)
+		}
+	}
+	deadline := time.Now().Add(releaseLatency / 2)
+	for closed.Load() < opened.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d release connections opened, %d closed: an aborted exchange's connection was kept",
+				opened.Load(), closed.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

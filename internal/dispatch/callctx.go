@@ -13,6 +13,17 @@ import (
 // context.WithTimeout (a fresh timerCtx, timer, closure and done
 // channel per dispatch).
 //
+// The consumer watch is lazy. The context's one timer is first armed for
+// the earlier of the deadline and watchTick; a dispatch that is over
+// within the tick never looks at its parent, so it pays nothing for a
+// watch that could only matter to a demand still running. When the tick
+// fires first, onTimer re-arms the timer for the deadline and, unless
+// the context has been detached, cancels at once if the consumer has
+// already hung up, or else registers a context.AfterFunc on the parent.
+// A hang-up is thereby noticed within a tick; one that comes before the
+// tick of a dispatch that ends inside it is not noticed at all, and the
+// dispatch keeps its genuine outcome.
+//
 // Pooling discipline: the struct, its done channel and its timer are
 // reused across dispatches. The done channel can be reused because on
 // the common path nothing ever closes it — when every release call
@@ -33,27 +44,34 @@ import (
 // the exchanges under it itself, from cancel, under mu — so one that
 // UnwatchConn has taken back is never poisoned and may be pooled.
 type callCtx struct {
-	done  chan struct{} // created once per struct; closed at most once
-	timer Timer         // clock.AfterFunc(onTimeout); created on first arm, reused
-	clock Clock         // the clock that made timer
+	done chan struct{} // created once per struct; closed at most once
 
 	mu           sync.Mutex
+	timer        Timer // clock.AfterFunc(onTimer); created on first arm, reused
+	clock        Clock // the clock that made timer
 	err          error
 	consumerGone bool // cancellation came from the consumer's context
 	parent       context.Context
 	deadline     time.Time
 	conns        []interface{ Poison() } // of the exchanges in flight, one per target at most
 
-	stopParent func() bool // context.AfterFunc stop; nil when parent can't cancel
+	ticking  bool // the timer is armed for the watch tick, not the deadline
+	detached bool // detach ran: the tick arms no watch
+
+	stopParent func() bool // context.AfterFunc stop; nil until the tick arms the watch
 	// parentDirty records a detach() that could not stop the parent
 	// callback (it had already started): the struct must not be
 	// recycled, because the callback may still fire against it.
 	parentDirty bool
 
 	// Bound method values, created once so arming never allocates.
-	onTimeoutFn      func()
+	onTimerFn        func()
 	onParentCancelFn func()
 }
+
+// watchTick is how long a dispatch runs before its context starts
+// watching the consumer's: the bound on noticing a hang-up.
+const watchTick = time.Millisecond
 
 var _ context.Context = (*callCtx)(nil)
 
@@ -83,15 +101,15 @@ var callCtxPool sync.Pool
 
 // acquireCallCtx arms a pooled context: its deadline is clock's now plus
 // timeout, clipped to the parent's own deadline, and the parent's
-// cancellation (the consumer hanging up) propagates until detach or
-// release.
+// cancellation (the consumer hanging up) propagates from one watchTick
+// on until detach or release.
 //
 //wsu:owns return
 func acquireCallCtx(clock Clock, parent context.Context, timeout time.Duration) *callCtx {
 	c, _ := callCtxPool.Get().(*callCtx)
 	if c == nil {
 		c = &callCtx{done: make(chan struct{})}
-		c.onTimeoutFn = c.onTimeout
+		c.onTimerFn = c.onTimer
 		c.onParentCancelFn = c.onParentCancel
 	}
 	now := clock.Now()
@@ -101,42 +119,65 @@ func acquireCallCtx(clock Clock, parent context.Context, timeout time.Duration) 
 			dl = pd
 		}
 	}
+	arm := dl.Sub(now)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.parent = parent
 	c.deadline = dl
-	c.mu.Unlock()
-	c.parentDirty = false
+	c.ticking = parent != nil && arm > watchTick
+	if c.ticking {
+		arm = watchTick
+	}
+	c.detached, c.parentDirty = false, false
 	// A recycled context's timer is stopped; it is reused only on the
 	// clock that made it.
 	if c.timer == nil || c.clock != clock {
-		c.timer, c.clock = clock.AfterFunc(dl.Sub(now), c.onTimeoutFn), clock
+		c.timer, c.clock = clock.AfterFunc(arm, c.onTimerFn), clock
 	} else {
-		c.timer.Reset(dl.Sub(now))
-	}
-	if parent != nil && parent.Done() != nil {
-		c.stopParent = context.AfterFunc(parent, c.onParentCancelFn)
+		c.timer.Reset(arm)
 	}
 	return c
 }
 
-func (c *callCtx) onTimeout() { c.cancel(context.DeadlineExceeded, false) }
+// onTimer is the timer's callback: the deadline, or the watch tick.
+func (c *callCtx) onTimer() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.ticking {
+		c.cancel(context.DeadlineExceeded, false)
+		return
+	}
+	c.ticking = false
+	if c.parent == nil {
+		return // released while the tick fired; the struct is abandoned
+	}
+	c.timer.Reset(c.deadline.Sub(c.clock.Now()))
+	if c.detached {
+		return
+	}
+	// The cancellation is set under the lock that re-armed the timer, so
+	// release sees it and does not recycle the struct.
+	if err := c.parent.Err(); err != nil {
+		c.cancel(err, true)
+	} else if c.parent.Done() != nil {
+		c.stopParent = context.AfterFunc(c.parent, c.onParentCancelFn)
+	}
+}
 
 func (c *callCtx) onParentCancel() {
 	c.mu.Lock()
-	p := c.parent
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	err := context.Canceled
-	if p != nil {
-		if perr := p.Err(); perr != nil {
+	if c.parent != nil {
+		if perr := c.parent.Err(); perr != nil {
 			err = perr
 		}
 	}
 	c.cancel(err, true)
 }
 
+// cancel ends the context; c.mu is held.
 func (c *callCtx) cancel(err error, consumer bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.err != nil {
 		return
 	}
@@ -176,6 +217,9 @@ func (c *callCtx) UnwatchConn(cn interface{ Poison() }) {
 // monitoring work, bounded by the dispatch deadline only. A consumer
 // disconnect that already fired stays in effect.
 func (c *callCtx) detach() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.detached = true
 	if c.stopParent != nil {
 		if !c.stopParent() {
 			// The parent-cancel callback has already started: it may
@@ -192,20 +236,22 @@ func (c *callCtx) detach() {
 // consumer's own request context cancelled it. Must be called exactly
 // once, after the last user of the context has finished.
 //
+// Stop runs under c.mu: a timer it finds pending has no callback waiting
+// to run against this incarnation, since the tick re-arms it under c.mu.
+//
 //wsu:owns c
 //wsu:allow poolcheck -- dirty contexts (a callback ran or may still run) are left to the GC
 func (c *callCtx) release() (gone bool) {
-	parentQuiet := !c.parentDirty
+	c.mu.Lock()
+	quiet := c.timer.Stop() && !c.parentDirty && c.err == nil
 	if c.stopParent != nil {
-		parentQuiet = c.stopParent() && parentQuiet
+		quiet = c.stopParent() && quiet
 		c.stopParent = nil
 	}
-	timerQuiet := c.timer.Stop()
-	c.mu.Lock()
-	fired, gone := c.err != nil, c.consumerGone
+	gone = c.consumerGone
 	c.parent = nil
 	c.mu.Unlock()
-	if parentQuiet && timerQuiet && !fired {
+	if quiet {
 		callCtxPool.Put(c)
 	}
 	// Otherwise a cancellation callback ran — or may still be running —

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -64,22 +65,27 @@ func TestCallCtxParentDeadlineClips(t *testing.T) {
 	c.release()
 }
 
+// A detached context is cancelled by nothing but its deadline: not by
+// the consumer, at the watch tick or later, and the tick still re-arms
+// the deadline. A stray propagation would end it first, at the tick,
+// with context.Canceled; however late the runner wakes, the first
+// cancellation is what Err reports.
 func TestCallCtxDetachSurvivesParentCancel(t *testing.T) {
 	parent, cancel := context.WithCancel(context.Background())
-	c := acquireCallCtx(wallClock{}, parent, time.Hour)
+	c := acquireCallCtx(wallClock{}, parent, 50*time.Millisecond)
 	c.detach()
 	cancel()
-	// Give a stray propagation a chance to fire wrongly.
-	time.Sleep(20 * time.Millisecond)
 	select {
 	case <-c.Done():
-		t.Fatal("detached context still cancelled by parent")
-	default:
+	case <-time.After(2 * time.Second):
+		t.Fatal("detached context lost its deadline")
 	}
-	if c.Err() != nil {
-		t.Fatalf("err = %v", c.Err())
+	if !errors.Is(c.Err(), context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline: detached context cancelled by parent", c.Err())
 	}
-	c.release()
+	if c.release() {
+		t.Fatal("deadline misreported as consumer cancellation")
+	}
 }
 
 func TestCallCtxValueDelegatesToParent(t *testing.T) {
@@ -135,15 +141,41 @@ func TestCallCtxFiredContextNotRecycledDirty(t *testing.T) {
 // A consumer disconnect racing detach() must never poison the pool: if
 // the parent-cancel callback already started when detach stopped the
 // propagation, the struct may not be recycled — a stale callback firing
-// against the next dispatch's context would spuriously cancel it.
+// against the next dispatch's context would spuriously cancel it. The
+// eager clock's tick arms the watch at once; then the hang-up and detach
+// race, each held back by a varying amount, so the parent callback has
+// started before detach in some iterations and is stopped by it in
+// others.
 func TestCallCtxDetachRaceDoesNotPoisonPool(t *testing.T) {
-	for i := 0; i < 500; i++ {
+	const iterations = 500
+	var started, stopped int
+	for i := 0; i < iterations; i++ {
 		parent, cancel := context.WithCancel(context.Background())
-		c := acquireCallCtx(wallClock{}, parent, time.Hour)
-		go cancel() // races the detach below
+		c := acquireCallCtx(eagerClock{}, parent, time.Hour)
+		hungUp := make(chan struct{})
+		go func() {
+			defer close(hungUp)
+			awaitWatch(c)
+			for spin := i % 4; spin > 0; spin-- {
+				runtime.Gosched()
+			}
+			cancel() // races the detach below
+		}()
+		awaitWatch(c)
+		for spin := (i % 64) * 16; spin > 0; spin-- {
+			_ = parent.Err()
+		}
 		c.detach()
+		<-hungUp
+		c.mu.Lock()
+		if c.parentDirty {
+			started++
+		} else {
+			stopped++
+		}
+		c.mu.Unlock()
 		c.release()
-		next := acquireCallCtx(wallClock{}, context.Background(), time.Hour)
+		next := acquireCallCtx(eagerClock{}, context.Background(), time.Hour)
 		time.Sleep(20 * time.Microsecond) // let any stale callback land
 		if err := next.Err(); err != nil {
 			t.Fatalf("iteration %d: recycled context cancelled by stale parent callback: %v", i, err)
@@ -154,6 +186,69 @@ func TestCallCtxDetachRaceDoesNotPoisonPool(t *testing.T) {
 		default:
 		}
 		next.release()
+	}
+	t.Logf("parent callback started before detach %d times, stopped by it %d times", started, stopped)
+	if started == 0 || stopped == 0 {
+		t.Fatalf("the race went one way only: %d started, %d stopped", started, stopped)
+	}
+}
+
+// awaitWatch waits until c's tick has fired and armed the watch, or
+// found the consumer gone.
+func awaitWatch(c *callCtx) {
+	for {
+		c.mu.Lock()
+		armed := !c.ticking
+		c.mu.Unlock()
+		if armed {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// A hang-up the tick finds is in effect before the tick lets go of the
+// context, so release never recycles a context whose cancellation is
+// still to come. Released racing the tick, after a varying number of
+// yields, in most iterations, and after it in every fourth.
+func TestCallCtxTickHangUpNotRecycled(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	cancel()
+	var before, after int
+	for i := 0; i < 500; i++ {
+		c := acquireCallCtx(eagerClock{}, parent, time.Hour)
+		if i%4 == 3 {
+			awaitWatch(c)
+		}
+		for spin := i % 16; spin > 0; spin-- {
+			runtime.Gosched()
+		}
+		if c.release() {
+			after++
+		} else {
+			before++
+		}
+		next := acquireCallCtx(eagerClock{}, context.Background(), time.Hour)
+		time.Sleep(20 * time.Microsecond) // let a late cancellation land
+		if err := next.Err(); err != nil {
+			t.Fatalf("iteration %d: recycled context cancelled late: %v", i, err)
+		}
+		next.release()
+	}
+	t.Logf("released before the tick %d times, after it %d times", before, after)
+	if before == 0 || after == 0 {
+		t.Fatalf("the race went one way only: %d before, %d after", before, after)
+	}
+}
+
+// A dispatch that ends inside the tick never looks at its consumer: a
+// hang-up then leaves its outcome alone.
+func TestCallCtxEndsBeforeTickIgnoresParent(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := acquireCallCtx(frozenClock{}, parent, time.Hour)
+	if c.Err() != nil || c.release() {
+		t.Fatal("a context released before its tick followed its consumer")
 	}
 }
 
@@ -191,3 +286,24 @@ type frozenTimer struct{}
 
 func (frozenTimer) Reset(time.Duration) bool { return true }
 func (frozenTimer) Stop() bool               { return true }
+
+// eagerClock is the wall clock, except that the watch tick fires at once:
+// a context watches its consumer from the start, so a test can race the
+// watch against a µs-fast dispatch.
+type eagerClock struct{}
+
+func (eagerClock) Now() time.Time { return time.Now() }
+func (eagerClock) AfterFunc(d time.Duration, f func()) Timer {
+	return eagerTimer{time.AfterFunc(eager(d), f)}
+}
+
+type eagerTimer struct{ *time.Timer }
+
+func (t eagerTimer) Reset(d time.Duration) bool { return t.Timer.Reset(eager(d)) }
+
+func eager(d time.Duration) time.Duration {
+	if d == watchTick {
+		return 0
+	}
+	return d
+}

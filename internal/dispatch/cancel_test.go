@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,7 +109,9 @@ func TestCancelRecycledContextForgetsConns(t *testing.T) {
 	c.release()
 	for i := 0; i < 8; i++ {
 		next := acquireCallCtx(wallClock{}, context.Background(), time.Hour)
+		next.mu.Lock()
 		next.cancel(context.Canceled, false)
+		next.mu.Unlock()
 		next.release()
 	}
 	if old.poisoned.Load() {
@@ -230,7 +233,9 @@ func TestCancelConsumerGoneDuringRead(t *testing.T) {
 // race goes — delivered, or aborted and flagged — the connections that
 // were pooled are sound: the next dispatch, which nobody cancels, gets
 // every release's reply, on them or on fresh dials, and every connection
-// is pooled or closed, none lost.
+// is pooled or closed, none lost. The dispatches are µs-fast, far inside
+// the watch tick, so the eager clock watches the consumer from the start;
+// both ways must come up.
 func TestCancelRacingFinishPooledConnsStaySound(t *testing.T) {
 	const iterations = 2000
 	testutil.CheckGoroutines(t)
@@ -238,7 +243,7 @@ func TestCancelRacingFinishPooledConnsStaySound(t *testing.T) {
 		"r0": newPipeRelease(t, 0, false),
 		"r1": newPipeRelease(t, 0, false),
 	}
-	rig := newScatterRig(t, releases, nil)
+	rig := newClockedScatterRig(t, eagerClock{}, releases, nil)
 	eps := endpoints("r0", "r1")
 	rig.warmUp(t, eps)
 	var delivered, aborted int
@@ -249,9 +254,10 @@ func TestCancelRacingFinishPooledConnsStaySound(t *testing.T) {
 		fired := make(chan struct{})
 		go func() {
 			defer close(fired)
-			// Spread the hang-up over the time a dispatch takes.
-			for spin := (i % 128) * 64; spin > 0; spin-- {
-				_ = parent.Err()
+			// Spread the hang-up over the time a dispatch takes, on one
+			// processor too.
+			for spin := i % 64; spin > 0; spin-- {
+				runtime.Gosched()
 			}
 			hangUp()
 		}()
@@ -285,4 +291,7 @@ func TestCancelRacingFinishPooledConnsStaySound(t *testing.T) {
 		}
 	}
 	t.Logf("%d dispatches delivered, %d aborted", delivered, aborted)
+	if delivered == 0 || aborted == 0 {
+		t.Fatalf("the race went one way only: %d delivered, %d aborted", delivered, aborted)
+	}
 }

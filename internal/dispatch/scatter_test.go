@@ -191,6 +191,12 @@ type scatterRig struct {
 
 func newScatterRig(t *testing.T, releases map[string]*pipeRelease,
 	begin func(ctx context.Context, url, ct string, body []byte) wire.Call) *scatterRig {
+	return newClockedScatterRig(t, nil, releases, begin)
+}
+
+// newClockedScatterRig is newScatterRig on clock (nil is the wall clock).
+func newClockedScatterRig(t *testing.T, clock Clock, releases map[string]*pipeRelease,
+	begin func(ctx context.Context, url, ct string, body []byte) wire.Call) *scatterRig {
 	rig := &scatterRig{pipeFleet: newPipeFleet(t, releases), outcomes: make(chan outcomeCopy, 4)}
 	if begin == nil {
 		begin = beginOnce(rig.wc)
@@ -198,6 +204,7 @@ func newScatterRig(t *testing.T, releases map[string]*pipeRelease,
 	rig.begin = begin
 	rig.d = New(Config{
 		Begin: begin,
+		Clock: clock,
 		OnOutcome: func(o Outcome) {
 			cp := outcomeCopy{consumerGone: o.ConsumerGone}
 			for _, r := range o.Replies {
