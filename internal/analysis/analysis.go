@@ -22,7 +22,7 @@
 //   - ctxhygiene: request-path packages (dispatch, core, fleet) never
 //     mint context.Background()/context.TODO(); deadlines must derive
 //     from the consumer's request context.
-//   - detrand: deterministic packages (faulty, repro, adjudicate)
+//   - detrand: deterministic packages (service, repro, adjudicate)
 //     never reach for math/rand or wall-clock sampling; randomness and
 //     time are injected (xrand, explicit clocks).
 //   - noalloc: functions annotated //wsu:noalloc compile without any

@@ -5,13 +5,14 @@ import (
 	"strconv"
 )
 
-// DetRand keeps the deterministic packages deterministic: faulty,
-// repro and adjudicate reproduce paper experiments from a seed, so
-// any reach for ambient nondeterminism — math/rand's global state or
-// wall-clock sampling via time.Now — silently invalidates a replayed
-// run. Randomness comes from injected xrand generators and time from
-// explicit clocks; importing math/rand (v1 or v2) or calling time.Now
-// in these packages is flagged. The journal package is held to the
+// DetRand keeps the deterministic packages deterministic: service
+// (the releases' seeded fault stream), repro and adjudicate reproduce
+// paper experiments from a seed, so any reach for ambient
+// nondeterminism — math/rand's global state or wall-clock sampling via
+// time.Now — silently invalidates a replayed run. Randomness comes from
+// injected xrand generators and time from explicit clocks; importing
+// math/rand (v1 or v2) or calling time.Now in these packages is
+// flagged. The journal package is held to the
 // same bar for a different reason: replay must be a pure function of
 // the bytes on disk, so entry timestamps are caller-stamped, never
 // sampled inside the codec or writer.
@@ -22,7 +23,7 @@ var DetRand = &Analyzer{
 }
 
 func runDetRand(pass *Pass) error {
-	if !pathTail(pass.Pkg.ImportPath, "faulty", "repro", "adjudicate", "journal") {
+	if !pathTail(pass.Pkg.ImportPath, "service", "repro", "adjudicate", "journal") {
 		return nil
 	}
 	info := pass.Pkg.Info

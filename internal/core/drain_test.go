@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"wsupgrade/internal/faulty"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/testutil"
@@ -105,8 +104,13 @@ func TestDrainNeverChargesAbortedDemands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(faulty.Wrap(rel.Handler(), 1,
-			faulty.Fault{Mode: faulty.LatencySpike, Rate: 1, Latency: 500 * time.Millisecond}))
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-time.After(500 * time.Millisecond):
+				rel.Handler().ServeHTTP(w, r)
+			case <-r.Context().Done():
+			}
+		}))
 		t.Cleanup(ts.Close)
 		return Endpoint{Version: version, URL: ts.URL}
 	}

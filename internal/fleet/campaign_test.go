@@ -14,7 +14,6 @@ import (
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/core"
 	"wsupgrade/internal/events"
-	"wsupgrade/internal/faulty"
 	"wsupgrade/internal/journal"
 	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
@@ -168,8 +167,14 @@ func TestCloseDrainsEnginesBeforeJournals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := httptest.NewServer(faulty.Wrap(rel.Handler(), 1,
-		faulty.Fault{Mode: faulty.LatencySpike, Rate: 1, Latency: 500 * time.Millisecond}))
+	// The new release answers 500 ms late, unless the consumer leaves.
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(500 * time.Millisecond):
+			rel.Handler().ServeHTTP(w, r)
+		case <-r.Context().Done():
+		}
+	}))
 	t.Cleanup(slow.Close)
 
 	f, err := New(Config{

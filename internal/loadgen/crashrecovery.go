@@ -21,7 +21,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"wsupgrade/internal/faulty"
 	"wsupgrade/internal/journal"
 	"wsupgrade/internal/lifecycle"
 	"wsupgrade/internal/service"
@@ -109,12 +108,12 @@ func crashRecovery(ctx context.Context, opts ScenarioOptions) (ScenarioResult, e
 		if err != nil {
 			return res, err
 		}
-		srv := faulty.NewServer(release.Handler())
-		if err := srv.Start(); err != nil {
+		srv := &releaseServer{handler: release.Handler()}
+		if err := srv.start(); err != nil {
 			return res, err
 		}
-		closers = append(closers, srv.Close)
-		endpoints[version] = srv.URL()
+		closers = append(closers, srv.stop)
+		endpoints[version] = srv.url()
 	}
 
 	jdir := filepath.Join(workDir, "journals")

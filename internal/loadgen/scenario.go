@@ -1,17 +1,20 @@
 package loadgen
 
-// The scenario runner pairs the load generator with the §5.1 fault
-// injector: each scenario boots a real fleet-shaped deployment over TCP
-// (releases behind faulty.Server listeners, a fleet router in front),
-// drives it with Run, and checks the paper's dependability claims as
-// machine-verdicted assertions. Scenarios are what CI runs: a failing
-// claim is a failing exit code, and the full evidence ships as JSON.
+// The scenario runner pairs the load generator with the releases' fault
+// model (service.FaultPlan: §5.2.1's CR/ER/NER outcomes and eq. 7's
+// exponential execution time): each scenario boots a real fleet-shaped
+// deployment over TCP (releases on restartable listeners, a fleet router
+// in front), drives it with Run, and checks the paper's dependability
+// claims as machine-verdicted assertions. Scenarios are what CI runs: a
+// failing claim is a failing exit code, and the full evidence ships as
+// JSON.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -24,11 +27,11 @@ import (
 
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/core"
-	"wsupgrade/internal/faulty"
 	"wsupgrade/internal/fleet"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/jsoncodec"
+	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/stats"
 )
@@ -114,7 +117,9 @@ type ScenarioResult struct {
 	Batches []Report `json:"batches,omitempty"`
 	// Units is the management view per upgrade unit.
 	Units []UnitReport `json:"units,omitempty"`
-	// Injected counts demands by injected fault mode, per unit.
+	// Injected counts the faulty new release's demands per unit: by
+	// answered outcome kind (CR, ER, NER) and, under "abandoned", those
+	// the mediator gave up on during the injected latency.
 	Injected map[string]map[string]int `json:"injected,omitempty"`
 	// Soak is the resource envelope (soak scenario only).
 	Soak *SoakStats `json:"soak,omitempty"`
@@ -179,11 +184,11 @@ func RunScenario(ctx context.Context, name string, opts ScenarioOptions) (Scenar
 // ---------------------------------------------------------------------------
 // Deployment scaffolding
 
-// releaseSpec is one hosted release: a demo service at a version, with
-// an optional §5.1 fault injector in front.
+// releaseSpec is one hosted release: a demo service at a version and
+// its fault plan (deploy seeds it).
 type releaseSpec struct {
 	version string
-	faults  []faulty.Fault
+	plan    service.FaultPlan
 }
 
 // unitSpec is one upgrade unit: releases plus engine knobs.
@@ -197,14 +202,86 @@ type unitSpec struct {
 	new      releaseSpec
 	timeout  time.Duration
 	policy   *core.PolicyConfig
+	// judge is the unit's oracle; nil is the Reference oracle on the
+	// old release.
+	judge oracle.Oracle
+}
+
+// injections is a hosted release's record of its fault plan at work.
+type injections interface {
+	Calls() int
+	Injected() map[relmodel.OutcomeKind]int
 }
 
 // hostedUnit is a booted unitSpec with handles for chaos control.
 type hostedUnit struct {
-	name     string
-	oldSrv   *faulty.Server
-	newSrv   *faulty.Server
-	injector *faulty.Injector // fronting the new release; nil when faultless
+	name   string
+	oldSrv *releaseServer
+	newSrv *releaseServer
+	newRel injections // nil when the new release has no fault plan
+}
+
+// releaseServer hosts a release on a restartable listener: stop is the
+// §5.1 crash failure (active connections are severed, the port stops
+// accepting), start after a stop is the restart, on the same address,
+// so deployed endpoint URLs stay valid across the crash.
+type releaseServer struct {
+	handler http.Handler
+
+	mu   sync.Mutex
+	addr string // pinned on the first start
+	srv  *http.Server
+}
+
+// start binds the listener (first on an ephemeral loopback port, then
+// on the pinned address) and serves until stop.
+func (s *releaseServer) start() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.srv != nil {
+		return fmt.Errorf("loadgen: release server already running on %s", s.addr)
+	}
+	addr := s.addr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	var ln net.Listener
+	var err error
+	// The previous incarnation's socket can linger briefly; retry the
+	// pinned address instead of failing the restart.
+	for attempt := 0; attempt < 50; attempt++ {
+		if ln, err = net.Listen("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		return fmt.Errorf("loadgen: binding %s: %w", addr, err)
+	}
+	s.addr = ln.Addr().String()
+	s.srv = &http.Server{Handler: s.handler, ReadHeaderTimeout: 10 * time.Second}
+	srv := s.srv
+	go func() { _ = srv.Serve(ln) }()
+	return nil
+}
+
+// url is the server's base URL, stable across stop/start cycles.
+func (s *releaseServer) url() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return "http://" + s.addr
+}
+
+// stop crashes the server: the listener closes and every active
+// connection is severed at once (no draining: this is a failure, not a
+// shutdown). Idempotent.
+func (s *releaseServer) stop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.srv != nil {
+		_ = s.srv.Close()
+		s.srv = nil
+	}
 }
 
 // deployment is a fleet-shaped system under test on real TCP.
@@ -251,7 +328,7 @@ func whiteBox() *bayes.WhiteBoxConfig {
 	}
 }
 
-// deploy boots the units: each release on its own faulty.Server, the
+// deploy boots the units: each release on its own releaseServer, the
 // fleet router on one listener, everything torn down by close().
 func deploy(seed uint64, specs ...unitSpec) (*deployment, error) {
 	d := &deployment{units: make(map[string]*hostedUnit)}
@@ -267,43 +344,46 @@ func deploy(seed uint64, specs ...unitSpec) (*deployment, error) {
 		hu := &hostedUnit{name: spec.name}
 		endpoints := make([]core.Endpoint, 0, 2)
 		for j, rel := range []releaseSpec{spec.old, spec.new} {
+			plan := rel.plan
+			plan.Seed = seed + uint64(i*2+j)
 			var handler http.Handler
+			var counts injections
 			if spec.protocol == "json" {
-				release, err := service.NewJSON(rel.version, service.DemoJSONBehaviours(), service.FaultPlan{})
+				release, err := service.NewJSON(rel.version, service.DemoJSONBehaviours(), plan)
 				if err != nil {
 					return nil, err
 				}
-				handler = release.Handler()
+				handler, counts = release.Handler(), release
 			} else {
-				release, err := service.New(service.DemoContract(rel.version), service.DemoBehaviours(), service.FaultPlan{})
+				release, err := service.New(service.DemoContract(rel.version), service.DemoBehaviours(), plan)
 				if err != nil {
 					return nil, err
 				}
-				handler = release.Handler()
+				handler, counts = release.Handler(), release
 			}
-			if len(rel.faults) > 0 {
-				inj := faulty.Wrap(handler, seed+uint64(i*2+j), rel.faults...)
-				handler = inj
-				if j == 1 {
-					hu.injector = inj
-				}
-			}
-			srv := faulty.NewServer(handler)
-			if err := srv.Start(); err != nil {
+			srv := &releaseServer{handler: handler}
+			if err := srv.start(); err != nil {
 				return nil, err
 			}
-			d.closers = append(d.closers, srv.Close)
+			d.closers = append(d.closers, srv.stop)
 			if j == 0 {
 				hu.oldSrv = srv
 			} else {
 				hu.newSrv = srv
+				if rel.plan != (service.FaultPlan{}) {
+					hu.newRel = counts
+				}
 			}
-			endpoints = append(endpoints, core.Endpoint{Version: rel.version, URL: srv.URL()})
+			endpoints = append(endpoints, core.Endpoint{Version: rel.version, URL: srv.url()})
 		}
 		d.units[spec.name] = hu
 		var codec protocol.Codec // nil: SOAP
 		if spec.protocol == "json" {
 			codec = jsoncodec.Default
+		}
+		judge := spec.judge
+		if judge == nil {
+			judge = oracle.Reference{Release: spec.old.version, Codec: codec}
 		}
 		unitConfigs = append(unitConfigs, fleet.UnitConfig{
 			Name: spec.name,
@@ -312,7 +392,7 @@ func deploy(seed uint64, specs ...unitSpec) (*deployment, error) {
 				Releases:         endpoints,
 				Timeout:          spec.timeout,
 				InitialPhase:     core.PhaseObservation,
-				Oracle:           oracle.Reference{Release: spec.old.version, Codec: codec},
+				Oracle:           judge,
 				Inference:        whiteBox(),
 				Policy:           spec.policy,
 				ConfidenceTarget: 0.05,
@@ -374,21 +454,42 @@ func unitReport(d *deployment, name, oldVersion, newVersion string) UnitReport {
 	return rep
 }
 
-// injected collects the injector's per-mode counts for the result.
+// abandoned is the Injected key of the demands a release was sent but
+// never answered, because the mediator gave up during the injected
+// latency: the omissions of eq. 7's timeout.
+const abandoned = "abandoned"
+
+// injected collects each faulty new release's counts for the result.
 func injected(d *deployment) map[string]map[string]int {
 	out := make(map[string]map[string]int)
 	for name, hu := range d.units {
-		if hu.injector == nil {
+		if hu.newRel == nil {
 			continue
 		}
-		modes := make(map[string]int)
-		for mode, n := range hu.injector.Counts() {
-			modes[mode.String()] = n
+		kinds := make(map[string]int)
+		answered := 0
+		for kind, n := range hu.newRel.Injected() {
+			kinds[kind.String()] = n
+			answered += n
 		}
-		out[name] = modes
+		kinds[abandoned] = hu.newRel.Calls() - answered
+		out[name] = kinds
 	}
 	return out
 }
+
+// omissionTimeout is the omission scenarios' unit timeout, and omits10
+// their new release's plan: eq. 7's exponential execution time with
+// mean omissionTimeout/ln 10, so P(no reply before the timeout) =
+// e^−ln 10 = 0.1. Every reply of that release is slower too, as the
+// paper's model has it.
+const omissionTimeout = 100 * time.Millisecond
+
+var omits10 = service.FaultPlan{MeanLatency: time.Duration(math.Round(float64(omissionTimeout) / math.Ln10))}
+
+// corrupt is a release whose every reply is a non-evident failure: the
+// demo behaviours' plausible wrong answer.
+var corrupt = service.FaultPlan{Profile: relmodel.Profile{NER: 1}}
 
 // ---------------------------------------------------------------------------
 // Scenarios
@@ -405,26 +506,32 @@ func corruptNeverWins(ctx context.Context, opts ScenarioOptions) (ScenarioResult
 }
 
 // corruptNeverWinsJSON is the same claim driven end to end through the
-// REST/JSON gateway: JSON releases, JSON-aware corruption, JSON
-// demands — the adjudication guarantees must be protocol-independent.
+// REST/JSON gateway: JSON releases, JSON wrong answers, JSON demands —
+// the adjudication guarantees must be protocol-independent.
 func corruptNeverWinsJSON(ctx context.Context, opts ScenarioOptions) (ScenarioResult, error) {
 	return corruptNeverWinsOn(ctx, opts, "json")
 }
 
-func corruptNeverWinsOn(ctx context.Context, opts ScenarioOptions, protocol string) (ScenarioResult, error) {
-	var res ScenarioResult
-	const oldV, newV = "1.0", "1.1"
-	d, err := deploy(opts.Seed, unitSpec{
+// corruptUnit is the corrupt-never-wins unit: old release 1.0, corrupt
+// new release 1.1, and a switch policy free to promote it.
+func corruptUnit(protocol string) unitSpec {
+	return unitSpec{
 		name:     "svc",
 		protocol: protocol,
-		old:      releaseSpec{version: oldV},
-		new:      releaseSpec{version: newV, faults: []faulty.Fault{{Mode: faulty.Corrupt, Rate: 1}}},
+		old:      releaseSpec{version: "1.0"},
+		new:      releaseSpec{version: "1.1", plan: corrupt},
 		policy: &core.PolicyConfig{
 			Criterion:  bayes.Criterion3{Confidence: 0.95},
 			CheckEvery: 50,
 			MinDemands: 100,
 		},
-	})
+	}
+}
+
+func corruptNeverWinsOn(ctx context.Context, opts ScenarioOptions, protocol string) (ScenarioResult, error) {
+	var res ScenarioResult
+	const oldV, newV = "1.0", "1.1"
+	d, err := deploy(opts.Seed, corruptUnit(protocol))
 	if err != nil {
 		return res, err
 	}
@@ -465,19 +572,20 @@ func corruptNeverWinsOn(ctx context.Context, opts ScenarioOptions, protocol stri
 }
 
 // omissionConvergence: the new release omits 10% of its responses
-// (hangs past the engine timeout). Consumers — served the old release
-// during Observation — must not notice, while the monitoring subsystem
-// must converge: high confidence in the old release on both the
-// white-box (correctness) and availability axes, visibly depressed
-// availability confidence in the omitting new release.
+// (eq. 7: its execution time outlasts the engine timeout). Consumers —
+// served the old release during Observation — must not notice, while
+// the monitoring subsystem must converge: high confidence in the old
+// release on both the white-box (correctness) and availability axes,
+// visibly depressed availability confidence in the omitting new
+// release.
 func omissionConvergence(ctx context.Context, opts ScenarioOptions) (ScenarioResult, error) {
 	var res ScenarioResult
 	const oldV, newV = "1.0", "1.1"
 	d, err := deploy(opts.Seed, unitSpec{
 		name:    "svc",
 		old:     releaseSpec{version: oldV},
-		new:     releaseSpec{version: newV, faults: []faulty.Fault{{Mode: faulty.Omission, Rate: 0.1}}},
-		timeout: 300 * time.Millisecond,
+		new:     releaseSpec{version: newV, plan: omits10},
+		timeout: omissionTimeout,
 	})
 	if err != nil {
 		return res, err
@@ -499,7 +607,7 @@ func omissionConvergence(ctx context.Context, opts ScenarioOptions) (ScenarioRes
 	res.Units = []UnitReport{unit}
 	res.Injected = injected(d)
 
-	omitted := res.Injected["svc"][faulty.Omission.String()]
+	omitted := res.Injected["svc"][abandoned]
 	res.check(load.Verdicts[VerdictOK] == load.Requests,
 		"verdicts %v: omission on the observed release leaked to consumers", load.Verdicts)
 	res.check(omitted > opts.Requests/20 && omitted < opts.Requests/4,
@@ -564,14 +672,14 @@ func crashRestart(ctx context.Context, opts ScenarioOptions) (ScenarioResult, er
 	}
 	afterBaseline := newResponses()
 
-	d.units["svc"].newSrv.Stop()
+	d.units["svc"].newSrv.stop()
 	during, err := run("new release crashed")
 	if err != nil {
 		return res, err
 	}
 	afterCrash := newResponses()
 
-	if err := d.units["svc"].newSrv.Start(); err != nil {
+	if err := d.units["svc"].newSrv.start(); err != nil {
 		return res, fmt.Errorf("restarting new release: %w", err)
 	}
 	after, err := run("new release restarted")
@@ -599,20 +707,17 @@ func crashRestart(ctx context.Context, opts ScenarioOptions) (ScenarioResult, er
 }
 
 // soak: a two-unit fleet under sustained mixed load with mild background
-// chaos (latency spikes and rare corrupt responses on the observed
-// releases). The claims are resource claims: goroutine count returns to
-// its pre-load baseline, the heap and RSS envelopes stay bounded — the
-// system can run indefinitely. CI runs this under -race at several
-// GOMAXPROCS values.
+// chaos (a 1 ms mean execution time and 2% wrong answers on the
+// observed releases). The claims are resource claims: goroutine count
+// returns to its pre-load baseline, the heap and RSS envelopes stay
+// bounded — the system can run indefinitely. CI runs this under -race
+// at several GOMAXPROCS values.
 func soak(ctx context.Context, opts ScenarioOptions) (ScenarioResult, error) {
 	var res ScenarioResult
-	mild := []faulty.Fault{
-		{Mode: faulty.LatencySpike, Rate: 0.05, Latency: 20 * time.Millisecond},
-		{Mode: faulty.Corrupt, Rate: 0.02},
-	}
+	mild := service.FaultPlan{Profile: relmodel.Profile{CR: 0.98, NER: 0.02}, MeanLatency: time.Millisecond}
 	d, err := deploy(opts.Seed,
-		unitSpec{name: "flights", old: releaseSpec{version: "1.0"}, new: releaseSpec{version: "1.1", faults: mild}},
-		unitSpec{name: "hotels", old: releaseSpec{version: "2.0"}, new: releaseSpec{version: "2.1", faults: mild}},
+		unitSpec{name: "flights", old: releaseSpec{version: "1.0"}, new: releaseSpec{version: "1.1", plan: mild}},
+		unitSpec{name: "hotels", old: releaseSpec{version: "2.0"}, new: releaseSpec{version: "2.1", plan: mild}},
 	)
 	if err != nil {
 		return res, err

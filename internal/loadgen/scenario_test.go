@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/testutil"
 )
 
@@ -39,7 +40,7 @@ func TestCorruptNeverWins(t *testing.T) {
 	if res.Load.Verdicts[VerdictOK] != 150 || res.Load.Winners["1.1"] != 0 {
 		t.Fatalf("load evidence inconsistent: %+v", res.Load)
 	}
-	if got := res.Injected["svc"]["corrupt"]; got < 140 {
+	if got := res.Injected["svc"]["NER"]; got < 140 {
 		t.Fatalf("injector corrupted %d of 150 demands at rate 1", got)
 	}
 	if res.Units[0].Phase != "observation" {
@@ -61,7 +62,7 @@ func TestCorruptNeverWins(t *testing.T) {
 }
 
 // TestCorruptNeverWinsJSON: the flagship claim holds end to end through
-// the REST/JSON gateway — JSON releases, JSON-aware corruption, JSON
+// the REST/JSON gateway — JSON releases, JSON wrong answers, JSON
 // demands, same verdict.
 func TestCorruptNeverWinsJSON(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -76,7 +77,7 @@ func TestCorruptNeverWinsJSON(t *testing.T) {
 	if res.Load.Verdicts[VerdictOK] != 150 || res.Load.Winners["1.1"] != 0 {
 		t.Fatalf("load evidence inconsistent: %+v", res.Load)
 	}
-	if got := res.Injected["svc"]["corrupt"]; got < 140 {
+	if got := res.Injected["svc"]["NER"]; got < 140 {
 		t.Fatalf("injector corrupted %d of 150 demands at rate 1", got)
 	}
 	if res.Units[0].Phase != "observation" {
@@ -96,8 +97,35 @@ func TestCorruptNeverWinsIsSeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Injected["svc"]["corrupt"] != b.Injected["svc"]["corrupt"] {
+	if a.Injected["svc"]["NER"] != b.Injected["svc"]["NER"] {
 		t.Fatalf("seeded runs diverged: %v vs %v", a.Injected, b.Injected)
+	}
+}
+
+// TestCorruptNeverWinsHeaderOracle: every wrong reply of the corrupt
+// release carries the ground truth "NER", so the header oracle charges
+// it as the Reference oracle does.
+func TestCorruptNeverWinsHeaderOracle(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	spec := corruptUnit("soap")
+	spec.judge = oracle.Header{}
+	d, err := deploy(7, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	load, err := Run(context.Background(), Options{
+		URLs: []string{d.unitURL("svc")}, Concurrency: 3, Requests: 150, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := unitReport(d, "svc", "1.0", "1.1")
+	if u.NewDemands == 0 || u.NewJudgedFailures < u.NewDemands*9/10 {
+		t.Fatalf("header oracle charged the corrupt release on %d of %d demands", u.NewJudgedFailures, u.NewDemands)
+	}
+	if load.Verdicts[VerdictOK] != 150 || u.Phase != "observation" {
+		t.Fatalf("verdicts %v, phase %s: the uncharged corrupt release was promoted", load.Verdicts, u.Phase)
 	}
 }
 

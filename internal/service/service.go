@@ -6,9 +6,11 @@
 // demand the release responds correctly (CR), raises an evident failure
 // (ER — a SOAP fault), or returns a plausible but wrong response (NER —
 // produced by the operation's Faulty handler, the application-level
-// failure only diversity can detect). Injection is deterministic given
-// the seed, and every response carries a ground-truth marker header that
-// only the test harness's oracle reads.
+// failure only diversity can detect). Its execution time is exponential
+// (eq. 7), so a consumer that times it out sees an omission. It is the
+// repository's only model of a misbehaving release. Injection is
+// deterministic given the seed, and every response carries a
+// ground-truth marker header that only the test harness's oracle reads.
 //
 // Releases built with this package stand in for the paper's real
 // third-party services: same interface, controllable dependability.
@@ -98,7 +100,10 @@ func (in *injector) Calls() int {
 }
 
 // Injected returns how many responses of each kind were injected — the
-// ground truth the test harness compares the monitor against.
+// ground truth the test harness compares the monitor against. A demand
+// whose consumer gave up during the injected latency was never
+// answered and counts under no kind, so Calls minus the sum of
+// Injected is the number of abandoned demands.
 func (in *injector) Injected() map[relmodel.OutcomeKind]int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -111,12 +116,12 @@ func (in *injector) Injected() map[relmodel.OutcomeKind]int {
 
 // draw samples the outcome kind of one demand and waits out its
 // injected latency, returning ctx's error if the consumer gives up
-// first.
+// first. The kind is counted only once the wait is over with the
+// consumer still there.
 func (in *injector) draw(ctx context.Context) (relmodel.OutcomeKind, error) {
 	in.mu.Lock()
 	in.calls++
 	kind := in.profile.Sample(in.rng)
-	in.injected[kind]++
 	var delay time.Duration
 	if in.meanLatency > 0 {
 		delay = time.Duration(in.rng.Exp(float64(in.meanLatency)))
@@ -125,10 +130,15 @@ func (in *injector) draw(ctx context.Context) (relmodel.OutcomeKind, error) {
 	if delay > 0 {
 		select {
 		case <-ctx.Done():
-			return kind, ctx.Err()
 		case <-time.After(delay):
 		}
+		if err := ctx.Err(); err != nil {
+			return kind, err
+		}
 	}
+	in.mu.Lock()
+	in.injected[kind]++
+	in.mu.Unlock()
 	return kind, nil
 }
 

@@ -204,6 +204,30 @@ func TestLatencyInjection(t *testing.T) {
 	}
 }
 
+// TestAbandonedDemandsAreNotInjected: a consumer that gives up during
+// the injected latency was never answered, so its demand is a call but
+// no CR/ER/NER reply. With the mean latency far past the consumer's
+// timeout, every demand is abandoned.
+func TestAbandonedDemandsAreNotInjected(t *testing.T) {
+	rel, ts := startRelease(t, "1.0", FaultPlan{MeanLatency: 10 * time.Second, Seed: 5})
+	c := &soap.Client{URL: ts.URL, HTTP: &http.Client{Timeout: 20 * time.Millisecond}}
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := c.Call(context.Background(), "add", AddRequest{A: i, B: 2}, nil); err == nil {
+			t.Fatal("a 20 ms consumer outwaited a 10 s mean latency")
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); rel.Calls() < n && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := rel.Calls(); got != n {
+		t.Fatalf("Calls() = %d, want %d", got, n)
+	}
+	if inj := rel.Injected(); len(inj) != 0 {
+		t.Fatalf("abandoned demands counted as injected replies: %v", inj)
+	}
+}
+
 func TestDeterministicInjectionStreams(t *testing.T) {
 	relA, err := New(DemoContract("1.0"), DemoBehaviours(), FaultPlan{
 		Profile: relmodel.Profile{CR: 0.5, ER: 0.25, NER: 0.25}, Seed: 6})

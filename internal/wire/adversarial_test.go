@@ -14,10 +14,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
-	"wsupgrade/internal/faulty"
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/testutil"
 )
@@ -29,12 +29,24 @@ func TestAdversarialSlowDripBody(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			testutil.CheckGoroutines(t)
-			inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body := []byte("<response>slow and steady loses the race</response>")
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				// A declared length makes the reader wait for each byte:
+				// the read-deadline path, not the EOF-framed one.
 				w.Header().Set("Content-Type", testCT)
-				_, _ = w.Write([]byte("<response>slow and steady loses the race</response>"))
-			})
-			ts := httptest.NewServer(faulty.Wrap(inner, 1,
-				faulty.Fault{Mode: faulty.SlowDrip, Rate: 1, DripInterval: 50 * time.Millisecond, DripChunk: 1}))
+				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+				for i := range body {
+					if _, err := w.Write(body[i : i+1]); err != nil {
+						return
+					}
+					w.(http.Flusher).Flush()
+					select {
+					case <-time.After(50 * time.Millisecond):
+					case <-r.Context().Done():
+						return
+					}
+				}
+			}))
 			defer ts.Close()
 
 			post, closeTr := tr.make(t)
