@@ -23,7 +23,15 @@ SOAK_OUT      ?= .
 # minute spent shrinking one would be the whole budget.
 FUZZTIME ?= 20s
 
-.PHONY: test vet lint bench-module soak fuzz
+.PHONY: test vet lint bench-module soak fuzz race-repeat
+
+# race-repeat is CI's repeated race step: go test -race -count=$(COUNT)
+# -run '$(RUN)' $(PKGS). A -run pattern that matches nothing passes
+# without running anything, so a renamed or deleted test would drop out
+# of its step unnoticed; the target first checks, with go test -list,
+# that every |-separated alternative of RUN names at least one test,
+# example, benchmark or fuzz target in PKGS.
+COUNT ?= 5
 
 test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
@@ -58,6 +66,13 @@ fuzz:
 
 vet:
 	$(GO) vet ./...
+
+race-repeat:
+	@echo '$(RUN)' | tr '|' '\n' | while IFS= read -r alt; do \
+		$(GO) test -list "$$alt" $(PKGS) | grep -qE '^(Test|Example|Benchmark|Fuzz)' || \
+		{ echo "race-repeat: -run alternative '$$alt' names no test in $(PKGS)"; exit 1; }; \
+	done
+	$(GO) test -race -count=$(COUNT) -run '$(RUN)' $(PKGS)
 
 # bench-module compiles, vets and tests the mediation benchmark under
 # bench/. It is a module of its own (replace wsupgrade => ../), so

@@ -523,12 +523,6 @@ func sniffContentLength(line []byte) (int, bool) {
 	return n, seen
 }
 
-// benchLogCapacity bounds the in-process engines' event-log ring. The
-// ring allocates per-slot backing on its first lap only, so steady-state
-// measurement needs the warm-up drive (below) to lap it once; a small
-// capacity keeps that warm-up cheap.
-const benchLogCapacity = 256
-
 // newInProcessEngine builds an engine over n stub releases, starting in
 // the given lifecycle phase (the lifecycle guards reject backward
 // transitions, so benchmarks start where they measure).
@@ -546,7 +540,6 @@ func newInProcessEngine(tb testing.TB, n int, mode Mode, quorum int, phase Phase
 		Mode:         mode,
 		Quorum:       quorum,
 		InitialPhase: phase,
-		Monitor:      NewMonitor(monitor.WithLogCapacity(benchLogCapacity)),
 		Dial:         newWireStub(tb, service.AddResponse{Sum: 3}).dial,
 	}
 	for _, opt := range opts {
@@ -641,13 +634,12 @@ func (d *inProcessDriver) do(tb testing.TB, h http.Handler) {
 	}
 }
 
-// steady measures steady state: the warm-up laps the monitor's event-log
-// ring (whose slots allocate their backing exactly once) and fills the
-// reply/context/fan-out/verdict pools, and the operation left is one
-// more demand.
+// steady measures steady state: the warm-up fills the reply, context,
+// fan-out and verdict pools and gives each release its monitor
+// accumulator, and the operation left is one more demand.
 func steady(tb testing.TB, h http.Handler, d *inProcessDriver) func() {
 	tb.Helper()
-	for i := 0; i < benchLogCapacity+64; i++ {
+	for i := 0; i < 64; i++ {
 		d.do(tb, h)
 	}
 	return func() { d.do(tb, h) }
@@ -689,19 +681,21 @@ var engineInProcessRows = []benchRow{
 	// past a 6 000-demand warm-up, where all but a few posteriors are
 	// advanced from the operation's last one.
 	phaseRow("observation-publish", PhaseObservation, publish),
-	phaseRow("observation-publish-warm", PhaseObservation, publish, func(cfg *EngineConfig) {
+	{"observation-publish-warm", func(tb testing.TB) func() {
+		e := newInProcessEngine(tb, 2, ModeReliability, 0, PhaseObservation, publish)
 		for i := 0; i < 6000; i++ {
-			cfg.Monitor.Note(monitor.Record{Operation: "add", Joint: bayes.NeitherFails})
+			e.Monitor().Note(monitor.Record{Operation: "add", Joint: bayes.NeitherFails})
 		}
-	}),
+		return addDemand(tb, e, "/")
+	}},
 
 	// The mediation benchmark's observation-large workload without the
 	// sockets: 64 KB replies, the new release wrong on every 20th
 	// demand (one early digit, same length), the old release the
 	// reference. Every byte-proportional step of a demand is in here —
 	// sized reads into class buffers, the early-exit comparison on the
-	// 5 %, the bounded ring prefix, the copy-free re-enveloped write —
-	// and the ceiling pins that none of them allocates per byte again.
+	// 5 %, the copy-free re-enveloped write — and the ceiling pins that
+	// none of them allocates per byte again.
 	phaseRow("observation-large", PhaseObservation, func(cfg *EngineConfig) {
 		right := &wireStub{resp: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(3)))}
 		faulty := &wireStub{resp: right.resp, alt: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(4))), altEvery: 20}
@@ -849,7 +843,6 @@ func fleetUnit(tb testing.TB, prefix string) EngineConfig {
 		},
 		InitialPhase: PhaseOldOnly,
 		Dial:         newWireStub(tb, service.AddResponse{Sum: 3}).dial,
-		Monitor:      NewMonitor(monitor.WithLogCapacity(benchLogCapacity)),
 	}
 }
 
@@ -886,10 +879,10 @@ func decodeReplyRow(name string, pad int) benchRow {
 }
 
 // benchNoteRecord builds the canonical two-release record Note
-// benchmarks drive, against a monitor with a warm (already lapped)
-// event-log ring. interned selects whether the observations carry the
-// monitor's pre-interned dense indices — the dispatch hot path's shape —
-// or plain names resolved per observation.
+// benchmarks drive, noted once so that each release has its accumulator.
+// interned selects whether the observations carry the monitor's
+// pre-interned dense indices — the dispatch hot path's shape — or plain
+// names resolved per observation.
 func benchNoteRecord(m *monitor.Monitor, interned bool) monitor.Record {
 	rec := monitor.Record{
 		Operation: "add",
@@ -905,9 +898,7 @@ func benchNoteRecord(m *monitor.Monitor, interned bool) monitor.Record {
 			rec.Releases[i].ID = m.Intern(rec.Releases[i].Release)
 		}
 	}
-	for i := 0; i < benchLogCapacity+64; i++ {
-		m.Note(rec)
-	}
+	m.Note(rec)
 	return rec
 }
 
@@ -917,7 +908,7 @@ func benchNoteRecord(m *monitor.Monitor, interned bool) monitor.Record {
 // (≥ 60 µs of it) can produce. Ungated; it is the worst case the
 // "monitor holds one lock" decision record (DESIGN.md §1.2) quotes.
 func BenchmarkMonitorNoteParallel(b *testing.B) {
-	m := monitor.New(monitor.WithLogCapacity(benchLogCapacity))
+	m := monitor.New()
 	rec := benchNoteRecord(m, true)
 	before := m.Joint().N
 	b.ReportAllocs()
@@ -942,7 +933,7 @@ var monitorNoteRows = []benchRow{noteRow("interned", true), noteRow("by-name", f
 
 func noteRow(name string, interned bool) benchRow {
 	return benchRow{name, func(testing.TB) func() {
-		m := monitor.New(monitor.WithLogCapacity(benchLogCapacity))
+		m := monitor.New()
 		rec := benchNoteRecord(m, interned)
 		return func() { m.Note(rec) }
 	}}

@@ -367,7 +367,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	var handler http.Handler = f
 	if cfg.AdminToken != "" {
-		handler = withProfiles(f, cfg.AdminToken)
+		handler = withProfiles(f)
 	}
 	banner := fmt.Sprintf("hosting %d upgrade units on %s", len(cfg.Units), *addr)
 	if *fleetPath == "" {

@@ -1,37 +1,33 @@
 package main
 
 import (
-	"crypto/subtle"
 	"io"
 	"net/http"
 	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
+
+	"wsupgrade/internal/fleet"
 )
 
 // profilesPath is where a fleet started with an admin token serves the
 // process's profiles, beside the fleet's /fleet/ admin API.
 const profilesPath = "/fleet/debug/pprof/"
 
-// withProfiles serves profilesPath, on every host, behind the admin
-// token in the forms the fleet's admin API takes ("Authorization: Bearer
-// <token>" or a "token" query parameter), and everything else through
-// fleet. The profiles live here and not in the fleet package because
-// linking runtime/pprof keeps the runtime's heap sampling on, which
-// the linker otherwise turns off: every program that links the library
-// would pay for it, about 1 MB of resident memory.
-func withProfiles(fleet http.Handler, token string) http.Handler {
+// withProfiles serves profilesPath, on every host, behind the fleet's
+// admin token (fleet.Authorized), and everything else through the fleet.
+// The profiles live here and not in the fleet package because linking
+// runtime/pprof keeps the runtime's heap sampling on, which the linker
+// otherwise turns off: every program that links the library would pay
+// for it, about 1 MB of resident memory.
+func withProfiles(f *fleet.Fleet) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, profilesPath) {
-			fleet.ServeHTTP(w, r)
+			f.ServeHTTP(w, r)
 			return
 		}
-		got := r.URL.Query().Get("token")
-		if h := r.Header.Get("Authorization"); strings.HasPrefix(h, "Bearer ") {
-			got = strings.TrimPrefix(h, "Bearer ")
-		}
-		if subtle.ConstantTimeCompare([]byte(got), []byte(token)) != 1 {
+		if !f.Authorized(r) {
 			http.Error(w, "upgraded: admin token required", http.StatusUnauthorized)
 			return
 		}

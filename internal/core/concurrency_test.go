@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,11 +30,11 @@ func TestManagementVersusDispatchStress(t *testing.T) {
 	_, new_ := startRelease(t, "1.1", service.FaultPlan{})
 	_, extra := startRelease(t, "1.2", service.FaultPlan{})
 
-	mon := monitor.New(monitor.WithLogCapacity(1 << 14))
+	var sink bytes.Buffer
 	e, err := New(Config{
 		Releases: []Endpoint{old, new_},
 		Oracle:   oracle.Header{},
-		Monitor:  mon,
+		Store:    &sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +137,10 @@ func TestManagementVersusDispatchStress(t *testing.T) {
 
 	// No lost monitor records: every served request produced exactly one.
 	const total = trafficGoroutines * requestsPerRoutine
-	if got := len(mon.Log()); got != total {
-		t.Fatalf("monitor log has %d records, want %d (lost or duplicated demands)", got, total)
+	if got := len(sinkRecords(t, &sink)); got != total {
+		t.Fatalf("event log has %d records, want %d (lost or duplicated demands)", got, total)
 	}
-	if joint := mon.Joint(); !joint.Valid() {
+	if joint := e.Monitor().Joint(); !joint.Valid() {
 		t.Fatalf("joint counts inconsistent: %+v", joint)
 	}
 	// The final management writes won the state: a consistent transition.
@@ -165,15 +167,11 @@ func TestDispatchSeesConsistentState(t *testing.T) {
 		_, ep := startRelease(t, fmt.Sprintf("b.%d", i), service.FaultPlan{})
 		genB = append(genB, ep)
 	}
-	e, err := New(Config{Releases: genA, Oracle: oracle.Header{}})
+	var sink bytes.Buffer
+	e, err := New(Config{Releases: genA, Oracle: oracle.Header{}, Store: &sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := e.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
 
 	env := soap.EnvelopeRaw([]byte(`<addRequest><a>1</a><b>1</b></addRequest>`))
 	done := make(chan struct{})
@@ -222,12 +220,32 @@ func TestDispatchSeesConsistentState(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Every record's winner came from a release that was deployed in the
 	// snapshot that served it — in particular, never the empty string.
-	for _, rec := range e.Monitor().Log() {
+	for _, rec := range sinkRecords(t, &sink) {
 		if rec.Winner == "" {
 			t.Fatalf("a request was served without a winner: %+v", rec)
 		}
 	}
+}
+
+// sinkRecords decodes the JSONL event log an engine wrote to Store.
+func sinkRecords(t *testing.T, sink *bytes.Buffer) []monitor.Record {
+	t.Helper()
+	var recs []monitor.Record
+	for _, line := range strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n") {
+		if line == "" {
+			continue
+		}
+		var rec monitor.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("event log line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
 }

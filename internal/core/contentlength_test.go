@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"wsupgrade/internal/httpx"
-	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/jsoncodec"
@@ -75,7 +74,6 @@ func TestResponseContentLength(t *testing.T) {
 					InitialPhase:  PhaseObservation,
 					Oracle:        oracle.Reference{Release: "1.0", Codec: v.codec},
 					Codec:         v.codec,
-					Monitor:       monitor.New(),
 					Inference:     testInference(),
 					PublishHeader: publish,
 				})

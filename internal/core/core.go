@@ -300,10 +300,6 @@ func (e *Engine) recordOutcome(out dispatch.Outcome) {
 			Judged:    true,
 			Failed:    failed[i],
 			Latency:   r.Latency,
-			// Body aliases the reply's pooled response buffer, which the
-			// dispatcher recycles the moment this hook returns; the
-			// monitor records its length and keeps nothing of it.
-			Body: r.Body,
 		})
 		if r.Release == out.Oldest.Version {
 			oldIdx = i

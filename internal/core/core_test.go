@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/dispatch"
 	"wsupgrade/internal/httpx"
-	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/registry"
 	"wsupgrade/internal/relmodel"
@@ -88,18 +86,11 @@ func TestConfigValidation(t *testing.T) {
 			InitialPhase: PhaseOldOnly, Timeout: -1},
 		"bad confidence target": {Releases: []Endpoint{{Version: "1.0", URL: "http://a"}},
 			InitialPhase: PhaseOldOnly, ConfidenceTarget: 1.5},
-		// The sink only reaches a monitor the engine builds itself: with
-		// both set the event log used to be dropped without a word.
-		"store with supplied monitor": {Releases: []Endpoint{{Version: "1.0", URL: "http://a"}},
-			InitialPhase: PhaseOldOnly, Monitor: monitor.New(), Store: io.Discard},
 	}
 	for name, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-	if _, err := New(cases["store with supplied monitor"]); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("store with supplied monitor: New = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -715,10 +706,9 @@ func TestEventLogSink(t *testing.T) {
 	var sink strings.Builder
 	_, old := startRelease(t, "1.0", service.FaultPlan{})
 	_, new_ := startRelease(t, "1.1", service.FaultPlan{})
-	mon := monitor.New(monitor.WithSink(&sink))
 	_, ts := startEngine(t, Config{
 		Releases: []Endpoint{old, new_},
-		Monitor:  mon,
+		Store:    &sink,
 	})
 	if _, err := callAdd(t, ts.URL, 1, 2); err != nil {
 		t.Fatal(err)
@@ -779,6 +769,44 @@ func TestEventLogFollowsClock(t *testing.T) {
 		if !rec.Time.Equal(at) {
 			t.Fatalf("record stamped %v, want the engine clock's %v", rec.Time, at)
 		}
+	}
+}
+
+// errDiskFull is what a Store on a full disk answers every write with.
+var errDiskFull = errors.New("no space left on device")
+
+type fullDisk struct{}
+
+func (fullDisk) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// The event log is the one place a demand's record goes, so a Store that
+// stops taking writes must not lose records without a word: the demands
+// are still served and counted, and Close reports the write error.
+func TestCloseReportsStoreFailure(t *testing.T) {
+	reply := soap.EnvelopeRaw([]byte(`<addResponse><sum>3</sum></addResponse>`))
+	e, err := New(Config{
+		Releases:     []Endpoint{{Version: "1.0", URL: "http://old.invalid"}},
+		InitialPhase: PhaseOldOnly,
+		Store:        fullDisk{},
+		Begin: func(context.Context, string, string, []byte, httpx.RetryPolicy) wire.Call {
+			return wire.Deferred(func() (httpx.Result, error) {
+				return httpx.Result{Status: http.StatusOK, Body: reply}, nil
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(e.Handler())
+	if got, err := callAdd(t, ts.URL, 1, 2); err != nil || got.Sum != 3 {
+		t.Fatalf("demand with a failing Store: %+v, %v", got, err)
+	}
+	ts.Close()
+	if err := e.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close = %v, want the Store's write error", err)
+	}
+	if st, err := e.Stats("1.0"); err != nil || st.Demands != 1 {
+		t.Fatalf("stats after a failing Store: %+v, %v", st, err)
 	}
 }
 

@@ -119,8 +119,6 @@ type Config struct {
 	// Contract optionally describes the proxied service; when set, the
 	// engine serves the §6.2-extended WSDL at /wsdl.
 	Contract *wsdl.Contract
-	// Monitor overrides the monitoring subsystem (default monitor.New()).
-	Monitor *monitor.Monitor
 	// HTTP is the net/http client a deployment configures for what the
 	// wire transport does not speak natively: it carries release calls
 	// to non-http:// endpoints (TLS certificates, credentials) as the
@@ -141,9 +139,9 @@ type Config struct {
 	Clock dispatch.Clock
 	// Seed drives adjudication tie-breaking.
 	Seed uint64
-	// Store streams the event log as JSONL (the architecture's
-	// "Data Base"); nil disables. It configures the monitor the engine
-	// builds: setting it together with Monitor is rejected.
+	// Store receives every demand's monitor record as one JSON line
+	// (the architecture's "Data Base"); nil keeps only the monitor's
+	// aggregates. Close reports the first write that failed.
 	Store io.Writer
 }
 
@@ -282,16 +280,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	// The monitor exists before the first state publication: every
 	// published state carries its releases' interned monitor indices.
-	switch {
-	case cfg.Monitor != nil && cfg.Store != nil:
-		// The sink is an option of the monitor the engine builds; a
-		// supplied one was built without it and would drop the log silently.
-		return nil, fmt.Errorf("%w: Store with a supplied Monitor (build the monitor with monitor.WithSink instead)", ErrBadConfig)
-	case cfg.Monitor != nil:
-		e.mon = cfg.Monitor
-	case cfg.Store != nil:
+	if cfg.Store != nil {
 		e.mon = monitor.New(monitor.WithSink(cfg.Store))
-	default:
+	} else {
 		e.mon = monitor.New()
 	}
 	e.publish(&engineState{
@@ -352,6 +343,8 @@ func New(cfg Config) (*Engine, error) {
 // call timeout) and shuts down the engine-owned transport's keep-alive
 // connections (up to 32 per release host would otherwise linger for the
 // 90 s idle timeout). The engine must not serve new requests afterwards.
+// Once that work has drained, Close also reports the first write to
+// Store that failed, whose record is missing from it.
 func (e *Engine) Close() error {
 	err := e.disp.Close()
 	if e.cfg.HTTP == nil {
@@ -360,7 +353,7 @@ func (e *Engine) Close() error {
 	if e.wire != nil {
 		_ = e.wire.Close()
 	}
-	return err
+	return errors.Join(err, e.mon.Err())
 }
 
 // Handler returns the full HTTP surface: the SOAP endpoint at "/", the

@@ -2,7 +2,7 @@ package core
 
 // The byte-proportional path end to end: 70 KB replies through the wire
 // transport (over Config.Dial), the observation phase's comparison, the
-// bounded event log and the re-enveloped write.
+// event log and the re-enveloped write.
 
 import (
 	"bufio"
@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/soap"
 )
@@ -80,6 +79,7 @@ func TestLargeRepliesInObservation(t *testing.T) {
 		replies: [][]byte{identical: cannedReply(right), reformatted: cannedReply(formatted), offByOne: cannedReply(wrong)},
 		pick:    func(n int) int { return n % 3 },
 	}
+	var sink bytes.Buffer
 	e, err := New(Config{
 		Releases: []Endpoint{
 			{Version: "1.0", URL: "http://old.invalid"},
@@ -87,7 +87,7 @@ func TestLargeRepliesInObservation(t *testing.T) {
 		},
 		InitialPhase: PhaseObservation,
 		Oracle:       oracle.Reference{Release: "1.0"},
-		Monitor:      monitor.New(monitor.WithLogCapacity(32)),
+		Store:        &sink,
 		Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			client, server := net.Pipe()
 			rel := oldRel
@@ -137,12 +137,15 @@ func TestLargeRepliesInObservation(t *testing.T) {
 	if old, _ := e.Stats("1.0"); old.JudgedFailures != 0 {
 		t.Fatalf("old release judged failed %d times", old.JudgedFailures)
 	}
-	for _, r := range e.Monitor().Log() {
-		for _, obs := range r.Releases {
-			if obs.BodyLen < 70<<10 || len(obs.Body) != 0 {
-				t.Fatalf("event log kept %d bytes of a %d-byte reply", len(obs.Body), obs.BodyLen)
-			}
-		}
+	// The event log has each demand's verdicts and none of its replies.
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs := sinkRecords(t, &sink); len(recs) != 3*rounds {
+		t.Fatalf("event log has %d records, want %d", len(recs), 3*rounds)
+	}
+	if sink.Len() > 3*rounds<<10 {
+		t.Fatalf("event log is %d bytes for %d demands: it holds reply bytes", sink.Len(), 3*rounds)
 	}
 
 	// What this demand mix allocates is not asserted here: under -race

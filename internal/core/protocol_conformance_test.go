@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"wsupgrade/internal/adjudicate"
-	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/jsoncodec"
@@ -73,7 +72,6 @@ func conformanceEngineConfig(targets []Endpoint, codec protocol.Codec) Config {
 		Adjudicator: adjudicate.Preferred{Release: targets[0].Version},
 		Codec:       codec,
 		Seed:        7,
-		Monitor:     monitor.New(),
 	}
 }
 

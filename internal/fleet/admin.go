@@ -43,7 +43,7 @@ func (f *Fleet) adminHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// The liveness probe stays open; everything else on the
 		// management surface needs the token.
-		if r.URL.Path != "/fleet/healthz" && !f.authorized(r) {
+		if r.URL.Path != "/fleet/healthz" && !f.Authorized(r) {
 			writeJSON(w, http.StatusUnauthorized, errorBody{Error: "fleet: admin token required"})
 			return
 		}
@@ -51,10 +51,12 @@ func (f *Fleet) adminHandler() http.Handler {
 	})
 }
 
-// authorized checks the admin token: "Authorization: Bearer <token>" or
-// a "token" query parameter (the form Subscribe embeds in the
-// notification callback URL).
-func (f *Fleet) authorized(r *http.Request) bool {
+// Authorized reports whether r carries the fleet's admin token, as
+// "Authorization: Bearer <token>" or a "token" query parameter (the form
+// Subscribe embeds in the notification callback URL), compared in
+// constant time. Every request is authorized on a fleet without a token,
+// whose management surface is open.
+func (f *Fleet) Authorized(r *http.Request) bool {
 	token := r.URL.Query().Get("token")
 	if h := r.Header.Get("Authorization"); strings.HasPrefix(h, "Bearer ") {
 		token = strings.TrimPrefix(h, "Bearer ")

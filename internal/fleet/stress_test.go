@@ -23,7 +23,6 @@ import (
 
 	"wsupgrade/internal/core"
 	"wsupgrade/internal/lifecycle"
-	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
@@ -52,9 +51,8 @@ func TestManagementVersusFleetDispatchStress(t *testing.T) {
 
 	const unitCount = 3
 	units := make([]UnitConfig, unitCount)
-	monitors := make([]*monitor.Monitor, unitCount)
+	sinks := make([]bytes.Buffer, unitCount)
 	for i := range units {
-		monitors[i] = monitor.New(monitor.WithLogCapacity(1 << 14))
 		units[i] = UnitConfig{
 			Name: fmt.Sprintf("unit%d", i),
 			Engine: core.Config{
@@ -62,10 +60,10 @@ func TestManagementVersusFleetDispatchStress(t *testing.T) {
 					{Version: "1.0", URL: fmt.Sprintf("http://u%d-old.invalid", i)},
 					{Version: "1.1", URL: fmt.Sprintf("http://u%d-new.invalid", i)},
 				},
-				Oracle:  oracle.FaultOnly{},
-				Monitor: monitors[i],
-				Dial:    dial,
-				HTTP:    probes,
+				Oracle: oracle.FaultOnly{},
+				Store:  &sinks[i],
+				Dial:   dial,
+				HTTP:   probes,
 			},
 		}
 	}
@@ -179,13 +177,13 @@ func TestManagementVersusFleetDispatchStress(t *testing.T) {
 	// Per-unit accounting balances: every unit got exactly the requests
 	// routed to it, each producing one monitor record on its own unit.
 	total := 0
-	for i, m := range monitors {
-		got := len(m.Log())
+	for i, u := range fl.Units() {
+		got := bytes.Count(sinks[i].Bytes(), []byte("\n"))
 		total += got
 		if got == 0 {
 			t.Errorf("unit %d saw no traffic", i)
 		}
-		if joint := m.Joint(); !joint.Valid() {
+		if joint := u.Engine().Monitor().Joint(); !joint.Valid() {
 			t.Errorf("unit %d joint counts inconsistent: %+v", i, joint)
 		}
 	}

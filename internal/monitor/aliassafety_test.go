@@ -1,6 +1,8 @@
 package monitor_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -8,110 +10,75 @@ import (
 	"wsupgrade/internal/monitor"
 )
 
-// TestEventLogRetainsNoPayload pins the event log's memory contract: it
-// records what the releases did — a verdict, a latency, the reply's
-// length — and nothing of what they said. Two laps of a 64-record ring
-// with 64 KB replies leave every logged Body nil and every BodyLen the
-// length that was sent, the callers' overwriting their buffers the
-// moment Note returns changes nothing, and the heap does not grow with
-// the bytes that passed through (retained whole they would be 8 MB).
-func TestEventLogRetainsNoPayload(t *testing.T) {
-	const capacity, replySize = 64, 64 << 10
-	m := monitor.New(monitor.WithLogCapacity(capacity))
-	ids := [2]monitor.ReleaseID{m.Intern("1.0"), m.Intern("1.1")}
+// lineChecker is a sink that checks each record line as it is written
+// and keeps none of it.
+type lineChecker struct {
+	t     *testing.T
+	lines int
+	want  func(n int, rec monitor.Record) error
+}
 
-	// The two reply buffers are the caller's, reused for every demand as
-	// a dispatcher's pooled buffers are.
-	bufs := [2][]byte{make([]byte, replySize), make([]byte, replySize)}
-	note := func(i int, withBodies bool) {
-		rec := monitor.Record{
+func (c *lineChecker) Write(p []byte) (int, error) {
+	var rec monitor.Record
+	if err := json.Unmarshal(p, &rec); err != nil {
+		c.t.Errorf("sink line %d: %v", c.lines, err)
+	} else if err := c.want(c.lines, rec); err != nil {
+		c.t.Errorf("sink line %d: %v", c.lines, err)
+	}
+	c.lines++
+	return len(p), nil
+}
+
+// TestEventLogRetainsNoPayload pins the monitor's memory contract: Note
+// folds a demand into the aggregates, writes it to the sink, and keeps
+// nothing of the caller's record. 5 000 demands, each carrying a fresh
+// 1 KB operation name and observation slice, which the caller drops
+// once Note returns, do not grow the heap (kept, they would be over
+// 5 MB), and each sink line is the demand as it was noted.
+func TestEventLogRetainsNoPayload(t *testing.T) {
+	const demands, nameSize = 5000, 1 << 10
+	operation := func(i int) string { return fmt.Sprintf("%0*d", nameSize, i) }
+	sink := &lineChecker{t: t, want: func(n int, rec monitor.Record) error {
+		if rec.Operation != operation(n) || len(rec.Releases) != 2 || rec.Releases[1].Latency != time.Duration(n) {
+			return fmt.Errorf("record %.40q… with %d releases, want demand %d as noted", rec.Operation, len(rec.Releases), n)
+		}
+		return nil
+	}}
+	m := monitor.New(monitor.WithSink(sink))
+	ids := [2]monitor.ReleaseID{m.Intern("1.0"), m.Intern("1.1")}
+	note := func(i int) {
+		m.Note(monitor.Record{
 			Time:      time.Now(),
-			Operation: "quote",
+			Operation: operation(i),
 			Winner:    "1.0",
 			Releases: []monitor.Observation{
 				{Release: "1.0", ID: ids[0], Responded: true, Judged: true, Latency: time.Duration(i)},
 				{Release: "1.1", ID: ids[1], Responded: true, Judged: true, Latency: time.Duration(i)},
 			},
-		}
-		if withBodies {
-			for j := range rec.Releases {
-				body := bufs[j][:replySize-i-j]
-				for k := range body {
-					body[k] = byte('a' + j)
-				}
-				rec.Releases[j].Body = body
-			}
-		}
-		m.Note(rec)
-		for j := range bufs {
-			for k := range bufs[j] {
-				bufs[j][k] = 'X'
-			}
-		}
+		})
 	}
 
-	// A first lap without bodies gives each release its accumulator and
-	// every slot its observation backing, so the measured laps can only
-	// grow the heap by what they keep of the replies.
-	for i := 0; i < capacity; i++ {
-		note(i, false)
-	}
+	// A first demand gives each release its accumulator, so the measured
+	// ones can only grow the heap by what the monitor keeps of them.
+	note(0)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for i := 0; i < 2*capacity; i++ {
-		note(i, true)
+	for i := 1; i <= demands; i++ {
+		note(i)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew >= 1<<20 {
-		t.Errorf("two laps of %d-byte replies grew the heap by %d bytes; the log must keep none of them", replySize, grew)
+		t.Errorf("%d demands grew the heap by %d bytes; the monitor must keep none of them", demands, grew)
 	}
-
-	log := m.Log()
-	if len(log) != capacity {
-		t.Fatalf("log holds %d records, want %d", len(log), capacity)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
 	}
-	for n, rec := range log {
-		i := capacity + n // the second lap survives, oldest first
-		for j, obs := range rec.Releases {
-			if obs.Body != nil {
-				t.Fatalf("record %d release %d: logged Body holds %d bytes, want nil", n, j, len(obs.Body))
-			}
-			if want := replySize - i - j; obs.BodyLen != want {
-				t.Fatalf("record %d release %d: BodyLen = %d, want %d", n, j, obs.BodyLen, want)
-			}
-			if obs.Latency != time.Duration(i) {
-				t.Fatalf("record %d release %d: latency %d, want %d (log out of order)", n, j, obs.Latency, i)
-			}
-		}
+	if sink.lines != demands+1 {
+		t.Fatalf("sink took %d records, want %d", sink.lines, demands+1)
 	}
-}
-
-// TestLoggedObservationsAreCopies is what remains of the alias boundary:
-// the ring copies a record's observation slice into slot-owned backing,
-// so the caller may recycle its slice once Note returns, and a snapshot
-// owns its copy, so a later record lapping the slot (which overwrites
-// that backing in place) does not reach it.
-func TestLoggedObservationsAreCopies(t *testing.T) {
-	m := monitor.New(monitor.WithLogCapacity(1))
-	scratch := []monitor.Observation{{Release: "v1", Responded: true, Latency: time.Millisecond}}
-
-	m.Note(monitor.Record{Operation: "GetQuote", Releases: scratch})
-	snap := m.Log()
-
-	// The caller reuses its slice for the next demand, which laps the
-	// one-slot ring.
-	scratch[0] = monitor.Observation{Release: "v2", Responded: false, Latency: time.Second}
-	if got := m.Log()[0].Releases[0]; got.Release != "v1" || got.Latency != time.Millisecond {
-		t.Fatalf("logged observation changed with the caller's slice: %+v", got)
-	}
-	m.Note(monitor.Record{Operation: "GetQuote", Releases: scratch})
-
-	if got := snap[0].Releases[0]; got.Release != "v1" || !got.Responded || got.Latency != time.Millisecond {
-		t.Fatalf("snapshot changed by a ring lap: %+v", got)
-	}
-	if got := m.Log()[0].Releases[0]; got.Release != "v2" || got.Responded {
-		t.Fatalf("post-lap log: %+v", got)
+	if st, err := m.Stats("1.1"); err != nil || st.Demands != demands+1 {
+		t.Fatalf("stats %+v, %v: want %d demands", st, err, demands+1)
 	}
 }

@@ -31,8 +31,8 @@ type ReleaseCampaignStats struct {
 
 // CampaignState is the serializable aggregation state of a campaign:
 // everything the Bayesian confidence engine and the status surfaces need
-// to resume after a mediator restart. It deliberately excludes the
-// event-log ring (diagnostic, bounded, rebuilt from live traffic).
+// to resume after a mediator restart. Per-demand records are not part
+// of it: they are in the sink.
 type CampaignState struct {
 	Joint    bayes.JointCounts            `json:"joint"`
 	PerOp    map[string]bayes.JointCounts `json:"per_op,omitempty"`

@@ -3,20 +3,21 @@
 // availability (was a response received within the timeout), the
 // execution time, and the judged correctness of the response; it
 // maintains the joint observation record (Table 1) that feeds the
-// Bayesian confidence engine; and it keeps an event log for further
-// analysis (the "Data Base" of Figs 3-5), optionally streamed to a JSONL
-// writer.
+// Bayesian confidence engine; and it streams every demand's record, as
+// one JSON line, to the sink that is the "Data Base" of Figs 3-5. It
+// keeps only aggregates in memory: the sink is the one place a demand's
+// record goes.
 //
 // A Monitor is safe for concurrent use by the request handlers of the
 // upgrade middleware. One mutex guards the whole record — the interned
-// release names, the per-release counters, the joint records and the
-// event log — so every read (Joint, JointFor, Stats, SlowResponses,
-// CampaignState) is one consistent cut: it includes a concurrent Note
-// entirely or not at all. The critical section is ~85 ns inside a demand
-// that costs ≥ 60 µs end to end (DESIGN.md, "Decision (PR 20)"). Release
-// names are interned to dense indices (Intern) so per-observation
-// aggregation is a slice index rather than a map lookup; the JSONL sink
-// marshals and writes outside that lock, under its own.
+// release names, the per-release counters and the joint records — so
+// every read (Joint, JointFor, Stats, SlowResponses, CampaignState) is
+// one consistent cut: it includes a concurrent Note entirely or not at
+// all. The critical section is ~85 ns inside a demand that costs
+// ≥ 60 µs end to end (DESIGN.md §1.2, "the monitor holds one lock").
+// Release names are interned to dense indices (Intern) so
+// per-observation aggregation is a slice index rather than a map lookup;
+// the JSONL sink marshals and writes outside that lock, under its own.
 package monitor
 
 import (
@@ -62,19 +63,14 @@ type Observation struct {
 	Failed bool `json:"failed"`
 	// Latency is the observed execution time.
 	Latency time.Duration `json:"latency_ns"`
-	// Body is input only: the reply as the judgment pass saw it, which
-	// may alias a pooled buffer recycled the moment Note returns. Note
-	// records its length and keeps nothing of it; a logged Body is nil.
+	// Body is ignored: the monitor reads and keeps nothing of a reply.
+	// It remains because the benchmark module's probe still sets it.
 	Body []byte `json:"-"`
-	// BodyLen is the length of the Body that came into Note; the monitor
-	// sets it at the record boundary, callers leave it zero.
-	BodyLen int `json:"-"`
 }
 
 // Record is one intercepted demand with all its release observations.
-// Note keeps none of a Record's memory past its return — it copies the
-// observations it logs and only measures the bytes their Body fields
-// alias — so callers may recycle both.
+// Note keeps none of a Record's memory past its return — the sink's line
+// is written before it returns — so callers may recycle it.
 type Record struct {
 	// Time is the interception timestamp.
 	Time time.Time `json:"time"`
@@ -148,7 +144,7 @@ type releaseAgg struct {
 
 // Monitor accumulates records. Construct with New.
 type Monitor struct {
-	// mu guards the whole record below, down to logged.
+	// mu guards the whole record below, down to perOp.
 	mu sync.Mutex
 	// names and ids are the release interning: names[id-1] is the
 	// release, ids the reverse map. aggs[id-1] is that release's
@@ -159,18 +155,11 @@ type Monitor struct {
 	aggs  []*releaseAgg
 	joint bayes.JointCounts
 	perOp map[string]bayes.JointCounts
-	// log is the bounded event log, a circular buffer (empty when the
-	// log is disabled): record n, counting from 0, sits in slot
-	// n % len(log), and logged counts the records ever written.
-	log    []Record
-	logged int
 
 	// sinkMu serializes sink writes, which happen outside mu.
 	sinkMu  sync.Mutex
 	sink    io.Writer
 	sinkErr error
-
-	logCap int
 }
 
 var _ bayes.JointSource = (*Monitor)(nil)
@@ -178,15 +167,16 @@ var _ bayes.JointSource = (*Monitor)(nil)
 // Option configures a Monitor.
 type Option func(*Monitor)
 
-// WithLogCapacity bounds the in-memory event log (default 4096 records;
-// older records are dropped first; 0 disables the log).
-func WithLogCapacity(n int) Option {
-	return func(m *Monitor) { m.logCap = n }
+// WithLogCapacity does nothing: a monitor keeps no records in memory,
+// only aggregates, and WithSink is where records go. It remains because
+// the benchmark module's probe still passes it.
+func WithLogCapacity(int) Option {
+	return func(*Monitor) {}
 }
 
 // WithSink streams every record as one JSON line to w (the persistent
 // "Data Base" of the architecture diagrams). Write errors are remembered
-// and reported by Err; recording continues in memory.
+// and reported by Err; the aggregates go on counting.
 func WithSink(w io.Writer) Option {
 	return func(m *Monitor) { m.sink = w }
 }
@@ -194,15 +184,11 @@ func WithSink(w io.Writer) Option {
 // New returns an empty monitor.
 func New(opts ...Option) *Monitor {
 	m := &Monitor{
-		ids:    make(map[string]ReleaseID),
-		perOp:  make(map[string]bayes.JointCounts),
-		logCap: 4096,
+		ids:   make(map[string]ReleaseID),
+		perOp: make(map[string]bayes.JointCounts),
 	}
 	for _, o := range opts {
 		o(m)
-	}
-	if m.logCap > 0 {
-		m.log = make([]Record, m.logCap)
 	}
 	return m
 }
@@ -287,22 +273,6 @@ func (m *Monitor) Note(rec Record) {
 			perOp := m.perOp[rec.Operation]
 			perOp.Add(rec.Joint)
 			m.perOp[rec.Operation] = perOp
-		}
-	}
-	if len(m.log) > 0 {
-		// What the releases did, not what they said: the observations go
-		// into the slot's own backing (reused across laps, so steady state
-		// allocates nothing) and each body is reduced to its length, so the
-		// log holds no caller's memory. Overwriting the oldest slot is the
-		// eviction.
-		s := &m.log[m.logged%len(m.log)]
-		m.logged++
-		releases := s.Releases
-		*s = rec
-		s.Releases = append(releases[:0], rec.Releases...)
-		for i := range s.Releases {
-			obs := &s.Releases[i]
-			obs.BodyLen, obs.Body = len(obs.Body), nil
 		}
 	}
 	m.mu.Unlock()
@@ -423,26 +393,6 @@ func (m *Monitor) Releases() []string {
 		if agg != nil {
 			out = append(out, m.names[idx])
 		}
-	}
-	return out
-}
-
-// Log returns a copy of the retained event records, oldest first (nil
-// when the log is disabled).
-func (m *Monitor) Log() []Record {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.log) == 0 {
-		return nil
-	}
-	n := min(m.logged, len(m.log))
-	out := make([]Record, 0, n)
-	for i := m.logged - n; i < m.logged; i++ {
-		rec := m.log[i%len(m.log)]
-		// The slot's backing is overwritten in place when the log laps: the
-		// copy is taken while the lock still protects it.
-		rec.Releases = append([]Observation(nil), rec.Releases...)
-		out = append(out, rec)
 	}
 	return out
 }

@@ -93,20 +93,6 @@ func TestJointOnlyCountedWhenSet(t *testing.T) {
 	}
 }
 
-func TestLogRingBuffer(t *testing.T) {
-	m := New(WithLogCapacity(3))
-	for i := 0; i < 5; i++ {
-		m.Note(Record{Operation: string(rune('a' + i))})
-	}
-	log := m.Log()
-	if len(log) != 3 {
-		t.Fatalf("log length = %d", len(log))
-	}
-	if log[0].Operation != "c" || log[2].Operation != "e" {
-		t.Fatalf("log = %+v", log)
-	}
-}
-
 func TestSinkJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	m := New(WithSink(&buf))
@@ -139,13 +125,13 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk ful
 
 func TestSinkErrorRemembered(t *testing.T) {
 	m := New(WithSink(failingWriter{}))
-	m.Note(Record{Operation: "x"})
+	m.Note(Record{Operation: "x", Joint: bayes.NeitherFails})
 	if m.Err() == nil {
 		t.Fatal("sink error lost")
 	}
-	// Recording continues in memory.
-	if len(m.Log()) != 1 {
-		t.Fatal("record lost after sink error")
+	// The aggregates go on counting.
+	if m.Joint().N != 1 {
+		t.Fatal("demand not counted after a sink error")
 	}
 }
 

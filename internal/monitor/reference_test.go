@@ -1,8 +1,11 @@
 package monitor
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +16,7 @@ import (
 
 // refMonitor is the sequential model the monitor must be observationally
 // equivalent to: the aggregation semantics written out naively, maps
-// keyed by name, no interning, no ring.
+// keyed by name, no interning.
 type refMonitor struct {
 	mu       sync.Mutex
 	demands  map[string]int
@@ -255,7 +258,7 @@ func TestCampaignStateCutConsistent(t *testing.T) {
 	pair := []string{"1.0", "1.1"}
 	ops := []string{"add", "sub", "mul"}
 	for trial := 0; trial < 40; trial++ {
-		m := New(WithLogCapacity(16))
+		m := New()
 		const workers = 4
 		const perWorker = 200
 		master := xrand.New(uint64(2000 + trial))
@@ -314,43 +317,14 @@ func TestCampaignStateCutConsistent(t *testing.T) {
 	}
 }
 
-// TestRingEviction: the ring must retain exactly the newest capacity
-// records, oldest first, and evict in O(1) (covered by the Note
-// benchmark; here we pin the semantics).
-func TestRingEviction(t *testing.T) {
-	m := New(WithLogCapacity(4))
-	for i := 0; i < 11; i++ {
-		m.Note(Record{Operation: fmt.Sprintf("op-%d", i)})
-	}
-	log := m.Log()
-	if len(log) != 4 {
-		t.Fatalf("log length = %d, want 4", len(log))
-	}
-	for i, rec := range log {
-		if want := fmt.Sprintf("op-%d", 7+i); rec.Operation != want {
-			t.Fatalf("log[%d] = %q, want %q", i, rec.Operation, want)
-		}
-	}
-}
-
-// TestRingDisabled: capacity 0 disables the log entirely.
-func TestRingDisabled(t *testing.T) {
-	m := New(WithLogCapacity(0))
-	m.Note(Record{Operation: "x"})
-	if log := m.Log(); len(log) != 0 {
-		t.Fatalf("disabled log returned %d records", len(log))
-	}
-}
-
-// TestRingConcurrent: under concurrent writers the ring must stay full
-// (exactly capacity records once more than capacity were written), hold
-// no duplicates, and order retained records consistently with each
-// writer's own sequence.
-func TestRingConcurrent(t *testing.T) {
-	const capacity = 64
+// TestSinkConcurrent: under concurrent writers the sink gets every
+// record exactly once, each on a line of its own (no write tears into
+// another), and each writer's records in that writer's order.
+func TestSinkConcurrent(t *testing.T) {
 	const workers = 8
 	const perWorker = 200
-	m := New(WithLogCapacity(capacity))
+	var sink bytes.Buffer
+	m := New(WithSink(&sink))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -362,26 +336,32 @@ func TestRingConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	log := m.Log()
-	if len(log) != capacity {
-		t.Fatalf("log length = %d, want %d", len(log), capacity)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n")
+	if len(lines) != workers*perWorker {
+		t.Fatalf("sink has %d lines, want %d", len(lines), workers*perWorker)
 	}
 	seen := map[string]bool{}
-	lastPerWorker := map[string]int{}
-	for _, rec := range log {
+	next := make([]int, workers)
+	for _, line := range lines {
+		var rec Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("torn sink line %q: %v", line, err)
+		}
 		if seen[rec.Operation] {
-			t.Fatalf("duplicate record %q in log", rec.Operation)
+			t.Fatalf("duplicate record %q in the sink", rec.Operation)
 		}
 		seen[rec.Operation] = true
 		var w, i int
 		if _, err := fmt.Sscanf(rec.Operation, "w%d-%d", &w, &i); err != nil {
 			t.Fatalf("unparsable record %q", rec.Operation)
 		}
-		// Within one writer, retained records must appear in write order.
-		key := fmt.Sprintf("w%d", w)
-		if last, ok := lastPerWorker[key]; ok && i < last {
-			t.Fatalf("writer %d's records out of order: %d after %d", w, i, last)
+		// One writer's records reach the sink in its write order.
+		if i != next[w] {
+			t.Fatalf("writer %d's record %d arrived when %d was due", w, i, next[w])
 		}
-		lastPerWorker[key] = i
+		next[w]++
 	}
 }

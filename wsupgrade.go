@@ -203,11 +203,9 @@ type ReferenceOracle = oracle.Reference
 // BackToBackOracle detects failures by response comparison (§5.1.1.3).
 type BackToBackOracle = oracle.BackToBack
 
-// Monitor is the monitoring subsystem (§4.3).
+// Monitor is the monitoring subsystem (§4.3); each engine builds its
+// own, reached through Engine.Monitor.
 type Monitor = monitor.Monitor
-
-// NewMonitor builds a monitoring subsystem.
-func NewMonitor(opts ...monitor.Option) *Monitor { return monitor.New(opts...) }
 
 // ---------------------------------------------------------------------------
 // Registry, composite services and the WS substrate.

@@ -143,11 +143,6 @@ func TestPublicAPIRegistryAndComposite(t *testing.T) {
 	if err := comp.Bind("x", "http://a"); err != nil {
 		t.Fatal(err)
 	}
-
-	mon := NewMonitor()
-	if mon == nil {
-		t.Fatal("monitor constructor broken")
-	}
 }
 
 func TestPublicAPIStudies(t *testing.T) {
