@@ -23,7 +23,7 @@ SOAK_OUT      ?= .
 # minute spent shrinking one would be the whole budget.
 FUZZTIME ?= 20s
 
-.PHONY: test vet lint bench-module soak fuzz race-repeat
+.PHONY: test vet lint bench-module soak fuzz race-repeat record
 
 # race-repeat is CI's repeated race step: go test -race -count=$(COUNT)
 # -run '$(RUN)' $(PKGS). A -run pattern that matches nothing passes
@@ -38,7 +38,7 @@ test:
 
 # lint is the required CI gate: formatting, go vet, and the project's
 # invariant analyzers (poolcheck, boundedread, ctxhygiene, detrand,
-# noalloc — see the Invariants section of DESIGN.md and cmd/wsuvet).
+# noalloc — see DESIGN.md §6 and cmd/wsuvet).
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -81,3 +81,13 @@ race-repeat:
 bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# record checks the design record against the tree (scripts/record.sh
+# lists the checks): DESIGN.md's length, every reference into DESIGN.md
+# and DECISIONS.md, the tests both cite and the identifiers bench/ pins.
+# RECORD_BASE, a git revision, adds the check that DECISIONS.md only
+# grew since its merge base with HEAD; CI sets it on pull requests.
+RECORD_BASE ?=
+
+record:
+	bash scripts/record.sh $(RECORD_BASE)

@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (the rows/series themselves are printed by cmd/repro; the
 // benches measure the cost of regeneration and carry the ablations
-// called out in DESIGN.md §5).
+// called out in DESIGN.md §7).
 //
 // Run everything:  go test -bench=. -benchmem
 // One experiment:  go test -bench=BenchmarkTable5
@@ -906,7 +906,7 @@ func benchNoteRecord(m *monitor.Monitor, interned bool) monitor.Record {
 // one monitor: ~10⁷ Notes/s through the monitor's one lock, two to three
 // orders of magnitude past what a process that also mediates each demand
 // (≥ 60 µs of it) can produce. Ungated; it is the worst case the
-// "monitor holds one lock" decision record (DESIGN.md §1.2) quotes.
+// decision record DECISIONS.md, "the monitor holds one lock", quotes.
 func BenchmarkMonitorNoteParallel(b *testing.B) {
 	m := monitor.New()
 	rec := benchNoteRecord(m, true)

@@ -1,5 +1,5 @@
 // Command repro regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §4 for the experiment index):
+// evaluation section (see DESIGN.md §7 for the experiment index):
 //
 //	repro -table 2      Table 2  (duration of managed upgrade)
 //	repro -figure 7     Figure 7 (Scenario 1 percentile trajectories)

@@ -384,7 +384,7 @@ func bothSwitched(fl *wsupgrade.Fleet) bool {
 	return true
 }
 
-// The same engine behind a REST/JSON face (DESIGN.md §9). A unit with the
+// The same engine behind a REST/JSON face (DESIGN.md §5). A unit with the
 // JSON codec takes JSON bodies at /api/<operation> and mediates them
 // exactly as a SOAP unit does; the published confidence rides the
 // X-Wsupgrade-Confidence response header. A demand whose Content-Type

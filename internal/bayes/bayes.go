@@ -133,7 +133,7 @@ func (c JointCounts) Neither() int { return c.N - c.Both - c.AOnly - c.BOnly }
 // to a single operation (§6.2). The monitoring subsystem implements it;
 // inference consumers should depend on this interface rather than on a
 // concrete store, so the store's internal layout can change freely (it
-// has: DESIGN.md §1.2, "Decision (PR 20)").
+// has: DECISIONS.md, "the monitor holds one lock").
 type JointSource interface {
 	// Joint returns the accumulated pairwise observation record.
 	Joint() JointCounts
@@ -335,11 +335,11 @@ func (c *WhiteBoxConfig) applyDefaults() {
 // outcome that has been observed at all (failures are rare in the
 // paper's regime), and one exponential per cell that can still
 // contribute to the normalised result — cells more than pruneBelow under
-// the maximum log-weight are skipped (DESIGN.md §5.1, "Cost of
-// confidence publication"). A caller whose record only grows hands the
-// last result back (PosteriorFrom) and pays for the cells that can still
-// carry mass instead of the grid. The engine can therefore be queried on
-// every demand, not only at monitoring checkpoints.
+// the maximum log-weight are skipped (DESIGN.md §2.2). A caller whose
+// record only grows hands the last result back (PosteriorFrom) and pays
+// for the cells that can still carry mass instead of the grid. The
+// engine can therefore be queried on every demand, not only at
+// monitoring checkpoints.
 //
 // The model of a WhiteBox is immutable after construction and the engine
 // is safe for concurrent use; the only mutable state is the pool that
@@ -469,8 +469,9 @@ func (w *WhiteBox) Posterior(c JointCounts) (*Posterior, error) {
 // PosteriorFrom is Posterior for a caller that holds prev, an earlier
 // result of this engine (nil for none): when prev's frontier still
 // covers c, and tightly, only the frontier's cells are evaluated, and
-// the marginals are bit for bit those of the full pass (DESIGN.md §5.1,
-// "The frontier"). prev is only read, so racing callers may share one.
+// the marginals are bit for bit those of the full pass (DESIGN.md §2.2;
+// DECISIONS.md, "the frontier pass, with its proof"). prev is only
+// read, so racing callers may share one.
 func (w *WhiteBox) PosteriorFrom(prev *Posterior, c JointCounts) (*Posterior, error) {
 	if !c.Valid() {
 		return nil, fmt.Errorf("%w: inconsistent counts %+v", ErrBadConfig, c)

@@ -394,7 +394,8 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	// as the last and costs less saturated capacity where the handler
 	// goes on to compute (publish-small) — it usually finishes before a
 	// gatherer does, so it is resumed by a channel hand-off, which also
-	// wakes an idle P, not straight from the netpoller (DESIGN.md §2).
+	// wakes an idle P, not straight from the netpoller (DECISIONS.md, "two
+	// faster designs were measured and not taken, and which call Do keeps").
 	replies := getReplySlice(n)
 	received := 0
 	first := 0

@@ -77,20 +77,11 @@ type Hub struct {
 }
 
 // NewHub returns an empty hub retaining DefaultHistory events for
-// resume.
+// Last-Event-ID resume.
 func NewHub() *Hub {
-	return NewHubHistory(DefaultHistory)
-}
-
-// NewHubHistory returns an empty hub retaining up to history published
-// events for Last-Event-ID resume (DefaultHistory when history <= 0).
-func NewHubHistory(history int) *Hub {
-	if history <= 0 {
-		history = DefaultHistory
-	}
 	return &Hub{
 		subs: make(map[*Subscription]struct{}),
-		ring: make([]Event, history),
+		ring: make([]Event, DefaultHistory),
 	}
 }
 

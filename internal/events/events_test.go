@@ -163,7 +163,8 @@ func TestReplayFrom(t *testing.T) {
 // The history is a bounded ring: once a resume point is evicted, replay
 // returns what is retained and reports the gap.
 func TestReplayEviction(t *testing.T) {
-	h := NewHubHistory(4)
+	h := NewHub()
+	h.ring = make([]Event, 4)
 	defer h.Close()
 	for i := 0; i < 10; i++ {
 		h.Publish("phase", i)

@@ -95,10 +95,11 @@ type Options struct {
 	Client *http.Client
 	// Seed drives request-parameter generation.
 	Seed uint64
-	// HistogramBins sizes the latency histograms (default 1<<14). The
-	// bins are geometric — see latencyFloorMS.
-	HistogramBins int
 }
+
+// histogramBins sizes the latency histograms. The bins are geometric —
+// see latencyFloorMS.
+const histogramBins = 1 << 14
 
 func (o *Options) normalize() error {
 	if len(o.URLs) == 0 {
@@ -125,9 +126,6 @@ func (o *Options) normalize() error {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
-	}
-	if o.HistogramBins <= 0 {
-		o.HistogramBins = 1 << 14
 	}
 	if o.OpenLoop {
 		if o.RPS <= 0 {
@@ -218,7 +216,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 	workers := make([]*worker, opts.Concurrency)
 	master := xrand.New(opts.Seed)
 	for i := range workers {
-		h, err := stats.NewHistogram(math.Log(latencyFloorMS), histHi, opts.HistogramBins)
+		h, err := stats.NewHistogram(math.Log(latencyFloorMS), histHi, histogramBins)
 		if err != nil {
 			return Report{}, err
 		}

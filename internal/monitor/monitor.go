@@ -14,7 +14,7 @@
 // every read (Joint, JointFor, Stats, SlowResponses, CampaignState) is
 // one consistent cut: it includes a concurrent Note entirely or not at
 // all. The critical section is ~85 ns inside a demand that costs
-// ≥ 60 µs end to end (DESIGN.md §1.2, "the monitor holds one lock").
+// ≥ 60 µs end to end (DECISIONS.md, "the monitor holds one lock").
 // Release names are interned to dense indices (Intern) so
 // per-observation aggregation is a slice index rather than a map lookup;
 // the JSONL sink marshals and writes outside that lock, under its own.

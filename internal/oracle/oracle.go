@@ -145,8 +145,8 @@ func (o Reference) Name() string { return "reference(" + o.Release + ")" }
 // not the §5.1.1.3 back-to-back detector of Table 2
 // (bayes.BackToBackDetector), which records a discordant demand against
 // the release that failed only: fed this oracle's record, the switch
-// criteria are far slower or never met (DESIGN.md §1, "oracle.BackToBack
-// is not Table 2's detector").
+// criteria are far slower or never met (DECISIONS.md,
+// "oracle.BackToBack is not Table 2's detector").
 type BackToBack struct {
 	// Codec supplies canonical payload equivalence; nil means the SOAP
 	// codec. The zero value is the historical SOAP back-to-back oracle.

@@ -51,8 +51,8 @@ func PaperTable2() map[string]map[string]PaperTable2Cell {
 }
 
 // PaperSimCell is one published system cell of Table 5 or 6: MET (s),
-// and CR, EER, NER, NRDT out of 10,000 requests. DESIGN.md §4.1 sets the
-// run-1 cells beside the engine's.
+// and CR, EER, NER, NRDT out of 10,000 requests. DECISIONS.md, "the
+// engine replaces the model", sets the run-1 cells beside the engine's.
 type PaperSimCell struct {
 	MET                float64
 	CR, EER, NER, NRDT int

@@ -15,7 +15,7 @@
 //	           releases (RunAvailabilityStudy with correlated=true)
 //	Table 6  — same with independent releases (correlated=false)
 //
-// plus the design ablations called out in DESIGN.md (grid resolution,
+// plus the design ablations called out in DESIGN.md §7 (grid resolution,
 // operating modes, dynamic quorum).
 package repro
 

@@ -171,7 +171,8 @@ const pipeURL = "http://release.invalid/"
 
 func newPipeClient(t *testing.T) (*Client, *pipeServer) {
 	s := newPipeServer(t)
-	c := NewClient(Options{Dial: s.dial, IdleTimeout: -1})
+	c := NewClient(Options{Dial: s.dial})
+	c.idleAge = -1
 	t.Cleanup(func() { _ = c.Close() })
 	return c, s
 }
@@ -334,13 +335,13 @@ func TestCancelRacingFinishNeverPoisonsPooled(t *testing.T) {
 // Dialing starts no goroutine: cancellation needs none.
 func TestCancelDialStartsNoGoroutine(t *testing.T) {
 	c := NewClient(Options{
-		IdleTimeout: -1, // no janitor either: nothing but dials may show
 		Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			client, server := net.Pipe()
 			t.Cleanup(func() { server.Close() })
 			return client, nil
 		},
 	})
+	c.idleAge = -1 // no janitor either: nothing but dials may show
 	defer c.Close()
 	p, err := c.pool(pipeURL, testCT)
 	if err != nil {

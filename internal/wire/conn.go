@@ -129,7 +129,7 @@ func (p *pool) dial(ctx context.Context) (*conn, error) {
 func (p *pool) put(cn *conn) {
 	cn.idleSince = time.Now()
 	p.mu.Lock()
-	if !p.closed && len(p.idle) < p.c.opts.MaxIdlePerHost {
+	if !p.closed && len(p.idle) < p.c.maxIdle {
 		p.idle = append(p.idle, cn)
 		p.mu.Unlock()
 		return
@@ -329,7 +329,7 @@ type conn struct {
 	// response being read; see maxHeaderBytes.
 	lineBudget int
 	// idleSince stamps the moment the connection entered the idle pool;
-	// the client's janitor closes connections idle past IdleTimeout.
+	// the client's janitor closes connections idle past Client.idleAge.
 	idleSince time.Time
 
 	sawStatusLine bool

@@ -74,19 +74,10 @@ type Options struct {
 	// Dial overrides connection establishment; nil means a TCP dial with
 	// a 5 s connect timeout.
 	Dial DialFunc
-	// MaxIdlePerHost bounds each endpoint's idle-connection pool
-	// (default httpx.DefaultMaxIdleConnsPerHost).
-	MaxIdlePerHost int
 	// Timeout is the per-exchange deadline backstop applied when the
 	// call context carries no deadline of its own. Zero means none: an
 	// exchange is then bounded only by its context.
 	Timeout time.Duration
-	// IdleTimeout bounds how long an unused pooled connection survives
-	// before the janitor closes it — the wire counterpart of
-	// http.Transport.IdleConnTimeout, and what keeps connections to
-	// retired release endpoints from living for the client's lifetime.
-	// Default 90 s; negative disables reaping.
-	IdleTimeout time.Duration
 	// Fallback carries every call whose URL is not plain http:// (in
 	// practice https); nil means http.DefaultClient. PostXML delegates
 	// on the scheme alone, so nothing configured here — a proxy, say —
@@ -94,10 +85,21 @@ type Options struct {
 	Fallback *http.Client
 }
 
+// idleTimeout bounds how long an unused pooled connection survives
+// before the janitor closes it — the wire counterpart of
+// http.Transport.IdleConnTimeout, and what keeps connections to retired
+// release endpoints from living for the client's lifetime.
+const idleTimeout = 90 * time.Second
+
 // Client is the lean dispatch transport. Construct with NewClient; it is
 // safe for concurrent use. Close shuts down all pooled connections.
 type Client struct {
-	opts        Options
+	opts Options
+	// maxIdle bounds each endpoint's idle-connection pool, and
+	// idleAge is the janitor's age limit (negative: no janitor).
+	// NewClient sets both from constants; tests lower them.
+	maxIdle     int
+	idleAge     time.Duration
 	pools       sync.Map // endpoint URL string → *pool
 	closed      atomic.Bool
 	janitorOnce sync.Once
@@ -106,19 +108,18 @@ type Client struct {
 
 // NewClient builds a wire client.
 func NewClient(opts Options) *Client {
-	if opts.MaxIdlePerHost <= 0 {
-		opts.MaxIdlePerHost = httpx.DefaultMaxIdleConnsPerHost
-	}
 	if opts.Dial == nil {
 		opts.Dial = defaultDial
-	}
-	if opts.IdleTimeout == 0 {
-		opts.IdleTimeout = 90 * time.Second
 	}
 	if opts.Fallback == nil {
 		opts.Fallback = http.DefaultClient
 	}
-	return &Client{opts: opts, janitorDone: make(chan struct{})}
+	return &Client{
+		opts:        opts,
+		maxIdle:     httpx.DefaultMaxIdleConnsPerHost,
+		idleAge:     idleTimeout,
+		janitorDone: make(chan struct{}),
+	}
 }
 
 // Close closes every pooled connection. In-flight exchanges finish; the
@@ -139,13 +140,13 @@ func (c *Client) Close() error {
 // to retired release endpoints do not persist for the client's
 // lifetime.
 func (c *Client) startJanitor() {
-	if c.opts.IdleTimeout < 0 {
+	if c.idleAge < 0 {
 		return
 	}
 	c.janitorOnce.Do(func() {
-		interval := c.opts.IdleTimeout / 2
+		interval := c.idleAge / 2
 		if interval < time.Second {
-			interval = c.opts.IdleTimeout // sub-2s timeouts (tests) sweep at their own pace
+			interval = c.idleAge // sub-2s timeouts (tests) sweep at their own pace
 		}
 		go func() {
 			ticker := time.NewTicker(interval)
@@ -155,7 +156,7 @@ func (c *Client) startJanitor() {
 				case <-c.janitorDone:
 					return
 				case <-ticker.C:
-					cutoff := time.Now().Add(-c.opts.IdleTimeout)
+					cutoff := time.Now().Add(-c.idleAge)
 					c.pools.Range(func(_, v interface{}) bool {
 						v.(*pool).reapIdle(cutoff)
 						return true

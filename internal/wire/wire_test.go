@@ -71,7 +71,8 @@ func TestIdlePoolBounded(t *testing.T) {
 		time.Sleep(10 * time.Millisecond) // force concurrent conns
 		_, _ = w.Write([]byte("<ok/>"))
 	}))
-	c := NewClient(Options{MaxIdlePerHost: 2})
+	c := NewClient(Options{})
+	c.maxIdle = 2
 	defer c.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -201,13 +202,14 @@ func TestTimeoutBackstopWithoutContextDeadline(t *testing.T) {
 }
 
 // TestIdleConnectionsReaped: a pooled connection unused past
-// IdleTimeout is closed by the janitor, so retired release endpoints do not hold sockets for the client's
+// idleTimeout is closed by the janitor, so retired release endpoints do not hold sockets for the client's
 // lifetime.
 func TestIdleConnectionsReaped(t *testing.T) {
 	ts, cl := newCountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("<ok/>"))
 	}))
-	c := NewClient(Options{IdleTimeout: 50 * time.Millisecond})
+	c := NewClient(Options{})
+	c.idleAge = 50 * time.Millisecond
 	defer c.Close()
 	if _, err := c.PostXML(context.Background(), ts.URL, testCT, []byte("<in/>"), httpx.NoRetry); err != nil {
 		t.Fatal(err)
@@ -226,7 +228,7 @@ func TestIdleConnectionsReaped(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("idle conn not reaped after IdleTimeout (still %d pooled)", idle)
+			t.Fatalf("idle conn not reaped after idleTimeout (still %d pooled)", idle)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

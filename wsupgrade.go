@@ -22,7 +22,7 @@
 //     itself.
 //
 // The package's Examples run the paper's scenarios end to end on
-// loopback listeners; DESIGN.md has the per-experiment index.
+// loopback listeners; DESIGN.md §7 has the per-experiment index.
 package wsupgrade
 
 import (
