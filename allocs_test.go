@@ -24,8 +24,8 @@ var allocCeilings = []struct {
 	{"EngineInProcess/json-fastpath", 0},
 	{"EngineInProcess/parallel", 0},
 	{"EngineInProcess/observation-large", 3},
-	{"EngineInProcess/observation-publish", 3},
-	{"EngineInProcess/observation-publish-warm", 3},
+	{"EngineInProcess/observation-publish", 0},
+	{"EngineInProcess/observation-publish-warm", 0},
 	{"EngineInProcess/live-shape-oldonly", 0},
 	{"EngineInProcess/live-shape-parallel", 0},
 	{"FleetInProcess/fleet-routed", 0},

@@ -672,14 +672,16 @@ var engineInProcessRows = []benchRow{
 
 	// §6.2 publication: the observation phase with a confidence header
 	// on every response, so each demand makes a joint record and then
-	// computes the white-box posterior of the moved counts (the memo
-	// has no posterior of those counts). The ceiling is what publication
-	// adds to observation: the posterior's result and the header it is
-	// formatted into. The first row starts at N = 0, where every cell
-	// still carries mass and no frontier is kept; the warm row starts
-	// where the mediation benchmark's publish-small workload measures,
-	// past a 6 000-demand warm-up, where all but a few posteriors are
-	// advanced from the operation's last one.
+	// computes the served confidence at the moved counts (the memo has
+	// nothing at those counts). Publication adds no allocation to
+	// observation: the two confidences are accumulated in the model's
+	// pooled scratch and the header is rendered into a pooled buffer; a
+	// posterior is made only when a full pass leaves a new frontier,
+	// too rarely to show in a row. The first row starts at N = 0, where
+	// every cell still carries mass and no frontier is kept; the warm
+	// row starts where the mediation benchmark's publish-small workload
+	// measures, past a 6 000-demand warm-up, where all but a few demands
+	// advance from the operation's last frontier.
 	phaseRow("observation-publish", PhaseObservation, publish),
 	{"observation-publish-warm", func(tb testing.TB) func() {
 		e := newInProcessEngine(tb, 2, ModeReliability, 0, PhaseObservation, publish)

@@ -365,7 +365,7 @@ type WhiteBox struct {
 	// more demand of that outcome can lift any cell's log-weight.
 	maxLog [4]float64
 
-	scratch pool.Slice[float64] // per-call log-weights and their cells, len = 2·cells
+	scratch pool.Slice[float64] // per-call scratch, len scratchLen
 }
 
 // NewWhiteBox precomputes the inference grids.
@@ -410,27 +410,39 @@ func NewWhiteBox(cfg WhiteBoxConfig) (*WhiteBox, error) {
 		logPrB[j] = cfg.PriorB.LogPDF(pb)
 	}
 
+	// P_AB's grid in a cell is the smaller pfd's alone, and so are log
+	// P_AB and that release's own log(pfd − P_AB): they are computed once
+	// per grid point of each release, leaving a cell two logarithms.
+	ownA, ownB := smallerLogs(w.paXs, cfg.GridC), smallerLogs(w.pbXs, cfg.GridC)
+
 	idx := 0
 	w.maxLog = [4]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)}
 	for i, pa := range w.paXs {
 		for j, pb := range w.pbXs {
-			m := math.Min(pa, pb)
-			// P_AB | P_A, P_B ~ Uniform[0, m]: each conditional grid
-			// point carries weight 1/GridC; the 1/m density and the m/GridC
-			// cell width cancel, so the conditional weight is uniform and
-			// constant, and drops out of the normalization entirely.
+			// P_AB | P_A, P_B ~ Uniform[0, min(P_A, P_B)]: each conditional
+			// grid point carries weight 1/GridC; the 1/min density and the
+			// min/GridC cell width cancel, so the conditional weight is
+			// uniform and constant, and drops out of the normalization
+			// entirely. math.Min(pa, pb) is pa only when pa < pb.
+			own, aSmaller := ownB[j*cfg.GridC:(j+1)*cfg.GridC], pa < pb
+			if aSmaller {
+				own = ownA[i*cfg.GridC : (i+1)*cfg.GridC]
+			}
 			lp := logPrA[i] + logPrB[j]
-			for k := 0; k < cfg.GridC; k++ {
-				pab := m * (float64(k) + 0.5) / float64(cfg.GridC)
+			for _, o := range own {
+				pab := o.pab
 				bin := int(float64(cfg.GridAB) * pab / abUpper)
 				if bin >= cfg.GridAB {
 					bin = cfg.GridAB - 1
 				}
 				w.abBin[idx] = int32(bin)
 				w.logPrior[idx] = lp
-				w.l11[idx] = math.Log(pab)
-				w.l10[idx] = math.Log(pa - pab)
-				w.l01[idx] = math.Log(pb - pab)
+				w.l11[idx] = o.l11
+				if aSmaller {
+					w.l10[idx], w.l01[idx] = o.lOwn, math.Log(pb-pab)
+				} else {
+					w.l10[idx], w.l01[idx] = math.Log(pa-pab), o.lOwn
+				}
 				w.l00[idx] = math.Log1p(-(pa + pb - pab))
 				idx++
 			}
@@ -443,6 +455,24 @@ func NewWhiteBox(cfg WhiteBoxConfig) (*WhiteBox, error) {
 		}
 	}
 	return w, nil
+}
+
+// smallerLog is what a cell takes from the release whose pfd x is the
+// smaller of its two, at one point of the conditional grid: P_AB, log
+// P_AB and log(x − P_AB).
+type smallerLog struct{ pab, l11, lOwn float64 }
+
+// smallerLogs returns the smallerLog of each grid point x and each
+// conditional point k, at x's index times gridC plus k.
+func smallerLogs(xs []float64, gridC int) []smallerLog {
+	out := make([]smallerLog, 0, len(xs)*gridC)
+	for _, x := range xs {
+		for k := 0; k < gridC; k++ {
+			pab := x * (float64(k) + 0.5) / float64(gridC)
+			out = append(out, smallerLog{pab, math.Log(pab), math.Log(x - pab)})
+		}
+	}
+	return out
 }
 
 // Config returns the configuration the engine was built with.
@@ -473,11 +503,58 @@ func (w *WhiteBox) Posterior(c JointCounts) (*Posterior, error) {
 // DECISIONS.md, "the frontier pass, with its proof"). prev is only
 // read, so racing callers may share one.
 func (w *WhiteBox) PosteriorFrom(prev *Posterior, c JointCounts) (*Posterior, error) {
+	scratch := w.scratch.Get(w.scratchLen())[:w.scratchLen()]
+	post, _, err := w.pass(prev, c, scratch, true)
+	w.scratch.Put(scratch)
+	return post, err
+}
+
+// ConfidencesFrom is PosteriorFrom(prev, c) read at target: it returns
+// P(P_A ≤ target) and P(P_B ≤ target), bit for bit what that
+// posterior's ConfidenceA and ConfidenceB return, for a caller that
+// needs only those two. The marginals are accumulated in the engine's
+// pooled scratch, so the call allocates nothing unless a full pass
+// leaves a new frontier; next is then a Posterior carrying it. Otherwise
+// next is prev when prev's frontier answered and nil when it did not: a
+// caller that hands next on as its following query's prev pays what a
+// chain of PosteriorFrom calls would.
+func (w *WhiteBox) ConfidencesFrom(prev *Posterior, c JointCounts, target float64) (confA, confB float64, next *Posterior, err error) {
+	scratch := w.scratch.Get(w.scratchLen())[:w.scratchLen()]
+	post, fromPrev, err := w.pass(prev, c, scratch, false)
+	switch {
+	case err != nil:
+	case post != nil:
+		confA, confB, next = post.ConfidenceA(target), post.ConfidenceB(target), post
+	default:
+		nA, nB := w.cfg.GridA, w.cfg.GridB
+		ws := scratch[2*len(w.logPrior):]
+		a := stats.Grid1D{Xs: w.paXs, Ws: ws[:nA]}
+		b := stats.Grid1D{Xs: w.pbXs, Ws: ws[nA : nA+nB]}
+		confA, confB = a.CDF(target), b.CDF(target)
+		if fromPrev {
+			next = prev
+		}
+	}
+	w.scratch.Put(scratch)
+	return confA, confB, next, err
+}
+
+// scratchLen is the length of the per-call scratch: the log-weights and
+// their cells, then the three marginals of a call that keeps them there.
+func (w *WhiteBox) scratchLen() int {
+	return 2*len(w.logPrior) + w.cfg.GridA + w.cfg.GridB + w.cfg.GridAB
+}
+
+// pass is the posterior at c that both PosteriorFrom and ConfidencesFrom
+// take, from prev's frontier (fromPrev) or over the whole grid. Its three
+// normalised marginals go into a new Posterior when always is set or the
+// pass leaves a new frontier; otherwise post is nil and they are left in
+// scratch, after its first 2·cells entries, in A, B, AB order.
+func (w *WhiteBox) pass(prev *Posterior, c JointCounts, scratch []float64, always bool) (post *Posterior, fromPrev bool, err error) {
 	if !c.Valid() {
-		return nil, fmt.Errorf("%w: inconsistent counts %+v", ErrBadConfig, c)
+		return nil, false, fmt.Errorf("%w: inconsistent counts %+v", ErrBadConfig, c)
 	}
 	cells := len(w.logPrior)
-	scratch := w.scratch.Get(2 * cells)[:2*cells]
 	var logs, at []float64
 
 	var front frontier
@@ -502,7 +579,7 @@ func (w *WhiteBox) PosteriorFrom(prev *Posterior, c JointCounts) (*Posterior, er
 		front = prev.front
 	} else {
 		var argmax, n int
-		maxL, argmax, n = w.logWeights(c, scratch[:cells], scratch[cells:])
+		maxL, argmax, n = w.logWeights(c, scratch[:cells], scratch[cells:2*cells])
 		logs, at = scratch[:n], scratch[cells:cells+n]
 		if n <= cells/frontierShare {
 			keep = n
@@ -513,30 +590,38 @@ func (w *WhiteBox) PosteriorFrom(prev *Posterior, c JointCounts) (*Posterior, er
 		}
 	}
 	if math.IsInf(maxL, -1) {
-		w.scratch.Put(scratch)
-		return nil, fmt.Errorf("%w: posterior has no mass (all cells -Inf)", ErrBadConfig)
+		return nil, false, fmt.Errorf("%w: posterior has no mass (all cells -Inf)", ErrBadConfig)
 	}
 
-	// The result is two allocations: the three weight vectors — and, after
+	// A result is two allocations: the three weight vectors — and, after
 	// a full pass, the frontier's cells — share one backing array
 	// (capacities clipped so an append cannot run one part into the next)
 	// and the three grids ride with the Posterior.
 	nA, nB, nAB := w.cfg.GridA, w.cfg.GridB, w.cfg.GridAB
 	nW := nA + nB + nAB
-	buf := make([]float64, nW+keep)
-	ws, wsA, wsB, wsAB := buf[:nW], buf[:nA:nA], buf[nA:nA+nB:nA+nB], buf[nA+nB:nW:nW]
-	if keep > 0 {
-		front.cells = buf[nW:]
-		copy(front.cells, at)
+	var ws []float64
+	if always || keep > 0 {
+		buf := make([]float64, nW+keep)
+		ws = buf[:nW]
+		if keep > 0 {
+			front.cells = buf[nW:]
+			copy(front.cells, at)
+		}
+	} else {
+		ws = scratch[2*cells : 2*cells+nW]
+		clear(ws)
 	}
+	wsA, wsB, wsAB := ws[:nA:nA], ws[nA:nA+nB:nA+nB], ws[nA+nB:nW:nW]
 
 	t := w.accumulate(logs, at, maxL, wsA, wsB, wsAB)
-	w.scratch.Put(scratch)
 	if t <= 0 || math.IsInf(t, 0) || math.IsNaN(t) {
-		return nil, fmt.Errorf("%w: posterior mass %v", ErrBadConfig, t)
+		return nil, false, fmt.Errorf("%w: posterior mass %v", ErrBadConfig, t)
 	}
 	for i := range ws {
 		ws[i] /= t
+	}
+	if !always && keep == 0 {
+		return nil, covered, nil
 	}
 
 	res := &struct {
@@ -549,7 +634,7 @@ func (w *WhiteBox) PosteriorFrom(prev *Posterior, c JointCounts) (*Posterior, er
 		ab:        stats.Grid1D{Xs: w.abXs, Ws: wsAB},
 	}
 	res.A, res.B, res.AB = &res.a, &res.b, &res.ab
-	return &res.Posterior, nil
+	return &res.Posterior, covered, nil
 }
 
 // frontier is what a full pass leaves on its Posterior for the queries

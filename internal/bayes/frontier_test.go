@@ -2,6 +2,7 @@ package bayes
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -63,13 +64,18 @@ func sameMarginals(a, b *Posterior) bool {
 
 // checkWalk runs the walk and requires every query to agree with the
 // oracle: the same error, or marginals equal weight for weight (==).
-// With shared set all streams hand on one predecessor — the thrashing
-// the memo's per-operation slots avoid, still required to be right. It
-// returns how many queries were answered and how many by a full pass.
+// Alongside, ConfidencesFrom walks the same counts through its own
+// chain of predecessors and must read the oracle's two CDFs at
+// walkTarget, bit for bit. With shared set all streams hand on one
+// predecessor — the thrashing the memo's per-operation slots avoid,
+// still required to be right. It returns how many queries were
+// answered and how many by a full pass.
 func checkWalk(t testing.TB, w *WhiteBox, start []JointCounts, steps []walkStep, shared bool) (queries, full int) {
 	t.Helper()
+	const walkTarget = 0.05
 	counts := slices.Clone(start)
 	prev := make([]*Posterior, len(start))
+	prevConf := make([]*Posterior, len(start))
 	for i, st := range steps {
 		s := st.stream
 		slot := s
@@ -78,13 +84,20 @@ func checkWalk(t testing.TB, w *WhiteBox, start []JointCounts, steps []walkStep,
 		}
 		counts[s] = counts[s].add(st.d)
 		got, gotErr := w.PosteriorFrom(prev[slot], counts[s])
+		confA, confB, next, confErr := w.ConfidencesFrom(prevConf[slot], counts[s], walkTarget)
 		want, wantErr := w.Posterior(counts[s])
-		if gotErr != nil || wantErr != nil {
-			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Fatalf("step %d %+v: error %v, full pass %v", i, counts[s], gotErr, wantErr)
+		if gotErr != nil || confErr != nil || wantErr != nil {
+			if gotErr == nil || confErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() ||
+				confErr.Error() != wantErr.Error() {
+				t.Fatalf("step %d %+v: error %v, ConfidencesFrom %v, full pass %v", i, counts[s], gotErr, confErr, wantErr)
 			}
 			continue
 		}
+		if wantA, wantB := want.ConfidenceA(walkTarget), want.ConfidenceB(walkTarget); math.Float64bits(confA) != math.Float64bits(wantA) ||
+			math.Float64bits(confB) != math.Float64bits(wantB) {
+			t.Fatalf("step %d %+v: ConfidencesFrom reads (%v, %v), the full pass (%v, %v)", i, counts[s], confA, confB, wantA, wantB)
+		}
+		prevConf[slot] = next
 		if got.Counts != counts[s] {
 			t.Fatalf("step %d: posterior of %+v carries counts %+v", i, counts[s], got.Counts)
 		}
@@ -389,6 +402,60 @@ func TestFrontierStreamMaxima(t *testing.T) {
 			if m := slices.Max(l); m != w.maxLog[o] {
 				t.Errorf("%s, outcome %d: maxLog is %v, the stream's maximum %v", name, o, w.maxLog[o], m)
 			}
+		}
+	}
+}
+
+// ConfidencesFrom is PosteriorFrom read at a target. Chained through its
+// own next over a seeded stream with failures of all three joint kinds,
+// it must return, bit for bit, what a predecessor-less Posterior's
+// ConfidenceA and ConfidenceB say, at two targets — and the stream must
+// take all three of its ways: the frontier pass (next is prev), a full
+// pass that leaves a frontier (next is new) and one that leaves none.
+func TestFrontierConfidencesMatchPosterior(t *testing.T) {
+	w := scenarioEngine(t, 40)
+	for _, target := range []float64{0.01, 0.1} {
+		rng := xrand.New(34)
+		var prev *Posterior
+		var c JointCounts
+		kept, advanced, bare := 0, 0, 0
+		for i := 0; i < 600; i++ {
+			d := clean(1 + rng.Intn(8))
+			if rng.Intn(25) == 0 {
+				d = fail(JointOutcome(1+rng.Intn(3)), 1)
+			}
+			c = c.add(d)
+			a, b, next, err := w.ConfidencesFrom(prev, c, target)
+			if err != nil {
+				t.Fatalf("%+v: %v", c, err)
+			}
+			want, err := w.Posterior(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wa, wb := want.ConfidenceA(target), want.ConfidenceB(target); math.Float64bits(a) != math.Float64bits(wa) ||
+				math.Float64bits(b) != math.Float64bits(wb) {
+				t.Fatalf("target %v, %+v: (%v, %v), the full pass reads (%v, %v)", target, c, a, b, wa, wb)
+			}
+			switch {
+			case next == nil:
+				bare++
+			case next == prev:
+				kept++
+			default:
+				advanced++
+				if next.Counts != c || !fullPass(next) || !sameMarginals(next, want) {
+					t.Fatalf("target %v, %+v: the new predecessor is not the full pass's posterior", target, c)
+				}
+			}
+			prev = next
+		}
+		if kept == 0 || advanced == 0 || bare == 0 {
+			t.Errorf("target %v: %d frontier passes, %d full passes leaving a frontier, %d leaving none; want each > 0",
+				target, kept, advanced, bare)
+		}
+		if kept < 10*advanced {
+			t.Errorf("target %v: %d frontier passes to %d new frontiers; the frontier pass should dominate", target, kept, advanced)
 		}
 	}
 }

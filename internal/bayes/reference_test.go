@@ -288,3 +288,70 @@ func TestPosteriorWeightsAreTheCallers(t *testing.T) {
 		t.Fatal("mutating a returned posterior changed the next call's result")
 	}
 }
+
+// referenceTables are NewWhiteBox's cell tables as its per-cell loop
+// computed them before the smaller release's logarithms were taken once
+// per grid point: four logarithms per cell, from math.Min(pa, pb).
+func referenceTables(w *WhiteBox) (logPrior, l11, l10, l01, l00 []float64, abBin []int32, maxLog [4]float64) {
+	cfg := w.cfg
+	abUpper := math.Min(cfg.PriorA.Upper, cfg.PriorB.Upper)
+	maxLog = [4]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+	for _, pa := range w.paXs {
+		for _, pb := range w.pbXs {
+			m := math.Min(pa, pb)
+			lp := cfg.PriorA.LogPDF(pa) + cfg.PriorB.LogPDF(pb)
+			for k := 0; k < cfg.GridC; k++ {
+				pab := m * (float64(k) + 0.5) / float64(cfg.GridC)
+				bin := int(float64(cfg.GridAB) * pab / abUpper)
+				if bin >= cfg.GridAB {
+					bin = cfg.GridAB - 1
+				}
+				abBin = append(abBin, int32(bin))
+				logPrior = append(logPrior, lp)
+				l11 = append(l11, math.Log(pab))
+				l10 = append(l10, math.Log(pa-pab))
+				l01 = append(l01, math.Log(pb-pab))
+				l00 = append(l00, math.Log1p(-(pa + pb - pab)))
+			}
+			first, last := len(l11)-cfg.GridC, len(l11)-1
+			for o, l := range [4]float64{l11[last], l10[first], l01[first], l00[last]} {
+				maxLog[o] = max(maxLog[o], l)
+			}
+		}
+	}
+	return logPrior, l11, l10, l01, l00, abBin, maxLog
+}
+
+// NewWhiteBox's tables are, bit for bit, what the per-cell loop computed:
+// on grids where either release's pfd is the smaller, where the two
+// supports differ, where the priors do, and at the smallest grids.
+func TestWhiteBoxTablesMatchPerCellLoop(t *testing.T) {
+	pa, pb := scenario1Priors()
+	wide := stats.ScaledBeta{Alpha: 1, Beta: 3, Upper: 0.3}
+	narrow := stats.ScaledBeta{Alpha: 2, Beta: 5, Upper: 0.1}
+	for name, cfg := range map[string]WhiteBoxConfig{
+		"default-100x100x40": {PriorA: pa, PriorB: pb},
+		"scenario-40x40x10":  {PriorA: wide, PriorB: wide, GridA: 40, GridB: 40, GridC: 10, GridAB: 48},
+		"minimum-2x2x1":      {PriorA: wide, PriorB: pb, GridA: 2, GridB: 2, GridC: 1, GridAB: 2},
+		"asymmetric-30x17x7": {PriorA: narrow, PriorB: wide, GridA: 30, GridB: 17, GridC: 7, GridAB: 20},
+		"asymmetric-17x30x1": {PriorA: wide, PriorB: narrow, GridA: 17, GridB: 30, GridC: 1, GridAB: 9},
+		"gridA-2-2x50x12":    {PriorA: wide, PriorB: wide, GridA: 2, GridB: 50, GridC: 12, GridAB: 64},
+	} {
+		w, err := NewWhiteBox(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logPrior, l11, l10, l01, l00, abBin, maxLog := referenceTables(w)
+		for tname, c := range map[string][2][]float64{
+			"logPrior": {w.logPrior, logPrior}, "l11": {w.l11, l11}, "l10": {w.l10, l10},
+			"l01": {w.l01, l01}, "l00": {w.l00, l00}, "maxLog": {w.maxLog[:], maxLog[:]},
+		} {
+			if !slices.EqualFunc(c[0], c[1], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Errorf("%s: %s differs from the per-cell loop's", name, tname)
+			}
+		}
+		if !slices.Equal(w.abBin, abBin) {
+			t.Errorf("%s: abBin differs from the per-cell loop's", name)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wsupgrade/internal/bayes"
@@ -23,44 +22,104 @@ import (
 // and the registry entry that carries it, over a memo of recent
 // posteriors.
 
-// memoInference fronts the engine's white-box model with a memo of the
-// posteriors it computed last. A posterior is a pure function of the
-// model, which never changes after New, and of the joint counts it
-// conditions on, and nothing in this package writes to one after it is
-// computed — so a memoised posterior whose counts equal the queried
-// counts is the answer, with no expiry. That covers every query made
-// while the evidence stands still: per-demand publication in the
-// old-only and new-only phases (no joint record is made there),
-// confidence queries, status polls, and the policy check on the counts
-// the same demand's response then publishes. When the evidence has
-// moved, the operation's last posterior is the predecessor the model
-// advances from (bayes.PosteriorFrom), so a record that grows demand by
-// demand costs its frontier, not the grid.
+// memoInference fronts the engine's white-box model with a memo of what
+// it computed last. A posterior is a pure function of the model, which
+// never changes after New, and of the joint counts it conditions on, and
+// nothing in this package writes to one after it is computed — so a
+// memoised posterior (or pair of published confidences) whose counts
+// equal the queried counts is the answer, with no expiry. That covers
+// every query made while the evidence stands still: per-demand
+// publication in the old-only and new-only phases (no joint record is
+// made there), confidence queries, status polls, and the policy check on
+// the counts the same demand's response then publishes. When the
+// evidence has moved, the operation's last posterior is the predecessor
+// the model advances from (bayes.PosteriorFrom, bayes.ConfidencesFrom),
+// so a record that grows demand by demand costs its frontier, not the
+// grid, and publication allocates nothing.
 type memoInference struct {
 	model *bayes.WhiteBox
-	// memo holds the last posterior computed for each operation, at
-	// the slot its name hashes to; operations that collide only evict
-	// one another. Lookups match on counts alone, across all slots.
-	memo [8]atomic.Pointer[bayes.Posterior]
+	// target is the pfd target T the served pairs are read at (the
+	// engine's ConfidenceTarget).
+	target float64
+	// memo holds each operation's last results at the slot its name
+	// hashes to; operations that collide only evict one another.
+	// Lookups match on counts alone, across all slots.
+	memo [8]memoSlot
+}
+
+// memoSlot is one operation's memo. Its mutex is held only to read or
+// write the fields, never across a computation, so it is uncontended
+// but for demands of one operation landing together.
+type memoSlot struct {
+	mu sync.Mutex
+	// post is the operation's last posterior, the predecessor of its
+	// next query (nil: none to advance from).
+	post *bayes.Posterior
+	// The served pair — P(P_A ≤ T), P(P_B ≤ T) — last published, and
+	// the counts it was computed at.
+	pair   [2]float64
+	counts bayes.JointCounts
+	paired bool
 }
 
 var memoSeed = maphash.MakeSeed()
+
+func (m *memoInference) slot(operation string) *memoSlot {
+	return &m.memo[maphash.String(memoSeed, operation)%uint64(len(m.memo))]
+}
+
+// last returns s's posterior.
+func (s *memoSlot) last() *bayes.Posterior {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.post
+}
 
 // posterior returns the posterior for counts, the record of operation
 // ("" = all operations pooled).
 func (m *memoInference) posterior(operation string, counts bayes.JointCounts) (*bayes.Posterior, error) {
 	for i := range m.memo {
-		if post := m.memo[i].Load(); post != nil && post.Counts == counts {
+		if post := m.memo[i].last(); post != nil && post.Counts == counts {
 			return post, nil
 		}
 	}
-	slot := &m.memo[maphash.String(memoSeed, operation)%uint64(len(m.memo))]
-	post, err := m.model.PosteriorFrom(slot.Load(), counts)
+	slot := m.slot(operation)
+	post, err := m.model.PosteriorFrom(slot.last(), counts)
 	if err != nil {
 		return nil, err
 	}
-	slot.Store(post)
+	slot.mu.Lock()
+	slot.post = post
+	slot.mu.Unlock()
 	return post, nil
+}
+
+// served returns P(P_A ≤ T) and P(P_B ≤ T) for counts, the record of
+// operation, bit for bit what posterior's result reads there — without
+// making one unless the model leaves a new frontier.
+func (m *memoInference) served(operation string, counts bayes.JointCounts) (confA, confB float64, err error) {
+	for i := range m.memo {
+		s := &m.memo[i]
+		s.mu.Lock()
+		pair, hit, post := s.pair, s.paired && s.counts == counts, s.post
+		s.mu.Unlock()
+		if hit {
+			return pair[0], pair[1], nil
+		}
+		if post != nil && post.Counts == counts {
+			return post.ConfidenceA(m.target), post.ConfidenceB(m.target), nil
+		}
+	}
+	slot := m.slot(operation)
+	confA, confB, next, err := m.model.ConfidencesFrom(slot.last(), counts, m.target)
+	if err != nil {
+		return 0, 0, err
+	}
+	slot.mu.Lock()
+	slot.post = next
+	slot.pair, slot.counts, slot.paired = [2]float64{confA, confB}, counts, true
+	slot.mu.Unlock()
+	return confA, confB, nil
 }
 
 // Posterior implements lifecycle.Inference on the pooled record.
@@ -90,40 +149,35 @@ type ConfidenceReport struct {
 	Demands int
 }
 
-// posteriorFor is the posterior of one operation's joint record;
-// operation "" pools all operations.
-func (e *Engine) posteriorFor(operation string) (*bayes.Posterior, error) {
-	if e.inference == nil {
-		return nil, ErrNoInference
-	}
-	var counts bayes.JointCounts
+// joint is one operation's joint record; operation "" pools all
+// operations.
+func (e *Engine) joint(operation string) bayes.JointCounts {
 	if operation == "" {
-		counts = e.mon.Joint()
-	} else {
-		counts = e.mon.JointFor(operation)
+		return e.mon.Joint()
 	}
-	post, err := e.inference.posterior(operation, counts)
-	if err != nil {
-		return nil, fmt.Errorf("core: computing posterior: %w", err)
-	}
-	return post, nil
+	return e.mon.JointFor(operation)
 }
 
 // Confidence computes the report for one operation; operation "" pools
 // all operations.
 func (e *Engine) Confidence(operation string) (ConfidenceReport, error) {
-	post, err := e.posteriorFor(operation)
-	if err != nil {
-		return ConfidenceReport{}, err
+	if e.inference == nil {
+		return ConfidenceReport{}, ErrNoInference
 	}
+	post, err := e.inference.posterior(operation, e.joint(operation))
+	if err != nil {
+		return ConfidenceReport{}, fmt.Errorf("core: computing posterior: %w", err)
+	}
+	target := e.cfg.ConfidenceTarget
+	confOld, confNew := post.ConfidenceA(target), post.ConfidenceB(target)
 	return ConfidenceReport{
 		Operation: operation,
-		Target:    e.cfg.ConfidenceTarget,
-		Old:       post.ConfidenceA(e.cfg.ConfidenceTarget),
-		New:       post.ConfidenceB(e.cfg.ConfidenceTarget),
+		Target:    target,
+		Old:       confOld,
+		New:       confNew,
 		OldP99:    post.PercentileA(0.99),
 		NewP99:    post.PercentileB(0.99),
-		Published: servedConfidence(e.Phase(), post, e.cfg.ConfidenceTarget),
+		Published: servedConfidence(e.Phase(), confOld, confNew),
 		Demands:   post.Counts.N,
 	}, nil
 }
@@ -183,14 +237,17 @@ func blackBoxConfidence(what string, demands, failures int, target float64) (flo
 }
 
 // publishedConfidence is the scalar used in headers and responses:
-// Confidence's Published without the rest of the report (on the response
-// path, one CDF over one marginal).
+// Confidence's Published without the rest of the report, and without a
+// posterior (on the response path, two CDFs over the memoised frontier).
 func (e *Engine) publishedConfidence(operation string) (float64, error) {
-	post, err := e.posteriorFor(operation)
-	if err != nil {
-		return 0, err
+	if e.inference == nil {
+		return 0, ErrNoInference
 	}
-	return servedConfidence(e.Phase(), post, e.cfg.ConfidenceTarget), nil
+	confOld, confNew, err := e.inference.served(operation, e.joint(operation))
+	if err != nil {
+		return 0, fmt.Errorf("core: computing posterior: %w", err)
+	}
+	return servedConfidence(e.Phase(), confOld, confNew), nil
 }
 
 // confVariantBase reports whether operation is a §6.2 "<op>Conf"

@@ -1,15 +1,21 @@
 package core
 
 import (
+	"context"
+	"encoding/xml"
 	"fmt"
+	"math"
+	"net/http"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/service"
+	"wsupgrade/internal/soap"
 )
 
 // startInferenceEngine deploys two releases, the new one faultless, with
@@ -200,7 +206,10 @@ func TestPublishedConfidenceMatchesReport(t *testing.T) {
 // predecessor of the next: streams of very different N advancing side
 // by side — per operation and pooled, as respond and evaluatePolicy
 // drive them, from several goroutines at once (run under -race) — must
-// each read exactly what a model with no memo and no predecessor says.
+// each read exactly what a model with no memo and no predecessor says,
+// through the posterior and through the served pair alike. Every other
+// step asks for the pair first, so the scalar path computes it rather
+// than reading it off the posterior just made.
 func TestMemoFrontierStreams(t *testing.T) {
 	model, err := bayes.NewWhiteBox(*testInference())
 	if err != nil {
@@ -210,17 +219,42 @@ func TestMemoFrontierStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &memoInference{model: model}
-	check := func(op string, c bayes.JointCounts) {
+	const target = 0.02
+	m := &memoInference{model: model, target: target}
+	checkPosterior := func(op string, c bayes.JointCounts, want *bayes.Posterior) {
 		got, err := m.posterior(op, c)
 		if err != nil {
 			t.Errorf("%q %+v: %v", op, c, err)
 			return
 		}
-		want, _ := plain.Posterior(c)
 		if got.Counts != c || !slices.Equal(got.A.Ws, want.A.Ws) || !slices.Equal(got.B.Ws, want.B.Ws) ||
 			!slices.Equal(got.AB.Ws, want.AB.Ws) {
 			t.Errorf("%q %+v: memoised posterior differs from the model's", op, c)
+		}
+	}
+	checkServed := func(op string, c bayes.JointCounts, want *bayes.Posterior) {
+		a, b, err := m.served(op, c)
+		if err != nil {
+			t.Errorf("%q %+v: %v", op, c, err)
+			return
+		}
+		wantA, wantB := want.ConfidenceA(target), want.ConfidenceB(target)
+		if math.Float64bits(a) != math.Float64bits(wantA) || math.Float64bits(b) != math.Float64bits(wantB) {
+			t.Errorf("%q %+v: served (%v, %v), the model says (%v, %v)", op, c, a, b, wantA, wantB)
+		}
+	}
+	check := func(op string, c bayes.JointCounts, servedFirst bool) {
+		want, err := plain.Posterior(c)
+		if err != nil {
+			t.Errorf("%q %+v: %v", op, c, err)
+			return
+		}
+		if servedFirst {
+			checkServed(op, c, want)
+			checkPosterior(op, c, want)
+		} else {
+			checkPosterior(op, c, want)
+			checkServed(op, c, want)
 		}
 	}
 	var wg sync.WaitGroup
@@ -234,14 +268,120 @@ func TestMemoFrontierStreams(t *testing.T) {
 				if i%97 == 0 {
 					c.Add(bayes.JointOutcome(1 + i%3))
 				}
-				check(op, c)
+				check(op, c, i%2 == 0)
 				if i%3 == 0 { // the policy's pooled query, between the responses'
 					pooled := c
 					pooled.Merge(bayes.JointCounts{N: 40000 + g, AOnly: 2})
-					check("", pooled)
+					check("", pooled, i%2 == 1)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// Publication races the rest of the §6.2 surface on one engine: demands
+// that publish their confidence, Confidence queries and phase changes,
+// all sharing the memo's slots (run under -race). Every response must
+// carry a header whose value is a probability and, once the demands are
+// in, what the engine publishes must be, bit for bit, what a model with
+// no memo says of the final record, in every phase.
+func TestPublishedConcurrent(t *testing.T) {
+	// The old release fails visibly on half its demands, so the two
+	// marginals differ and the phase decides which is published.
+	_, old := startRelease(t, "1.0", service.FaultPlan{Profile: relmodel.Profile{CR: 0.5, NER: 0.5}, Seed: 10})
+	_, new_ := startRelease(t, "1.1", service.FaultPlan{})
+	e, ts := startEngine(t, Config{
+		Releases:      []Endpoint{old, new_},
+		InitialPhase:  PhaseObservation,
+		Oracle:        oracle.Header{},
+		Inference:     testInference(),
+		PublishHeader: true,
+	})
+	cycle := []Phase{PhaseOldOnly, PhaseObservation, PhaseParallel, PhaseNewOnly}
+	env := soap.EnvelopeRaw([]byte(`<addRequest><a>1</a><b>1</b></addRequest>`))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(2)
+	go func() { // the operator
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.SetPhase(cycle[i%len(cycle)]); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	go func() { // a status poll
+		defer churn.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, op := range []string{"", "add"} {
+				if rep, err := e.Confidence(op); err != nil || rep.Published < 0 || rep.Published > 1 {
+					t.Errorf("Confidence(%q) = %+v, %v", op, rep, err)
+					return
+				}
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &soap.Client{URL: ts.URL, HTTP: &http.Client{Timeout: 5 * time.Second}}
+			for i := 0; i < 20; i++ {
+				respEnv, err := c.CallRaw(context.Background(), "add", env)
+				if err != nil {
+					continue // the old release's faults are delivered in old-only and observation
+				}
+				parsed, err := soap.Decode(respEnv)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var conf struct {
+					Value float64 `xml:"value,attr"`
+				}
+				if err := xml.Unmarshal(parsed.HeaderXML, &conf); err != nil || conf.Value < 0 || conf.Value > 1 {
+					t.Errorf("confidence header %q: value %v, %v", parsed.HeaderXML, conf.Value, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	churn.Wait()
+
+	model, err := bayes.NewWhiteBox(*testInference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := e.cfg.ConfidenceTarget
+	for _, phase := range cycle {
+		if err := e.SetPhase(phase); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []string{"", "add"} {
+			post, err := model.Posterior(e.joint(op))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := servedConfidence(phase, post.ConfidenceA(target), post.ConfidenceB(target))
+			if got, err := e.publishedConfidence(op); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v %q: published %v (%v), the model says %v", phase, op, got, err, want)
+			}
+		}
+	}
 }

@@ -179,16 +179,16 @@ func (e *Engine) respond(w http.ResponseWriter, operation string, winner adjudic
 		return
 	}
 	h := w.Header()
-	var confidence protocol.HeaderItem
+	publish, conf := false, 0.0
 	if e.cfg.PublishHeader {
-		if conf, err := e.publishedConfidence(operation); err == nil {
-			if e.confOps != nil {
-				confidence = e.confOps.ConfidenceHeader(operation, conf)
-			} else {
-				// No native header representation (JSON): publish over
-				// a plain HTTP header instead.
-				h[ConfidenceHeader] = []string{strconv.FormatFloat(conf, 'f', 6, 64)}
-			}
+		var err error
+		conf, err = e.publishedConfidence(operation)
+		publish = err == nil
+		if publish && e.confOps == nil {
+			// No native header representation (JSON): publish over a
+			// plain HTTP header instead.
+			h[ConfidenceHeader] = []string{strconv.FormatFloat(conf, 'f', 6, 64)}
+			publish = false
 		}
 	}
 	// The headers are assigned as value slices (keys in canonical form),
@@ -204,20 +204,36 @@ func (e *Engine) respond(w http.ResponseWriter, operation string, winner adjudic
 		}
 	}
 	// The first Write sends the 200; until then the codec may declare a length.
-	if confidence != nil {
-		headers := append(headerScratch.Get(1), confidence)
-		_, _ = e.codec.WriteBody(w, winner.Body, headers...)
-		headers[0] = nil
-		headerScratch.Put(headers)
+	if publish {
+		e.writeWithConfidence(w, operation, winner.Body, conf)
 	} else {
 		_, _ = e.codec.WriteBody(w, winner.Body)
 	}
 	winner.ReleaseBody()
 }
 
-// headerScratch recycles respond's one-item header list (the codec's
-// WriteBody copies the items out and retains nothing).
-var headerScratch pool.Slice[protocol.HeaderItem]
+// writeWithConfidence writes body under the codec's confidence header
+// item, rendered into a pooled buffer: WriteBody copies the items out
+// and retains nothing.
+func (e *Engine) writeWithConfidence(w http.ResponseWriter, operation string, body []byte, conf float64) {
+	buf := confHeaderBufs.Get(confHeaderCap)
+	headers := append(headerScratch.Get(1), e.confOps.AppendConfidenceHeader(buf, operation, conf))
+	_, _ = e.codec.WriteBody(w, body, headers...)
+	headers[0] = nil
+	headerScratch.Put(headers)
+	confHeaderBufs.Put(buf)
+}
+
+// headerScratch recycles writeWithConfidence's one-item header list and
+// confHeaderBufs the buffer its item is rendered into. confHeaderCap
+// fits the item of an operation name up to about 150 bytes; a longer
+// one is appended past the buffer into an allocation of its own.
+var (
+	headerScratch  pool.Slice[protocol.HeaderItem]
+	confHeaderBufs pool.Slice[byte]
+)
+
+const confHeaderCap = 256
 
 // errUnavailable is the consumer-facing outcome when no release
 // produced anything deliverable (the paper's unavailability case).

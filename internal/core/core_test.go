@@ -546,6 +546,48 @@ func TestModeResponsivenessDeliversAndMonitors(t *testing.T) {
 	}
 }
 
+// Observation delivers the old release's valid reply in every operating
+// mode, else the adjudicator's pick (DESIGN.md §3; §3.1 keeps the old
+// release authoritative until the switch): a mode that may deliver
+// early waits for the authority's reply however much faster the new
+// release is, and falls back to its own rule only when that reply is an
+// evident failure.
+func TestObservationDeliversOldInEveryMode(t *testing.T) {
+	for _, mc := range []struct {
+		name   string
+		mode   Mode
+		quorum int
+	}{{"responsiveness", ModeResponsiveness, 0}, {"dynamic-q1", ModeDynamic, 1}} {
+		for _, c := range []struct {
+			name    string
+			oldPlan service.FaultPlan
+			want    string
+		}{
+			{"old-slow", service.FaultPlan{MeanLatency: 30 * time.Millisecond, Seed: 8}, "1.0"},
+			{"old-failing", service.FaultPlan{MeanLatency: 30 * time.Millisecond, Profile: relmodel.Profile{ER: 1}, Seed: 8}, "1.1"},
+		} {
+			t.Run(mc.name+"/"+c.name, func(t *testing.T) {
+				_, old := startRelease(t, "1.0", c.oldPlan)
+				_, new_ := startRelease(t, "1.1", service.FaultPlan{})
+				_, ts := startEngine(t, Config{
+					Releases:     []Endpoint{old, new_},
+					InitialPhase: PhaseObservation,
+					Mode:         mc.mode,
+					Quorum:       mc.quorum,
+					Oracle:       oracle.Header{},
+				})
+				client := &http.Client{Timeout: 5 * time.Second}
+				for i := 0; i < 10; i++ {
+					out := driveSOAP(t, client, ts.URL, i, 1)
+					if !out.OK || out.Sum != i+1 || out.Winner != c.want {
+						t.Fatalf("demand %d: %+v, want a correct sum from %s", i, out, c.want)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestModeSequentialShortCircuits(t *testing.T) {
 	oldRel, old := startRelease(t, "1.0", service.FaultPlan{})
 	newRel, new_ := startRelease(t, "1.1", service.FaultPlan{})

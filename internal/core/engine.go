@@ -334,7 +334,7 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: building inference engine: %w", err)
 		}
-		e.inference = &memoInference{model: wb}
+		e.inference = &memoInference{model: wb, target: cfg.ConfidenceTarget}
 	}
 	return e, nil
 }

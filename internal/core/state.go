@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"wsupgrade/internal/adjudicate"
-	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/lifecycle"
 )
 
@@ -76,16 +75,16 @@ func deliveryRule(p Phase, releases []Endpoint, adj adjudicate.Adjudicator) adju
 	return adj
 }
 
-// servedConfidence is the confidence in what a phase serves: the old or
-// the new release's marginal, or conservatively the smaller of the two.
-func servedConfidence(p Phase, post *bayes.Posterior, target float64) float64 {
+// servedConfidence is the confidence in what a phase serves, given the
+// old and the new release's: one of them, or conservatively the smaller.
+func servedConfidence(p Phase, confOld, confNew float64) float64 {
 	switch oldest, newest := phaseServes(p); {
 	case oldest:
-		return post.ConfidenceA(target)
+		return confOld
 	case newest:
-		return post.ConfidenceB(target)
+		return confNew
 	}
-	return math.Min(post.ConfidenceA(target), post.ConfidenceB(target))
+	return math.Min(confOld, confNew)
 }
 
 // phaseTargets is the fan-out set of a state: every release, except

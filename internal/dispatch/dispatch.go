@@ -139,7 +139,9 @@ type Request struct {
 	// buffer exactly once, when the dispatch completes.
 	EnvelopeBuf *pool.Buf
 	// Deliver selects the delivered reply among the collected
-	// responses; nil means adjudicate.RandomValid.
+	// responses; nil means adjudicate.RandomValid. An
+	// adjudicate.Preferred rule names an authority, whose reply an
+	// early-delivering mode waits for before it delivers anything.
 	Deliver adjudicate.Adjudicator
 	// Oldest and Newest annotate the outcome for pairwise monitoring
 	// (the Table 1 joint record pairs the oldest and newest release).
@@ -409,7 +411,12 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 		replies[0] = f.end(0, targets[0])
 		received = 1
 	}
-	for received < need {
+	// A rule that names an authority (a phase's Preferred release)
+	// delivers nothing before the authority's reply is in, however early
+	// the mode may deliver: the authority's valid reply is the delivery.
+	// Only when it is an evident failure does the mode's own rule go on.
+	auth := authority(rule, targets)
+	for received < need || (auth >= 0 && replies[auth].Release == "") {
 		in := <-f.ch
 		replies[in.i] = in.r
 		received++
@@ -730,6 +737,19 @@ func Responded(r adjudicate.Reply) bool { return responded(r) }
 
 func responded(r adjudicate.Reply) bool {
 	return r.Valid() || protocol.IsFault(r.Err)
+}
+
+// authority is the index among targets of the release rule delivers
+// whenever its reply is valid (adjudicate.Preferred's), or -1.
+func authority(rule adjudicate.Adjudicator, targets []Endpoint) int {
+	if p, ok := rule.(adjudicate.Preferred); ok {
+		for i, t := range targets {
+			if t.Version == p.Release {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 func anyValid(replies []adjudicate.Reply) bool {

@@ -178,8 +178,9 @@ type ConfOps interface {
 	// operation with the confidence element and renames it to the
 	// variant's response shape.
 	ExtendConfVariant(winnerBody []byte, baseOp string, confidence float64) ([]byte, error)
-	// ConfidenceHeader renders the per-response confidence header item.
-	ConfidenceHeader(operation string, value float64) HeaderItem
+	// AppendConfidenceHeader renders the per-response confidence
+	// header item, appended to dst.
+	AppendConfidenceHeader(dst []byte, operation string, value float64) HeaderItem
 }
 
 // ContainsFold reports whether s contains substr ASCII

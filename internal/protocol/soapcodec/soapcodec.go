@@ -186,17 +186,16 @@ func (Codec) ExtendConfVariant(winnerBody []byte, baseOp string, confidence floa
 	return soap.RenameRoot(extended, baseOp+"ConfResponse")
 }
 
-// ConfidenceHeader implements protocol.ConfOps: the per-response
-// confidence SOAP header element (§6.2 option 1), rendered by append
-// into its one allocation; the operation name is escaped as XML.
-func (Codec) ConfidenceHeader(operation string, value float64) protocol.HeaderItem {
+// AppendConfidenceHeader implements protocol.ConfOps: the per-response
+// confidence SOAP header element (§6.2 option 1), appended to dst; the
+// operation name is escaped as XML.
+func (Codec) AppendConfidenceHeader(dst []byte, operation string, value float64) protocol.HeaderItem {
 	const (
 		head = `<conf:Confidence xmlns:conf="` + wsdl.UpgradeNS + `" operation="`
 		mid  = `" value="`
 		tail = `"/>`
 	)
-	b := make([]byte, 0, len(head)+len(operation)+len(mid)+len("0.000000")+len(tail))
-	b = soap.AppendEscaped(append(b, head...), operation)
+	b := soap.AppendEscaped(append(dst, head...), operation)
 	b = strconv.AppendFloat(append(b, mid...), value, 'f', 6, 64)
 	return append(b, tail...)
 }
