@@ -286,3 +286,42 @@ func TestFleetModeServesProfilesOnlyWithToken(t *testing.T) {
 	}
 	stop(cancel, errCh)
 }
+
+// TestJSONUnitOverDemoReleases: single-unit upgraded with -protocol json
+// fronts demo releases, whose REST/JSON face answers a JSON demand, and
+// returns the adjudicated reply with the winner and the published
+// confidence.
+func TestJSONUnitOverDemoReleases(t *testing.T) {
+	base, cancel, errCh := startRun(t, []string{
+		"-protocol", "json", "-phase", "parallel", "-criterion", "0",
+		"-release", "1.0=" + demoRelease(t, "1.0"),
+		"-release", "1.1=" + demoRelease(t, "1.1"),
+	})
+	defer func() {
+		cancel()
+		if err := <-errCh; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	resp, err := http.Post(base+"/add", "application/json", strings.NewReader(`{"a":19,"b":23}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Sum int `json:"sum"`
+	}
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil || out.Sum != 42 {
+		t.Fatalf("reply = %d %s, want 200 with sum 42", resp.StatusCode, body)
+	}
+	if w := resp.Header.Get("X-Wsupgrade-Winner"); w != "1.0" && w != "1.1" {
+		t.Errorf("X-Wsupgrade-Winner = %q", w)
+	}
+	if resp.Header.Get("X-Wsupgrade-Confidence") == "" {
+		t.Error("no X-Wsupgrade-Confidence header")
+	}
+}

@@ -11,9 +11,11 @@
 //	wsdemo -addr :8081 -version 1.0 -registry http://localhost:8070 \
 //	       -public http://localhost:8081
 //
-// The service exposes SOAP at "/", its WSDL at "/wsdl", and liveness at
-// "/healthz". Every response carries the release version header and a
-// ground-truth injection marker usable by test oracles.
+// The service exposes SOAP at "/" and, to a demand whose Content-Type
+// names JSON, REST/JSON at "/<operation>" (so `upgraded -protocol json`
+// can front it), its WSDL at "/wsdl", and liveness at "/healthz". Every
+// response carries the release version header and a ground-truth
+// injection marker usable by test oracles.
 package main
 
 import (

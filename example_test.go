@@ -394,7 +394,7 @@ func ExampleNewFleet_json() {
 	var eps []wsupgrade.Endpoint
 	for i, p := range []wsupgrade.OutcomeProfile{{CR: 0.93, ER: 0.05, NER: 0.02}, {CR: 0.99, ER: 0.008, NER: 0.002}} {
 		version := fmt.Sprintf("1.%d", i)
-		rel, err := service.NewJSON(version, service.DemoJSONBehaviours(), wsupgrade.FaultPlan{Profile: p, Seed: 41 + uint64(i)})
+		rel, err := service.New(service.DemoContract(version), service.DemoBehaviours(), wsupgrade.FaultPlan{Profile: p, Seed: 41 + uint64(i)})
 		must(err)
 		r := httptest.NewServer(rel.Handler())
 		defer r.Close()
@@ -416,10 +416,10 @@ func ExampleNewFleet_json() {
 	ok, failed := 0, 0
 	var confidence string
 	for i := 1; i <= 600; i++ {
-		body, _ := json.Marshal(service.AddJSONRequest{A: i, B: 2 * i})
+		body, _ := json.Marshal(service.AddRequest{A: i, B: 2 * i})
 		resp, err := http.Post(gateway.URL+"/api/add", "application/json", bytes.NewReader(body))
 		must(err)
-		var out service.AddJSONResponse
+		var out service.AddResponse
 		err = json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
 		if c := resp.Header.Get(core.ConfidenceHeader); c != "" {

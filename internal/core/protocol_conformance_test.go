@@ -111,7 +111,7 @@ func driveSOAP(t *testing.T, client *http.Client, url string, a, b int) demandOu
 // driveJSON posts the same logical demand through the JSON gateway.
 func driveJSON(t *testing.T, client *http.Client, url string, a, b int) demandOutcome {
 	t.Helper()
-	body, err := json.Marshal(service.AddJSONRequest{A: a, B: b})
+	body, err := json.Marshal(service.AddRequest{A: a, B: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func driveJSON(t *testing.T, client *http.Client, url string, a, b int) demandOu
 	if res.StatusCode != http.StatusOK {
 		return out
 	}
-	var resp service.AddJSONResponse
+	var resp service.AddResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		return out
 	}
@@ -162,11 +162,11 @@ func TestCrossProtocolConformance(t *testing.T) {
 
 	// JSON side: identical versions, seeds and profiles.
 	oldPlan, newPlan = conformancePlans()
-	jsonOld, err := service.NewJSON("1.0", service.DemoJSONBehaviours(), oldPlan)
+	jsonOld, err := service.New(service.DemoContract("1.0"), service.DemoBehaviours(), oldPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonNew, err := service.NewJSON("2.0", service.DemoJSONBehaviours(), newPlan)
+	jsonNew, err := service.New(service.DemoContract("2.0"), service.DemoBehaviours(), newPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestContentTypeContradictionRejected(t *testing.T) {
 		InitialPhase: PhaseOldOnly,
 	})
 
-	jsonRel, err := service.NewJSON("1.0", service.DemoJSONBehaviours(), service.FaultPlan{})
+	jsonRel, err := service.New(service.DemoContract("1.0"), service.DemoBehaviours(), service.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestContentTypeContradictionRejected(t *testing.T) {
 // JSON gateway: routing, adjudication and error rendering all speak
 // JSON.
 func TestJSONGatewayEndToEnd(t *testing.T) {
-	rel, err := service.NewJSON("1.0", service.DemoJSONBehaviours(), service.FaultPlan{})
+	rel, err := service.New(service.DemoContract("1.0"), service.DemoBehaviours(), service.FaultPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestJSONGatewayEndToEnd(t *testing.T) {
 	if ct := res.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	var out service.Operation1JSONResponse
+	var out service.Operation1Response
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,13 @@ import (
 	"wsupgrade/internal/service"
 )
 
-// buildMediator compiles ./cmd/upgraded into dir. It needs the Go
-// toolchain and a cwd inside the module — both true wherever the
-// scenarios themselves run from source.
+// buildMediator compiles cmd/upgraded into dir. It names the command by
+// import path, so it needs the Go toolchain and a working directory
+// anywhere inside the module — both true wherever the scenarios
+// themselves run from source.
 func buildMediator(dir string) (string, error) {
 	bin := filepath.Join(dir, "upgraded")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/upgraded")
+	cmd := exec.Command("go", "build", "-o", bin, "wsupgrade/cmd/upgraded")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		return "", fmt.Errorf("building mediator: %v\n%s", err, out)
 	}

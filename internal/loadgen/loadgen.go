@@ -345,54 +345,32 @@ func doOne(ctx context.Context, client *http.Client, opts Options, w *worker, ur
 	w.summary.Observe(ms)
 }
 
-// buildRequest produces the demand payload and its correctness check.
+// buildRequest produces the demand payload and its correctness check:
+// one demo value, encoded as a SOAP envelope or, for the JSON gateway,
+// as a JSON body.
 func (w *worker) buildRequest(opts Options) ([]byte, func(body []byte) bool) {
-	if opts.Protocol == "json" {
-		return w.buildJSONRequest(opts.Operation)
-	}
+	var in, out any
+	var correct func() bool
 	switch opts.Operation {
 	case "operation1":
 		p1 := w.rng.Intn(1000)
 		p2 := fmt.Sprintf("load-%d", w.rng.Intn(1000))
-		env, _ := soap.Envelope(service.Operation1Request{Param1: p1, Param2: p2})
 		want := fmt.Sprintf("%s/%d", p2, p1*2)
-		return env, func(body []byte) bool {
-			var out service.Operation1Response
-			return decodeReply(body, &out) && out.Op1Result == want
-		}
+		var resp service.Operation1Response
+		in, out = service.Operation1Request{Param1: p1, Param2: p2}, &resp
+		correct = func() bool { return resp.Op1Result == want }
 	default: // add
 		a, b := w.rng.Intn(10000), w.rng.Intn(10000)
-		env, _ := soap.Envelope(service.AddRequest{A: a, B: b})
-		want := a + b
-		return env, func(body []byte) bool {
-			var out service.AddResponse
-			return decodeReply(body, &out) && out.Sum == want
-		}
+		var resp service.AddResponse
+		in, out = service.AddRequest{A: a, B: b}, &resp
+		correct = func() bool { return resp.Sum == a+b }
 	}
-}
-
-// buildJSONRequest is buildRequest's JSON-gateway arm: same logical
-// demands, REST bodies.
-func (w *worker) buildJSONRequest(operation string) ([]byte, func(body []byte) bool) {
-	switch operation {
-	case "operation1":
-		p1 := w.rng.Intn(1000)
-		p2 := fmt.Sprintf("load-%d", w.rng.Intn(1000))
-		body, _ := json.Marshal(service.Operation1JSONRequest{Param1: p1, Param2: p2})
-		want := fmt.Sprintf("%s/%d", p2, p1*2)
-		return body, func(reply []byte) bool {
-			var out service.Operation1JSONResponse
-			return json.Unmarshal(reply, &out) == nil && out.Op1Result == want
-		}
-	default: // add
-		a, b := w.rng.Intn(10000), w.rng.Intn(10000)
-		body, _ := json.Marshal(service.AddJSONRequest{A: a, B: b})
-		want := a + b
-		return body, func(reply []byte) bool {
-			var out service.AddJSONResponse
-			return json.Unmarshal(reply, &out) == nil && out.Sum == want
-		}
+	if opts.Protocol == "json" {
+		body, _ := json.Marshal(in)
+		return body, func(reply []byte) bool { return json.Unmarshal(reply, out) == nil && correct() }
 	}
+	env, _ := soap.Envelope(in)
+	return env, func(reply []byte) bool { return decodeReply(reply, out) && correct() }
 }
 
 // decodeReply decodes a response envelope's body element into v.

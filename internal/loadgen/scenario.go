@@ -207,18 +207,12 @@ type unitSpec struct {
 	judge oracle.Oracle
 }
 
-// injections is a hosted release's record of its fault plan at work.
-type injections interface {
-	Calls() int
-	Injected() map[relmodel.OutcomeKind]int
-}
-
 // hostedUnit is a booted unitSpec with handles for chaos control.
 type hostedUnit struct {
 	name   string
 	oldSrv *releaseServer
 	newSrv *releaseServer
-	newRel injections // nil when the new release has no fault plan
+	newRel *service.Release // nil when the new release has no fault plan
 }
 
 // releaseServer hosts a release on a restartable listener: stop is the
@@ -346,22 +340,11 @@ func deploy(seed uint64, specs ...unitSpec) (*deployment, error) {
 		for j, rel := range []releaseSpec{spec.old, spec.new} {
 			plan := rel.plan
 			plan.Seed = seed + uint64(i*2+j)
-			var handler http.Handler
-			var counts injections
-			if spec.protocol == "json" {
-				release, err := service.NewJSON(rel.version, service.DemoJSONBehaviours(), plan)
-				if err != nil {
-					return nil, err
-				}
-				handler, counts = release.Handler(), release
-			} else {
-				release, err := service.New(service.DemoContract(rel.version), service.DemoBehaviours(), plan)
-				if err != nil {
-					return nil, err
-				}
-				handler, counts = release.Handler(), release
+			release, err := service.New(service.DemoContract(rel.version), service.DemoBehaviours(), plan)
+			if err != nil {
+				return nil, err
 			}
-			srv := &releaseServer{handler: handler}
+			srv := &releaseServer{handler: release.Handler()}
 			if err := srv.start(); err != nil {
 				return nil, err
 			}
@@ -371,7 +354,7 @@ func deploy(seed uint64, specs ...unitSpec) (*deployment, error) {
 			} else {
 				hu.newSrv = srv
 				if rel.plan != (service.FaultPlan{}) {
-					hu.newRel = counts
+					hu.newRel = release
 				}
 			}
 			endpoints = append(endpoints, core.Endpoint{Version: rel.version, URL: srv.url()})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -181,5 +182,21 @@ func TestSoakScenarioShort(t *testing.T) {
 	}
 	if res.Load.Requests == 0 || res.Load.Verdicts[VerdictWrong] != 0 {
 		t.Fatalf("soak load: %+v", res.Load)
+	}
+}
+
+// TestBuildMediatorFromPackageDir: the crash-recovery scenario builds
+// the daemon from wherever it is run inside the module, here the
+// package's own directory rather than the module root.
+func TestBuildMediatorFromPackageDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin, err := buildMediator(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(bin); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"wsupgrade/internal/soap"
 	"wsupgrade/internal/wsdl"
 )
 
@@ -13,30 +12,33 @@ import (
 // plus an arithmetic operation, so examples, commands and integration
 // tests all exercise the same realistic contract.
 
+// The demo messages carry both XML and JSON tags: a release's SOAP face
+// and its REST/JSON face decode and encode the same values.
+
 // Operation1Request is the §6.2 example request element.
 type Operation1Request struct {
-	XMLName struct{} `xml:"operation1Request"`
-	Param1  int      `xml:"param1"`
-	Param2  string   `xml:"param2"`
+	XMLName struct{} `xml:"operation1Request" json:"-"`
+	Param1  int      `xml:"param1" json:"param1"`
+	Param2  string   `xml:"param2" json:"param2"`
 }
 
 // Operation1Response is the §6.2 example response element.
 type Operation1Response struct {
-	XMLName   struct{} `xml:"operation1Response"`
-	Op1Result string   `xml:"Op1Result"`
+	XMLName   struct{} `xml:"operation1Response" json:"-"`
+	Op1Result string   `xml:"Op1Result" json:"Op1Result"`
 }
 
 // AddRequest asks for the sum of two integers.
 type AddRequest struct {
-	XMLName struct{} `xml:"addRequest"`
-	A       int      `xml:"a"`
-	B       int      `xml:"b"`
+	XMLName struct{} `xml:"addRequest" json:"-"`
+	A       int      `xml:"a" json:"a"`
+	B       int      `xml:"b" json:"b"`
 }
 
 // AddResponse carries the sum.
 type AddResponse struct {
-	XMLName struct{} `xml:"addResponse"`
-	Sum     int      `xml:"sum"`
+	XMLName struct{} `xml:"addResponse" json:"-"`
+	Sum     int      `xml:"sum" json:"sum"`
 }
 
 // DemoContract returns the demo service contract at a given version.
@@ -67,17 +69,17 @@ func DemoContract(version string) wsdl.Contract {
 func DemoBehaviours() map[string]Behaviour {
 	return map[string]Behaviour{
 		"operation1": {
-			Handler: func(ctx context.Context, req *soap.Request) (interface{}, error) {
+			Handler: func(ctx context.Context, decode func(any) error) (any, error) {
 				var in Operation1Request
-				if err := req.Decode(&in); err != nil {
-					return nil, soap.ClientFault(err.Error())
+				if err := decode(&in); err != nil {
+					return nil, err
 				}
 				return Operation1Response{Op1Result: fmt.Sprintf("%s/%d", in.Param2, in.Param1*2)}, nil
 			},
-			Faulty: func(ctx context.Context, req *soap.Request) (interface{}, error) {
+			Faulty: func(ctx context.Context, decode func(any) error) (any, error) {
 				var in Operation1Request
-				if err := req.Decode(&in); err != nil {
-					return nil, soap.ClientFault(err.Error())
+				if err := decode(&in); err != nil {
+					return nil, err
 				}
 				// Off-by-one in the doubling: plausible, wrong, and only
 				// detectable by comparing against a diverse channel.
@@ -85,17 +87,17 @@ func DemoBehaviours() map[string]Behaviour {
 			},
 		},
 		"add": {
-			Handler: func(ctx context.Context, req *soap.Request) (interface{}, error) {
+			Handler: func(ctx context.Context, decode func(any) error) (any, error) {
 				var in AddRequest
-				if err := req.Decode(&in); err != nil {
-					return nil, soap.ClientFault(err.Error())
+				if err := decode(&in); err != nil {
+					return nil, err
 				}
 				return AddResponse{Sum: in.A + in.B}, nil
 			},
-			Faulty: func(ctx context.Context, req *soap.Request) (interface{}, error) {
+			Faulty: func(ctx context.Context, decode func(any) error) (any, error) {
 				var in AddRequest
-				if err := req.Decode(&in); err != nil {
-					return nil, soap.ClientFault(err.Error())
+				if err := decode(&in); err != nil {
+					return nil, err
 				}
 				return AddResponse{Sum: in.A + in.B + 1}, nil
 			},

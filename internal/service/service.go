@@ -1,16 +1,17 @@
 // Package service is the Web Service runtime: it hosts one *release* of a
-// service — a WSDL contract plus operation handlers — over the SOAP/HTTP
-// stack, with an injectable fault and latency model.
+// service — a WSDL contract plus operation handlers — over SOAP/HTTP and
+// REST/JSON, with an injectable fault and latency model.
 //
 // The fault model follows the paper's taxonomy (§2.1, §5.2.1): on each
 // demand the release responds correctly (CR), raises an evident failure
-// (ER — a SOAP fault), or returns a plausible but wrong response (NER —
-// produced by the operation's Faulty handler, the application-level
-// failure only diversity can detect). Its execution time is exponential
-// (eq. 7), so a consumer that times it out sees an omission. It is the
-// repository's only model of a misbehaving release. Injection is
-// deterministic given the seed, and every response carries a
-// ground-truth marker header that only the test harness's oracle reads.
+// (ER — a SOAP fault or a JSON error body), or returns a plausible but
+// wrong response (NER — produced by the operation's Faulty handler, the
+// application-level failure only diversity can detect). Its execution
+// time is exponential (eq. 7), so a consumer that times it out sees an
+// omission. It is the repository's only model of a misbehaving release.
+// Injection is deterministic given the seed, and every response carries
+// a ground-truth marker header that only the test harness's oracle
+// reads.
 //
 // Releases built with this package stand in for the paper's real
 // third-party services: same interface, controllable dependability.
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"wsupgrade/internal/oracle"
+	"wsupgrade/internal/protocol/soapcodec"
 	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/wsdl"
@@ -39,15 +41,20 @@ const VersionHeader = "X-Wsupgrade-Release"
 // ErrBadService reports an invalid service definition.
 var ErrBadService = errors.New("service: bad definition")
 
-// Behaviour is one operation's implementation.
+// Behaviour is one operation's implementation, the same on both of a
+// release's faces. A handler reads the request through decode, which
+// fills a value from the request body and returns the face's own client
+// error (a soap:Client fault, or a JSON 400) when it cannot, and returns
+// the response value, which the face marshals as XML or JSON.
 type Behaviour struct {
 	// Handler is the correct implementation.
-	Handler soap.HandlerFunc
+	Handler func(ctx context.Context, decode func(any) error) (any, error)
 	// Faulty optionally produces the operation's non-evident failure
 	// mode: a plausible wrong answer. When nil, injected NER demands are
-	// served by corrupting the correct response with a marker element —
-	// detectable by comparison, like any other content error.
-	Faulty soap.HandlerFunc
+	// served by corrupting the correct response with a marker element
+	// (SOAP) or key (JSON) — detectable by comparison, like any other
+	// content error.
+	Faulty func(ctx context.Context, decode func(any) error) (any, error)
 }
 
 // FaultPlan is the release's injected dependability profile.
@@ -61,11 +68,15 @@ type FaultPlan struct {
 	Seed uint64
 }
 
-// injector is a release runtime's fault and latency injection — a
-// FaultPlan's profile, mean latency and seeded stream — and the
-// ground-truth counts of what it injected. Both release runtimes (SOAP
-// and JSON) embed one.
-type injector struct {
+// Release hosts one release of a Web Service: a contract, its
+// behaviours and one fault and latency injector — a FaultPlan's
+// profile, mean latency and seeded stream — with the ground-truth
+// counts of what it injected, shared by the SOAP and the REST/JSON
+// faces. Construct with New; serve via Handler.
+type Release struct {
+	contract    wsdl.Contract
+	behaviours  map[string]Behaviour
+	soapSrv     *soap.Server
 	profile     relmodel.Profile
 	meanLatency time.Duration
 
@@ -75,98 +86,42 @@ type injector struct {
 	calls    int
 }
 
-// newInjector validates the plan, defaulting the zero profile to
-// always-correct.
-func newInjector(plan FaultPlan) (*injector, error) {
+// New builds a release runtime from a contract and its behaviours,
+// keyed by operation name. The zero fault profile means always correct.
+func New(contract wsdl.Contract, behaviours map[string]Behaviour, plan FaultPlan) (*Release, error) {
+	if err := contract.Validate(); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	profile := plan.Profile
 	if profile == (relmodel.Profile{}) {
 		profile = relmodel.Profile{CR: 1}
 	} else if err := profile.Validate(); err != nil {
 		return nil, fmt.Errorf("service: fault plan: %w", err)
 	}
-	return &injector{
+	r := &Release{
+		contract:    contract,
+		behaviours:  make(map[string]Behaviour, len(contract.Operations)),
+		soapSrv:     soap.NewServer(),
 		profile:     profile,
 		meanLatency: plan.MeanLatency,
 		rng:         xrand.New(plan.Seed),
 		injected:    make(map[relmodel.OutcomeKind]int),
-	}, nil
-}
-
-// Calls returns the number of operations served.
-func (in *injector) Calls() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.calls
-}
-
-// Injected returns how many responses of each kind were injected — the
-// ground truth the test harness compares the monitor against. A demand
-// whose consumer gave up during the injected latency was never
-// answered and counts under no kind, so Calls minus the sum of
-// Injected is the number of abandoned demands.
-func (in *injector) Injected() map[relmodel.OutcomeKind]int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[relmodel.OutcomeKind]int, len(in.injected))
-	for k, v := range in.injected {
-		out[k] = v
 	}
-	return out
-}
-
-// draw samples the outcome kind of one demand and waits out its
-// injected latency, returning ctx's error if the consumer gives up
-// first. The kind is counted only once the wait is over with the
-// consumer still there.
-func (in *injector) draw(ctx context.Context) (relmodel.OutcomeKind, error) {
-	in.mu.Lock()
-	in.calls++
-	kind := in.profile.Sample(in.rng)
-	var delay time.Duration
-	if in.meanLatency > 0 {
-		delay = time.Duration(in.rng.Exp(float64(in.meanLatency)))
-	}
-	in.mu.Unlock()
-	if delay > 0 {
-		select {
-		case <-ctx.Done():
-		case <-time.After(delay):
-		}
-		if err := ctx.Err(); err != nil {
-			return kind, err
-		}
-	}
-	in.mu.Lock()
-	in.injected[kind]++
-	in.mu.Unlock()
-	return kind, nil
-}
-
-// Release hosts one release of a Web Service. Construct with New; serve
-// via Handler.
-type Release struct {
-	*injector
-	contract wsdl.Contract
-	soapSrv  *soap.Server
-}
-
-// New builds a release runtime from a contract and its behaviours,
-// keyed by operation name.
-func New(contract wsdl.Contract, behaviours map[string]Behaviour, plan FaultPlan) (*Release, error) {
-	if err := contract.Validate(); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	in, err := newInjector(plan)
-	if err != nil {
-		return nil, err
-	}
-	r := &Release{injector: in, contract: contract, soapSrv: soap.NewServer()}
 	for _, op := range contract.Operations {
 		b, ok := behaviours[op.Name]
 		if !ok || b.Handler == nil {
 			return nil, fmt.Errorf("%w: operation %q has no handler", ErrBadService, op.Name)
 		}
-		r.soapSrv.Handle(op.RequestElement(), r.instrument(op.Name, b))
+		r.behaviours[op.Name] = b
+		r.soapSrv.Handle(op.RequestElement(), func(ctx context.Context, req *soap.Request) (any, error) {
+			decode := func(v any) error {
+				if err := req.Decode(v); err != nil {
+					return soap.ClientFault(err.Error())
+				}
+				return nil
+			}
+			return r.answer(ctx, req.ResponseHeader, op.Name, b, decode, corruptXML)
+		})
 	}
 	return r, nil
 }
@@ -177,46 +132,93 @@ func (r *Release) Contract() wsdl.Contract { return r.contract }
 // Version returns the release version string.
 func (r *Release) Version() string { return r.contract.Version }
 
-// instrument wraps a behaviour with fault and latency injection.
-func (r *Release) instrument(opName string, b Behaviour) soap.HandlerFunc {
-	return func(ctx context.Context, req *soap.Request) (interface{}, error) {
-		kind, err := r.draw(ctx)
+// Calls returns the number of operations served.
+func (r *Release) Calls() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.calls
+}
+
+// Injected returns how many responses of each kind were injected — the
+// ground truth the test harness compares the monitor against. A demand
+// whose consumer gave up during the injected latency was never
+// answered and counts under no kind, so Calls minus the sum of
+// Injected is the number of abandoned demands.
+func (r *Release) Injected() map[relmodel.OutcomeKind]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[relmodel.OutcomeKind]int, len(r.injected))
+	for k, v := range r.injected {
+		out[k] = v
+	}
+	return out
+}
+
+// draw samples the outcome kind of one demand and waits out its
+// injected latency, returning ctx's error if the consumer gives up
+// first. The kind is counted only once the wait is over with the
+// consumer still there.
+func (r *Release) draw(ctx context.Context) (relmodel.OutcomeKind, error) {
+	r.mu.Lock()
+	r.calls++
+	kind := r.profile.Sample(r.rng)
+	var delay time.Duration
+	if r.meanLatency > 0 {
+		delay = time.Duration(r.rng.Exp(float64(r.meanLatency)))
+	}
+	r.mu.Unlock()
+	if delay > 0 {
+		select {
+		case <-ctx.Done():
+		case <-time.After(delay):
+		}
+		if err := ctx.Err(); err != nil {
+			return kind, err
+		}
+	}
+	r.mu.Lock()
+	r.injected[kind]++
+	r.mu.Unlock()
+	return kind, nil
+}
+
+// answer serves one demand of op, the same on both faces: it draws the
+// outcome, labels the response with the version and the ground truth,
+// and runs the behaviour. An evident failure is a plain error, which
+// either face turns into its server error (a soap:Server fault, a JSON
+// 500); a non-evident one is the behaviour's Faulty answer or, without
+// one, its correct answer through the face's corrupt.
+func (r *Release) answer(ctx context.Context, hdr http.Header, op string, b Behaviour,
+	decode func(any) error, corrupt func(any) (any, error)) (any, error) {
+	kind, err := r.draw(ctx)
+	if err != nil {
+		return nil, err
+	}
+	hdr.Set(VersionHeader, r.contract.Version)
+	hdr.Set(oracle.InjectionHeader, kind.String())
+	switch kind {
+	case relmodel.EvidentFailure:
+		return nil, fmt.Errorf("injected evident failure in %s (release %s)", op, r.contract.Version)
+	case relmodel.NonEvidentFailure:
+		if b.Faulty != nil {
+			return b.Faulty(ctx, decode)
+		}
+		resp, err := b.Handler(ctx, decode)
 		if err != nil {
 			return nil, err
 		}
-		req.ResponseHeader.Set(VersionHeader, r.contract.Version)
-		req.ResponseHeader.Set(oracle.InjectionHeader, kind.String())
-		switch kind {
-		case relmodel.EvidentFailure:
-			return nil, soap.ServerFault(fmt.Sprintf("injected evident failure in %s (release %s)",
-				opName, r.contract.Version))
-		case relmodel.NonEvidentFailure:
-			if b.Faulty != nil {
-				return b.Faulty(ctx, req)
-			}
-			resp, err := b.Handler(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			return corrupt(resp)
-		default:
-			return b.Handler(ctx, req)
-		}
+		return corrupt(resp)
+	default:
+		return b.Handler(ctx, decode)
 	}
 }
 
-// corrupt turns a correct response into a detectably wrong one by
+// corruptXML turns a correct response into a detectably wrong one by
 // appending a marker element inside the response element.
-func corrupt(resp interface{}) (interface{}, error) {
-	var body []byte
-	var err error
-	if raw, ok := resp.(soap.Raw); ok {
-		body = raw
-	} else {
-		body, err = xml.Marshal(resp)
-		if err != nil {
-			return nil, fmt.Errorf("service: corrupting response: %w", err)
-		}
+func corruptXML(resp any) (any, error) {
+	body, err := xml.Marshal(resp)
+	if err != nil {
+		return nil, fmt.Errorf("service: corrupting response: %w", err)
 	}
 	out, err := soap.InjectElement(body, []byte("<corrupted>injected non-evident failure</corrupted>"))
 	if err != nil {
@@ -225,13 +227,21 @@ func corrupt(resp interface{}) (interface{}, error) {
 	return soap.Raw(out), nil
 }
 
-// Handler returns the HTTP handler for this release: the SOAP endpoint at
+// Handler returns the HTTP handler for this release: the operations at
 // "/", the WSDL document at "/wsdl" (bound to the requesting host), and a
 // liveness probe at "/healthz" (the management subsystem polls it when
-// recovering failed releases).
+// recovering failed releases). A demand whose Content-Type names JSON —
+// one the SOAP codec's Accepts refuses — is a REST/JSON call of the
+// operation its path names, "/<operation>"; any other is a SOAP call.
 func (r *Release) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/", r.soapSrv)
+	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
+		if !soapcodec.Default.Accepts(req.Header.Get("Content-Type")) {
+			r.serveJSON(w, req)
+			return
+		}
+		r.soapSrv.ServeHTTP(w, req)
+	})
 	mux.HandleFunc("/wsdl", func(w http.ResponseWriter, req *http.Request) {
 		wsdl.Serve(w, req, r.contract)
 	})

@@ -243,7 +243,8 @@ type ReleaseRuntime = service.Release
 // FaultPlan is a release's injected dependability profile.
 type FaultPlan = service.FaultPlan
 
-// Behaviour is one operation's correct and faulty implementations.
+// Behaviour is one operation's correct and faulty implementations, the
+// same on a release's SOAP and REST/JSON faces.
 type Behaviour = service.Behaviour
 
 // NewRelease builds a release runtime.
