@@ -128,19 +128,6 @@ func (c *JointCounts) Merge(o JointCounts) {
 // Neither returns r4 = N − r1 − r2 − r3.
 func (c JointCounts) Neither() int { return c.N - c.Both - c.AOnly - c.BOnly }
 
-// JointSource is the read-side contract between an observation store and
-// the confidence machinery: a pooled Table 1 record and its restriction
-// to a single operation (§6.2). The monitoring subsystem implements it;
-// inference consumers should depend on this interface rather than on a
-// concrete store, so the store's internal layout can change freely (it
-// has: DECISIONS.md, "the monitor holds one lock").
-type JointSource interface {
-	// Joint returns the accumulated pairwise observation record.
-	Joint() JointCounts
-	// JointFor returns the record restricted to one operation.
-	JointFor(operation string) JointCounts
-}
-
 // AFailures returns the recorded failures of the old release (r1 + r2).
 func (c JointCounts) AFailures() int { return c.Both + c.AOnly }
 

@@ -5,30 +5,33 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/oracle"
+	"wsupgrade/internal/pool"
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/jsoncodec"
 	"wsupgrade/internal/protocol/soapcodec"
 	"wsupgrade/internal/soap"
 )
 
+// padded returns a total-byte document: open, filler, close.
+func padded(open, close string, total int) []byte {
+	return []byte(open + strings.Repeat("k", total-len(open)-len(close)) + close)
+}
+
 // TestResponseContentLength drives both codecs through a real net/http
-// round trip at response sizes on both sides of httpx.InlineResponse,
-// with and without the published confidence: a response past the
-// boundary carries its exact Content-Length and no transfer coding (it
-// used to leave as three chunks), one under it is framed by net/http as
-// before, and the bytes delivered are the same either way.
+// round trip, with and without the published confidence, at delivered
+// response sizes on both sides of httpx.BufferBeforeChunking (2 KiB):
+// every response carries its exact Content-Length and no transfer
+// coding — net/http counts one that fits its buffer, the codec declares
+// one past it (responses of 2–4 KiB used to leave chunked) — and the
+// bytes delivered are what the codec always rendered.
 func TestResponseContentLength(t *testing.T) {
-	// The empty SOAP envelope's size places the boundary cases exactly.
-	frame := len(soap.EnvelopeRaw(nil))
-	pad := func(open, close string, total int) []byte {
-		return []byte(open + strings.Repeat("k", total-len(open)-len(close)) + close)
-	}
 	type variant struct {
 		name        string
 		codec       protocol.Codec
@@ -37,21 +40,20 @@ func TestResponseContentLength(t *testing.T) {
 		request     []byte
 		payload     func(total int) []byte // the release's reply payload, total bytes long
 		wire        func(payload []byte) []byte
-		sizes       []int
 	}
 	variants := []variant{{
 		name: "soap", codec: soapcodec.Default, contentType: soap.ContentType, path: "/",
 		request: soap.EnvelopeRaw([]byte("<addRequest><a>1</a><b>2</b></addRequest>")),
-		payload: func(n int) []byte { return pad("<addResponse><pad>", "</pad></addResponse>", n) },
+		payload: func(n int) []byte { return padded("<addResponse><pad>", "</pad></addResponse>", n) },
 		wire:    func(p []byte) []byte { return soap.EnvelopeRaw(p) },
-		sizes:   []int{300, httpx.InlineResponse - frame, httpx.InlineResponse - frame + 1, 64 << 10},
 	}, {
 		name: "json", codec: jsoncodec.Default, contentType: jsoncodec.ContentType, path: "/add",
 		request: []byte(`{"a":1,"b":2}`),
-		payload: func(n int) []byte { return pad(`{"pad":"`, `"}`, n) },
+		payload: func(n int) []byte { return padded(`{"pad":"`, `"}`, n) },
 		wire:    func(p []byte) []byte { return p },
-		sizes:   []int{300, httpx.InlineResponse, httpx.InlineResponse + 1, 64 << 10},
 	}}
+	// The sizes of the responses as delivered.
+	sizes := []int{512, 2 << 10, 2<<10 + 1, 3 << 10, 4 << 10, 64 << 10}
 	for _, v := range variants {
 		for _, publish := range []bool{false, true} {
 			name := v.name
@@ -77,8 +79,8 @@ func TestResponseContentLength(t *testing.T) {
 					Inference:     testInference(),
 					PublishHeader: publish,
 				})
-				for _, size := range v.sizes {
-					payload := v.payload(size)
+				demand := func(payload []byte) (*http.Response, []byte) {
+					t.Helper()
 					rendered := v.wire(payload)
 					reply.Store(&rendered)
 					resp, err := http.Post(ts.URL+v.path, v.contentType, bytes.NewReader(v.request))
@@ -88,13 +90,27 @@ func TestResponseContentLength(t *testing.T) {
 					body, err := io.ReadAll(resp.Body)
 					resp.Body.Close()
 					if err != nil || resp.StatusCode != http.StatusOK {
-						t.Fatalf("size %d: HTTP %d, read error %v: %.200s", size, resp.StatusCode, err, body)
+						t.Fatalf("HTTP %d, read error %v: %.200s", resp.StatusCode, err, body)
+					}
+					return resp, body
+				}
+
+				// What the mediator adds to the release's rendering: the
+				// envelope's frame, and the confidence header item (its
+				// value is fixed-width) when it is published in SOAP.
+				_, probe := demand(v.payload(100))
+				added := len(probe) - 100
+				for _, size := range sizes {
+					payload := v.payload(size - added)
+					resp, body := demand(payload)
+					if len(body) != size {
+						t.Fatalf("size %d: delivered %d bytes", size, len(body))
 					}
 
 					// The bytes are what the codec always rendered.
 					if v.name == "json" || !publish {
-						if !bytes.Equal(body, rendered) {
-							t.Fatalf("size %d: delivered %d bytes differ from the %d-byte rendering", size, len(body), len(rendered))
+						if !bytes.Equal(body, v.wire(payload)) {
+							t.Fatalf("size %d: delivered bytes differ from the codec's rendering", size)
 						}
 					} else if p, err := soap.Decode(body); err != nil || !bytes.Equal(p.BodyXML, payload) ||
 						!bytes.Contains(body[:len(body)-len(payload)], []byte("Confidence")) {
@@ -103,23 +119,79 @@ func TestResponseContentLength(t *testing.T) {
 					if publish && v.name == "json" && resp.Header.Get(ConfidenceHeader) == "" {
 						t.Fatalf("size %d: no %s header", size, ConfidenceHeader)
 					}
-
-					// net/http frames a single small Write itself (with
-					// a length while it fits its 2 KiB buffer); past the
-					// boundary the codec declares the length.
-					switch {
-					case len(body) > httpx.InlineResponse:
-						if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
-							t.Errorf("size %d: %d bytes left with Content-Length %d, Transfer-Encoding %v; want the exact length and no coding",
-								size, len(body), resp.ContentLength, resp.TransferEncoding)
-						}
-					case len(body) <= 2<<10:
-						if resp.ContentLength != int64(len(body)) {
-							t.Errorf("size %d: %d bytes left with Content-Length %d", size, len(body), resp.ContentLength)
-						}
+					if resp.ContentLength != int64(size) || len(resp.TransferEncoding) != 0 {
+						t.Errorf("size %d: left with Content-Length %d, Transfer-Encoding %v; want the exact length and no coding",
+							size, resp.ContentLength, resp.TransferEncoding)
 					}
 				}
 			})
+		}
+	}
+}
+
+// countingWriter is an http.ResponseWriter that keeps every Write.
+type countingWriter struct {
+	header http.Header
+	writes int
+	bytes.Buffer
+}
+
+func (c *countingWriter) Header() http.Header { return c.header }
+func (c *countingWriter) WriteHeader(int)     {}
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// TestOneWritePerResponse: both codecs hand net/http a response in a
+// single Write up to pool.LargestClass, with and without a confidence
+// header item — so net/http sends all of it before the handler returns
+// — and the SOAP codec only past that class writes head, body and tail
+// as they lie rather than copying the reply into a buffer no class
+// keeps. The bytes are soap.EnvelopeRaw's with the same header items
+// (the JSON body verbatim), and a response net/http would chunk
+// declares its length.
+func TestOneWritePerResponse(t *testing.T) {
+	confidence := soapcodec.Codec{}.AppendConfidenceHeader(nil, "add", 0.97)
+	sizes := []int{300, 3 << 10, 64 << 10, pool.LargestClass + 1}
+	for _, v := range []struct {
+		name    string
+		codec   protocol.Codec
+		payload func(total int) []byte
+		wire    func(payload []byte, headers ...protocol.HeaderItem) []byte
+		parts   int // Writes of a response past pool.LargestClass
+	}{
+		{"soap", soapcodec.Default,
+			func(n int) []byte { return padded("<addResponse><pad>", "</pad></addResponse>", n) },
+			soap.EnvelopeRaw, 3},
+		{"json", jsoncodec.Default,
+			func(n int) []byte { return padded(`{"pad":"`, `"}`, n) },
+			func(p []byte, _ ...protocol.HeaderItem) []byte { return p }, 1},
+	} {
+		for _, headers := range [][]protocol.HeaderItem{nil, {confidence}} {
+			for _, size := range sizes {
+				body := v.payload(size)
+				w := &countingWriter{header: http.Header{}}
+				n, err := v.codec.WriteBody(w, body, headers...)
+				want := v.wire(body, headers...)
+				if err != nil || n != len(want) || !bytes.Equal(w.Bytes(), want) {
+					t.Fatalf("%s %d B, %d header items: wrote %d bytes (err %v), want the %d-byte rendering",
+						v.name, size, len(headers), n, err, len(want))
+				}
+				writes := 1
+				if len(want) > pool.LargestClass {
+					writes = v.parts
+				}
+				if w.writes != writes {
+					t.Errorf("%s %d B, %d header items: %d Writes, want %d", v.name, size, len(headers), w.writes, writes)
+				}
+				declared := w.header.Get("Content-Length")
+				if len(want) > httpx.BufferBeforeChunking && declared != strconv.Itoa(len(want)) ||
+					len(want) <= httpx.BufferBeforeChunking && declared != "" {
+					t.Errorf("%s %d B, %d header items: Content-Length %q for a %d-byte response",
+						v.name, size, len(headers), declared, len(want))
+				}
+			}
 		}
 	}
 }

@@ -121,19 +121,21 @@ func ReadBoundedBuf(r io.Reader, sizeHint, max int64) (*pool.Buf, error) {
 	return b, nil
 }
 
-// InlineResponse is the largest response the codecs send as one Write
-// and leave net/http to frame (the buffer pools' smallest class); a
-// larger one goes out in pieces and declares its length first.
-const InlineResponse = 4 << 10
+// BufferBeforeChunking is net/http's bufferBeforeChunkingSize: a
+// response whose header is unwritten and that fits this buffer when the
+// handler returns gets a Content-Length computed by net/http; a larger
+// one without a declared length goes out Transfer-Encoding: chunked,
+// even as a single Write.
+const BufferBeforeChunking = 2 << 10
 
 // DeclareLength sets the Content-Length of the n-byte response about to
-// be written to w, when n is past InlineResponse and w is an
+// be written to w, when n is past BufferBeforeChunking and w is an
 // http.ResponseWriter whose header is still unwritten (the codecs'
 // WriteBody takes an io.Writer), so that net/http does not chunk-frame
-// the Writes. At or under InlineResponse net/http counts the single
-// Write itself, and the header's two allocations would be pure cost.
+// it. At or under BufferBeforeChunking net/http counts the response
+// itself, and the header's two allocations would be pure cost.
 func DeclareLength(w io.Writer, n int) {
-	if rw, ok := w.(http.ResponseWriter); ok && n > InlineResponse {
+	if rw, ok := w.(http.ResponseWriter); ok && n > BufferBeforeChunking {
 		rw.Header()["Content-Length"] = []string{strconv.Itoa(n)}
 	}
 }

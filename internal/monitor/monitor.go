@@ -162,8 +162,6 @@ type Monitor struct {
 	sinkErr error
 }
 
-var _ bayes.JointSource = (*Monitor)(nil)
-
 // Option configures a Monitor.
 type Option func(*Monitor)
 

@@ -92,8 +92,9 @@ type Codec interface {
 	// WriteBody writes the winning payload in the codec's response
 	// framing (SOAP: re-enveloped with optional header items; JSON:
 	// verbatim). Headers the codec has no representation for are
-	// ignored. A response past httpx.InlineResponse declares its length,
-	// so an http.ResponseWriter's header must still be unwritten.
+	// ignored. A response past httpx.BufferBeforeChunking declares its
+	// length, so an http.ResponseWriter's header must still be
+	// unwritten; up to pool.LargestClass it leaves in one Write.
 	// Neither body nor headers are retained past the call: the caller
 	// recycles both.
 	WriteBody(w io.Writer, body []byte, headers ...HeaderItem) (int, error)

@@ -81,8 +81,9 @@ func (Codec) DecodeReply(status int, body []byte) (payload []byte, aliases bool,
 func (Codec) Equal(a, b []byte) bool { return soap.EqualCanonical(a, b) }
 
 // WriteBody implements protocol.Codec: the winning inner body XML is
-// re-enveloped around the optional header items, a large envelope's
-// length declared first.
+// re-enveloped around the optional header items and written in one
+// Write (soap.WriteEnvelopeRaw), an envelope net/http would chunk
+// declaring its length first.
 func (Codec) WriteBody(w io.Writer, body []byte, headers ...protocol.HeaderItem) (int, error) {
 	httpx.DeclareLength(w, soap.EnvelopeLen(len(body), headers...))
 	return soap.WriteEnvelopeRaw(w, body, headers...)

@@ -105,7 +105,8 @@ const (
 )
 
 // envelopeTail closes what appendEnvelopeHead opens (a []byte so the
-// copy-free write below needs no conversion).
+// copy-free write of an envelope past pool.LargestClass needs no
+// conversion).
 var envelopeTail = []byte(`</soap:Body></soap:Envelope>`)
 
 // Envelope wraps the XML marshalling of payload into a SOAP envelope.
@@ -160,24 +161,36 @@ func EnvelopeLen(bodyLen int, headers ...HeaderItem) int {
 }
 
 // WriteEnvelopeRaw writes the envelope for pre-marshalled body XML
-// straight to w — the response-write path runs once per proxied
-// request. A small envelope is assembled in a pooled buffer and goes
-// out in a single Write (one segment, and net/http can still frame it
-// with a Content-Length); past httpx.InlineResponse only the head is
-// assembled, and bodyXML itself is written between it and the constant
-// tail, so a large winner is never copied — three Writes, which a
-// caller writing to net/http declares the EnvelopeLen of first so that
-// they are not three chunks.
+// to w — the response-write path runs once per proxied request. Up to
+// pool.LargestClass the whole envelope (head, header items, body and
+// tail) is rendered into a pooled buffer of its size class and goes
+// out in a single Write, so net/http sends all of it while the handler
+// runs rather than holding a tail back until the handler returns. Past
+// that class, where a copy would be a fresh allocation the size of the
+// reply, only the head is rendered and bodyXML itself is written
+// between it and the constant tail: three Writes. A caller writing to
+// net/http declares the EnvelopeLen first (httpx.DeclareLength), so
+// that a large one is not chunk-framed.
 func WriteEnvelopeRaw(w io.Writer, bodyXML []byte, headers ...HeaderItem) (int, error) {
-	b := scratch.GetSized(httpx.InlineResponse)
-	b.B = appendEnvelopeHead(b.B, headers)
-	inline := len(b.B)+len(bodyXML)+len(envelopeTail) <= httpx.InlineResponse
-	if inline {
-		b.B = append(append(b.B, bodyXML...), envelopeTail...)
+	n := EnvelopeLen(len(bodyXML), headers...)
+	if n > pool.LargestClass {
+		return writeEnvelopeParts(w, bodyXML, headers)
 	}
+	b := scratch.GetSized(n)
+	b.B = append(append(appendEnvelopeHead(b.B, headers), bodyXML...), envelopeTail...)
+	m, err := w.Write(b.B)
+	b.Release()
+	return m, err
+}
+
+// writeEnvelopeParts is WriteEnvelopeRaw past pool.LargestClass: the
+// rendered head, then bodyXML and the tail as they lie.
+func writeEnvelopeParts(w io.Writer, bodyXML []byte, headers []HeaderItem) (int, error) {
+	b := scratch.GetSized(envelopeHeadLen(headers))
+	b.B = appendEnvelopeHead(b.B, headers)
 	n, err := w.Write(b.B)
 	b.Release()
-	if inline || err != nil {
+	if err != nil {
 		return n, err
 	}
 	m, err := w.Write(bodyXML)
