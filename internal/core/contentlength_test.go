@@ -12,7 +12,6 @@ import (
 
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/oracle"
-	"wsupgrade/internal/pool"
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/jsoncodec"
 	"wsupgrade/internal/protocol/soapcodec"
@@ -144,22 +143,26 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestOneWritePerResponse: both codecs hand net/http a response in a
-// single Write up to pool.LargestClass, with and without a confidence
+// single Write up to soap.OneWriteMax, with and without a confidence
 // header item — so net/http sends all of it before the handler returns
-// — and the SOAP codec only past that class writes head, body and tail
-// as they lie rather than copying the reply into a buffer no class
-// keeps. The bytes are soap.EnvelopeRaw's with the same header items
-// (the JSON body verbatim), and a response net/http would chunk
-// declares its length.
+// — and the SOAP codec only past that bound writes head, body and tail
+// as they lie rather than copying a large reply. The bytes are
+// soap.EnvelopeRaw's with the same header items (the JSON body
+// verbatim), and a response net/http would chunk declares its length.
 func TestOneWritePerResponse(t *testing.T) {
 	confidence := soapcodec.Codec{}.AppendConfidenceHeader(nil, "add", 0.97)
-	sizes := []int{300, 3 << 10, 64 << 10, pool.LargestClass + 1}
+	// observation-large's 64 KiB reply leaves in one Write; a 256 KiB
+	// one, in the class where the copy was measured to lose, does not.
+	sizes := []struct {
+		n    int
+		once bool
+	}{{300, true}, {3 << 10, true}, {64 << 10, true}, {soap.OneWriteMax + 1, false}, {256 << 10, false}, {1<<20 + 1, false}}
 	for _, v := range []struct {
 		name    string
 		codec   protocol.Codec
 		payload func(total int) []byte
 		wire    func(payload []byte, headers ...protocol.HeaderItem) []byte
-		parts   int // Writes of a response past pool.LargestClass
+		parts   int // Writes of a response past soap.OneWriteMax
 	}{
 		{"soap", soapcodec.Default,
 			func(n int) []byte { return padded("<addResponse><pad>", "</pad></addResponse>", n) },
@@ -169,7 +172,8 @@ func TestOneWritePerResponse(t *testing.T) {
 			func(p []byte, _ ...protocol.HeaderItem) []byte { return p }, 1},
 	} {
 		for _, headers := range [][]protocol.HeaderItem{nil, {confidence}} {
-			for _, size := range sizes {
+			for _, s := range sizes {
+				size := s.n
 				body := v.payload(size)
 				w := &countingWriter{header: http.Header{}}
 				n, err := v.codec.WriteBody(w, body, headers...)
@@ -179,7 +183,7 @@ func TestOneWritePerResponse(t *testing.T) {
 						v.name, size, len(headers), n, err, len(want))
 				}
 				writes := 1
-				if len(want) > pool.LargestClass {
+				if !s.once {
 					writes = v.parts
 				}
 				if w.writes != writes {

@@ -103,11 +103,6 @@ const (
 	numClasses    = maxClassShift - minClassShift + 1
 )
 
-// LargestClass is the capacity of the largest class: GetSized up to it
-// draws a recycled buffer, past it allocates exactly n bytes that no
-// class keeps.
-const LargestClass = 1 << maxClassShift
-
 // BufPool recycles Bufs by power-of-two capacity class. The zero value
 // is ready to use.
 type BufPool struct {

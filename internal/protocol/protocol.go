@@ -94,7 +94,7 @@ type Codec interface {
 	// verbatim). Headers the codec has no representation for are
 	// ignored. A response past httpx.BufferBeforeChunking declares its
 	// length, so an http.ResponseWriter's header must still be
-	// unwritten; up to pool.LargestClass it leaves in one Write.
+	// unwritten; up to soap.OneWriteMax it leaves in one Write.
 	// Neither body nor headers are retained past the call: the caller
 	// recycles both.
 	WriteBody(w io.Writer, body []byte, headers ...HeaderItem) (int, error)

@@ -105,8 +105,7 @@ const (
 )
 
 // envelopeTail closes what appendEnvelopeHead opens (a []byte so the
-// copy-free write of an envelope past pool.LargestClass needs no
-// conversion).
+// copy-free write of an envelope past OneWriteMax needs no conversion).
 var envelopeTail = []byte(`</soap:Body></soap:Envelope>`)
 
 // Envelope wraps the XML marshalling of payload into a SOAP envelope.
@@ -160,20 +159,27 @@ func EnvelopeLen(bodyLen int, headers ...HeaderItem) int {
 	return envelopeHeadLen(headers) + bodyLen + len(envelopeTail)
 }
 
+// OneWriteMax is the largest envelope WriteEnvelopeRaw copies into one
+// buffer for a single Write: the 128 KiB size class, in which
+// observation-large's 64 KB replies were measured end to end (DECISIONS.md
+// PR 36a). The copy costs time in proportion to the reply; the Write it
+// saves, the tail's send after the handler returns, does not grow with
+// it. Over loopback the copy lost from the 256 KiB class on.
+const OneWriteMax = 128 << 10
+
 // WriteEnvelopeRaw writes the envelope for pre-marshalled body XML
 // to w — the response-write path runs once per proxied request. Up to
-// pool.LargestClass the whole envelope (head, header items, body and
-// tail) is rendered into a pooled buffer of its size class and goes
-// out in a single Write, so net/http sends all of it while the handler
-// runs rather than holding a tail back until the handler returns. Past
-// that class, where a copy would be a fresh allocation the size of the
-// reply, only the head is rendered and bodyXML itself is written
-// between it and the constant tail: three Writes. A caller writing to
-// net/http declares the EnvelopeLen first (httpx.DeclareLength), so
-// that a large one is not chunk-framed.
+// OneWriteMax the whole envelope (head, header items, body and tail) is
+// rendered into a pooled buffer of its size class and goes out in a
+// single Write, so net/http sends all of it while the handler runs
+// rather than holding a tail back until the handler returns. Past it
+// only the head is rendered and bodyXML itself is written between it
+// and the constant tail: three Writes. A caller writing to net/http
+// declares the EnvelopeLen first (httpx.DeclareLength), so that a large
+// one is not chunk-framed.
 func WriteEnvelopeRaw(w io.Writer, bodyXML []byte, headers ...HeaderItem) (int, error) {
 	n := EnvelopeLen(len(bodyXML), headers...)
-	if n > pool.LargestClass {
+	if n > OneWriteMax {
 		return writeEnvelopeParts(w, bodyXML, headers)
 	}
 	b := scratch.GetSized(n)
@@ -183,8 +189,8 @@ func WriteEnvelopeRaw(w io.Writer, bodyXML []byte, headers ...HeaderItem) (int, 
 	return m, err
 }
 
-// writeEnvelopeParts is WriteEnvelopeRaw past pool.LargestClass: the
-// rendered head, then bodyXML and the tail as they lie.
+// writeEnvelopeParts is WriteEnvelopeRaw past OneWriteMax: the rendered
+// head, then bodyXML and the tail as they lie.
 func writeEnvelopeParts(w io.Writer, bodyXML []byte, headers []HeaderItem) (int, error) {
 	b := scratch.GetSized(envelopeHeadLen(headers))
 	b.B = appendEnvelopeHead(b.B, headers)

@@ -321,8 +321,6 @@ type conn struct {
 	br *bufio.Reader
 
 	wbuf     []byte      // request write scratch
-	vec      [2][]byte   // a large request's head and body, for iov
-	iov      net.Buffers // vec, consumed by one vectored write
 	lineBuf  []byte      // long-line overflow scratch
 	hdrBuf   []byte      // response header block, until it joins the body's buffer
 	poisoned atomic.Bool // an exchange on it was cancelled: closed, never pooled
@@ -348,8 +346,8 @@ func (c *conn) Poison() {
 
 func (c *conn) close() { _ = c.nc.Close() }
 
-// largeBodyThreshold: a request body above it is not copied into the
-// head buffer; head and body go out together in one vectored write.
+// largeBodyThreshold: request bodies above it are written in a second
+// syscall instead of being copied into the head buffer.
 const largeBodyThreshold = 8 << 10
 
 // maxConnScratch caps the per-connection scratch buffers a giant
@@ -375,18 +373,15 @@ func (c *conn) writeRequest(p *pool, contentType string, body []byte) error {
 	if cap(b) <= maxConnScratch {
 		c.wbuf = b[:0]
 	}
-	if small {
-		_, err := c.nc.Write(b)
+	if _, err := c.nc.Write(b); err != nil {
 		return err
 	}
-	// A writev on a TCP connection; a wrapped net.Conn gets the two
-	// Writes in turn. The write consumes iov; vec is cleared so that the
-	// connection keeps no alias of the caller's body.
-	c.vec = [2][]byte{b, body}
-	c.iov = c.vec[:]
-	_, err := c.iov.WriteTo(c.nc)
-	c.vec = [2][]byte{}
-	return err
+	if !small {
+		if _, err := c.nc.Write(body); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // maxHeaderBytes bounds one response's whole non-body line section —

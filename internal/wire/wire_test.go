@@ -163,8 +163,8 @@ func TestHeaderIsTheRepliesOwn(t *testing.T) {
 	}
 }
 
-// TestLargeRequestBody: a body past largeBodyThreshold leaves with its
-// head in one vectored write and arrives byte-exact.
+// TestLargeRequestBody: a body past largeBodyThreshold, written after
+// its head rather than copied into it, arrives byte-exact.
 func TestLargeRequestBody(t *testing.T) {
 	var want atomic.Pointer[[]byte]
 	ts, _ := newCountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
