@@ -39,7 +39,6 @@ var allocCeilings = []struct {
 	{"OracleJudge/header-truth", 0},
 	{"OracleJudge/reference(1.0)", 0},
 	{"OracleJudge/back-to-back", 0},
-	{"OracleJudge/omission", 0},
 	{"OracleJudge/back-to-back-64k-differ", 28},
 	{"JSONDecodeReply/0.4KB", 0},
 	{"JSONDecodeReply/64KB", 0},

@@ -80,10 +80,6 @@ func ExampleNewEngine() {
 		{Version: "1.0", URL: oldRel.URL},
 		{Version: "1.1", URL: newRel.URL},
 	}, 3)
-	// One retry of transient transport failures, and a bound on release
-	// response bodies, so a misbehaving release cannot make the proxy
-	// buffer an unbounded body.
-	cfg.Retry = wsupgrade.RetryPolicy{Attempts: 2, Backoff: 25 * time.Millisecond, MaxResponseBytes: 1 << 20}
 	engine, err := wsupgrade.NewEngine(cfg)
 	must(err)
 	defer engine.Close()

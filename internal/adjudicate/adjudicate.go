@@ -79,8 +79,6 @@ type Adjudicator interface {
 	// Adjudicate returns the winning reply, or an error when no valid
 	// response can be produced (ErrNoResponses, ErrAllEvident).
 	Adjudicate(replies []Reply, rng *xrand.Rand) (Reply, error)
-	// Name identifies the strategy in logs and reports.
-	Name() string
 }
 
 // RandomValid is the paper's §5.2.1 strategy: any valid reply, chosen
@@ -112,9 +110,6 @@ func (RandomValid) Adjudicate(replies []Reply, rng *xrand.Rand) (Reply, error) {
 	}
 	return Reply{}, ErrNoResponses // unreachable
 }
-
-// Name implements Adjudicator.
-func (RandomValid) Name() string { return "random-valid" }
 
 // Majority groups the valid replies by exact payload equality and returns
 // a representative of the largest group; ties are broken uniformly at
@@ -194,9 +189,6 @@ next:
 	return winner, nil
 }
 
-// Name implements Adjudicator.
-func (Majority) Name() string { return "majority" }
-
 // FastestValid returns the valid reply with the lowest latency — the
 // paper's "parallel execution for maximum responsiveness" mode (§4.2,
 // mode 2). Latency ties break deterministically by release name.
@@ -238,9 +230,6 @@ func faster(a, b *Reply) bool {
 	return a.Release < b.Release
 }
 
-// Name implements Adjudicator.
-func (FastestValid) Name() string { return "fastest-valid" }
-
 // Preferred returns the reply of the named release when it is valid and
 // falls back to the given Adjudicator otherwise. The manager uses it for
 // the "old only" and "new only" lifecycle phases in which one release is
@@ -272,9 +261,6 @@ func (p Preferred) Adjudicate(replies []Reply, rng *xrand.Rand) (Reply, error) {
 // to the interface inside Adjudicate would allocate on every preferred
 // miss.
 var defaultFallback Adjudicator = RandomValid{}
-
-// Name implements Adjudicator.
-func (p Preferred) Name() string { return "preferred(" + p.Release + ")" }
 
 func countValid(replies []Reply) int {
 	n := 0

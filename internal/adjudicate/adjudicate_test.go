@@ -116,9 +116,6 @@ func TestRandomValidRules(t *testing.T) {
 			t.Fatal("picked evident failure")
 		}
 	}
-	if a.Name() != "random-valid" {
-		t.Fatalf("name = %q", a.Name())
-	}
 }
 
 func TestRandomValidIsUniform(t *testing.T) {
@@ -154,9 +151,6 @@ func TestMajorityOutvotesMinority(t *testing.T) {
 	}
 	if string(got.Body) != "42" {
 		t.Fatalf("majority lost: got %q", got.Body)
-	}
-	if a.Name() != "majority" {
-		t.Fatalf("name = %q", a.Name())
 	}
 }
 
@@ -206,9 +200,6 @@ func TestFastestValidPicksLowestLatency(t *testing.T) {
 	if got.Release != "1.1" {
 		t.Fatalf("picked %s, want 1.1", got.Release)
 	}
-	if a.Name() != "fastest-valid" {
-		t.Fatalf("name = %q", a.Name())
-	}
 }
 
 func TestFastestValidTieBreaksByName(t *testing.T) {
@@ -250,9 +241,6 @@ func TestPreferredReturnsNamedRelease(t *testing.T) {
 	if got.Release != "1.0" {
 		t.Fatalf("picked %s, want preferred 1.0", got.Release)
 	}
-	if a.Name() != "preferred(1.0)" {
-		t.Fatalf("name = %q", a.Name())
-	}
 }
 
 func TestPreferredFallsBackWhenPreferredFails(t *testing.T) {
@@ -288,7 +276,7 @@ func TestAdjudicatorsDoNotMutateInput(t *testing.T) {
 			t.Fatal(err)
 		}
 		if in[0].Release != "1.2" || in[1].Release != "1.0" || in[2].Release != "1.1" {
-			t.Fatalf("%s mutated the replies slice", a.Name())
+			t.Fatalf("%#v mutated the replies slice", a)
 		}
 	}
 }

@@ -28,15 +28,15 @@ func TestAdjudicatorsSteadyStateZeroAlloc(t *testing.T) {
 	} {
 		// Warm the group scratch pool outside the measurement.
 		if _, err := adj.Adjudicate(replies, rng); err != nil {
-			t.Fatalf("%s: %v", adj.Name(), err)
+			t.Fatalf("%#v: %v", adj, err)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := adj.Adjudicate(replies, rng); err != nil {
-				t.Fatalf("%s: %v", adj.Name(), err)
+				t.Fatalf("%#v: %v", adj, err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %v allocs per adjudication, want 0", adj.Name(), allocs)
+			t.Errorf("%#v: %v allocs per adjudication, want 0", adj, allocs)
 		}
 	}
 }

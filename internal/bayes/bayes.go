@@ -149,8 +149,6 @@ func (c JointCounts) Valid() bool {
 type Detector interface {
 	// Detect maps true failure indicators to recorded ones.
 	Detect(aFailed, bFailed bool) (recordedA, recordedB bool)
-	// Name identifies the regime in reports.
-	Name() string
 }
 
 // PerfectDetector records failures exactly as they occur.
@@ -160,9 +158,6 @@ var _ Detector = PerfectDetector{}
 
 // Detect implements Detector.
 func (PerfectDetector) Detect(aFailed, bFailed bool) (bool, bool) { return aFailed, bFailed }
-
-// Name implements Detector.
-func (PerfectDetector) Name() string { return "perfect" }
 
 // OmissionDetector models imperfect per-release oracles: each true failure
 // is independently missed (recorded as success) with probability Pomit.
@@ -197,9 +192,6 @@ func (d *OmissionDetector) Detect(aFailed, bFailed bool) (bool, bool) {
 	return aFailed, bFailed
 }
 
-// Name implements Detector.
-func (d *OmissionDetector) Name() string { return fmt.Sprintf("omission(p=%.2f)", d.Pomit) }
-
 // BackToBackDetector models detection purely by comparing the two
 // releases' responses, under the paper's pessimistic assumption that all
 // coincident failures are identical and non-evident: a demand on which
@@ -216,9 +208,6 @@ func (BackToBackDetector) Detect(aFailed, bFailed bool) (bool, bool) {
 	}
 	return aFailed, bFailed
 }
-
-// Name implements Detector.
-func (BackToBackDetector) Name() string { return "back-to-back" }
 
 // ---------------------------------------------------------------------------
 // Black-box inference
@@ -805,8 +794,6 @@ func (p *Posterior) PercentileB(conf float64) float64 { return p.B.Quantile(conf
 type Criterion interface {
 	// Satisfied reports whether the switch condition holds.
 	Satisfied(p *Posterior) bool
-	// Name identifies the criterion in reports.
-	Name() string
 }
 
 // Criterion1 switches when the new release reaches the dependability level
@@ -838,9 +825,6 @@ func (c Criterion1) Satisfied(p *Posterior) bool {
 	return p.ConfidenceB(c.Target) >= c.Confidence
 }
 
-// Name implements Criterion.
-func (c Criterion1) Name() string { return "criterion-1" }
-
 // Criterion2 switches when the new release reaches a predefined
 // dependability target with a predefined confidence, e.g.
 // P(P_B ≤ 10⁻³) ≥ 99%. The old release is irrelevant.
@@ -856,9 +840,6 @@ func (c Criterion2) Satisfied(p *Posterior) bool {
 	return p.ConfidenceB(c.Target) >= c.Confidence
 }
 
-// Name implements Criterion.
-func (c Criterion2) Name() string { return "criterion-2" }
-
 // Criterion3 switches when, at the given confidence, the new release is no
 // worse than the old: T_B^conf ≤ T_A^conf on the evolving posteriors.
 type Criterion3 struct {
@@ -871,6 +852,3 @@ var _ Criterion = Criterion3{}
 func (c Criterion3) Satisfied(p *Posterior) bool {
 	return p.PercentileB(c.Confidence) <= p.PercentileA(c.Confidence)
 }
-
-// Name implements Criterion.
-func (c Criterion3) Name() string { return "criterion-3" }

@@ -41,9 +41,9 @@ type Deps struct {
 
 // Call invokes an operation on a named component, decoding the response
 // into out (which may be nil). Transient transport failures are retried
-// per the binding's policy; SOAP faults are returned as *soap.Fault.
+// under httpx.DefaultRetry; SOAP faults are returned as *soap.Fault.
 func (d *Deps) Call(ctx context.Context, component, operation string, in, out interface{}) error {
-	c, retry, err := d.svc.binding(component)
+	c, err := d.svc.binding(component)
 	if err != nil {
 		return err
 	}
@@ -51,7 +51,7 @@ func (d *Deps) Call(ctx context.Context, component, operation string, in, out in
 	if err != nil {
 		return err
 	}
-	res, err := httpx.PostXML(ctx, c.HTTP, c.URL, soap.ContentType, body, retry)
+	res, err := httpx.PostXML(ctx, c.HTTP, c.URL, soap.ContentType, body, httpx.DefaultRetry)
 	if err != nil {
 		return fmt.Errorf("composite: component %s: %w", component, err)
 	}
@@ -74,7 +74,7 @@ func (d *Deps) Call(ctx context.Context, component, operation string, in, out in
 
 // Endpoint returns the URL a component is currently bound to.
 func (d *Deps) Endpoint(component string) (string, error) {
-	c, _, err := d.svc.binding(component)
+	c, err := d.svc.binding(component)
 	if err != nil {
 		return "", err
 	}
@@ -91,13 +91,8 @@ type Service struct {
 	srv      *soap.Server
 
 	mu       sync.RWMutex
-	bindings map[string]*binding
+	bindings map[string]*soap.Client
 	onUpg    func(registry.Entry)
-}
-
-type binding struct {
-	client *soap.Client
-	retry  httpx.RetryPolicy
 }
 
 // New builds a composite service for the given contract. Every contract
@@ -109,7 +104,7 @@ func New(contract wsdl.Contract) (*Service, error) {
 	return &Service{
 		contract: contract,
 		srv:      soap.NewServer(),
-		bindings: make(map[string]*binding),
+		bindings: make(map[string]*soap.Client),
 	}, nil
 }
 
@@ -118,44 +113,25 @@ func (s *Service) Contract() wsdl.Contract { return s.contract }
 
 // Bind points a component name at a URL. Rebinding an existing name
 // replaces the target online — the glue never notices.
-func (s *Service) Bind(name, url string, opts ...BindOption) error {
+func (s *Service) Bind(name, url string) error {
 	if name == "" || url == "" {
 		return fmt.Errorf("%w: binding needs name and url", ErrBadComposite)
 	}
-	b := &binding{
-		client: &soap.Client{URL: url, HTTP: &http.Client{Timeout: 5 * time.Second}},
-		retry:  httpx.DefaultRetry,
-	}
-	for _, o := range opts {
-		o(b)
-	}
+	c := &soap.Client{URL: url, HTTP: &http.Client{Timeout: 5 * time.Second}}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bindings[name] = b
+	s.bindings[name] = c
 	return nil
 }
 
-// BindOption configures a component binding.
-type BindOption func(*binding)
-
-// WithHTTP overrides the binding's HTTP client.
-func WithHTTP(c *http.Client) BindOption {
-	return func(b *binding) { b.client.HTTP = c }
-}
-
-// WithRetry overrides the transient-failure retry policy.
-func WithRetry(p httpx.RetryPolicy) BindOption {
-	return func(b *binding) { b.retry = p }
-}
-
-func (s *Service) binding(name string) (*soap.Client, httpx.RetryPolicy, error) {
+func (s *Service) binding(name string) (*soap.Client, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	b, ok := s.bindings[name]
+	c, ok := s.bindings[name]
 	if !ok {
-		return nil, httpx.RetryPolicy{}, fmt.Errorf("%w: %q", ErrUnknownComponent, name)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownComponent, name)
 	}
-	return b.client, b.retry, nil
+	return c, nil
 }
 
 // Components lists the bound component names, sorted.
@@ -230,7 +206,7 @@ func (s *Service) Handler() http.Handler {
 
 // ResolveNewest binds a component to the newest published release of a
 // service found in the registry — the discovery path of Fig 1.
-func (s *Service) ResolveNewest(ctx context.Context, reg *registry.Client, component, serviceName string, opts ...BindOption) error {
+func (s *Service) ResolveNewest(ctx context.Context, reg *registry.Client, component, serviceName string) error {
 	entries, err := reg.Find(ctx, serviceName)
 	if err != nil {
 		return fmt.Errorf("composite: resolving %s: %w", serviceName, err)
@@ -238,5 +214,5 @@ func (s *Service) ResolveNewest(ctx context.Context, reg *registry.Client, compo
 	if len(entries) == 0 {
 		return fmt.Errorf("%w: no releases of %s", registry.ErrNotFound, serviceName)
 	}
-	return s.Bind(component, entries[0].URL, opts...)
+	return s.Bind(component, entries[0].URL)
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/registry"
 	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/service"
@@ -145,7 +144,7 @@ func TestRebindOnline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Point the binding at a dead endpoint: calls must now fail...
-	if err := svc.Bind("ws1", "http://127.0.0.1:1", WithHTTP(&http.Client{Timeout: 200 * time.Millisecond})); err != nil {
+	if err := svc.Bind("ws1", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Call(context.Background(), "sumTwice", sumTwiceRequest{A: 1, B: 1}, nil); err == nil {
@@ -377,8 +376,7 @@ func TestTwoComponentComposite(t *testing.T) {
 	// One component failing takes only the operations that need it down;
 	// here combine needs both, so it faults — but rebinding ws2 alone
 	// restores service without touching ws1.
-	if err := svc.Bind("ws2", "http://127.0.0.1:1",
-		WithHTTP(&http.Client{Timeout: 200 * time.Millisecond}), WithRetry(httpx.NoRetry)); err != nil {
+	if err := svc.Bind("ws2", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Call(context.Background(), "combine", struct {

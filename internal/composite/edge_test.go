@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/soapcodec"
 	"wsupgrade/internal/service"
@@ -98,7 +97,7 @@ func TestSOAPReplyClassifiedOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := svc.Bind("ws1", ts.URL, WithRetry(httpx.NoRetry)); err != nil {
+			if err := svc.Bind("ws1", ts.URL); err != nil {
 				t.Fatal(err)
 			}
 			var out service.AddResponse

@@ -107,9 +107,6 @@ type Config struct {
 	// ConfidenceTarget is the pfd target T of the published confidence
 	// P(pfd ≤ T) (default 1e-2).
 	ConfidenceTarget float64
-	// Retry tolerates transient transport failures per release call
-	// (default httpx.NoRetry).
-	Retry httpx.RetryPolicy
 	// PublishHeader attaches a confidence header to every response
 	// (§6.2's protocol-handler mechanism).
 	PublishHeader bool
@@ -130,8 +127,8 @@ type Config struct {
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 	// Begin injects the release transport: a shared wire client's Begin
 	// (the fleet's cross-unit pool, which then brings its own fallback
-	// and Dial) or scripted releases. The engine binds Retry into every
-	// call. Nil means the engine builds and owns a wire client.
+	// and Dial) or scripted releases. The engine binds httpx.NoRetry into
+	// every call. Nil means the engine builds and owns a wire client.
 	Begin func(ctx context.Context, url, contentType string, body []byte, policy httpx.RetryPolicy) wire.Call
 	// Clock is the demand path's time source: the dispatch layer's
 	// (dispatch.Config.Clock) and the monitor records' timestamps; nil
@@ -239,12 +236,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.ConfidenceTarget < 0 || cfg.ConfidenceTarget > 1 {
 		return nil, fmt.Errorf("%w: confidence target %v", ErrBadConfig, cfg.ConfidenceTarget)
 	}
-	if cfg.Retry.Attempts == 0 {
-		cfg.Retry = httpx.NoRetry
-	}
-	if err := cfg.Retry.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
 	if cfg.Policy != nil {
 		if err := cfg.Policy.Normalize(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -310,13 +301,13 @@ func New(cfg Config) (*Engine, error) {
 		})
 		begin = e.wire.Begin
 	}
-	// The retry policy is bound into the transport here, once: dispatch
-	// begins calls and never sees a policy.
-	retry := cfg.Retry
+	// The engine does not retry: a transient transport failure is the
+	// release's evident failure in the monitor's evidence (DECISIONS.md
+	// PR 37a). Dispatch begins calls and never sees a policy.
 	e.disp = dispatch.New(dispatch.Config{
 		Begin: func(ctx context.Context, url, contentType string, body []byte) wire.Call {
 			//wsu:allow poolcheck -- the begun call goes to dispatch, which ends it exactly once
-			return begin(ctx, url, contentType, body, retry)
+			return begin(ctx, url, contentType, body, httpx.NoRetry)
 		},
 		Clock:     cfg.Clock,
 		Seed:      cfg.Seed,

@@ -5,9 +5,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
-	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/service"
 )
 
@@ -42,8 +40,4 @@ func newFlakyRelease(t *testing.T, failuresPerRequest int) *httptest.Server {
 	}))
 	t.Cleanup(ts.Close)
 	return ts
-}
-
-func retry3() httpx.RetryPolicy {
-	return httpx.RetryPolicy{Attempts: 3, Backoff: 5 * time.Millisecond}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/relmodel"
 	"wsupgrade/internal/service"
@@ -290,18 +291,18 @@ func TestRequestAdjudicatorFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if adj, ok := headerAdjudicator(req); ok {
-		t.Fatalf("no header: override %s", adj.Name())
+		t.Fatalf("no header: override %T", adj)
 	}
 	req.Header.Set(AdjudicatorHeader, "nonsense")
 	if adj, ok := headerAdjudicator(req); ok {
-		t.Fatalf("unknown value: override %s", adj.Name())
+		t.Fatalf("unknown value: override %T", adj)
 	}
 	req.Header.Set(AdjudicatorHeader, "fastest-valid")
-	if adj, ok := headerAdjudicator(req); !ok || adj.Name() != "fastest-valid" {
+	if adj, ok := headerAdjudicator(req); !ok || adj != (adjudicate.FastestValid{}) {
 		t.Fatalf("explicit value: got %v, %v", adj, ok)
 	}
 	if adj, ok := headerAdjudicator(nil); ok {
-		t.Fatalf("nil request: override %s", adj.Name())
+		t.Fatalf("nil request: override %T", adj)
 	}
 }
 
@@ -385,15 +386,18 @@ func TestResponsivenessConfidence(t *testing.T) {
 	}
 }
 
-// Transient transport failures are retried when a policy is configured
-// (§2.1: transient failures are tolerated by retry even on the same code).
-func TestRetryToleratesTransientFailures(t *testing.T) {
-	flaky := newFlakyRelease(t, 2) // first 2 attempts per request: 503
-	e, ts := startEngine(t, Config{
+// The engine does not retry a release call: a transient transport
+// failure is the release's evident failure (DECISIONS.md PR 37a), so
+// the demand that met it fails and the next one succeeds.
+func TestTransientFailureIsNotRetried(t *testing.T) {
+	flaky := newFlakyRelease(t, 1) // every other attempt: 503
+	_, ts := startEngine(t, Config{
 		Releases:     []Endpoint{{Version: "1.0", URL: flaky.URL}},
 		InitialPhase: PhaseOldOnly,
-		Retry:        retry3(),
 	})
+	if _, err := callAdd(t, ts.URL, 4, 5); err == nil {
+		t.Fatal("a demand whose one release call met a 503 succeeded: the call was retried")
+	}
 	out, err := callAdd(t, ts.URL, 4, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -401,5 +405,4 @@ func TestRetryToleratesTransientFailures(t *testing.T) {
 	if out.Sum != 9 {
 		t.Fatalf("sum = %d", out.Sum)
 	}
-	_ = e
 }

@@ -178,7 +178,7 @@ type Config struct {
 	// Begin is the release-call transport: it starts one call without
 	// waiting on the peer, and the returned call's End finishes it —
 	// retry of transient failures included, under whatever policy the
-	// transport was bound to (the engine binds its Config.Retry). The
+	// transport was bound to (the engine binds httpx.NoRetry). The
 	// dispatcher ends every call it begins exactly once. Required: the
 	// engine passes its wire client's Begin, tests substitute
 	// wire.Deferred fakes.

@@ -13,7 +13,6 @@ import (
 
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/core"
-	"wsupgrade/internal/events"
 	"wsupgrade/internal/journal"
 	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
@@ -426,7 +425,7 @@ func TestEventsStreamResyncsWhenHistoryEvicted(t *testing.T) {
 	f, ts := twoUnitFleet(t, func(cfg *Config) { cfg.AdminToken = token })
 
 	// Age the resume point out of the bounded ring.
-	for i := 0; i < events.DefaultHistory+8; i++ {
+	for i := 0; i < eventHistory+8; i++ {
 		f.hub.Publish("tick", i)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -442,5 +441,61 @@ func TestEventsStreamResyncsWhenHistoryEvicted(t *testing.T) {
 		if ev.event != "status" || !strings.Contains(ev.data, `"unit":"`+unit+`"`) {
 			t.Fatalf("post-resync event %+v, want status for %s", ev, unit)
 		}
+	}
+}
+
+// A subscriber reconnecting after a mediator restart presents an id the
+// restarted hub never issued: its numbering began again. Its view has a
+// gap (the new process's first events carry ids it has already seen),
+// so the stream must resync and send the status burst rather than
+// resume as if nothing had been missed.
+func TestEventsStreamResyncsAfterRestart(t *testing.T) {
+	const token = "s3cret"
+	dir := t.TempDir()
+	journaled := func(cfg *Config) {
+		cfg.AdminToken = token
+		cfg.JournalDir = dir
+	}
+	f1, ts1 := twoUnitFleet(t, journaled)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events, _ := openStream(ctx, t, ts1.URL, token, "")
+	for range []string{"flights", "hotels"} {
+		nextEvent(t, events) // status burst
+	}
+	postJSON(t, ts1.URL+"/fleet/units/flights/phase?token="+token, `{"phase":"new-only"}`, http.StatusOK)
+	postJSON(t, ts1.URL+"/fleet/units/hotels/phase?token="+token, `{"phase":"new-only"}`, http.StatusOK)
+	var lastID string
+	for range []string{"flights", "hotels"} {
+		ev := nextEvent(t, events)
+		if ev.event != "phase" || ev.id == "" {
+			t.Fatalf("phase event %+v, want an id", ev)
+		}
+		lastID = ev.id
+	}
+	if err := f1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart on the same journal; the new process numbers one event
+	// before the subscriber is back.
+	_, ts2 := twoUnitFleet(t, journaled)
+	postJSON(t, ts2.URL+"/fleet/units/flights/phase?token="+token, `{"phase":"observation"}`, http.StatusOK)
+
+	resumed, _ := openStream(ctx, t, ts2.URL, token, lastID)
+	postJSON(t, ts2.URL+"/fleet/units/hotels/phase?token="+token, `{"phase":"observation"}`, http.StatusOK)
+	ev := nextEvent(t, resumed)
+	if ev.event != "resync" || !strings.Contains(ev.data, `"lastEventId":`+lastID) {
+		t.Fatalf("resume across a restart opened with %+v, want resync", ev)
+	}
+	for _, unit := range []string{"flights", "hotels"} {
+		ev = nextEvent(t, resumed)
+		if ev.event != "status" || !strings.Contains(ev.data, `"unit":"`+unit+`"`) {
+			t.Fatalf("post-resync event %+v, want status for %s", ev, unit)
+		}
+	}
+	if ev = nextEvent(t, resumed); ev.event != "phase" || !strings.Contains(ev.data, `"unit":"hotels"`) {
+		t.Fatalf("live event %+v, want hotels' phase", ev)
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"wsupgrade/internal/core"
-	"wsupgrade/internal/events"
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/lifecycle"
 	"wsupgrade/internal/registry"
@@ -137,7 +136,7 @@ type Fleet struct {
 	adminToken   string
 
 	// Push control plane and durable campaigns (see campaign.go).
-	hub           *events.Hub
+	hub           *eventHub
 	closeJournals []func() error
 	journalNotes  []journalEvent
 }
@@ -155,7 +154,7 @@ func New(cfg Config) (*Fleet, error) {
 		byHost:     map[string]*Unit{},
 		byService:  make(map[string]*Unit, len(cfg.Units)),
 		adminToken: cfg.AdminToken,
-		hub:        events.NewHub(),
+		hub:        newEventHub(),
 	}
 
 	// One release-side transport for the whole fleet: a shared wire

@@ -1,19 +1,20 @@
-package events
+package fleet
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestPublishDelivers(t *testing.T) {
-	h := NewHub()
+	h := newEventHub()
 	defer h.Close()
-	sub := h.Subscribe(8)
+	sub := subscribe(h, 8)
 	h.Publish("phase", map[string]string{"unit": "flights", "to": "parallel"})
 	select {
-	case ev := <-sub.C:
+	case ev := <-sub.ch:
 		if ev.Type != "phase" || ev.ID != 1 {
 			t.Fatalf("got %+v", ev)
 		}
@@ -29,10 +30,10 @@ func TestPublishDelivers(t *testing.T) {
 // A slow subscriber must lose events — with accounting — while fast
 // subscribers and the publisher are unaffected.
 func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
-	h := NewHub()
+	h := newEventHub()
 	defer h.Close()
-	slow := h.Subscribe(2)
-	fast := h.Subscribe(64)
+	slow := subscribe(h, 2)
+	fast := subscribe(h, 64)
 
 	done := make(chan struct{})
 	go func() {
@@ -50,12 +51,9 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	if got := slow.Dropped(); got != 8 {
 		t.Fatalf("slow subscriber Dropped = %d, want 8", got)
 	}
-	if got := h.DropsTotal(); got != 8 {
-		t.Fatalf("hub DropsTotal = %d, want 8", got)
-	}
 	for i := 0; i < 10; i++ {
 		select {
-		case ev := <-fast.C:
+		case ev := <-fast.ch:
 			if ev.ID != uint64(i+1) {
 				t.Fatalf("fast subscriber event %d has ID %d", i, ev.ID)
 			}
@@ -66,12 +64,12 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 }
 
 func TestCancelStopsDelivery(t *testing.T) {
-	h := NewHub()
+	h := newEventHub()
 	defer h.Close()
-	sub := h.Subscribe(4)
+	sub := subscribe(h, 4)
 	sub.Cancel()
 	sub.Cancel() // idempotent
-	if _, open := <-sub.C; open {
+	if _, open := <-sub.ch; open {
 		t.Fatal("canceled subscription channel still open")
 	}
 	h.Publish("phase", 1) // must not panic on the canceled sub
@@ -84,23 +82,23 @@ func TestCancelStopsDelivery(t *testing.T) {
 }
 
 func TestCloseClosesSubscribers(t *testing.T) {
-	h := NewHub()
-	sub := h.Subscribe(4)
+	h := newEventHub()
+	sub := subscribe(h, 4)
 	h.Close()
-	if _, open := <-sub.C; open {
+	if _, open := <-sub.ch; open {
 		t.Fatal("subscription open after hub Close")
 	}
 	// Post-close operations are calm no-ops.
 	h.Publish("phase", 1)
 	h.Close()
-	late := h.Subscribe(4)
-	if _, open := <-late.C; open {
+	late := subscribe(h, 4)
+	if _, open := <-late.ch; open {
 		t.Fatal("subscription on a closed hub is open")
 	}
 }
 
 func TestConcurrentPublishSubscribeCancel(t *testing.T) {
-	h := NewHub()
+	h := newEventHub()
 	defer h.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -115,10 +113,10 @@ func TestConcurrentPublishSubscribeCancel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sub := h.Subscribe(1)
+				sub := subscribe(h, 1)
 				// Drain a little, then leave.
 				select {
-				case <-sub.C:
+				case <-sub.ch:
 				default:
 				}
 				sub.Cancel()
@@ -128,8 +126,15 @@ func TestConcurrentPublishSubscribeCancel(t *testing.T) {
 	wg.Wait()
 }
 
+// subscribe is a fresh stream's subscription: SubscribeFrom with no
+// resume point, as handleEvents makes it.
+func subscribe(h *eventHub, size int) *subscription {
+	sub, _, _ := h.SubscribeFrom(size, math.MaxUint64)
+	return sub
+}
+
 // replayFrom is SubscribeFrom's replay alone.
-func replayFrom(h *Hub, lastID uint64) ([]Event, bool) {
+func replayFrom(h *eventHub, lastID uint64) ([]event, bool) {
 	sub, replay, complete := h.SubscribeFrom(1, lastID)
 	sub.Cancel()
 	return replay, complete
@@ -138,7 +143,7 @@ func replayFrom(h *Hub, lastID uint64) ([]Event, bool) {
 // A resume replays the retained suffix in order and reports whether the
 // bounded ring still covers the requested resume point.
 func TestReplayFrom(t *testing.T) {
-	h := NewHub()
+	h := newEventHub()
 	defer h.Close()
 	for i := 0; i < 5; i++ {
 		h.Publish("phase", i)
@@ -155,16 +160,18 @@ func TestReplayFrom(t *testing.T) {
 	if replay, complete := replayFrom(h, 5); !complete || len(replay) != 0 {
 		t.Fatalf("replay at head = %d events, complete=%v", len(replay), complete)
 	}
-	if replay, complete := replayFrom(h, 99); !complete || len(replay) != 0 {
-		t.Fatalf("replay beyond head = %d events, complete=%v", len(replay), complete)
+	// An id this hub never issued (one from before a restart) is a gap,
+	// not a caught-up subscriber.
+	if replay, complete := replayFrom(h, 99); complete || len(replay) != 0 {
+		t.Fatalf("replay beyond head = %d events, complete=%v; want 0, false", len(replay), complete)
 	}
 }
 
 // The history is a bounded ring: once a resume point is evicted, replay
 // returns what is retained and reports the gap.
 func TestReplayEviction(t *testing.T) {
-	h := NewHub()
-	h.ring = make([]Event, 4)
+	h := newEventHub()
+	h.ring = make([]event, 4)
 	defer h.Close()
 	for i := 0; i < 10; i++ {
 		h.Publish("phase", i)
@@ -188,7 +195,7 @@ func TestReplayEviction(t *testing.T) {
 // delivery covers every event exactly once, under concurrent
 // publishing.
 func TestSubscribeFromNoGapNoDup(t *testing.T) {
-	h := NewHub()
+	h := newEventHub()
 	defer h.Close()
 	const total = 200
 	done := make(chan struct{})
@@ -215,7 +222,7 @@ func TestSubscribeFromNoGapNoDup(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for next <= total {
 		select {
-		case ev := <-sub.C:
+		case ev := <-sub.ch:
 			if ev.ID != next {
 				t.Fatalf("live delivery: got %d want %d", ev.ID, next)
 			}
@@ -227,14 +234,14 @@ func TestSubscribeFromNoGapNoDup(t *testing.T) {
 }
 
 func TestSubscribeFromClosedHub(t *testing.T) {
-	h := NewHub()
+	h := newEventHub()
 	h.Publish("phase", 1)
 	h.Close()
 	sub, replay, _ := h.SubscribeFrom(0, 0)
 	if len(replay) != 0 {
 		t.Fatalf("closed hub replayed %d events", len(replay))
 	}
-	if _, open := <-sub.C; open {
+	if _, open := <-sub.ch; open {
 		t.Fatal("closed hub returned an open subscription")
 	}
 }

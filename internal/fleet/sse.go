@@ -13,7 +13,8 @@ package fleet
 // Reconnects resume: a client that presents the standard Last-Event-ID
 // header gets the events it missed replayed from the hub's bounded
 // history instead of a fresh status burst. When the gap exceeds the
-// history, the stream says so with a "resync" event and falls back to
+// history, or the id is past the hub's last one (it was issued before a
+// restart), the stream says so with a "resync" event and falls back to
 // the status burst.
 
 import (
@@ -84,8 +85,9 @@ func (f *Fleet) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		if resume {
-			// The gap outran the bounded history — the subscriber's view
-			// cannot be repaired by replay, so say so and re-synchronize.
+			// The gap outran the bounded history, or the id predates a
+			// restart — the subscriber's view cannot be repaired by
+			// replay, so say so and re-synchronize.
 			if !writeSSE(w, 0, "resync", mustJSON(map[string]uint64{"lastEventId": lastID})) {
 				return
 			}
@@ -112,7 +114,7 @@ func (f *Fleet) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, open := <-sub.C:
+		case ev, open := <-sub.ch:
 			if !open {
 				return // fleet closed
 			}

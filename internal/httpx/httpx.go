@@ -35,10 +35,10 @@ var ErrBadPolicy = errors.New("httpx: bad retry policy")
 // release, not a reason to exhaust the proxy's memory.
 var ErrTooLarge = errors.New("httpx: message exceeds size limit")
 
-// DefaultMaxResponseBytes caps release response bodies when RetryPolicy
-// leaves MaxResponseBytes zero. It matches the proxy's consumer-side
-// request limit, so neither direction of the mediated exchange is
-// unbounded.
+// DefaultMaxResponseBytes caps every release response body; a larger one
+// fails the exchange with ErrTooLarge. It matches the proxy's
+// consumer-side request limit, so neither direction of the mediated
+// exchange is unbounded.
 const DefaultMaxResponseBytes = 10 << 20
 
 // DefaultMaxIdleConnsPerHost sizes the keep-alive pool NewPooledClient
@@ -157,17 +157,13 @@ func ReadBounded(r io.Reader, max int64) ([]byte, error) {
 }
 
 // RetryPolicy controls a release exchange's tolerance of transient
-// failures and the size bound on response bodies (see Retry).
+// failures (see Retry).
 type RetryPolicy struct {
 	// Attempts is the total number of tries (≥ 1).
 	Attempts int
 	// Backoff is the delay before the second attempt; it doubles for
 	// each further attempt.
 	Backoff time.Duration
-	// MaxResponseBytes caps the response body; larger bodies fail the
-	// exchange with ErrTooLarge (and are not retried — an oversized
-	// response is not transient). Zero means DefaultMaxResponseBytes.
-	MaxResponseBytes int64
 }
 
 // NoRetry is the policy with a single attempt.
@@ -184,9 +180,6 @@ func (p RetryPolicy) Validate() error {
 	if p.Backoff < 0 {
 		return fmt.Errorf("%w: negative backoff", ErrBadPolicy)
 	}
-	if p.MaxResponseBytes < 0 {
-		return fmt.Errorf("%w: negative response size limit", ErrBadPolicy)
-	}
 	return nil
 }
 
@@ -200,15 +193,6 @@ func transientStatus(code int) bool {
 // for the second attempt, doubling for each one after.
 func (p RetryPolicy) backoffFor(attempt int) time.Duration {
 	return time.Duration(float64(p.Backoff) * math.Pow(2, float64(attempt-2)))
-}
-
-// maxResponseBytes resolves the response cap, applying the default when
-// MaxResponseBytes is zero.
-func (p RetryPolicy) maxResponseBytes() int64 {
-	if p.MaxResponseBytes == 0 {
-		return DefaultMaxResponseBytes
-	}
-	return p.MaxResponseBytes
 }
 
 // Result is the outcome of a release exchange (see Retry). It is
@@ -283,8 +267,8 @@ func appendHeader(b []byte, hdr http.Header) []byte {
 // response status and a pooled buffer holding the body in its first
 // bodyLen bytes and the header block, in Header's form, behind it. The
 // buffer's ownership goes to the caller; it is nil exactly when err is
-// not. A body past maxBytes fails with ErrTooLarge.
-type Attempt func(maxBytes int64) (status int, data *pool.Buf, bodyLen int, err error)
+// not. A body past DefaultMaxResponseBytes fails with ErrTooLarge.
+type Attempt func() (status int, data *pool.Buf, bodyLen int, err error)
 
 // Retry runs one release exchange under policy — the retry loop both
 // release transports share, PostXML's net/http attempt and the wire
@@ -307,7 +291,6 @@ func Retry(ctx context.Context, policy RetryPolicy, url string, attempt Attempt)
 	if err := policy.Validate(); err != nil {
 		return Result{}, err
 	}
-	maxBytes := policy.maxResponseBytes()
 	var lastErr error
 	for n := 1; n <= policy.Attempts; n++ {
 		if n > 1 {
@@ -318,7 +301,7 @@ func Retry(ctx context.Context, policy RetryPolicy, url string, attempt Attempt)
 			case <-time.After(policy.backoffFor(n)):
 			}
 		}
-		status, data, bodyLen, err := attempt(maxBytes)
+		status, data, bodyLen, err := attempt()
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {
 				//wsu:allow noalloc -- error path: the exchange is over
@@ -355,7 +338,7 @@ func PostXML(ctx context.Context, client *http.Client, url, contentType string, 
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return Retry(ctx, policy, url, func(maxBytes int64) (int, *pool.Buf, int, error) {
+	return Retry(ctx, policy, url, func() (int, *pool.Buf, int, error) {
 		// A bytes.Reader body lets net/http set GetBody, so that it can
 		// replay the request on a fresh connection.
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
@@ -368,7 +351,7 @@ func PostXML(ctx context.Context, client *http.Client, url, contentType string, 
 			return 0, nil, 0, err
 		}
 		//wsu:allow poolcheck -- ownership leaves with the attempt's result (see the return below)
-		data, err := ReadBoundedBuf(resp.Body, resp.ContentLength, maxBytes)
+		data, err := ReadBoundedBuf(resp.Body, resp.ContentLength, DefaultMaxResponseBytes)
 		resp.Body.Close()
 		if err != nil {
 			return 0, nil, 0, err

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,40 +15,43 @@ import (
 	"time"
 )
 
-// A release streaming more than the configured cap must fail the
+// oversized is one byte past the response bound.
+var oversized = bytes.Repeat([]byte("x"), DefaultMaxResponseBytes+1)
+
+// A release whose declared length is past the bound must fail the
 // exchange instead of growing the proxy's heap without bound.
 func TestPostXMLRejectsOversizedResponse(t *testing.T) {
-	big := bytes.Repeat([]byte("x"), 1<<16+1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write(big)
+		w.Header().Set("Content-Length", strconv.Itoa(len(oversized)))
+		_, _ = w.Write(oversized)
 	}))
 	defer ts.Close()
-	_, err := PostXML(context.Background(), ts.Client(), ts.URL, "text/xml", nil,
-		RetryPolicy{Attempts: 1, MaxResponseBytes: 1 << 16})
+	_, err := PostXML(context.Background(), ts.Client(), ts.URL, "text/xml", nil, NoRetry)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized response returned %v, want ErrTooLarge", err)
 	}
 }
 
-// A body exactly at the cap is fine.
+// A body exactly at the bound is fine.
 func TestPostXMLAcceptsResponseAtCap(t *testing.T) {
-	exact := bytes.Repeat([]byte("x"), 1<<12)
+	exact := oversized[:DefaultMaxResponseBytes]
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(exact)
 	}))
 	defer ts.Close()
-	res, err := PostXML(context.Background(), ts.Client(), ts.URL, "text/xml", nil,
-		RetryPolicy{Attempts: 1, MaxResponseBytes: 1 << 12})
+	res, err := PostXML(context.Background(), ts.Client(), ts.URL, "text/xml", nil, NoRetry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Body) != len(exact) {
 		t.Fatalf("body length = %d, want %d", len(res.Body), len(exact))
 	}
+	res.BodyBuf.Release()
 }
 
-// With no explicit cap the default 10 MB bound applies — the unbounded
-// io.ReadAll this replaces let one misbehaving release OOM the proxy.
+// A body streamed with no declared length is cut off at the 10 MB
+// bound too — the unbounded io.ReadAll this replaces let one
+// misbehaving release OOM the proxy.
 func TestPostXMLDefaultResponseCap(t *testing.T) {
 	chunk := bytes.Repeat([]byte("x"), 1<<20)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -70,22 +74,16 @@ func TestPostXMLDoesNotRetryOversizedResponse(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		_, _ = w.Write(bytes.Repeat([]byte("x"), 2048))
+		_, _ = w.Write(oversized)
 	}))
 	defer ts.Close()
 	_, err := PostXML(context.Background(), ts.Client(), ts.URL, "text/xml", nil,
-		RetryPolicy{Attempts: 3, Backoff: time.Millisecond, MaxResponseBytes: 1024})
+		RetryPolicy{Attempts: 3, Backoff: time.Millisecond})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("oversized response retried: %d calls", calls.Load())
-	}
-}
-
-func TestPolicyRejectsNegativeResponseCap(t *testing.T) {
-	if err := (RetryPolicy{Attempts: 1, MaxResponseBytes: -1}).Validate(); err == nil {
-		t.Fatal("negative response cap accepted")
 	}
 }
 

@@ -13,9 +13,6 @@
 //     to both releases.
 //   - Header: a ground-truth oracle reading the fault-injection marker the
 //     internal/service runtime attaches; only the test harness has it.
-//   - WithOmission wraps any oracle with the paper's omission-failure
-//     imperfection: each detected failure is missed with probability
-//     Pomit.
 //
 // All oracles return per-reply failure verdicts aligned with the replies
 // slice, from which the pairwise Table 1 outcome is derived.
@@ -28,23 +25,15 @@
 package oracle
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-
 	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/protocol"
 	"wsupgrade/internal/protocol/soapcodec"
-	"wsupgrade/internal/xrand"
 )
 
 // InjectionHeader is the response header with which the fault-injecting
 // service runtime labels each response's true outcome kind. Only the
 // ground-truth Header oracle reads it.
 const InjectionHeader = "X-Wsupgrade-Injected"
-
-// ErrBadOracle reports an invalid oracle configuration.
-var ErrBadOracle = errors.New("oracle: bad configuration")
 
 // Oracle judges which replies failed. Implementations must be safe for
 // concurrent use and must not mutate the replies.
@@ -57,8 +46,6 @@ type Oracle interface {
 	// caller owns dst before and after the call: oracles do not retain
 	// it, so callers may pool it.
 	JudgeInto(dst []bool, operation string, replies []adjudicate.Reply) []bool
-	// Name identifies the oracle in reports.
-	Name() string
 }
 
 // verdicts returns a zeroed verdict slice of length n backed by dst when
@@ -92,9 +79,6 @@ func (FaultOnly) JudgeInto(dst []bool, operation string, replies []adjudicate.Re
 	}
 	return failed
 }
-
-// Name implements Oracle.
-func (FaultOnly) Name() string { return "fault-only" }
 
 // Reference trusts the named release: any valid reply whose canonical
 // payload differs from the reference's valid payload is judged failed.
@@ -134,9 +118,6 @@ func (o Reference) JudgeInto(dst []bool, operation string, replies []adjudicate.
 	}
 	return failed
 }
-
-// Name implements Oracle.
-func (o Reference) Name() string { return "reference(" + o.Release + ")" }
 
 // BackToBack judges by comparison only: with two valid replies that
 // disagree, both are flagged as suspected failures (the middleware cannot
@@ -194,9 +175,6 @@ func (o BackToBack) JudgeInto(dst []bool, operation string, replies []adjudicate
 	return failed
 }
 
-// Name implements Oracle.
-func (BackToBack) Name() string { return "back-to-back" }
-
 // payloadEqual compares two reply payloads through the oracle's codec,
 // defaulting to the SOAP codec so zero-value oracles keep their
 // historical behaviour.
@@ -234,78 +212,4 @@ func (Header) JudgeInto(dst []bool, operation string, replies []adjudicate.Reply
 		}
 	}
 	return failed
-}
-
-// Name implements Oracle.
-func (Header) Name() string { return "header-truth" }
-
-// WithOmission wraps an oracle with §5.1.1.3 omission imperfection: each
-// failure verdict is independently flipped to success with probability
-// Pomit. Construct with NewWithOmission.
-//
-// Omission draws come from a pool of deterministic generators split off
-// the seeded master — one pool Get per judgment instead of a
-// wrapper-wide mutex, so concurrent dispatches never serialize on the
-// oracle (the same determinism contract as adjudication tie-breaking:
-// reproducible streams, not a reproducible interleaving).
-type WithOmission struct {
-	inner Oracle
-	pomit float64
-
-	// rngMaster only seeds new pool members; rngMu guards the split.
-	rngMu     sync.Mutex
-	rngMaster *xrand.Rand
-	rngPool   sync.Pool
-}
-
-var _ Oracle = (*WithOmission)(nil)
-
-// NewWithOmission wraps inner with the given omission probability.
-func NewWithOmission(inner Oracle, pomit float64, rng *xrand.Rand) (*WithOmission, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("%w: nil inner oracle", ErrBadOracle)
-	}
-	if pomit < 0 || pomit > 1 {
-		return nil, fmt.Errorf("%w: pomit %v", ErrBadOracle, pomit)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("%w: nil rng", ErrBadOracle)
-	}
-	return &WithOmission{inner: inner, pomit: pomit, rngMaster: rng}, nil
-}
-
-// getRNG hands one generator to a judgment. Generators are pooled; a
-// fresh one is split off the seeded master only when the pool is empty.
-//
-//wsu:owns return
-func (o *WithOmission) getRNG() *xrand.Rand {
-	if r, ok := o.rngPool.Get().(*xrand.Rand); ok {
-		return r
-	}
-	o.rngMu.Lock()
-	defer o.rngMu.Unlock()
-	return o.rngMaster.Split()
-}
-
-//wsu:owns r
-func (o *WithOmission) putRNG(r *xrand.Rand) { o.rngPool.Put(r) }
-
-// JudgeInto implements Oracle.
-//
-//wsu:noalloc
-func (o *WithOmission) JudgeInto(dst []bool, operation string, replies []adjudicate.Reply) []bool {
-	failed := o.inner.JudgeInto(dst, operation, replies)
-	rng := o.getRNG()
-	for i := range failed {
-		if failed[i] && rng.Bool(o.pomit) {
-			failed[i] = false
-		}
-	}
-	o.putRNG(rng)
-	return failed
-}
-
-// Name implements Oracle.
-func (o *WithOmission) Name() string {
-	return fmt.Sprintf("omission(%.2f, %s)", o.pomit, o.inner.Name())
 }

@@ -130,8 +130,6 @@ func (p seededPick) Adjudicate(replies []adjudicate.Reply, _ *xrand.Rand) (adjud
 	return adjudicate.RandomValid{}.Adjudicate(replies, p.rng)
 }
 
-func (seededPick) Name() string { return adjudicate.RandomValid{}.Name() }
-
 // locked runs f under h.mu and wakes every waiter.
 func (h *harness) locked(f func()) {
 	h.mu.Lock()

@@ -68,13 +68,11 @@ func TestAdversarialSlowDripBody(t *testing.T) {
 
 // TestAdversarialOversizedChunkedBody: a release streaming an unbounded
 // chunked body (no Content-Length to pre-reject on) must be cut off at
-// MaxResponseBytes, with the server's outbound byte count bounded too —
-// proof the client aborted the transfer instead of swallowing it.
+// httpx.DefaultMaxResponseBytes, with the server's outbound byte count
+// bounded too — proof the client aborted the transfer instead of
+// swallowing it.
 func TestAdversarialOversizedChunkedBody(t *testing.T) {
-	const (
-		limit   = 256 << 10 // client-side MaxResponseBytes
-		hardCap = 64 << 20  // server gives up here: the attack "won"
-	)
+	const hardCap = 64 << 20 // server gives up here: the attack "won"
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			testutil.CheckGoroutines(t)
@@ -103,8 +101,7 @@ func TestAdversarialOversizedChunkedBody(t *testing.T) {
 			defer closeTr()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			_, err := post(ctx, ts.URL, testCT, []byte("<in/>"),
-				httpx.RetryPolicy{Attempts: 1, MaxResponseBytes: limit})
+			_, err := post(ctx, ts.URL, testCT, []byte("<in/>"), httpx.NoRetry)
 			if !errors.Is(err, httpx.ErrTooLarge) {
 				t.Fatalf("err = %v, want ErrTooLarge", err)
 			}

@@ -247,7 +247,7 @@ func TestConformanceOversizedResponseIsTerminal(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			var hits atomic.Int64
-			big := strings.Repeat("x", 64<<10)
+			big := strings.Repeat("x", httpx.DefaultMaxResponseBytes+1)
 			ts, _ := newCountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				hits.Add(1)
 				_, _ = w.Write([]byte(big))
@@ -255,7 +255,7 @@ func TestConformanceOversizedResponseIsTerminal(t *testing.T) {
 			post, closeTr := tr.make(t)
 			defer closeTr()
 			_, err := post(context.Background(), ts.URL, testCT, []byte("<in/>"),
-				httpx.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, MaxResponseBytes: 1024})
+				httpx.RetryPolicy{Attempts: 3, Backoff: time.Millisecond})
 			if !errors.Is(err, httpx.ErrTooLarge) {
 				t.Fatalf("err = %v, want ErrTooLarge", err)
 			}

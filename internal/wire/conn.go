@@ -388,7 +388,7 @@ func (c *conn) writeRequest(p *pool, contentType string, body []byte) error {
 // status lines, headers, chunk-size lines and trailers. A release
 // streaming endless header lines (or one never-terminated line) must
 // exhaust this budget, not the mediator's memory: the body direction is
-// bounded by RetryPolicy.MaxResponseBytes, and this is the header-side
+// bounded by httpx.DefaultMaxResponseBytes, and this is the header-side
 // counterpart of net/http's MaxResponseHeaderBytes.
 const maxHeaderBytes = 1 << 20
 

@@ -279,11 +279,11 @@ func (k *Call) End() (httpx.Result, error) {
 		}
 		return httpx.Result{}, call.err
 	}
-	return httpx.Retry(call.ctx, call.policy, call.rawURL, func(maxBytes int64) (int, *bufpool.Buf, int, error) {
+	return httpx.Retry(call.ctx, call.policy, call.rawURL, func() (int, *bufpool.Buf, int, error) {
 		x := call.x
 		call.x = inflight{} // only the first attempt was begun
 		//wsu:allow poolcheck -- an attempt hands its buffer to httpx.Retry, which passes it on in Result.BodyBuf
-		return call.p.do(call.ctx, x, call.contentType, call.body, maxBytes)
+		return call.p.do(call.ctx, x, call.contentType, call.body, httpx.DefaultMaxResponseBytes)
 	})
 }
 

@@ -113,11 +113,6 @@ type FleetUnit = fleet.UnitConfig
 // NewFleet builds a multi-unit upgrade fabric.
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
 
-// RetryPolicy tolerates transient transport failures per release call
-// (EngineConfig.Retry) and bounds release response bodies via
-// MaxResponseBytes.
-type RetryPolicy = httpx.RetryPolicy
-
 // NewPooledClient returns an HTTP client whose transport is tuned for
 // the middleware's traffic shape: keep-alive fan-out to a small set of
 // release hosts. The engine builds one automatically as its https

@@ -5,11 +5,14 @@ package wsupgrade
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"testing"
 
+	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/service"
+	"wsupgrade/internal/xrand"
 )
 
 func TestPublicAPIManagedUpgrade(t *testing.T) {
@@ -171,9 +174,14 @@ func TestPublicAPIStudies(t *testing.T) {
 }
 
 func TestPublicAPIAdjudicators(t *testing.T) {
+	// Each strategy passes over an evident failure to the one valid reply.
+	replies := []adjudicate.Reply{
+		{Release: "1.0", Err: errors.New("connection refused")},
+		{Release: "1.1", Body: []byte("<r>1</r>")},
+	}
 	for _, a := range []Adjudicator{RandomValid{}, Majority{}, FastestValid{}} {
-		if a.Name() == "" {
-			t.Fatal("unnamed adjudicator")
+		if got, err := a.Adjudicate(replies, xrand.New(1)); err != nil || got.Release != "1.1" {
+			t.Fatalf("%T picked %q (err %v), want the valid 1.1", a, got.Release, err)
 		}
 	}
 	var _ Oracle = FaultOnlyOracle{}
