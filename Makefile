@@ -14,7 +14,8 @@ SOAK_OUT      ?= .
 
 # The fuzz target gives each network-facing parser's fuzz function — the
 # envelope scanner, the JSON validator and the JSON comparator against
-# their encoding/xml and encoding/json references among them — and
+# their encoding/xml and encoding/json references among them — the
+# pass-through test soap.Framed against soap.EnvelopeRaw, and
 # FuzzPosteriorFrom, the posterior's frontier pass against its full pass,
 # a short budget (go test runs one -fuzz target per invocation). A
 # crasher is written under the package's testdata/fuzz/ — commit it: from
@@ -57,6 +58,7 @@ soak:
 fuzz:
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzEqualCanonical -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzFramed -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/protocol/jsoncodec -run='^$$' -fuzz=FuzzJSONValid -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/protocol/jsoncodec -run='^$$' -fuzz=FuzzJSONEqual -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZTIME)

@@ -701,9 +701,9 @@ var engineInProcessRows = []benchRow{
 	// demand (one early digit, same length), the old release the
 	// reference. Every byte-proportional step of a demand is in here —
 	// sized reads into class buffers, the early-exit comparison on the
-	// 5 %, the re-enveloped write rendered into a pooled class buffer
-	// and handed over in one Write — and the ceiling pins that none of
-	// them allocates per byte again.
+	// 5 %, the delivered reply, already the canonical envelope, handed
+	// over in one Write as it arrived (soap.Framed) — and the ceiling
+	// pins that none of them allocates per byte again.
 	phaseRow("observation-large", PhaseObservation, func(cfg *EngineConfig) {
 		right := &wireStub{resp: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(3)))}
 		faulty := &wireStub{resp: right.resp, alt: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(4))), altEvery: 20}

@@ -48,7 +48,13 @@ type Reply struct {
 	// harness's ground-truth oracle reads). May be empty. Like Body, it
 	// aliases Buf.
 	Header httpx.Header
-	// Buf, when non-nil, is the pooled buffer Body and Header alias.
+	// Raw is the release's whole reply as the transport read it, which
+	// Body lies in when the codec read it in place. Like Body, it
+	// aliases Buf. The consumer's response is Raw as it arrived when
+	// the codec says it is already framed as the response would be
+	// (protocol.Codec.Framed).
+	Raw []byte
+	// Buf, when non-nil, is the pooled buffer Raw, Body and Header alias.
 	// Ownership belongs to the dispatch layer, which releases it once
 	// the reply has been judged, recorded and (for the winner) written;
 	// adjudicators must neither retain nor release it. A winner handed
@@ -61,12 +67,13 @@ type Reply struct {
 func (r Reply) Valid() bool { return r.Err == nil }
 
 // ReleaseBody discharges the reply's reference to its pooled body
-// buffer and drops the aliases; Body and Header must not be read
+// buffer and drops the aliases; Body, Raw and Header must not be read
 // afterwards. Safe on replies with no pooled body.
 func (r *Reply) ReleaseBody() {
 	r.Buf.Release()
 	r.Buf = nil
 	r.Body = nil
+	r.Raw = nil
 	r.Header = nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"wsupgrade/internal/protocol/jsoncodec"
 	"wsupgrade/internal/protocol/soapcodec"
 	"wsupgrade/internal/soap"
+	"wsupgrade/internal/wire"
 )
 
 // padded returns a total-byte document: open, filler, close.
@@ -128,18 +130,131 @@ func TestResponseContentLength(t *testing.T) {
 	}
 }
 
-// countingWriter is an http.ResponseWriter that keeps every Write.
+// countingWriter is an http.ResponseWriter that keeps every Write, and
+// the slice its first Write was handed.
 type countingWriter struct {
 	header http.Header
 	writes int
+	first  []byte
 	bytes.Buffer
 }
 
 func (c *countingWriter) Header() http.Header { return c.header }
 func (c *countingWriter) WriteHeader(int)     {}
 func (c *countingWriter) Write(p []byte) (int, error) {
+	if c.writes == 0 {
+		c.first = p
+	}
 	c.writes++
 	return c.Buffer.Write(p)
+}
+
+// framing is one way a release may frame a reply payload.
+type framing struct {
+	name      string
+	raw       []byte
+	canonical bool // soap.EnvelopeRaw's envelope, sent as it arrived
+}
+
+// framingsOf are ways a release may frame one reply payload: the
+// canonical envelope soap.EnvelopeRaw renders, which the mediator sends
+// as it arrived, and envelopes in other forms, which it renders anew.
+func framingsOf(payload []byte) []framing {
+	const (
+		decl = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
+		open = `<soap:Envelope xmlns:soap="` + soap.EnvelopeNS + `">`
+		body = `<soap:Body>`
+		tail = `</soap:Body></soap:Envelope>`
+	)
+	p := string(payload)
+	return []framing{
+		{"canonical", soap.EnvelopeRaw(payload), true},
+		{"trailing-newline", []byte(decl + open + body + p + tail + "\n"), false},
+		{"soapenv-prefix", []byte(decl + `<soapenv:Envelope xmlns:soapenv="` + soap.EnvelopeNS + `"><soapenv:Body>` +
+			p + `</soapenv:Body></soapenv:Envelope>`), false},
+		{"no-declaration", []byte(open + body + p + tail), false},
+		{"release-header", []byte(decl + open + `<soap:Header><v>1.0</v></soap:Header>` + body + p + tail), false},
+	}
+}
+
+// framedEngine is an engine over releases that answer every call with
+// raw, in process (a wire.Deferred call: the transport's Result.Body is
+// raw itself), so a test can tell raw's own array on the response.
+func framedEngine(t *testing.T, raw []byte, cfg Config) *Engine {
+	t.Helper()
+	cfg.Releases = []Endpoint{{Version: "1.0", URL: "http://old.invalid"}, {Version: "1.1", URL: "http://new.invalid"}}
+	cfg.Begin = func(context.Context, string, string, []byte, httpx.RetryPolicy) wire.Call {
+		return wire.Deferred(func() (httpx.Result, error) {
+			return httpx.Result{Status: http.StatusOK, Body: raw}, nil
+		})
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := e.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	return e
+}
+
+// serveOnce sends one SOAP demand for operation straight into e's
+// handler and returns what the handler wrote.
+func serveOnce(t *testing.T, e *Engine, operation string) *countingWriter {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/",
+		bytes.NewReader(soap.EnvelopeRaw([]byte("<"+operation+"Request><a>1</a><b>2</b></"+operation+"Request>"))))
+	req.Header.Set("Content-Type", soap.ContentType)
+	w := &countingWriter{header: http.Header{}}
+	e.ServeHTTP(w, req)
+	return w
+}
+
+// A release's reply that already is the canonical envelope around its
+// payload leaves as it arrived: the response's one Write is handed the
+// transport's own bytes, not a rendered copy. Every other reply is
+// rendered: one framed in another form, one under a published
+// confidence header item, and an "<op>Conf" variant's rewritten body.
+func TestFramedReplyLeavesAsItArrived(t *testing.T) {
+	payload := padded("<addResponse><pad>", "</pad></addResponse>", 4<<10)
+	sameArray := func(w *countingWriter, raw []byte) bool {
+		return len(w.first) == len(raw) && &w.first[0] == &raw[0]
+	}
+	for _, f := range framingsOf(payload) {
+		e := framedEngine(t, f.raw, Config{InitialPhase: PhaseOldOnly})
+		w := serveOnce(t, e, "add")
+		if !bytes.Equal(w.Bytes(), soap.EnvelopeRaw(payload)) {
+			t.Fatalf("%s: delivered %.120q, want the canonical envelope", f.name, w.Bytes())
+		}
+		if got := sameArray(w, f.raw); got != f.canonical || w.writes != 1 {
+			t.Errorf("%s: %d Writes, the first handed the reply's own bytes: %v, want %v",
+				f.name, w.writes, got, f.canonical)
+		}
+	}
+
+	canonical := soap.EnvelopeRaw(payload)
+	published := framedEngine(t, canonical, Config{InitialPhase: PhaseObservation,
+		Inference: testInference(), PublishHeader: true})
+	w := serveOnce(t, published, "add")
+	if p, err := soap.Decode(w.Bytes()); err != nil || !bytes.Equal(p.BodyXML, payload) ||
+		!bytes.Contains(p.HeaderXML, []byte("Confidence")) {
+		t.Fatalf("published: delivered %.200q, want the payload under a confidence header", w.Bytes())
+	}
+	if sameArray(w, canonical) {
+		t.Error("published: the reply left as it arrived, without its confidence header")
+	}
+
+	variant := framedEngine(t, canonical, Config{InitialPhase: PhaseObservation,
+		Inference: testInference(), EnableConfOps: true})
+	w = serveOnce(t, variant, "addConf")
+	if !bytes.Contains(w.Bytes(), []byte("<addConfResponse>")) || !bytes.Contains(w.Bytes(), []byte("<addConf>")) {
+		t.Fatalf("variant: delivered %.200q, want the renamed body with its confidence element", w.Bytes())
+	}
+	if sameArray(w, canonical) {
+		t.Error("variant: the reply left as it arrived, not rewritten")
+	}
 }
 
 // TestOneWritePerResponse: both codecs hand net/http a response in a
@@ -149,6 +264,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // as they lie rather than copying a large reply. The bytes are
 // soap.EnvelopeRaw's with the same header items (the JSON body
 // verbatim), and a response net/http would chunk declares its length.
+// Through the engine, a SOAP reply the release framed canonically
+// leaves in one Write at every size, as it arrived; one framed in
+// another form is rendered, under the same rule as WriteBody.
 func TestOneWritePerResponse(t *testing.T) {
 	confidence := soapcodec.Codec{}.AppendConfidenceHeader(nil, "add", 0.97)
 	// observation-large's 64 KiB reply leaves in one Write; a 256 KiB
@@ -189,13 +307,37 @@ func TestOneWritePerResponse(t *testing.T) {
 				if w.writes != writes {
 					t.Errorf("%s %d B, %d header items: %d Writes, want %d", v.name, size, len(headers), w.writes, writes)
 				}
-				declared := w.header.Get("Content-Length")
-				if len(want) > httpx.BufferBeforeChunking && declared != strconv.Itoa(len(want)) ||
-					len(want) <= httpx.BufferBeforeChunking && declared != "" {
-					t.Errorf("%s %d B, %d header items: Content-Length %q for a %d-byte response",
-						v.name, size, len(headers), declared, len(want))
-				}
+				checkDeclared(t, w, len(want), v.name, size, len(headers))
 			}
 		}
+	}
+	for _, s := range sizes {
+		body := padded("<addResponse><pad>", "</pad></addResponse>", s.n)
+		want := soap.EnvelopeRaw(body)
+		for _, f := range framingsOf(body) {
+			w := serveOnce(t, framedEngine(t, f.raw, Config{InitialPhase: PhaseOldOnly}), "add")
+			if !bytes.Equal(w.Bytes(), want) {
+				t.Fatalf("%s %d B: delivered %d bytes, want the %d-byte rendering", f.name, s.n, w.Len(), len(want))
+			}
+			writes := 1
+			if !s.once && !f.canonical {
+				writes = 3
+			}
+			if w.writes != writes {
+				t.Errorf("%s %d B: %d Writes, want %d", f.name, s.n, w.writes, writes)
+			}
+			checkDeclared(t, w, len(want), f.name, s.n, 0)
+		}
+	}
+}
+
+// checkDeclared fails t unless w's Content-Length declares an n-byte
+// response net/http would chunk, and only such a one.
+func checkDeclared(t *testing.T, w *countingWriter, n int, name string, size, items int) {
+	t.Helper()
+	declared := w.header.Get("Content-Length")
+	if n > httpx.BufferBeforeChunking && declared != strconv.Itoa(n) ||
+		n <= httpx.BufferBeforeChunking && declared != "" {
+		t.Errorf("%s %d B, %d header items: Content-Length %q for a %d-byte response", name, size, items, declared, n)
 	}
 }

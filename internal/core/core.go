@@ -168,7 +168,10 @@ func (e *Engine) proxy(w http.ResponseWriter, r *http.Request, envBuf *pool.Buf,
 }
 
 // respond writes the adjudicated outcome to the consumer and discharges
-// the winner's pooled-body reference once the body has been written.
+// the winner's pooled-body reference once the body has been written. A
+// winner whose reply the codec says is already Framed, with no
+// confidence header item to add, is written as it arrived; every other
+// one is rendered by the codec.
 func (e *Engine) respond(w http.ResponseWriter, operation string, winner adjudicate.Reply, adjErr error) {
 	if adjErr != nil {
 		winner.ReleaseBody() // nil-safe: fault outcomes carry no pooled body
@@ -203,10 +206,16 @@ func (e *Engine) respond(w http.ResponseWriter, operation string, winner adjudic
 			h.Set("X-Wsupgrade-Winner", winner.Release)
 		}
 	}
-	// The first Write sends the 200; until then the codec may declare a length.
-	if publish {
+	// The first Write sends the 200; until then a length may be declared.
+	switch {
+	case publish:
 		e.writeWithConfidence(w, operation, winner.Body, conf)
-	} else {
+	case e.codec.Framed(winner.Raw, winner.Body):
+		// The release's reply already is the response WriteBody would
+		// render: it leaves as it arrived, from the winner's Buf.
+		httpx.DeclareLength(w, len(winner.Raw))
+		_, _ = w.Write(winner.Raw)
+	default:
 		_, _ = e.codec.WriteBody(w, winner.Body)
 	}
 	winner.ReleaseBody()

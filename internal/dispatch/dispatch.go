@@ -686,6 +686,7 @@ func (d *Dispatcher) classify(ep Endpoint, res httpx.Result, err error, latency 
 		return reply
 	}
 	reply.Header = res.Header
+	reply.Raw = res.Body
 	reply.Buf = res.BodyBuf
 	payload, _, derr := d.codec.DecodeReply(res.Status, res.Body)
 	if derr != nil {

@@ -430,10 +430,10 @@ func TestEventsStreamResyncsWhenHistoryEvicted(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stream, _ := openStream(ctx, t, ts.URL, token, "1")
+	stream, _ := openStream(ctx, t, ts.URL, token, f.hub.wireID(1))
 
 	ev := nextEvent(t, stream)
-	if ev.event != "resync" || !strings.Contains(ev.data, `"lastEventId":1`) {
+	if ev.event != "resync" || !strings.Contains(ev.data, `"lastEventId":"`+f.hub.wireID(1)+`"`) {
 		t.Fatalf("evicted resume opened with %+v, want resync", ev)
 	}
 	for _, unit := range []string{"flights", "hotels"} {
@@ -486,7 +486,7 @@ func TestEventsStreamResyncsAfterRestart(t *testing.T) {
 	resumed, _ := openStream(ctx, t, ts2.URL, token, lastID)
 	postJSON(t, ts2.URL+"/fleet/units/hotels/phase?token="+token, `{"phase":"observation"}`, http.StatusOK)
 	ev := nextEvent(t, resumed)
-	if ev.event != "resync" || !strings.Contains(ev.data, `"lastEventId":`+lastID) {
+	if ev.event != "resync" || !strings.Contains(ev.data, `"lastEventId":"`+lastID+`"`) {
 		t.Fatalf("resume across a restart opened with %+v, want resync", ev)
 	}
 	for _, unit := range []string{"flights", "hotels"} {
@@ -497,5 +497,64 @@ func TestEventsStreamResyncsAfterRestart(t *testing.T) {
 	}
 	if ev = nextEvent(t, resumed); ev.event != "phase" || !strings.Contains(ev.data, `"unit":"hotels"`) {
 		t.Fatalf("live event %+v, want hotels' phase", ev)
+	}
+}
+
+// An event id names the hub that issued it. After a restart the new
+// hub numbers from 1 again, so an old id at or below its sequence is
+// not its own: every id of the old process (and a bare decimal one,
+// from before ids carried an epoch) must resync, not replay the new
+// process's events after that number as if they followed it.
+func TestEventsStreamResyncsAcrossEpochs(t *testing.T) {
+	const token = "s3cret"
+	dir := t.TempDir()
+	journaled := func(cfg *Config) {
+		cfg.AdminToken = token
+		cfg.JournalDir = dir
+	}
+	f1, ts1 := twoUnitFleet(t, journaled)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events, _ := openStream(ctx, t, ts1.URL, token, "")
+	for range []string{"flights", "hotels"} {
+		nextEvent(t, events) // status burst
+	}
+	var oldIDs []string
+	for _, unit := range []string{"flights", "hotels"} {
+		postJSON(t, ts1.URL+"/fleet/units/"+unit+"/phase?token="+token, `{"phase":"new-only"}`, http.StatusOK)
+		ev := nextEvent(t, events)
+		if ev.event != "phase" || ev.id == "" {
+			t.Fatalf("phase event %+v, want an id", ev)
+		}
+		oldIDs = append(oldIDs, ev.id)
+	}
+	if err := f1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The restarted hub numbers three events, past both old ids.
+	f2, ts2 := twoUnitFleet(t, journaled)
+	for _, phase := range []string{"observation", "parallel", "new-only"} {
+		postJSON(t, ts2.URL+"/fleet/units/flights/phase?token="+token, `{"phase":"`+phase+`"}`, http.StatusOK)
+	}
+	f2.hub.mu.Lock()
+	seq := f2.hub.seq
+	f2.hub.mu.Unlock()
+	if seq != 3 {
+		t.Fatalf("restarted hub at %d, want 3", seq)
+	}
+
+	for _, id := range append(oldIDs, "2") {
+		resumed, stream := openStream(ctx, t, ts2.URL, token, id)
+		ev := nextEvent(t, resumed)
+		if ev.event != "resync" || !strings.Contains(ev.data, `"lastEventId":"`+id+`"`) {
+			t.Fatalf("resume from %q after a restart opened with %+v, want resync", id, ev)
+		}
+		for _, unit := range []string{"flights", "hotels"} {
+			if ev = nextEvent(t, resumed); ev.event != "status" || !strings.Contains(ev.data, `"unit":"`+unit+`"`) {
+				t.Fatalf("resume from %q: post-resync event %+v, want status for %s", id, ev, unit)
+			}
+		}
+		stream.Body.Close()
 	}
 }

@@ -11,14 +11,19 @@ package fleet
 
 import (
 	"encoding/json"
+	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // event is one campaign event, already shaped for the SSE wire: the
 // payload is marshaled once at publish time, not per subscriber.
 type event struct {
-	// ID is the hub-assigned monotonic sequence number.
+	// ID is the hub-assigned monotonic sequence number. On the wire it
+	// goes with the hub's epoch (eventHub.wireID).
 	ID uint64
 	// Type names the event ("phase", "release", "confidence", ...).
 	Type string
@@ -62,6 +67,11 @@ type eventHub struct {
 	seq    uint64
 	closed bool
 
+	// epoch tells this hub's event ids from another hub's — the same
+	// fleet's before a restart above all, whose numbering began at 1
+	// too. A wire id is "<epoch>-<seq>".
+	epoch string
+
 	// ring retains the last len(ring) published events (ring[(ID-1) %
 	// len(ring)]) so a reconnecting subscriber can resume from its
 	// Last-Event-ID instead of re-synchronizing from scratch. Event
@@ -74,9 +84,35 @@ type eventHub struct {
 // Last-Event-ID resume.
 func newEventHub() *eventHub {
 	return &eventHub{
-		subs: make(map[*subscription]struct{}),
-		ring: make([]event, eventHistory),
+		subs:  make(map[*subscription]struct{}),
+		ring:  make([]event, eventHistory),
+		epoch: strconv.FormatInt(time.Now().UnixNano(), 36),
 	}
+}
+
+// wireID is the SSE id of this hub's event seq: "<epoch>-<seq>".
+func (h *eventHub) wireID(seq uint64) string {
+	return h.epoch + "-" + strconv.FormatUint(seq, 10)
+}
+
+// seqOf reads a Last-Event-ID. An id this hub issued gives its
+// sequence number. An id of another epoch, or a bare decimal one from
+// before ids carried an epoch, gives math.MaxUint64, which no replay
+// can resume from: whatever its number, this hub did not number it. An
+// id of neither form is an error.
+func (h *eventHub) seqOf(id string) (uint64, error) {
+	epoch, seq, found := strings.Cut(id, "-")
+	if !found {
+		seq = epoch
+	}
+	n, err := strconv.ParseUint(seq, 10, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !found || epoch != h.epoch {
+		return math.MaxUint64, nil
+	}
+	return n, nil
 }
 
 func (h *eventHub) cancel(sub *subscription) {
@@ -118,8 +154,8 @@ func (h *eventHub) Publish(eventType string, payload any) {
 // order, reporting whether the replay is complete — false when events
 // between lastID and the oldest retained one were evicted from the
 // bounded ring, and false when lastID is past the last event this hub
-// numbered (an id from before a restart, or from another process): the
-// caller's view then has a gap no replay can close. Callers hold h.mu.
+// numbered (seqOf's answer for an id another hub issued): the caller's
+// view then has a gap no replay can close. Callers hold h.mu.
 func (h *eventHub) replayLocked(lastID uint64) ([]event, bool) {
 	if lastID > h.seq {
 		return nil, false

@@ -12,9 +12,10 @@ package fleet
 //
 // Reconnects resume: a client that presents the standard Last-Event-ID
 // header gets the events it missed replayed from the hub's bounded
-// history instead of a fresh status burst. When the gap exceeds the
-// history, or the id is past the hub's last one (it was issued before a
-// restart), the stream says so with a "resync" event and falls back to
+// history instead of a fresh status burst. An event id carries the
+// hub's epoch ("<epoch>-<seq>"). When the gap exceeds the history, or
+// the id is another hub's (one issued before a restart, whatever its
+// number), the stream says so with a "resync" event and falls back to
 // the status burst.
 
 import (
@@ -57,10 +58,11 @@ func (f *Fleet) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	resume := false
 	var lastID uint64 = math.MaxUint64 // a fresh stream replays nothing
-	if s := r.Header.Get("Last-Event-ID"); s != "" {
-		n, err := strconv.ParseUint(s, 10, 64)
+	presented := r.Header.Get("Last-Event-ID")
+	if presented != "" {
+		n, err := f.hub.seqOf(presented)
 		if err != nil {
-			http.Error(w, "fleet: Last-Event-ID must be a decimal event id", http.StatusBadRequest)
+			http.Error(w, "fleet: Last-Event-ID must be an event id of this stream", http.StatusBadRequest)
 			return
 		}
 		lastID, resume = n, true
@@ -79,28 +81,28 @@ func (f *Fleet) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// Resumed stream: replay what the subscriber missed, with the
 		// original ids, instead of a fresh status burst.
 		for _, ev := range replay {
-			if !writeSSE(w, ev.ID, ev.Type, ev.Data) {
+			if !writeSSE(w, f.hub.wireID(ev.ID), ev.Type, ev.Data) {
 				return
 			}
 		}
 	} else {
 		if resume {
-			// The gap outran the bounded history, or the id predates a
-			// restart — the subscriber's view cannot be repaired by
-			// replay, so say so and re-synchronize.
-			if !writeSSE(w, 0, "resync", mustJSON(map[string]uint64{"lastEventId": lastID})) {
+			// The gap outran the bounded history, or another hub
+			// issued the id — the subscriber's view cannot be repaired
+			// by replay, so say so and re-synchronize.
+			if !writeSSE(w, "", "resync", mustJSON(map[string]string{"lastEventId": presented})) {
 				return
 			}
 		}
 		// Synchronization point: the current status of every unit, then any
 		// journal notes (quarantines, failed restores) from startup.
 		for _, st := range f.status(false) {
-			if !writeSSE(w, 0, "status", mustJSON(st)) {
+			if !writeSSE(w, "", "status", mustJSON(st)) {
 				return
 			}
 		}
 		for _, note := range f.journalNotes {
-			if !writeSSE(w, 0, "journal", mustJSON(note)) {
+			if !writeSSE(w, "", "journal", mustJSON(note)) {
 				return
 			}
 		}
@@ -118,14 +120,14 @@ func (f *Fleet) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return // fleet closed
 			}
-			if !writeSSE(w, ev.ID, ev.Type, ev.Data) {
+			if !writeSSE(w, f.hub.wireID(ev.ID), ev.Type, ev.Data) {
 				return
 			}
 			// Gap accounting: tell the subscriber how many events its
 			// buffer has lost so far, once per increase.
 			if d := sub.Dropped(); d > reported {
 				reported = d
-				if !writeSSE(w, 0, "drops", mustJSON(map[string]uint64{"dropped": d})) {
+				if !writeSSE(w, "", "drops", mustJSON(map[string]uint64{"dropped": d})) {
 					return
 				}
 			}
@@ -139,11 +141,12 @@ func (f *Fleet) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE writes one SSE frame (id 0 omits the id field, for frames
-// outside the hub's sequence). Reports whether the write succeeded.
-func writeSSE(w http.ResponseWriter, id uint64, event string, data []byte) bool {
-	if id != 0 {
-		if _, err := fmt.Fprintf(w, "id: %d\n", id); err != nil {
+// writeSSE writes one SSE frame (an empty id omits the id field, for
+// frames outside the hub's sequence). Reports whether the write
+// succeeded.
+func writeSSE(w http.ResponseWriter, id string, event string, data []byte) bool {
+	if id != "" {
+		if _, err := fmt.Fprintf(w, "id: %s\n", id); err != nil {
 			return false
 		}
 	}

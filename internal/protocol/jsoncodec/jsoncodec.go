@@ -324,6 +324,12 @@ func (Codec) WriteBody(w io.Writer, body []byte, headers ...protocol.HeaderItem)
 	return w.Write(body)
 }
 
+// Framed implements protocol.Codec: never, since WriteBody already
+// writes the payload as it lies.
+//
+//wsu:noalloc
+func (Codec) Framed(raw, body []byte) bool { return false }
+
 // WriteError implements protocol.Codec: errors render as an
 // {"error":{...}} body. A release's *Fault keeps its status; a
 // consumer-side *protocol.Error maps to 400; everything else is 500.

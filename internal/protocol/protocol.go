@@ -56,8 +56,8 @@ type Request struct {
 // Codec is the per-unit protocol contract. Implementations must be
 // stateless values (or internally synchronized): one codec instance
 // serves every request of its unit concurrently. Methods on the demand
-// hot path (DecodeRequest, DecodeReply, Equal, WriteBody, TargetURL,
-// Accepts) must not allocate in steady state.
+// hot path (DecodeRequest, DecodeReply, Equal, WriteBody, Framed,
+// TargetURL, Accepts) must not allocate in steady state.
 type Codec interface {
 	// Name identifies the codec ("soap", "json") in configuration and
 	// diagnostics.
@@ -98,6 +98,13 @@ type Codec interface {
 	// Neither body nor headers are retained past the call: the caller
 	// recycles both.
 	WriteBody(w io.Writer, body []byte, headers ...HeaderItem) (int, error)
+	// Framed reports whether raw, a release's whole reply, is already
+	// byte for byte what WriteBody(w, body) would write, body being the
+	// payload DecodeReply read from raw. The caller may then write raw
+	// as it arrived instead (SOAP: the canonical envelope around a body
+	// the scanner aliased in it; JSON: never — WriteBody already writes
+	// the payload as it lies). A false answer only costs the render.
+	Framed(raw, body []byte) bool
 	// WriteError renders err as the codec's error body with the
 	// appropriate status code. A fault native to the codec renders as
 	// itself; a *Error maps to the codec's client/server error shape;

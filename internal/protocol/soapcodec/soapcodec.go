@@ -89,6 +89,12 @@ func (Codec) WriteBody(w io.Writer, body []byte, headers ...protocol.HeaderItem)
 	return soap.WriteEnvelopeRaw(w, body, headers...)
 }
 
+// Framed implements protocol.Codec: raw is the canonical envelope
+// around body, which DecodeReply's scanner read in place (soap.Framed).
+//
+//wsu:noalloc
+func (Codec) Framed(raw, body []byte) bool { return soap.Framed(raw, body) }
+
 // WriteError implements protocol.Codec. A *soap.Fault renders as
 // itself; a *protocol.Error maps to soap:Client/soap:Server; anything
 // else becomes a soap:Server fault carrying the error text. The frame

@@ -173,3 +173,42 @@ func FuzzDecode(f *testing.F) {
 		checkDecode(t, data)
 	})
 }
+
+// FuzzFramed holds Framed to EnvelopeRaw through Decode, reading each
+// input both as a release's whole reply and as a body to envelope:
+//
+//   - a reply Decode reads and Framed passes is EnvelopeRaw of its body,
+//     byte for byte, so sending it as it arrived sends what the render
+//     would have;
+//   - Framed passes EnvelopeRaw(b) whenever the scanner reads b back as
+//     its body, so the pass-through misses no canonical reply;
+//   - a copy of the body is never framed, however equal its bytes: only
+//     a body read in place is.
+func FuzzFramed(f *testing.F) {
+	const (
+		decl = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
+		open = `<soap:Envelope xmlns:soap="` + EnvelopeNS + `">`
+		body = `<soap:Body><addResponse><sum>3</sum></addResponse></soap:Body>`
+	)
+	f.Add(EnvelopeRaw([]byte(`<addResponse><sum>3</sum></addResponse>`)))
+	f.Add([]byte(decl + open + body + `</soap:Envelope>` + "\n"))
+	f.Add([]byte(decl + `<soapenv:Envelope xmlns:soapenv="` + EnvelopeNS + `"><soapenv:Body><addResponse><sum>3</sum></addResponse></soapenv:Body></soapenv:Envelope>`))
+	f.Add([]byte(open + body + `</soap:Envelope>`))
+	f.Add(EnvelopeRaw([]byte(`<addResponse><sum>3</sum></addResponse>`), HeaderItem(`<v xmlns="urn:v">1.0</v>`)))
+	f.Add(FaultEnvelope(ServerFault("boom")))
+	f.Add([]byte(`<addResponse><sum>3</sum></addResponse>`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if p, err := Decode(data); err == nil {
+			if Framed(data, p.BodyXML) && !bytes.Equal(data, EnvelopeRaw(p.BodyXML)) {
+				t.Fatalf("Framed passed a reply that is not EnvelopeRaw of its body: %q", clip(data))
+			}
+			if len(p.BodyXML) > 0 && Framed(data, bytes.Clone(p.BodyXML)) {
+				t.Fatalf("Framed passed a copy of the body: %q", clip(data))
+			}
+		}
+		env := EnvelopeRaw(data)
+		if p, ok := scan(env); ok && bytes.Equal(p.BodyXML, data) && !Framed(env, p.BodyXML) {
+			t.Fatalf("Framed refused EnvelopeRaw of a body the scanner reads back: %q", clip(data))
+		}
+	})
+}

@@ -159,16 +159,39 @@ func EnvelopeLen(bodyLen int, headers ...HeaderItem) int {
 	return envelopeHeadLen(headers) + bodyLen + len(envelopeTail)
 }
 
-// OneWriteMax is the largest envelope WriteEnvelopeRaw copies into one
+// Framed reports whether raw is exactly the envelope EnvelopeRaw
+// renders around body with no header items — the constant head, body,
+// the constant tail — with body aliasing raw right after the head, as
+// the scanner's BodyXML does when it read raw. A caller about to
+// re-render body can then send raw as it lies: the bytes are the same
+// by construction. A body that does not alias raw (a rewritten one, or
+// the copy encoding/xml's parse returns) is never framed, and neither
+// is an empty one.
+//
+//wsu:noalloc
+func Framed(raw, body []byte) bool {
+	const head = envelopeOpen + bodyOpen
+	return len(body) > 0 && len(raw) == len(head)+len(body)+len(envelopeTail) &&
+		&raw[len(head)] == &body[0] &&
+		string(raw[:len(head)]) == head &&
+		bytes.Equal(raw[len(head)+len(body):], envelopeTail)
+}
+
+// OneWriteMax is the largest envelope WriteEnvelopeRaw renders into one
 // buffer for a single Write: the 128 KiB size class, in which
 // observation-large's 64 KB replies were measured end to end (DECISIONS.md
-// PR 36a). The copy costs time in proportion to the reply; the Write it
-// saves, the tail's send after the handler returns, does not grow with
-// it. Over loopback the copy lost from the 256 KiB class on.
+// PR 36a). It governs rendered envelopes only — a release's reply that
+// is already Framed leaves as it arrived, in one Write at any size
+// (DECISIONS.md PR 38a). The copy costs time in proportion to the reply;
+// the Write it saves, the tail's send after the handler returns, does
+// not grow with it. Over loopback the copy lost from the 256 KiB class
+// on.
 const OneWriteMax = 128 << 10
 
 // WriteEnvelopeRaw writes the envelope for pre-marshalled body XML
-// to w — the response-write path runs once per proxied request. Up to
+// to w — the response-write path of every proxied request whose reply
+// is not sent as it arrived (Framed): one with header items, a
+// rewritten body, an envelope in another form. Up to
 // OneWriteMax the whole envelope (head, header items, body and tail) is
 // rendered into a pooled buffer of its size class and goes out in a
 // single Write, so net/http sends all of it while the handler runs
