@@ -762,6 +762,35 @@ var engineInProcessRows = []benchRow{
 		tb.Cleanup(stop)
 		return addDemand(tb, engine, "/")
 	}},
+
+	// The same fast path recording every demand to a Store that takes
+	// 1 ms per write, far slower than demands arrive. The lines leave
+	// the demand's path through a bounded queue, so a demand costs one
+	// marshal and enqueue more, and the lines the Store cannot keep up
+	// with are dropped (drops/op), not waited for. No allocation
+	// ceiling: the writer goroutine's allocations land at random in
+	// AllocsPerRun's count.
+	{"old-only-slow-store", func(tb testing.TB) func() {
+		store := &slowStore{}
+		engine := newInProcessEngine(tb, 2, ModeReliability, 0, PhaseOldOnly, func(cfg *EngineConfig) { cfg.Store = store })
+		tb.Cleanup(func() {
+			_ = engine.Close() // writes what is queued; its error names the drops
+			st, err := engine.Stats("1.0")
+			if b, ok := tb.(*testing.B); ok && err == nil {
+				b.ReportMetric(float64(st.Demands-store.lines)/float64(b.N), "drops/op")
+			}
+		})
+		return addDemand(tb, engine, "/")
+	}},
+}
+
+// slowStore is a Store that takes 1 ms per write and counts its lines.
+type slowStore struct{ lines int }
+
+func (s *slowStore) Write(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	s.lines++
+	return len(p), nil
 }
 
 // publish turns on §6.2 confidence publication on the scenario grid.

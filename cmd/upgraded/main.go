@@ -15,8 +15,9 @@
 // The middleware serves SOAP at "/", its confidence-extended WSDL at
 // "/wsdl" and liveness at "/healthz"; it answers the §6.2 OperationConf
 // and "<op>Conf" operations, and logs every adjudicated demand as JSONL
-// to -log (default stderr off). It is hosted as a fleet of one unit
-// named "unit" whose own surface is the whole listener (no /fleet/ admin
+// to -log off the demands' path (a log 1 024 lines behind loses lines,
+// and shutdown reports them). It is hosted as a fleet of one unit named
+// "unit" whose own surface is the whole listener (no /fleet/ admin
 // API), so -journal-dir keeps its campaign in <dir>/unit.journal.
 //
 // Fleet mode hosts many upgrade units — the Fig 1/4 composite's
@@ -323,7 +324,7 @@ func run(ctx context.Context, args []string) error {
 	fs.Float64Var(&unit.Target, "target", 1e-3, "criterion 2 pfd target / published-confidence target")
 	fs.IntVar(&unit.CheckEvery, "check-every", 100, "evaluate the criterion every N demands")
 	fs.Float64Var(&unit.PfdUpper, "pfd-upper", 0.1, "prior pfd support upper bound")
-	fs.StringVar(&unit.Log, "log", "", "JSONL event log path (empty = no log)")
+	fs.StringVar(&unit.Log, "log", "", "JSONL event log path (empty = no log); lines a slow log cannot take are dropped and reported at shutdown")
 	fs.StringVar(&unit.Oracle, "oracle", "reference", "failure oracle: fault-only|reference|back-to-back")
 	fs.StringVar(&unit.Protocol, "protocol", "soap", "wire protocol of the mediated unit: soap|json")
 	var (

@@ -283,10 +283,11 @@ func (e *Engine) dispatch(ctx context.Context, envBuf *pool.Buf, operation strin
 	})
 }
 
-// obsSlices recycles recordOutcome's observation scratch (monitor.Note
-// does not retain rec.Releases past its return), and verdictScratch its
-// oracle verdict buffers (JudgeInto writes into the caller's buffer and
-// retains nothing); see pool.Slice for the zero-allocation cycle.
+// obsSlices recycles recordOutcome's observation scratch (neither
+// monitor.Note nor AppendJSON retains rec.Releases past its return), and
+// verdictScratch its oracle verdict buffers (JudgeInto writes into the
+// caller's buffer and retains nothing); see pool.Slice for the
+// zero-allocation cycle.
 var (
 	obsSlices      pool.Slice[monitor.Observation]
 	verdictScratch pool.Slice[bool]
@@ -337,6 +338,9 @@ func (e *Engine) recordOutcome(out dispatch.Outcome) {
 		rec.Joint = bayes.Outcome(failed[oldIdx], failed[newIdx])
 	}
 	e.mon.Note(rec)
+	if e.records != nil {
+		e.records.AppendJSON(rec)
+	}
 	obsSlices.Put(rec.Releases)
 	verdictScratch.Put(failed)
 

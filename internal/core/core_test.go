@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -748,11 +749,15 @@ func TestEventLogSink(t *testing.T) {
 	var sink strings.Builder
 	_, old := startRelease(t, "1.0", service.FaultPlan{})
 	_, new_ := startRelease(t, "1.1", service.FaultPlan{})
-	_, ts := startEngine(t, Config{
+	e, ts := startEngine(t, Config{
 		Releases: []Endpoint{old, new_},
 		Store:    &sink,
 	})
 	if _, err := callAdd(t, ts.URL, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	// The line is written off the demand's path; Close waits for it.
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sink.String(), `"operation":"add"`) {
@@ -849,6 +854,68 @@ func TestCloseReportsStoreFailure(t *testing.T) {
 	}
 	if st, err := e.Stats("1.0"); err != nil || st.Demands != 1 {
 		t.Fatalf("stats after a failing Store: %+v, %v", st, err)
+	}
+}
+
+// blockedStore takes no write until open is closed, then counts lines.
+type blockedStore struct {
+	open  chan struct{}
+	lines int
+}
+
+func (s *blockedStore) Write(p []byte) (int, error) {
+	<-s.open
+	s.lines++
+	return len(p), nil
+}
+
+// A Store that stops taking writes does not hold up demands: each one
+// is served while the Store is blocked, and its line is written once
+// the Store takes writes again, by Close at the latest.
+func TestSlowStoreDoesNotDelayDemands(t *testing.T) {
+	reply := soap.EnvelopeRaw([]byte(`<addResponse><sum>3</sum></addResponse>`))
+	store := &blockedStore{open: make(chan struct{})}
+	e, err := New(Config{
+		Releases:     []Endpoint{{Version: "1.0", URL: "http://old.invalid"}},
+		InitialPhase: PhaseOldOnly,
+		Store:        store,
+		Begin: func(context.Context, string, string, []byte, httpx.RetryPolicy) wire.Call {
+			return wire.Deferred(func() (httpx.Result, error) {
+				return httpx.Result{Status: http.StatusOK, Body: reply}, nil
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const demands = 20
+	served := make(chan int, demands)
+	go func() {
+		for i := 0; i < demands; i++ {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(soap.EnvelopeRaw([]byte(`<addRequest><a>1</a><b>2</b></addRequest>`))))
+			req.Header.Set("Content-Type", soap.ContentType)
+			e.ServeHTTP(rec, req)
+			served <- rec.Code
+		}
+	}()
+	for i := 0; i < demands; i++ {
+		select {
+		case code := <-served:
+			if code != http.StatusOK {
+				t.Fatalf("demand %d: HTTP %d", i, code)
+			}
+		case <-time.After(5 * time.Second):
+			close(store.open) // let the held demand finish
+			t.Fatalf("demand %d not served within 5s while the Store was blocked", i)
+		}
+	}
+	close(store.open)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store.lines != demands {
+		t.Fatalf("Store took %d lines, want %d", store.lines, demands)
 	}
 }
 

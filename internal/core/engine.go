@@ -15,6 +15,7 @@ import (
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/dispatch"
 	"wsupgrade/internal/httpx"
+	"wsupgrade/internal/journal"
 	"wsupgrade/internal/lifecycle"
 	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
@@ -138,7 +139,9 @@ type Config struct {
 	Seed uint64
 	// Store receives every demand's monitor record as one JSON line
 	// (the architecture's "Data Base"); nil keeps only the monitor's
-	// aggregates. Close reports the first write that failed.
+	// aggregates. A Store more than 1 024 lines behind loses lines
+	// rather than slowing demands; Close reports them and the first
+	// write that failed.
 	Store io.Writer
 }
 
@@ -158,7 +161,8 @@ type Engine struct {
 	adjudic   adjudicate.Adjudicator
 	oracle    oracle.Oracle
 	mon       *monitor.Monitor
-	inference *memoInference // nil without an inference configuration
+	records   *journal.Writer // Store's line writer; nil without a Store
+	inference *memoInference  // nil without an inference configuration
 	disp      *dispatch.Dispatcher
 	now       func() time.Time // cfg.Clock's Now, or the wall clock's
 
@@ -271,11 +275,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	// The monitor exists before the first state publication: every
 	// published state carries its releases' interned monitor indices.
-	if cfg.Store != nil {
-		e.mon = monitor.New(monitor.WithSink(cfg.Store))
-	} else {
-		e.mon = monitor.New()
-	}
+	e.mon = monitor.New()
 	e.publish(&engineState{
 		releases: append([]Endpoint(nil), cfg.Releases...),
 		phase:    cfg.InitialPhase,
@@ -327,6 +327,10 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.inference = &memoInference{model: wb, target: cfg.ConfidenceTarget}
 	}
+	// Last, so that no failure above leaves its goroutine running.
+	if cfg.Store != nil {
+		e.records = journal.NewLineWriter(cfg.Store)
+	}
 	return e, nil
 }
 
@@ -334,17 +338,20 @@ func New(cfg Config) (*Engine, error) {
 // call timeout) and shuts down the engine-owned transport's keep-alive
 // connections (up to 32 per release host would otherwise linger for the
 // 90 s idle timeout). The engine must not serve new requests afterwards.
-// Once that work has drained, Close also reports the first write to
-// Store that failed, whose record is missing from it.
+// Once that work has drained, Close writes the queued Store lines and
+// reports the records missing from Store: lines dropped, writes failed.
 func (e *Engine) Close() error {
 	err := e.disp.Close()
+	if serr := e.records.Close(); serr != nil {
+		err = errors.Join(err, fmt.Errorf("core: Store: %w", serr))
+	}
 	if e.cfg.HTTP == nil {
 		e.client.CloseIdleConnections()
 	}
 	if e.wire != nil {
 		_ = e.wire.Close()
 	}
-	return errors.Join(err, e.mon.Err())
+	return err
 }
 
 // Handler returns the full HTTP surface: the SOAP endpoint at "/", the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"testing"
 
 	"wsupgrade/internal/service"
@@ -8,9 +9,9 @@ import (
 )
 
 // TestEngineCloseLeavesNoGoroutines: a served engine — live dispatches,
-// both releases observed, monitoring recording — must tear down to
-// nothing on Close: no collector goroutines, no pooled-transport
-// watchers, no policy evaluators.
+// both releases observed, monitoring recording to a Store — must tear
+// down to nothing on Close: no collector goroutines, no pooled-transport
+// watchers, no policy evaluators, no Store writer.
 func TestEngineCloseLeavesNoGoroutines(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	_, old := startRelease(t, "1.0", service.FaultPlan{})
@@ -18,6 +19,7 @@ func TestEngineCloseLeavesNoGoroutines(t *testing.T) {
 	_, ts := startEngine(t, Config{
 		Releases:     []Endpoint{old, new_},
 		InitialPhase: PhaseObservation,
+		Store:        io.Discard,
 	})
 	for i := 0; i < 8; i++ {
 		if _, err := callAdd(t, ts.URL, i, i+1); err != nil {

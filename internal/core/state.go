@@ -334,9 +334,10 @@ type Health struct {
 	Err     error
 }
 
-// CheckHealth probes every deployed release's /healthz endpoint, updates
-// the engine's availability marks (a release marked down is skipped by
-// fan-outs until it recovers), and returns the probe results.
+// CheckHealth probes every deployed release's /healthz endpoint, each
+// within the release timeout, updates the engine's availability marks
+// (a release marked down is skipped by fan-outs until it recovers), and
+// returns the probe results. A round cut short by ctx marks nothing.
 func (e *Engine) CheckHealth(ctx context.Context) []Health {
 	releases := e.state.Load().releases
 	results := make([]Health, len(releases))
@@ -349,6 +350,9 @@ func (e *Engine) CheckHealth(ctx context.Context) []Health {
 		}()
 	}
 	wg.Wait()
+	if ctx.Err() != nil {
+		return results
+	}
 
 	_ = e.updateState(lifecycle.CauseTopology, func(s *engineState) error {
 		for _, h := range results {
@@ -368,6 +372,8 @@ func (e *Engine) CheckHealth(ctx context.Context) []Health {
 
 func (e *Engine) probe(ctx context.Context, rel Endpoint) Health {
 	h := Health{Release: rel.Version, URL: rel.URL}
+	ctx, cancel := context.WithTimeout(ctx, e.Timeout())
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rel.URL+"/healthz", nil)
 	if err != nil {
 		h.Err = err

@@ -242,18 +242,15 @@ func New(cfg Config) (*Fleet, error) {
 // snapshot), disconnects the event subscribers and shuts down the shared
 // transport's keep-alive connections. Engines drain first: a background
 // collection still running can fire the switch policy, and its
-// transition must reach a journal that is still open.
+// transition must reach a journal that is still open. It returns every
+// error the engines and journals report, failed writes and drops alike.
 func (f *Fleet) Close() error {
-	var firstErr error
+	var errs []error
 	for _, u := range f.units {
-		if err := u.engine.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		errs = append(errs, u.engine.Close())
 	}
 	for _, closeJournal := range f.closeJournals {
-		if err := closeJournal(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		errs = append(errs, closeJournal())
 	}
 	f.closeJournals = nil
 	f.hub.Close()
@@ -261,7 +258,7 @@ func (f *Fleet) Close() error {
 	if f.ownsFallback {
 		f.fallback.CloseIdleConnections()
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // Units returns the hosted units in configuration order.

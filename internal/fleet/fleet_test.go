@@ -564,31 +564,7 @@ func TestStartHealthChecks(t *testing.T) {
 // must cancel an in-flight unit probe instead.
 func TestStopCancelsInFlightProbe(t *testing.T) {
 	entered := make(chan struct{}, 1)
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-r.Context().Done()
-	}))
-	t.Cleanup(hang.Close)
-
-	f, err := New(Config{Units: []UnitConfig{{
-		Name: "flights",
-		Engine: core.Config{
-			Releases: []core.Endpoint{{Version: "1.0", URL: hang.URL}, {Version: "1.1", URL: hang.URL}},
-			Oracle:   oracle.Header{},
-			Timeout:  5 * time.Second,
-		},
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := f.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
+	f := healthFleet(t, hangingHealthz(entered))
 	const interval = 800 * time.Millisecond
 	stop, err := f.StartHealthChecks(interval)
 	if err != nil {
@@ -603,5 +579,90 @@ func TestStopCancelsInFlightProbe(t *testing.T) {
 	stop()
 	if d := time.Since(start); d > interval/2 {
 		t.Fatalf("stop() took %v; an in-flight probe must be cancelled, not waited out", d)
+	}
+}
+
+// healthFleet hosts one unit whose two releases answer /healthz with h.
+func healthFleet(t *testing.T, h http.HandlerFunc) *Fleet {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	f, err := New(Config{Units: []UnitConfig{{
+		Name: "flights",
+		Engine: core.Config{
+			Releases: []core.Endpoint{{Version: "1.0", URL: srv.URL}, {Version: "1.1", URL: srv.URL}},
+			Oracle:   oracle.Header{},
+		},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := f.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	return f
+}
+
+// hangingHealthz signals entered, without blocking, and answers nothing
+// until its client gives up.
+func hangingHealthz(entered chan<- struct{}) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+	}
+}
+
+// A release whose /healthz answers in 30 ms, well inside its 2 s release
+// timeout, is up even under a 10 ms loop: a probe is bounded by the
+// release timeout, not by the loop's interval.
+func TestHealthLoopKeepsSlowReleaseUp(t *testing.T) {
+	var answered atomic.Int32
+	f := healthFleet(t, func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(30 * time.Millisecond)
+		answered.Add(1)
+	})
+	stop, err := f.StartHealthChecks(10 * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for answered.Load() < 6 { // three rounds over the two releases
+		if time.Now().After(deadline) {
+			stop()
+			t.Fatal("the loop never completed three rounds")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop()
+	e := f.Units()[0].Engine()
+	if e.Down("1.0") || e.Down("1.1") {
+		t.Fatal("the loop marked a slow but healthy release down")
+	}
+}
+
+// A stop() that lands mid-probe leaves the marks as they were: the
+// cancelled probe says nothing about its release.
+func TestHealthLoopStopKeepsMarks(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	f := healthFleet(t, hangingHealthz(entered))
+	stop, err := f.StartHealthChecks(300 * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		stop()
+		t.Fatal("probe never reached the endpoint")
+	}
+	stop()
+	e := f.Units()[0].Engine()
+	if e.Down("1.0") || e.Down("1.1") {
+		t.Fatal("a stop mid-probe marked a release down")
 	}
 }

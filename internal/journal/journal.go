@@ -21,6 +21,9 @@
 // caller decides whether to quarantine it. Replay never panics and
 // never silently mis-folds a damaged record into campaign state.
 //
+// Its Writer also writes the engine's other durable stream, the
+// per-demand JSON lines (NewLineWriter).
+//
 // This package is deliberately free of wall-clock and randomness
 // (enforced by the detrand analyzer): replaying the same bytes always
 // yields the same State. Entry timestamps are stamped by callers.

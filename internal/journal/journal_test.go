@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wsupgrade/internal/bayes"
@@ -299,8 +300,8 @@ func TestAppendOnFullQueueDropsNotBlocks(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.Append(e) // must return immediately even with a dead consumer
 	}
-	if got := w.Drops(); got != 6 {
-		t.Fatalf("Drops = %d, want 6", got)
+	if got := w.drops.Load(); got != 6 {
+		t.Fatalf("drops = %d, want 6", got)
 	}
 }
 
@@ -319,8 +320,11 @@ func TestAppendAfterCloseCountsDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Append(entries[1])
-	if got := w.Drops(); got != 1 {
-		t.Fatalf("Drops = %d after an Append on a closed writer, want 1", got)
+	if got := w.drops.Load(); got != 1 {
+		t.Fatalf("drops = %d after an Append on a closed writer, want 1", got)
+	}
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "1 appends dropped") {
+		t.Fatalf("Close after a dropped append = %v, want the drop reported", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,12 +15,12 @@ import (
 var ErrClosed = errors.New("journal: writer closed")
 
 const (
-	// defaultQueue bounds the append queue. Transitions and snapshots
-	// are management-rate events, so the queue is generous; if it ever
-	// fills (a stalled disk), appends are dropped and counted rather
-	// than ever blocking the caller.
+	// defaultQueue bounds the append queue: ample for a journal's
+	// management-rate events, 1 024 demand records for a line writer.
+	// When it fills (a stalled destination), appends are dropped and
+	// counted rather than ever blocking the caller.
 	defaultQueue = 1024
-	// maxBatch caps how many queued frames one fsync covers.
+	// maxBatch caps how many queued frames one batch (one fsync) covers.
 	maxBatch = 256
 )
 
@@ -35,17 +36,18 @@ type wreq struct {
 	ack chan error
 }
 
-// Writer appends entries to a journal file from a dedicated goroutine:
-// Append never blocks and never touches the disk on the caller's
-// stack, so journaling can hang off lifecycle hooks without putting
-// I/O on the paths that fire them. Queued frames are drained in
-// batches, written, and covered by a single fsync per batch.
+// Writer appends to its destination from a dedicated goroutine: Append
+// and AppendJSON never block and never touch the destination on the
+// caller's stack, so a durable stream can hang off lifecycle hooks or a
+// demand's outcome without putting I/O on the paths that fire them.
+// Queued frames are drained in batches, written, and in a journal file
+// (Open, not NewLineWriter) covered by a single fsync per batch.
 //
 // Write and sync failures are sticky: the first one is reported by
 // Err (and by every later Flush), while subsequent appends are still
 // attempted — a transiently failing disk loses records (visible via
-// Err) rather than wedging the campaign. A full queue, or a closed
-// writer, drops the append and counts it in Drops.
+// Err) rather than wedging the caller. A full queue, or a closed
+// writer, drops the append and counts it; Close reports the count.
 type Writer struct {
 	ch   chan wreq
 	quit chan struct{}
@@ -63,6 +65,9 @@ type Writer struct {
 	err    error
 	closed bool
 
+	out io.Writer
+	// f is out if it is a journal file (Open): synced after each batch,
+	// rewritten by Compact, closed by Close.
 	f *os.File
 }
 
@@ -102,14 +107,27 @@ func Open(path string) (*Writer, State, error) {
 			return nil, State{}, fmt.Errorf("journal: seeking %s: %w", path, err)
 		}
 	}
+	return start(f, f), st, nil
+}
+
+// NewLineWriter returns a running Writer whose AppendJSON lines go to
+// out, one Write per line. It neither syncs nor closes out.
+func NewLineWriter(out io.Writer) *Writer {
+	return start(out, nil)
+}
+
+// start runs a writer goroutine over out; f is out's journal file, if
+// it is one.
+func start(out io.Writer, f *os.File) *Writer {
 	w := &Writer{
 		ch:   make(chan wreq, defaultQueue),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
+		out:  out,
 		f:    f,
 	}
 	go w.loop()
-	return w, st, nil
+	return w
 }
 
 // OpenOrQuarantine opens the journal at path like Open, but a corrupt
@@ -151,10 +169,9 @@ func rewriteHeader(f *os.File) error {
 	return nil
 }
 
-// Append enqueues one entry. It never blocks: when the queue is full
-// (a stalled disk) or the writer is closed, the entry is dropped and
-// counted in Drops. Encoding failures are sticky errors, visible via
-// Err.
+// Append enqueues one journal entry. It never blocks: when the queue is
+// full (a stalled disk) or the writer is closed, the entry is dropped
+// and counted. Encoding failures are sticky errors, visible via Err.
 func (w *Writer) Append(e Entry) {
 	if w == nil {
 		return
@@ -164,6 +181,22 @@ func (w *Writer) Append(e Entry) {
 		w.setErr(err)
 		return
 	}
+	w.enqueue(frame)
+}
+
+// AppendJSON enqueues v, marshalled on the caller's goroutine, as one JSON
+// line. Like Append it never blocks.
+func (w *Writer) AppendJSON(v any) {
+	line, err := json.Marshal(v)
+	if err != nil {
+		w.setErr(fmt.Errorf("journal: marshalling a line: %w", err))
+		return
+	}
+	w.enqueue(append(line, '\n'))
+}
+
+// enqueue hands one frame to the writer goroutine, or drops and counts it.
+func (w *Writer) enqueue(frame []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -181,6 +214,9 @@ func (w *Writer) Append(e Entry) {
 // snapshot of the state recovered at startup), bounding file growth
 // across restarts. It blocks until the rewrite is synced.
 func (w *Writer) Compact(e Entry) error {
+	if w.f == nil {
+		return errors.New("journal: Compact on a line writer")
+	}
 	frame, err := encodeFrame(e)
 	if err != nil {
 		w.setErr(err)
@@ -212,29 +248,14 @@ func (w *Writer) barrier(req wreq) error {
 	}
 }
 
-// Drops reports how many appends were discarded on a full queue or a
-// closed writer.
-func (w *Writer) Drops() uint64 {
-	if w == nil {
-		return 0
-	}
-	return w.drops.Load()
-}
-
 // Err reports the first write/sync/encode error, if any.
 func (w *Writer) Err() error {
-	if w == nil {
-		return nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
 }
 
 func (w *Writer) setErr(err error) {
-	if err == nil {
-		return
-	}
 	w.mu.Lock()
 	if w.err == nil {
 		w.err = err
@@ -242,8 +263,10 @@ func (w *Writer) setErr(err error) {
 	w.mu.Unlock()
 }
 
-// Close drains the queue, syncs, and closes the file. Safe to call
-// more than once; an Append that loses the race is counted in Drops.
+// Close drains the queue and closes a journal file (syncing each batch
+// as always). It reports the first write error, joined with how many
+// appends were dropped so far: a stream that lost records says so.
+// Safe to call more than once; an append that loses the race is a drop.
 func (w *Writer) Close() error {
 	if w == nil {
 		return nil
@@ -255,7 +278,11 @@ func (w *Writer) Close() error {
 	}
 	w.mu.Unlock()
 	<-w.done
-	return w.Err()
+	err := w.Err()
+	if n := w.drops.Load(); n > 0 {
+		err = errors.Join(err, fmt.Errorf("journal: %d appends dropped on a full queue or a closed writer", n))
+	}
+	return err
 }
 
 // loop is the writer goroutine: batch-drain, write, one fsync.
@@ -273,8 +300,10 @@ func (w *Writer) loop() {
 					batch = w.collect(batch[:0], req)
 					w.commit(batch)
 				default:
-					if err := w.f.Close(); err != nil {
-						w.setErr(err)
+					if w.f != nil {
+						if err := w.f.Close(); err != nil {
+							w.setErr(err)
+						}
 					}
 					close(w.done)
 					return
@@ -298,7 +327,8 @@ func (w *Writer) collect(batch []wreq, first wreq) []wreq {
 	return batch
 }
 
-// commit writes one batch and covers it with a single fsync.
+// commit writes one batch and covers it with a single fsync of a
+// journal file.
 func (w *Writer) commit(batch []wreq) {
 	wrote := false
 	for _, req := range batch {
@@ -306,14 +336,14 @@ func (w *Writer) commit(batch []wreq) {
 			w.doCompact(req.compact)
 		}
 		if req.frame != nil {
-			if _, err := w.f.Write(req.frame); err != nil {
+			if _, err := w.out.Write(req.frame); err != nil {
 				w.setErr(fmt.Errorf("journal: appending: %w", err))
 			} else {
 				wrote = true
 			}
 		}
 	}
-	if wrote {
+	if wrote && w.f != nil {
 		if err := w.f.Sync(); err != nil {
 			w.setErr(fmt.Errorf("journal: syncing: %w", err))
 		}

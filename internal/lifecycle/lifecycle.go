@@ -269,8 +269,9 @@ func fireOne[T any](fn func(T), ev T) {
 // Every runs fn every interval on a goroutine the returned stop function
 // owns: stop cancels the context an in-flight fn holds — so shutdown
 // interrupts a tick instead of waiting it out — and returns once the
-// goroutine has exited. stop may be called more than once. Each tick's
-// context also expires after one interval.
+// goroutine has exited. stop may be called more than once. A tick has
+// no deadline of its own: fn bounds its own work, and a tick that
+// outlasts the interval delays the next.
 func Every(interval time.Duration, fn func(ctx context.Context)) (stop func()) {
 	//wsu:allow ctxhygiene -- owned background loop, detached from any request by design; the root is cancelled by stop()
 	root, cancel := context.WithCancel(context.Background())
@@ -284,9 +285,7 @@ func Every(interval time.Duration, fn func(ctx context.Context)) (stop func()) {
 			case <-root.Done():
 				return
 			case <-ticker.C:
-				ctx, cancelTick := context.WithTimeout(root, interval)
-				fn(ctx)
-				cancelTick()
+				fn(root)
 			}
 		}
 	}()

@@ -3,10 +3,9 @@
 // availability (was a response received within the timeout), the
 // execution time, and the judged correctness of the response; it
 // maintains the joint observation record (Table 1) that feeds the
-// Bayesian confidence engine; and it streams every demand's record, as
-// one JSON line, to the sink that is the "Data Base" of Figs 3-5. It
-// keeps only aggregates in memory: the sink is the one place a demand's
-// record goes.
+// Bayesian confidence engine. It keeps only aggregates: a demand's
+// Record, the row of the "Data Base" of Figs 3-5, is written by the
+// engine (core.Config.Store), not here.
 //
 // A Monitor is safe for concurrent use by the request handlers of the
 // upgrade middleware. One mutex guards the whole record — the interned
@@ -16,15 +15,12 @@
 // all. The critical section is ~85 ns inside a demand that costs
 // ≥ 60 µs end to end (DECISIONS.md, "the monitor holds one lock").
 // Release names are interned to dense indices (Intern) so
-// per-observation aggregation is a slice index rather than a map lookup;
-// the JSONL sink marshals and writes outside that lock, under its own.
+// per-observation aggregation is a slice index rather than a map lookup.
 package monitor
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -69,8 +65,8 @@ type Observation struct {
 }
 
 // Record is one intercepted demand with all its release observations.
-// Note keeps none of a Record's memory past its return — the sink's line
-// is written before it returns — so callers may recycle it.
+// Note keeps none of a Record's memory past its return, so callers may
+// recycle it.
 type Record struct {
 	// Time is the interception timestamp.
 	Time time.Time `json:"time"`
@@ -155,40 +151,22 @@ type Monitor struct {
 	aggs  []*releaseAgg
 	joint bayes.JointCounts
 	perOp map[string]bayes.JointCounts
-
-	// sinkMu serializes sink writes, which happen outside mu.
-	sinkMu  sync.Mutex
-	sink    io.Writer
-	sinkErr error
 }
 
-// Option configures a Monitor.
+// Option is what WithLogCapacity returns; no option changes a monitor.
 type Option func(*Monitor)
 
 // WithLogCapacity does nothing: a monitor keeps no records in memory,
-// only aggregates, and WithSink is where records go. It remains because
-// the benchmark module's probe still passes it.
-func WithLogCapacity(int) Option {
-	return func(*Monitor) {}
-}
-
-// WithSink streams every record as one JSON line to w (the persistent
-// "Data Base" of the architecture diagrams). Write errors are remembered
-// and reported by Err; the aggregates go on counting.
-func WithSink(w io.Writer) Option {
-	return func(m *Monitor) { m.sink = w }
-}
+// only aggregates. It remains because the benchmark module's probe
+// still passes it to New, which ignores it.
+func WithLogCapacity(int) Option { return nil }
 
 // New returns an empty monitor.
-func New(opts ...Option) *Monitor {
-	m := &Monitor{
+func New(...Option) *Monitor {
+	return &Monitor{
 		ids:   make(map[string]ReleaseID),
 		perOp: make(map[string]bayes.JointCounts),
 	}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
 }
 
 // Intern returns the dense index for a release name, assigning the next
@@ -233,10 +211,8 @@ func (m *Monitor) agg(id ReleaseID) *releaseAgg {
 	return m.aggs[id-1]
 }
 
-// Note records one demand. The no-sink configuration is the judgment
-// hot path and must stay allocation-free; the sink write (which
-// marshals) lives in sinkWrite so its allocations stay outside Note's
-// checked span.
+// Note folds one demand into the aggregates. It is the judgment hot
+// path and must stay allocation-free.
 //
 //wsu:noalloc
 func (m *Monitor) Note(rec Record) {
@@ -274,35 +250,6 @@ func (m *Monitor) Note(rec Record) {
 		}
 	}
 	m.mu.Unlock()
-
-	if m.sink != nil {
-		m.sinkWrite(rec)
-	}
-}
-
-// sinkWrite marshals one record to the configured sink. It allocates by
-// nature (JSON encoding), which is why it lives outside Note's
-// //wsu:noalloc span.
-func (m *Monitor) sinkWrite(rec Record) {
-	// Marshalling runs outside every lock; only the actual write is
-	// serialized, since io.Writer interleaving must stay line-atomic.
-	line, err := json.Marshal(rec)
-	m.sinkMu.Lock()
-	if err == nil {
-		line = append(line, '\n')
-		_, err = m.sink.Write(line)
-	}
-	if err != nil && m.sinkErr == nil {
-		m.sinkErr = fmt.Errorf("monitor: writing sink: %w", err)
-	}
-	m.sinkMu.Unlock()
-}
-
-// Err reports the first sink write error, if any.
-func (m *Monitor) Err() error {
-	m.sinkMu.Lock()
-	defer m.sinkMu.Unlock()
-	return m.sinkErr
 }
 
 // Joint returns the accumulated pairwise observation record (Table 1)

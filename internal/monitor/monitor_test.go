@@ -1,10 +1,7 @@
 package monitor
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,48 +87,6 @@ func TestJointOnlyCountedWhenSet(t *testing.T) {
 	m.Note(Record{Releases: []Observation{obs("1.0", true, false, false, 0)}})
 	if m.Joint().N != 0 {
 		t.Fatal("zero joint outcome was counted")
-	}
-}
-
-func TestSinkJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	m := New(WithSink(&buf))
-	m.Note(Record{
-		Operation: "add",
-		Releases:  []Observation{obs("1.0", true, false, false, time.Millisecond)},
-		Winner:    "1.0",
-		Joint:     bayes.NeitherFails,
-	})
-	m.Note(Record{Operation: "add"})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("sink lines = %d", len(lines))
-	}
-	var rec Record
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Operation != "add" || rec.Winner != "1.0" || len(rec.Releases) != 1 {
-		t.Fatalf("decoded record = %+v", rec)
-	}
-	if m.Err() != nil {
-		t.Fatal(m.Err())
-	}
-}
-
-type failingWriter struct{}
-
-func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
-
-func TestSinkErrorRemembered(t *testing.T) {
-	m := New(WithSink(failingWriter{}))
-	m.Note(Record{Operation: "x", Joint: bayes.NeitherFails})
-	if m.Err() == nil {
-		t.Fatal("sink error lost")
-	}
-	// The aggregates go on counting.
-	if m.Joint().N != 1 {
-		t.Fatal("demand not counted after a sink error")
 	}
 }
 

@@ -1,11 +1,7 @@
 package monitor
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -314,54 +310,5 @@ func TestCampaignStateCutConsistent(t *testing.T) {
 		if st := m.CampaignState(); st.Joint.N == 0 || len(st.Releases) != 3 {
 			t.Fatalf("trial %d: final state %+v", trial, st)
 		}
-	}
-}
-
-// TestSinkConcurrent: under concurrent writers the sink gets every
-// record exactly once, each on a line of its own (no write tears into
-// another), and each writer's records in that writer's order.
-func TestSinkConcurrent(t *testing.T) {
-	const workers = 8
-	const perWorker = 200
-	var sink bytes.Buffer
-	m := New(WithSink(&sink))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				m.Note(Record{Operation: fmt.Sprintf("w%d-%d", w, i)})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n")
-	if len(lines) != workers*perWorker {
-		t.Fatalf("sink has %d lines, want %d", len(lines), workers*perWorker)
-	}
-	seen := map[string]bool{}
-	next := make([]int, workers)
-	for _, line := range lines {
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("torn sink line %q: %v", line, err)
-		}
-		if seen[rec.Operation] {
-			t.Fatalf("duplicate record %q in the sink", rec.Operation)
-		}
-		seen[rec.Operation] = true
-		var w, i int
-		if _, err := fmt.Sscanf(rec.Operation, "w%d-%d", &w, &i); err != nil {
-			t.Fatalf("unparsable record %q", rec.Operation)
-		}
-		// One writer's records reach the sink in its write order.
-		if i != next[w] {
-			t.Fatalf("writer %d's record %d arrived when %d was due", w, i, next[w])
-		}
-		next[w]++
 	}
 }
