@@ -52,7 +52,6 @@ soak:
 	$(GO) run -race ./cmd/loadgen -scenario omission-convergence -out $(SOAK_OUT)/soak-omission.json
 	$(GO) run -race ./cmd/loadgen -scenario mixed-fault -out $(SOAK_OUT)/soak-mixed.json
 	$(GO) run -race ./cmd/loadgen -scenario crash-restart -out $(SOAK_OUT)/soak-crash.json
-	$(GO) run -race ./cmd/loadgen -scenario crash-recovery -out $(SOAK_OUT)/soak-crash-recovery.json
 	$(GO) run -race ./cmd/loadgen -scenario soak -duration $(SOAK_DURATION) -out $(SOAK_OUT)/soak-report.json
 
 fuzz:

@@ -1,10 +1,11 @@
 package main
 
-// The tentpole robustness proof: kill -9 the mediator mid-campaign and
-// assert the restarted process resumes the exact §4.1 phase and the
+// The one real-process crash check: kill -9 the mediator mid-campaign
+// and assert the restarted process resumes the exact §4.1 phase and the
 // posterior of the last journal snapshot — not the configured campaign
-// start. The mediator runs as a real subprocess (SIGKILL cannot be
-// delivered to a goroutine), built from this package.
+// start — then serves every demand and adds each onto that posterior.
+// The mediator runs as a real subprocess (SIGKILL cannot be delivered to
+// a goroutine), built from this package's directory.
 
 import (
 	"bytes"
@@ -129,9 +130,9 @@ func TestKillDashNineRecovery(t *testing.T) {
 	args := []string{"-fleet", cfgPath, "-journal-dir", jdir, "-snapshot-interval", "50ms"}
 
 	cmd, base := startUpgraded(t, bin, args...)
-	client := &soap.Client{URL: base + "/svc", HTTP: &http.Client{Timeout: 5 * time.Second}}
-	drive := func(n int) {
+	drive := func(base string, n int) {
 		t.Helper()
+		client := &soap.Client{URL: base + "/svc", HTTP: &http.Client{Timeout: 5 * time.Second}}
 		for i := 0; i < n; i++ {
 			var out service.AddResponse
 			if err := client.Call(context.Background(), "add", service.AddRequest{A: i, B: 1}, &out); err != nil {
@@ -139,7 +140,7 @@ func TestKillDashNineRecovery(t *testing.T) {
 			}
 		}
 	}
-	drive(60)
+	drive(base, 60)
 
 	// Wait until a snapshot has captured the traffic so the kill loses
 	// at most one interval's worth of posterior.
@@ -178,7 +179,7 @@ func TestKillDashNineRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("phase change = %d: %s", resp.StatusCode, body)
 	}
-	drive(20)
+	drive(base, 20)
 
 	// kill -9: no drain, no flush barrier, no goodbye.
 	if err := cmd.Process.Kill(); err != nil {
@@ -210,11 +211,33 @@ func TestKillDashNineRecovery(t *testing.T) {
 	if got := unitPhase(t, base2); got != "parallel" {
 		t.Fatalf("restarted phase %q, want parallel", got)
 	}
-	resp, err = http.Get(base2 + "/fleet/units/svc/confidence")
+	if got := unitDemands(t, base2); got != wantN {
+		t.Fatalf("restored demands %d, want the snapshot's %d", got, wantN)
+	}
+
+	// The restarted mediator serves every demand, and each one adds onto
+	// the restored posterior rather than a fresh campaign's.
+	const after = 30
+	drive(base2, after)
+	deadline := time.Now().Add(5 * time.Second)
+	got := unitDemands(t, base2)
+	for got < wantN+after && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		got = unitDemands(t, base2)
+	}
+	if got != wantN+after {
+		t.Fatalf("posterior holds %d demands after the restart, want the snapshot's %d plus %d", got, wantN, after)
+	}
+}
+
+// unitDemands reads the joint demands behind the unit's posterior.
+func unitDemands(t *testing.T, base string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/fleet/units/svc/confidence")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("confidence = %d: %s", resp.StatusCode, body)
@@ -225,9 +248,7 @@ func TestKillDashNineRecovery(t *testing.T) {
 	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatalf("%v in %s", err, body)
 	}
-	if rep.Demands != wantN {
-		t.Fatalf("restored demands %d, want the snapshot's %d", rep.Demands, wantN)
-	}
+	return rep.Demands
 }
 
 // stopRun cancels a run started by startRun and waits for a clean exit.

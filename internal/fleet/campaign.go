@@ -160,7 +160,10 @@ func (f *Fleet) openJournal(u *Unit, path string, interval time.Duration) error 
 	f.closeJournals = append(f.closeJournals, func() error {
 		stop()
 		w.Append(snapshot())
-		return w.Close()
+		if err := w.Close(); err != nil {
+			return fmt.Errorf("fleet: unit %q: %w", u.name, err)
+		}
+		return nil
 	})
 	return nil
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -215,6 +216,41 @@ func TestCloseDrainsEnginesBeforeJournals(t *testing.T) {
 	}
 	if st.Phase != core.PhaseNewOnly {
 		t.Fatalf("journal replays phase %v, want new-only: the switch fired during Close and was lost", st.Phase)
+	}
+}
+
+var errDiskFull = errors.New("no space left on device")
+
+// fullDisk is a Store on a full disk.
+type fullDisk struct{}
+
+func (fullDisk) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// Close names the unit each error comes from: with two units, one of
+// whose Store fails every write, the error names that unit and only it.
+func TestCloseNamesTheFailingUnit(t *testing.T) {
+	_, f0 := startRelease(t, "1.0", service.FaultPlan{})
+	_, h0 := startRelease(t, "1.0", service.FaultPlan{})
+	f, err := New(Config{Units: []UnitConfig{
+		{Name: "flights", Engine: core.Config{Releases: []core.Endpoint{f0}, InitialPhase: core.PhaseOldOnly, Oracle: oracle.Header{}}},
+		{Name: "hotels", Engine: core.Config{Releases: []core.Endpoint{h0}, InitialPhase: core.PhaseOldOnly, Oracle: oracle.Header{}, Store: fullDisk{}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(f)
+	for _, unit := range []string{"flights", "hotels"} {
+		if _, err := callUnit(t, ts.URL, unit, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts.Close()
+	err = f.Close()
+	if !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close = %v, want the Store's write error", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `unit "hotels"`) || strings.Contains(msg, "flights") {
+		t.Fatalf("Close = %q, want it to name unit hotels and no other", msg)
 	}
 }
 

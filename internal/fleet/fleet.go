@@ -243,11 +243,14 @@ func New(cfg Config) (*Fleet, error) {
 // transport's keep-alive connections. Engines drain first: a background
 // collection still running can fire the switch policy, and its
 // transition must reach a journal that is still open. It returns every
-// error the engines and journals report, failed writes and drops alike.
+// error the engines and journals report, failed writes and drops alike,
+// each under its unit's name.
 func (f *Fleet) Close() error {
 	var errs []error
 	for _, u := range f.units {
-		errs = append(errs, u.engine.Close())
+		if err := u.engine.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("fleet: unit %q: %w", u.name, err))
+		}
 	}
 	for _, closeJournal := range f.closeJournals {
 		errs = append(errs, closeJournal())

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -28,8 +27,8 @@ const (
 type wreq struct {
 	// frame is an encoded record to append.
 	frame []byte
-	// compact, when set, rewrites the journal to just this frame
-	// (after the magic header) before later requests append.
+	// compact, when set, replaces the journal with one holding just
+	// this frame (after the magic header) before later requests append.
 	compact []byte
 	// ack, when non-nil, receives the writer's sticky error after this
 	// request's batch has been written and synced — the Flush barrier.
@@ -67,8 +66,11 @@ type Writer struct {
 
 	out io.Writer
 	// f is out if it is a journal file (Open): synced after each batch,
-	// rewritten by Compact, closed by Close.
-	f *os.File
+	// replaced by Compact, closed by Close. fsys and path are where it
+	// lives.
+	f    file
+	fsys fileSystem
+	path string
 }
 
 // Open replays the journal at path (creating it if absent), truncates
@@ -77,7 +79,17 @@ type Writer struct {
 // beyond a torn tail returns a *CorruptError and no writer: the caller
 // decides whether to quarantine the file (see OpenOrQuarantine).
 func Open(path string) (*Writer, State, error) {
-	data, err := os.ReadFile(path)
+	return open(osFS{}, path)
+}
+
+// open is Open over a file seam.
+func open(fsys fileSystem, path string) (*Writer, State, error) {
+	// A crash inside replace leaves its temporary file and the journal
+	// as it was before.
+	if err := fsys.remove(path + tmpSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, State{}, fmt.Errorf("journal: removing a stale temporary of %s: %w", path, err)
+	}
+	data, err := fsys.readFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, State{}, fmt.Errorf("journal: reading %s: %w", path, err)
 	}
@@ -85,47 +97,38 @@ func Open(path string) (*Writer, State, error) {
 	if derr != nil {
 		return nil, st, fmt.Errorf("replaying %s: %w", path, derr)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	var f file
+	switch {
+	case validEnd < len(magic):
+		// Fresh file, or a tail torn inside the header: (re)write it.
+		f, err = replace(fsys, path, magic)
+	case validEnd < len(data):
+		if err = fsys.truncate(path, int64(validEnd)); err == nil {
+			f, err = fsys.openAppend(path)
+		}
+	default:
+		f, err = fsys.openAppend(path)
+	}
 	if err != nil {
+		if f != nil {
+			_ = f.Close()
+		}
 		return nil, State{}, fmt.Errorf("journal: opening %s: %w", path, err)
 	}
-	if validEnd < len(magic) {
-		// Fresh file, or a tail torn inside the header: (re)write it.
-		if err := rewriteHeader(f); err != nil {
-			f.Close()
-			return nil, State{}, err
-		}
-	} else {
-		if validEnd < len(data) {
-			if err := f.Truncate(int64(validEnd)); err != nil {
-				f.Close()
-				return nil, State{}, fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
-			}
-		}
-		if _, err := f.Seek(int64(validEnd), io.SeekStart); err != nil {
-			f.Close()
-			return nil, State{}, fmt.Errorf("journal: seeking %s: %w", path, err)
-		}
-	}
-	return start(f, f), st, nil
+	return start(&Writer{out: f, f: f, fsys: fsys, path: path}), st, nil
 }
 
 // NewLineWriter returns a running Writer whose AppendJSON lines go to
 // out, one Write per line. It neither syncs nor closes out.
 func NewLineWriter(out io.Writer) *Writer {
-	return start(out, nil)
+	return start(&Writer{out: out})
 }
 
-// start runs a writer goroutine over out; f is out's journal file, if
-// it is one.
-func start(out io.Writer, f *os.File) *Writer {
-	w := &Writer{
-		ch:   make(chan wreq, defaultQueue),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
-		out:  out,
-		f:    f,
-	}
+// start runs w's writer goroutine.
+func start(w *Writer) *Writer {
+	w.ch = make(chan wreq, defaultQueue)
+	w.quit = make(chan struct{})
+	w.done = make(chan struct{})
 	go w.loop()
 	return w
 }
@@ -142,7 +145,7 @@ func OpenOrQuarantine(path string) (*Writer, State, error) {
 		return w, st, err
 	}
 	corrupt := err
-	if rerr := os.Rename(path, path+".corrupt"); rerr != nil {
+	if rerr := (osFS{}).rename(path, path+".corrupt"); rerr != nil {
 		return nil, State{}, errors.Join(corrupt, rerr)
 	}
 	w, st, err = Open(path)
@@ -150,23 +153,6 @@ func OpenOrQuarantine(path string) (*Writer, State, error) {
 		return nil, State{}, errors.Join(corrupt, err)
 	}
 	return w, st, corrupt
-}
-
-// rewriteHeader resets f to a fresh, synced journal header.
-func rewriteHeader(f *os.File) error {
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("journal: truncating %s: %w", f.Name(), err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: seeking %s: %w", f.Name(), err)
-	}
-	if _, err := f.Write(magic); err != nil {
-		return fmt.Errorf("journal: writing header of %s: %w", f.Name(), err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing header of %s: %w", f.Name(), err)
-	}
-	return nil
 }
 
 // Append enqueues one journal entry. It never blocks: when the queue is
@@ -210,9 +196,10 @@ func (w *Writer) enqueue(frame []byte) {
 	}
 }
 
-// Compact rewrites the journal to contain just e (typically a fresh
-// snapshot of the state recovered at startup), bounding file growth
-// across restarts. It blocks until the rewrite is synced.
+// Compact replaces the journal, atomically, with one holding just e
+// (typically a fresh snapshot of the state recovered at startup),
+// bounding file growth across restarts. It blocks until the new file
+// is synced and in place.
 func (w *Writer) Compact(e Entry) error {
 	if w.f == nil {
 		return errors.New("journal: Compact on a line writer")
@@ -289,27 +276,25 @@ func (w *Writer) Close() error {
 func (w *Writer) loop() {
 	var batch []wreq
 	for {
+		var req wreq
 		select {
-		case req := <-w.ch:
-			batch = w.collect(batch[:0], req)
-			w.commit(batch)
+		case req = <-w.ch:
 		case <-w.quit:
-			for {
-				select {
-				case req := <-w.ch:
-					batch = w.collect(batch[:0], req)
-					w.commit(batch)
-				default:
-					if w.f != nil {
-						if err := w.f.Close(); err != nil {
-							w.setErr(err)
-						}
+			// Closed: drain what got in, then close the file.
+			select {
+			case req = <-w.ch:
+			default:
+				if w.f != nil {
+					if err := w.f.Close(); err != nil {
+						w.setErr(err)
 					}
-					close(w.done)
-					return
 				}
+				close(w.done)
+				return
 			}
 		}
+		batch = w.collect(batch[:0], req)
+		w.commit(batch)
 	}
 }
 
@@ -336,10 +321,9 @@ func (w *Writer) commit(batch []wreq) {
 			w.doCompact(req.compact)
 		}
 		if req.frame != nil {
+			wrote = true
 			if _, err := w.out.Write(req.frame); err != nil {
 				w.setErr(fmt.Errorf("journal: appending: %w", err))
-			} else {
-				wrote = true
 			}
 		}
 	}
@@ -355,17 +339,17 @@ func (w *Writer) commit(batch []wreq) {
 	}
 }
 
-// doCompact rewrites the file to header + one frame, synced.
+// doCompact replaces the journal with header + one frame (replace), and
+// appends to the new file from then on. Until the rename the old
+// journal stays whole, and in use if the replace fails.
 func (w *Writer) doCompact(frame []byte) {
-	if err := rewriteHeader(w.f); err != nil {
-		w.setErr(err)
-		return
+	f, err := replace(w.fsys, w.path, append(append([]byte(nil), magic...), frame...))
+	if f != nil {
+		// The old file is no longer the journal: its close is moot.
+		_ = w.f.Close()
+		w.f, w.out = f, f
 	}
-	if _, err := w.f.Write(frame); err != nil {
-		w.setErr(fmt.Errorf("journal: writing compacted snapshot: %w", err))
-		return
-	}
-	if err := w.f.Sync(); err != nil {
-		w.setErr(fmt.Errorf("journal: syncing compacted snapshot: %w", err))
+	if err != nil {
+		w.setErr(fmt.Errorf("journal: compacting %s: %w", w.path, err))
 	}
 }

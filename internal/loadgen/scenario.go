@@ -148,7 +148,6 @@ var scenarios = map[string]scenarioFunc{
 	"corrupt-never-wins-json": corruptNeverWinsJSON,
 	"omission-convergence":    omissionConvergence,
 	"crash-restart":           crashRestart,
-	"crash-recovery":          crashRecovery,
 	"mixed-fault":             mixedFault,
 	"saturation":              saturation,
 	"soak":                    soak,

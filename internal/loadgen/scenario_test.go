@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +15,7 @@ import (
 
 func TestScenarioRegistry(t *testing.T) {
 	names := Scenarios()
-	want := []string{"corrupt-never-wins", "corrupt-never-wins-json", "crash-recovery", "crash-restart", "mixed-fault", "omission-convergence", "saturation", "soak"}
+	want := []string{"corrupt-never-wins", "corrupt-never-wins-json", "crash-restart", "mixed-fault", "omission-convergence", "saturation", "soak"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Scenarios() = %v, want %v (sorted)", names, want)
 	}
@@ -182,21 +181,5 @@ func TestSoakScenarioShort(t *testing.T) {
 	}
 	if res.Load.Requests == 0 || res.Load.Verdicts[VerdictWrong] != 0 {
 		t.Fatalf("soak load: %+v", res.Load)
-	}
-}
-
-// TestBuildMediatorFromPackageDir: the crash-recovery scenario builds
-// the daemon from wherever it is run inside the module, here the
-// package's own directory rather than the module root.
-func TestBuildMediatorFromPackageDir(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary")
-	}
-	bin, err := buildMediator(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(bin); err != nil {
-		t.Fatal(err)
 	}
 }
