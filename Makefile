@@ -24,7 +24,7 @@ SOAK_OUT      ?= .
 # minute spent shrinking one would be the whole budget.
 FUZZTIME ?= 20s
 
-.PHONY: test vet lint bench-module soak fuzz race-repeat record
+.PHONY: test vet lint bench-module soak fuzz race-repeat record repro
 
 # race-repeat is CI's repeated race step: go test -race -count=$(COUNT)
 # -run '$(RUN)' $(PKGS). A -run pattern that matches nothing passes
@@ -92,3 +92,10 @@ RECORD_BASE ?=
 
 record:
 	bash scripts/record.sh $(RECORD_BASE)
+
+# repro regenerates the paper's tables and figures into REPRO.txt, the
+# committed report (DESIGN.md §7). CI runs it and fails when the file
+# differs from the committed one, so a change that moves a paper number
+# commits the new REPRO.txt in the same diff.
+repro:
+	$(GO) run ./cmd/repro > REPRO.txt

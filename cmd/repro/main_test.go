@@ -1,82 +1,85 @@
 package main
 
 import (
+	"io"
 	"strings"
+	"sync"
 	"testing"
 )
 
-func TestRunTable5Small(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-table", "5", "-requests", "300", "-seed", "1"}, &out); err != nil {
-		t.Fatal(err)
+// small is a whole report at a size a test can afford.
+var small = []string{"-requests", "200", "-step", "1000", "-demands", "3000", "-seed", "1"}
+
+var (
+	smallOnce sync.Once
+	smallText string
+	smallErr  error
+)
+
+// smallReport runs the small whole report once and hands its text to
+// every test that checks a section of it.
+func smallReport(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("inference sweep")
 	}
-	text := out.String()
-	for _, want := range []string{"Table 5", "MET", "NRDT", "System"} {
+	smallOnce.Do(func() {
+		var out strings.Builder
+		smallErr = run(small, &out, io.Discard)
+		smallText = out.String()
+	})
+	if smallErr != nil {
+		t.Fatal(smallErr)
+	}
+	return smallText
+}
+
+func assertContains(t *testing.T, text string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q", want)
 		}
-	}
-	if strings.Contains(text, "Table 2") {
-		t.Error("-table 5 also produced table 2")
-	}
-}
-
-func TestRunTable6Small(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-table", "6", "-requests", "200"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "independent") {
-		t.Error("table 6 output missing regime label")
-	}
-}
-
-func TestRunModeAblation(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-ablation", "modes", "-requests", "200"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "sequential") {
-		t.Error("ablation output missing modes")
 	}
 }
 
 func TestRunTable2AndFiguresSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("inference sweep")
+	text := smallReport(t)
+	assertContains(t, text, "Table 2", "scenario-1", "scenario-2", "criterion-3", "Figure 7", "Figure 8")
+	if strings.Contains(text, "# Running") {
+		t.Error("the progress line went to the report")
 	}
-	var out strings.Builder
-	err := run([]string{"-table", "2", "-step", "1000", "-demands", "3000", "-seed", "1"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	for _, want := range []string{"Table 2", "scenario-1", "scenario-2", "criterion-3"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
+}
+
+func TestRunTable5Small(t *testing.T) {
+	assertContains(t, smallReport(t), "Table 5", "MET", "NRDT", "System", "paper")
+}
+
+func TestRunTable6Small(t *testing.T) {
+	assertContains(t, smallReport(t), "Table 6", "independent")
+}
+
+func TestRunModeAblation(t *testing.T) {
+	assertContains(t, smallReport(t), "sequential")
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
+	if err := run([]string{"-definitely-not-a-flag"}, &out, io.Discard); err == nil {
 		t.Fatal("bad flag accepted")
 	}
 }
 
-// Tables 5 and 6 come from the engine on a virtual clock: the same seed
-// prints the same bytes however the engine's goroutines interleave.
-func TestRunTable5Deterministic(t *testing.T) {
-	var first, again strings.Builder
-	args := []string{"-table", "5", "-requests", "500", "-seed", "7"}
-	if err := run(args, &first); err != nil {
+// Tables 5 and 6 come from the engine on a virtual clock, and Table 2
+// and the figures from a seeded study: the same seed prints the same
+// bytes however the engine's goroutines interleave.
+func TestRunReportDeterministic(t *testing.T) {
+	first := smallReport(t)
+	var again strings.Builder
+	if err := run(small, &again, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(args, &again); err != nil {
-		t.Fatal(err)
-	}
-	if first.String() != again.String() {
-		t.Fatalf("same seed, different tables:\n%s\n%s", first.String(), again.String())
+	if first != again.String() {
+		t.Fatalf("same seed, different reports:\n%s\n%s", first, again.String())
 	}
 }

@@ -12,6 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"wsupgrade/internal/adjudicate"
+	"wsupgrade/internal/bayes"
+	"wsupgrade/internal/dispatch"
 	"wsupgrade/internal/lifecycle"
 	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
@@ -248,4 +251,76 @@ func sinkRecords(t *testing.T, sink *bytes.Buffer) []monitor.Record {
 		recs = append(recs, rec)
 	}
 	return recs
+}
+
+// lookCriterion never passes; it counts its looks by joint N, and its
+// first look blocks until release is closed.
+type lookCriterion struct {
+	entered, release chan struct{}
+	mu               sync.Mutex
+	looks            map[int]int
+}
+
+func (c *lookCriterion) Satisfied(p *bayes.Posterior) bool {
+	c.mu.Lock()
+	c.looks[p.Counts.N]++
+	first := len(c.looks) == 1 && c.looks[p.Counts.N] == 1
+	c.mu.Unlock()
+	if first {
+		close(c.entered)
+		<-c.release
+	}
+	return false
+}
+
+// A look that takes long must not cost the looks due behind it: while
+// the look at N = 100 is stuck, concurrent demands take N to 160, and
+// the look at 150 still runs, exactly once, on the demand that made
+// N = 150 (a look that read the monitor's count when its turn came would
+// see 160 every time, and look at nothing).
+func TestPolicyLooksAtEachDueCountOnce(t *testing.T) {
+	crit := &lookCriterion{entered: make(chan struct{}), release: make(chan struct{}), looks: map[int]int{}}
+	cfg := campaignTestConfig(PhaseObservation)
+	cfg.Policy = &PolicyConfig{Criterion: crit, CheckEvery: 50, MinDemands: 100}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	old, new_ := dispatch.Endpoint{Version: "1.0"}, dispatch.Endpoint{Version: "2.0"}
+	demand := func() {
+		e.recordOutcome(dispatch.Outcome{
+			Operation: "add",
+			Targets:   []dispatch.Endpoint{old, new_},
+			Replies:   []adjudicate.Reply{{Release: "1.0"}, {Release: "2.0"}},
+			Oldest:    old,
+			Newest:    new_,
+		})
+	}
+	for range 99 {
+		demand()
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); demand() }()
+	<-crit.entered
+	for range 60 {
+		wg.Add(1)
+		go func() { defer wg.Done(); demand() }()
+	}
+	for deadline := time.Now().Add(10 * time.Second); e.Monitor().Joint().N < 160; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("joint N %d after 10 s, want 160", e.Monitor().Joint().N)
+		}
+	}
+	close(crit.release)
+	wg.Wait()
+	crit.mu.Lock()
+	defer crit.mu.Unlock()
+	if want := map[int]int{100: 1, 150: 1}; fmt.Sprint(crit.looks) != fmt.Sprint(want) {
+		t.Fatalf("looks by N %v, want %v", crit.looks, want)
+	}
+	if e.Phase() != PhaseObservation {
+		t.Fatalf("phase %v after failing looks", e.Phase())
+	}
 }

@@ -337,7 +337,7 @@ func (e *Engine) recordOutcome(out dispatch.Outcome) {
 	if oldIdx >= 0 && newIdx >= 0 && out.Oldest.Version != out.Newest.Version {
 		rec.Joint = bayes.Outcome(failed[oldIdx], failed[newIdx])
 	}
-	e.mon.Note(rec)
+	joint := e.mon.Note(rec)
 	if e.records != nil {
 		e.records.AppendJSON(rec)
 	}
@@ -345,19 +345,21 @@ func (e *Engine) recordOutcome(out dispatch.Outcome) {
 	verdictScratch.Put(failed)
 
 	if e.cfg.Policy != nil && rec.Joint != 0 {
-		e.evaluatePolicy()
+		e.evaluatePolicy(joint)
 	}
 }
 
-// evaluatePolicy runs the Bayesian switch criterion (§4.4, §5.1.1.2).
-func (e *Engine) evaluatePolicy() {
+// evaluatePolicy runs the Bayesian switch criterion (§4.4, §5.1.1.2) on
+// counts, the pairwise record as one demand's Note left it: each due N
+// is looked at exactly once, by the demand that produced it, however
+// many demands note in between or queue behind a slow look.
+func (e *Engine) evaluatePolicy(counts bayes.JointCounts) {
 	e.policyMu.Lock()
 	defer e.policyMu.Unlock()
 
 	if e.state.Load().phase == PhaseNewOnly {
 		return
 	}
-	counts := e.mon.Joint()
 	if !e.cfg.Policy.ShouldSwitch(counts, e.inference) {
 		return
 	}

@@ -17,7 +17,7 @@ func TestCallCtxDeadline(t *testing.T) {
 	select {
 	case <-c.Done():
 	case <-time.After(2 * time.Second):
-		t.Fatal("deadline never fired")
+		fatalWithStacks(t, "deadline never fired")
 	}
 	if !errors.Is(c.Err(), context.DeadlineExceeded) {
 		t.Fatalf("err = %v", c.Err())
@@ -39,7 +39,7 @@ func TestCallCtxParentCancellationPropagates(t *testing.T) {
 	select {
 	case <-c.Done():
 	case <-time.After(2 * time.Second):
-		t.Fatal("parent cancellation never propagated")
+		fatalWithStacks(t, "parent cancellation never propagated")
 	}
 	if !errors.Is(c.Err(), context.Canceled) {
 		t.Fatalf("err = %v", c.Err())
@@ -60,7 +60,7 @@ func TestCallCtxParentDeadlineClips(t *testing.T) {
 	select {
 	case <-c.Done():
 	case <-time.After(2 * time.Second):
-		t.Fatal("clipped deadline never fired")
+		fatalWithStacks(t, "clipped deadline never fired")
 	}
 	c.release()
 }
@@ -78,7 +78,7 @@ func TestCallCtxDetachSurvivesParentCancel(t *testing.T) {
 	select {
 	case <-c.Done():
 	case <-time.After(2 * time.Second):
-		t.Fatal("detached context lost its deadline")
+		fatalWithStacks(t, "detached context lost its deadline")
 	}
 	if !errors.Is(c.Err(), context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the deadline: detached context cancelled by parent", c.Err())
@@ -270,7 +270,7 @@ func TestCallCtxTimerFollowsClock(t *testing.T) {
 		select {
 		case <-next.Done():
 		case <-time.After(2 * time.Second):
-			t.Fatalf("iteration %d: wall-clock deadline armed on another clock's timer", i)
+			fatalWithStacks(t, "iteration %d: wall-clock deadline armed on another clock's timer", i)
 		}
 		next.release()
 	}

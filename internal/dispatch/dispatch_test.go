@@ -206,7 +206,7 @@ func TestDoConsumerCancelAbortsInFlight(t *testing.T) {
 			t.Fatal("aborted outcome not flagged ConsumerGone")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("no outcome reported")
+		fatalWithStacks(t, "no outcome reported")
 	}
 }
 
@@ -259,7 +259,7 @@ func TestDoEarlyDeliveryDetachesFromConsumer(t *testing.T) {
 			t.Fatalf("straggler not collected: %d valid replies", len(o.Targets))
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("background collection never completed")
+		fatalWithStacks(t, "background collection never completed")
 	}
 }
 

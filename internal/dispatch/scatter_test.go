@@ -219,13 +219,52 @@ func newClockedScatterRig(t *testing.T, clock Clock, releases map[string]*pipeRe
 	return rig
 }
 
+// scriptedClock is the wall clock's Now with timers that fire only when
+// the test fires them; armed receives each timer AfterFunc makes. A rig
+// on a fresh scriptedClock arms a fresh timer for each dispatch's
+// context (a pooled context reuses its timer only on the clock that made
+// it).
+type scriptedClock struct{ armed chan *scriptedTimer }
+
+func (c *scriptedClock) Now() time.Time { return time.Now() }
+
+func (c *scriptedClock) AfterFunc(d time.Duration, f func()) Timer {
+	t := &scriptedTimer{f: f, pending: true}
+	c.armed <- t
+	return t
+}
+
+type scriptedTimer struct {
+	mu      sync.Mutex
+	f       func()
+	pending bool
+}
+
+func (t *scriptedTimer) Reset(time.Duration) bool { return t.set(true) }
+func (t *scriptedTimer) Stop() bool               { return t.set(false) }
+
+func (t *scriptedTimer) set(pending bool) (was bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	was, t.pending = t.pending, pending
+	return was
+}
+
+// fire runs the callback on the caller's goroutine, as the timer's
+// expiry would, if the timer is pending.
+func (t *scriptedTimer) fire() {
+	if t.set(false) {
+		t.f()
+	}
+}
+
 func (rig *scatterRig) outcome(t *testing.T) outcomeCopy {
 	t.Helper()
 	select {
 	case o := <-rig.outcomes:
 		return o
 	case <-time.After(10 * time.Second):
-		t.Fatal("no outcome reported")
+		fatalWithStacks(t, "no outcome reported")
 		return outcomeCopy{}
 	}
 }
@@ -262,10 +301,20 @@ func awaitParked(t *testing.T, d *Dispatcher, mode Mode, n int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for d.parked.Load() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d gatherers parked, want %d", d.parked.Load(), want)
+			fatalWithStacks(t, "%d gatherers parked, want %d", d.parked.Load(), want)
 		}
 		runtime.Gosched()
 	}
+}
+
+// fatalWithStacks fails the test with every goroutine's stack after its
+// message, so that a wait that timed out names where the goroutine it
+// waited for was.
+func fatalWithStacks(t *testing.T, format string, args ...any) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	t.Fatalf(format+"\n\nevery goroutine:\n%s", append(args, buf)...)
 }
 
 func endpoints(hosts ...string) []Endpoint {
@@ -461,6 +510,143 @@ func TestScatterConsumerGoneBetweenScatterAndGather(t *testing.T) {
 				t.Fatalf("%d connections still checked out after Close", out)
 			}
 		})
+	}
+}
+
+// hookedParent is a consumer's context whose Done runs hook, once, if
+// hook is set when Done is called.
+type hookedParent struct {
+	context.Context
+	hook atomic.Pointer[func()]
+}
+
+func (p *hookedParent) Done() <-chan struct{} {
+	if hook := p.hook.Swap(nil); hook != nil {
+		(*hook)()
+	}
+	return p.Context.Done()
+}
+
+// (d) The consumer hangs up at each point of the lazy watch's arming (a
+// lost wake-up there would leave a call nothing ends, since with a
+// timeout of an hour only the hang-up can end it): before the watch tick
+// fires; inside the tick, after the timer is re-armed for the deadline
+// and the parent found live, the instant before context.AfterFunc
+// registers; and after it has registered. Every begun call ends, once,
+// every gatherer parks and the outcome is flagged.
+func TestScatterConsumerGoneAtEachWatchPoint(t *testing.T) {
+	points := []struct {
+		name string
+		// hangUp ends the consumer's context around tick, the watch
+		// tick's one firing.
+		hangUp func(parent *hookedParent, cancel context.CancelFunc, tick *scriptedTimer)
+	}{
+		{"before-tick", func(_ *hookedParent, cancel context.CancelFunc, tick *scriptedTimer) {
+			cancel()
+			tick.fire()
+		}},
+		{"inside-tick", func(parent *hookedParent, cancel context.CancelFunc, tick *scriptedTimer) {
+			// The tick reads the parent's Done after its Err and before
+			// registering AfterFunc on it.
+			hook := func() { cancel() }
+			parent.hook.Store(&hook)
+			tick.fire()
+		}},
+		{"after-AfterFunc", func(_ *hookedParent, cancel context.CancelFunc, tick *scriptedTimer) {
+			tick.fire()
+			cancel()
+		}},
+	}
+	for _, point := range points {
+		for _, mode := range []Mode{ModeReliability, ModeResponsiveness} {
+			t.Run(point.name+"/"+mode.String(), func(t *testing.T) {
+				testutil.CheckGoroutines(t)
+				const n = 3
+				hosts := []string{"r0", "r1", "r2"}
+				releases := make(map[string]*pipeRelease, n)
+				for _, h := range hosts {
+					releases[h] = newPipeRelease(t, -1, false)
+				}
+				var (
+					rig          *scatterRig
+					begun, ended atomic.Int64
+				)
+				clock := &scriptedClock{armed: make(chan *scriptedTimer, 1)}
+				rig = newClockedScatterRig(t, clock, releases,
+					func(ctx context.Context, url, ct string, body []byte) wire.Call {
+						call := rig.wc.Begin(ctx, url, ct, body, httpx.NoRetry)
+						begun.Add(1)
+						return wire.Deferred(func() (httpx.Result, error) {
+							ended.Add(1)
+							return call.End()
+						})
+					})
+				eps := endpoints(hosts...)
+				rig.warmUp(t, eps)
+				begun.Store(0)
+				ended.Store(0)
+
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				parent := &hookedParent{Context: ctx}
+				req := baseRequest(eps, mode)
+				req.Parent = parent
+				req.Timeout = time.Hour
+				done := make(chan error, 1)
+				go func() {
+					winner, err := rig.d.Do(req)
+					winner.Buf.Release()
+					done <- err
+				}()
+				var tick *scriptedTimer
+				select {
+				case tick = <-clock.armed:
+				case <-time.After(10 * time.Second):
+					fatalWithStacks(t, "the dispatch armed no timer")
+				}
+				for deadline := time.Now().Add(10 * time.Second); begun.Load() < n; runtime.Gosched() {
+					if time.Now().After(deadline) {
+						fatalWithStacks(t, "%d calls begun, want %d", begun.Load(), n)
+					}
+				}
+				// Should a call outlive the hang-up, a failure below ends
+				// it at the deadline on the way out, so that the test
+				// reports, not hangs in Close.
+				defer tick.fire()
+				point.hangUp(parent, cancel, tick)
+				if parent.hook.Load() != nil {
+					t.Fatal("the tick never read the parent's Done")
+				}
+				select {
+				case err := <-done:
+					if !errors.Is(err, adjudicate.ErrNoResponses) {
+						t.Fatalf("err = %v, want no responses", err)
+					}
+				case <-time.After(10 * time.Second):
+					fatalWithStacks(t, "the dispatch outlived its consumer by 10 s")
+				}
+				o := rig.outcome(t)
+				if !o.consumerGone {
+					t.Fatal("aborted outcome not flagged ConsumerGone")
+				}
+				for _, r := range o.replies {
+					if r.responded || !errors.Is(r.err, context.Canceled) {
+						t.Fatalf("release %s: responded %v, err %v, want the consumer's cancellation", r.release, r.responded, r.err)
+					}
+				}
+				awaitParked(t, rig.d, mode, n)
+				if b, e := begun.Load(), ended.Load(); b != n || e != n {
+					t.Fatalf("%d calls begun, %d ended, want %d each", b, e, n)
+				}
+				if err := rig.d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				_ = rig.wc.Close()
+				if out := rig.checkedOut(); out != 0 {
+					t.Fatalf("%d connections still checked out after Close", out)
+				}
+			})
+		}
 	}
 }
 

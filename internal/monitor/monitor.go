@@ -211,11 +211,14 @@ func (m *Monitor) agg(id ReleaseID) *releaseAgg {
 	return m.aggs[id-1]
 }
 
-// Note folds one demand into the aggregates. It is the judgment hot
+// Note folds one demand into the aggregates and returns the pairwise
+// record as this demand left it, so a caller that acts on a count (the
+// switch policy's look at every CheckEvery-th N) acts on its own, not on
+// whatever concurrent demands made of it since. It is the judgment hot
 // path and must stay allocation-free.
 //
 //wsu:noalloc
-func (m *Monitor) Note(rec Record) {
+func (m *Monitor) Note(rec Record) bayes.JointCounts {
 	m.mu.Lock()
 	for i := range rec.Releases {
 		obs := &rec.Releases[i]
@@ -249,7 +252,9 @@ func (m *Monitor) Note(rec Record) {
 			m.perOp[rec.Operation] = perOp
 		}
 	}
+	joint := m.joint
 	m.mu.Unlock()
+	return joint
 }
 
 // Joint returns the accumulated pairwise observation record (Table 1)

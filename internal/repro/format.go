@@ -61,23 +61,38 @@ func FormatTrajectory(res *StudyResult) string {
 
 // FormatAvailability renders Table 5 or Table 6 rows in the paper's
 // layout: one block per run × timeout with per-release and system
-// columns.
-func FormatAvailability(title string, rows []AvailabilityRow) string {
+// columns. Beside each run-1 System cell that paper (keyed by timeout)
+// holds, it prints the paper's value and the engine's difference from
+// it; the paper's Total is its CR + EER + NER.
+func FormatAvailability(title string, rows []AvailabilityRow, paper map[float64]PaperSimCell) string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, title)
-	fmt.Fprintln(w, "run\ttimeout\tmetric\tRel1\tRel2\tSystem")
+	fmt.Fprintln(w, "run\ttimeout\tmetric\tRel1\tRel2\tSystem\tpaper\tΔ")
 	for _, row := range rows {
 		r := row.Result
-		fmt.Fprintf(w, "%d\t%.1f\tMET\t%.4f\t%.4f\t%.4f\n", row.Run, row.TimeOut, r.Rel1.MET, r.Rel2.MET, r.System.MET)
-		fmt.Fprintf(w, "%d\t%.1f\tCR\t%d\t%d\t%d\n", row.Run, row.TimeOut, r.Rel1.CR, r.Rel2.CR, r.System.CR)
-		fmt.Fprintf(w, "%d\t%.1f\tEER\t%d\t%d\t%d\n", row.Run, row.TimeOut, r.Rel1.EER, r.Rel2.EER, r.System.EER)
-		fmt.Fprintf(w, "%d\t%.1f\tNER\t%d\t%d\t%d\n", row.Run, row.TimeOut, r.Rel1.NER, r.Rel2.NER, r.System.NER)
-		fmt.Fprintf(w, "%d\t%.1f\tTotal\t%d\t%d\t%d\n", row.Run, row.TimeOut, r.Rel1.Total(), r.Rel2.Total(), r.System.Total())
-		fmt.Fprintf(w, "%d\t%.1f\tNRDT\t%d\t%d\t%d\n", row.Run, row.TimeOut, r.Rel1.NRDT, r.Rel2.NRDT, r.System.NRDT)
+		rel1, rel2, sys := r.Rel1.cells(), r.Rel2.cells(), r.System.cells()
+		p, hasPaper := paper[row.TimeOut]
+		published := Tally{MET: p.MET, CR: p.CR, EER: p.EER, NER: p.NER, NRDT: p.NRDT}.cells()
+		for i, metric := range []string{"MET", "CR", "EER", "NER", "Total", "NRDT"} {
+			verb := "%.0f"
+			if metric == "MET" {
+				verb = "%.4f"
+			}
+			fmt.Fprintf(w, "%d\t%.1f\t%s\t"+verb+"\t"+verb+"\t"+verb, row.Run, row.TimeOut, metric, rel1[i], rel2[i], sys[i])
+			if hasPaper && row.Run == 1 {
+				fmt.Fprintf(w, "\t"+verb+"\t%+"+verb[1:], published[i], sys[i]-published[i])
+			}
+			fmt.Fprintln(w)
+		}
 	}
 	w.Flush()
 	return b.String()
+}
+
+// cells lists a tally in FormatAvailability's row order.
+func (t Tally) cells() [6]float64 {
+	return [6]float64{t.MET, float64(t.CR), float64(t.EER), float64(t.NER), float64(t.Total()), float64(t.NRDT)}
 }
 
 // FormatModeAblation renders the §4.2 operating-mode comparison.

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -332,10 +333,25 @@ func TestFormatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl6 := FormatAvailability("Table 6", rows)
-	for _, want := range []string{"Table 6", "MET", "NRDT", "System"} {
+	tbl6 := FormatAvailability("Table 6", rows, PaperTable6SystemRun1())
+	for _, want := range []string{"Table 6", "MET", "NRDT", "System", "paper"} {
 		if !strings.Contains(tbl6, want) {
 			t.Errorf("FormatAvailability missing %q", want)
+		}
+	}
+	// The paper's cell and the difference stand beside run 1's System
+	// cells only.
+	for _, line := range strings.Split(tbl6, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) < 3 || f[2] != "NRDT":
+		case f[0] == "1" && f[1] == "1.5":
+			want := fmt.Sprintf("%d 309 %+d", rows[0].Result.System.NRDT, rows[0].Result.System.NRDT-309)
+			if got := strings.Join(f[5:], " "); got != want {
+				t.Errorf("run 1 at 1.5 s: System, paper and Δ read %q, want %q", got, want)
+			}
+		case f[0] != "1" && len(f) != 6:
+			t.Errorf("run %s carries paper cells: %q", f[0], line)
 		}
 	}
 	ab, err := RunModeAblation(1, 1.5, 500, 1)
