@@ -14,7 +14,8 @@ SOAK_OUT      ?= .
 
 # The fuzz target gives each network-facing parser's fuzz function — the
 # envelope scanner, the JSON validator and the JSON comparator against
-# their encoding/xml and encoding/json references among them — the
+# their encoding/xml and encoding/json references among them, and the
+# front door's request-head reader against http.ReadRequest — the
 # pass-through test soap.Framed against soap.EnvelopeRaw, and
 # FuzzPosteriorFrom, the posterior's frontier pass against its full pass,
 # a short budget (go test runs one -fuzz target per invocation). A
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzHeaderGet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzReadResponse -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzReadRequest -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/bayes -run='^$$' -fuzz=FuzzPosteriorFrom -fuzztime=$(FUZZTIME)
 
 vet:

@@ -30,6 +30,7 @@ var allocCeilings = []struct {
 	{"EngineInProcess/live-shape-parallel", 0},
 	{"FleetInProcess/fleet-routed", 0},
 	{"FleetInProcess/fleet-routed-json", 0},
+	{"FleetInProcess/fleet-taken-over", 0},
 	{"WhiteBoxPosterior/scenario-grid-n0", 2},
 	{"WhiteBoxPosterior/scenario-grid-n6000", 2},
 	{"WhiteBoxPosterior/scenario-grid-n1e6", 2},

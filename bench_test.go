@@ -869,6 +869,191 @@ var fleetInProcessRows = []benchRow{
 		})
 		return steady(tb, fl, newRawInProcessDriver([]byte(`{"a":2,"b":1}`), "/flights/add", "application/json"))
 	}},
+	// A demand on a connection the fleet took over from net/http (a
+	// real http.Server does the first request and the hijack in setup):
+	// the operation is one demand's bytes written and its response's
+	// bytes read by a raw client over an in-memory connection.
+	{"fleet-taken-over", func(tb testing.TB) func() {
+		conn := serveInMemory(tb, newBenchFleet(tb, func(prefix string) EngineConfig { return fleetUnit(tb, prefix) }))
+		env, err := soap.Envelope(service.AddRequest{A: 2, B: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		req := fmt.Appendf(nil, "POST /flights/ HTTP/1.1\r\nHost: bench\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n%s",
+			soap.ContentType, len(env), env)
+		buf := make([]byte, 16<<10)
+		do := func() {
+			if _, err := conn.Write(req); err != nil {
+				tb.Fatal(err)
+			}
+			if resp := readRawResponse(tb, conn, buf); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 ")) {
+				tb.Fatalf("response %q", resp)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			do()
+		}
+		return do
+	}},
+}
+
+// serveInMemory serves h from a real http.Server over in-memory
+// connections and returns the client end of one.
+func serveInMemory(tb testing.TB, h http.Handler) net.Conn {
+	return servePipes(tb, h)()
+}
+
+// servePipes serves h from a real http.Server and returns a dialer of
+// in-memory connections to it; every connection it dialled is closed
+// after the test.
+func servePipes(tb testing.TB, h http.Handler) func() net.Conn {
+	ln := &pipeListener{conns: make(chan net.Conn, 1), done: make(chan struct{})}
+	srv := &http.Server{Handler: h}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve(ln)
+	}()
+	var clients []net.Conn
+	tb.Cleanup(func() {
+		_ = srv.Close()
+		<-served
+		for _, c := range clients {
+			_ = c.Close()
+		}
+	})
+	return func() net.Conn {
+		client, server := net.Pipe()
+		ln.conns <- servedPipe{pipeConn{server}, &net.TCPAddr{}}
+		clients = append(clients, client)
+		return client
+	}
+}
+
+// servedPipe is the server's end of an in-memory connection. Like an
+// accepted TCP connection it has a local address of its own, which is
+// how the fleet tells one connection's first demand from another's.
+type servedPipe struct {
+	pipeConn
+	addr *net.TCPAddr
+}
+
+func (c servedPipe) LocalAddr() net.Addr { return c.addr }
+
+// BenchmarkFleetFreshConnection measures a consumer that opens a new
+// keep-alive connection for each demand and closes it after the reply:
+// the case where taking a connection over (hijack, read buffer, context,
+// header map) is paid on every demand and saves nothing. Each row's
+// operation is one in-memory dial, one demand's bytes written, its
+// response read and the connection closed, against a fleet that is its
+// server's whole Handler (taken over) or that a pass-through handler
+// wraps (net/http serves it), at the benchmark's 0.3 KB reply and at
+// observation-large's 64 KB one.
+func BenchmarkFleetFreshConnection(b *testing.B) { runRows(b, fleetFreshConnectionRows) }
+
+var fleetFreshConnectionRows = []benchRow{
+	freshConnectionRow("taken-over", false, nil),
+	freshConnectionRow("wrapped", true, nil),
+	freshConnectionRow("taken-over-64KB", false, largeReplyBody(3)),
+	freshConnectionRow("wrapped-64KB", true, largeReplyBody(3)),
+}
+
+func freshConnectionRow(name string, wrapped bool, reply []byte) benchRow {
+	return benchRow{name, func(tb testing.TB) func() {
+		var h http.Handler = newBenchFleet(tb, func(prefix string) EngineConfig {
+			cfg := fleetUnit(tb, prefix)
+			if reply != nil {
+				cfg.Dial = (&wireStub{resp: cannedResponse(soap.ContentType, soap.EnvelopeRaw(reply))}).dial
+			}
+			return cfg
+		})
+		if wrapped {
+			h = http.HandlerFunc(h.ServeHTTP)
+		}
+		dial := servePipes(tb, h)
+		env, err := soap.Envelope(service.AddRequest{A: 2, B: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		req := fmt.Appendf(nil, "POST /flights/ HTTP/1.1\r\nHost: bench\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n%s",
+			soap.ContentType, len(env), env)
+		buf := make([]byte, 128<<10)
+		return func() {
+			conn := dial()
+			if _, err := conn.Write(req); err != nil {
+				tb.Fatal(err)
+			}
+			if resp := readRawResponse(tb, conn, buf); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 ")) {
+				tb.Fatalf("response %q", resp)
+			}
+			_ = conn.Close()
+		}
+	}}
+}
+
+// pipeListener hands an http.Server the connections put on conns.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	select {
+	case <-l.done:
+	default:
+		close(l.done)
+	}
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// readRawResponse reads one Content-Length-framed response from c into
+// buf, allocation-free, and returns it.
+func readRawResponse(tb testing.TB, c net.Conn, buf []byte) []byte {
+	n, head := 0, -1
+	for head < 0 || n < head {
+		m, err := c.Read(buf[n:])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		n += m
+		if head < 0 {
+			if i := bytes.Index(buf[:n], []byte("\r\n\r\n")); i >= 0 {
+				cl := -1
+				for rest := buf[:i]; len(rest) > 0; {
+					line := rest
+					if j := bytes.Index(rest, []byte("\r\n")); j >= 0 {
+						line, rest = rest[:j], rest[j+2:]
+					} else {
+						rest = nil
+					}
+					if v, ok := sniffContentLength(line); ok {
+						cl = v
+					}
+				}
+				if cl < 0 {
+					tb.Fatalf("no Content-Length in %q", buf[:i])
+				}
+				head = i + 4 + cl
+			}
+		}
+	}
+	return buf[:n]
 }
 
 // fleetUnit is one old-only unit over two stub releases.

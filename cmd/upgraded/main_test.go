@@ -1,17 +1,23 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"wsupgrade/internal/service"
+	"wsupgrade/internal/soap"
+	"wsupgrade/internal/testutil"
 )
 
 func TestReleaseFlagParsing(t *testing.T) {
@@ -204,6 +210,133 @@ func TestFleetModeServesUnitsAndAdmin(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("fleet run never drained")
+	}
+}
+
+// SIGTERM's drain answers a demand in flight on a connection the fleet
+// took over from net/http, whose Shutdown no longer tracks it: the
+// fleet's Close waits for it.
+func TestFleetModeDrainAnswersTakenOverDemand(t *testing.T) {
+	rel, err := service.New(service.DemoContract("1.0"), service.DemoBehaviours(), service.FaultPlan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, let := make(chan struct{}, 1), make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if strings.Contains(string(body), "<a>99</a>") {
+			entered <- struct{}{}
+			<-let
+		}
+		r.Body = io.NopCloser(strings.NewReader(string(body)))
+		rel.Handler().ServeHTTP(w, r)
+	}))
+	defer slow.Close()
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	cfg := fmt.Sprintf(`{"units": [{"name": "u", "phase": "old-only", "criterion": 0,
+		"releases": [{"version": "1.0", "url": %q}]}]}`, slow.URL)
+	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, cancel, errCh := startRun(t, []string{"-fleet", path})
+	defer cancel()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	demand := func(a int) {
+		env, err := soap.Envelope(service.AddRequest{A: a, B: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST /u/ HTTP/1.1\r\nHost: u\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n%s", soap.ContentType, len(env), env)
+	}
+	answer := func() {
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
+		}
+	}
+	demand(1) // net/http serves a connection's first demand
+	answer()
+	demand(99) // the second takes the connection over
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		testutil.FatalWithStacks(t, "the held demand never reached the release")
+	}
+	cancel()
+	time.Sleep(50 * time.Millisecond) // the drain is under way
+	close(let)
+	answer()
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("shutdown returned %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		testutil.FatalWithStacks(t, "run never drained")
+	}
+}
+
+// SIGTERM's drain is bounded on a taken-over connection too: a consumer
+// that sent a demand's head and half its body, and no more, does not
+// keep run from returning once -drain has passed.
+func TestFleetModeDrainCutsStalledBody(t *testing.T) {
+	release, err := service.New(service.DemoContract("1.0"), service.DemoBehaviours(), service.FaultPlan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := httptest.NewServer(release.Handler())
+	defer rel.Close()
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	cfg := fmt.Sprintf(`{"units": [{"name": "u", "phase": "old-only", "criterion": 0,
+		"releases": [{"version": "1.0", "url": %q}]}]}`, rel.URL)
+	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, cancel, errCh := startRun(t, []string{"-fleet", path, "-drain", "100ms"})
+	defer cancel()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	env, err := soap.Envelope(service.AddRequest{A: 1, B: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := fmt.Sprintf("POST /u/ HTTP/1.1\r\nHost: u\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n", soap.ContentType, len(env))
+	for i := 0; i < 2; i++ { // the second demand takes the connection over
+		fmt.Fprintf(conn, "%s%s", head, env)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("demand %d: HTTP %d", i, resp.StatusCode)
+		}
+	}
+	fmt.Fprintf(conn, "%s%s", head, env[:len(env)/2])
+	time.Sleep(50 * time.Millisecond) // the fleet is reading the body
+	cancel()
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("shutdown returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		testutil.FatalWithStacks(t, "run waited on a stalled body past -drain")
 	}
 }
 

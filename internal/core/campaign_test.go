@@ -12,6 +12,7 @@ import (
 	"wsupgrade/internal/journal"
 	"wsupgrade/internal/lifecycle"
 	"wsupgrade/internal/monitor"
+	"wsupgrade/internal/testutil"
 )
 
 func campaignTestConfig(phase Phase) Config {
@@ -351,7 +352,7 @@ func TestStartCampaignSnapshots(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no snapshot appeared")
+			testutil.FatalWithStacks(t, "no snapshot appeared")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

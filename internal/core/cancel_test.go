@@ -20,6 +20,7 @@ import (
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
+	"wsupgrade/internal/testutil"
 )
 
 // A consumer that hangs up mid-dispatch cancels the in-flight release
@@ -210,7 +211,7 @@ func TestConsumerCancelBeforeWatchTickAbortsFanOut(t *testing.T) {
 	deadline := time.Now().Add(releaseLatency / 2)
 	for closed.Load() < opened.Load() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d release connections opened, %d closed: an aborted exchange's connection was kept",
+			testutil.FatalWithStacks(t, "%d release connections opened, %d closed: an aborted exchange's connection was kept",
 				opened.Load(), closed.Load())
 		}
 		time.Sleep(time.Millisecond)

@@ -20,6 +20,7 @@ import (
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
+	"wsupgrade/internal/testutil"
 )
 
 // TestManagementVersusDispatchStress hammers the dispatch hot path while
@@ -310,7 +311,7 @@ func TestPolicyLooksAtEachDueCountOnce(t *testing.T) {
 	}
 	for deadline := time.Now().Add(10 * time.Second); e.Monitor().Joint().N < 160; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("joint N %d after 10 s, want 160", e.Monitor().Joint().N)
+			testutil.FatalWithStacks(t, "joint N %d after 10 s, want 160", e.Monitor().Joint().N)
 		}
 	}
 	close(crit.release)

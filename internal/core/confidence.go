@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/pool"
 	"wsupgrade/internal/registry"
@@ -300,17 +302,16 @@ func (e *Engine) serveConfidenceQuery(w http.ResponseWriter, envBuf *pool.Buf) {
 // rides the same dispatch path as directly proxied demands.
 //
 //wsu:owns rawBuf
-func (e *Engine) serveConfVariant(w http.ResponseWriter, r *http.Request, rawBuf *pool.Buf, baseOp string) {
+func (e *Engine) serveConfVariant(ctx context.Context, w http.ResponseWriter, rawBuf *pool.Buf, baseOp string, override adjudicate.Adjudicator) {
 	rewritten, err := e.confOps.RewriteConfVariant(rawBuf.B, baseOp)
 	rawBuf.Release()
 	if err != nil {
 		e.codec.WriteError(w, baseOp, err)
 		return
 	}
-	override, _ := headerAdjudicator(r)
 	envBuf := confEnvBufs.Get()
 	envBuf.B = append(envBuf.B[:0], rewritten...)
-	winner, adjErr := e.dispatch(r.Context(), envBuf, baseOp, override)
+	winner, adjErr := e.dispatch(ctx, envBuf, baseOp, override)
 	if adjErr != nil {
 		e.respond(w, baseOp, winner, adjErr)
 		return

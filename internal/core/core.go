@@ -31,12 +31,12 @@
 //   - internal/monitor and internal/bayes own observation and inference.
 //
 // What the engine adds is the composition itself. This file is the path
-// every demand takes — ServeHTTP/ServePath → dispatch → respond, with
-// recordOutcome → evaluatePolicy as dispatch's outcome hook. Around it:
-// engine.go (configuration, construction, the HTTP surface), state.go
-// (the published state, the rule for what each phase serves, the online
-// mutators and release health marks), confidence.go (the §6.2
-// confidence-publishing mechanisms — a dedicated OperationConf operation,
+// every demand takes — ServeHTTP/ServePath → ServeDemand → dispatch →
+// respond, with recordOutcome → evaluatePolicy as dispatch's outcome
+// hook. Around it: engine.go (configuration, construction, the HTTP
+// surface), state.go (the published state, the rule for what each phase
+// serves, the online mutators and release health marks), confidence.go
+// (the §6.2 confidence-publishing mechanisms — a dedicated OperationConf operation,
 // backward-compatible "<op>Conf" variants, per-response confidence
 // headers, the extended /wsdl — and the registry entry) and campaign.go
 // (journal capture and recovery). Hosting — journal files, the health loop, a listener — is
@@ -51,6 +51,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -96,33 +97,56 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ServePath is ServeHTTP for a router that has already consumed a
 // prefix of the request path: path is the remainder the engine routes
 // on, and r.URL is left alone — so hosting the engine under a prefix
-// costs no request clone.
+// costs no request clone. Past the method check it is ServeDemand.
 func (e *Engine) ServePath(w http.ResponseWriter, r *http.Request, path string) {
 	if r.Method != http.MethodPost {
-		e.codec.WriteRejection(w, http.StatusMethodNotAllowed, e.postOnlyMsg)
+		e.codec.WriteRejection(w, httpx.NotAllowed(w, http.MethodPost), e.postOnlyMsg)
 		return
 	}
+	e.ServeDemand(r.Context(), w, Demand{
+		Path:        path,
+		ContentType: r.Header.Get("Content-Type"),
+		Adjudicator: r.Header.Get(AdjudicatorHeader),
+		Body:        r.Body,
+		Length:      r.ContentLength,
+	})
+}
+
+// Demand is one consumer demand (a POST) as its framing delivered it,
+// whichever server read the framing.
+type Demand struct {
+	Path        string // the path the engine routes on
+	ContentType string
+	Adjudicator string // the AdjudicatorHeader value, if any
+	Body        io.Reader
+	Length      int64 // the declared body length; -1 when unknown
+}
+
+// ServeDemand serves one demand; ctx is the consumer's, whose
+// cancellation (a hang-up) aborts the fan-out.
+func (e *Engine) ServeDemand(ctx context.Context, w http.ResponseWriter, d Demand) {
 	// A Content-Type that contradicts the unit's protocol is rejected
 	// before the body is read: a SOAP envelope posted to a JSON unit
 	// (or vice versa) is a routing mistake, not a malformed demand, and
 	// 415 says so where a decode fault would mislead.
-	if ct := r.Header.Get("Content-Type"); !e.codec.Accepts(ct) {
+	if !e.codec.Accepts(d.ContentType) {
 		e.codec.WriteRejection(w, http.StatusUnsupportedMediaType, e.badTypeMsg)
 		return
 	}
-	envBuf, err := httpx.ReadBoundedBuf(r.Body, r.ContentLength, maxRequestBytes)
+	envBuf, err := httpx.ReadBoundedBuf(d.Body, d.Length, maxRequestBytes)
 	if err != nil {
 		envBuf.Release() // nil on error; Release is nil-safe
 		e.codec.WriteError(w, "", protocol.ClientError(fmt.Sprintf("reading request: %v", err)))
 		return
 	}
-	req, err := e.codec.DecodeRequest(path, envBuf.B)
+	req, err := e.codec.DecodeRequest(d.Path, envBuf.B)
 	if err != nil {
 		envBuf.Release()
 		e.codec.WriteError(w, "", err)
 		return
 	}
 	operation := req.Op
+	override := namedAdjudicator(d.Adjudicator)
 
 	if e.cfg.EnableConfOps {
 		if req.Element == e.confQueryElement {
@@ -130,28 +154,25 @@ func (e *Engine) ServePath(w http.ResponseWriter, r *http.Request, path string) 
 			return
 		}
 		if base, ok := e.confVariantBase(operation); ok {
-			e.serveConfVariant(w, r, envBuf, base)
+			e.serveConfVariant(ctx, w, envBuf, base, override)
 			return
 		}
 	}
-	e.proxy(w, r, envBuf, operation)
+	e.proxy(ctx, w, envBuf, operation, override)
 }
 
-// headerAdjudicator returns the consumer's explicit per-request
-// adjudicator choice, if any.
-func headerAdjudicator(r *http.Request) (adjudicate.Adjudicator, bool) {
-	if r == nil {
-		return nil, false
-	}
-	switch r.Header.Get(AdjudicatorHeader) {
+// namedAdjudicator returns the adjudicator a consumer chose by name for
+// its own request, or nil for none or a name it does not know.
+func namedAdjudicator(name string) adjudicate.Adjudicator {
+	switch name {
 	case "random-valid":
-		return adjudicate.RandomValid{}, true
+		return adjudicate.RandomValid{}
 	case "majority":
-		return adjudicate.Majority{}, true
+		return adjudicate.Majority{}
 	case "fastest-valid":
-		return adjudicate.FastestValid{}, true
+		return adjudicate.FastestValid{}
 	default:
-		return nil, false
+		return nil
 	}
 }
 
@@ -161,9 +182,8 @@ func headerAdjudicator(r *http.Request) (adjudicate.Adjudicator, bool) {
 // goroutine can still read it.
 //
 //wsu:owns envBuf
-func (e *Engine) proxy(w http.ResponseWriter, r *http.Request, envBuf *pool.Buf, operation string) {
-	override, _ := headerAdjudicator(r)
-	winner, adjErr := e.dispatch(r.Context(), envBuf, operation, override)
+func (e *Engine) proxy(ctx context.Context, w http.ResponseWriter, envBuf *pool.Buf, operation string, override adjudicate.Adjudicator) {
+	winner, adjErr := e.dispatch(ctx, envBuf, operation, override)
 	e.respond(w, operation, winner, adjErr)
 }
 

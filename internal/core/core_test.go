@@ -20,6 +20,7 @@ import (
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/stats"
+	"wsupgrade/internal/testutil"
 	"wsupgrade/internal/wire"
 	"wsupgrade/internal/wsdl"
 )
@@ -907,7 +908,7 @@ func TestSlowStoreDoesNotDelayDemands(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			close(store.open) // let the held demand finish
-			t.Fatalf("demand %d not served within 5s while the Store was blocked", i)
+			testutil.FatalWithStacks(t, "demand %d not served within 5s while the Store was blocked", i)
 		}
 	}
 	close(store.open)

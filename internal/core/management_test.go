@@ -286,23 +286,14 @@ func TestPerRequestAdjudicatorHeader(t *testing.T) {
 // A request without a known adjudicator header carries no override,
 // so dispatch delivers with the engine's own rule.
 func TestRequestAdjudicatorFallback(t *testing.T) {
-	req, err := http.NewRequest(http.MethodPost, "http://x", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adj, ok := headerAdjudicator(req); ok {
+	if adj := namedAdjudicator(""); adj != nil {
 		t.Fatalf("no header: override %T", adj)
 	}
-	req.Header.Set(AdjudicatorHeader, "nonsense")
-	if adj, ok := headerAdjudicator(req); ok {
+	if adj := namedAdjudicator("nonsense"); adj != nil {
 		t.Fatalf("unknown value: override %T", adj)
 	}
-	req.Header.Set(AdjudicatorHeader, "fastest-valid")
-	if adj, ok := headerAdjudicator(req); !ok || adj != (adjudicate.FastestValid{}) {
-		t.Fatalf("explicit value: got %v, %v", adj, ok)
-	}
-	if adj, ok := headerAdjudicator(nil); ok {
-		t.Fatalf("nil request: override %T", adj)
+	if adj := namedAdjudicator("fastest-valid"); adj != (adjudicate.FastestValid{}) {
+		t.Fatalf("explicit value: got %v", adj)
 	}
 }
 

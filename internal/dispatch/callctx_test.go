@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"wsupgrade/internal/testutil"
 )
 
 func TestCallCtxDeadline(t *testing.T) {
@@ -17,7 +19,7 @@ func TestCallCtxDeadline(t *testing.T) {
 	select {
 	case <-c.Done():
 	case <-time.After(2 * time.Second):
-		fatalWithStacks(t, "deadline never fired")
+		testutil.FatalWithStacks(t, "deadline never fired")
 	}
 	if !errors.Is(c.Err(), context.DeadlineExceeded) {
 		t.Fatalf("err = %v", c.Err())
@@ -39,7 +41,7 @@ func TestCallCtxParentCancellationPropagates(t *testing.T) {
 	select {
 	case <-c.Done():
 	case <-time.After(2 * time.Second):
-		fatalWithStacks(t, "parent cancellation never propagated")
+		testutil.FatalWithStacks(t, "parent cancellation never propagated")
 	}
 	if !errors.Is(c.Err(), context.Canceled) {
 		t.Fatalf("err = %v", c.Err())
@@ -60,7 +62,7 @@ func TestCallCtxParentDeadlineClips(t *testing.T) {
 	select {
 	case <-c.Done():
 	case <-time.After(2 * time.Second):
-		fatalWithStacks(t, "clipped deadline never fired")
+		testutil.FatalWithStacks(t, "clipped deadline never fired")
 	}
 	c.release()
 }
@@ -78,7 +80,7 @@ func TestCallCtxDetachSurvivesParentCancel(t *testing.T) {
 	select {
 	case <-c.Done():
 	case <-time.After(2 * time.Second):
-		fatalWithStacks(t, "detached context lost its deadline")
+		testutil.FatalWithStacks(t, "detached context lost its deadline")
 	}
 	if !errors.Is(c.Err(), context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the deadline: detached context cancelled by parent", c.Err())
@@ -270,7 +272,7 @@ func TestCallCtxTimerFollowsClock(t *testing.T) {
 		select {
 		case <-next.Done():
 		case <-time.After(2 * time.Second):
-			fatalWithStacks(t, "iteration %d: wall-clock deadline armed on another clock's timer", i)
+			testutil.FatalWithStacks(t, "iteration %d: wall-clock deadline armed on another clock's timer", i)
 		}
 		next.release()
 	}

@@ -15,6 +15,7 @@ import (
 	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/soap"
+	"wsupgrade/internal/testutil"
 	"wsupgrade/internal/wire"
 )
 
@@ -206,7 +207,7 @@ func TestDoConsumerCancelAbortsInFlight(t *testing.T) {
 			t.Fatal("aborted outcome not flagged ConsumerGone")
 		}
 	case <-time.After(5 * time.Second):
-		fatalWithStacks(t, "no outcome reported")
+		testutil.FatalWithStacks(t, "no outcome reported")
 	}
 }
 
@@ -259,7 +260,7 @@ func TestDoEarlyDeliveryDetachesFromConsumer(t *testing.T) {
 			t.Fatalf("straggler not collected: %d valid replies", len(o.Targets))
 		}
 	case <-time.After(5 * time.Second):
-		fatalWithStacks(t, "background collection never completed")
+		testutil.FatalWithStacks(t, "background collection never completed")
 	}
 }
 

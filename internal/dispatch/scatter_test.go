@@ -264,7 +264,7 @@ func (rig *scatterRig) outcome(t *testing.T) outcomeCopy {
 	case o := <-rig.outcomes:
 		return o
 	case <-time.After(10 * time.Second):
-		fatalWithStacks(t, "no outcome reported")
+		testutil.FatalWithStacks(t, "no outcome reported")
 		return outcomeCopy{}
 	}
 }
@@ -301,20 +301,10 @@ func awaitParked(t *testing.T, d *Dispatcher, mode Mode, n int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for d.parked.Load() < want {
 		if time.Now().After(deadline) {
-			fatalWithStacks(t, "%d gatherers parked, want %d", d.parked.Load(), want)
+			testutil.FatalWithStacks(t, "%d gatherers parked, want %d", d.parked.Load(), want)
 		}
 		runtime.Gosched()
 	}
-}
-
-// fatalWithStacks fails the test with every goroutine's stack after its
-// message, so that a wait that timed out names where the goroutine it
-// waited for was.
-func fatalWithStacks(t *testing.T, format string, args ...any) {
-	t.Helper()
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	t.Fatalf(format+"\n\nevery goroutine:\n%s", append(args, buf)...)
 }
 
 func endpoints(hosts ...string) []Endpoint {
@@ -602,11 +592,11 @@ func TestScatterConsumerGoneAtEachWatchPoint(t *testing.T) {
 				select {
 				case tick = <-clock.armed:
 				case <-time.After(10 * time.Second):
-					fatalWithStacks(t, "the dispatch armed no timer")
+					testutil.FatalWithStacks(t, "the dispatch armed no timer")
 				}
 				for deadline := time.Now().Add(10 * time.Second); begun.Load() < n; runtime.Gosched() {
 					if time.Now().After(deadline) {
-						fatalWithStacks(t, "%d calls begun, want %d", begun.Load(), n)
+						testutil.FatalWithStacks(t, "%d calls begun, want %d", begun.Load(), n)
 					}
 				}
 				// Should a call outlive the hang-up, a failure below ends
@@ -623,7 +613,7 @@ func TestScatterConsumerGoneAtEachWatchPoint(t *testing.T) {
 						t.Fatalf("err = %v, want no responses", err)
 					}
 				case <-time.After(10 * time.Second):
-					fatalWithStacks(t, "the dispatch outlived its consumer by 10 s")
+					testutil.FatalWithStacks(t, "the dispatch outlived its consumer by 10 s")
 				}
 				o := rig.outcome(t)
 				if !o.consumerGone {

@@ -24,6 +24,7 @@ import (
 
 	"wsupgrade/internal/core"
 	"wsupgrade/internal/dispatch"
+	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/lifecycle"
 )
 
@@ -108,7 +109,7 @@ func wantConfidence(r *http.Request) bool {
 // handleUnits serves GET /fleet/units.
 func (f *Fleet) handleUnits(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+		http.Error(w, "GET only", httpx.NotAllowed(w, http.MethodGet))
 		return
 	}
 	writeJSON(w, http.StatusOK, f.status(wantConfidence(r)))
@@ -146,7 +147,7 @@ func (f *Fleet) handleUnit(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handlePhase(w http.ResponseWriter, r *http.Request, u *Unit) {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		http.Error(w, "POST only", httpx.NotAllowed(w, http.MethodPost))
 		return
 	}
 	var req struct {
@@ -170,7 +171,7 @@ func (f *Fleet) handlePhase(w http.ResponseWriter, r *http.Request, u *Unit) {
 
 func (f *Fleet) handleMode(w http.ResponseWriter, r *http.Request, u *Unit) {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		http.Error(w, "POST only", httpx.NotAllowed(w, http.MethodPost))
 		return
 	}
 	var req struct {
@@ -195,7 +196,7 @@ func (f *Fleet) handleMode(w http.ResponseWriter, r *http.Request, u *Unit) {
 
 func (f *Fleet) handleAddRelease(w http.ResponseWriter, r *http.Request, u *Unit) {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		http.Error(w, "POST only", httpx.NotAllowed(w, http.MethodPost))
 		return
 	}
 	var ep core.Endpoint
@@ -212,7 +213,7 @@ func (f *Fleet) handleAddRelease(w http.ResponseWriter, r *http.Request, u *Unit
 
 func (f *Fleet) handleRemoveRelease(w http.ResponseWriter, r *http.Request, u *Unit, version string) {
 	if r.Method != http.MethodDelete {
-		http.Error(w, "DELETE only", http.StatusMethodNotAllowed)
+		http.Error(w, "DELETE only", httpx.NotAllowed(w, http.MethodDelete))
 		return
 	}
 	if err := u.engine.RemoveRelease(version); err != nil {
@@ -224,7 +225,7 @@ func (f *Fleet) handleRemoveRelease(w http.ResponseWriter, r *http.Request, u *U
 
 func (f *Fleet) handleConfidence(w http.ResponseWriter, r *http.Request, u *Unit) {
 	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+		http.Error(w, "GET only", httpx.NotAllowed(w, http.MethodGet))
 		return
 	}
 	rep, err := u.engine.Confidence(r.URL.Query().Get("operation"))

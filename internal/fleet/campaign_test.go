@@ -18,6 +18,7 @@ import (
 	"wsupgrade/internal/monitor"
 	"wsupgrade/internal/oracle"
 	"wsupgrade/internal/service"
+	"wsupgrade/internal/testutil"
 )
 
 // driveUnitJoint feeds n joint observations straight into a unit's
@@ -55,7 +56,7 @@ func waitForSnapshot(t *testing.T, path string, wantN int) {
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no snapshot with N >= %d in %s", wantN, path)
+			testutil.FatalWithStacks(t, "no snapshot with N >= %d in %s", wantN, path)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -294,7 +295,7 @@ func nextEvent(t *testing.T, ch <-chan sseEvent) sseEvent {
 	case ev := <-ch:
 		return ev
 	case <-time.After(10 * time.Second):
-		t.Fatal("event stream stalled")
+		testutil.FatalWithStacks(t, "event stream stalled")
 		return sseEvent{}
 	}
 }

@@ -135,6 +135,8 @@ type Fleet struct {
 	admin        http.Handler
 	adminToken   string
 
+	front frontDoor // the taken-over connections (front.go)
+
 	// Push control plane and durable campaigns (see campaign.go).
 	hub           *eventHub
 	closeJournals []func() error
@@ -237,15 +239,17 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Close drains every unit's background monitoring work, then stops the
-// journal snapshot loops and closes the writers (each after a final
-// snapshot), disconnects the event subscribers and shuts down the shared
-// transport's keep-alive connections. Engines drain first: a background
+// Close answers the demands in flight on taken-over connections and
+// closes those connections, drains every unit's background monitoring
+// work, then stops the journal snapshot loops and closes the writers
+// (each after a final snapshot), disconnects the event subscribers and
+// shuts down the shared transport's keep-alive connections. Engines drain first: a background
 // collection still running can fire the switch policy, and its
 // transition must reach a journal that is still open. It returns every
 // error the engines and journals report, failed writes and drops alike,
 // each under its unit's name.
 func (f *Fleet) Close() error {
+	f.front.close()
 	var errs []error
 	for _, u := range f.units {
 		if err := u.engine.Close(); err != nil {
@@ -285,7 +289,16 @@ func (f *Fleet) Unit(name string) (*Unit, error) {
 // that virtual host's whole path space), then the first path segment as
 // a unit name (stripped before the unit's engine sees the path), then
 // the fleet's own surface (/fleet/… admin + notifications, /healthz).
+// A unit demand may take its connection over (front.go).
 func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if u, rest := f.demandUnit(r.Host, r.URL.Path); u != nil {
+		// Straight into the engine with the remainder it routes on, no
+		// unit mux hop and no request clone.
+		if !f.takeOver(w, r, u, rest) {
+			u.engine.ServePath(w, r, rest)
+		}
+		return
+	}
 	if len(f.byHost) > 0 {
 		if u, ok := f.byHost[hostOnly(r.Host)]; ok {
 			u.handler.ServeHTTP(w, r)
@@ -296,13 +309,7 @@ func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if len(path) > 1 {
 		seg, rest := splitSegment(path)
 		if u, ok := f.byName[seg]; ok {
-			if rest == "/wsdl" || rest == "/healthz" {
-				u.stripped.ServeHTTP(w, r)
-				return
-			}
-			// Every demand: straight into the engine with the remainder
-			// it routes on, no unit mux hop and no request clone.
-			u.engine.ServePath(w, r, rest)
+			u.stripped.ServeHTTP(w, r) // the unit's /wsdl and /healthz
 			return
 		}
 		if seg == "fleet" {
@@ -315,6 +322,26 @@ func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	http.NotFound(w, r)
+}
+
+// demandUnit returns the unit that a request for host and path is a
+// demand of, with the remainder path the engine routes on: a path-routed
+// unit's every path but /wsdl and /healthz. It is nil for the rest,
+// host-routed units' requests among them (host is only read when some
+// unit has hosts).
+func (f *Fleet) demandUnit(host, path string) (*Unit, string) {
+	if len(f.byHost) > 0 {
+		if _, ok := f.byHost[hostOnly(host)]; ok {
+			return nil, ""
+		}
+	}
+	if len(path) > 1 {
+		seg, rest := splitSegment(path)
+		if u, ok := f.byName[seg]; ok && rest != "/wsdl" && rest != "/healthz" {
+			return u, rest
+		}
+	}
+	return nil, ""
 }
 
 // hostOnly strips a port from a Host header value ("[::1]:80", "a:80").
@@ -456,7 +483,7 @@ func (f *Fleet) OnTransition(fn func(lifecycle.Transition)) {
 func (f *Fleet) NotificationHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			http.Error(w, "POST only", httpx.NotAllowed(w, http.MethodPost))
 			return
 		}
 		entry, err := registry.DecodeEntry(r.Body)

@@ -15,10 +15,12 @@ import (
 	"wsupgrade/internal/bayes"
 	"wsupgrade/internal/core"
 	"wsupgrade/internal/oracle"
+	"wsupgrade/internal/protocol/jsoncodec"
 	"wsupgrade/internal/registry"
 	"wsupgrade/internal/service"
 	"wsupgrade/internal/soap"
 	"wsupgrade/internal/stats"
+	"wsupgrade/internal/testutil"
 )
 
 // startRelease boots one live fault-injected release.
@@ -544,7 +546,7 @@ func TestStartHealthChecks(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for !hotels.Down("1.1") {
 		if time.Now().After(deadline) {
-			t.Fatal("the loop never marked the 404 release down")
+			testutil.FatalWithStacks(t, "the loop never marked the 404 release down")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -573,7 +575,7 @@ func TestStopCancelsInFlightProbe(t *testing.T) {
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
-		t.Fatal("probe never reached the endpoint")
+		testutil.FatalWithStacks(t, "probe never reached the endpoint")
 	}
 	start := time.Now()
 	stop()
@@ -634,7 +636,7 @@ func TestHealthLoopKeepsSlowReleaseUp(t *testing.T) {
 	for answered.Load() < 6 { // three rounds over the two releases
 		if time.Now().After(deadline) {
 			stop()
-			t.Fatal("the loop never completed three rounds")
+			testutil.FatalWithStacks(t, "the loop never completed three rounds")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -658,11 +660,53 @@ func TestHealthLoopStopKeepsMarks(t *testing.T) {
 	case <-entered:
 	case <-time.After(10 * time.Second):
 		stop()
-		t.Fatal("probe never reached the endpoint")
+		testutil.FatalWithStacks(t, "probe never reached the endpoint")
 	}
 	stop()
 	e := f.Units()[0].Engine()
 	if e.Down("1.0") || e.Down("1.1") {
 		t.Fatal("a stop mid-probe marked a release down")
+	}
+}
+
+// Every 405 carries the Allow header RFC 9110 §15.5.6 requires, naming
+// the method the resource takes: the engine's demand path through both
+// codecs, the notification fan-in, the admin API and the event stream.
+func TestMethodNotAllowedCarriesAllow(t *testing.T) {
+	_, f0 := startRelease(t, "1.0", service.FaultPlan{})
+	fl, err := New(Config{Units: []UnitConfig{
+		{Name: "soap", Engine: core.Config{Releases: []core.Endpoint{f0}, InitialPhase: core.PhaseOldOnly}},
+		{Name: "json", Engine: core.Config{Releases: []core.Endpoint{f0}, InitialPhase: core.PhaseOldOnly, Codec: jsoncodec.Default}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fl.Close() })
+	ts := httptest.NewServer(fl)
+	t.Cleanup(ts.Close)
+	for _, c := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/soap/", http.MethodPost},
+		{http.MethodGet, "/json/add", http.MethodPost},
+		{http.MethodGet, "/fleet/notify", http.MethodPost},
+		{http.MethodPost, "/fleet/units", http.MethodGet},
+		{http.MethodGet, "/fleet/units/soap/phase", http.MethodPost},
+		{http.MethodGet, "/fleet/units/soap/mode", http.MethodPost},
+		{http.MethodGet, "/fleet/units/soap/releases", http.MethodPost},
+		{http.MethodGet, "/fleet/units/soap/releases/1.0", http.MethodDelete},
+		{http.MethodPost, "/fleet/units/soap/confidence", http.MethodGet},
+		{http.MethodPost, "/fleet/events", http.MethodGet},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != c.allow {
+			t.Errorf("%s %s: %d, Allow %q; want 405, Allow %q", c.method, c.path, resp.StatusCode, resp.Header.Get("Allow"), c.allow)
+		}
 	}
 }

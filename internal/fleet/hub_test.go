@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"wsupgrade/internal/testutil"
 )
 
 func TestPublishDelivers(t *testing.T) {
@@ -23,7 +24,7 @@ func TestPublishDelivers(t *testing.T) {
 			t.Fatalf("payload %q err %v", ev.Data, err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("event not delivered")
+		testutil.FatalWithStacks(t, "event not delivered")
 	}
 }
 
@@ -45,7 +46,7 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Publish blocked on a full subscriber buffer")
+		testutil.FatalWithStacks(t, "Publish blocked on a full subscriber buffer")
 	}
 
 	if got := slow.Dropped(); got != 8 {
@@ -58,7 +59,7 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 				t.Fatalf("fast subscriber event %d has ID %d", i, ev.ID)
 			}
 		case <-time.After(time.Second):
-			t.Fatalf("fast subscriber missing event %d", i)
+			testutil.FatalWithStacks(t, "fast subscriber missing event %d", i)
 		}
 	}
 }
@@ -228,7 +229,7 @@ func TestSubscribeFromNoGapNoDup(t *testing.T) {
 			}
 			next++
 		case <-deadline:
-			t.Fatalf("stalled at event %d", next)
+			testutil.FatalWithStacks(t, "stalled at event %d", next)
 		}
 	}
 }

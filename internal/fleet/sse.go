@@ -25,6 +25,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"wsupgrade/internal/httpx"
 )
 
 // sseHeartbeat is the idle keep-alive cadence: a comment frame that
@@ -38,7 +40,7 @@ const maxEventBuffer = 4096
 // handleEvents serves GET /fleet/events.
 func (f *Fleet) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+		http.Error(w, "GET only", httpx.NotAllowed(w, http.MethodGet))
 		return
 	}
 	flusher, ok := w.(http.Flusher)

@@ -140,6 +140,14 @@ func DeclareLength(w io.Writer, n int) {
 	}
 }
 
+// NotAllowed sets the Allow header that a 405 must carry (RFC 9110
+// §15.5.6) to allow, the one method the resource takes, and returns
+// http.StatusMethodNotAllowed for the caller's rejection to write.
+func NotAllowed(w http.ResponseWriter, allow string) int {
+	w.Header()["Allow"] = []string{allow}
+	return http.StatusMethodNotAllowed
+}
+
 // ReadBounded reads r to EOF through a pooled scratch buffer and returns
 // a right-sized, caller-owned copy. Reading more than max bytes returns
 // ErrTooLarge. Callers on the request hot path use ReadBoundedBuf

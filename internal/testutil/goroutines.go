@@ -139,3 +139,13 @@ func CheckGoroutines(t testing.TB) {
 		t.Error(sb.String())
 	})
 }
+
+// FatalWithStacks fails the test with every goroutine's stack after its
+// message, so that a wall-clock wait that timed out names where the
+// goroutine it waited for was.
+func FatalWithStacks(t testing.TB, format string, args ...any) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	t.Fatalf(format+"\n\nevery goroutine:\n%s", append(args, buf)...)
+}

@@ -243,3 +243,79 @@ func FuzzReadResponse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadRequest holds ReadRequestHead to http.ReadRequest: whatever
+// head the strict reader accepts, the reference accepts too and agrees
+// on the method, the path, Host, Content-Length, Content-Type, the
+// adjudicator field and where the body starts. The reader refuses much
+// that the reference takes (it hands such heads back to net/http), so a
+// head only the reference accepts is not a finding.
+func FuzzReadRequest(f *testing.F) {
+	const head = "POST /flights/add HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nUser-Agent: Go-http-client/1.1\r\n"
+	for _, seed := range []string{
+		head + "Content-Length: 5\r\nContent-Type: text/xml; charset=utf-8\r\n\r\n<ok/>",
+		head + "Content-Length: 7\r\nContent-Type: application/json\r\nX-Wsupgrade-Adjudicator: majority\r\nConnection: keep-alive\r\n\r\n{\"a\":1}",
+		head + "\r\n",
+		// Smuggling shapes: a duplicate or conflicting length, a coding
+		// beside a length, a folded line, bare LF.
+		head + "Content-Length: 5\r\nContent-Length: 5\r\n\r\n<ok/>",
+		head + "Content-Length: 5\r\nContent-Length: 6\r\n\r\n<ok/>x",
+		head + "Content-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+		head + "Transfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n0\r\n\r\n",
+		head + "Content-Length: 5\r\n X-Folded: a\r\n\r\n<ok/>",
+		head + "X-Folded: a\r\n\tContent-Length: 5\r\n\r\n<ok/>",
+		"POST /u HTTP/1.1\nHost: x\nContent-Length: 5\n\n<ok/>",
+		"POST /u HTTP/1.1\r\nHost: x\nContent-Length: 5\r\n\r\n<ok/>",
+		head + "Content-Length: +5\r\n\r\n<ok/>",
+		head + "Content-Length: 0x5\r\n\r\n<ok/>",
+		head + "Content-Length: 05\r\n\r\n<ok/>",
+		head + "Content-Length:\r\n\r\n",
+		head + "Content-Length : 5\r\n\r\n<ok/>",
+		head + "Content-Length: 99999999999999999999\r\n\r\n",
+		head + "Expect: 100-continue\r\nContent-Length: 5\r\n\r\n<ok/>",
+		head + "Connection: close\r\nContent-Length: 5\r\n\r\n<ok/>",
+		head + "Connection: Upgrade\r\nUpgrade: h2c\r\n\r\n",
+		"POST /u HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n",
+		"POST /u HTTP/1.1\r\nHost: a b\r\n\r\n",
+		"POST /u HTTP/1.1\r\n\r\n",
+		"POST /u?x=1 HTTP/1.1\r\nHost: x\r\n\r\n",
+		"POST /a%2Fb HTTP/1.1\r\nHost: x\r\n\r\n",
+		"POST http://x/u HTTP/1.1\r\nHost: x\r\n\r\n",
+		"POST  /u HTTP/1.1\r\nHost: x\r\n\r\n",
+		"POST /u HTTP/1.0\r\nHost: x\r\n\r\n",
+		"GET /u HTTP/1.1\r\nHost: x\r\n\r\n",
+		"post /u HTTP/1.1\r\nHost: x\r\n\r\n",
+		"\r\nPOST /u HTTP/1.1\r\nHost: x\r\n\r\n",
+		// A head at the buffer's size, and one just under it.
+		head + "X-Pad: " + strings.Repeat("p", 4096-len(head)-len("X-Pad: \r\n\r\n")) + "\r\n\r\n",
+		head + "X-Pad: " + strings.Repeat("p", 4095-len(head)-len("X-Pad: \r\n\r\n")) + "\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h RequestHead
+		ok, _ := ReadRequestHead(bufio.NewReaderSize(bytes.NewReader(data), 4096), &h)
+		if !ok {
+			return
+		}
+		rd := bytes.NewReader(data)
+		br := bufio.NewReader(rd)
+		req, err := http.ReadRequest(br)
+		if err != nil {
+			t.Fatalf("the strict reader accepted a head http.ReadRequest rejects (%v): %q", err, data)
+		}
+		for _, c := range []struct{ what, got, want string }{
+			{"method", "POST", req.Method},
+			{"path", string(h.Target), req.URL.Path},
+			{"Host", string(h.Host), req.Host},
+			{"Content-Length", fmt.Sprint(h.ContentLength), fmt.Sprint(req.ContentLength)},
+			{"Content-Type", string(h.ContentType), req.Header.Get("Content-Type")},
+			{"adjudicator", string(h.Adjudicator), req.Header.Get("X-Wsupgrade-Adjudicator")},
+			{"body offset", fmt.Sprint(h.Len), fmt.Sprint(len(data) - br.Buffered() - rd.Len())},
+		} {
+			if c.got != c.want {
+				t.Fatalf("%s: strict reader %q, http.ReadRequest %q, on %q", c.what, c.got, c.want, data)
+			}
+		}
+	})
+}
