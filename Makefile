@@ -13,8 +13,9 @@ SOAK_DURATION ?= 20s
 SOAK_OUT      ?= .
 
 # The fuzz target gives each network-facing parser's fuzz function — the
-# envelope scanner, the JSON validator and the JSON comparator against
-# their encoding/xml and encoding/json references among them, and the
+# envelope scanner, the canonical comparison and the canonical scanner's
+# bytes, the JSON validator and the JSON comparator against their
+# encoding/xml and encoding/json references among them, and the
 # front door's request-head reader against http.ReadRequest — the
 # pass-through test soap.Framed against soap.EnvelopeRaw, and
 # FuzzPosteriorFrom, the posterior's frontier pass against its full pass,
@@ -57,6 +58,7 @@ soak:
 
 fuzz:
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzEqualCanonical -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzCanonicalScan -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/soap -run='^$$' -fuzz=FuzzFramed -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/protocol/jsoncodec -run='^$$' -fuzz=FuzzJSONValid -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s

@@ -704,17 +704,7 @@ var engineInProcessRows = []benchRow{
 	// 5 %, the delivered reply, already the canonical envelope, handed
 	// over in one Write as it arrived (soap.Framed) — and the ceiling
 	// pins that none of them allocates per byte again.
-	phaseRow("observation-large", PhaseObservation, func(cfg *EngineConfig) {
-		right := &wireStub{resp: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(3)))}
-		faulty := &wireStub{resp: right.resp, alt: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(4))), altEvery: 20}
-		cfg.Oracle = oracle.Reference{Release: "1.0"}
-		cfg.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
-			if strings.HasPrefix(addr, "release-1.") {
-				return faulty.dial(ctx, network, addr)
-			}
-			return right.dial(ctx, network, addr)
-		}
-	}),
+	phaseRow("observation-large", PhaseObservation, func(cfg *EngineConfig) { observeLarge(cfg, "release-1.") }),
 
 	// The REST/JSON gateway over the same dispatch core: canned
 	// {"sum":3} replies over the wire transport, demands routed by URL
@@ -782,6 +772,23 @@ var engineInProcessRows = []benchRow{
 		})
 		return addDemand(tb, engine, "/")
 	}},
+}
+
+// observeLarge makes cfg the mediation benchmark's observation-large
+// unit: the observation phase over 64 KB replies, the old release the
+// reference, and the new one, whose address holds newAddr, wrong on
+// every 20th demand (one early digit, same length).
+func observeLarge(cfg *EngineConfig, newAddr string) {
+	right := &wireStub{resp: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(3)))}
+	faulty := &wireStub{resp: right.resp, alt: cannedResponse(soap.ContentType, soap.EnvelopeRaw(largeReplyBody(4))), altEvery: 20}
+	cfg.InitialPhase = PhaseObservation
+	cfg.Oracle = oracle.Reference{Release: "1.0"}
+	cfg.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if strings.Contains(addr, newAddr) {
+			return faulty.dial(ctx, network, addr)
+		}
+		return right.dial(ctx, network, addr)
+	}
 }
 
 // slowStore is a Store that takes 1 ms per write and counts its lines.
@@ -874,27 +881,46 @@ var fleetInProcessRows = []benchRow{
 	// the operation is one demand's bytes written and its response's
 	// bytes read by a raw client over an in-memory connection.
 	{"fleet-taken-over", func(tb testing.TB) func() {
-		conn := serveInMemory(tb, newBenchFleet(tb, func(prefix string) EngineConfig { return fleetUnit(tb, prefix) }))
-		env, err := soap.Envelope(service.AddRequest{A: 2, B: 1})
-		if err != nil {
+		return takenOverDemand(tb, newBenchFleet(tb, func(prefix string) EngineConfig { return fleetUnit(tb, prefix) }))
+	}},
+	// EngineInProcess/observation-large on a taken-over connection:
+	// 64 KB replies, the new release wrong on every 20th demand, the old
+	// one the reference and delivered as it arrived. The length the
+	// codec declares reaches the connection's writer without a header
+	// value, so the row holds what net/http's recorder cannot: 0.
+	{"fleet-taken-over-large", func(tb testing.TB) func() {
+		return takenOverDemand(tb, newBenchFleet(tb, func(prefix string) EngineConfig {
+			cfg := fleetUnit(tb, prefix)
+			observeLarge(&cfg, "-new.")
+			return cfg
+		}))
+	}},
+}
+
+// takenOverDemand is steady state for SOAP add demands to fl's flights
+// unit on a connection fl took over: the operation writes one demand's
+// bytes and reads its response's.
+func takenOverDemand(tb testing.TB, fl *Fleet) func() {
+	conn := serveInMemory(tb, fl)
+	env, err := soap.Envelope(service.AddRequest{A: 2, B: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req := fmt.Appendf(nil, "POST /flights/ HTTP/1.1\r\nHost: bench\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n%s",
+		soap.ContentType, len(env), env)
+	buf := make([]byte, 128<<10)
+	do := func() {
+		if _, err := conn.Write(req); err != nil {
 			tb.Fatal(err)
 		}
-		req := fmt.Appendf(nil, "POST /flights/ HTTP/1.1\r\nHost: bench\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n%s",
-			soap.ContentType, len(env), env)
-		buf := make([]byte, 16<<10)
-		do := func() {
-			if _, err := conn.Write(req); err != nil {
-				tb.Fatal(err)
-			}
-			if resp := readRawResponse(tb, conn, buf); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 ")) {
-				tb.Fatalf("response %q", resp)
-			}
+		if resp := readRawResponse(tb, conn, buf); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 ")) {
+			tb.Fatalf("response %.200q", resp)
 		}
-		for i := 0; i < 64; i++ {
-			do()
-		}
-		return do
-	}},
+	}
+	for i := 0; i < 64; i++ {
+		do()
+	}
+	return do
 }
 
 // serveInMemory serves h from a real http.Server over in-memory
@@ -1100,6 +1126,32 @@ func decodeReplyRow(name string, pad int) benchRow {
 	}}
 }
 
+// BenchmarkJSONEqual measures the JSON codec's comparison of two 64 KB
+// replies that are not byte-identical: the same object with white
+// space between its tokens, the same object with its keys in another
+// order, and an object whose first field differs. Each decodes both
+// payloads into encoding/json values, however early they part; the
+// ceilings in allocs_test.go pin what each row allocates today.
+func BenchmarkJSONEqual(b *testing.B) { runRows(b, jsonEqualRows) }
+
+var jsonEqualRows = []benchRow{
+	jsonEqualRow("64KB-whitespace", `{"id":1234,"sum":"01234567","pad":"%s"}`, `{ "id": 1234, "sum": "01234567", "pad": "%s" }`, true),
+	jsonEqualRow("64KB-reordered", `{"id":1234,"sum":"01234567","pad":"%s"}`, `{"pad":"%s","sum":"01234567","id":1234}`, true),
+	jsonEqualRow("64KB-early-differ", `{"id":1234,"sum":"01234567","pad":"%s"}`, `{"id":1235,"sum":"01234567","pad":"%s"}`, false),
+}
+
+func jsonEqualRow(name, x, y string, equal bool) benchRow {
+	return benchRow{name, func(tb testing.TB) func() {
+		pad := strings.Repeat("aB3x", 16<<10)
+		a, b := fmt.Appendf(nil, x, pad), fmt.Appendf(nil, y, pad)
+		return func() {
+			if (jsoncodec.Codec{}).Equal(a, b) != equal {
+				tb.Fatalf("Equal = %v, want %v", !equal, equal)
+			}
+		}
+	}}
+}
+
 // benchNoteRecord builds the canonical two-release record Note
 // benchmarks drive, noted once so that each release has its accumulator.
 // interned selects whether the observations carry the monitor's
@@ -1163,10 +1215,18 @@ func noteRow(name string, interned bool) benchRow {
 
 // BenchmarkOracleJudge measures the per-demand judge cost of every
 // oracle over a three-release reply set (agreeing releases — the steady
-// state) through the caller-buffer JudgeInto API, each held at zero
-// steady-state allocations; and the other steady state, two 64 KB
-// replies that differ in one early digit, whose comparison must cost
-// the bytes up to the difference, not both documents.
+// state) through the caller-buffer JudgeInto API, and the comparison of
+// two replies that are not byte-identical. Two 64 KB replies that differ
+// in one early digit cost the first chunk of canonical form, which
+// holds it. A difference in the last kilobyte, and a difference in
+// formatting only, cost the whole of both documents: a 64 KB reply
+// reindented, under another prefix and with its attributes reordered,
+// and a 50 KB one of 1 500 elements with attributes, whose cost is per
+// tag. All of these are held at zero steady-state allocations. The last
+// row is the early difference under a name past ASCII, which the
+// canonical scanner declines: both documents go through Canonicalize
+// whole, however early they part, and its ceiling pins what that
+// allocates.
 func BenchmarkOracleJudge(b *testing.B) { runRows(b, oracleJudgeRows) }
 
 var oracleJudgeRows = []benchRow{
@@ -1174,12 +1234,54 @@ var oracleJudgeRows = []benchRow{
 	judgeRow("header-truth", oracle.Header{}),
 	judgeRow("reference(1.0)", oracle.Reference{Release: "1.0"}),
 	judgeRow("back-to-back", oracle.BackToBack{}),
-	{"back-to-back-64k-differ", func(tb testing.TB) func() {
+	backToBackRow("back-to-back-64k-differ", largeReplyBody(3), largeReplyBody(4), true),
+	backToBackRow("back-to-back-64k-late-differ", lateDigitBody(3), lateDigitBody(4), true),
+	backToBackRow("back-to-back-64k-reformatted", prefixedBody("p", 0, ""), prefixedBody("q", 1, "\n  "), false),
+	backToBackRow("back-to-back-1500-elements-reformatted", itemsBody("p", 0, ""), itemsBody("q", 1, "\n  "), false),
+	backToBackRow("back-to-back-64k-declined-differ", nonASCIIName(largeReplyBody(3)), nonASCIIName(largeReplyBody(4)), true),
+}
+
+// backToBackRow judges two releases' replies x and y back to back; both
+// verdicts must be failed.
+func backToBackRow(name string, x, y []byte, failed bool) benchRow {
+	return benchRow{name, func(tb testing.TB) func() {
 		return judge(tb, oracle.BackToBack{}, []adjudicate.Reply{
-			{Release: "1.0", Body: largeReplyBody(3), Latency: 3 * time.Millisecond},
-			{Release: "1.1", Body: largeReplyBody(4), Latency: 2 * time.Millisecond},
-		}, true)
-	}},
+			{Release: "1.0", Body: x, Latency: 3 * time.Millisecond},
+			{Release: "1.1", Body: y, Latency: 2 * time.Millisecond},
+		}, failed)
+	}}
+}
+
+// lateDigitBody is largeReplyBody with the sum after the padding: two
+// of them differ in their last kilobyte.
+func lateDigitBody(sum int) []byte {
+	return fmt.Appendf(nil, "<addResponse><pad>%s</pad><sum>%08d</sum></addResponse>", strings.Repeat("aB3x", 16<<10), sum)
+}
+
+// nonASCIIName is a reply with its root element renamed past ASCII.
+func nonASCIIName(body []byte) []byte {
+	return bytes.ReplaceAll(body, []byte("addResponse"), []byte("addRésponse"))
+}
+
+// prefixedBody is largeReplyBody in a namespace, under prefix, with two
+// attributes in the order order picks and indent before each child.
+func prefixedBody(prefix string, order int, indent string) []byte {
+	attrs := [2]string{` id="17"`, ` version="1.1"`}
+	return fmt.Appendf(nil, `<%[1]s:addResponse xmlns:%[1]s="urn:add"%[2]s%[3]s>%[4]s<%[1]s:sum>00000003</%[1]s:sum>%[4]s<%[1]s:pad>%[5]s</%[1]s:pad>%[6]s</%[1]s:addResponse>`,
+		prefix, attrs[order], attrs[1-order], indent, strings.Repeat("aB3x", 16<<10), strings.TrimSuffix(indent, "  "))
+}
+
+// itemsBody is a 50 KB reply of 1 500 elements, each with two
+// attributes, formatted as prefixedBody formats its document.
+func itemsBody(prefix string, order int, indent string) []byte {
+	var b strings.Builder
+	fmt.Fprintf(&b, `<%[1]s:items xmlns:%[1]s="urn:items">`, prefix)
+	for i := 0; i < 1500; i++ {
+		attrs := [2]string{fmt.Sprintf(` id="%d"`, i), fmt.Sprintf(` code="c%03d"`, i%1000)}
+		fmt.Fprintf(&b, `%s<%s:item%s%s>v%d</%[2]s:item>`, indent, prefix, attrs[order], attrs[1-order], i)
+	}
+	fmt.Fprintf(&b, `%s</%s:items>`, strings.TrimSuffix(indent, "  "), prefix)
+	return []byte(b.String())
 }
 
 func agreeingReplies() []adjudicate.Reply {

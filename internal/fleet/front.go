@@ -288,7 +288,7 @@ func (f *Fleet) takeOver(w http.ResponseWriter, r *http.Request, u *Unit, rest s
 	c.timed = srv.ReadTimeout != 0 || srv.ReadHeaderTimeout != 0 || srv.IdleTimeout != 0
 	c.armed = c.timed
 	c.ctx = connCtx{c: c, base: context.WithoutCancel(r.Context()), done: make(chan struct{})}
-	c.w = frontWriter{c: c, header: make(http.Header)}
+	c.w = frontWriter{c: c, header: make(http.Header), declared: -1}
 	c.serve(u, core.Demand{
 		Path:        rest,
 		ContentType: r.Header.Get("Content-Type"),
@@ -563,23 +563,30 @@ var aLongTimeAgo = time.Unix(1, 0)
 // frontWriter is a taken-over connection's http.ResponseWriter: every
 // reply is framed with a Content-Length and leaves in one write. The
 // body waits for the engine to return, except one of at least copyMax
-// whose length the engine declared, which leaves as it is written.
+// whose length the engine declared (httpx.DeclareLength), which leaves
+// as it is written.
 type frontWriter struct {
-	c      *frontConn
-	header http.Header
-	status int
-	body   []byte
-	out    []byte // the head, and a small body behind it
-	sent   bool
-	keep   bool // the connection serves another request
-	err    error
-	iov    [2][]byte
-	vec    net.Buffers
-	dateAt int64 // the second date was rendered for
-	date   []byte
+	c        *frontConn
+	header   http.Header
+	status   int
+	declared int // the length httpx.DeclareLength gave, or -1
+	body     []byte
+	out      []byte // the head, and a small body behind it
+	sent     bool
+	keep     bool // the connection serves another request
+	err      error
+	iov      [2][]byte
+	vec      net.Buffers
+	dateAt   int64 // the second date was rendered for
+	date     []byte
 }
 
 func (w *frontWriter) Header() http.Header { return w.header }
+
+// DeclareLength takes the length httpx.DeclareLength declares, in place
+// of the Content-Length header net/http needs, which costs two
+// allocations.
+func (w *frontWriter) DeclareLength(n int) { w.declared = n }
 
 func (w *frontWriter) WriteHeader(code int) {
 	if w.status == 0 {
@@ -594,11 +601,9 @@ func (w *frontWriter) Write(p []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
-	if v := w.header["Content-Length"]; len(w.body) == 0 && len(p) >= copyMax && len(v) == 1 {
-		if n, err := strconv.Atoi(v[0]); err == nil && n == len(p) {
-			w.send(p)
-			return len(p), w.err
-		}
+	if len(w.body) == 0 && len(p) >= copyMax && w.declared == len(p) {
+		w.send(p)
+		return len(p), w.err
 	}
 	w.body = append(w.body, p...)
 	return len(p), nil
@@ -612,7 +617,7 @@ func (w *frontWriter) finish() bool {
 	}
 	keep := w.keep
 	clear(w.header)
-	w.status, w.sent, w.err = 0, false, nil
+	w.status, w.declared, w.sent, w.err = 0, -1, false, nil
 	w.body = trimKeep(w.body)
 	return keep
 }

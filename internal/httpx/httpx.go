@@ -128,15 +128,22 @@ func ReadBoundedBuf(r io.Reader, sizeHint, max int64) (*pool.Buf, error) {
 // even as a single Write.
 const BufferBeforeChunking = 2 << 10
 
-// DeclareLength sets the Content-Length of the n-byte response about to
-// be written to w, when n is past BufferBeforeChunking and w is an
-// http.ResponseWriter whose header is still unwritten (the codecs'
-// WriteBody takes an io.Writer), so that net/http does not chunk-frame
-// it. At or under BufferBeforeChunking net/http counts the response
-// itself, and the header's two allocations would be pure cost.
+// DeclareLength declares the length of the n-byte response about to be
+// written to w (the codecs' WriteBody takes an io.Writer). A writer
+// with a DeclareLength method of its own, as the fleet's taken-over
+// connections have, is told n and frames the response itself. On an
+// http.ResponseWriter whose header is still unwritten it sets the
+// Content-Length when n is past BufferBeforeChunking, so that net/http
+// does not chunk-frame the response; at or under it net/http counts the
+// response itself, and the header's two allocations would be pure cost.
 func DeclareLength(w io.Writer, n int) {
-	if rw, ok := w.(http.ResponseWriter); ok && n > BufferBeforeChunking {
-		rw.Header()["Content-Length"] = []string{strconv.Itoa(n)}
+	switch w := w.(type) {
+	case interface{ DeclareLength(n int) }:
+		w.DeclareLength(n)
+	case http.ResponseWriter:
+		if n > BufferBeforeChunking {
+			w.Header()["Content-Length"] = []string{strconv.Itoa(n)}
+		}
 	}
 }
 

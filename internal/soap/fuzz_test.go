@@ -38,10 +38,10 @@ func clip(b []byte) []byte {
 	return b
 }
 
-// FuzzEqualCanonical fuzzes the streaming comparison against
+// FuzzEqualCanonical fuzzes the chunked comparison against
 // Canonicalize. The seed corpus is the two tables of soap_test.go plus
-// the shapes that exercise the stream machinery itself: text longer
-// than a piece (cut on multi-byte runes and on escapes), a start tag
+// the shapes that exercise the chunks themselves: text longer than a
+// chunk (cut on multi-byte runes and on escapes), a start tag
 // longer than a chunk, and the benchmark's reply — same-length documents
 // that differ in one early digit before 64 KB of padding.
 func FuzzEqualCanonical(f *testing.F) {
@@ -66,6 +66,82 @@ func FuzzEqualCanonical(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		checkAgainstReference(t, a, b)
+	})
+}
+
+// scanCanonical runs one canonical scanner over data to its end and
+// returns every byte it produced, or ok=false where it declined.
+func scanCanonical(data []byte) (out []byte, ok bool) {
+	s := canonScan{scanner: scanner{data: data}, chunk: make([]byte, 0, canonChunk)}
+	for {
+		piece := s.next()
+		if s.declined {
+			return nil, false
+		}
+		if len(piece) == 0 {
+			return out, true
+		}
+		out = append(out, piece...)
+		s.out = nil
+	}
+}
+
+// checkCanonicalScan is FuzzCanonicalScan's property: where the scanner
+// reads a fragment to its end, Canonicalize reads it too and writes the
+// same bytes, and where Canonicalize refuses one, the scanner declines.
+// Unlike Decode's scanner, this one has no laxerByDesign slack: it may
+// decline what the reference reads, never read what it refuses.
+func checkCanonicalScan(t *testing.T, data []byte) {
+	t.Helper()
+	got, ok := scanCanonical(data)
+	want, err := Canonicalize(data)
+	switch {
+	case ok && err != nil:
+		t.Fatalf("the scanner read what Canonicalize refuses (%v)\ninput: %q", err, clip(data))
+	case ok && !bytes.Equal(got, want):
+		t.Fatalf("canonical bytes differ\nscanner:   %q\nreference: %q\ninput: %q", clip(got), clip(want), clip(data))
+	}
+}
+
+// FuzzCanonicalScan holds the canonical scanner's bytes, not only
+// EqualCanonical's verdict, to Canonicalize. The seeds are the two
+// tables of soap_test.go and one fragment for each thing the scanner
+// decodes, resolves or declines: prefixes changed and redeclared, the
+// default namespace redeclared and undone, attributes reordered,
+// predefined and numeric references, CDATA, comments and processing
+// instructions splitting text, CR and CRLF, a no-break space, "]]>" in
+// text and in a value, and a 64 KB reply whose last kilobyte holds a
+// difference.
+func FuzzCanonicalScan(f *testing.F) {
+	for _, c := range canonicalEqualCases {
+		f.Add([]byte(c.a))
+		f.Add([]byte(c.b))
+	}
+	for _, c := range canonicalDistinctCases {
+		f.Add([]byte(c.a))
+		f.Add([]byte(c.b))
+	}
+	for _, s := range []string{
+		`<p:r xmlns:p="urn:a"><p:c xmlns:p="urn:b"><p:d/></p:c><p:e/></p:r>`,
+		`<r xmlns="urn:a"><c xmlns="urn:b"><d/></c><e xmlns=""><f/></e></r>`,
+		`<r z="1" a="2" p:m="3" xmlns:p="urn:p" q:m="4" xmlns:q="urn:o" xml:lang="en"/>`,
+		`<r a="&lt;&gt;&amp;&apos;&quot;" b="&#9;&#xA;&#13;&#x1F600;">&#60;&#x3e;&#65533;&#xD800;</r>`,
+		`<r>&#0;</r>`, `<r>&#x110000;</r>`, `<r>&#X41;</r>`, `<r>&bogus;</r>`, `<r>&#65</r>`,
+		"<r><![CDATA[<a> & ]]]]><![CDATA[> \r\n]]></r>",
+		`<r>a<!-- c -->b<?p d?>c<![CDATA[ ]]>d</r>`,
+		"<r a=\"x\ry\r\nz\">1\r2\r\n3\n\r</r>",
+		"<r> </r>", "<r> \u0085 </r>", "<r>&#160;</r>", "<r>&#32;&#10;</r>",
+		`<r>a]]>b</r>`, `<r a="]]>"/>`, `<r>]]&gt;</r>`,
+		`<x:r/>`, `<xmlns:r/>`, `<r xmlns:p="" p:a="1" p:xmlns="2"/>`, `<r a="1" a="2"/>`,
+		`<?xml version="1.0"?><r/>`, `<!DOCTYPE r><r/>`, `<r/>text&amp;`, `<r>x</r >`, `<r>x</s>`,
+		"<r>\xff</r>", "<r>\x01</r>", "<r>￾</r>", "<r a='\"'/>", `<r a="<"/>`, `<r a=1/>`, `<r a/>`,
+	} {
+		f.Add([]byte(s))
+	}
+	pad := strings.Repeat("aB3x", 16<<10)
+	f.Add([]byte(`<r><sum>3</sum><pad>` + pad + `</pad><tail a="1">` + strings.Repeat("x&amp;\n", 146) + `9</tail></r>`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCanonicalScan(t, data)
 	})
 }
 

@@ -269,25 +269,8 @@ func AppendEscaped[S ~[]byte | ~string](dst []byte, s S) []byte {
 			r, width = utf8.DecodeRune(enc[:copy(enc[:], s[i:])])
 		}
 		i += width
-		var esc string
-		switch r {
-		case '"':
-			esc = "&#34;"
-		case '\'':
-			esc = "&#39;"
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '\t':
-			esc = "&#x9;"
-		case '\n':
-			esc = "&#xA;"
-		case '\r':
-			esc = "&#xD;"
-		default:
+		esc := escapeOf(r)
+		if esc == "" {
 			if inXMLCharRange(r) && !(r == utf8.RuneError && width == 1) {
 				continue
 			}
@@ -298,6 +281,30 @@ func AppendEscaped[S ~[]byte | ~string](dst []byte, s S) []byte {
 		last = i
 	}
 	return append(dst, s[last:]...)
+}
+
+// escapeOf is the escape AppendEscaped writes for r, or "" for a rune
+// it writes as it is (or replaces, outside XML's range).
+func escapeOf(r rune) string {
+	switch r {
+	case '"':
+		return "&#34;"
+	case '\'':
+		return "&#39;"
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	case '\t':
+		return "&#x9;"
+	case '\n':
+		return "&#xA;"
+	case '\r':
+		return "&#xD;"
+	}
+	return ""
 }
 
 // inXMLCharRange is the XML 1.0 Char production (§2.2), as
@@ -508,226 +515,4 @@ func ClassifyReply(status int, body []byte) error {
 		}
 	}
 	return protocol.StatusError(status)
-}
-
-// ---------------------------------------------------------------------------
-// Canonicalization
-
-// Canonicalize normalizes an XML fragment for byte comparison: it drops
-// comments, processing instructions and inter-element whitespace, sorts
-// attributes by name, resolves namespace prefixes, and re-encodes
-// deterministically. Two fragments that differ only in formatting or
-// prefix choice canonicalize identically, which is what the back-to-back
-// comparison of release responses (§5.1.1.3) needs.
-//
-// It is the reference: EqualCanonical answers the same question without
-// building either canonical form, and is tested (and fuzzed) against
-// this function.
-func Canonicalize(fragment []byte) ([]byte, error) {
-	dec := xml.NewDecoder(bytes.NewReader(fragment))
-	out := make([]byte, 0, len(fragment))
-	depth := 0
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("soap: canonicalizing: %w", err)
-		}
-		if text, ok := tok.(xml.CharData); ok {
-			if significantText(text, depth) {
-				out = AppendEscaped(out, text)
-			}
-			continue
-		}
-		out = appendCanonicalTag(out, tok, &depth)
-	}
-}
-
-// significantText reports whether a character-data token belongs to the
-// canonical form: text outside the root and whitespace-only runs are
-// formatting.
-func significantText(text []byte, depth int) bool {
-	return depth > 0 && len(bytes.TrimSpace(text)) > 0
-}
-
-// appendCanonicalTag appends the canonical form of a start or end tag
-// and keeps the element depth; every other token (comments, processing
-// instructions, directives) has no canonical form. Character data is
-// the caller's, so that the comparison can emit a long run piecewise.
-func appendCanonicalTag(dst []byte, tok xml.Token, depth *int) []byte {
-	switch t := tok.(type) {
-	case xml.StartElement:
-		*depth++
-		dst = append(dst, '<')
-		dst = appendCanonicalName(dst, t.Name)
-		// Namespace declarations are resolved into the names; the rest
-		// are emitted sorted by name. The token's slice is ours to
-		// reorder (the decoder builds one per start tag and keeps no
-		// reference), and an insertion sort of the handful of
-		// attributes an element carries needs no scratch and no closure.
-		attrs := t.Attr[:0]
-		for _, a := range t.Attr {
-			if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
-				continue
-			}
-			i := len(attrs)
-			attrs = append(attrs, a)
-			for ; i > 0 && nameLess(a.Name, attrs[i-1].Name); i-- {
-				attrs[i], attrs[i-1] = attrs[i-1], attrs[i]
-			}
-		}
-		for _, a := range attrs {
-			dst = append(dst, ' ')
-			dst = appendCanonicalName(dst, a.Name)
-			dst = append(dst, '=', '"')
-			dst = AppendEscaped(dst, a.Value)
-			dst = append(dst, '"')
-		}
-		dst = append(dst, '>')
-	case xml.EndElement:
-		*depth--
-		dst = append(dst, '<', '/')
-		dst = appendCanonicalName(dst, t.Name)
-		dst = append(dst, '>')
-	}
-	return dst
-}
-
-func nameLess(a, b xml.Name) bool {
-	if a.Space != b.Space {
-		return a.Space < b.Space
-	}
-	return a.Local < b.Local
-}
-
-func appendCanonicalName(dst []byte, n xml.Name) []byte {
-	if n.Space != "" {
-		dst = append(dst, '{')
-		dst = append(dst, n.Space...)
-		dst = append(dst, '}')
-	}
-	return append(dst, n.Local...)
-}
-
-// EqualCanonical reports whether two XML fragments canonicalize to the
-// same bytes. Unparsable fragments compare by raw bytes. The answer is
-// exactly
-//
-//	bytes.Equal(a, b) || (both parse && bytes.Equal(Canonicalize(a), Canonicalize(b)))
-//
-// but neither canonical form is built. This is the oracle comparison
-// primitive, called once per reply pair on every judged demand:
-// byte-identical fragments (agreeing releases serialize
-// deterministically) are equal without parsing, and differing ones are
-// decoded in step, each into a small pooled chunk of canonical bytes
-// that is compared as it is produced — so the comparison returns at the
-// first canonical byte that differs, or the first parse error, and
-// costs the bytes up to there, not both documents. It is the canonical
-// byte streams that are compared, not the token sequences: "a<!--c-->b"
-// and "ab" are one run of text in canonical form and two tokens against
-// one.
-func EqualCanonical(a, b []byte) bool {
-	if bytes.Equal(a, b) {
-		return true
-	}
-	// From here "unequal" is the answer on every path but one: both
-	// streams end cleanly having matched throughout. A parse error on
-	// either side falls back to the raw comparison, which already said
-	// no — so nothing after the first mismatch can change the verdict.
-	ca, cb := scratch.GetSized(canonChunk), scratch.GetSized(canonChunk)
-	sa, sb := newCanonStream(a, ca), newCanonStream(b, cb)
-	eq := equalStreams(&sa, &sb)
-	ca.Release()
-	cb.Release()
-	return eq
-}
-
-// canonChunk is the capacity a canonical stream's chunk starts with,
-// and canonTextPiece the most character data emitted into it at once.
-// Only a start tag larger than the chunk grows it.
-const (
-	canonChunk     = 4 << 10
-	canonTextPiece = 1 << 10
-)
-
-// canonStream produces one fragment's canonical bytes a piece at a
-// time: a tag, or up to canonTextPiece bytes of character data.
-type canonStream struct {
-	dec   *xml.Decoder
-	depth int
-	chunk *pool.Buf // borrowed from EqualCanonical, which releases it
-	// out is the part of chunk not yet compared; text is the rest of
-	// the current character-data token, not yet emitted (it aliases the
-	// decoder's buffer, valid until the next Token call).
-	out, text []byte
-	done      bool  // the input ended,
-	err       error // and this is how, if not cleanly
-}
-
-func newCanonStream(fragment []byte, chunk *pool.Buf) canonStream {
-	return canonStream{dec: xml.NewDecoder(bytes.NewReader(fragment)), chunk: chunk}
-}
-
-// next returns the canonical bytes produced and not yet consumed,
-// advancing the decoder while there are none. Empty means the stream
-// has ended; s.err says whether cleanly.
-func (s *canonStream) next() []byte {
-	for len(s.out) == 0 && !s.done {
-		s.chunk.B = s.emit(s.chunk.B[:0])
-		s.out = s.chunk.B
-	}
-	return s.out
-}
-
-// emit appends the next piece of canonical form, if the next token has
-// one.
-func (s *canonStream) emit(dst []byte) []byte {
-	if len(s.text) > 0 {
-		n := len(s.text)
-		if n > canonTextPiece {
-			// Cut on a rune boundary: escaping is per rune. (Decoded
-			// text is valid UTF-8, so this steps back at most thrice.)
-			for n = canonTextPiece; n > canonTextPiece-utf8.UTFMax && !utf8.RuneStart(s.text[n]); n-- {
-			}
-		}
-		dst = AppendEscaped(dst, s.text[:n])
-		s.text = s.text[n:]
-		return dst
-	}
-	tok, err := s.dec.Token()
-	if err != nil {
-		s.done = true
-		if err != io.EOF {
-			s.err = err
-		}
-		return dst
-	}
-	if text, ok := tok.(xml.CharData); ok {
-		if significantText(text, s.depth) {
-			s.text = text
-		}
-		return dst
-	}
-	return appendCanonicalTag(dst, tok, &s.depth)
-}
-
-// equalStreams reports whether both streams parse to the end and
-// produce the same bytes, stopping at the first evidence they do not.
-func equalStreams(x, y *canonStream) bool {
-	for {
-		px, py := x.next(), y.next()
-		if x.err != nil || y.err != nil {
-			return false
-		}
-		n := min(len(px), len(py))
-		if n == 0 {
-			return len(px) == len(py) // both ended, or one has bytes the other never will
-		}
-		if !bytes.Equal(px[:n], py[:n]) {
-			return false
-		}
-		x.out, y.out = px[n:], py[n:]
-	}
 }

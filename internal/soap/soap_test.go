@@ -251,6 +251,10 @@ var canonicalDistinctCases = []struct{ a, b string }{
 	{`<r><a>1</a><b></r>`, `<r><a>2</a><b></r>`},
 	{`<r><a>1</a><b></r>`, `<r ><a>1</a><b></r>`},
 	{`<r>1</r>`, `<r>1</r><`},
+	// XML's white space is space, tab, CR and LF; any other space is
+	// content.
+	{"<v>\u00a0</v>", `<v></v>`},
+	{"<v>\u0085</v>", `<v></v>`},
 }
 
 func TestCanonicalizeEquivalences(t *testing.T) {
