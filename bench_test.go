@@ -244,6 +244,38 @@ var whiteBoxPosteriorRows = []benchRow{
 			}
 		}
 	}},
+	publicationChainRow("scenario-grid-chain-from-n1", scenarioGrid()),
+	publicationChainRow("upgraded-grid-chain-from-n1", bayes.WhiteBoxConfig{
+		PriorA: stats.ScaledBeta{Alpha: 1, Beta: 3, Upper: 0.1}, PriorB: stats.ScaledBeta{Alpha: 1, Beta: 3, Upper: 0.1},
+		GridA: 60, GridB: 60, GridC: 16, GridAB: 80,
+	}),
+}
+
+// publicationChainRow is §6.2 publication from a campaign's first demand
+// on: each operation is one more demand, a failure of one release every
+// 400th, published as the engine's memo publishes it (ConfidencesFrom,
+// its next handed on), so a row's ns/op is the mean over demands 1 to
+// b.N. Until an eighth of the grid covers the posterior's mass no
+// frontier is kept and every demand pays a full pass: on these grids the
+// first thousand demands cost tens to hundreds of times what a demand
+// past 5 000 does (ROADMAP item 18). The second grid is cmd/upgraded's.
+func publicationChainRow(name string, cfg bayes.WhiteBoxConfig) benchRow {
+	return benchRow{name, func(tb testing.TB) func() {
+		w, err := bayes.NewWhiteBox(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var counts bayes.JointCounts
+		var prev *bayes.Posterior
+		return func() {
+			if counts.N++; counts.N%400 == 0 {
+				counts.AOnly++
+			}
+			if _, _, prev, err = w.ConfidencesFrom(prev, counts, 0.001); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}}
 }
 
 func scenarioWhiteBox(tb testing.TB) *bayes.WhiteBox {

@@ -59,7 +59,11 @@ type Reply struct {
 	// the reply has been judged, recorded and (for the winner) written;
 	// adjudicators must neither retain nor release it. A winner handed
 	// to a consumer carries one extra reference, discharged with
-	// ReleaseBody after the response is written.
+	// ReleaseBody after the response is written. One exception: the
+	// Body of a twin, a reply whose bytes repeat a sibling's in the same
+	// dispatch, is the sibling's payload and lies in the sibling's Buf,
+	// which lives as long as this one until the outcome hook returns; a
+	// winner handed to a consumer never has its Body in another reply's.
 	Buf *pool.Buf
 }
 

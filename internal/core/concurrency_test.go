@@ -325,3 +325,50 @@ func TestPolicyLooksAtEachDueCountOnce(t *testing.T) {
 		t.Fatalf("phase %v after failing looks", e.Phase())
 	}
 }
+
+// TestTwinRepliesReachTheirOwnConsumers drives the parallel phase, where
+// RandomValid delivers either release's reply, from many consumers at
+// once over two releases that answer each demand alike and every demand
+// differently: within a demand the later reply is the earlier one's
+// twin (dispatch's twin rule), its Body the sibling's. Every consumer
+// must get its own demand's sum, and the back-to-back oracle must find
+// no demand on which the two disagreed.
+func TestTwinRepliesReachTheirOwnConsumers(t *testing.T) {
+	_, old := startRelease(t, "1.0", service.FaultPlan{})
+	_, new_ := startRelease(t, "1.1", service.FaultPlan{})
+	e, ts := startEngine(t, Config{
+		Releases:     []Endpoint{old, new_},
+		InitialPhase: PhaseParallel,
+		Oracle:       oracle.BackToBack{},
+	})
+	const consumers, demands = 8, 40
+	var wg sync.WaitGroup
+	for c := range consumers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for d := range demands {
+				a := 1000*c + d
+				out, err := callAdd(t, ts.URL, a, 7)
+				if err != nil {
+					t.Errorf("consumer %d, demand %d: %v", c, d, err)
+					return
+				}
+				if out.Sum != a+7 {
+					t.Errorf("consumer %d, demand %d: sum %d, want %d", c, d, out.Sum, a+7)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, v := range []string{"1.0", "1.1"} {
+		st, err := e.Stats(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Demands != consumers*demands || st.JudgedFailures != 0 {
+			t.Errorf("release %s: %d demands, %d judged failures, want %d and 0", v, st.Demands, st.JudgedFailures, consumers*demands)
+		}
+	}
+}

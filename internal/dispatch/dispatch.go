@@ -30,6 +30,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -153,7 +154,9 @@ type Request struct {
 // possibly after Do returned, when a mode delivered early. The Replies
 // slice is pooled, and each reply's Body may alias a pooled buffer
 // that is recycled the moment the hook returns: the hook must not
-// retain the slice and must copy any body bytes it keeps.
+// retain the slice and must copy any body bytes it keeps. A twin's Body
+// (fanout.classify) aliases its sibling's buffer, not its own Buf,
+// until then; the Winner's Body never lies in another reply's buffer.
 type Outcome struct {
 	// Operation names the invoked operation.
 	Operation string
@@ -383,14 +386,16 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	for i, t := range targets {
 		f.hold(i, d.clock.Now(), d.beginCall(callCtx, t, operation, envelope))
 	}
-	// Gather: each call is ended — reply read, latency stamped,
-	// classified — by exactly one goroutine, so a slow release's time
-	// is never charged to another. When delivery waits for every reply
-	// anyway, this goroutine ends the first call itself and n-1
-	// gatherers end the rest; when delivery may come early it must stay
-	// free to deliver, so every call gets a gatherer. Gatherers are
-	// parked between dispatches (handOff), so a call's gatherer is
-	// usually woken, not started.
+	// Gather: each call is ended — reply read, latency stamped — by
+	// exactly one goroutine, so a slow release's time is never charged
+	// to another. When delivery waits for every reply anyway, this
+	// goroutine ends the first call itself and n-1 gatherers end the
+	// rest; when delivery may come early it must stay free to deliver,
+	// so every call gets a gatherer. Gatherers are parked between
+	// dispatches (handOff), so a call's gatherer is usually woken, not
+	// started. The replies are classified where they are collected, in
+	// the order they come in (fanout.classify), so that a reply that
+	// repeats the bytes of a sibling already in is not decoded again.
 	//
 	// Which call it keeps was measured: the first reads the same latency
 	// as the last and costs less saturated capacity where the handler
@@ -405,10 +410,10 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 		first = 1
 	}
 	for i := first; i < n; i++ {
-		d.handOff(f, i, targets[i])
+		d.handOff(f, i)
 	}
 	if first == 1 {
-		replies[0] = f.end(0, targets[0])
+		f.classify(replies, targets, f.end(0))
 		received = 1
 	}
 	// A rule that names an authority (a phase's Preferred release)
@@ -417,15 +422,13 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	// Only when it is an evident failure does the mode's own rule go on.
 	auth := authority(rule, targets)
 	for received < need || (auth >= 0 && replies[auth].Release == "") {
-		in := <-f.ch
-		replies[in.i] = in.r
+		f.classify(replies, targets, <-f.ch)
 		received++
 	}
 	if req.Mode == ModeResponsiveness {
 		// Keep collecting until a valid reply arrives or all are in.
 		for !anyValid(replies) && received < len(targets) {
-			in := <-f.ch
-			replies[in.i] = in.r
+			f.classify(replies, targets, <-f.ch)
 			received++
 		}
 	}
@@ -442,7 +445,9 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 	winner, adjErr := d.deliver(rule, collected)
 	putReplySlice(collected)
 	// The winner's body aliases a pooled reply buffer that complete will
-	// release; its own reference keeps it live for the consumer write.
+	// release; its own reference keeps it live for the consumer write,
+	// once a twin's body is moved into its own buffer.
+	winner.Body = ownBody(winner, replies)
 	winner.Buf.Retain()
 
 	if received == len(targets) {
@@ -466,8 +471,7 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 			defer d.wg.Done()
 		}
 		for i := 0; i < remaining; i++ {
-			in := <-f.ch
-			partial[in.i] = in.r
+			f.classify(partial, targets, <-f.ch)
 		}
 		d.complete(callCtx.release(), operation, targets, partial, winner, oldest, newest, envBuf)
 		f.release()
@@ -478,10 +482,13 @@ func (d *Dispatcher) Do(req Request) (adjudicate.Reply, error) {
 // ---------------------------------------------------------------------------
 // Pooled fan-out state
 
-// indexed pairs a reply with its target index on the fan-out channel.
-type indexed struct {
-	i int
-	r adjudicate.Reply
+// ended is call i's result as the goroutine that ended it took it in:
+// the transport's answer and the latency it stamped.
+type ended struct {
+	i       int
+	res     httpx.Result
+	err     error
+	latency time.Duration
 }
 
 // pending is one target's call between the scatter that began it and
@@ -491,14 +498,16 @@ type pending struct {
 	start time.Time
 }
 
-// fanout is the pooled per-dispatch fan-out state: the reply channel and
-// one slot per target holding that target's begun call. The calls are
+// fanout is the pooled per-dispatch fan-out state: the reply channel,
+// one slot per target holding that target's begun call, and the status
+// each target's reply came with once it is classified. The calls are
 // values in the slots, so a fan-out allocates nothing per call, and the
 // reply channel is reused across dispatches.
 type fanout struct {
-	d     *Dispatcher
-	calls []pending
-	ch    chan indexed
+	d      *Dispatcher
+	calls  []pending
+	status []int
+	ch     chan ended
 }
 
 // fanoutChanCap is the pooled reply-channel capacity. Fan-outs wider
@@ -514,15 +523,20 @@ var fanoutPool sync.Pool
 func (d *Dispatcher) acquireFanout(n int) *fanout {
 	f, ok := fanoutPool.Get().(*fanout)
 	if !ok {
-		f = &fanout{ch: make(chan indexed, fanoutChanCap), calls: make([]pending, fanoutChanCap)}
+		f = &fanout{
+			ch:     make(chan ended, fanoutChanCap),
+			calls:  make([]pending, fanoutChanCap),
+			status: make([]int, fanoutChanCap),
+		}
 	}
 	if cap(f.ch) < n {
-		f.ch = make(chan indexed, n)
+		f.ch = make(chan ended, n)
 	}
 	if cap(f.calls) < n {
 		f.calls = make([]pending, n)
+		f.status = make([]int, n)
 	}
-	f.calls = f.calls[:n]
+	f.calls, f.status = f.calls[:n], f.status[:n]
 	f.d = d
 	return f
 }
@@ -558,21 +572,83 @@ func (f *fanout) take(i int) (wire.Call, time.Time) {
 }
 
 // end finishes target i's call on the calling goroutine: the reply is
-// read, its latency stamped and its payload classified here.
-func (f *fanout) end(i int, t Endpoint) adjudicate.Reply {
+// read and its latency stamped here.
+func (f *fanout) end(i int) ended {
 	call, start := f.take(i)
 	res, err := call.End()
-	return f.d.classify(t, res, err, f.d.clock.Now().Sub(start))
+	return ended{i, res, err, f.d.clock.Now().Sub(start)}
+}
+
+// classify turns in, ended, into its target's reply. A reply is a twin
+// when its status and bytes are those of a valid sibling already in,
+// whose payload lies in its own bytes: it takes the sibling's
+// classification instead of being decoded, its Body the sibling's very
+// payload (so the oracle finds the two equal by identity), and keeps its
+// own latency, header and buffer. A twin's Body so aliases the sibling's
+// buffer, which is released with it when the dispatch completes; a twin
+// delivered to the consumer is moved into its own first (ownBody).
+// Faults, errors and replies under another status are decoded.
+//
+//wsu:noalloc
+func (f *fanout) classify(replies []adjudicate.Reply, targets []Endpoint, in ended) {
+	f.status[in.i] = in.res.Status
+	if in.err == nil {
+		for k := range replies {
+			s := &replies[k]
+			if s.Release == "" || !s.Valid() || f.status[k] != in.res.Status || !bytes.Equal(s.Raw, in.res.Body) {
+				continue
+			}
+			if _, ok := offsetIn(s.Raw, s.Body); ok {
+				replies[in.i] = adjudicate.Reply{
+					Release: targets[in.i].Version, Body: s.Body, Latency: in.latency,
+					Header: in.res.Header, Raw: in.res.Body, Buf: in.res.BodyBuf,
+				}
+				return
+			}
+		}
+	}
+	replies[in.i] = f.d.classify(targets[in.i], in.res, in.err, in.latency)
+}
+
+// offsetIn returns where sub, not empty, starts in raw, when it is a
+// window on raw's bytes.
+//
+//wsu:noalloc
+func offsetIn(raw, sub []byte) (int, bool) {
+	off := cap(raw) - cap(sub)
+	if len(sub) == 0 || off < 0 || off > len(raw)-len(sub) || &raw[off] != &sub[0] {
+		return 0, false
+	}
+	return off, true
+}
+
+// ownBody is the winner's Body in its own bytes: a twin's, which lies in
+// the sibling it repeats, moved to the same place in its own Raw, so
+// that the reference the winner keeps for the consumer write holds it.
+//
+//wsu:noalloc
+func ownBody(winner adjudicate.Reply, replies []adjudicate.Reply) []byte {
+	if len(winner.Body) == 0 {
+		return winner.Body
+	}
+	if _, ok := offsetIn(winner.Raw, winner.Body); ok {
+		return winner.Body
+	}
+	for _, r := range replies {
+		if off, ok := offsetIn(r.Raw, winner.Body); ok {
+			return winner.Raw[off : off+len(winner.Body)]
+		}
+	}
+	return winner.Body
 }
 
 // ---------------------------------------------------------------------------
 // Parked gatherers
 
-// gatherJob is one call handed to a gatherer: call i of fan-out f, to t.
+// gatherJob is one call handed to a gatherer: call i of fan-out f.
 type gatherJob struct {
 	f *fanout
 	i int
-	t Endpoint
 }
 
 // maxParked bounds the gatherers a dispatcher keeps parked between
@@ -585,8 +661,8 @@ const maxParked = 64
 
 // handOff has call i of f ended by a parked gatherer or, when none is
 // parked, by a fresh one.
-func (d *Dispatcher) handOff(f *fanout, i int, t Endpoint) {
-	j := gatherJob{f, i, t}
+func (d *Dispatcher) handOff(f *fanout, i int) {
+	j := gatherJob{f, i}
 	select {
 	case d.jobs <- j:
 	default:
@@ -605,7 +681,7 @@ func (d *Dispatcher) gatherer(j gatherJob, counted bool) {
 	for {
 		// The receiver can recycle j.f the moment the last reply is in,
 		// so nothing here touches it after the send.
-		j.f.ch <- indexed{j.i, j.f.end(j.i, j.t)}
+		j.f.ch <- j.f.end(j.i)
 		if d.parked.Add(1) > maxParked {
 			d.parked.Add(-1)
 			return

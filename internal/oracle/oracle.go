@@ -19,9 +19,10 @@
 //
 // The judge path runs once per intercepted demand, so it is built for the
 // dispatch hot path: JudgeInto writes verdicts into a caller-owned buffer
-// and every oracle is allocation-free in steady state (byte-identical
-// response comparisons never parse; differing responses are compared as
-// canonical byte streams, up to the first byte that differs).
+// and every oracle is allocation-free in steady state (a twin's payload
+// is its sibling's own slice and is not read; byte-identical response
+// comparisons never parse; differing responses are compared as
+// canonical streams, up to the first evidence that they differ).
 package oracle
 
 import (
@@ -177,10 +178,15 @@ func (o BackToBack) JudgeInto(dst []bool, operation string, replies []adjudicate
 
 // payloadEqual compares two reply payloads through the oracle's codec,
 // defaulting to the SOAP codec so zero-value oracles keep their
-// historical behaviour.
+// historical behaviour. Two payloads that are one slice — a twin's and
+// the sibling whose bytes it repeats (dispatch) — are equal without
+// being read.
 //
 //wsu:noalloc
 func payloadEqual(c protocol.Codec, a, b []byte) bool {
+	if len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) {
+		return true
+	}
 	if c == nil {
 		c = soapcodec.Default
 	}

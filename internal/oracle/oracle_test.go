@@ -6,6 +6,8 @@ import (
 
 	"wsupgrade/internal/adjudicate"
 	"wsupgrade/internal/httpx"
+	"wsupgrade/internal/protocol"
+	"wsupgrade/internal/protocol/soapcodec"
 )
 
 var errBoom = errors.New("boom")
@@ -112,6 +114,34 @@ func TestHeaderOracleReadsGroundTruth(t *testing.T) {
 	for i := range want {
 		if failed[i] != want[i] {
 			t.Fatalf("failed = %v, want %v", failed, want)
+		}
+	}
+}
+
+// unaskedCodec fails the test if its Equal is called.
+type unaskedCodec struct {
+	protocol.Codec
+	t *testing.T
+}
+
+func (c unaskedCodec) Equal(a, b []byte) bool {
+	c.t.Errorf("Equal(%q, %q) asked of the codec", a, b)
+	return false
+}
+
+// TestTwinPayloadsEqualByIdentity holds payloadEqual's same-slice check:
+// a twin's payload is its sibling's own slice (dispatch), and both
+// comparison oracles take it as agreement without asking the codec.
+func TestTwinPayloadsEqualByIdentity(t *testing.T) {
+	payload := []byte("<r>42</r>")
+	replies := []adjudicate.Reply{
+		{Release: "1.0", Body: payload},
+		{Release: "1.1", Body: payload},
+	}
+	codec := unaskedCodec{soapcodec.Default, t}
+	for _, o := range []Oracle{Reference{Release: "1.0", Codec: codec}, BackToBack{Codec: codec}} {
+		if failed := o.JudgeInto(nil, "op", replies); failed[0] || failed[1] {
+			t.Errorf("%T judged twins %v", o, failed)
 		}
 	}
 }

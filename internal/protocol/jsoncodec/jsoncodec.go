@@ -26,6 +26,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"wsupgrade/internal/httpx"
 	"wsupgrade/internal/protocol"
@@ -162,7 +163,11 @@ var errInvalidReply = protocol.ServerError("invalid JSON body")
 // and 10e-1 agree; 9007199254740993 and 9007199254740992 do not).
 // Payloads that do not parse compare by the raw bytes — already unequal
 // here — mirroring the SOAP canonicalizer's conservatism on unparsable
-// fragments.
+// fragments. So does a payload that holds what the decode would erase:
+// invalid UTF-8 or a lone surrogate escape, which it turns into U+FFFD,
+// or a duplicated key, of which it keeps the last value. A consumer that
+// reads the bytes, or a duplicated key's first value, would see two such
+// replies differ.
 //
 //wsu:noalloc
 func (Codec) Equal(a, b []byte) bool {
@@ -190,20 +195,100 @@ func canonicalEqual(a, b []byte) bool {
 
 // decodeExact decodes one JSON payload into interface values, keeping
 // each number as its literal (json.Number): float64 cannot tell 2^53
-// from 2^53+1.
+// from 2^53+1. A payload the decode would not read faithfully is
+// refused, as is one that does not parse: decoding into maps keeps a
+// duplicated key once, so a decoded payload with fewer members than
+// the text names one twice.
 func decodeExact(in []byte) (any, bool) {
 	// A decoder stops after the first value; the check refuses what
 	// follows it, as json.Unmarshal does.
 	if !valid(in) {
 		return nil, false
 	}
+	named, ok := faithful(in)
+	if !ok {
+		return nil, false
+	}
 	dec := json.NewDecoder(bytes.NewReader(in))
 	dec.UseNumber()
 	var v any
-	if err := dec.Decode(&v); err != nil {
+	if err := dec.Decode(&v); err != nil || members(v) != named {
 		return nil, false
 	}
 	return v, true
+}
+
+// faithful counts the object members of in, a valid document, and
+// reports whether its strings hold only what a decode keeps: no invalid
+// UTF-8 (outside its strings a valid document is ASCII) and no \u escape
+// of a UTF-16 surrogate that is not half of an escaped pair. Outside its
+// strings a valid document has a colon only after each member's key;
+// inside them a backslash starts a well-formed escape.
+func faithful(in []byte) (named int, ok bool) {
+	if !utf8.Valid(in) {
+		return 0, false
+	}
+	colon := []byte{':'}
+	for i := 0; ; {
+		q := bytes.IndexByte(in[i:], '"')
+		if q < 0 {
+			return named + bytes.Count(in[i:], colon), true
+		}
+		named += bytes.Count(in[i:i+q], colon)
+		i += q + 1
+		// A string: from escape to escape up to its closing quote.
+		end := i + bytes.IndexByte(in[i:], '"')
+		for {
+			e := bytes.IndexByte(in[i:end], '\\')
+			if e < 0 {
+				i = end + 1
+				break
+			}
+			if i += e + 1; in[i] != 'u' {
+				i++
+			} else if i, ok = surrogateFree(in, i+1); !ok {
+				return 0, false
+			}
+			if i > end { // the escape was \"
+				end = i + bytes.IndexByte(in[i:], '"')
+			}
+		}
+	}
+}
+
+// surrogateFree reads the \u escape whose hex digits start at i, and a
+// second one if the first is the high half of a surrogate pair. It
+// returns the index after them and whether they are not a lone half.
+func surrogateFree(in []byte, i int) (int, bool) {
+	unit := func(at int) uint64 {
+		u, _ := strconv.ParseUint(string(in[at:at+4]), 16, 16) // valid checked the digits
+		return u
+	}
+	switch r := unit(i); {
+	case r < 0xD800 || r > 0xDFFF:
+		return i + 4, true
+	case r >= 0xDC00 || len(in)-i < 10 || in[i+4] != '\\' || in[i+5] != 'u':
+		return i + 4, false
+	}
+	lo := unit(i + 6)
+	return i + 10, lo >= 0xDC00 && lo <= 0xDFFF
+}
+
+// members counts the object members of a decoded payload.
+func members(v any) int {
+	n := 0
+	switch x := v.(type) {
+	case map[string]any:
+		n = len(x)
+		for _, e := range x {
+			n += members(e)
+		}
+	case []any:
+		for _, e := range x {
+			n += members(e)
+		}
+	}
+	return n
 }
 
 // sameValue compares two decoded payloads: objects as key sets, arrays

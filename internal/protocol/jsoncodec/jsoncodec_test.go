@@ -10,17 +10,23 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"wsupgrade/internal/protocol"
 )
 
-// referenceEqual is the specification Equal must agree with on
-// parsable inputs: an encoding/json decode into interface values, each
-// number turned into its exact value as a big.Rat, compared
-// structurally. big.Rat spells out 10^exp, so a case with an exponent
-// beyond ±maxRefExponent is skipped: the reference would cost the
-// number's magnitude where Equal costs its length.
-func referenceEqual(t testing.TB, a, b []byte) (equal, parsable bool) {
+// referenceEqual is the specification Equal must agree with: an
+// encoding/json decode into interface values, each number turned into
+// its exact value as a big.Rat, compared structurally. A payload that
+// does not parse, or that the decode would not read faithfully —
+// invalid UTF-8 or a lone surrogate escape, which it turns into U+FFFD,
+// or a duplicated key, of which it keeps the last value — is not
+// canonical: such a pair compares by its bytes. big.Rat spells out
+// 10^exp, so a case with an exponent beyond ±maxRefExponent is
+// skipped: the reference would cost the number's magnitude where Equal
+// costs its length.
+func referenceEqual(t testing.TB, a, b []byte) (equal, canonical bool) {
 	va, okA := referenceDecode(a)
 	vb, okB := referenceDecode(b)
 	if !okA || !okB {
@@ -31,17 +37,101 @@ func referenceEqual(t testing.TB, a, b []byte) (equal, parsable bool) {
 
 const maxRefExponent = 1000
 
-// referenceDecode is json.Unmarshal with UseNumber: a decoder reads only
+// referenceDecode decodes one payload token by token with UseNumber,
+// refusing what referenceEqual compares by bytes. A decoder reads only
 // the first value, so json.Valid refuses trailing bytes first.
 func referenceDecode(in []byte) (any, bool) {
-	if !json.Valid(in) {
+	if !json.Valid(in) || !utf8.Valid(in) {
 		return nil, false
 	}
 	dec := json.NewDecoder(bytes.NewReader(in))
 	dec.UseNumber()
-	var v any
-	err := dec.Decode(&v)
-	return v, err == nil
+	return referenceValue(dec, in)
+}
+
+func referenceValue(dec *json.Decoder, in []byte) (any, bool) {
+	tok, ok := referenceToken(dec, in)
+	if !ok {
+		return nil, false
+	}
+	switch tok {
+	case json.Delim('{'):
+		obj := map[string]any{}
+		for dec.More() {
+			key, ok := referenceToken(dec, in)
+			if !ok {
+				return nil, false
+			}
+			if _, dup := obj[key.(string)]; dup {
+				return nil, false
+			}
+			if obj[key.(string)], ok = referenceValue(dec, in); !ok {
+				return nil, false
+			}
+		}
+		_, ok = referenceToken(dec, in)
+		return obj, ok
+	case json.Delim('['):
+		arr := []any{}
+		for dec.More() {
+			v, ok := referenceValue(dec, in)
+			if !ok {
+				return nil, false
+			}
+			arr = append(arr, v)
+		}
+		_, ok = referenceToken(dec, in)
+		return arr, ok
+	}
+	return tok, true
+}
+
+// referenceToken reads one token, refusing a string whose literal — the
+// bytes the token was read from, from its opening quote — holds an
+// escaped UTF-16 surrogate that is not half of a pair.
+func referenceToken(dec *json.Decoder, in []byte) (json.Token, bool) {
+	from := dec.InputOffset()
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, false
+	}
+	if _, ok := tok.(string); ok {
+		lit := in[from:dec.InputOffset()]
+		if loneSurrogate(lit[bytes.IndexByte(lit, '"'):]) {
+			return nil, false
+		}
+	}
+	return tok, true
+}
+
+func loneSurrogate(lit []byte) bool {
+	hex := func(at int) rune {
+		r, err := strconv.ParseUint(string(lit[at:at+4]), 16, 16)
+		if err != nil {
+			panic(err)
+		}
+		return rune(r)
+	}
+	for i := 1; i < len(lit)-1; i++ {
+		if lit[i] != '\\' {
+			continue
+		}
+		if i++; lit[i] != 'u' {
+			continue
+		}
+		r := hex(i + 1)
+		i += 4
+		if !utf16.IsSurrogate(r) {
+			continue
+		}
+		if i+6 < len(lit) && lit[i+1] == '\\' && lit[i+2] == 'u' &&
+			utf16.DecodeRune(r, hex(i+3)) != utf8.RuneError {
+			i += 6
+			continue
+		}
+		return true
+	}
+	return false
 }
 
 // exactNumbers replaces every json.Number in v by its value in lowest
@@ -93,6 +183,10 @@ var equivalenceCorpus = []struct {
 	{"unicode-escape", `{"s":"\u0041BC"}`, `{"s":"ABC"}`, true},
 	{"unicode-escape-nonascii", `{"s":"\u00e9"}`, `{"s":"é"}`, true},
 	{"escaped-solidus", `{"s":"a\/b"}`, `{"s":"a/b"}`, true},
+	{"surrogate-pair-escape", `{"s":"\ud83d\ude00"}`, `{"s":"😀"}`, true},
+	{"decomposed-accent", `{"s":"e\u0301"}`, `{"s":"é"}`, false},
+	{"escaped-key", `{"\u0061":1,"b":2}`, `{"b":2,"a":1}`, true},
+	{"escaped-backslash-then-u", `{"s":"\\ud800"}`, `{ "s": "\\ud800" }`, true},
 	{"nested-arrays", `[[1, 2], [3, [4]]]`, `[[1,2],[3,[4]]]`, true},
 	{"top-level-scalar", `  1e3 `, `1000`, true},
 	{"null-vs-missing", `{"a":null}`, `{}`, false},
@@ -116,9 +210,9 @@ func TestEqualAgreesWithReference(t *testing.T) {
 	for _, tc := range equivalenceCorpus {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := []byte(tc.a), []byte(tc.b)
-			refEq, parsable := referenceEqual(t, a, b)
-			if !parsable {
-				t.Fatalf("corpus entry %q is not parsable JSON", tc.name)
+			refEq, canonical := referenceEqual(t, a, b)
+			if !canonical {
+				t.Fatalf("corpus entry %q is not canonical JSON", tc.name)
 			}
 			if refEq != tc.equal {
 				t.Fatalf("corpus entry %q: reference says %v, corpus says %v",
@@ -129,6 +223,34 @@ func TestEqualAgreesWithReference(t *testing.T) {
 			}
 			if got := c.Equal(b, a); got != tc.equal {
 				t.Errorf("Equal(%q, %q) = %v, want %v (symmetry)", tc.b, tc.a, got, tc.equal)
+			}
+		})
+	}
+}
+
+// erasedCorpus holds pairs that encoding/json's decode reads as one
+// value although their bytes, and what a consumer reading them sees,
+// differ: invalid UTF-8 and lone surrogate escapes become U+FFFD, and a
+// duplicated key keeps its last value. Each compares by its bytes.
+var erasedCorpus = []struct{ name, a, b string }{
+	{"invalid-utf8", "{\"a\":\"\xff\"}", "{\"a\":\"\xfe\"}"},
+	{"lone-surrogates", `{"a":"\ud800"}`, `{"a":"\udc00"}`},
+	{"lone-surrogate-vs-replacement", `{"a":"\ud800"}`, `{"a":"�"}`},
+	{"duplicate-key", `{"a":1,"a":2}`, `{"a":3,"a":2}`},
+}
+
+// TestEqualSeesWhatDecodingErases holds every pair of erasedCorpus
+// unequal, in either order, and outside what the reference reads
+// faithfully.
+func TestEqualSeesWhatDecodingErases(t *testing.T) {
+	for _, tc := range erasedCorpus {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := []byte(tc.a), []byte(tc.b)
+			if _, canonical := referenceEqual(t, a, b); canonical {
+				t.Fatalf("the reference reads %q and %q faithfully", a, b)
+			}
+			if (Codec{}).Equal(a, b) || (Codec{}).Equal(b, a) {
+				t.Errorf("Equal(%q, %q) = true, want false", a, b)
 			}
 		})
 	}
@@ -364,6 +486,9 @@ func FuzzJSONEqual(f *testing.F) {
 	for _, tc := range equivalenceCorpus {
 		f.Add([]byte(tc.a), []byte(tc.b))
 	}
+	for _, tc := range erasedCorpus {
+		f.Add([]byte(tc.a), []byte(tc.b))
+	}
 	for _, m := range []string{`{"a":`, `{broken}`, ``, `{"a":1}trailing`} {
 		f.Add([]byte(m), []byte(`{"a":1}`))
 	}
@@ -373,12 +498,12 @@ func FuzzJSONEqual(f *testing.F) {
 		if c.Equal(b, a) != got {
 			t.Fatalf("Equal is not symmetric on %q, %q", a, b)
 		}
-		want, parsable := referenceEqual(t, a, b)
-		if !parsable {
+		want, canonical := referenceEqual(t, a, b)
+		if !canonical {
 			want = bytes.Equal(a, b)
 		}
 		if got != want {
-			t.Fatalf("Equal(%q, %q) = %v, reference says %v (both parse: %v)", a, b, got, want, parsable)
+			t.Fatalf("Equal(%q, %q) = %v, reference says %v (canonical: %v)", a, b, got, want, canonical)
 		}
 	})
 }
